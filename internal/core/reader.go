@@ -123,10 +123,14 @@ func (r *Reader) read() (types.Tagged, error) {
 	for {
 		// Fig. 2 lines 15–16: next round, query all servers.
 		rnd++
+		// The round's timer runs from the start of the round, not from
+		// the end of the broadcast: a send may be a socket write on this
+		// goroutine (transport.Coalescer writes through), and the
+		// synchrony verdict should not wait that much longer.
+		timer = resetTimer(&r.roundTimer, r.cfg.roundTimeout())
 		if err := r.broadcast(wire.Read{TSR: r.tsr, Round: rnd}); err != nil {
 			return types.Tagged{}, err
 		}
-		timer = resetTimer(&r.roundTimer, r.cfg.roundTimeout())
 		inGrace := false
 
 		// Fig. 2 line 17: wait for S−t acks of this round, and in round

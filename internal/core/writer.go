@@ -413,6 +413,11 @@ func (w *Writer) bind(c types.Tagged, f *WriteFault, queried bool, ghost types.S
 	w.pw = c
 	w.opTS = c.TS
 	pwMsg := wire.PW{TS: c.TS, PW: w.pw, W: w.w, Frozen: w.frozen}
+	// The synchrony timer runs from the start of the round, not from the
+	// end of the broadcast: a send may be a socket write on this
+	// goroutine (transport.Coalescer writes through).
+	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout())
+	defer timer.Stop()
 	if err := w.sendTo(w.pwTargets(f), pwMsg); err != nil {
 		return err
 	}
@@ -423,8 +428,6 @@ func (w *Writer) bind(c types.Tagged, f *WriteFault, queried bool, ghost types.S
 
 	// Fig. 1 line 5: wait for S−t valid PW_ACKs and timer expiry (early
 	// exit when all S servers have answered — nothing more can arrive).
-	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout())
-	defer timer.Stop()
 	w.resetAcks()
 	expired := false
 	inGrace := false
@@ -543,6 +546,8 @@ func (w *Writer) bindSpec(c types.Tagged, opDeadline *time.Timer) (done bool, er
 	w.stats.SpecAttempts++
 	w.opTS = c.TS
 	pwMsg := wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen, Spec: true}
+	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout()) // from the round's start, as in bind
+	defer timer.Stop()
 	if err := w.sendTo(w.allServers(), pwMsg); err != nil {
 		return false, err
 	}
@@ -552,8 +557,6 @@ func (w *Writer) bindSpec(c types.Tagged, opDeadline *time.Timer) (done bool, er
 	// S−t acks) abandons it rather than retransmitting — the slow path
 	// owns loss recovery, and a stale spec stamp would only be NACKed
 	// again anyway.
-	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout())
-	defer timer.Stop()
 	w.resetAcks()
 	expired := false
 	inGrace := false

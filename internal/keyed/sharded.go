@@ -28,15 +28,19 @@ func ShardIndex(key string, shards int) int {
 // ShardedServer is the keyed server split across shards: shard i holds
 // the automata of every key with ShardIndex(key, n) == i in a plain,
 // unlocked map. Each shard implements node.Automaton and must be
-// stepped by exactly one goroutine — node.ShardedRunner's per-shard
-// workers — which is what removes the global mutex keyed.Server takes
-// on every message.
+// stepped by one goroutine at a time, consecutive steps ordered by a
+// happens-before edge — node.ShardedRunner's per-shard workers, or
+// node.StepPool's per-shard lock — which is what removes the global
+// mutex keyed.Server takes on every message.
 type ShardedServer struct {
 	shards []*shard
 	regs   atomic.Int64
 }
 
 // shard owns the automata of its keys exclusively; no locking anywhere.
+// Its state is memory only, so it declares node.NonBlocking — provided
+// the factory's per-register automata compute on memory too, which
+// every register automaton of this repository does.
 type shard struct {
 	parent  *ShardedServer
 	regs    map[string]node.Automaton
@@ -46,6 +50,7 @@ type shard struct {
 var (
 	_ node.Automaton     = (*shard)(nil)
 	_ node.AppendStepper = (*shard)(nil)
+	_ node.NonBlocking   = (*shard)(nil)
 )
 
 // NewShardedServer creates a keyed server split across n shards whose
@@ -114,9 +119,13 @@ func (s *ShardedServer) RangeShard(i int, fn func(key string, reg node.Automaton
 	}
 }
 
+// StepNeverBlocks implements node.NonBlocking: a map lookup and a
+// register step, no I/O.
+func (sh *shard) StepNeverBlocks() {}
+
 // Step implements node.Automaton for one shard: unwrap, dispatch to the
 // key's automaton, re-wrap. The map access is unlocked — the shard's
-// worker goroutine is the only one ever here.
+// driver lets one goroutine at a time in here.
 func (sh *shard) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
 	return sh.StepAppend(from, m, nil)
 }

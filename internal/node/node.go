@@ -35,6 +35,18 @@ type AppendStepper interface {
 	StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing
 }
 
+// NonBlocking is an optional Automaton marker: an automaton whose step
+// only computes on memory — it never waits on I/O or on another
+// goroutine — declares the method, and a driver may then run that step
+// on a goroutine with other duties (tcpnet steps such a shard on a
+// connection's read goroutine, StepPool.TryStep). An automaton that can
+// block (storage.Durable waits for a WAL commit), and any wrapper around
+// one that does not declare the marker itself, is only ever stepped on
+// a worker that has nothing else to do.
+type NonBlocking interface {
+	StepNeverBlocks()
+}
+
 // StepInto drives one step through the append-based API when a
 // implements it, falling back to Step and copying its result. Every
 // driver (Runner, ShardedRunner, StepPool, tcpnet's serve loops) steps

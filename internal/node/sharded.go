@@ -78,8 +78,9 @@ func (r *ShardedRunner) Start() {
 		}
 		go func() {
 			wg.Wait()
-			// Joining the queues' drainer goroutines after every worker
-			// has exited: no goroutine outlives the runner.
+			// Closing the queues after every worker has exited joins any
+			// overflow drainer still running: no goroutine outlives the
+			// runner.
 			for _, q := range r.queues {
 				q.Close()
 			}
@@ -96,8 +97,8 @@ func (r *ShardedRunner) Start() {
 func (r *ShardedRunner) Crash() {
 	r.stopOnce.Do(func() { close(r.stop) })
 	// If Start never ran, consume the once so the pumps can no longer
-	// launch; the queues' drainer goroutines must be joined here since
-	// the Start path that normally closes them will never run.
+	// launch; the queues must be closed here since the Start path that
+	// normally closes them will never run.
 	r.startOnce.Do(func() {
 		for _, q := range r.queues {
 			q.Close()

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"luckystore/internal/core"
+	"luckystore/internal/kv"
+	"luckystore/internal/transport"
 	"luckystore/internal/types"
 )
 
@@ -97,5 +99,81 @@ func TestGetSteadyStateAllocsTCP(t *testing.T) {
 	}
 	if !r.LastMeta().Fast() {
 		t.Fatal("reads were not fast; the measurement did not hit the steady-state path")
+	}
+}
+
+// kvFleetAllocBudget pins a steady-state lucky kv Put or Get over
+// loopback TCP with the whole fleet in the process — the client store
+// (kv → keyed.Demux → transport.Coalescer → Client) and S = 3 sharded
+// servers, every goroutine counted. Both measure 22, all of it the
+// codec's and the protocol's: per request and per reply, Message
+// boxings where it is built and where each layer of keyed wrapping is
+// decoded, plus the decoded key string. The path this package and
+// internal/transport put around them (write-through send, inline step
+// and reply, goroutine-free mailboxes) allocates nothing;
+// before it was made run-to-completion the same test measured 28.
+// One-byte values, as above. The budget is the measurement plus one.
+const kvFleetAllocBudget = 23
+
+// kvFleet starts S sharded KV servers and a client store dialed to
+// them, the wiring of luckystore.ListenTCPKV / OpenKVTCP.
+func kvFleet(t *testing.T, cfg core.Config) *kv.Store {
+	t.Helper()
+	servers := make(map[types.ProcID]string, cfg.S())
+	for i := 0; i < cfg.S(); i++ {
+		auto := kv.NewShardedServerAutomaton(2)
+		srv, err := ListenSharded(types.ServerID(i), "127.0.0.1:0", auto.Shards(), auto.Route())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = srv.Close() })
+		servers[srv.ID()] = srv.Addr()
+	}
+	w, err := Dial(types.WriterID(), servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Dial(types.ReaderID(0), servers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := kv.OpenWithEndpoints(cfg, w, []transport.Endpoint{r})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+func TestKVFleetSteadyStateAllocsTCP(t *testing.T) {
+	cfg := core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1}
+	st := kvFleet(t, cfg)
+	for i := 0; i < 64; i++ {
+		if err := st.Put("k", "warm"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Get(0, "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put := testing.AllocsPerRun(200, func() {
+		if err := st.Put("k", "v"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	get := testing.AllocsPerRun(200, func() {
+		if _, err := st.Get(0, "k"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("whole fleet over loopback TCP: Put %.1f allocs/op, Get %.1f allocs/op", put, get)
+	if put > kvFleetAllocBudget+0.5 || get > kvFleetAllocBudget+0.5 {
+		t.Errorf("steady-state kv over TCP: Put %.1f, Get %.1f allocs/op, budget %d", put, get, kvFleetAllocBudget)
+	}
+	if m, _ := st.PutMeta("k"); !m.Fast {
+		t.Fatal("puts were not fast; the measurement did not hit the steady-state path")
+	}
+	if m, _ := st.GetMeta(0, "k"); !m.Fast() {
+		t.Fatal("gets were not fast; the measurement did not hit the steady-state path")
 	}
 }

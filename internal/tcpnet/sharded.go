@@ -22,18 +22,22 @@ import (
 const framePipelineDepth = 64
 
 // ListenSharded starts a server whose automaton is split into shards
-// stepped in parallel: a node.StepPool owns one worker per shard, every
-// connection's read loop routes each inbound message to its shard, and
-// a per-connection write pump sends the replies. Unlike Listen, no
-// mutex serializes steps across connections — messages for different
-// shards (different keys, under keyed.ShardedServer's routing) are
-// stepped concurrently, across and within connections.
+// stepped in parallel under a node.StepPool. Every connection's read
+// loop routes each inbound message to its shard and takes one of two
+// paths per request frame (servePipelined picks, from what it can
+// observe): it steps the message itself and writes the reply itself —
+// run to completion, no hand-off — or it submits the frame's messages
+// to the shard workers and lets the connection's write pump send the
+// replies. Unlike Listen, no mutex serializes steps across connections
+// — messages for different shards (different keys, under
+// keyed.ShardedServer's routing) are stepped concurrently, across and
+// within connections.
 //
-// The reply contract matches Listen's serialized loop: all replies to
-// one request frame coalesce into batch frames (one frame per round
-// trip for a batched multi-key request), reply frames for one
-// connection go out in request order, and so per-(peer,key) FIFO order
-// is preserved end to end.
+// The reply contract matches Listen's serialized loop on both paths:
+// all replies to one request frame coalesce into batch frames (one
+// frame per round trip for a batched multi-key request), reply frames
+// for one connection go out in request order, and so per-(peer,key)
+// FIFO order is preserved end to end.
 //
 // The shards and route function typically come from a
 // keyed.ShardedServer's Shards and Route methods.
@@ -57,57 +61,75 @@ func ListenSharded(id types.ProcID, addr string, shards []node.Automaton, route 
 // replySlot holds one inner message's replies to the peer. A step of
 // this protocol family produces at most one reply to the requester, so
 // the slot stores that message inline; rest exists only for exotic
-// automata and stays nil on the hot path.
+// automata and stays nil on the hot path. cls and t0 carry the
+// service-latency observation from submission to fill (cls < 0: none).
 type replySlot struct {
 	msg  wire.Message
 	rest []wire.Message
+	t0   time.Time
+	cls  int
 }
 
-// pendingFrame collects the replies of one request frame: one slot per
-// inner message, filled by shard workers as steps complete, in whatever
-// order the shards finish. ready closes when every slot is filled, and
-// the write pump reads the slots in request order — intra-frame reply
-// order is deterministic even though stepping was parallel.
+// pendingFrame collects the replies of one request frame on the pooled
+// path: one slot per inner message, filled by shard workers as steps
+// complete, in whatever order the shards finish. The last fill sends
+// one token on ready, and the write pump reads the slots in request
+// order — intra-frame reply order is deterministic even though stepping
+// was parallel.
 //
-// Frames are pooled: in the steady state a request frame costs one
-// channel allocation, not a struct + slot array + per-slot reply slice.
+// Frames are pooled and genuinely reusable: the slot array, the ready
+// channel (a token per use, never closed) and the frame itself — which
+// is also the node.StepSink of its own steps, so no closure is made per
+// message — all survive the round trip through framePool. In the steady
+// state a request frame allocates nothing here.
 type pendingFrame struct {
 	slots     []replySlot
 	remaining atomic.Int32
-	ready     chan struct{}
+	ready     chan struct{} // capacity 1: holds the token of the use in progress
+	peer      types.ProcID
+	met       *ServerMetrics
 }
 
-var framePool = sync.Pool{New: func() any { return new(pendingFrame) }}
+var framePool = sync.Pool{New: func() any {
+	return &pendingFrame{ready: make(chan struct{}, 1)}
+}}
 
-func newPendingFrame(n int) *pendingFrame {
+func newPendingFrame(n int, peer types.ProcID, met *ServerMetrics) *pendingFrame {
 	pf := framePool.Get().(*pendingFrame)
 	if cap(pf.slots) < n {
 		pf.slots = make([]replySlot, n)
 	} else {
 		pf.slots = pf.slots[:n]
 	}
-	pf.ready = make(chan struct{})
+	pf.peer, pf.met = peer, met
 	pf.remaining.Store(int32(n))
 	return pf
 }
 
 // release clears the slots' message references (so pooling does not
-// pin replies for GC) and returns the frame to the pool. Only the
-// write pump calls it, after the frame has been written or dropped.
+// pin replies for GC) and returns the frame to the pool. Only called
+// once no fill can still happen and the ready token has been consumed
+// (or was never sent): after the pump received it, or for a frame none
+// of whose messages was submitted.
 func (pf *pendingFrame) release() {
 	clear(pf.slots)
+	pf.peer, pf.met = "", nil
 	framePool.Put(pf)
 }
 
-// fill stores slot i's replies — selected from the worker's scratch
-// output, which is only valid during this call — and closes ready when
-// it was the last outstanding slot. Each slot is filled exactly once,
-// by the worker that stepped its message; the atomic decrement orders
-// every fill before the close, so the pump reads the slots race-free.
-func (pf *pendingFrame) fill(i int, out []transport.Outgoing, peer types.ProcID) {
+// StepDone implements node.StepSink: slot i's step has run.
+func (pf *pendingFrame) StepDone(i int, out []transport.Outgoing) { pf.fill(i, out) }
+
+// fill stores slot i's replies — selected from the stepper's scratch
+// output, which is only valid during this call — and sends the ready
+// token when it was the last outstanding slot. Each slot is filled
+// exactly once, by the goroutine that stepped its message; the atomic
+// decrement orders every fill before the token, so the pump reads the
+// slots race-free.
+func (pf *pendingFrame) fill(i int, out []transport.Outgoing) {
 	slot := &pf.slots[i]
 	for _, o := range out {
-		if o.To != peer {
+		if o.To != pf.peer {
 			continue // a data-centric server replies only to the requester
 		}
 		if slot.msg == nil {
@@ -116,8 +138,11 @@ func (pf *pendingFrame) fill(i int, out []transport.Outgoing, peer types.ProcID)
 			slot.rest = append(slot.rest, o.Msg)
 		}
 	}
+	if slot.cls >= 0 {
+		pf.met.Service[slot.cls].ObserveSince(slot.t0)
+	}
 	if pf.remaining.Add(-1) == 0 {
-		close(pf.ready)
+		pf.ready <- struct{}{}
 	}
 }
 
@@ -133,15 +158,71 @@ func (pf *pendingFrame) appendReplies(buf []wire.Message) []wire.Message {
 	return buf
 }
 
-// servePipelined handles one connection on the sharded path: the read
-// loop (this goroutine) decodes frames and submits each inner message
-// to its shard worker, and the write pump goroutine sends each frame's
-// coalesced replies once its steps complete, in request order.
+// serviceClass starts a per-key-class service-latency observation for
+// m: the class index and start time, or cls < 0 when the server is
+// uninstrumented or m is not keyed.
+func (s *Server) serviceClass(m wire.Message) (cls int, t0 time.Time) {
+	if s.met == nil {
+		return -1, t0
+	}
+	k, isKeyed := m.(wire.Keyed)
+	if !isKeyed {
+		return -1, t0
+	}
+	return metrics.KeyClass(k.Key), time.Now()
+}
+
+// servePipelined handles one connection on the sharded path. The read
+// loop (this goroutine) decodes request frames and, per frame, takes
+// one of two paths.
+//
+// Inline — run to completion: step the message here and write its reply
+// here, zero hand-offs. Taken only when everything the loop can observe
+// says queueing would buy nothing and reorder nothing:
+//
+//   - the frame carries one message (a batch frame wants its shards
+//     stepped in parallel);
+//   - no earlier frame of this connection is still in the pipeline
+//     (inflight == 0): its steps are done, its reply is written and
+//     flushed, so the reply written here cannot overtake or interleave
+//     with another;
+//   - no further bytes are buffered on the socket: a client that
+//     pipelines frames gets the write pump's reply batching (one write
+//     per burst) instead of one write per reply — tcp_batch, whose
+//     fan-out arrives as pipelined runs of frames, loses a fifth of its
+//     ops_s without this check (EXPERIMENTS.md);
+//   - nobody is stepping the shard and its automaton cannot block
+//     (node.StepPool.TryStep): a step that may wait — storage.Durable on
+//     a WAL commit, or any automaton that does not declare
+//     node.NonBlocking — would stall every later frame of this
+//     connection behind it, so it is never run on a read goroutine.
+//
+// Pooled — otherwise: submit each inner message to its shard worker;
+// the write pump goroutine sends each frame's coalesced replies once
+// its steps complete, in request order.
 func (s *Server) servePipelined(conn net.Conn, peer types.ProcID) {
 	frames := make(chan *pendingFrame, framePipelineDepth)
 	pumpDone := make(chan struct{})
-	go s.writePump(conn, peer, frames, pumpDone)
+	// inflight counts frames handed to the pump and not yet written and
+	// flushed. Only this goroutine raises it, so reading zero here means
+	// the pump is idle with an empty write buffer and stays so until this
+	// goroutine hands it the next frame.
+	var inflight atomic.Int32
+	go s.writePump(conn, peer, frames, &inflight, pumpDone)
 
+	// The inline path's reply, collected from the shard's scratch output
+	// (valid only during the sink call) into a buffer reused across
+	// frames.
+	var replies []wire.Message
+	collect := func(out []transport.Outgoing) {
+		for _, o := range out {
+			if o.To == peer {
+				replies = append(replies, o.Msg)
+			}
+		}
+	}
+
+	var one [1]wire.Message // a non-batch frame's message, as a slice
 	br := bufio.NewReaderSize(conn, connBufSize)
 readLoop:
 	for {
@@ -150,44 +231,50 @@ readLoop:
 			break // EOF, malformed frame, or closed
 		}
 		s.met.frameIn()
-		inner := wire.Expand(env)
-		if len(inner) == 0 {
+		// The connection authenticates the sender: the claimed From is
+		// ignored and every step runs under the handshake identity.
+		msgs := append(one[:0], env.Msg)
+		if b, isBatch := env.Msg.(wire.Batch); isBatch {
+			msgs = b.Msgs
+		} else if inflight.Load() == 0 && br.Buffered() == 0 {
+			cls, t0 := s.serviceClass(env.Msg)
+			replies = replies[:0]
+			if s.pool.TryStep(peer, env.Msg, collect) {
+				if cls >= 0 {
+					s.met.Service[cls].ObserveSince(t0)
+				}
+				// conn.Write directly: the pump's buffer is empty, and one
+				// reply frame is one syscall either way.
+				if err := writeReplies(conn, s.id, peer, replies); err != nil {
+					break
+				}
+				s.met.replies(len(replies))
+				clear(replies) // do not pin the reply until the next frame
+				continue
+			}
+		}
+		if len(msgs) == 0 {
 			continue
 		}
-		pf := newPendingFrame(len(inner))
+		pf := newPendingFrame(len(msgs), peer, s.met)
+		inflight.Add(1)
 		select {
 		case frames <- pf:
 		case <-s.closed:
 			pf.release() // never reached the pump; don't leak it from the pool
 			break readLoop
 		}
-		for i, e := range inner {
-			slot := i
-			// Per-key-class service latency: submit to reply-filled,
-			// measured only for keyed messages on an instrumented server
-			// (cls stays -1 otherwise and the sink skips the observe).
-			var t0 time.Time
-			cls := -1
-			if s.met != nil {
-				if k, isKeyed := e.Msg.(wire.Keyed); isKeyed {
-					cls = metrics.KeyClass(k.Key)
-					t0 = time.Now()
-				}
-			}
-			// The connection authenticates the sender: ignore the
-			// claimed From and use the handshake identity. The sink runs
-			// on the shard worker; it only copies the peer-bound replies
-			// out of the worker's scratch and decrements.
-			ok := s.pool.Submit(peer, e.Msg, func(out []transport.Outgoing) {
-				pf.fill(slot, out, peer)
-				if cls >= 0 {
-					s.met.Service[cls].ObserveSince(t0)
-				}
-			})
-			if !ok {
+		for i, m := range msgs {
+			// Per-key-class service latency: submit to reply-filled.
+			pf.slots[i].cls, pf.slots[i].t0 = s.serviceClass(m)
+			// The frame is its own sink: StepDone(i, …) runs on the
+			// stepping goroutine, copies the peer-bound replies out of the
+			// shard's scratch and decrements.
+			if !s.pool.SubmitTo(peer, m, pf, i) {
 				// Pool closed mid-frame: complete the slot empty so the
 				// pump can drain and exit.
-				pf.fill(slot, nil, peer)
+				pf.slots[i].cls = -1
+				pf.fill(i, nil)
 			}
 		}
 	}
@@ -195,12 +282,12 @@ readLoop:
 	<-pumpDone
 }
 
-// writePump is the connection's dedicated writer: it takes completed
-// frames in request order and writes each frame's replies coalesced
-// into batch frames (writeReplies), so concurrent shard workers never
-// interleave writes on one socket. Completed frames are recycled into
-// the frame pool, and the reply list is gathered into a pump-local
-// reusable buffer.
+// writePump is the connection's writer on the pooled path: it takes
+// completed frames in request order and writes each frame's replies
+// coalesced into batch frames (writeReplies), so concurrent shard
+// workers never interleave writes on one socket. Completed frames are
+// recycled into the frame pool, and the reply list is gathered into a
+// pump-local reusable buffer.
 //
 // Replies accumulate in a buffered writer with two flush points, both
 // chosen so no client ever waits on buffered bytes: before blocking —
@@ -210,7 +297,11 @@ readLoop:
 // over a burst. The one-reply-frame-per-request contract and request-
 // order frame sequence are untouched: buffering delays bytes, never
 // reorders or merges frames.
-func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pendingFrame, done chan<- struct{}) {
+//
+// inflight drops only after a frame is fully dealt with — written, and
+// flushed if nothing is queued behind it — which is what lets the read
+// loop write to the socket itself when it reads zero.
+func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pendingFrame, inflight *atomic.Int32, done chan<- struct{}) {
 	defer close(done)
 	bw := bufio.NewWriterSize(conn, connBufSize)
 	var replyBuf []wire.Message
@@ -221,10 +312,12 @@ func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pend
 			_ = conn.Close() // stop the read loop too
 		}
 	}
-	for pf := range frames {
+	// write deals with one frame: waits for its steps, writes its
+	// replies, recycles it.
+	write := func(pf *pendingFrame) {
 		if broken {
 			s.awaitAndRelease(pf) // keep draining so the read loop never blocks
-			continue
+			return
 		}
 		select {
 		case <-pf.ready:
@@ -238,11 +331,11 @@ func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pend
 				broken = true
 				_ = conn.Close()
 				s.awaitAndRelease(pf)
-				continue
+				return
 			}
 			if broken {
 				pf.release()
-				continue
+				return
 			}
 		}
 		replyBuf = pf.appendReplies(replyBuf[:0])
@@ -250,19 +343,23 @@ func (s *Server) writePump(conn net.Conn, peer types.ProcID, frames <-chan *pend
 		if err := writeReplies(bw, s.id, peer, replyBuf); err != nil {
 			broken = true
 			_ = conn.Close() // stop the read loop too
-			continue
+			return
 		}
 		s.met.replies(len(replyBuf))
 		if len(frames) == 0 {
 			flush() // nothing completed is queued: the pipe would go idle
 		}
 	}
+	for pf := range frames {
+		write(pf)
+		inflight.Add(-1)
+	}
 	flush()
 }
 
-// awaitAndRelease returns a dropped frame to the pool once its last
-// fill has happened — a frame still being filled by shard workers must
-// not be recycled under them.
+// awaitAndRelease returns a dropped frame to the pool if its last fill
+// has happened (the ready token is there to take) — a frame still being
+// filled by shard workers must not be recycled under them.
 func (s *Server) awaitAndRelease(pf *pendingFrame) {
 	select {
 	case <-pf.ready:

@@ -28,6 +28,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"luckystore/internal/node"
@@ -246,8 +247,13 @@ type Client struct {
 	dial  func(addr string) (net.Conn, error) // swappable in tests
 	met   *ClientMetrics                      // nil when uninstrumented
 
+	// conns is the established-connection table, copy-on-write: senders
+	// read it with one atomic load and no lock; dial, drop and Close
+	// replace it under mu. The server set is small and changes only on
+	// failures, so the copies are cheap and rare.
+	conns atomic.Pointer[map[types.ProcID]*clientConn]
+
 	mu     sync.Mutex
-	conns  map[types.ProcID]*clientConn
 	dials  map[types.ProcID]*dialCall // in-flight dials, one per destination
 	closed bool
 	wg     sync.WaitGroup
@@ -323,7 +329,6 @@ func Dial(id types.ProcID, servers map[types.ProcID]string, opts ...ClientOption
 		addrs: addrs,
 		mbox:  transport.NewMailbox(),
 		dial:  func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
-		conns: make(map[types.ProcID]*clientConn),
 		dials: make(map[types.ProcID]*dialCall),
 	}
 	for _, o := range opts {
@@ -337,6 +342,31 @@ func (c *Client) ID() types.ProcID { return c.id }
 
 // Recv implements transport.Endpoint.
 func (c *Client) Recv() <-chan wire.Envelope { return c.mbox.Out() }
+
+// established returns the current connection table (nil when empty).
+// The map is immutable: setConn replaces it.
+func (c *Client) established() map[types.ProcID]*clientConn {
+	if p := c.conns.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// setConn publishes a new connection table with to mapped to cc, or
+// removed when cc is nil. Callers hold c.mu.
+func (c *Client) setConn(to types.ProcID, cc *clientConn) {
+	old := c.established()
+	next := make(map[types.ProcID]*clientConn, len(old)+1)
+	for id, oc := range old {
+		next[id] = oc
+	}
+	if cc != nil {
+		next[to] = cc
+	} else {
+		delete(next, to)
+	}
+	c.conns.Store(&next)
+}
 
 // Send implements transport.Endpoint. Send failures to unreachable
 // servers are reported but non-fatal to the protocol: a dead server is
@@ -431,10 +461,8 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
-	conns := make([]*clientConn, 0, len(c.conns))
-	for _, cc := range c.conns {
-		conns = append(conns, cc)
-	}
+	conns := c.established()
+	c.conns.Store(nil) // senders now miss, take the slow path and see closed
 	c.mu.Unlock()
 	for _, cc := range conns {
 		_ = cc.conn.Close()
@@ -445,18 +473,23 @@ func (c *Client) Close() error {
 }
 
 // connFor returns the connection to one server, dialing it on first
-// use. The dial itself runs outside c.mu behind a per-destination
-// single-flight, so a slow or unreachable server only delays senders to
-// that server — sends to live servers proceed concurrently.
+// use. An established connection is found without taking any lock; the
+// mutex guards only dial, drop and Close. The dial itself runs outside
+// c.mu behind a per-destination single-flight, so a slow or unreachable
+// server only delays senders to that server — sends to live servers
+// proceed concurrently.
 func (c *Client) connFor(to types.ProcID) (*clientConn, error) {
+	if cc, ok := c.established()[to]; ok {
+		return cc, nil
+	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return nil, transport.ErrClosed
 	}
-	if cc, ok := c.conns[to]; ok {
+	if cc, ok := c.established()[to]; ok {
 		c.mu.Unlock()
-		return cc, nil
+		return cc, nil // a concurrent dial finished between the two looks
 	}
 	addr, ok := c.addrs[to]
 	if !ok {
@@ -505,7 +538,7 @@ func (c *Client) dialConn(to types.ProcID, addr string) (*clientConn, error) {
 		return nil, transport.ErrClosed
 	}
 	cc := &clientConn{conn: conn}
-	c.conns[to] = cc
+	c.setConn(to, cc)
 	c.wg.Add(1) // under c.mu and before closed: never races Close's Wait
 	c.mu.Unlock()
 	go c.readLoop(to, cc)
@@ -515,8 +548,8 @@ func (c *Client) dialConn(to types.ProcID, addr string) (*clientConn, error) {
 func (c *Client) dropConn(id types.ProcID, cc *clientConn) {
 	_ = cc.conn.Close()
 	c.mu.Lock()
-	if c.conns[id] == cc {
-		delete(c.conns, id)
+	if c.established()[id] == cc {
+		c.setConn(id, nil)
 	}
 	c.mu.Unlock()
 }

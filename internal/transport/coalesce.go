@@ -9,13 +9,29 @@ import (
 	"luckystore/internal/wire"
 )
 
-// Coalescer wraps an endpoint with send-side group commit: Send only
-// enqueues, and a single flusher goroutine drains whatever accumulated
-// per destination into one wire.Batch frame each. While the flusher is
-// writing one round of frames, concurrent senders keep queueing, so
-// batches form exactly when concurrent multi-key traffic creates them;
-// an idle coalescer flushes a lone message immediately, adding only a
-// goroutine handoff to single-operation latency.
+// Coalescer wraps an endpoint with send-side group commit by a
+// combining flush: there is no resident flusher goroutine. A sender
+// that finds the coalescer idle takes the flusher role on its own
+// goroutine — it writes its message through and, before returning,
+// drains whatever other senders queued behind it, one wire.Batch frame
+// per destination run. Senders that find a flush in progress only
+// enqueue and return. So a lone message pays no goroutine hand-off at
+// all, and batches form exactly when concurrent multi-key traffic
+// creates them: while one sender is inside the transport's write, the
+// others pile up behind it.
+//
+// A sender only ever carries traffic for destinations that are up — the
+// last run handed to the inner endpoint for them succeeded, so on TCP
+// there is an established connection and the send is a buffer write.
+// Queued traffic for any other destination (never sent to, or failed
+// last time: a first dial, a refused or blackholed one) is flushed by a
+// transient goroutine that takes the flusher role instead and exits
+// when the queues are empty, so a dial never runs on a sender's
+// goroutine and Send to a down server returns at once. The price that
+// remains is that Send may block for one inner Send to an up
+// destination (a TCP write), plus the runs of its peers' messages the
+// flushing sender carries before it returns — bounded in a closed loop
+// by the number of concurrent senders.
 //
 // Only Keyed messages are coalesced (wire.Batch carries nothing else);
 // other messages flush in their own frames, in send order relative to
@@ -24,8 +40,8 @@ import (
 //
 // Queues are double-buffered per destination (DESIGN.md §5): each
 // destination keeps two message slices that ping-pong between the
-// senders and the flusher, and the round-order list ping-pongs the same
-// way, so a steady-state flush cycle performs no map or slice
+// senders and the flusher, and the round-order list ping-pongs
+// the same way, so a steady-state flush cycle performs no map or slice
 // allocation. The destination set is the (small, stable) server set, so
 // entries are never evicted.
 type Coalescer struct {
@@ -37,22 +53,22 @@ type Coalescer struct {
 	order      []types.ProcID // destinations with queued traffic, first-send order
 	orderSpare []types.ProcID // drained order list being recycled
 	closed     bool
-	wake       chan struct{} // capacity 1: signals the flusher
-	enqSeq     uint64        // messages accepted by Send, ever
-	flushSeq   uint64        // messages the flusher has handed to inner
-	flushCond  sync.Cond     // broadcast when flushSeq advances; waits on mu
+	flushing   bool      // a sender or a transient goroutine holds the flusher role; queued traffic is its to send
+	enqSeq     uint64    // messages accepted by Send, ever
+	flushSeq   uint64    // messages handed to inner
+	flushCond  sync.Cond // broadcast when flushSeq advances or flushing clears; waits on mu
 
-	drained [][]wire.Message // flusher-owned scratch, parallel to its order
-	done    chan struct{}    // closed when the flusher goroutine has exited
+	drained [][]wire.Message // scratch of whoever holds the flusher role, parallel to its order
+	sentOK  []bool           // likewise: whether each drained run's inner send succeeded
 
 	met atomic.Pointer[CoalescerMetrics] // nil until SetMetrics
 }
 
 // CoalescerMetrics instruments the send-side group commit: how many
-// drain runs the flusher shipped, how many messages they carried, and
-// the width distribution (the paper-relevant number — how much fan-out
-// one goroutine handoff amortizes). Observations are atomic and
-// allocation-free.
+// per-destination runs were shipped (a write-through send is a run of
+// width 1), how many messages they carried, and the width distribution
+// (the paper-relevant number — how much fan-out one transport write
+// amortizes). Observations are atomic and allocation-free.
 type CoalescerMetrics struct {
 	Runs  *metrics.Counter
 	Msgs  *metrics.Counter
@@ -64,14 +80,14 @@ type CoalescerMetrics struct {
 func NewCoalescerMetrics(reg *metrics.Registry, role string) *CoalescerMetrics {
 	l := metrics.L("role", role)
 	return &CoalescerMetrics{
-		Runs:  reg.Counter("lucky_coalescer_runs_total", "Per-destination drain runs the flusher shipped.", l),
+		Runs:  reg.Counter("lucky_coalescer_runs_total", "Per-destination runs shipped to the transport.", l),
 		Msgs:  reg.Counter("lucky_coalescer_msgs_total", "Messages carried by drain runs.", l),
 		Width: reg.Histogram("lucky_coalescer_batch_width", "Messages per drain run (count-valued buckets).", l),
 	}
 }
 
 // SetMetrics attaches (or detaches, with nil) live instrumentation.
-// Safe to call at any time, including while the flusher runs.
+// Safe to call at any time, including while a flush is in progress.
 func (c *Coalescer) SetMetrics(m *CoalescerMetrics) { c.met.Store(m) }
 
 // destQueue is one destination's double-buffered send queue.
@@ -79,6 +95,7 @@ type destQueue struct {
 	msgs   []wire.Message // accumulating buffer, guarded by Coalescer.mu
 	spare  []wire.Message // drained buffer awaiting reuse
 	queued bool           // whether this destination is in order
+	up     bool           // the last run handed to inner for this destination succeeded
 }
 
 var (
@@ -86,18 +103,15 @@ var (
 	_ Flusher  = (*Coalescer)(nil)
 )
 
-// NewCoalescer wraps ep and starts the flusher goroutine. The coalescer
-// takes ownership: closing it closes ep.
+// NewCoalescer wraps ep. The coalescer takes ownership: closing it
+// closes ep. It starts no goroutine.
 func NewCoalescer(ep Endpoint) *Coalescer {
 	c := &Coalescer{
 		inner:   ep,
 		pending: make(map[types.ProcID]*destQueue),
-		wake:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
 	}
 	c.batch, _ = ep.(BatchSender)
 	c.flushCond.L = &c.mu
-	go c.run()
 	return c
 }
 
@@ -109,9 +123,12 @@ func (c *Coalescer) ID() types.ProcID { return c.inner.ID() }
 func (c *Coalescer) Recv() <-chan wire.Envelope { return c.inner.Recv() }
 
 // Send implements Endpoint: it enqueues the message for its destination
-// and returns. Transport errors surface on the flusher's sends and are
-// dropped — the same "a dead server is a crashed server" stance SendAll
-// takes; a closed coalescer reports ErrClosed.
+// and, unless a flush is already in progress, flushes the queues — on
+// the caller's goroutine while every queued destination is up, on a
+// transient goroutine otherwise. Transport errors from the inner sends
+// are dropped — the same "a dead server is a crashed server" stance
+// SendAll takes, and the flusher may be carrying someone else's message
+// anyway; a closed coalescer reports ErrClosed.
 func (c *Coalescer) Send(to types.ProcID, m wire.Message) error {
 	c.mu.Lock()
 	if c.closed {
@@ -129,17 +146,19 @@ func (c *Coalescer) Send(to types.ProcID, m wire.Message) error {
 	}
 	dq.msgs = append(dq.msgs, m)
 	c.enqSeq++
+	if !c.flushing {
+		c.flushing = true
+		c.flushLocked(true)
+	}
 	c.mu.Unlock()
-	c.signal()
 	return nil
 }
 
 // Flush implements Flusher: it blocks until every message Send accepted
 // before the call has been handed to the inner endpoint. "Handed to"
 // is the transport contract — on TCP that means written into the
-// connection buffer, not acknowledged by the peer. Flush after Close
-// (or concurrent with it) returns once the closing drain completes;
-// because Close itself drains, that still covers everything enqueued.
+// connection buffer, not acknowledged by the peer. Queued traffic
+// always has a flusher working on it, so Flush only waits.
 func (c *Coalescer) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -150,32 +169,22 @@ func (c *Coalescer) Flush() error {
 	return nil
 }
 
-func (c *Coalescer) signal() {
-	select {
-	case c.wake <- struct{}{}:
-	default:
-	}
-}
-
-// run is the flusher: each round detaches everything queued so far —
-// swapping in each destination's spare buffer — sends one frame per
-// destination run, then recycles the drained buffers. On Close it keeps
-// draining until the queues are empty, so everything Send accepted is
-// handed to the inner endpoint before the flusher exits.
-func (c *Coalescer) run() {
-	defer close(c.done)
-	for {
-		c.mu.Lock()
-		if len(c.order) == 0 {
-			if c.closed {
-				c.flushSeq = c.enqSeq
-				c.flushCond.Broadcast()
+// flushLocked holds the flusher role (c.flushing, set by the caller)
+// until the queues are empty: each round detaches everything queued so
+// far — swapping in each destination's spare buffer — sends one frame
+// per destination run with mu released, then recycles the drained
+// buffers. A flush running on a sender's goroutine (bySender) hands the
+// role to a transient goroutine as soon as a destination that is not up
+// has traffic queued. Called and returns with mu held.
+func (c *Coalescer) flushLocked(bySender bool) {
+	for len(c.order) > 0 {
+		if bySender && !c.queuedAllUp() {
+			go func() {
+				c.mu.Lock()
+				c.flushLocked(false)
 				c.mu.Unlock()
-				return
-			}
-			c.mu.Unlock()
-			<-c.wake
-			continue
+			}()
+			return // the role went with the goroutine
 		}
 		target := c.enqSeq
 		order := c.order
@@ -190,10 +199,11 @@ func (c *Coalescer) run() {
 			dq.queued = false
 		}
 		c.drained = drained
+		sentOK := c.sentOK[:0]
 		c.mu.Unlock()
 
 		for i, to := range order {
-			c.sendRun(to, drained[i])
+			sentOK = append(sentOK, c.sendRun(to, drained[i]) == nil)
 		}
 
 		// Recycle: drop message references from the drained buffers and
@@ -202,18 +212,32 @@ func (c *Coalescer) run() {
 		// the progress for Flush waiters.
 		c.mu.Lock()
 		for i, to := range order {
-			if dq := c.pending[to]; dq != nil && dq.spare == nil {
+			dq := c.pending[to]
+			dq.up = sentOK[i]
+			if dq.spare == nil {
 				q := drained[i]
 				clear(q)
 				dq.spare = q[:0]
 			}
 			drained[i] = nil
 		}
+		c.orderSpare, c.sentOK = order[:0], sentOK
 		c.flushSeq = target
 		c.flushCond.Broadcast()
-		c.mu.Unlock()
-		c.orderSpare = order[:0]
 	}
+	c.flushing = false
+	c.flushCond.Broadcast() // Close waits for the role to be released
+}
+
+// queuedAllUp reports whether every destination with queued traffic is
+// up. Callers hold mu.
+func (c *Coalescer) queuedAllUp() bool {
+	for _, to := range c.order {
+		if !c.pending[to].up {
+			return false
+		}
+	}
+	return true
 }
 
 // sendRun writes one destination's drained queue: maximal runs of keyed
@@ -223,45 +247,47 @@ func (c *Coalescer) run() {
 // whole and encoded directly into the connection buffer; the in-memory
 // transports take the generic CoalesceKeyed path, with a direct send
 // for the ubiquitous single-message round (no coalescing, and none of
-// CoalesceKeyed's bookkeeping).
-func (c *Coalescer) sendRun(to types.ProcID, msgs []wire.Message) {
+// CoalesceKeyed's bookkeeping). It returns the first inner error.
+func (c *Coalescer) sendRun(to types.ProcID, msgs []wire.Message) error {
 	if m := c.met.Load(); m != nil {
 		m.Runs.Inc()
 		m.Msgs.Add(int64(len(msgs)))
 		m.Width.ObserveN(int64(len(msgs)))
 	}
 	if c.batch != nil {
-		_ = c.batch.SendBatched(to, msgs)
-		return
+		return c.batch.SendBatched(to, msgs)
 	}
 	if len(msgs) == 1 {
-		_ = c.inner.Send(to, msgs[0])
-		return
+		return c.inner.Send(to, msgs[0])
 	}
+	var first error
 	for _, m := range wire.CoalesceKeyed(msgs) {
-		_ = c.inner.Send(to, m)
+		if err := c.inner.Send(to, m); err != nil && first == nil {
+			first = err
+		}
 	}
+	return first
 }
 
-// Close drains everything still queued, joins the flusher, and only
-// then closes the underlying endpoint — so Close carries the same
-// guarantee as Flush: every message Send accepted has been handed to
-// the transport. Joining before closing the endpoint means a peer that
+// Close waits for whoever holds the flusher role (if anyone) to empty
+// the queues and only then closes the underlying endpoint — so Close
+// carries the same guarantee as Flush: every message Send accepted has
+// been handed to the transport. Waiting before closing the endpoint means a peer that
 // stopped reading could in principle wedge the final sends, but a dead
 // TCP peer fails writes promptly (the connection resets), and a
 // live-but-not-reading server is outside the fault model; the drain
 // guarantee is what the router's rebalance handoff relies on.
-// Idempotent.
+// Idempotent; a concurrent second Close returns once the drain is over.
 func (c *Coalescer) Close() error {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		<-c.done
+	first := !c.closed
+	c.closed = true // no new traffic; what is queued has a flusher
+	for c.flushing {
+		c.flushCond.Wait()
+	}
+	c.mu.Unlock()
+	if !first {
 		return nil
 	}
-	c.closed = true
-	c.mu.Unlock()
-	c.signal()
-	<-c.done
 	return c.inner.Close()
 }

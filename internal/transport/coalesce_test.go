@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"luckystore/internal/metrics"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 )
@@ -349,5 +351,259 @@ func TestCoalescerClosed(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Errorf("second Close = %v", err)
+	}
+}
+
+// runGate is a BatchSender that records every run it is handed; once
+// armed, the next SendBatched blocks until released.
+type runGate struct {
+	gateEndpoint
+	mu    sync.Mutex
+	runs  []gatedRun
+	armed bool
+}
+
+type gatedRun struct {
+	to    types.ProcID
+	width int
+}
+
+func (g *runGate) SendBatched(to types.ProcID, msgs []wire.Message) error {
+	g.mu.Lock()
+	g.runs = append(g.runs, gatedRun{to, len(msgs)})
+	block := g.armed
+	g.armed = false
+	g.mu.Unlock()
+	if block {
+		g.entered <- struct{}{}
+		<-g.gate
+	}
+	return nil
+}
+
+// warm sends one message to each destination and waits for it to reach
+// the transport, so the destinations are up: from here on an idle
+// coalescer's sender writes through on its own goroutine.
+func warm(t *testing.T, c *Coalescer, dests ...types.ProcID) {
+	t.Helper()
+	for _, to := range dests {
+		if err := c.Send(to, keyedMsg("warm", 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The combining flush, deterministically: a sender that finds the
+// coalescer idle writes its message through as a run of width 1 on its
+// own goroutine; whatever other senders queue while it is inside the
+// transport leaves as one run per destination — width > 1 where they
+// piled up — carried by that same sender before its Send returns. No
+// Flush, no Close and no other goroutine is involved in the drain.
+func TestCoalescerCombinesBehindInProgressFlush(t *testing.T) {
+	inner := &runGate{gateEndpoint: *newGateEndpoint()}
+	c := NewCoalescer(inner)
+	reg := metrics.NewRegistry()
+	met := NewCoalescerMetrics(reg, "writer")
+	warm(t, c, types.ServerID(0), types.ServerID(1))
+	c.SetMetrics(met)
+	inner.mu.Lock()
+	inner.runs, inner.armed = nil, true
+	inner.mu.Unlock()
+
+	first := make(chan error, 1)
+	go func() { first <- c.Send(types.ServerID(0), keyedMsg("k0", 1)) }()
+	select {
+	case <-inner.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the idle coalescer's sender never wrote through")
+	}
+	// The flush is in progress: these only enqueue, and return at once.
+	for i := 1; i <= 3; i++ {
+		if err := c.Send(types.ServerID(0), keyedMsg("k", types.ReaderTS(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Send(types.ServerID(1), keyedMsg("k", 9)); err != nil {
+		t.Fatal(err)
+	}
+	inner.mu.Lock()
+	if n := len(inner.runs); n != 1 {
+		t.Fatalf("%d runs reached the transport while the first was blocked, want 1", n)
+	}
+	inner.mu.Unlock()
+	select {
+	case <-first:
+		t.Fatal("the flushing Send returned while its write was blocked")
+	default:
+	}
+
+	inner.gate <- struct{}{}
+	select {
+	case err := <-first: // returns only after it drained what queued behind it
+		if err != nil {
+			t.Fatalf("flushing Send = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flushing Send never returned")
+	}
+
+	want := []gatedRun{{types.ServerID(0), 1}, {types.ServerID(0), 3}, {types.ServerID(1), 1}}
+	inner.mu.Lock()
+	got := append([]gatedRun(nil), inner.runs...)
+	inner.mu.Unlock()
+	if len(got) != len(want) {
+		t.Fatalf("runs = %+v, want %+v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("run %d = %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	// A write-through send still counts as a run of width 1.
+	if r, m := met.Runs.Value(), met.Msgs.Value(); r != 3 || m != 5 {
+		t.Errorf("metrics: %d runs carrying %d messages, want 3 carrying 5", r, m)
+	}
+	if err := c.Flush(); err != nil { // nothing left: returns at once
+		t.Errorf("Flush = %v", err)
+	}
+	c.Close()
+}
+
+// A lone Send to an up destination on an idle coalescer reaches the
+// transport before it returns, on the caller's goroutine — the hop the
+// flusher goroutine used to cost.
+func TestCoalescerLoneSendWritesThrough(t *testing.T) {
+	inner := &callerEndpoint{mbox: NewMailbox()}
+	c := NewCoalescer(inner)
+	defer c.Close()
+	warm(t, c, types.ServerID(0), types.ServerID(1), types.ServerID(2))
+	base := inner.sent
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		if err := c.Send(types.ServerID(i%3), keyedMsg("k", types.ReaderTS(i+1))); err != nil {
+			t.Fatal(err)
+		}
+		if inner.sent != base+i+1 {
+			t.Fatalf("after %d Sends the transport has seen %d messages", i+1, inner.sent-base)
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew %d → %d across write-through sends", before, after)
+	}
+}
+
+// callerEndpoint counts sends without any synchronization of its own:
+// past the warm-up (ordered by Flush) that is only correct if every
+// Send happens on the calling goroutine — the race detector would flag
+// a flusher goroutine.
+type callerEndpoint struct {
+	sent int
+	mbox *Mailbox
+}
+
+func (e *callerEndpoint) ID() types.ProcID                      { return types.WriterID() }
+func (e *callerEndpoint) Send(types.ProcID, wire.Message) error { e.sent++; return nil }
+func (e *callerEndpoint) Recv() <-chan wire.Envelope            { return e.mbox.Out() }
+func (e *callerEndpoint) Close() error                          { e.mbox.Close(); return nil }
+
+// dialEndpoint models a transport whose sends to one destination dial:
+// each Send to slow blocks until the test supplies its result; sends to
+// any other destination succeed at once.
+type dialEndpoint struct {
+	slow    types.ProcID
+	entered chan struct{}
+	result  chan error
+	mu      sync.Mutex
+	sent    []types.ProcID
+	mbox    *Mailbox
+}
+
+func (e *dialEndpoint) ID() types.ProcID           { return types.WriterID() }
+func (e *dialEndpoint) Recv() <-chan wire.Envelope { return e.mbox.Out() }
+func (e *dialEndpoint) Close() error               { e.mbox.Close(); return nil }
+func (e *dialEndpoint) Send(to types.ProcID, _ wire.Message) error {
+	if to == e.slow {
+		e.entered <- struct{}{}
+		if err := <-e.result; err != nil {
+			return err
+		}
+	}
+	e.mu.Lock()
+	e.sent = append(e.sent, to)
+	e.mu.Unlock()
+	return nil
+}
+
+func (e *dialEndpoint) sentTo(to types.ProcID) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, d := range e.sent {
+		if d == to {
+			n++
+		}
+	}
+	return n
+}
+
+// A dial never runs on a sender's goroutine: Send to a destination that
+// was never reached, or whose last send failed, returns while the inner
+// send is still blocked; once a send to it has succeeded the next one
+// writes through on the caller.
+func TestCoalescerDownDestinationNeverBlocksSender(t *testing.T) {
+	down, live := types.ServerID(2), types.ServerID(0)
+	inner := &dialEndpoint{slow: down, entered: make(chan struct{}), result: make(chan error), mbox: NewMailbox()}
+	c := NewCoalescer(inner)
+	defer c.Close()
+	warm(t, c, live)
+
+	entered := func() {
+		t.Helper()
+		select {
+		case <-inner.entered:
+		case <-time.After(5 * time.Second):
+			t.Fatal("no flusher picked up the down destination's message")
+		}
+	}
+	for round, result := range []error{ErrUnknownPeer, ErrUnknownPeer, nil} {
+		// Returns although the inner send cannot complete: cold in round
+		// 0, failed last time in rounds 1 and 2.
+		if err := c.Send(down, keyedMsg("k", 1)); err != nil {
+			t.Fatal(err)
+		}
+		entered()
+		// Traffic for the live server queues behind the blocked flusher
+		// without blocking its sender either.
+		if err := c.Send(live, keyedMsg("k", 2)); err != nil {
+			t.Fatal(err)
+		}
+		inner.result <- result
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if got := inner.sentTo(live); got != round+2 {
+			t.Fatalf("round %d: live server saw %d messages, want %d", round, got, round+2)
+		}
+	}
+
+	// The destination is up now: the sender carries its own message, so
+	// Send returns only once the inner send has.
+	done := make(chan error, 1)
+	go func() { done <- c.Send(down, keyedMsg("k", 3)) }()
+	entered()
+	select {
+	case <-done:
+		t.Fatal("Send to an up destination returned before its write-through did")
+	case <-time.After(20 * time.Millisecond):
+	}
+	inner.result <- nil
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := inner.sentTo(down); got != 2 {
+		t.Errorf("down destination saw %d messages, want 2", got)
 	}
 }

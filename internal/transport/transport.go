@@ -104,31 +104,46 @@ func SendAll(ep Endpoint, out []Outgoing) error {
 // consumer abandons the mailbox, in which case Close discards the
 // backlog).
 //
-// The implementation uses a queue guarded by a mutex and a single
-// drainer goroutine, which is joined by Close — no goroutine outlives
-// the mailbox. The queue is a slice with a head index, compacted in
-// place when it fills: the backing array is reused across
-// put/drain cycles instead of sliding forward and reallocating, so a
-// steady-state mailbox allocates nothing per envelope.
+// Put delivers straight into the buffered Out channel — one hand-off,
+// producer to consumer, and no goroutine of the mailbox's own. Only
+// when the consumer lags by more than the buffer does Put fall back to
+// an overflow queue, and only then does a drainer goroutine exist: it
+// is started by the Put that overflows, moves the queue into Out in
+// order, and exits once the queue is empty. While the queue is
+// non-empty (or the drainer holds an envelope) every Put appends behind
+// it, so FIFO order holds across the direct/overflow boundary. An idle
+// or keeping-up mailbox therefore parks no goroutine, and Close joins
+// the drainer if one is running — no goroutine outlives the mailbox.
+//
+// The overflow queue is a slice with a head index, compacted in place
+// when it fills, so the backing array is reused across overflow
+// episodes instead of sliding forward and reallocating.
 type Mailbox struct {
-	mu     sync.Mutex
-	queue  []wire.Envelope
-	head   int           // index of the next envelope to deliver
-	wake   chan struct{} // capacity 1: signals the drainer that queue or closed changed
-	closed bool
+	mu       sync.Mutex
+	queue    []wire.Envelope // overflow, in arrival order
+	head     int             // index of the next overflow envelope to deliver
+	draining bool            // a drainer goroutine is running
+	closed   bool
 
 	out  chan wire.Envelope
-	done chan struct{} // closed when the drainer goroutine has exited
+	stop chan struct{} // closed by Close: aborts a drainer blocked on the consumer
+	idle sync.Cond     // signalled when the drainer exits; waits on mu
 }
 
-// NewMailbox creates a mailbox and starts its drainer goroutine.
+// mailboxBuffer is the capacity of Out. A client inbox holds one
+// operation's replies at a time — S of them, plus stragglers of the
+// round before — so 16 covers every deployment up to t = b = 2 (S = 7)
+// without the overflow path; server inboxes under pipelined load
+// overflow and are drained, which is the old behaviour.
+const mailboxBuffer = 16
+
+// NewMailbox creates a mailbox. It starts no goroutine.
 func NewMailbox() *Mailbox {
 	m := &Mailbox{
-		wake: make(chan struct{}, 1),
-		out:  make(chan wire.Envelope),
-		done: make(chan struct{}),
+		out:  make(chan wire.Envelope, mailboxBuffer),
+		stop: make(chan struct{}),
 	}
-	go m.drain()
+	m.idle.L = &m.mu
 	return m
 }
 
@@ -136,9 +151,19 @@ func NewMailbox() *Mailbox {
 // blocks on the consumer.
 func (m *Mailbox) Put(env wire.Envelope) error {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if m.closed {
-		m.mu.Unlock()
 		return ErrClosed
+	}
+	if !m.draining {
+		// Nothing is queued ahead of env, so it may go straight to the
+		// consumer. The send cannot block (default case) and cannot hit a
+		// closed channel (Close closes out under mu).
+		select {
+		case m.out <- env:
+			return nil
+		default:
+		}
 	}
 	if m.head > 0 && len(m.queue) == cap(m.queue) {
 		// Compact instead of growing: reclaim the delivered prefix so
@@ -149,86 +174,66 @@ func (m *Mailbox) Put(env wire.Envelope) error {
 		m.head = 0
 	}
 	m.queue = append(m.queue, env)
-	m.mu.Unlock()
-	m.signal()
+	if !m.draining {
+		m.draining = true
+		go m.drain()
+	}
 	return nil
 }
 
-// Out returns the delivery channel. It is closed once the mailbox is
-// closed and the drainer has exited; pending envelopes at Close time are
-// discarded (the consumer is gone — this models a crashed process).
+// Out returns the delivery channel. It is closed by Close; envelopes
+// still in the overflow queue at that point are discarded (the consumer
+// is gone — this models a crashed process).
 func (m *Mailbox) Out() <-chan wire.Envelope { return m.out }
 
-// Close stops the mailbox and waits for the drainer goroutine to exit.
-// It is idempotent.
+// Close stops the mailbox, waits for the drainer goroutine (if one is
+// running) to exit, and closes Out. It is idempotent.
 func (m *Mailbox) Close() {
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		<-m.done
-		return
+	defer m.mu.Unlock()
+	first := !m.closed
+	if first {
+		m.closed = true
+		close(m.stop)
 	}
-	m.closed = true
-	m.mu.Unlock()
-	m.signal()
-	<-m.done
+	for m.draining {
+		m.idle.Wait()
+	}
+	if first {
+		m.queue, m.head = nil, 0
+		close(m.out)
+	}
 }
 
 // Len reports the number of queued, not-yet-delivered envelopes.
 func (m *Mailbox) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.queue) - m.head
+	return len(m.out) + len(m.queue) - m.head
 }
 
-func (m *Mailbox) signal() {
-	select {
-	case m.wake <- struct{}{}:
-	default:
-	}
-}
-
+// drain moves the overflow queue into out, in order, and exits when it
+// is empty (or on Close). It runs only while there is a backlog.
 func (m *Mailbox) drain() {
-	defer close(m.done)
-	defer close(m.out)
-	for {
-		m.mu.Lock()
-		if m.closed {
-			m.queue, m.head = nil, 0
-			m.mu.Unlock()
-			return
-		}
-		if m.head == len(m.queue) {
-			m.queue, m.head = m.queue[:0], 0 // empty: rewind to reuse the array
-			m.mu.Unlock()
-			<-m.wake
-			continue
-		}
-		// Peek rather than pop: the head only advances after delivery,
-		// so a spurious wake needs no requeue (which would race with
-		// Put's compaction of the delivered prefix).
+	m.mu.Lock()
+	for !m.closed && m.head < len(m.queue) {
 		env := m.queue[m.head]
+		m.queue[m.head] = wire.Envelope{} // let the GC have it once delivered
+		m.head++
 		m.mu.Unlock()
-
 		// Block on the consumer, but abort if Close happens while the
-		// consumer is gone so shutdown never deadlocks.
+		// consumer is gone so shutdown never deadlocks. draining stays
+		// set, so no Put can overtake the envelope in hand.
 		select {
 		case m.out <- env:
-			m.mu.Lock()
-			// Compaction keeps head pointing at the peeked envelope, so
-			// this clears and skips exactly the delivered one.
-			m.queue[m.head] = wire.Envelope{} // let the GC have it once delivered
-			m.head++
-			m.mu.Unlock()
-		case <-m.wake:
-			m.mu.Lock()
-			closed := m.closed
-			m.mu.Unlock()
-			if closed {
-				return
-			}
-			// Spurious wake from a concurrent Put: the envelope is still
-			// at the head; loop and retry, preserving FIFO order.
+		case <-m.stop:
 		}
+		m.mu.Lock()
 	}
+	if !m.closed {
+		m.queue, m.head = m.queue[:0], 0 // empty: rewind to reuse the array
+	}
+	m.draining = false
+	m.idle.Broadcast()
+	m.mu.Unlock()
 }

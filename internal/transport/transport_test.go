@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -58,6 +59,41 @@ func TestMailboxPutNeverBlocks(t *testing.T) {
 	if m.Len() < 9000 {
 		t.Errorf("Len() = %d, want most of the 10000 still queued", m.Len())
 	}
+	// The backlog comes out in order — the channel buffer first, the
+	// overflow queue behind it — and once it is gone the mailbox is back
+	// to direct delivery with no drainer left behind.
+	for i := 0; i < 10000; i++ {
+		if r := (<-m.Out()).Msg.(wire.Read); r.TSR != types.ReaderTS(i+1) {
+			t.Fatalf("backlog out of order at %d: got TSR %d", i, r.TSR)
+		}
+	}
+	waitDrainerGone(t, m)
+	if err := m.Put(env(0)); err != nil {
+		t.Fatal(err)
+	}
+	if m.overflowing() {
+		t.Error("a Put on an emptied mailbox went to the overflow queue")
+	}
+}
+
+// overflowing reports whether the mailbox is off its direct path: a
+// drainer is running (which implies queued or in-hand envelopes).
+func (m *Mailbox) overflowing() bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.draining
+}
+
+// waitDrainerGone waits for the overflow drainer to notice its queue is
+// empty and exit (it does so right after its last delivery).
+func waitDrainerGone(t *testing.T, m *Mailbox) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); m.overflowing(); {
+		if time.Now().After(deadline) {
+			t.Fatal("overflow drainer still running on an empty mailbox")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 func TestMailboxCloseIdempotentAndPutAfterClose(t *testing.T) {
@@ -88,6 +124,21 @@ func TestMailboxCloseWithBacklog(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close hung with undelivered backlog")
+	}
+	// What the channel buffer already held is still readable, in order,
+	// and then Out reports closed; the overflow queue was discarded.
+	n := 0
+	for got := range m.Out() {
+		if r := got.Msg.(wire.Read); r.TSR != types.ReaderTS(n+1) {
+			t.Fatalf("envelope %d after Close has TSR %d", n, r.TSR)
+		}
+		n++
+	}
+	if n > mailboxBuffer+1 { // the drainer may have had one more in hand
+		t.Errorf("%d envelopes survived Close, want at most the buffer (%d) plus one", n, mailboxBuffer)
+	}
+	if m.Len() != 0 {
+		t.Errorf("Len() = %d after Close and drain", m.Len())
 	}
 }
 
@@ -149,6 +200,96 @@ func TestMailboxFIFOUnderSlowConsumer(t *testing.T) {
 		if r.TSR != types.ReaderTS(i+1) {
 			t.Fatalf("out of order at %d: got TSR %d", i, r.TSR)
 		}
+	}
+}
+
+// FIFO across the direct↔overflow boundary, deterministically: bursts
+// smaller than, equal to and larger than the channel buffer alternate
+// with full drains, so the mailbox goes direct → overflow → direct over
+// and over, and a burst that starts while the drainer of the previous
+// one is still finishing must queue behind it.
+func TestMailboxFIFOAcrossOverflowBoundary(t *testing.T) {
+	m := NewMailbox()
+	defer m.Close()
+	next, want := 0, 0
+	consume := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if r := (<-m.Out()).Msg.(wire.Read); r.TSR != types.ReaderTS(want+1) {
+				t.Fatalf("envelope %d delivered as TSR %d", want, r.TSR)
+			}
+			want++
+		}
+	}
+	bursts := []int{1, mailboxBuffer - 1, mailboxBuffer, mailboxBuffer + 1, 3 * mailboxBuffer, 2, 5*mailboxBuffer + 3, 1}
+	for round := 0; round < 20; round++ {
+		for _, burst := range bursts {
+			for i := 0; i < burst; i++ {
+				if err := m.Put(env(next)); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			}
+			if burst > mailboxBuffer && !m.overflowing() && m.Len() > mailboxBuffer {
+				t.Fatalf("burst of %d holds %d envelopes without an overflow drainer", burst, m.Len())
+			}
+			// Odd rounds leave a remainder in flight, so the next burst
+			// arrives while the mailbox is still overflowing.
+			if round%2 == 1 && burst > 2 {
+				consume(burst - 2)
+				continue
+			}
+			consume(next - want)
+		}
+	}
+	consume(next - want)
+	waitDrainerGone(t, m)
+}
+
+// The same boundary under real concurrency: producer and consumer take
+// turns lagging, so the mailbox crosses between direct delivery and the
+// overflow queue many times while order is checked on every envelope.
+func TestMailboxFIFOProducerConsumerLagAlternates(t *testing.T) {
+	m := NewMailbox()
+	defer m.Close()
+	const n = 20000
+	go func() {
+		for i := 0; i < n; i++ {
+			if (i/500)%2 == 0 && i%100 == 0 {
+				time.Sleep(200 * time.Microsecond) // producer lags: direct path
+			}
+			if err := m.Put(env(i)); err != nil {
+				return
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		if (i/500)%2 == 1 && i%100 == 0 {
+			time.Sleep(200 * time.Microsecond) // consumer lags: overflow path
+		}
+		if r := (<-m.Out()).Msg.(wire.Read); r.TSR != types.ReaderTS(i+1) {
+			t.Fatalf("out of order at %d: got TSR %d", i, r.TSR)
+		}
+	}
+}
+
+// A mailbox whose consumer keeps up parks no goroutine: creating and
+// using a thousand of them leaves the goroutine count where it was.
+func TestMailboxHasNoResidentGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	boxes := make([]*Mailbox, 1000)
+	for i := range boxes {
+		boxes[i] = NewMailbox()
+		if err := boxes[i].Put(env(i)); err != nil {
+			t.Fatal(err)
+		}
+		<-boxes[i].Out()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("1000 live mailboxes grew the goroutine count %d → %d", before, after)
+	}
+	for _, m := range boxes {
+		m.Close()
 	}
 }
 
