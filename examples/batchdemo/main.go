@@ -1,8 +1,8 @@
-// Batchdemo: the sharded, batched KV pipeline — PutBatch/GetBatch fan
-// out across keys concurrently with the network traffic coalesced into
-// batched frames, PutAsync/GetAsync expose the same pipeline as
-// futures, and each server runs its per-key registers across a pool of
-// shard workers (WithKVShards).
+// Batchdemo: the sharded, batched KV engine — PutBatch/GetBatch step
+// one operation per key in lock-step, so every protocol round of the
+// batch is one frame per server; PutAsync/GetAsync return futures for
+// single operations run on their own goroutines; and each server runs
+// its per-key registers across a pool of shard workers (WithKVShards).
 package main
 
 import (
@@ -23,8 +23,8 @@ func main() {
 	fmt.Printf("kv store over %d servers (t=%d, b=%d), %d shard workers per server\n\n",
 		cfg.S(), cfg.T, cfg.B, store.Shards())
 
-	// One batch put: every key written concurrently, the fan-out fused
-	// into batched frames. A batch is not a transaction — each key is
+	// One batch put: every key's WRITE stepped together, each round one
+	// batched frame per server. A batch is not a transaction — each key is
 	// individually atomic.
 	puts := make(map[string]luckystore.Value)
 	keys := make([]string, 0, 8)

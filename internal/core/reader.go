@@ -46,6 +46,7 @@ type Reader struct {
 	tsr types.ReaderTS
 
 	// pooled per-operation round state, reset per READ
+	op         readOp
 	view       *View
 	opTimer    *time.Timer
 	roundTimer *time.Timer
@@ -69,13 +70,12 @@ func (r *Reader) ID() types.ProcID { return r.id }
 func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
 
 // resetView prepares the reusable view for a READ with the current tsr.
-func (r *Reader) resetView() *View {
+func (r *Reader) resetView() {
 	if r.view == nil {
 		r.view = NewView(r.cfg, r.tsr)
 	} else {
 		r.view.Reset(r.tsr)
 	}
-	return r.view
 }
 
 // resetRoundSeen clears the per-round ack set.
@@ -87,197 +87,236 @@ func (r *Reader) resetRoundSeen() {
 	}
 }
 
+// readOp is everything a READ carries from one call to the next (see
+// writeOp: Start emits the first round, Step waits one round out and
+// completes or emits the next). The view and the round's ack set are the
+// Reader's pooled state.
+type readOp struct {
+	rnd     int          // READ round in flight (0: no READ is); the query-round count once a candidate is selected
+	wb      int          // write-back round in flight (1–3), 0 while querying
+	sel     types.Tagged // the selected candidate, being written back
+	acks    int          // servers that answered the round in flight
+	expired bool         // the round-1 synchrony timer fired
+	inGrace bool         // a timer fired below a quorum: the retransmitGrace cycle is running
+	t0      time.Time    // invocation time when Config.Metrics observes the op
+}
+
 // Read returns the register's value: the value of a concurrent write,
 // or the last value written. The returned Tagged carries the value and
 // the timestamp the writer assigned to it (the k of wr_k).
 func (r *Reader) Read() (types.Tagged, error) {
-	m := r.cfg.Metrics
-	if m == nil {
-		return r.read()
+	done, err := r.Start()
+	for !done && err == nil {
+		done, err = r.Step()
 	}
-	t0 := time.Now()
-	v, err := r.read()
-	if err == nil {
-		m.observeRead(r.lastMeta, time.Since(t0))
+	if err != nil {
+		return types.Tagged{}, err
 	}
-	return v, err
+	return r.lastMeta.Returned, nil
 }
 
-func (r *Reader) read() (types.Tagged, error) {
-	opDeadline := resetTimer(&r.opTimer, r.cfg.opTimeout())
-	defer opDeadline.Stop()
-
-	// Fig. 2 lines 12–13: new READ timestamp, fresh view.
-	r.tsr++
-	view := r.resetView()
-
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	expired := false
-	rnd := 0
-	var sel types.Tagged
-	for {
-		// Fig. 2 lines 15–16: next round, query all servers.
-		rnd++
-		// The round's timer runs from the start of the round, not from
-		// the end of the broadcast: a send may be a socket write on this
-		// goroutine (transport.Coalescer writes through), and the
-		// synchrony verdict should not wait that much longer.
-		timer = resetTimer(&r.roundTimer, r.cfg.roundTimeout())
-		if err := r.broadcast(wire.Read{TSR: r.tsr, Round: rnd}); err != nil {
-			return types.Tagged{}, err
-		}
-		inGrace := false
-
-		// Fig. 2 line 17: wait for S−t acks of this round, and in round
-		// 1 also for the synchrony timer (early exit when all S servers
-		// answered this round). A timer expiry below a quorum starts
-		// the retransmitGrace cycle: after the grace the broadcast is
-		// re-sent (see the retransmitGrace doc — duplicates are
-		// idempotent on servers, and a lost broadcast would otherwise
-		// wedge the round until the operation deadline).
-		r.resetRoundSeen()
-		roundAcks := 0
-		for roundAcks < r.cfg.S() &&
-			!(roundAcks >= r.cfg.Quorum() && (rnd > 1 || expired)) {
-			select {
-			case env, ok := <-r.ep.Recv():
-				if !ok {
-					return types.Tagged{}, transport.ErrClosed
-				}
-				roundAcks += r.acceptAck(view, rnd, env)
-			case <-timer.C:
-				expired = true
-				if roundAcks < r.cfg.Quorum() {
-					if inGrace {
-						r.cfg.Metrics.retransmit()
-						if err := r.broadcast(wire.Read{TSR: r.tsr, Round: rnd}); err != nil {
-							return types.Tagged{}, err
-						}
-					} else {
-						r.cfg.Metrics.starved()
-					}
-					inGrace = true
-					timer = resetTimer(&r.roundTimer, retransmitGrace)
-				}
-			case <-opDeadline.C:
-				return types.Tagged{}, fmt.Errorf("READ(tsr=%d) round %d: %w", r.tsr, rnd, ErrOpTimeout)
-			}
-		}
-		r.drainAcks(view, rnd)
-
-		// Fig. 2 lines 18–20: stop as soon as a candidate exists.
-		if c, ok := view.Select(); ok {
-			sel = c
-			break
-		}
+// Start begins a READ (Fig. 2 lines 12–16): new READ timestamp, fresh
+// view, round 1 to every server. The operation then advances by Step
+// until either call reports done or an error; the reader takes no other
+// operation meanwhile.
+func (r *Reader) Start() (done bool, err error) {
+	r.op = readOp{}
+	if r.cfg.Metrics != nil {
+		r.op.t0 = time.Now()
 	}
+	resetTimer(&r.opTimer, r.cfg.opTimeout())
+	r.tsr++
+	r.resetView()
+	return r.settle(false, r.emitQuery())
+}
 
+// Step waits out the round in flight exactly as Fig. 2 prescribes for it
+// (line 17 for a query round, a quorum of acks for a write-back round),
+// then either completes the READ — done, with LastMeta().Returned the
+// value read — or sends the next round and returns.
+func (r *Reader) Step() (done bool, err error) { return r.settle(r.step()) }
+
+// settle passes a Start/Step verdict through, retiring the operation
+// once it is over either way.
+func (r *Reader) settle(done bool, err error) (bool, error) {
+	if (done || err != nil) && r.op.rnd > 0 {
+		r.opTimer.Stop()
+		r.roundTimer.Stop()
+		r.op = readOp{}
+	}
+	return done, err
+}
+
+func (r *Reader) step() (bool, error) {
+	o := &r.op
+	if o.rnd == 0 {
+		return false, errNoOp
+	}
+	if err := r.await(); err != nil {
+		return false, err
+	}
+	if o.wb > 0 {
+		if o.wb < 3 {
+			return false, r.emitWriteBack(o.wb + 1)
+		}
+		return r.complete(true)
+	}
+	r.drainAcks()
+	// Fig. 2 lines 18–20: stop querying as soon as a candidate exists.
+	c, ok := r.view.Select()
+	if !ok {
+		return false, r.emitQuery()
+	}
 	// Fig. 2 line 21: write back unless the READ is provably complete
 	// after a fast first round.
-	wroteBack := false
-	if !view.Fast(sel) || rnd > 1 {
-		if err := r.writeBack(sel, opDeadline); err != nil {
-			return types.Tagged{}, err
-		}
-		wroteBack = true
+	o.sel = c
+	if !r.view.Fast(c) || o.rnd > 1 {
+		return false, r.emitWriteBack(1)
 	}
-	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: rnd, WroteBack: wroteBack, Returned: sel}
-	r.stats.record(r.lastMeta.Rounds(), r.lastMeta.Rounds() == 1)
-	return sel, nil
+	return r.complete(false)
 }
 
-// acceptAck folds one envelope into the view and reports whether it
-// counted toward the current round's quorum; any fresher-round ack
-// updates the per-server arrays (Fig. 2 lines 23–25).
-func (r *Reader) acceptAck(view *View, rnd int, env wire.Envelope) int {
+// complete publishes the finished READ's meta.
+func (r *Reader) complete(wroteBack bool) (bool, error) {
+	o := &r.op
+	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: o.rnd, WroteBack: wroteBack, Returned: o.sel}
+	r.stats.record(r.lastMeta.Rounds(), r.lastMeta.Fast())
+	if !o.t0.IsZero() {
+		r.cfg.Metrics.observeRead(r.lastMeta, time.Since(o.t0))
+	}
+	return true, nil
+}
+
+// emitQuery sends the next READ round to all servers (Fig. 2 lines
+// 15–16).
+func (r *Reader) emitQuery() error {
+	r.op.rnd++
+	return r.emit(wire.Read{TSR: r.tsr, Round: r.op.rnd})
+}
+
+// emitWriteBack sends one round of the three-round write-back of Fig. 2
+// lines 26–28, following the W-phase communication pattern with the
+// reader's timestamp as the tag.
+func (r *Reader) emitWriteBack(round int) error {
+	r.op.wb = round
+	return r.emit(wire.W{Round: round, Tag: int64(r.tsr), C: r.op.sel})
+}
+
+// emit opens a round: fresh ack set, the round's timer, then the
+// broadcast. The timer runs from the start of the round, not from the
+// end of the broadcast: a send may be a socket write on this goroutine
+// (transport.Coalescer writes through), and the synchrony verdict should
+// not wait that much longer.
+func (r *Reader) emit(m wire.Message) error {
+	r.op.acks, r.op.inGrace = 0, false
+	r.resetRoundSeen()
+	resetTimer(&r.roundTimer, r.cfg.roundTimeout())
+	return r.broadcast(m)
+}
+
+// await blocks until the round in flight is decided. Fig. 2 line 17: a
+// query round waits for S−t acks of this round, and in round 1 also for
+// the synchrony timer (early exit when all S servers answered this
+// round); a write-back round waits for a quorum of acks. A timer expiry
+// below a quorum starts the retransmitGrace cycle: after the grace the
+// broadcast is re-sent (see the retransmitGrace doc — duplicates are
+// idempotent on servers, and a lost broadcast would otherwise wedge the
+// round until the operation deadline). As in Writer.await, the timer is
+// judged against every reply that has arrived, consumed or not.
+func (r *Reader) await() error {
+	o := &r.op
+	for !r.decided() {
+		select {
+		case env, ok := <-r.ep.Recv():
+			if !ok {
+				return transport.ErrClosed
+			}
+			r.accept(env)
+		case <-r.roundTimer.C:
+			r.drainAcks()
+			o.expired = true
+			if o.acks >= r.cfg.Quorum() {
+				continue
+			}
+			if o.inGrace {
+				r.cfg.Metrics.retransmit()
+				if err := resend(r.ep, r.outBuf); err != nil {
+					return err
+				}
+			} else {
+				r.cfg.Metrics.starved()
+			}
+			o.inGrace = true
+			resetTimer(&r.roundTimer, retransmitGrace)
+		case <-r.opTimer.C:
+			if o.wb > 0 {
+				return fmt.Errorf("READ(tsr=%d) write-back round %d: %w", r.tsr, o.wb, ErrOpTimeout)
+			}
+			return fmt.Errorf("READ(tsr=%d) round %d: %w", r.tsr, o.rnd, ErrOpTimeout)
+		}
+	}
+	return nil
+}
+
+// decided reports whether the round in flight has the replies (and, for
+// round 1, the timer verdict) its wait condition asks for.
+func (r *Reader) decided() bool {
+	o := &r.op
+	if o.wb > 0 {
+		return o.acks >= r.cfg.Quorum()
+	}
+	return o.acks >= r.cfg.S() || (o.acks >= r.cfg.Quorum() && (o.rnd > 1 || o.expired))
+}
+
+// accept folds one envelope into the round in flight. A query-round ack
+// updates the view's per-server arrays whenever it is fresh (Fig. 2
+// lines 23–25) and counts toward the quorum when it answers the current
+// round; a write-back round counts matching WRITE_ACKs.
+func (r *Reader) accept(env wire.Envelope) {
+	o := &r.op
+	if !validServer(r.cfg, env.From) {
+		return
+	}
+	i := env.From.Index()
+	if o.wb > 0 {
+		a, ok := env.Msg.(wire.WAck)
+		if ok && a.Round == o.wb && a.Tag == int64(r.tsr) && !r.roundSeen[i] {
+			r.roundSeen[i] = true
+			o.acks++
+		}
+		return
+	}
 	a, ok := env.Msg.(wire.ReadAck)
 	// Validate the envelope's interface value, not the unboxed a —
 	// re-boxing it would allocate on every ack.
-	if !ok || !validServer(r.cfg, env.From) || a.TSR != r.tsr || wire.Validate(env.Msg) != nil {
-		return 0
+	if !ok || a.TSR != r.tsr || wire.Validate(env.Msg) != nil {
+		return
 	}
-	if a.Round > rnd {
-		return 0 // no correct server answers a round not yet started
+	if a.Round > o.rnd {
+		return // no correct server answers a round not yet started
 	}
-	counted := 0
-	if a.Round == rnd {
-		if i := env.From.Index(); !r.roundSeen[i] {
-			r.roundSeen[i] = true
-			counted = 1
-		}
+	if a.Round == o.rnd && !r.roundSeen[i] {
+		r.roundSeen[i] = true
+		o.acks++
 	}
-	view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
-	return counted
+	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
 }
 
-// drainAcks consumes acks already queued when the round's wait
-// condition was met, so predicate evaluation sees every reply that
-// arrived in time.
-func (r *Reader) drainAcks(view *View, rnd int) {
+// drainAcks consumes replies that are already queued, so a verdict —
+// the timer's, or predicate evaluation once the round's wait condition
+// is met — sees every reply that arrived in time.
+func (r *Reader) drainAcks() {
 	for {
 		select {
 		case env, ok := <-r.ep.Recv():
 			if !ok {
 				return
 			}
-			r.acceptAck(view, rnd, env)
+			r.accept(env)
 		default:
 			return
 		}
 	}
-}
-
-// writeBack runs the three-round write-back of Fig. 2 lines 26–28,
-// following the W-phase communication pattern with the reader's
-// timestamp as the tag.
-func (r *Reader) writeBack(c types.Tagged, opDeadline *time.Timer) error {
-	for round := 1; round <= 3; round++ {
-		if err := r.broadcast(wire.W{Round: round, Tag: int64(r.tsr), C: c}); err != nil {
-			return err
-		}
-		// Retransmit after the retransmitGrace cycle while below a
-		// quorum (see the query loop): write-back rounds are
-		// idempotent on servers.
-		timer := resetTimer(&r.roundTimer, r.cfg.roundTimeout())
-		inGrace := false
-		r.resetRoundSeen()
-		got := 0
-		for got < r.cfg.Quorum() {
-			select {
-			case env, ok := <-r.ep.Recv():
-				if !ok {
-					return transport.ErrClosed
-				}
-				a, isAck := env.Msg.(wire.WAck)
-				if !isAck || !validServer(r.cfg, env.From) || a.Round != round || a.Tag != int64(r.tsr) {
-					continue
-				}
-				if i := env.From.Index(); !r.roundSeen[i] {
-					r.roundSeen[i] = true
-					got++
-				}
-			case <-timer.C:
-				if inGrace {
-					r.cfg.Metrics.retransmit()
-					if err := r.broadcast(wire.W{Round: round, Tag: int64(r.tsr), C: c}); err != nil {
-						return err
-					}
-				} else {
-					r.cfg.Metrics.starved()
-				}
-				inGrace = true
-				timer = resetTimer(&r.roundTimer, retransmitGrace)
-			case <-opDeadline.C:
-				return fmt.Errorf("READ(tsr=%d) write-back round %d: %w", r.tsr, round, ErrOpTimeout)
-			}
-		}
-	}
-	return nil
 }
 
 // broadcast fans m out to every server through the reader's reusable

@@ -121,16 +121,17 @@ type Writer struct {
 	// serverIDs caches the all-servers broadcast target list.
 	serverIDs []types.ProcID
 
-	// pooled per-operation round state, reset per WRITE
+	// pooled per-operation round state, reset per WRITE (op) and per
+	// round (the ack set)
+	op         writeOp
 	opTimer    *time.Timer
 	roundTimer *time.Timer
-	acks       []wire.PWAck // slot per server, valid where ackSeen
-	ackSeen    []bool
+	acks       []wire.PWAck // slot per server, valid where ackSeen in a pre-write round
+	ackSeen    []bool       // servers whose reply counted toward the round in flight
 	ackCount   int
 	opTS       types.TS    // TS of the in-flight pre-write, matched by acceptPWAck
-	nackSeen   bool        // a PW_NACK arrived for the in-flight speculative attempt
+	nackSeen   bool        // a PW_NACK arrived for the in-flight pre-write
 	nackMax    types.Stamp // highest Max any such NACK carried
-	wackSeen   []bool
 	outBuf     []transport.Outgoing
 	qtsr       types.ReaderTS // stamp-query tag, incremented per query
 
@@ -164,27 +165,79 @@ func NewWriter(cfg Config, id types.ProcID, ep transport.Endpoint) *Writer {
 // ID returns the writer's process id.
 func (w *Writer) ID() types.ProcID { return w.id }
 
+// writePhase names the round a WRITE has in flight between two calls.
+type writePhase uint8
+
+const (
+	phaseIdle  writePhase = iota // no operation in flight
+	phaseQuery                   // MWMR stamp query (a round-1 READ)
+	phaseSpec                    // speculative pre-write (DESIGN.md §12)
+	phasePW                      // pre-write at the bound stamp (Fig. 1 lines 3–5)
+	phaseW                       // W round 2 or 3 (Fig. 1 lines 9–11)
+)
+
+func (p writePhase) String() string {
+	return [...]string{"idle", "stamp query", "speculative pre-write", "pre-write phase", "W round"}[p]
+}
+
+// writeOp is everything a WRITE carries from one call to the next: a
+// WRITE is Start (choose the stamp's path, emit the first round) and
+// then Step until done (wait out the round in flight, decide, complete
+// or emit the next round). The blocking calls are that loop; a batch
+// driver (internal/kv) interleaves the Steps of many writers on one
+// goroutine. Everything else a round needs — the ack set, the timers —
+// is the Writer's pooled round state.
+type writeOp struct {
+	phase   writePhase
+	round   int // W round in flight (2 or 3)
+	val     types.Value
+	c       types.Tagged // pair in flight: the speculative attempt's, then the bound one
+	fault   *WriteFault
+	seq     types.TS    // floor the bound stamp's sequence must exceed
+	qmax    types.Stamp // fold of the stamp query's acks
+	queried bool
+	ghost   types.Stamp // aborted speculative stamp (WriteMeta.Ghost)
+	meta    WriteMeta   // assembled when the pre-write commits, published on completion
+
+	expired bool // the round's synchrony timer fired
+	inGrace bool // ... below a quorum: the retransmitGrace cycle is running
+
+	t0 time.Time // invocation time when Config.Metrics observes the op
+}
+
+var errNoOp = errors.New("core: Step without an operation in flight")
+
 // Write stores v in the register. It returns once atomicity of the
 // write is secured: after one round-trip on the fast path (S − fw
 // PW_ACKs within the synchrony timer), otherwise after the two
 // additional W rounds.
-func (w *Writer) Write(v types.Value) error {
-	m := w.cfg.Metrics
-	if m == nil {
-		return w.write(v, nil)
+func (w *Writer) Write(v types.Value) error { return w.run(w.Start(v)) }
+
+// Start begins WRITE(v): it binds the stamp (or opens the round that
+// will — the speculative pre-write or the MWMR stamp query), arms the
+// round's timer and sends the first round. The operation then advances
+// by Step until either call reports done or an error; the writer takes
+// no other operation meanwhile.
+func (w *Writer) Start(v types.Value) (done bool, err error) {
+	var t0 time.Time
+	if w.cfg.Metrics != nil {
+		t0 = time.Now()
 	}
-	t0 := time.Now()
-	err := w.write(v, nil)
-	if err == nil {
-		m.observeWrite(w.lastMeta, time.Since(t0))
-	}
-	return err
+	return w.settle(w.start(v, nil, t0))
 }
+
+// Step waits out the round in flight exactly as Fig. 1 prescribes for
+// it (line 5: S−t PW_ACKs and the timer, or all S; a quorum of acks for
+// the query and W rounds), then either completes the WRITE — done, with
+// LastMeta describing it — or sends the next round and returns.
+func (w *Writer) Step() (done bool, err error) { return w.settle(w.step()) }
 
 // WriteWithFault runs a WRITE with scripted crash behavior; it returns
 // ErrCrashed at the scripted point and leaves the writer permanently
 // crashed.
-func (w *Writer) WriteWithFault(v types.Value, f *WriteFault) error { return w.write(v, f) }
+func (w *Writer) WriteWithFault(v types.Value, f *WriteFault) error {
+	return w.run(w.settle(w.start(v, f, time.Time{})))
+}
 
 // LastMeta returns metadata about the most recent completed WRITE.
 func (w *Writer) LastMeta() WriteMeta { return w.lastMeta }
@@ -214,17 +267,38 @@ func (w *Writer) WriteAt(c types.Tagged) error {
 	if !w.last.Less(c.Stamp()) {
 		return nil
 	}
-	opDeadline := resetTimer(&w.opTimer, w.cfg.opTimeout())
-	defer opDeadline.Stop()
-	return w.bind(c, nil, false, types.Stamp0, opDeadline)
+	w.begin(writeOp{})
+	return w.run(w.settle(w.emitPW(c)))
+}
+
+// run drives a started operation to completion: the blocking form.
+func (w *Writer) run(done bool, err error) error {
+	for !done && err == nil {
+		done, err = w.Step()
+	}
+	return err
+}
+
+// begin installs a fresh operation and arms its deadline.
+func (w *Writer) begin(op writeOp) {
+	w.op = op
+	resetTimer(&w.opTimer, w.cfg.opTimeout())
+}
+
+// settle passes a Start/Step verdict through, retiring the operation —
+// timers stopped, round state dropped — once it is over either way.
+func (w *Writer) settle(done bool, err error) (bool, error) {
+	if (done || err != nil) && w.op.phase != phaseIdle {
+		w.opTimer.Stop()
+		w.roundTimer.Stop()
+		w.op = writeOp{}
+	}
+	return done, err
 }
 
 // NextTS returns the timestamp the next WRITE will use (for tests).
 func (w *Writer) NextTS() types.TS { return w.ts + 1 }
 
-// resetTimer arms a pooled timer, creating it on first use. Go 1.23+
-// timer semantics make Reset safe without draining: a pending fire from
-// a previous operation is discarded by the Reset.
 // retransmitGrace separates the synchrony verdict from loss recovery:
 // a wait loop whose round timer expired below a quorum re-arms for
 // this long before re-sending its round message. Scheduling jitter on
@@ -239,6 +313,9 @@ func (w *Writer) NextTS() types.TS { return w.ts + 1 }
 // the chaos fault model.
 const retransmitGrace = 50 * time.Millisecond
 
+// resetTimer arms a pooled timer, creating it on first use. Go 1.23+
+// timer semantics make Reset safe without draining: a pending fire from
+// a previous operation is discarded by the Reset.
 func resetTimer(t **time.Timer, d time.Duration) *time.Timer {
 	if *t == nil {
 		*t = time.NewTimer(d)
@@ -248,7 +325,8 @@ func resetTimer(t **time.Timer, d time.Duration) *time.Timer {
 	return *t
 }
 
-// resetAcks clears the PW_ACK/PW_NACK state for a new pre-write round.
+// resetAcks clears the ack set (and a pre-write's PW_ACK/PW_NACK state)
+// for a new round.
 func (w *Writer) resetAcks() {
 	if w.acks == nil {
 		w.acks = make([]wire.PWAck, w.cfg.S())
@@ -262,63 +340,262 @@ func (w *Writer) resetAcks() {
 	w.nackMax = types.Stamp0
 }
 
-func (w *Writer) write(v types.Value, f *WriteFault) error {
+// start opens a WRITE: it chooses how the stamp will be bound and sends
+// the round that does it. Single-writer deployments take the published
+// Fig. 1 path: advance the sequence, no extra round. Multi-writer
+// deployments totally order the stamp against concurrent writers —
+// speculatively from the cache when the telemetry allows it, by an
+// explicit quorum query otherwise. Once chosen, the stamp of a
+// (non-aborted) attempt is final, whatever the PW round later reveals
+// about the race.
+func (w *Writer) start(v types.Value, f *WriteFault, t0 time.Time) (bool, error) {
 	if w.crashed {
-		return ErrCrashed
+		return false, ErrCrashed
 	}
 	if v == "" {
-		return ErrBottomValue
+		return false, ErrBottomValue
 	}
-	opDeadline := resetTimer(&w.opTimer, w.cfg.opTimeout())
-	defer opDeadline.Stop()
+	w.begin(writeOp{val: v, fault: f, seq: w.ts, t0: t0})
+	switch {
+	case !w.cfg.MW():
+		return w.emitPW(types.Tagged{TS: w.ts + 1, W: w.wid, Val: v})
+	case f == nil && !w.cfg.NoSpec && w.cacheOK && w.calm:
+		// Speculative fast path (DESIGN.md §12): bind one above the
+		// cached maximum and let the servers arbitrate. A NACK or a
+		// starved quorum aborts the attempt with no writer state
+		// change and falls back to the query-round slow path.
+		return w.emitSpec(types.Tagged{TS: max(w.ts, w.cachedMax.Seq) + 1, W: w.wid, Val: v})
+	default:
+		return w.emitQuery()
+	}
+}
 
-	// Choose the stamp. Single-writer deployments take the published
-	// Fig. 1 path: advance the sequence, no extra round. Multi-writer
-	// deployments totally order the stamp against concurrent writers —
-	// speculatively from the cache when the telemetry allows it, by an
-	// explicit quorum query otherwise. Once chosen, the stamp of a
-	// (non-aborted) attempt is final, whatever the PW round later
-	// reveals about the race.
-	seq := w.ts
-	queried := false
-	var ghost types.Stamp
-	if w.cfg.MW() {
-		if f == nil && !w.cfg.NoSpec && w.cacheOK && w.calm {
-			// Speculative fast path (DESIGN.md §12): bind one above the
-			// cached maximum and let the servers arbitrate. A NACK or a
-			// starved quorum aborts the attempt with no writer state
-			// change and falls through to the query-round slow path.
-			sseq := seq
-			if sseq < w.cachedMax.Seq {
-				sseq = w.cachedMax.Seq
-			}
-			c := types.Tagged{TS: sseq + 1, W: w.wid, Val: v}
-			done, err := w.bindSpec(c, opDeadline)
-			if err != nil || done {
-				return err
-			}
-			// The abandoned pair may linger on servers that acknowledged
-			// it before the verdict: record it as this operation's ghost
-			// and retry strictly above it, so the completed write can
-			// never share the ghost's stamp.
-			ghost = c.Stamp()
-			if seq < c.TS {
-				seq = c.TS
-			}
-		}
-		qmax, err := w.queryStamp(opDeadline)
-		if err != nil {
-			return err
-		}
-		if seq < qmax.Seq {
-			seq = qmax.Seq
-		}
-		w.foldCache(qmax)
-		w.cacheOK = true
-		queried = true
+// step waits for the round in flight and acts on its outcome.
+func (w *Writer) step() (bool, error) {
+	o := &w.op
+	if o.phase == phaseIdle {
+		return false, errNoOp
 	}
-	c := types.Tagged{TS: seq + 1, W: w.wid, Val: v}
-	return w.bind(c, f, queried, ghost, opDeadline)
+	starved, err := w.await()
+	if err != nil {
+		return false, err
+	}
+	switch o.phase {
+	case phaseQuery:
+		// The fold is a quorum observation: it seeds the stamp cache,
+		// and the bound stamp goes strictly above it (and above an
+		// aborted speculative stamp, already folded into seq).
+		o.seq = max(o.seq, o.qmax.Seq)
+		w.foldCache(o.qmax)
+		w.cacheOK = true
+		o.queried = true
+		return w.emitPW(types.Tagged{TS: o.seq + 1, W: w.wid, Val: o.val})
+	case phaseSpec:
+		w.drainAcks()
+		if starved || w.nackSeen {
+			// Some server already held a stamp at or above c, or the
+			// quorum starved. The NACK made no server state change; the
+			// writer made none either, so the abort is clean — remember
+			// the evidence and flip to the slow path. The abandoned pair
+			// may linger on servers that acknowledged it before the
+			// verdict: record it as this operation's ghost and retry
+			// strictly above it, so the completed write can never share
+			// the ghost's stamp.
+			w.foldCache(w.nackMax)
+			w.calm = false
+			w.stats.SpecFlips++
+			o.ghost = o.c.Stamp()
+			o.seq = max(o.seq, o.c.TS)
+			return w.emitQuery()
+		}
+		// A quorum acknowledged with zero NACKs: every acking server
+		// installed c as strictly newest, and by quorum intersection any
+		// previously completed WRITE's stamp sat in at least one honest
+		// server of this quorum — which would have NACKed. So c outranks
+		// every write that completed before this one began, exactly the
+		// guarantee the query round buys, and the attempt commits as a
+		// pre-write at a bound stamp does.
+		w.ts, w.last, w.pw = o.c.TS, o.c.Stamp(), o.c
+		w.stats.SpecOps++
+		return w.commitPW(true)
+	case phasePW:
+		w.drainAcks()
+		return w.commitPW(false)
+	default: // phaseW
+		if o.round < 3 {
+			return w.emitW(o.round + 1)
+		}
+		return w.complete()
+	}
+}
+
+// await blocks until the round in flight is decided: Fig. 1 line 5 for a
+// pre-write — S−t valid PW_ACKs and timer expiry, with an early exit
+// when all S servers have answered (nothing more can arrive) or, for a
+// speculative attempt, when a PW_NACK decides it; a quorum of acks for
+// the query and W rounds, which no predicate reads a timer for.
+//
+// A timer expiry below a quorum starts the retransmitGrace cycle: after
+// the grace the round is re-sent (same targets, same message — the
+// merges are idempotent, a round-1 READ is stateless on servers) rather
+// than wedged until the operation deadline. A speculative attempt is
+// abandoned instead (starved): the slow path owns loss recovery, and a
+// stale speculative stamp would only be NACKed again anyway.
+//
+// The timer is judged against every reply that has arrived, not only
+// those already consumed: when this writer is one of a batch stepped in
+// lock-step, its replies queue up while a sibling is being waited on.
+func (w *Writer) await() (starved bool, err error) {
+	o := &w.op
+	for !w.decided() {
+		select {
+		case env, ok := <-w.ep.Recv():
+			if !ok {
+				return false, transport.ErrClosed
+			}
+			w.accept(env)
+		case <-w.roundTimer.C:
+			w.drainAcks()
+			o.expired = true
+			if w.ackCount >= w.cfg.Quorum() {
+				continue
+			}
+			if !o.inGrace {
+				w.cfg.Metrics.starved()
+			} else if o.phase == phaseSpec {
+				return true, nil
+			} else {
+				w.cfg.Metrics.retransmit()
+				if err := resend(w.ep, w.outBuf); err != nil {
+					return false, err
+				}
+			}
+			o.inGrace = true
+			resetTimer(&w.roundTimer, retransmitGrace)
+		case <-w.opTimer.C:
+			return false, fmt.Errorf("WRITE(ts=%d) %v: %w", o.c.TS, o.phase, ErrOpTimeout)
+		}
+	}
+	return false, nil
+}
+
+// decided reports whether the round in flight has the replies (and, for
+// a pre-write, the timer verdict) its wait condition asks for.
+func (w *Writer) decided() bool {
+	o := &w.op
+	n := w.ackCount
+	switch o.phase {
+	case phaseSpec:
+		if w.nackSeen {
+			return true
+		}
+		fallthrough
+	case phasePW:
+		return n >= w.cfg.S() || (n >= w.cfg.Quorum() && o.expired)
+	}
+	return n >= w.cfg.Quorum()
+}
+
+// emit opens a round: fresh ack set, the round's timer, then the
+// broadcast. The synchrony timer runs from the start of the round, not
+// from the end of the broadcast: a send may be a socket write on this
+// goroutine (transport.Coalescer writes through).
+func (w *Writer) emit(phase writePhase, targets []types.ProcID, m wire.Message) error {
+	o := &w.op
+	o.phase = phase
+	o.expired, o.inGrace = false, false
+	w.resetAcks()
+	resetTimer(&w.roundTimer, w.cfg.roundTimeout())
+	return w.sendTo(targets, m)
+}
+
+// emitQuery sends the MWMR stamp-discovery round: a round-1 READ
+// (servers answer a writer's round-1 query statelessly — it never
+// touches the freezing machinery), whose acks acceptQueryAck folds by
+// plain maximum.
+func (w *Writer) emitQuery() (bool, error) {
+	w.qtsr++
+	w.op.qmax = types.Stamp0
+	return false, w.emit(phaseQuery, w.allServers(), wire.Read{TSR: w.qtsr, Round: 1})
+}
+
+// emitSpec sends the speculative pre-write of DESIGN.md §12 at the
+// already-chosen pair c: PW with Spec set and — unlike emitPW — no
+// writer state committed up front, because the attempt may be rejected.
+func (w *Writer) emitSpec(c types.Tagged) (bool, error) {
+	w.stats.SpecAttempts++
+	w.op.c, w.opTS = c, c.TS
+	return false, w.emit(phaseSpec, w.allServers(),
+		wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen, Spec: true})
+}
+
+// emitPW binds the pair c and sends its pre-write (Fig. 1 lines 3–4),
+// with the frozen set left over from the previous WRITE's
+// freezevalues(). The stamp is immutable from here on (see the Writer
+// doc): contention observed in the PW_ACKs is recorded in the meta,
+// never acted on.
+func (w *Writer) emitPW(c types.Tagged) (bool, error) {
+	w.ts, w.last, w.pw = c.TS, c.Stamp(), c
+	w.op.c, w.opTS = c, c.TS
+	f := w.op.fault
+	err := w.emit(phasePW, w.pwTargets(f), wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen})
+	if err == nil && f != nil && f.CrashAfterPW {
+		w.crashed = true
+		err = ErrCrashed
+	}
+	return false, err
+}
+
+// emitW sends W round 2 or 3 of the write phase (Fig. 1 lines 9–11) at
+// the already pre-written pair.
+func (w *Writer) emitW(round int) (bool, error) {
+	w.op.round = round
+	f := w.op.fault
+	err := w.emit(phaseW, w.wTargets(f, round), wire.W{Round: round, Tag: int64(w.op.c.TS), C: w.pw})
+	if err == nil && f != nil && f.CrashAfterW[round] {
+		w.crashed = true
+		err = ErrCrashed
+	}
+	return false, err
+}
+
+// commitPW acts on a decided pre-write (Fig. 1 lines 6–8): record the
+// value as written, detect slow READs and freeze values for them, then
+// return on the fast path or open the write phase.
+func (w *Writer) commitPW(spec bool) (bool, error) {
+	o := &w.op
+	w.frozen = nil
+	w.w = w.pw
+	w.freezeValues()
+
+	o.meta = WriteMeta{TS: o.c.TS, Writer: o.c.W, Rounds: 1, PWAcks: w.ackCount,
+		Queried: o.queried, Contended: w.sawContention(o.c), Spec: spec, Ghost: o.ghost}
+	if o.queried {
+		o.meta.Rounds = 2 // the stamp query is a round-trip too
+	}
+	// A NACKed speculative attempt earlier in this operation counts as
+	// contention evidence even when the retry's own acks are clean: one
+	// full query-path operation must complete uncontended before the
+	// writer speculates again.
+	w.noteCompletion(o.c, o.meta.Contended || !o.ghost.IsZero())
+
+	if w.ackCount >= w.cfg.FastWriteAcks() {
+		o.meta.Fast = true
+		return w.complete()
+	}
+	o.meta.Rounds += 2
+	return w.emitW(2)
+}
+
+// complete publishes the finished WRITE's meta.
+func (w *Writer) complete() (bool, error) {
+	o := &w.op
+	w.lastMeta = o.meta
+	w.stats.record(o.meta.Rounds, o.meta.Fast)
+	if !o.t0.IsZero() {
+		w.cfg.Metrics.observeWrite(o.meta, time.Since(o.t0))
+	}
+	return true, nil
 }
 
 // foldCache raises the cached maximum stamp to at least s.
@@ -326,196 +603,6 @@ func (w *Writer) foldCache(s types.Stamp) {
 	if w.cachedMax.Less(s) {
 		w.cachedMax = s
 	}
-}
-
-// queryStamp is the MWMR stamp-discovery round: broadcast a round-1
-// READ (servers answer a writer's round-1 query statelessly — it never
-// touches the freezing machinery) and fold the plain maximum over every
-// stamp in a quorum of acks.
-//
-// The plain maximum — not a (b+1)-st-highest fold — is deliberate. A
-// completed WRITE is guaranteed into only one honest server of the
-// quorum intersection, so demanding b+1 witnesses for a stamp could
-// discard the latest completed write and re-issue its sequence number —
-// a lost update. The cost is that a single malicious server can inflate
-// the sequence component; that burns int64 headroom but never breaks
-// atomicity, since stamps only need to keep growing (DESIGN.md §10).
-func (w *Writer) queryStamp(opDeadline *time.Timer) (types.Stamp, error) {
-	w.qtsr++
-	if err := w.sendTo(w.allServers(), wire.Read{TSR: w.qtsr, Round: 1}); err != nil {
-		return types.Stamp0, err
-	}
-	if w.wackSeen == nil {
-		w.wackSeen = make([]bool, w.cfg.S())
-	} else {
-		clear(w.wackSeen)
-	}
-	// Retransmit the query after the retransmitGrace cycle while below
-	// a quorum: a round-1 READ is stateless on servers, so re-asking
-	// is always safe.
-	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout())
-	defer timer.Stop()
-	inGrace := false
-	got := 0
-	qmax := types.Stamp0
-	for got < w.cfg.Quorum() {
-		select {
-		case <-timer.C:
-			if inGrace {
-				w.cfg.Metrics.retransmit()
-				if err := w.sendTo(w.allServers(), wire.Read{TSR: w.qtsr, Round: 1}); err != nil {
-					return types.Stamp0, err
-				}
-			} else {
-				w.cfg.Metrics.starved()
-			}
-			inGrace = true
-			timer = resetTimer(&w.roundTimer, retransmitGrace)
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return types.Stamp0, transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.ReadAck)
-			if !isAck || !validServer(w.cfg, env.From) || a.TSR != w.qtsr || a.Round != 1 || wire.Validate(env.Msg) != nil {
-				continue
-			}
-			if i := env.From.Index(); !w.wackSeen[i] {
-				w.wackSeen[i] = true
-				got++
-				if s := a.PW.Stamp(); qmax.Less(s) {
-					qmax = s
-				}
-				if s := a.W.Stamp(); qmax.Less(s) {
-					qmax = s
-				}
-				if s := a.VW.Stamp(); qmax.Less(s) {
-					qmax = s
-				}
-			}
-		case <-opDeadline.C:
-			return types.Stamp0, fmt.Errorf("WRITE stamp query: %w", ErrOpTimeout)
-		}
-	}
-	return qmax, nil
-}
-
-// bind runs the PW and W phases of Fig. 1 at the already-chosen pair c.
-// The stamp is immutable from here on (see the Writer doc): contention
-// observed in the PW_ACKs is recorded in the meta, never acted on.
-// ghost is the stamp of an aborted speculative attempt earlier in the
-// same operation (zero when none), threaded into the meta so drivers
-// can record it as a failed write.
-func (w *Writer) bind(c types.Tagged, f *WriteFault, queried bool, ghost types.Stamp, opDeadline *time.Timer) error {
-	// Pre-write phase (Fig. 1 lines 3–4): ship PW with the frozen set
-	// left over from the previous WRITE's freezevalues().
-	w.ts = c.TS
-	w.last = c.Stamp()
-	w.pw = c
-	w.opTS = c.TS
-	pwMsg := wire.PW{TS: c.TS, PW: w.pw, W: w.w, Frozen: w.frozen}
-	// The synchrony timer runs from the start of the round, not from the
-	// end of the broadcast: a send may be a socket write on this
-	// goroutine (transport.Coalescer writes through).
-	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout())
-	defer timer.Stop()
-	if err := w.sendTo(w.pwTargets(f), pwMsg); err != nil {
-		return err
-	}
-	if f != nil && f.CrashAfterPW {
-		w.crashed = true
-		return ErrCrashed
-	}
-
-	// Fig. 1 line 5: wait for S−t valid PW_ACKs and timer expiry (early
-	// exit when all S servers have answered — nothing more can arrive).
-	w.resetAcks()
-	expired := false
-	inGrace := false
-	for w.ackCount < w.cfg.S() && !(w.ackCount >= w.cfg.Quorum() && expired) {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			w.acceptPWAck(env)
-		case <-timer.C:
-			expired = true
-			// Below a quorum the PW may have been lost on a stale
-			// conn; the merge is idempotent, so after the
-			// retransmitGrace cycle re-send (same targets, same
-			// frozen set) rather than wedge until the operation
-			// deadline.
-			if w.ackCount < w.cfg.Quorum() {
-				if inGrace {
-					w.cfg.Metrics.retransmit()
-					if err := w.sendTo(w.pwTargets(f), pwMsg); err != nil {
-						return err
-					}
-				} else {
-					w.cfg.Metrics.starved()
-				}
-				inGrace = true
-				timer = resetTimer(&w.roundTimer, retransmitGrace)
-			}
-		case <-opDeadline.C:
-			return fmt.Errorf("WRITE(ts=%d) pre-write phase: %w", w.ts, ErrOpTimeout)
-		}
-	}
-	w.drainPWAcks()
-
-	// Fig. 1 lines 6–7: record the value as written, then detect slow
-	// READs and freeze values for them.
-	w.frozen = nil
-	w.w = w.pw
-	w.freezeValues()
-
-	meta := WriteMeta{TS: c.TS, Writer: c.W, PWAcks: w.ackCount,
-		Queried: queried, Contended: w.sawContention(c), Ghost: ghost}
-	// A NACKed speculative attempt earlier in this operation counts as
-	// contention evidence even when the retry's own acks are clean: one
-	// full query-path operation must complete uncontended before the
-	// writer speculates again.
-	w.noteCompletion(c, meta.Contended || !ghost.IsZero())
-	rounds := 1
-	if queried {
-		rounds = 2 // the stamp query is a round-trip too
-	}
-
-	// Fig. 1 line 8: fast path.
-	if w.ackCount >= w.cfg.FastWriteAcks() {
-		meta.Rounds, meta.Fast = rounds, true
-		w.lastMeta = meta
-		w.stats.record(meta.Rounds, true)
-		return nil
-	}
-
-	if err := w.writePhase(c, f, opDeadline); err != nil {
-		return err
-	}
-	meta.Rounds = rounds + 2
-	w.lastMeta = meta
-	w.stats.record(meta.Rounds, false)
-	return nil
-}
-
-// writePhase runs the write phase of Fig. 1 lines 9–11: two more W
-// rounds at the already pre-written pair c.
-func (w *Writer) writePhase(c types.Tagged, f *WriteFault, opDeadline *time.Timer) error {
-	for round := 2; round <= 3; round++ {
-		msg := wire.W{Round: round, Tag: int64(c.TS), C: w.pw}
-		targets := w.wTargets(f, round)
-		if err := w.sendTo(targets, msg); err != nil {
-			return err
-		}
-		if f != nil && f.CrashAfterW[round] {
-			w.crashed = true
-			return ErrCrashed
-		}
-		if err := w.awaitWAcks(round, int64(c.TS), targets, msg, opDeadline); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // noteCompletion feeds the speculative fast path's telemetry at the
@@ -532,101 +619,6 @@ func (w *Writer) noteCompletion(c types.Tagged, contended bool) {
 	w.foldCache(c.Stamp())
 	w.cacheOK = true
 	w.calm = !contended
-}
-
-// bindSpec attempts the speculative pre-write of DESIGN.md §12 at the
-// already-chosen pair c: PW is sent with Spec set and — unlike bind —
-// no writer state is committed up front, because the attempt may be
-// rejected. done reports that the operation completed (the quorum came
-// back all-ACK); done == false with a nil error means the attempt was
-// aborted — a server NACKed the stamp, or the quorum starved — and the
-// caller must fall back to the query-round slow path, treating c as a
-// ghost (servers that acknowledged before the verdict keep the pair).
-func (w *Writer) bindSpec(c types.Tagged, opDeadline *time.Timer) (done bool, err error) {
-	w.stats.SpecAttempts++
-	w.opTS = c.TS
-	pwMsg := wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen, Spec: true}
-	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout()) // from the round's start, as in bind
-	defer timer.Stop()
-	if err := w.sendTo(w.allServers(), pwMsg); err != nil {
-		return false, err
-	}
-
-	// Wait as bind does, with two extra exits: a PW_NACK decides the
-	// attempt immediately, and a starved quorum (two timer cycles below
-	// S−t acks) abandons it rather than retransmitting — the slow path
-	// owns loss recovery, and a stale spec stamp would only be NACKed
-	// again anyway.
-	w.resetAcks()
-	expired := false
-	inGrace := false
-	for w.ackCount < w.cfg.S() && !(w.ackCount >= w.cfg.Quorum() && expired) && !w.nackSeen {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return false, transport.ErrClosed
-			}
-			w.acceptPWAck(env)
-		case <-timer.C:
-			expired = true
-			if w.ackCount < w.cfg.Quorum() {
-				if inGrace {
-					w.calm = false
-					w.stats.SpecFlips++
-					return false, nil
-				}
-				w.cfg.Metrics.starved()
-				inGrace = true
-				timer = resetTimer(&w.roundTimer, retransmitGrace)
-			}
-		case <-opDeadline.C:
-			return false, fmt.Errorf("WRITE(ts=%d) speculative pre-write: %w", c.TS, ErrOpTimeout)
-		}
-	}
-	w.drainPWAcks()
-	if w.nackSeen {
-		// Some server already held a stamp at or above c. The NACK made
-		// no server state change; the writer made none either, so the
-		// abort is clean — remember the evidence and flip to the slow
-		// path.
-		w.foldCache(w.nackMax)
-		w.calm = false
-		w.stats.SpecFlips++
-		return false, nil
-	}
-
-	// A quorum acknowledged with zero NACKs: every acking server
-	// installed c as strictly newest, and by quorum intersection any
-	// previously completed WRITE's stamp sat in at least one honest
-	// server of this quorum — which would have NACKed. So c outranks
-	// every write that completed before this one began, exactly the
-	// guarantee the query round buys, and the commit proceeds as in
-	// bind.
-	w.ts = c.TS
-	w.last = c.Stamp()
-	w.pw = c
-	w.frozen = nil
-	w.w = w.pw
-	w.freezeValues()
-
-	meta := WriteMeta{TS: c.TS, Writer: c.W, PWAcks: w.ackCount,
-		Contended: w.sawContention(c), Spec: true}
-	w.noteCompletion(c, meta.Contended)
-	w.stats.SpecOps++
-
-	if w.ackCount >= w.cfg.FastWriteAcks() {
-		meta.Rounds, meta.Fast = 1, true
-		w.lastMeta = meta
-		w.stats.record(1, true)
-		return true, nil
-	}
-	if err := w.writePhase(c, nil, opDeadline); err != nil {
-		return true, err
-	}
-	meta.Rounds = 3
-	w.lastMeta = meta
-	w.stats.record(3, false)
-	return true, nil
 }
 
 // sawContention reports whether any counted PW_ACK's Max exceeds the
@@ -646,7 +638,7 @@ func (w *Writer) sawContention(c types.Tagged) bool {
 // acceptPWAck records a structurally valid PW_ACK or PW_NACK tagged
 // with the in-flight pre-write's TS. Acks from servers not yet counted
 // enter the ack set; a NACK (speculative attempts only — servers never
-// NACK a non-spec PW) raises the nack flag that aborts bindSpec. Stale
+// NACK a non-spec PW) raises the nack flag that aborts the attempt. Stale
 // replies to an abandoned speculative attempt carry its old TS and are
 // dropped here: the slow-path retry binds strictly above the ghost, so
 // opTS always moves on before new acks are awaited.
@@ -658,10 +650,8 @@ func (w *Writer) acceptPWAck(env wire.Envelope) {
 		if !validServer(w.cfg, env.From) || a.TS != w.opTS || wire.Validate(env.Msg) != nil {
 			return
 		}
-		if i := env.From.Index(); !w.ackSeen[i] {
-			w.ackSeen[i] = true
+		if i := env.From.Index(); w.count(i) {
 			w.acks[i] = a
-			w.ackCount++
 		}
 	case wire.PWNack:
 		if !validServer(w.cfg, env.From) || a.TS != w.opTS || wire.Validate(env.Msg) != nil {
@@ -674,17 +664,73 @@ func (w *Writer) acceptPWAck(env wire.Envelope) {
 	}
 }
 
-// drainPWAcks consumes acks that are already queued when the wait
-// condition is met, so the fast-path check of line 8 sees every reply
-// that arrived within the timer.
-func (w *Writer) drainPWAcks() {
+// accept routes one envelope to the ack rule of the round in flight.
+func (w *Writer) accept(env wire.Envelope) {
+	switch w.op.phase {
+	case phaseQuery:
+		w.acceptQueryAck(env)
+	case phaseSpec, phasePW:
+		w.acceptPWAck(env)
+	case phaseW:
+		w.acceptWAck(env)
+	}
+}
+
+// count marks server i as having answered the round in flight and
+// reports whether this was its first answer.
+func (w *Writer) count(i int) bool {
+	if w.ackSeen[i] {
+		return false
+	}
+	w.ackSeen[i] = true
+	w.ackCount++
+	return true
+}
+
+// acceptQueryAck folds one stamp-query ack: the plain maximum over
+// every stamp in a quorum of acks.
+//
+// The plain maximum — not a (b+1)-st-highest fold — is deliberate. A
+// completed WRITE is guaranteed into only one honest server of the
+// quorum intersection, so demanding b+1 witnesses for a stamp could
+// discard the latest completed write and re-issue its sequence number —
+// a lost update. The cost is that a single malicious server can inflate
+// the sequence component; that burns int64 headroom but never breaks
+// atomicity, since stamps only need to keep growing (DESIGN.md §10).
+func (w *Writer) acceptQueryAck(env wire.Envelope) {
+	a, ok := env.Msg.(wire.ReadAck)
+	if !ok || !validServer(w.cfg, env.From) || a.TSR != w.qtsr || a.Round != 1 || wire.Validate(env.Msg) != nil {
+		return
+	}
+	if !w.count(env.From.Index()) {
+		return
+	}
+	for _, s := range [...]types.Stamp{a.PW.Stamp(), a.W.Stamp(), a.VW.Stamp()} {
+		if w.op.qmax.Less(s) {
+			w.op.qmax = s
+		}
+	}
+}
+
+// acceptWAck counts one WRITE_ACK of the W round in flight.
+func (w *Writer) acceptWAck(env wire.Envelope) {
+	a, ok := env.Msg.(wire.WAck)
+	if ok && validServer(w.cfg, env.From) && a.Round == w.op.round && a.Tag == int64(w.op.c.TS) {
+		w.count(env.From.Index())
+	}
+}
+
+// drainAcks consumes replies that are already queued, so a verdict —
+// the timer's, or the fast-path check of line 8 once the wait condition
+// is met — sees every reply that arrived in time.
+func (w *Writer) drainAcks() {
 	for {
 		select {
 		case env, ok := <-w.ep.Recv():
 			if !ok {
 				return
 			}
-			w.acceptPWAck(env)
+			w.accept(env)
 		default:
 			return
 		}
@@ -780,48 +826,16 @@ func (w *Writer) duplicateStamp(newread []types.ReadStamp, j int) bool {
 	return false
 }
 
-// awaitWAcks waits for S−t valid WRITE_ACKs for the given round,
-// retransmitting msg to targets after the retransmitGrace cycle while
-// below a quorum (W rounds are idempotent on servers).
-func (w *Writer) awaitWAcks(round int, tag int64, targets []types.ProcID, msg wire.Message, opDeadline *time.Timer) error {
-	if w.wackSeen == nil {
-		w.wackSeen = make([]bool, w.cfg.S())
-	} else {
-		clear(w.wackSeen)
+// resend repeats a round's broadcast and pushes it past any send-side
+// buffering (transport.Flusher): a retransmission issued from inside a
+// corked batch pass would otherwise wait for the very pass that is
+// waiting on its replies.
+func resend(ep transport.Endpoint, out []transport.Outgoing) error {
+	err := transport.SendAll(ep, out)
+	if f, ok := ep.(transport.Flusher); ok && err == nil {
+		err = f.Flush()
 	}
-	timer := resetTimer(&w.roundTimer, w.cfg.roundTimeout())
-	inGrace := false
-	got := 0
-	for got < w.cfg.Quorum() {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.WAck)
-			if !isAck || !validServer(w.cfg, env.From) || a.Round != round || a.Tag != tag {
-				continue
-			}
-			if i := env.From.Index(); !w.wackSeen[i] {
-				w.wackSeen[i] = true
-				got++
-			}
-		case <-timer.C:
-			if inGrace {
-				w.cfg.Metrics.retransmit()
-				if err := w.sendTo(targets, msg); err != nil {
-					return err
-				}
-			} else {
-				w.cfg.Metrics.starved()
-			}
-			inGrace = true
-			timer = resetTimer(&w.roundTimer, retransmitGrace)
-		case <-opDeadline.C:
-			return fmt.Errorf("WRITE(ts=%d) W round %d: %w", w.ts, round, ErrOpTimeout)
-		}
-	}
-	return nil
+	return err
 }
 
 // sendTo fans m out to targets through the writer's reusable outgoing

@@ -159,6 +159,30 @@ func (d *Demux) Flush() error {
 	return nil
 }
 
+// corker is the send-side cork of the endpoint a Demux wraps
+// (transport.Coalescer has it).
+type corker interface {
+	Cork()
+	Uncork()
+}
+
+// Cork holds back the sends of every key until the matching Uncork, so a
+// caller driving many keys from one goroutine emits a protocol round as
+// one frame per server. It forwards to the wrapped endpoint's cork and
+// is a no-op over an endpoint that does not buffer sends.
+func (d *Demux) Cork() {
+	if c, ok := d.inner.(corker); ok {
+		c.Cork()
+	}
+}
+
+// Uncork releases one Cork and flushes what the keys queued meanwhile.
+func (d *Demux) Uncork() {
+	if c, ok := d.inner.(corker); ok {
+		c.Uncork()
+	}
+}
+
 // Close stops the pump, closes every per-key inbox and the underlying
 // endpoint, and waits for the pump goroutine to exit.
 func (d *Demux) Close() error {
@@ -206,7 +230,10 @@ type subEndpoint struct {
 	mbox  *transport.Mailbox
 }
 
-var _ transport.Endpoint = (*subEndpoint)(nil)
+var (
+	_ transport.Endpoint = (*subEndpoint)(nil)
+	_ transport.Flusher  = (*subEndpoint)(nil)
+)
 
 func (s *subEndpoint) ID() types.ProcID { return s.demux.inner.ID() }
 
@@ -215,6 +242,10 @@ func (s *subEndpoint) Send(to types.ProcID, m wire.Message) error {
 }
 
 func (s *subEndpoint) Recv() <-chan wire.Envelope { return s.mbox.Out() }
+
+// Flush implements transport.Flusher: the key's sends share the demux's
+// one endpoint, so draining that (past any cork) drains them.
+func (s *subEndpoint) Flush() error { return s.demux.Flush() }
 
 // Close detaches the key's inbox from the demux.
 func (s *subEndpoint) Close() error {

@@ -46,3 +46,75 @@ func TestMWFastPathPutAllocs(t *testing.T) {
 		t.Errorf("speculative MW Put: %.1f allocs/op, budget %d", allocs, kvMWAllocBudget)
 	}
 }
+
+// kvBatchAllocBudget is the per-key allocation budget of a steady-state
+// lucky PutBatch/GetBatch of 32 on simnet. A batched key pays exactly
+// what a blocking Put/Get pays — the ten message boxings of a lucky
+// round trip, measured 10.00 above — plus its 1/32 share of what the
+// batch allocates once: the op slice and closures, GetBatch's result
+// map, and per server the wire.Batch framing of a round (CoalesceKeyed
+// out, Expand back) and the inbox's overflow drainer. PutBatch measures
+// 10.97 per key, GetBatch 11.09; pinned at the measurement plus one. It
+// cannot be the blocking budget itself: stepping keys together shares
+// frames, not boxings.
+const kvBatchAllocBudget = 12
+
+// batchAllocStore is the deployment the blocking contracts measure on:
+// S = 3, single writer.
+func batchAllocStore(t *testing.T) *Store {
+	t.Helper()
+	st, err := Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
+
+func TestPutBatchSteadyStateAllocs(t *testing.T) {
+	st := batchAllocStore(t)
+	_, puts := batchOf(32, "warm")
+	for i := 0; i < 8; i++ {
+		if err := st.PutBatch(puts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, puts = batchOf(32, "steady-state-value")
+	perKey := testing.AllocsPerRun(100, func() {
+		if err := st.PutBatch(puts); err != nil {
+			t.Fatal(err)
+		}
+	}) / 32
+	t.Logf("PutBatch(32): %.2f allocs per key", perKey)
+	if m, _ := st.PutMeta("key-00"); !m.Fast {
+		t.Fatalf("measurement missed the fast path: %+v", m)
+	}
+	if perKey > kvBatchAllocBudget {
+		t.Errorf("PutBatch: %.2f allocs per key, budget %d", perKey, kvBatchAllocBudget)
+	}
+}
+
+func TestGetBatchSteadyStateAllocs(t *testing.T) {
+	st := batchAllocStore(t)
+	keys, puts := batchOf(32, "stored")
+	if err := st.PutBatch(puts); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := st.GetBatch(0, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perKey := testing.AllocsPerRun(100, func() {
+		if _, err := st.GetBatch(0, keys); err != nil {
+			t.Fatal(err)
+		}
+	}) / 32
+	t.Logf("GetBatch(32): %.2f allocs per key", perKey)
+	if m, _ := st.GetMeta(0, "key-00"); !m.Fast() {
+		t.Fatalf("measurement missed the fast path: %+v", m)
+	}
+	if perKey > kvBatchAllocBudget {
+		t.Errorf("GetBatch: %.2f allocs per key, budget %d", perKey, kvBatchAllocBudget)
+	}
+}

@@ -2,6 +2,8 @@ package kv
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -160,5 +162,75 @@ func TestAsyncFuturesDrainOnClose(t *testing.T) {
 		case <-deadline:
 			t.Fatal("get future hung after Close")
 		}
+	}
+}
+
+// TestBatchesDrainOnClose pins a PutBatch and a GetBatch in flight by
+// holding all their traffic, then closes the store: both must return
+// with ErrClosed for their unfinished keys instead of hanging, every
+// handle lock they took must be free again, and no goroutine may
+// outlive the store.
+func TestBatchesDrainOnClose(t *testing.T) {
+	before := runtime.NumGoroutine()
+	st, err := Open(fixCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Sim().HoldAllFrom(types.WriterID())
+	st.Sim().HoldAllFrom(types.ReaderID(0))
+
+	keys, puts := batchOf(32, "stuck")
+	putErr, getErr := make(chan error, 1), make(chan error, 1)
+	go func() { putErr <- st.PutBatch(puts) }()
+	go func() {
+		got, err := st.GetBatch(0, keys)
+		if len(got) != 0 {
+			err = fmt.Errorf("GetBatch returned %d values from a store that answered nothing (err %v)", len(got), err)
+		}
+		getErr <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let both batches enter their first Step
+
+	closed := make(chan struct{})
+	go func() { defer close(closed); st.Close() }()
+	for what, ch := range map[string]chan error{"PutBatch": putErr, "GetBatch": getErr} {
+		select {
+		case err := <-ch:
+			if !errors.Is(err, ErrClosed) {
+				t.Errorf("%s racing Close = %v, want ErrClosed", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s hung on a closed store", what)
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung on in-flight batches")
+	}
+
+	held := 0
+	st.writers.Range(func(_, h any) bool {
+		if !h.(*writerHandle).mu.TryLock() {
+			held++
+		}
+		return true
+	})
+	st.readers[0].Range(func(_, h any) bool {
+		if !h.(*readerHandle).mu.TryLock() {
+			held++
+		}
+		return true
+	})
+	if held != 0 {
+		t.Errorf("%d handle locks still held after the batches returned", held)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("goroutines: %d before Open, %d after Close\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -12,16 +12,18 @@
 // any key, with per-key atomicity across stores provided by the
 // composite 〈seq, writer〉 stamps and the writers' stamp-query round.
 //
-// The engine is sharded and pipelined: every server runs its per-key
+// The engine is sharded and batched: every server runs its per-key
 // automata across a pool of shard workers (node.ShardedRunner over
-// keyed.ShardedServer), so no global lock serializes independent keys,
-// and client endpoints coalesce concurrent outbound messages into
-// wire.Batch frames. Blocking Put/Get stay the simple interface;
-// PutAsync/GetAsync/PutBatch/GetBatch expose the pipeline directly.
+// keyed.ShardedServer), so no global lock serializes independent keys.
+// Blocking Put/Get stay the simple interface. PutBatch/GetBatch step
+// the per-key operations of a batch round by round from one goroutine,
+// so each protocol round of N keys travels as one wire.Batch frame per
+// server (batch.go); PutAsync/GetAsync run a blocking operation on a
+// goroutine of its own and share frames only when their sends happen to
+// collide in the coalescer.
 package kv
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -157,8 +159,8 @@ type Store struct {
 	store    storage.Provider
 	backends []storage.Backend // per server; nil when not durable
 
-	met       *StoreMetrics        // nil when uninstrumented
-	srvMet    *core.ServerMetrics  // shared by every server automaton
+	met       *StoreMetrics       // nil when uninstrumented
+	srvMet    *core.ServerMetrics // shared by every server automaton
 	durMet    *storage.DurableMetrics
 	runnersMu sync.RWMutex // guards runners[i] replacement vs gauge reads
 
@@ -662,10 +664,13 @@ func (f *GetFuture) Wait() (types.Tagged, error) {
 	return f.val, f.err
 }
 
-// PutAsync starts a Put and returns immediately with its future.
-// Concurrent async puts to one key serialize in an unspecified order
-// (the register stays SWMR); puts to different keys run concurrently,
-// their outbound messages sharing wire.Batch frames.
+// PutAsync starts a Put on a goroutine of its own and returns
+// immediately with its future. Concurrent async puts to one key
+// serialize in an unspecified order (the register stays SWMR); puts to
+// different keys run concurrently. Their messages share a wire.Batch
+// frame only when their sends collide in the coalescer, which over
+// loopback TCP they measurably do not (EXPERIMENTS.md: 32 of them left
+// in frames 1.01 wide) — to send N keys in S frames, use PutBatch.
 func (s *Store) PutAsync(key string, value types.Value) *PutFuture {
 	f := &PutFuture{done: make(chan struct{})}
 	h, err := s.writerFor(key)
@@ -715,48 +720,6 @@ func (s *Store) GetAsync(idx int, key string) *GetFuture {
 		}
 	}()
 	return f
-}
-
-// PutBatch writes every entry of puts concurrently, coalescing the
-// fan-out into batched frames, and returns once all writes completed —
-// nil only if every one succeeded (errors.Join of the failures
-// otherwise). Each key individually keeps its atomic-register
-// guarantees; a batch is not a transaction and offers no cross-key
-// atomicity.
-func (s *Store) PutBatch(puts map[string]types.Value) error {
-	futures := make([]*PutFuture, 0, len(puts))
-	for key, value := range puts {
-		futures = append(futures, s.PutAsync(key, value))
-	}
-	var errs []error
-	for _, f := range futures {
-		if err := f.Wait(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// GetBatch reads every key through reader idx concurrently and returns
-// the values by key. Keys never written map to the initial pair 〈0,⊥〉.
-// On failures it returns the successful subset together with an
-// errors.Join of the failures.
-func (s *Store) GetBatch(idx int, keys []string) (map[string]types.Tagged, error) {
-	futures := make([]*GetFuture, len(keys))
-	for i, key := range keys {
-		futures[i] = s.GetAsync(idx, key)
-	}
-	out := make(map[string]types.Tagged, len(keys))
-	var errs []error
-	for i, f := range futures {
-		v, err := f.Wait()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("get %q: %w", keys[i], err))
-			continue
-		}
-		out[keys[i]] = v
-	}
-	return out, errors.Join(errs...)
 }
 
 // CrashServer crash-stops server i (all registers and shards on it at

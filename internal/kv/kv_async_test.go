@@ -113,31 +113,40 @@ func TestPutBatchReportsPartialFailures(t *testing.T) {
 // Send, concurrent puts pile up and must leave as wire.Batch frames.
 type slowEndpoint struct {
 	transport.Endpoint
+	delay  time.Duration
 	mu     sync.Mutex
-	frames []wire.Message
+	frames []wire.Envelope // To and Msg of every frame, in send order
 }
 
 func (s *slowEndpoint) Send(to types.ProcID, m wire.Message) error {
-	time.Sleep(time.Millisecond)
+	time.Sleep(s.delay)
 	s.mu.Lock()
-	s.frames = append(s.frames, m)
+	s.frames = append(s.frames, wire.Envelope{To: to, Msg: m})
 	s.mu.Unlock()
 	return s.Endpoint.Send(to, m)
 }
 
-// TestBatchTrafficCoalesces drives a wide PutBatch through a store
-// whose writer endpoint is slow and checks the concurrent fan-out was
-// fused into wire.Batch frames rather than sent one frame per message.
-func TestBatchTrafficCoalesces(t *testing.T) {
-	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1,
-		RoundTimeout: 50 * time.Millisecond}
+// take returns the frames recorded since the last take.
+func (s *slowEndpoint) take() []wire.Envelope {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.frames
+	s.frames = nil
+	return out
+}
+
+// recordedFleet starts S sharded servers on a fresh in-memory network
+// and a client store whose writer and reader-0 endpoints record (and
+// delay) every frame they send. The runners are returned so a test can
+// crash a server.
+func recordedFleet(t *testing.T, cfg core.Config, delay time.Duration) (st *Store, w, r *slowEndpoint, runners []*node.ShardedRunner) {
+	t.Helper()
 	ids := append(types.ServerIDs(cfg.S()), types.WriterID(), types.ReaderID(0))
 	sim, err := simnet.New(ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sim.Close()
-	var runners []*node.ShardedRunner
+	t.Cleanup(func() { sim.Close() })
 	for i := 0; i < cfg.S(); i++ {
 		ep, err := sim.Endpoint(types.ServerID(i))
 		if err != nil {
@@ -146,27 +155,34 @@ func TestBatchTrafficCoalesces(t *testing.T) {
 		srv := keyed.NewShardedServer(2, func() node.Automaton { return core.NewServer() })
 		r := node.NewShardedRunner(ep, srv.Shards(), srv.Route())
 		r.Start()
+		t.Cleanup(r.Stop)
 		runners = append(runners, r)
 	}
-	defer func() {
-		for _, r := range runners {
-			r.Stop()
-		}
-	}()
 	wep, err := sim.Endpoint(types.WriterID())
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow := &slowEndpoint{Endpoint: wep}
 	rep, err := sim.Endpoint(types.ReaderID(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := OpenWithEndpoints(cfg, slow, []transport.Endpoint{rep})
+	w = &slowEndpoint{Endpoint: wep, delay: delay}
+	r = &slowEndpoint{Endpoint: rep, delay: delay}
+	st, err = OpenWithEndpoints(cfg, w, []transport.Endpoint{r})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	t.Cleanup(st.Close)
+	return st, w, r, runners
+}
+
+// TestBatchTrafficCoalesces drives a wide PutBatch through a store
+// whose writer endpoint is slow and checks the fan-out was fused into
+// wire.Batch frames rather than sent one frame per message.
+func TestBatchTrafficCoalesces(t *testing.T) {
+	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1,
+		RoundTimeout: 50 * time.Millisecond}
+	st, slow, _, _ := recordedFleet(t, cfg, time.Millisecond)
 
 	const keys = 32
 	puts := make(map[string]types.Value)
@@ -177,18 +193,17 @@ func TestBatchTrafficCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	slow.mu.Lock()
-	frames := len(slow.frames)
+	sent := slow.take()
+	frames := len(sent)
 	var batched, inner int
-	for _, m := range slow.frames {
-		if b, ok := m.(wire.Batch); ok {
+	for _, f := range sent {
+		if b, ok := f.Msg.(wire.Batch); ok {
 			batched++
 			inner += len(b.Msgs)
 		} else {
 			inner++
 		}
 	}
-	slow.mu.Unlock()
 
 	if batched == 0 {
 		t.Fatalf("%d frames carried %d messages without a single batch", frames, inner)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/metrics"
 	"luckystore/internal/types"
 )
 
@@ -148,5 +149,82 @@ func TestOpenContenderValidation(t *testing.T) {
 	defer ct.Close()
 	if _, err := ct.OpenContender(1); err == nil {
 		t.Error("contender of a contender accepted")
+	}
+}
+
+// The speculative write's NACK→query fallback inside a batch: a store
+// whose stamp cache went stale (a contender wrote every key since)
+// PutBatches them — every key's speculative pre-write is NACKed, every
+// key falls back to the query round and rebinds, all in lock-step (three
+// rounds, three frames per server), and every aborted stamp is still
+// reported as that write's ghost.
+func TestBatchSpeculationFallsBackTogether(t *testing.T) {
+	reg := metrics.NewRegistry()
+	cfg := mwKVConfig()
+	cfg.RoundTimeout = time.Second // calm: no verdict here is the timer's
+	st, err := Open(cfg, WithContenders(1), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ct, err := st.OpenContender(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AdoptContender(ct); err != nil {
+		t.Fatal(err)
+	}
+	keys, puts := batchOf(32, "v")
+
+	// Each identity's first batch pays the query round and leaves it
+	// calm; its second speculates. The contender goes last, so the
+	// primary's cache is now two stamps behind on every key.
+	for w, s := range []*Store{st, ct} {
+		for i := 0; i < 2; i++ {
+			if err := s.PutBatch(puts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, k := range keys {
+			if m, _ := st.PutMetaAs(w, k); !m.Spec || m.Rounds != 1 {
+				t.Fatalf("identity %d, %s: warm-up batch did not speculate: %+v", w, k, m)
+			}
+		}
+	}
+	theirs := make(map[string]types.Stamp, len(keys))
+	for _, k := range keys {
+		m, _ := st.PutMetaAs(1, k)
+		theirs[k] = m.Stamp()
+	}
+
+	runs := reg.Counter("lucky_coalescer_runs_total", "", metrics.L("role", "writer"))
+	msgs := reg.Counter("lucky_coalescer_msgs_total", "", metrics.L("role", "writer"))
+	runs0, msgs0 := runs.Value(), msgs.Value()
+	_, puts = batchOf(32, "after-the-flip")
+	if err := st.PutBatch(puts); err != nil {
+		t.Fatal(err)
+	}
+	// Both identities' writer coalescers report under role "writer"; only
+	// the primary sent anything: 3 rounds × S servers, 32 wide.
+	if r, m := runs.Value()-runs0, msgs.Value()-msgs0; r != int64(3*cfg.S()) || m != 32*r {
+		t.Errorf("fallback batch left in %d runs carrying %d messages, want %d runs of 32", r, m, 3*cfg.S())
+	}
+	for _, k := range keys {
+		m, _ := st.PutMetaAs(0, k)
+		if m.Ghost.IsZero() || m.Spec || !m.Queried {
+			t.Errorf("%s: %+v, want an aborted speculation (ghost) and a queried rebind", k, m)
+		}
+		if !m.Ghost.Less(m.Stamp()) || !theirs[k].Less(m.Stamp()) {
+			t.Errorf("%s: bound %v, want above its ghost %v and the contender's %v", k, m.Stamp(), m.Ghost, theirs[k])
+		}
+	}
+	got, err := ct.GetBatch(0, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range keys {
+		if got[k].Val != "after-the-flip" {
+			t.Errorf("%s = %+v, want the rebound write", k, got[k])
+		}
 	}
 }

@@ -171,3 +171,65 @@ func TestCloseDuringDialClosesNewConn(t *testing.T) {
 		t.Error("connection dialed during Close was leaked (read timed out on an open conn)")
 	}
 }
+
+// TestFailedDialIsHeldDown pins the hold-down: a refused dial answers
+// the sends of the next dialHoldDown with its own error instead of
+// dialing per send (a protocol client sends to a down server once per
+// round), and the first send after it dials again — so a server that
+// came back is reached within dialHoldDown.
+func TestFailedDialIsHeldDown(t *testing.T) {
+	// Reserve an address nobody listens on yet.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	c, err := Dial(types.WriterID(), map[types.ProcID]string{types.ServerID(0): addr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var dials atomic.Int32
+	realDial := c.dial
+	c.dial = func(addr string) (net.Conn, error) {
+		dials.Add(1)
+		return realDial(addr)
+	}
+	send := func() error { return c.Send(types.ServerID(0), wire.Read{TSR: 1, Round: 1}) }
+
+	start := time.Now()
+	first := send()
+	if first == nil {
+		t.Fatal("send to a closed port succeeded")
+	}
+	for i := 0; i < 10; i++ {
+		if err := send(); err == nil || err.Error() != first.Error() {
+			t.Fatalf("held-down send = %v, want the dial's error %v", err, first)
+		}
+	}
+	if n, took := dials.Load(), time.Since(start); n != 1 && took < dialHoldDown {
+		t.Errorf("%d dials for 11 sends within %v of a refused one, want 1", n, took)
+	}
+
+	// The server comes up: unreachable for at most the rest of the
+	// hold-down, then the next send dials and delivers.
+	srv, err := Listen(types.ServerID(0), addr, core.NewServer())
+	if err != nil {
+		t.Skipf("could not rebind %s: %v", addr, err)
+	}
+	defer srv.Close()
+	time.Sleep(time.Until(start.Add(dialHoldDown)) + 10*time.Millisecond)
+	if err := send(); err != nil {
+		t.Fatalf("send after the hold-down: %v", err)
+	}
+	select {
+	case env := <-c.Recv():
+		if _, ok := env.Msg.(wire.ReadAck); !ok {
+			t.Errorf("reply = %T, want ReadAck", env.Msg)
+		}
+	case <-time.After(2 * time.Second):
+		t.Error("no reply from the server that came back")
+	}
+}

@@ -254,7 +254,7 @@ type Client struct {
 	conns atomic.Pointer[map[types.ProcID]*clientConn]
 
 	mu     sync.Mutex
-	dials  map[types.ProcID]*dialCall // in-flight dials, one per destination
+	dials  map[types.ProcID]*dialCall // dials in flight or failed and held down, one per destination
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -299,11 +299,24 @@ func (cc *clientConn) shrink() {
 // share the result. Senders to other destinations are never involved —
 // c.mu is not held while dialing, so one unreachable server cannot
 // stall traffic to live ones.
+//
+// A failed call stays in the table for dialHoldDown and keeps answering
+// senders with its error, as it answered those that arrived while it
+// ran: a protocol client broadcasts every round to every server, so a
+// down server is otherwise dialed once per round per operation.
 type dialCall struct {
 	done chan struct{}
 	cc   *clientConn
 	err  error
+	held time.Time // when a failed call stops answering; zero while dialing. Guarded by Client.mu
 }
+
+// dialHoldDown is how long a failed dial stands in for the next ones.
+// It delays the first frame to a server that came back by at most this
+// much, so it stays below the 75 ms after which core re-sends a starved
+// round (round timer + retransmitGrace): a retransmission always gets a
+// dial of its own.
+const dialHoldDown = 50 * time.Millisecond
 
 var (
 	_ transport.Endpoint    = (*Client)(nil)
@@ -379,7 +392,9 @@ func (c *Client) setConn(to types.ProcID, cc *clientConn) {
 // client would pay one lost message per restart (and only dropConn
 // would clean up), which breaks crash-restart schedules over TCP.
 // Dial failures are not retried: they mean the server is actually
-// down, not that our connection went stale.
+// down, not that our connection went stale — and they are held down
+// (dialCall), so the sends of the next dialHoldDown fail the same way
+// without dialing.
 func (c *Client) Send(to types.ProcID, m wire.Message) error {
 	env := wire.Envelope{From: c.id, To: to, Msg: m}
 	retried, err := c.sendOnce(to, env)
@@ -496,7 +511,7 @@ func (c *Client) connFor(to types.ProcID) (*clientConn, error) {
 		c.mu.Unlock()
 		return nil, fmt.Errorf("tcpnet %s: %w", to, transport.ErrUnknownPeer)
 	}
-	if call, inFlight := c.dials[to]; inFlight {
+	if call, ok := c.dials[to]; ok && (call.held.IsZero() || time.Now().Before(call.held)) {
 		c.mu.Unlock()
 		<-call.done
 		return call.cc, call.err
@@ -505,15 +520,16 @@ func (c *Client) connFor(to types.ProcID) (*clientConn, error) {
 	c.dials[to] = call
 	c.mu.Unlock()
 
-	call.cc, call.err = c.dialConn(to, addr)
+	call.cc, call.err = c.dialConn(to, addr, call)
 	close(call.done)
 	return call.cc, call.err
 }
 
 // dialConn dials and registers the connection for one destination. It
-// owns the destination's dialCall; on return (and only then) the call
-// entry is cleared, so a failed dial can be retried by a later send.
-func (c *Client) dialConn(to types.ProcID, addr string) (*clientConn, error) {
+// owns the destination's dialCall: on success the entry is cleared, on
+// failure it is held down, so a failed dial is retried by the first send
+// dialHoldDown later.
+func (c *Client) dialConn(to types.ProcID, addr string, call *dialCall) (*clientConn, error) {
 	conn, err := c.dial(addr)
 	if err == nil {
 		if herr := writeHello(conn, c.id); herr != nil {
@@ -525,11 +541,12 @@ func (c *Client) dialConn(to types.ProcID, addr string) (*clientConn, error) {
 	}
 
 	c.mu.Lock()
-	delete(c.dials, to)
 	if err != nil {
+		call.held = time.Now().Add(dialHoldDown)
 		c.mu.Unlock()
 		return nil, err
 	}
+	delete(c.dials, to)
 	if c.closed {
 		// Close ran while we were dialing: it cannot have seen this
 		// connection, so close it here rather than leak it.

@@ -33,6 +33,12 @@ import (
 // flushing sender carries before it returns — bounded in a closed loop
 // by the number of concurrent senders.
 //
+// A caller about to send many messages from one goroutine — a batch
+// driver emitting one protocol round for N keys (internal/kv) — brackets
+// them with Cork/Uncork: while a cork is held Send only enqueues, and
+// Uncork flushes what accumulated through the same combining flush, one
+// frame per destination instead of N (DESIGN.md §3 has the contract).
+//
 // Only Keyed messages are coalesced (wire.Batch carries nothing else);
 // other messages flush in their own frames, in send order relative to
 // the keyed traffic for the same destination. Per-destination FIFO
@@ -53,6 +59,7 @@ type Coalescer struct {
 	order      []types.ProcID // destinations with queued traffic, first-send order
 	orderSpare []types.ProcID // drained order list being recycled
 	closed     bool
+	cork       int       // Cork calls not yet matched by Uncork: while positive, Send only enqueues
 	flushing   bool      // a sender or a transient goroutine holds the flusher role; queued traffic is its to send
 	enqSeq     uint64    // messages accepted by Send, ever
 	flushSeq   uint64    // messages handed to inner
@@ -123,9 +130,9 @@ func (c *Coalescer) ID() types.ProcID { return c.inner.ID() }
 func (c *Coalescer) Recv() <-chan wire.Envelope { return c.inner.Recv() }
 
 // Send implements Endpoint: it enqueues the message for its destination
-// and, unless a flush is already in progress, flushes the queues — on
-// the caller's goroutine while every queued destination is up, on a
-// transient goroutine otherwise. Transport errors from the inner sends
+// and, unless a flush is already in progress or a cork is held, flushes
+// the queues — on the caller's goroutine while every queued destination
+// is up, on a transient goroutine otherwise. Transport errors from the inner sends
 // are dropped — the same "a dead server is a crashed server" stance
 // SendAll takes, and the flusher may be carrying someone else's message
 // anyway; a closed coalescer reports ErrClosed.
@@ -146,23 +153,61 @@ func (c *Coalescer) Send(to types.ProcID, m wire.Message) error {
 	}
 	dq.msgs = append(dq.msgs, m)
 	c.enqSeq++
-	if !c.flushing {
-		c.flushing = true
-		c.flushLocked(true)
+	if c.cork == 0 {
+		c.kickLocked()
 	}
 	c.mu.Unlock()
 	return nil
 }
 
+// Cork makes Send enqueue-only until the matching Uncork, so that a run
+// of sends from one goroutine leaves as one frame per destination. Corks
+// count: Send writes through again once every Cork has been matched. A
+// flush already in progress is not stopped — it may carry part of the
+// corked traffic early, which costs a frame, never a message.
+func (c *Coalescer) Cork() {
+	c.mu.Lock()
+	c.cork++
+	c.mu.Unlock()
+}
+
+// Uncork releases one Cork and flushes whatever is queued, as a Send
+// that found the coalescer idle would: on the caller's goroutine while
+// every queued destination is up. Every Uncork flushes, not only the
+// last: a corker goes on to wait for replies to what it queued, and must
+// not depend on when an unrelated corker (a concurrent batch) lets go.
+func (c *Coalescer) Uncork() {
+	c.mu.Lock()
+	if c.cork == 0 {
+		c.mu.Unlock()
+		panic("transport: Uncork without Cork")
+	}
+	c.cork--
+	c.kickLocked()
+	c.mu.Unlock()
+}
+
+// kickLocked starts a flush of the queued traffic unless someone already
+// holds the flusher role. Callers hold mu.
+func (c *Coalescer) kickLocked() {
+	if !c.flushing && len(c.order) > 0 {
+		c.flushing = true
+		c.flushLocked(true)
+	}
+}
+
 // Flush implements Flusher: it blocks until every message Send accepted
 // before the call has been handed to the inner endpoint. "Handed to"
 // is the transport contract — on TCP that means written into the
-// connection buffer, not acknowledged by the peer. Queued traffic
-// always has a flusher working on it, so Flush only waits.
+// connection buffer, not acknowledged by the peer. Queued traffic has a
+// flusher working on it unless it is held by a cork, which Flush
+// overrides — a cork groups sends, it never withholds them from a drain
+// point.
 func (c *Coalescer) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	target := c.enqSeq
+	c.kickLocked()
 	for c.flushSeq < target {
 		c.flushCond.Wait()
 	}
@@ -269,10 +314,11 @@ func (c *Coalescer) sendRun(to types.ProcID, msgs []wire.Message) error {
 	return first
 }
 
-// Close waits for whoever holds the flusher role (if anyone) to empty
-// the queues and only then closes the underlying endpoint — so Close
-// carries the same guarantee as Flush: every message Send accepted has
-// been handed to the transport. Waiting before closing the endpoint means a peer that
+// Close waits for whoever holds the flusher role (taking it itself for
+// traffic a cork still holds) to empty the queues and only then closes
+// the underlying endpoint — so Close carries the same guarantee as
+// Flush: every message Send accepted has been handed to the transport.
+// Waiting before closing the endpoint means a peer that
 // stopped reading could in principle wedge the final sends, but a dead
 // TCP peer fails writes promptly (the connection resets), and a
 // live-but-not-reading server is outside the fault model; the drain
@@ -281,7 +327,8 @@ func (c *Coalescer) sendRun(to types.ProcID, msgs []wire.Message) error {
 func (c *Coalescer) Close() error {
 	c.mu.Lock()
 	first := !c.closed
-	c.closed = true // no new traffic; what is queued has a flusher
+	c.closed = true // no new traffic
+	c.kickLocked()  // what is queued has a flusher, or gets one now
 	for c.flushing {
 		c.flushCond.Wait()
 	}

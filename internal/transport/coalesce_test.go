@@ -607,3 +607,122 @@ func TestCoalescerDownDestinationNeverBlocksSender(t *testing.T) {
 		t.Errorf("down destination saw %d messages, want 2", got)
 	}
 }
+
+// recorded returns a copy of the runs handed over so far.
+func (g *runGate) recorded() []gatedRun {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([]gatedRun(nil), g.runs...)
+}
+
+// The cork: while one is held Send only enqueues, whoever sends; every
+// Uncork flushes what accumulated as one run per destination on the
+// caller's goroutine, and Send writes through again once the last cork
+// is released. Flush and Close override a cork instead of waiting for
+// it, and corked traffic for a destination that is not up still leaves
+// on the transient goroutine, never on the uncorking caller's.
+func TestCoalescerCork(t *testing.T) {
+	s0, s1 := types.ServerID(0), types.ServerID(1)
+	inner := &runGate{gateEndpoint: *newGateEndpoint()}
+	c := NewCoalescer(inner)
+	warm(t, c, s0, s1)
+	base := len(inner.recorded())
+	since := func() []gatedRun { return inner.recorded()[base:] }
+	send := func(to types.ProcID, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := c.Send(to, keyedMsg("k", types.ReaderTS(i+1))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Nested corks: nothing leaves while either is held, not even a lone
+	// Send from another goroutine; the inner Uncork flushes what is queued
+	// so far (a corker never waits on another corker's release) but leaves
+	// Send enqueue-only; the outer Uncork ships the rest and lifts the cork.
+	c.Cork()
+	c.Cork()
+	send(s0, 32)
+	send(s1, 32)
+	other := make(chan error, 1)
+	go func() { other <- c.Send(s0, keyedMsg("lone", 1)) }()
+	if err := <-other; err != nil {
+		t.Fatal(err)
+	}
+	if got := since(); len(got) != 0 {
+		t.Fatalf("runs left under a cork: %v", got)
+	}
+	c.Uncork()
+	if got := since(); len(got) != 2 || got[0] != (gatedRun{s0, 33}) || got[1] != (gatedRun{s1, 32}) {
+		t.Fatalf("inner uncork shipped %v, want one run per destination: [{s0 33} {s1 32}]", got)
+	}
+	send(s1, 3)
+	if got := since(); len(got) != 2 {
+		t.Fatalf("Send wrote through with a cork still held: %v", got)
+	}
+	c.Uncork()
+	if got := since(); len(got) != 3 || got[2] != (gatedRun{s1, 3}) {
+		t.Fatalf("outer uncork shipped %v, want a third run {s1 3}", got)
+	}
+	send(s0, 1)
+	if got := since(); len(got) != 4 || got[3] != (gatedRun{s0, 1}) {
+		t.Fatalf("Send after the last uncork did not write through: %v", got)
+	}
+
+	// Flush during a cork drains the corked traffic itself.
+	base = len(inner.recorded())
+	c.Cork()
+	send(s0, 5)
+	flushed := make(chan error, 1)
+	go func() { flushed <- c.Flush() }()
+	select {
+	case err := <-flushed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Flush hung on corked traffic")
+	}
+	if got := since(); len(got) != 1 || got[0] != (gatedRun{s0, 5}) {
+		t.Fatalf("Flush under a cork shipped %v, want [{s0 5}]", got)
+	}
+
+	// A down destination's corked traffic goes to the transient goroutine:
+	// the uncorking caller returns while the inner send is still blocked.
+	down := types.ServerID(2)
+	send(down, 4) // never sent to, so not up; still corked
+	inner.mu.Lock()
+	inner.armed = true
+	inner.mu.Unlock()
+	c.Uncork() // must not block on the armed run
+	select {
+	case <-inner.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no flusher picked up the down destination's corked traffic")
+	}
+
+	// Close during a cork, with that flush still in flight and more
+	// traffic corked behind it: neither hangs nor drops.
+	c.Cork()
+	send(s1, 7)
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	inner.gate <- struct{}{} // let the blocked run through
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung on corked traffic")
+	}
+	got := since()
+	if len(got) != 3 || got[1] != (gatedRun{down, 4}) || got[2] != (gatedRun{s1, 7}) {
+		t.Fatalf("after Close: runs %v, want [{s0 5} {s2 4} {s1 7}]", got)
+	}
+	if err := c.Send(s0, keyedMsg("k", 1)); err != ErrClosed {
+		t.Errorf("Send after Close = %v, want ErrClosed", err)
+	}
+	c.Uncork() // the batch driver's deferred release after a Close: a no-op
+}

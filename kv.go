@@ -16,11 +16,13 @@ import (
 // the writer role for every key (Put); Gets go through one of the
 // NumReaders reader clients.
 //
-// Beyond blocking Put/Get, the store exposes the sharded engine
-// directly: PutAsync/GetAsync return futures, and PutBatch/GetBatch fan
-// out across keys concurrently with the network traffic coalesced into
-// batched frames. Each server runs its per-key registers across a pool
-// of shard workers (see WithKVShards).
+// Beyond blocking Put/Get: PutBatch/GetBatch run one operation per key
+// in lock-step, so a batch of N keys costs one frame per server per
+// protocol round instead of N (each key still individually atomic —
+// a batch is a transport grouping, not a transaction), and
+// PutAsync/GetAsync return futures for operations run on goroutines of
+// their own. Each server runs its per-key registers across a pool of
+// shard workers (see WithKVShards).
 type KVStore = kv.Store
 
 // KVMeta aliases for inspecting KV operation complexity.
