@@ -1,6 +1,7 @@
 package node
 
 import (
+	"slices"
 	"sync"
 
 	"luckystore/internal/transport"
@@ -11,7 +12,8 @@ import (
 // stepQueueDepth bounds each shard's job queue. A full queue blocks
 // Submit — backpressure on whoever feeds the pool (e.g. a TCP read
 // loop, which then stops reading its socket) instead of unbounded
-// memory growth under overload.
+// memory growth under overload. A job is a run, so this bounds queued
+// runs; the messages in them are bounded by whoever builds the runs.
 const stepQueueDepth = 256
 
 // StepSink receives the output of a step submitted with SubmitTo. tag
@@ -31,15 +33,42 @@ func (f sinkFunc) StepDone(_ int, out []transport.Outgoing) {
 	}
 }
 
-// poolJob is one queued automaton step plus the sink that receives its
-// output — or, when do is set, an arbitrary closure run with exclusive
-// ownership of the shard automaton (see Do).
+// doFunc is the sink of a Do job, which steps nothing: the worker calls
+// it with the shard's automaton instead.
+type doFunc func(Automaton)
+
+func (doFunc) StepDone(int, []transport.Outgoing) {}
+
+// Run is a sequence of messages submitted together (a request frame's):
+// SubmitRun queues one job per shard they touch, and the shard's worker
+// steps its share, a run, in order under one hold of the shard. The
+// submitter sets Msgs; the rest is SubmitRun's, kept so that a reused
+// Run allocates nothing.
+type Run struct {
+	Msgs []wire.Message
+
+	// next[i] > 0 is the index of the message after Msgs[i] on its shard;
+	// next[i] < 0 says Msgs[i] ends a run of -next[i] messages.
+	next    []int
+	runs    []struct{ first, last, n int } // per shard
+	touched []int                          // the shards that have a run
+}
+
+// Ended reports the length of the run Msgs[i] is the last message of, 0
+// if it is not the last: a sink counting outstanding messages releases
+// them once per run with it, from StepDone(i, …).
+func (r *Run) Ended(i int) int { return max(0, -r.next[i]) }
+
+// poolJob is one queued run: its first message by value — so a run of
+// one (Submit, SubmitTo) is nothing else and its submitter may reuse the
+// message's storage at once — and the others through rest. tag is what
+// StepDone gets for msg: with a rest, msg's index in rest.Msgs.
 type poolJob struct {
 	from types.ProcID
 	msg  wire.Message
 	sink StepSink
 	tag  int
-	do   func(Automaton)
+	rest *Run
 }
 
 // poolShard is one shard automaton and everything that serializes it.
@@ -108,13 +137,13 @@ func NewStepPool(shards []Automaton, route func(wire.Message) int) *StepPool {
 	return p
 }
 
-// shardFor returns the shard m routes to.
-func (p *StepPool) shardFor(m wire.Message) *poolShard {
+// shardOf returns the index of the shard m routes to.
+func (p *StepPool) shardOf(m wire.Message) int {
 	i := p.route(m)
 	if i < 0 || i >= len(p.shards) {
 		i = 0
 	}
-	return &p.shards[i]
+	return i
 }
 
 // Submit queues one step on the message's shard and returns true, or
@@ -131,7 +160,57 @@ func (p *StepPool) Submit(from types.ProcID, m wire.Message, sink func([]transpo
 // to sink.StepDone(tag, out). Storing a pointer-shaped sink in the job
 // allocates nothing, which a fresh closure per message would.
 func (p *StepPool) SubmitTo(from types.ProcID, m wire.Message, sink StepSink, tag int) bool {
-	return p.enqueue(p.shardFor(m), poolJob{from: from, msg: m, sink: sink, tag: tag})
+	return p.enqueue(&p.shards[p.shardOf(m)], poolJob{from: from, msg: m, sink: sink, tag: tag})
+}
+
+// SubmitRun splits r.Msgs by shard and queues one job per shard touched,
+// blocking like Submit: the worker steps the shard's messages in r's
+// order and hands sink.StepDone(i, out) the output of r.Msgs[i]. A run
+// the pool refuses, being closed, completes here instead — StepDone(i,
+// nil) for each message — so on return every message is queued or done.
+// The sink may recycle r inside the StepDone that ends the last run;
+// nobody here touches r after that call.
+func (p *StepPool) SubmitRun(from types.ProcID, r *Run, sink StepSink) {
+	r.next = slices.Grow(r.next[:0], len(r.Msgs))[:len(r.Msgs)]
+	r.runs = slices.Grow(r.runs[:0], len(p.shards))[:len(p.shards)]
+	clear(r.runs)
+	r.touched = r.touched[:0]
+	for i, m := range r.Msgs {
+		s := p.shardOf(m)
+		run := &r.runs[s]
+		if run.n == 0 {
+			run.first = i
+			r.touched = append(r.touched, s)
+		} else {
+			r.next[run.last] = i
+		}
+		run.last, run.n = i, run.n+1
+		r.next[i] = -run.n
+	}
+	for _, s := range r.touched {
+		first := r.runs[s].first
+		job := poolJob{from: from, msg: r.Msgs[first], sink: sink, tag: first, rest: r}
+		if !p.enqueue(&p.shards[s], job) {
+			job.each(func(i int, _ wire.Message) { sink.StepDone(i, nil) })
+		}
+	}
+}
+
+// each calls f on the run's messages in order. Its last call may recycle
+// the run (it ends in the sink's StepDone), so where to go next is read
+// before each call.
+func (job poolJob) each(f func(i int, m wire.Message)) {
+	for m, i := job.msg, job.tag; ; {
+		next := -1
+		if job.rest != nil {
+			next = job.rest.next[i]
+		}
+		f(i, m)
+		if next < 0 {
+			return
+		}
+		m, i = job.rest.Msgs[next], next
+	}
 }
 
 func (p *StepPool) enqueue(sh *poolShard, job poolJob) bool {
@@ -158,7 +237,7 @@ func (p *StepPool) enqueue(sh *poolShard, job poolJob) bool {
 // them queued (tcpnet checks its connection's pipeline is empty);
 // messages of different callers have no order to keep.
 func (p *StepPool) TryStep(from types.ProcID, m wire.Message, sink func([]transport.Outgoing)) bool {
-	sh := p.shardFor(m)
+	sh := &p.shards[p.shardOf(m)]
 	if !sh.inline || !sh.mu.TryLock() {
 		return false
 	}
@@ -185,10 +264,10 @@ func (p *StepPool) Do(i int, fn func(Automaton)) bool {
 		return false
 	}
 	done := make(chan struct{})
-	job := poolJob{do: func(a Automaton) {
+	job := poolJob{sink: doFunc(func(a Automaton) {
 		defer close(done)
 		fn(a)
-	}}
+	})}
 	if !p.enqueue(&p.shards[i], job) {
 		return false
 	}
@@ -206,8 +285,9 @@ func (p *StepPool) Do(i int, fn func(Automaton)) bool {
 // NumShards reports the pool's shard count.
 func (p *StepPool) NumShards() int { return len(p.shards) }
 
-// QueueLen reports the number of jobs queued on shard i — the live
-// backpressure signal the admin metrics export per shard.
+// QueueLen reports the number of jobs — runs, not messages — queued on
+// shard i: the live backpressure signal the admin metrics export per
+// shard.
 func (p *StepPool) QueueLen(i int) int {
 	if i < 0 || i >= len(p.shards) {
 		return 0
@@ -231,7 +311,7 @@ func (p *StepPool) Close() {
 }
 
 // work is one shard's worker: it steps whatever is queued, holding the
-// shard for each step.
+// shard for each run.
 func (p *StepPool) work(sh *poolShard) {
 	defer p.wg.Done()
 	for {
@@ -240,11 +320,13 @@ func (p *StepPool) work(sh *poolShard) {
 			return
 		case job := <-sh.queue:
 			sh.mu.Lock()
-			if job.do != nil {
-				job.do(sh.auto)
+			if do, isDo := job.sink.(doFunc); isDo {
+				do(sh.auto)
 			} else {
-				sh.scratch = StepInto(sh.auto, job.from, job.msg, sh.scratch[:0])
-				job.sink.StepDone(job.tag, sh.scratch)
+				job.each(func(i int, m wire.Message) {
+					sh.scratch = StepInto(sh.auto, job.from, m, sh.scratch[:0])
+					job.sink.StepDone(i, sh.scratch)
+				})
 			}
 			sh.mu.Unlock()
 		}

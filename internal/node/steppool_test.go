@@ -2,6 +2,7 @@ package node
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -232,6 +233,172 @@ func TestSubmitToPassesTag(t *testing.T) {
 	for i, tag := range sink.tags {
 		if tag != 5+i {
 			t.Errorf("completion %d carried tag %d, want %d", i, tag, 5+i)
+		}
+	}
+}
+
+// runSink is a sink the way tcpnet's pooled frame is one: it counts the
+// messages whose run has not ended, releases them once per run, and
+// signals — from inside the last StepDone — that the Run may be reused.
+type runSink struct {
+	run       Run
+	filled    []atomic.Int32 // per message: how often StepDone named it
+	remaining atomic.Int32
+	done      chan struct{}
+}
+
+func (s *runSink) reset(msgs []wire.Message) {
+	s.run.Msgs = msgs
+	s.filled = make([]atomic.Int32, len(msgs))
+	s.remaining.Store(int32(len(msgs)))
+}
+
+func (s *runSink) StepDone(i int, _ []transport.Outgoing) {
+	s.filled[i].Add(1)
+	if n := s.run.Ended(i); n > 0 && s.remaining.Add(int32(-n)) == 0 {
+		s.done <- struct{}{}
+	}
+}
+
+// seqRun is n ABDReads with ascending Seq from base; bySeq spreads them
+// round-robin over the shards.
+func seqRun(base, n int) []wire.Message {
+	msgs := make([]wire.Message, n)
+	for i := range msgs {
+		msgs[i] = wire.ABDRead{Seq: int64(base + i)}
+	}
+	return msgs
+}
+
+func bySeq(shards int) func(wire.Message) int {
+	return func(m wire.Message) int { return int(m.(wire.ABDRead).Seq) % shards }
+}
+
+// A run that spans every shard is stepped in its own order on each of
+// them, run after run, and every message is handed to the sink once.
+// The sink reuses its Run the moment the last StepDone has been called,
+// as tcpnet's pooled frame does: a worker that still looked at the run
+// after the StepDone that ended its share races with the next
+// submission's split. Run under -race.
+func TestSubmitRunKeepsShardOrderAndLetsGoOfTheRun(t *testing.T) {
+	const shards, runs, width = 4, 300, 32
+	autos := make([]Automaton, shards)
+	for i := range autos {
+		autos[i] = &countingShard{}
+	}
+	p := NewStepPool(autos, bySeq(shards))
+	sink := &runSink{done: make(chan struct{}, 1)}
+	for r := 0; r < runs; r++ {
+		sink.reset(seqRun(1+r*width, width))
+		p.SubmitRun(types.WriterID(), &sink.run, sink)
+		<-sink.done
+		for i := range sink.filled {
+			if n := sink.filled[i].Load(); n != 1 {
+				t.Fatalf("run %d: message %d was handed to the sink %d times", r, i, n)
+			}
+		}
+	}
+	p.Close()
+	for i, a := range autos {
+		sh := a.(*countingShard)
+		if sh.steps != runs*width/shards {
+			t.Errorf("shard %d stepped %d messages, want %d", i, sh.steps, runs*width/shards)
+		}
+		if sh.reorder {
+			t.Errorf("shard %d stepped its messages out of run order", i)
+		}
+	}
+}
+
+// A frame's messages become one job per shard they touch, however many
+// there are.
+func TestSubmitRunQueuesOneJobPerShard(t *testing.T) {
+	const shards = 4
+	autos := make([]Automaton, shards)
+	held := make([]*countingShard, shards)
+	for i := range autos {
+		// entered never blocks a step: one parked step and eight queued.
+		held[i] = &countingShard{entered: make(chan struct{}, 9), hold: make(chan struct{})}
+		autos[i] = held[i]
+	}
+	p := NewStepPool(autos, bySeq(shards))
+	defer p.Close()
+	// Park every worker inside a step, so what is submitted next stays
+	// queued.
+	parked := &runSink{done: make(chan struct{}, 1)}
+	parked.reset(seqRun(0, shards))
+	p.SubmitRun(types.WriterID(), &parked.run, parked)
+	for _, sh := range held {
+		<-sh.entered
+	}
+	sink := &runSink{done: make(chan struct{}, 1)}
+	sink.reset(seqRun(shards, 30)) // shards 0 and 1 get eight messages, 2 and 3 seven
+	p.SubmitRun(types.WriterID(), &sink.run, sink)
+	for i := 0; i < shards; i++ {
+		if n := p.QueueLen(i); n != 1 {
+			t.Errorf("shard %d has %d jobs queued for one run, want 1", i, n)
+		}
+	}
+	for _, sh := range held {
+		close(sh.hold)
+	}
+	<-parked.done
+	<-sink.done
+}
+
+// Close racing run submissions: a submitter never hangs on a closing
+// pool, no message is handed to the sink twice, and a run submitted to a
+// closed pool completes empty on the spot — every message once.
+func TestSubmitRunAgainstClose(t *testing.T) {
+	const shards, submitters = 2, 4
+	autos := make([]Automaton, shards)
+	for i := range autos {
+		autos[i] = &countingShard{}
+	}
+	p := NewStepPool(autos, bySeq(shards))
+	var wg sync.WaitGroup
+	var sinks [submitters][]*runSink
+	for s := 0; s < submitters; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			// More runs than the queues hold, none waited for: submitters
+			// are blocked on full queues when the pool closes.
+			for r := 0; r < 2*stepQueueDepth; r++ {
+				sink := &runSink{done: make(chan struct{}, 1)}
+				sink.reset(seqRun(1+8*r, 8))
+				sinks[s] = append(sinks[s], sink)
+				p.SubmitRun(types.ReaderID(s), &sink.run, sink)
+			}
+		}(s)
+	}
+	p.Close()
+	wg.Wait() // hangs if a submitter is left blocked on a dead queue
+	for s := range sinks {
+		for r, sink := range sinks[s] {
+			for i := range sink.filled {
+				if n := sink.filled[i].Load(); n > 1 {
+					t.Fatalf("submitter %d run %d: message %d handed to the sink %d times", s, r, i, n)
+				}
+			}
+		}
+	}
+	after := &runSink{done: make(chan struct{}, 1)}
+	after.reset(seqRun(1, 8))
+	p.SubmitRun(types.WriterID(), &after.run, after)
+	select {
+	case <-after.done:
+	default:
+		t.Fatal("a run refused by a closed pool was not completed by SubmitRun")
+	}
+	for i := range after.filled {
+		if n := after.filled[i].Load(); n != 1 {
+			t.Errorf("closed pool: message %d handed to the sink %d times, want once", i, n)
+		}
+	}
+	for i, a := range autos {
+		if sh := a.(*countingShard); sh.reorder {
+			t.Errorf("shard %d stepped a submitter's messages out of order", i)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,11 +28,11 @@ const framePipelineDepth = 64
 // paths per request frame (servePipelined picks, from what it can
 // observe): it steps the message itself and writes the reply itself —
 // run to completion, no hand-off — or it submits the frame's messages
-// to the shard workers and lets the connection's write pump send the
-// replies. Unlike Listen, no mutex serializes steps across connections
-// — messages for different shards (different keys, under
-// keyed.ShardedServer's routing) are stepped concurrently, across and
-// within connections.
+// to the shard workers, one job per shard the frame touches, and lets
+// the connection's write pump send the replies. Unlike Listen, no mutex
+// serializes steps across connections — messages for different shards
+// (different keys, under keyed.ShardedServer's routing) are stepped
+// concurrently, across and within connections.
 //
 // The reply contract matches Listen's serialized loop on both paths:
 // all replies to one request frame coalesce into batch frames (one
@@ -61,48 +62,47 @@ func ListenSharded(id types.ProcID, addr string, shards []node.Automaton, route 
 // replySlot holds one inner message's replies to the peer. A step of
 // this protocol family produces at most one reply to the requester, so
 // the slot stores that message inline; rest exists only for exotic
-// automata and stays nil on the hot path. cls and t0 carry the
-// service-latency observation from submission to fill (cls < 0: none).
+// automata and stays nil on the hot path. cls is the key class of the
+// service-latency observation, frame read to slot filled (cls < 0: none).
 type replySlot struct {
 	msg  wire.Message
 	rest []wire.Message
-	t0   time.Time
 	cls  int
 }
 
 // pendingFrame collects the replies of one request frame on the pooled
 // path: one slot per inner message, filled by shard workers as steps
-// complete, in whatever order the shards finish. The last fill sends
-// one token on ready, and the write pump reads the slots in request
-// order — intra-frame reply order is deterministic even though stepping
-// was parallel.
+// complete, in whatever order the shards finish. The frame's messages
+// are one node.Run — a job per shard, not per message — and remaining
+// drops once per shard's run. The fill that brings it to zero sends one
+// token on ready, and the write pump reads the slots in request order —
+// intra-frame reply order is deterministic even though stepping was
+// parallel.
 //
-// Frames are pooled and genuinely reusable: the slot array, the ready
-// channel (a token per use, never closed) and the frame itself — which
-// is also the node.StepSink of its own steps, so no closure is made per
-// message — all survive the round trip through framePool. In the steady
-// state a request frame allocates nothing here.
+// Frames are pooled and genuinely reusable: the slot array, the run's
+// routing arrays, the ready channel (a token per use, never closed) and
+// the frame itself — which is also the node.StepSink of its own steps,
+// so no closure is made per message — all survive the round trip through
+// framePool. In the steady state a request frame allocates nothing here.
 type pendingFrame struct {
 	slots     []replySlot
-	remaining atomic.Int32
+	run       node.Run
+	remaining atomic.Int32  // messages whose run has not ended
 	ready     chan struct{} // capacity 1: holds the token of the use in progress
 	peer      types.ProcID
 	met       *ServerMetrics
+	t0        time.Time // when the frame was read, if met is set
 }
 
 var framePool = sync.Pool{New: func() any {
 	return &pendingFrame{ready: make(chan struct{}, 1)}
 }}
 
-func newPendingFrame(n int, peer types.ProcID, met *ServerMetrics) *pendingFrame {
+func newPendingFrame(msgs []wire.Message, peer types.ProcID, met *ServerMetrics, t0 time.Time) *pendingFrame {
 	pf := framePool.Get().(*pendingFrame)
-	if cap(pf.slots) < n {
-		pf.slots = make([]replySlot, n)
-	} else {
-		pf.slots = pf.slots[:n]
-	}
-	pf.peer, pf.met = peer, met
-	pf.remaining.Store(int32(n))
+	pf.slots = slices.Grow(pf.slots[:0], len(msgs))[:len(msgs)] // zero: release cleared them
+	pf.run.Msgs, pf.peer, pf.met, pf.t0 = msgs, peer, met, t0
+	pf.remaining.Store(int32(len(msgs)))
 	return pf
 }
 
@@ -113,20 +113,18 @@ func newPendingFrame(n int, peer types.ProcID, met *ServerMetrics) *pendingFrame
 // of whose messages was submitted.
 func (pf *pendingFrame) release() {
 	clear(pf.slots)
-	pf.peer, pf.met = "", nil
+	pf.run.Msgs, pf.peer, pf.met = nil, "", nil
 	framePool.Put(pf)
 }
 
-// StepDone implements node.StepSink: slot i's step has run.
-func (pf *pendingFrame) StepDone(i int, out []transport.Outgoing) { pf.fill(i, out) }
-
-// fill stores slot i's replies — selected from the stepper's scratch
-// output, which is only valid during this call — and sends the ready
-// token when it was the last outstanding slot. Each slot is filled
-// exactly once, by the goroutine that stepped its message; the atomic
-// decrement orders every fill before the token, so the pump reads the
-// slots race-free.
-func (pf *pendingFrame) fill(i int, out []transport.Outgoing) {
+// StepDone implements node.StepSink: slot i's step has run. It stores
+// the slot's replies — selected from the stepper's scratch output, which
+// is only valid during this call — and sends the ready token when it
+// ended the last outstanding run. Each slot is filled exactly once, by
+// the goroutine that stepped its message; a run's fills precede its one
+// atomic decrement, which orders them before the token, so the pump
+// reads the slots race-free — and may recycle the frame at once.
+func (pf *pendingFrame) StepDone(i int, out []transport.Outgoing) {
 	slot := &pf.slots[i]
 	for _, o := range out {
 		if o.To != pf.peer {
@@ -139,9 +137,9 @@ func (pf *pendingFrame) fill(i int, out []transport.Outgoing) {
 		}
 	}
 	if slot.cls >= 0 {
-		pf.met.Service[slot.cls].ObserveSince(slot.t0)
+		pf.met.Service[slot.cls].ObserveSince(pf.t0)
 	}
-	if pf.remaining.Add(-1) == 0 {
+	if n := pf.run.Ended(i); n > 0 && pf.remaining.Add(int32(-n)) == 0 {
 		pf.ready <- struct{}{}
 	}
 }
@@ -158,18 +156,17 @@ func (pf *pendingFrame) appendReplies(buf []wire.Message) []wire.Message {
 	return buf
 }
 
-// serviceClass starts a per-key-class service-latency observation for
-// m: the class index and start time, or cls < 0 when the server is
-// uninstrumented or m is not keyed.
-func (s *Server) serviceClass(m wire.Message) (cls int, t0 time.Time) {
+// serviceClass is the key class m's service latency is observed under,
+// or < 0 when the server is uninstrumented or m is not keyed.
+func (s *Server) serviceClass(m wire.Message) int {
 	if s.met == nil {
-		return -1, t0
+		return -1
 	}
 	k, isKeyed := m.(wire.Keyed)
 	if !isKeyed {
-		return -1, t0
+		return -1
 	}
-	return metrics.KeyClass(k.Key), time.Now()
+	return metrics.KeyClass(k.Key)
 }
 
 // servePipelined handles one connection on the sharded path. The read
@@ -197,9 +194,11 @@ func (s *Server) serviceClass(m wire.Message) (cls int, t0 time.Time) {
 //     node.NonBlocking — would stall every later frame of this
 //     connection behind it, so it is never run on a read goroutine.
 //
-// Pooled — otherwise: submit each inner message to its shard worker;
-// the write pump goroutine sends each frame's coalesced replies once
-// its steps complete, in request order.
+// Pooled — otherwise: submit the frame's messages as one run per shard
+// they touch (node.StepPool.SubmitRun); the write pump goroutine sends
+// each frame's coalesced replies once its steps complete, in request
+// order. A batch frame always goes this way: its shards' runs step in
+// parallel, and a run is one hand-off however many messages it has.
 func (s *Server) servePipelined(conn net.Conn, peer types.ProcID) {
 	frames := make(chan *pendingFrame, framePipelineDepth)
 	pumpDone := make(chan struct{})
@@ -231,13 +230,17 @@ readLoop:
 			break // EOF, malformed frame, or closed
 		}
 		s.met.frameIn()
+		var t0 time.Time // service latency is observed per frame read
+		if s.met != nil {
+			t0 = time.Now()
+		}
 		// The connection authenticates the sender: the claimed From is
 		// ignored and every step runs under the handshake identity.
 		msgs := append(one[:0], env.Msg)
 		if b, isBatch := env.Msg.(wire.Batch); isBatch {
 			msgs = b.Msgs
 		} else if inflight.Load() == 0 && br.Buffered() == 0 {
-			cls, t0 := s.serviceClass(env.Msg)
+			cls := s.serviceClass(env.Msg)
 			replies = replies[:0]
 			if s.pool.TryStep(peer, env.Msg, collect) {
 				if cls >= 0 {
@@ -256,7 +259,10 @@ readLoop:
 		if len(msgs) == 0 {
 			continue
 		}
-		pf := newPendingFrame(len(msgs), peer, s.met)
+		pf := newPendingFrame(msgs, peer, s.met, t0)
+		for i, m := range msgs {
+			pf.slots[i].cls = s.serviceClass(m)
+		}
 		inflight.Add(1)
 		select {
 		case frames <- pf:
@@ -264,19 +270,12 @@ readLoop:
 			pf.release() // never reached the pump; don't leak it from the pool
 			break readLoop
 		}
-		for i, m := range msgs {
-			// Per-key-class service latency: submit to reply-filled.
-			pf.slots[i].cls, pf.slots[i].t0 = s.serviceClass(m)
-			// The frame is its own sink: StepDone(i, …) runs on the
-			// stepping goroutine, copies the peer-bound replies out of the
-			// shard's scratch and decrements.
-			if !s.pool.SubmitTo(peer, m, pf, i) {
-				// Pool closed mid-frame: complete the slot empty so the
-				// pump can drain and exit.
-				pf.slots[i].cls = -1
-				pf.fill(i, nil)
-			}
-		}
+		// The frame is its own sink: StepDone(i, …) runs on the stepping
+		// goroutine and copies the peer-bound replies out of the shard's
+		// scratch. A lone message rides in its job by value, so reusing
+		// one for the next frame is safe. If the pool closes mid-frame the
+		// runs it refused complete empty, so the pump can drain and exit.
+		s.pool.SubmitRun(peer, &pf.run, pf)
 	}
 	close(frames)
 	<-pumpDone
@@ -366,7 +365,7 @@ func (s *Server) awaitAndRelease(pf *pendingFrame) {
 		pf.release()
 	default:
 		// Workers are still filling slots (or the pool dropped the jobs
-		// on Close and ready will never close): leave the frame to the
+		// on Close and no token will ever come): leave the frame to the
 		// GC rather than risk recycling it mid-fill.
 	}
 }

@@ -186,6 +186,109 @@ func TestShardedStepsShardsInParallel(t *testing.T) {
 	}
 }
 
+// gateAutomaton signals entered at its first step and blocks it until
+// release closes, then acknowledges every step: a shard whose worker can
+// be parked so that what arrives next stays queued.
+type gateAutomaton struct {
+	entered chan struct{}
+	release <-chan struct{}
+	once    sync.Once
+}
+
+func (a *gateAutomaton) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+	a.once.Do(func() {
+		close(a.entered)
+		<-a.release
+	})
+	k, _ := m.(wire.Keyed)
+	return []transport.Outgoing{{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: 1}}}}
+}
+
+// TestShardedBatchFrameIsOneJobPerShard pins the server half of a
+// batch-native round: a frame of 32 messages is queued as one job per
+// shard it touches, not 32, and its replies still come back as one
+// frame in request order.
+func TestShardedBatchFrameIsOneJobPerShard(t *testing.T) {
+	const shards, width = 4, 32
+	release := make(chan struct{})
+	gates := make([]*gateAutomaton, shards)
+	autos := make([]node.Automaton, shards)
+	for i := range gates {
+		gates[i] = &gateAutomaton{entered: make(chan struct{}), release: release}
+		autos[i] = gates[i]
+	}
+	// Keys are "<shard>-<n>".
+	route := func(m wire.Message) int { return int(m.(wire.Keyed).Key[0] - '0') }
+	srv, err := ListenSharded(types.ServerID(0), "127.0.0.1:0", autos, route)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := dialRaw(t, srv.Addr(), types.WriterID())
+	defer conn.Close()
+	send := func(keys ...string) {
+		t.Helper()
+		var m wire.Message = wire.Keyed{Key: keys[0], Inner: wire.Read{TSR: 1, Round: 1}}
+		if len(keys) > 1 {
+			b := wire.Batch{}
+			for _, k := range keys {
+				b.Msgs = append(b.Msgs, wire.Keyed{Key: k, Inner: wire.Read{TSR: 1, Round: 1}})
+			}
+			m = b
+		}
+		if err := wire.EncodeFrame(conn, wire.Envelope{From: types.WriterID(), To: types.ServerID(0), Msg: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Park every worker inside a step.
+	send("0-park", "1-park", "2-park", "3-park")
+	for _, g := range gates {
+		<-g.entered
+	}
+	var keys []string
+	for i := 0; i < width; i++ {
+		keys = append(keys, fmt.Sprintf("%d-%d", i%shards, i))
+	}
+	send(keys...)
+	// A lone message behind the frame: once it is queued on shard 0, the
+	// read loop is done submitting the frame.
+	send("0-after")
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Pool().QueueLen(0) < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the frames never reached the shard queues")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i, want := range []int{2, 1, 1, 1} {
+		if n := srv.Pool().QueueLen(i); n != want {
+			t.Errorf("shard %d has %d jobs queued, want %d: a frame is one job per shard", i, n, want)
+		}
+	}
+
+	close(release)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for _, want := range [][]string{{"0-park", "1-park", "2-park", "3-park"}, keys, {"0-after"}} {
+		reply, err := wire.DecodeFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []wire.Message{reply.Msg}
+		if b, isBatch := reply.Msg.(wire.Batch); isBatch {
+			got = b.Msgs
+		}
+		if len(got) != len(want) {
+			t.Fatalf("reply frame carries %d messages, want %d", len(got), len(want))
+		}
+		for i, m := range got {
+			if k := m.(wire.Keyed).Key; k != want[i] {
+				t.Fatalf("reply %d of the frame is for %q, want %q: not in request order", i, k, want[i])
+			}
+		}
+	}
+}
+
 // TestShardedReplyOrderPerKey checks per-(peer,key) FIFO: many frames
 // for one key come back strictly in request order, even with several
 // shard workers running.

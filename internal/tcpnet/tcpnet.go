@@ -593,19 +593,15 @@ func (c *Client) readLoop(from types.ProcID, cc *clientConn) {
 		c.met.frameIn()
 		// Stamp the authenticated origin — the server this connection
 		// was dialed to — and unwrap batch frames at the endpoint
-		// boundary (non-batch frames take the allocation-free path).
-		if _, batch := env.Msg.(wire.Batch); !batch {
-			env.From = from
-			env.To = c.id
-			if c.mbox.Put(env) != nil {
-				return
-			}
-			continue
+		// boundary, one mailbox entry per inner message.
+		env.From, env.To = from, c.id
+		msgs := []wire.Message{env.Msg}
+		if b, batch := env.Msg.(wire.Batch); batch {
+			msgs = b.Msgs
 		}
-		for _, e := range wire.Expand(env) {
-			e.From = from
-			e.To = c.id
-			if c.mbox.Put(e) != nil {
+		for _, m := range msgs {
+			env.Msg = m
+			if c.mbox.Put(env) != nil {
 				return
 			}
 		}

@@ -670,9 +670,11 @@ func (d *decoder) message(depth int) Message {
 			return nil
 		}
 		// A batch extends to the end of its frame; the entry count is
-		// implicit. Capacity is bounded by the bytes actually present
-		// (every keyed entry is ≥ 5 bytes).
-		msgs := make([]Message, 0, min(uint64(MaxBatchEntries), uint64(len(d.b)/5)+1))
+		// implicit. Msgs grows with the entries actually decoded: the
+		// bytes present (every keyed entry is ≥ 5) bound only the first
+		// allocation, which is all a frame of junk costs — room for 32,
+		// so a round of that many keys decodes into one right-sized slice.
+		msgs := make([]Message, 0, min(32, len(d.b)/5+1))
 		for len(d.b) > 0 && d.err == nil {
 			if len(msgs) >= MaxBatchEntries {
 				d.fail("batch too large")

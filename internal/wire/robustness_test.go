@@ -3,8 +3,10 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -98,5 +100,56 @@ func TestDecodeFrameStopsAtGarbage(t *testing.T) {
 	}
 	if _, err := DecodeFrame(&buf); err == nil || err == io.EOF {
 		t.Fatalf("garbage tail: err = %v, want decode error", err)
+	}
+}
+
+// allocBytesPerRun is testing.AllocsPerRun for bytes: the heap bytes one
+// call of f allocates, averaged over runs calls after a warm-up call.
+func allocBytesPerRun(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// A batch frame of the largest size a peer may send, valid for one
+// entry and junk from there on — or junk from the first entry on — is
+// refused as malformed having allocated for the entries it decoded, not
+// for the entries its sixteen megabytes could have held.
+func TestBatchDecodeOfJunkAllocatesByEntriesNotBytes(t *testing.T) {
+	entry := Keyed{Key: "k", Inner: Read{TSR: 1, Round: 1}}
+	head, err := AppendEnvelope(nil, Envelope{From: types.WriterID(), To: types.ServerID(0), Msg: Batch{Msgs: []Message{entry}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := AppendMessage(nil, entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		valid int // leading bytes of head that are kept
+		junk  byte
+	}{
+		{"garbage after the first entry", len(head), 0xff},
+		{"one-byte junk from the first entry on", len(head) - len(first), 0x01},
+	} {
+		body := bytes.Repeat([]byte{tc.junk}, maxFrameSize-1)
+		copy(body, head[:tc.valid])
+		var derr error
+		got := allocBytesPerRun(3, func() { _, derr = DecodeEnvelope(body) })
+		if !errors.Is(derr, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", tc.name, derr)
+		}
+		// The first allocation of Msgs, one entry, the error: well under
+		// a kilobyte each. Sized from the bytes, Msgs alone is a megabyte.
+		if got > 4<<10 {
+			t.Errorf("%s: decoding %d bytes of junk allocated %d B", tc.name, len(body), got)
+		}
 	}
 }

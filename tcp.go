@@ -289,7 +289,7 @@ func ListenTCPKV(i int, addr string, opts ...TCPOption) (*TCPServer, error) {
 		for sh := 0; sh < pool.NumShards(); sh++ {
 			idx := sh
 			o.metrics.GaugeFunc("lucky_tcp_shard_queue_depth",
-				"Step jobs queued per shard worker, not yet stepped.",
+				"Step jobs (runs: one per request frame and shard it touches, however many messages) queued per shard worker, not yet stepped.",
 				func() int64 { return int64(pool.QueueLen(idx)) },
 				metrics.L("shard", strconv.Itoa(idx)))
 		}
