@@ -38,7 +38,7 @@ type ShardedServer struct {
 }
 
 // shard owns the automata of its keys exclusively; no locking anywhere.
-// Its state is memory only, so it declares node.NonBlocking — provided
+// Its state is memory only, so its node.NonBlocking answer is true — provided
 // the factory's per-register automata compute on memory too, which
 // every register automaton of this repository does.
 type shard struct {
@@ -121,7 +121,7 @@ func (s *ShardedServer) RangeShard(i int, fn func(key string, reg node.Automaton
 
 // StepNeverBlocks implements node.NonBlocking: a map lookup and a
 // register step, no I/O.
-func (sh *shard) StepNeverBlocks() {}
+func (sh *shard) StepNeverBlocks() bool { return true }
 
 // Step implements node.Automaton for one shard: unwrap, dispatch to the
 // key's automaton, re-wrap. The map access is unlocked — the shard's

@@ -35,16 +35,16 @@ type AppendStepper interface {
 	StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing
 }
 
-// NonBlocking is an optional Automaton marker: an automaton whose step
-// only computes on memory — it never waits on I/O or on another
-// goroutine — declares the method, and a driver may then run that step
-// on a goroutine with other duties (tcpnet steps such a shard on a
-// connection's read goroutine, StepPool.TryStep). An automaton that can
-// block (storage.Durable waits for a WAL commit), and any wrapper around
-// one that does not declare the marker itself, is only ever stepped on
-// a worker that has nothing else to do.
+// NonBlocking is an optional Automaton capability: StepNeverBlocks
+// answers true when the step never waits on another step, connection
+// or peer — it computes on memory and may wait on local storage. A
+// driver may then run the step on a goroutine with other duties (tcpnet
+// steps such a shard on a connection's read goroutine, StepPool.TryStep),
+// which must never wait for work only it could unblock. Any other
+// automaton, and any wrapper that does not forward the answer, is only
+// ever stepped on a worker that has nothing else to do.
 type NonBlocking interface {
-	StepNeverBlocks()
+	StepNeverBlocks() bool
 }
 
 // StepInto drives one step through the append-based API when a

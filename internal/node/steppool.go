@@ -74,7 +74,7 @@ type poolJob struct {
 // poolShard is one shard automaton and everything that serializes it.
 type poolShard struct {
 	auto   Automaton
-	inline bool // auto is NonBlocking: TryStep may run it on the caller's goroutine
+	inline bool // auto answers NonBlocking true: TryStep may run it on the caller's goroutine
 	queue  chan poolJob
 
 	// mu is held across every step and every Do, by the worker and by
@@ -127,7 +127,8 @@ func NewStepPool(shards []Automaton, route func(wire.Message) int) *StepPool {
 	for i, a := range shards {
 		sh := &p.shards[i]
 		sh.auto = a
-		_, sh.inline = a.(NonBlocking)
+		nb, ok := a.(NonBlocking)
+		sh.inline = ok && nb.StepNeverBlocks()
 		sh.queue = make(chan poolJob, stepQueueDepth)
 	}
 	p.wg.Add(len(shards))
@@ -228,10 +229,11 @@ func (p *StepPool) enqueue(sh *poolShard, job poolJob) bool {
 }
 
 // TryStep steps m on the caller's goroutine, hands the output to sink,
-// and returns true — if and only if the shard's automaton declared it
-// cannot block (NonBlocking) and no other goroutine is stepping the
-// shard right now. Otherwise it returns false having done nothing, and
-// the caller submits as usual. The sink contract is Submit's. A step
+// and returns true — if and only if the shard's automaton answered that
+// its step never waits on another (NonBlocking, read once by
+// NewStepPool) and no other goroutine is stepping the shard right now.
+// Otherwise it returns false having done nothing, and the caller
+// submits as usual. The sink contract is Submit's. A step
 // taken here may run before jobs already queued on the shard, so a
 // caller that needs its own messages stepped in order must have none of
 // them queued (tcpnet checks its connection's pipeline is empty);

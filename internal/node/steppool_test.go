@@ -26,7 +26,7 @@ type countingShard struct {
 // inlineShard is a countingShard that declares NonBlocking.
 type inlineShard struct{ countingShard }
 
-func (s *inlineShard) StepNeverBlocks() {}
+func (s *inlineShard) StepNeverBlocks() bool { return true }
 
 func (s *countingShard) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
 	if s.entered != nil {

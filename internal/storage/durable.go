@@ -17,8 +17,9 @@ import (
 // already tolerates; replying would risk regressing acknowledged
 // state after recovery, which is Byzantine).
 //
-// One Durable wraps one shard/automaton and is stepped by a single
-// goroutine (the runner or shard worker contract), so its encode
+// One Durable wraps one shard/automaton and is stepped by one goroutine
+// at a time (the runner or shard worker contract — with a StepPool,
+// its worker or a TryStep caller, under the shard lock), so its encode
 // buffer needs no lock. Many Durables share one Backend: the file
 // backend's group commit turns their concurrent commits into batched
 // fsyncs.
@@ -39,6 +40,7 @@ func (d *Durable) SetMetrics(m *DurableMetrics) { d.met = m }
 var (
 	_ node.Automaton     = (*Durable)(nil)
 	_ node.AppendStepper = (*Durable)(nil)
+	_ node.NonBlocking   = (*Durable)(nil)
 )
 
 // NewDurable wraps inner so mutations persist to back before being
@@ -49,6 +51,17 @@ func NewDurable(inner node.Automaton, back Backend, self types.ProcID) *Durable 
 
 // Inner returns the wrapped automaton, for tests that inspect state.
 func (d *Durable) Inner() node.Automaton { return d.inner }
+
+// StepNeverBlocks implements node.NonBlocking: the inner automaton's
+// answer when the backend does not fsync (Syncing), so a durable keyed
+// shard commits — a write — on a read goroutine, before replying. Over
+// a syncing backend it is false: an fsync there would hold the
+// connection's frames for every shard (not measured).
+func (d *Durable) StepNeverBlocks() bool {
+	s, ok := d.back.(Syncing)
+	nb, marked := d.inner.(node.NonBlocking)
+	return ok && !s.CommitSyncs() && marked && nb.StepNeverBlocks()
+}
 
 // Step implements node.Automaton.
 func (d *Durable) Step(from types.ProcID, m wire.Message) []transport.Outgoing {

@@ -408,6 +408,9 @@ func (f *File) Commit() error {
 	return nil
 }
 
+// CommitSyncs implements Syncing: every mode but SyncNone fsyncs.
+func (f *File) CommitSyncs() bool { return f.mode != SyncNone }
+
 // usableLocked reports the sticky/closed state.
 func (f *File) usableLocked() error {
 	if f.closed {

@@ -67,6 +67,11 @@ type Backend interface {
 	Close() error
 }
 
+// Syncing is an optional Backend capability: CommitSyncs reports
+// whether Commit may wait on a device barrier (fsync). A Backend that
+// does not implement it is taken to.
+type Syncing interface{ CommitSyncs() bool }
+
 // Stats describes a backend's current contents.
 type Stats struct {
 	// Records is the total replayable record count (snapshot + tail).

@@ -10,6 +10,7 @@ import (
 	"luckystore/internal/keyed"
 	"luckystore/internal/node"
 	"luckystore/internal/storage"
+	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 )
@@ -460,6 +461,58 @@ func TestKeyedDurableRoundTrip(t *testing.T) {
 		ack := out[0].Msg.(wire.Keyed).Inner.(wire.ReadAck)
 		if want := types.TS(5 + i); ack.W.TS != want || ack.W.Val != types.Value(k) {
 			t.Fatalf("key %q recovered w=%+v, want ts=%d val=%q", k, ack.W, want, k)
+		}
+	}
+}
+
+// A Durable answers node.NonBlocking as the automaton it wraps does, but
+// only over a backend that says its commit never fsyncs: a StepPool
+// steps a durable keyed shard on the caller's goroutine over a SyncNone
+// file, and on its worker over a syncing file, over a backend that does
+// not say (memory, a Fault wrapper), or around an automaton without the
+// marker.
+func TestDurableNonBlockingFollowsInnerAndBackend(t *testing.T) {
+	file := func(opts ...storage.FileOption) func() storage.Backend {
+		return func() storage.Backend {
+			f, err := storage.NewFile(t.TempDir(), nil, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = f.Close() })
+			return f
+		}
+	}
+	backends := []struct {
+		name       string
+		open       func() storage.Backend
+		saysNoSync bool
+	}{
+		{"memory", func() storage.Backend { return storage.NewMemory(nil) }, false},
+		{"file SyncNone", file(storage.WithSyncMode(storage.SyncNone)), true},
+		{"file SyncBatched", file(), false},
+		{"file SyncEach", file(storage.WithSyncMode(storage.SyncEach)), false},
+		{"fault over memory", func() storage.Backend { return storage.NewFault(storage.NewMemory(nil)) }, false},
+	}
+	inners := []struct {
+		name   string
+		inner  func() node.Automaton
+		marker bool
+	}{
+		{"keyed shard", func() node.Automaton {
+			return keyed.NewShardedServer(1, func() node.Automaton { return core.NewServer() }).Shards()[0]
+		}, true},
+		{"no marker", func() node.Automaton { return core.NewServer() }, false},
+	}
+	for _, b := range backends {
+		for _, in := range inners {
+			d := storage.NewDurable(in.inner(), b.open(), types.ServerID(0))
+			p := node.NewStepPool([]node.Automaton{d}, func(wire.Message) int { return 0 })
+			read := wire.Keyed{Key: "k", Inner: wire.Read{TSR: 1, Round: 1}}
+			stepped := p.TryStep(types.ReaderID(0), read, func([]transport.Outgoing) {})
+			p.Close()
+			if want := in.marker && b.saysNoSync; stepped != want {
+				t.Errorf("%s over %s: TryStep on its Durable = %v, want %v", in.name, b.name, stepped, want)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"luckystore/internal/core"
 	"luckystore/internal/kv"
+	"luckystore/internal/storage"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 )
@@ -117,13 +118,28 @@ func TestGetSteadyStateAllocsTCP(t *testing.T) {
 const kvFleetAllocBudget = 23
 
 // kvFleet starts S sharded KV servers and a client store dialed to
-// them, the wiring of luckystore.ListenTCPKV / OpenKVTCP.
-func kvFleet(t *testing.T, cfg core.Config) *kv.Store {
+// them, the wiring of luckystore.ListenTCPKV / OpenKVTCP. With durable
+// every server's shards write through a storage.Durable onto one
+// storage.File of its own, as WithTCPDataDir does — but without fsync
+// (SyncNone) and without compaction (nil factory), so that no device
+// barrier and no snapshot lands inside a measurement.
+func kvFleet(t *testing.T, cfg core.Config, durable bool) *kv.Store {
 	t.Helper()
 	servers := make(map[types.ProcID]string, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
 		auto := kv.NewShardedServerAutomaton(2)
-		srv, err := ListenSharded(types.ServerID(i), "127.0.0.1:0", auto.Shards(), auto.Route())
+		shards := auto.Shards()
+		if durable {
+			back, err := storage.NewFile(t.TempDir(), nil, storage.WithSyncMode(storage.SyncNone))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = back.Close() }) // runs after the server's Close below
+			for j, sh := range shards {
+				shards[j] = storage.NewDurable(sh, back, types.ServerID(i))
+			}
+		}
+		srv, err := ListenSharded(types.ServerID(i), "127.0.0.1:0", shards, auto.Route())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,9 +162,17 @@ func kvFleet(t *testing.T, cfg core.Config) *kv.Store {
 	return st
 }
 
-func TestKVFleetSteadyStateAllocsTCP(t *testing.T) {
+func TestKVFleetSteadyStateAllocsTCP(t *testing.T) { testKVFleetSteadyStateAllocs(t, false) }
+
+// The WAL-backed fleet is held to the same budget: a record encodes
+// into its Durable's reused buffer and the file backend copies it into
+// a reused arena, so writing ahead adds no allocation to a Put (both
+// measure 22, as without the WAL).
+func TestKVFleetDurableSteadyStateAllocsTCP(t *testing.T) { testKVFleetSteadyStateAllocs(t, true) }
+
+func testKVFleetSteadyStateAllocs(t *testing.T, durable bool) {
 	cfg := core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1}
-	st := kvFleet(t, cfg)
+	st := kvFleet(t, cfg, durable)
 	for i := 0; i < 64; i++ {
 		if err := st.Put("k", "warm"); err != nil {
 			t.Fatal(err)
@@ -167,7 +191,7 @@ func TestKVFleetSteadyStateAllocsTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Logf("whole fleet over loopback TCP: Put %.1f allocs/op, Get %.1f allocs/op", put, get)
+	t.Logf("whole fleet over loopback TCP (durable %v): Put %.1f allocs/op, Get %.1f allocs/op", durable, put, get)
 	if put > kvFleetAllocBudget+0.5 || get > kvFleetAllocBudget+0.5 {
 		t.Errorf("steady-state kv over TCP: Put %.1f, Get %.1f allocs/op, budget %d", put, get, kvFleetAllocBudget)
 	}
@@ -195,7 +219,7 @@ const (
 
 func TestKVFleetBatchSteadyStateBytesTCP(t *testing.T) {
 	cfg := core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1}
-	st := kvFleet(t, cfg)
+	st := kvFleet(t, cfg, false)
 	const width = 32
 	keys := make([]string, width)
 	warm, puts := make(map[string]types.Value, width), make(map[string]types.Value, width)

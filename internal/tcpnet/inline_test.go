@@ -1,14 +1,18 @@
 package tcpnet
 
 import (
+	"errors"
 	"fmt"
+	"net"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"luckystore/internal/kv"
 	"luckystore/internal/node"
+	"luckystore/internal/storage"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -31,7 +35,7 @@ type orderShard struct {
 // fastShard is an orderShard that declares node.NonBlocking.
 type fastShard struct{ *orderShard }
 
-func (fastShard) StepNeverBlocks() {}
+func (fastShard) StepNeverBlocks() bool { return true }
 
 func (s *orderShard) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
 	k := m.(wire.Keyed)
@@ -249,4 +253,146 @@ func TestShardedInlinePoolTransitionsKeepOrder(t *testing.T) {
 		t.Errorf("the schedule did not cross the boundary: %d inline steps, %d pooled", inline, pooled)
 	}
 	t.Logf("non-blocking shards: %d inline steps, %d pooled", inline, pooled)
+}
+
+// gatedBackend is a storage.Backend whose Commit announces itself on
+// entered and then returns whatever the test sends on release — or
+// fails once over is closed, so a test that stops early can still close
+// the server.
+type gatedBackend struct {
+	storage.Backend
+	entered, over chan struct{}
+	release       chan error
+}
+
+var errTestOver = errors.New("test over")
+
+// CommitSyncs implements storage.Syncing: the backend stands for one
+// that writes without fsync, whose commit the test holds open.
+func (*gatedBackend) CommitSyncs() bool { return false }
+
+func (b *gatedBackend) Commit() error {
+	select {
+	case b.entered <- struct{}{}:
+	case <-b.over:
+		return errTestOver
+	}
+	select {
+	case err := <-b.release:
+		return err
+	case <-b.over:
+		return errTestOver
+	}
+}
+
+// pathRecorder counts which server path steps it. It does not implement
+// node.NonBlocking; inlineRecorder does.
+type pathRecorder struct {
+	inner          node.Automaton
+	inline, pooled int
+}
+
+func (r *pathRecorder) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+	if steppedInline() {
+		r.inline++
+	} else {
+		r.pooled++
+	}
+	return node.StepInto(r.inner, from, m, nil)
+}
+
+type inlineRecorder struct{ *pathRecorder }
+
+func (inlineRecorder) StepNeverBlocks() bool { return true }
+
+// A storage.Durable shard around a shard whose step never waits on
+// another, over a backend that does not fsync, is stepped on the read
+// goroutine, and write-ahead holds there
+// exactly as on the pooled path: no reply byte leaves before the commit
+// returns, one reply frame leaves after it, and a failed commit mutes
+// the server for that frame and every later one.
+func TestShardedDurableStepsInlineAndWithholdsReply(t *testing.T) {
+	for _, inline := range []bool{true, false} {
+		name := "pooled"
+		if inline {
+			name = "inline"
+		}
+		t.Run(name, func(t *testing.T) {
+			rec := &pathRecorder{inner: kv.NewShardedServerAutomaton(1).Shards()[0]}
+			var shard node.Automaton = rec
+			if inline {
+				shard = inlineRecorder{rec}
+			}
+			back := &gatedBackend{Backend: storage.NewMemory(nil),
+				entered: make(chan struct{}), over: make(chan struct{}), release: make(chan error)}
+			durable := storage.NewDurable(shard, back, types.ServerID(0))
+			srv, err := ListenSharded(types.ServerID(0), "127.0.0.1:0", []node.Automaton{durable}, func(wire.Message) int { return 0 })
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			defer close(back.over) // before Close: no step may still wait on a commit
+			conn := dialRaw(t, srv.Addr(), types.WriterID())
+			defer conn.Close()
+
+			sendPW := func(ts types.TS) {
+				t.Helper()
+				pw := wire.PW{TS: ts, PW: types.Tagged{TS: ts, Val: "v"}, W: types.Bottom()}
+				env := wire.Envelope{From: types.WriterID(), To: types.ServerID(0), Msg: wire.Keyed{Key: "k", Inner: pw}}
+				if err := wire.EncodeFrame(conn, env); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// awaitCommit waits for the frame's step to reach its commit and
+			// checks which path stepped it: the recorder counted before the
+			// commit announced itself.
+			awaitCommit := func(steps int) {
+				t.Helper()
+				select {
+				case <-back.entered:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the step never reached its commit")
+				}
+				got := rec.pooled
+				if inline {
+					got = rec.inline
+				}
+				if got != steps {
+					t.Fatalf("%d of %d steps taken on the %s path (inline %d, pooled %d)", got, steps, name, rec.inline, rec.pooled)
+				}
+			}
+			silent := func(when string) {
+				t.Helper()
+				_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+				var b [1]byte
+				n, err := conn.Read(b[:])
+				var ne net.Error
+				if n > 0 || !errors.As(err, &ne) || !ne.Timeout() {
+					t.Fatalf("%s: read %d bytes (%v), want nothing", when, n, err)
+				}
+			}
+
+			sendPW(1)
+			awaitCommit(1)
+			silent("before the commit returned")
+			back.release <- nil
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			reply, err := wire.DecodeFrame(conn)
+			if err != nil {
+				t.Fatalf("reply after the commit: %v", err)
+			}
+			k, isKeyed := reply.Msg.(wire.Keyed)
+			if ack, isAck := k.Inner.(wire.PWAck); !isKeyed || k.Key != "k" || !isAck || ack.TS != 1 {
+				t.Fatalf("reply %+v, want the PW_ACK of ts 1 for k", reply.Msg)
+			}
+			silent("after the one reply frame")
+
+			sendPW(2)
+			awaitCommit(2)
+			back.release <- errors.New("disk gone")
+			silent("after a failed commit")
+			sendPW(3) // a mute Durable steps nothing and commits nothing
+			silent("a frame after the failed commit")
+		})
+	}
 }

@@ -188,11 +188,14 @@ func (s *Server) serviceClass(m wire.Message) int {
 //     per burst) instead of one write per reply — tcp_batch, whose
 //     fan-out arrives as pipelined runs of frames, loses a fifth of its
 //     ops_s without this check (EXPERIMENTS.md);
-//   - nobody is stepping the shard and its automaton cannot block
-//     (node.StepPool.TryStep): a step that may wait — storage.Durable on
-//     a WAL commit, or any automaton that does not declare
-//     node.NonBlocking — would stall every later frame of this
-//     connection behind it, so it is never run on a read goroutine.
+//   - nobody is stepping the shard and its automaton answers
+//     node.NonBlocking true (node.StepPool.TryStep): its step never
+//     waits on another step, connection or peer. A storage.Durable shard
+//     over a backend that does not fsync qualifies — the reply is
+//     written after its commit returns, as on the pooled path, and every
+//     frame of the connection waits out that write — but a step that may
+//     wait on another step could wait on work this goroutine alone would
+//     submit, so it is never run on a read goroutine.
 //
 // Pooled — otherwise: submit the frame's messages as one run per shard
 // they touch (node.StepPool.SubmitRun); the write pump goroutine sends
