@@ -34,10 +34,10 @@ func (m ReadMeta) Fast() bool { return m.Rounds() == 1 }
 // Reader implements the READ protocol of Figure 2. A Reader is not
 // safe for concurrent use: each reader process invokes one operation at
 // a time (wait-freedom is across clients, not within one) — which is
-// what makes its round state poolable. The view, timers, round-ack set
-// and outgoing buffer live on the Reader and are reset per READ instead
-// of reallocated, so a steady-state fast READ allocates nothing beyond
-// the messages themselves (DESIGN.md §5).
+// what makes its round state poolable. The view, round-ack set and
+// outgoing buffer live on the Reader and are reset per READ instead of
+// reallocated, so a steady-state fast READ allocates nothing beyond the
+// messages themselves (DESIGN.md §5).
 type Reader struct {
 	cfg Config
 	ep  transport.Endpoint
@@ -46,13 +46,12 @@ type Reader struct {
 	tsr types.ReaderTS
 
 	// pooled per-operation round state, reset per READ
-	op         readOp
-	view       *View
-	opTimer    *time.Timer
-	roundTimer *time.Timer
-	roundSeen  []bool // this round's ack set, slot per server
-	outBuf     []transport.Outgoing
-	serverIDs  []types.ProcID // cached broadcast target list
+	op        readOp
+	view      *View
+	alarm     alarm  // the blocking Step's timer, armed at Deadline
+	roundSeen []bool // this round's ack set, slot per server
+	outBuf    []transport.Outgoing
+	serverIDs []types.ProcID // cached broadcast target list
 
 	lastMeta ReadMeta
 	stats    OpStats
@@ -88,17 +87,17 @@ func (r *Reader) resetRoundSeen() {
 }
 
 // readOp is everything a READ carries from one call to the next (see
-// writeOp: Start emits the first round, Step waits one round out and
-// completes or emits the next). The view and the round's ack set are the
-// Reader's pooled state.
+// writeOp: Start emits the first round, Deliver/Expire decide it and
+// Advance completes or emits the next; Step is one round of that). The
+// view and the round's ack set are the Reader's pooled state.
 type readOp struct {
-	rnd     int          // READ round in flight (0: no READ is); the query-round count once a candidate is selected
-	wb      int          // write-back round in flight (1–3), 0 while querying
-	sel     types.Tagged // the selected candidate, being written back
-	acks    int          // servers that answered the round in flight
-	expired bool         // the round-1 synchrony timer fired
-	inGrace bool         // a timer fired below a quorum: the retransmitGrace cycle is running
-	t0      time.Time    // invocation time when Config.Metrics observes the op
+	rnd  int          // READ round in flight (0: no READ is); the query-round count once a candidate is selected
+	wb   int          // write-back round in flight (1–3), 0 while querying
+	sel  types.Tagged // the selected candidate, being written back
+	acks int          // servers that answered the round in flight
+	dl   deadlines    // the round's timer and the operation's deadline
+	err  error        // the op deadline passed, or a resend failed
+	t0   time.Time    // invocation time when Config.Metrics observes the op
 }
 
 // Read returns the register's value: the value of a concurrent write,
@@ -116,15 +115,15 @@ func (r *Reader) Read() (types.Tagged, error) {
 }
 
 // Start begins a READ (Fig. 2 lines 12–16): new READ timestamp, fresh
-// view, round 1 to every server. The operation then advances by Step
-// until either call reports done or an error; the reader takes no other
-// operation meanwhile.
+// view, round 1 to every server. The operation then advances by Step —
+// or by Deliver/Expire/Advance — until a call reports done or an error;
+// the reader takes no other operation meanwhile.
 func (r *Reader) Start() (done bool, err error) {
-	r.op = readOp{}
+	now := time.Now()
+	r.op = readOp{dl: deadlines{op: now.Add(r.cfg.opTimeout())}}
 	if r.cfg.Metrics != nil {
-		r.op.t0 = time.Now()
+		r.op.t0 = now
 	}
-	resetTimer(&r.opTimer, r.cfg.opTimeout())
 	r.tsr++
 	r.resetView()
 	return r.settle(false, r.emitQuery())
@@ -134,26 +133,68 @@ func (r *Reader) Start() (done bool, err error) {
 // (line 17 for a query round, a quorum of acks for a write-back round),
 // then either completes the READ — done, with LastMeta().Returned the
 // value read — or sends the next round and returns.
-func (r *Reader) Step() (done bool, err error) { return r.settle(r.step()) }
+func (r *Reader) Step() (done bool, err error) {
+	if r.op.rnd == 0 {
+		return false, errNoOp
+	}
+	if err := await(r, r.ep, &r.alarm); err != nil {
+		return r.settle(false, err)
+	}
+	return r.Advance()
+}
 
-// settle passes a Start/Step verdict through, retiring the operation
+// Deliver folds one reply into the round in flight without blocking
+// (see Writer.Deliver).
+func (r *Reader) Deliver(env wire.Envelope) { r.accept(env) }
+
+// Decided reports whether the round in flight has what Fig. 2 line 17
+// asks for — S−t acks of the round and, in round 1, the timer's verdict
+// (or all S); a quorum in a write-back round — or has failed.
+func (r *Reader) Decided() bool { return r.op.err != nil || r.decided() }
+
+// Deadline returns when Expire next has something to judge (see
+// Writer.Deadline).
+func (r *Reader) Deadline() time.Time { return r.op.dl.next() }
+
+// Expire is the round's timer firing at now (see Writer.Expire): the
+// synchrony verdict at a quorum, the retransmitGrace cycle below one,
+// ErrOpTimeout past the operation deadline, and nothing before the
+// deadline.
+func (r *Reader) Expire(now time.Time) {
+	o := &r.op
+	switch {
+	case o.rnd == 0 || o.err != nil:
+	case !now.Before(o.dl.op) && o.wb > 0:
+		o.err = fmt.Errorf("READ(tsr=%d) write-back round %d: %w", r.tsr, o.wb, ErrOpTimeout)
+	case !now.Before(o.dl.op):
+		o.err = fmt.Errorf("READ(tsr=%d) round %d: %w", r.tsr, o.rnd, ErrOpTimeout)
+	case o.dl.expire(now, o.acks >= r.cfg.Quorum(), r.cfg.Metrics):
+		o.err = resend(r.cfg.Metrics, r.ep, r.outBuf)
+	}
+}
+
+// Advance acts on a decided round: it completes the READ — done, with
+// LastMeta().Returned the value read — or sends the next round, or
+// returns the round's failure.
+func (r *Reader) Advance() (done bool, err error) { return r.settle(r.advance()) }
+
+// settle passes a Start/Advance verdict through, retiring the operation
 // once it is over either way.
 func (r *Reader) settle(done bool, err error) (bool, error) {
 	if (done || err != nil) && r.op.rnd > 0 {
-		r.opTimer.Stop()
-		r.roundTimer.Stop()
+		r.alarm.stop()
 		r.op = readOp{}
 	}
 	return done, err
 }
 
-func (r *Reader) step() (bool, error) {
+func (r *Reader) advance() (bool, error) {
 	o := &r.op
 	if o.rnd == 0 {
 		return false, errNoOp
 	}
-	if err := r.await(); err != nil {
-		return false, err
+	if o.err != nil {
+		return false, o.err
 	}
 	if o.wb > 0 {
 		if o.wb < 3 {
@@ -161,7 +202,6 @@ func (r *Reader) step() (bool, error) {
 		}
 		return r.complete(true)
 	}
-	r.drainAcks()
 	// Fig. 2 lines 18–20: stop querying as soon as a candidate exists.
 	c, ok := r.view.Select()
 	if !ok {
@@ -202,60 +242,16 @@ func (r *Reader) emitWriteBack(round int) error {
 	return r.emit(wire.W{Round: round, Tag: int64(r.tsr), C: r.op.sel})
 }
 
-// emit opens a round: fresh ack set, the round's timer, then the
+// emit opens a round: fresh ack set, the round's deadline, then the
 // broadcast. The timer runs from the start of the round, not from the
 // end of the broadcast: a send may be a socket write on this goroutine
 // (transport.Coalescer writes through), and the synchrony verdict should
 // not wait that much longer.
 func (r *Reader) emit(m wire.Message) error {
-	r.op.acks, r.op.inGrace = 0, false
+	r.op.acks = 0
+	r.op.dl.arm(r.cfg.roundTimeout())
 	r.resetRoundSeen()
-	resetTimer(&r.roundTimer, r.cfg.roundTimeout())
 	return r.broadcast(m)
-}
-
-// await blocks until the round in flight is decided. Fig. 2 line 17: a
-// query round waits for S−t acks of this round, and in round 1 also for
-// the synchrony timer (early exit when all S servers answered this
-// round); a write-back round waits for a quorum of acks. A timer expiry
-// below a quorum starts the retransmitGrace cycle: after the grace the
-// broadcast is re-sent (see the retransmitGrace doc — duplicates are
-// idempotent on servers, and a lost broadcast would otherwise wedge the
-// round until the operation deadline). As in Writer.await, the timer is
-// judged against every reply that has arrived, consumed or not.
-func (r *Reader) await() error {
-	o := &r.op
-	for !r.decided() {
-		select {
-		case env, ok := <-r.ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			r.accept(env)
-		case <-r.roundTimer.C:
-			r.drainAcks()
-			o.expired = true
-			if o.acks >= r.cfg.Quorum() {
-				continue
-			}
-			if o.inGrace {
-				r.cfg.Metrics.retransmit()
-				if err := resend(r.ep, r.outBuf); err != nil {
-					return err
-				}
-			} else {
-				r.cfg.Metrics.starved()
-			}
-			o.inGrace = true
-			resetTimer(&r.roundTimer, retransmitGrace)
-		case <-r.opTimer.C:
-			if o.wb > 0 {
-				return fmt.Errorf("READ(tsr=%d) write-back round %d: %w", r.tsr, o.wb, ErrOpTimeout)
-			}
-			return fmt.Errorf("READ(tsr=%d) round %d: %w", r.tsr, o.rnd, ErrOpTimeout)
-		}
-	}
-	return nil
 }
 
 // decided reports whether the round in flight has the replies (and, for
@@ -265,7 +261,7 @@ func (r *Reader) decided() bool {
 	if o.wb > 0 {
 		return o.acks >= r.cfg.Quorum()
 	}
-	return o.acks >= r.cfg.S() || (o.acks >= r.cfg.Quorum() && (o.rnd > 1 || o.expired))
+	return o.acks >= r.cfg.S() || (o.acks >= r.cfg.Quorum() && (o.rnd > 1 || o.dl.expired))
 }
 
 // accept folds one envelope into the round in flight. A query-round ack
@@ -300,23 +296,6 @@ func (r *Reader) accept(env wire.Envelope) {
 		o.acks++
 	}
 	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
-}
-
-// drainAcks consumes replies that are already queued, so a verdict —
-// the timer's, or predicate evaluation once the round's wait condition
-// is met — sees every reply that arrived in time.
-func (r *Reader) drainAcks() {
-	for {
-		select {
-		case env, ok := <-r.ep.Recv():
-			if !ok {
-				return
-			}
-			r.accept(env)
-		default:
-			return
-		}
-	}
 }
 
 // broadcast fans m out to every server through the reader's reusable

@@ -123,17 +123,16 @@ type Writer struct {
 
 	// pooled per-operation round state, reset per WRITE (op) and per
 	// round (the ack set)
-	op         writeOp
-	opTimer    *time.Timer
-	roundTimer *time.Timer
-	acks       []wire.PWAck // slot per server, valid where ackSeen in a pre-write round
-	ackSeen    []bool       // servers whose reply counted toward the round in flight
-	ackCount   int
-	opTS       types.TS    // TS of the in-flight pre-write, matched by acceptPWAck
-	nackSeen   bool        // a PW_NACK arrived for the in-flight pre-write
-	nackMax    types.Stamp // highest Max any such NACK carried
-	outBuf     []transport.Outgoing
-	qtsr       types.ReaderTS // stamp-query tag, incremented per query
+	op       writeOp
+	alarm    alarm        // the blocking Step's timer, armed at Deadline
+	acks     []wire.PWAck // slot per server, valid where ackSeen in a pre-write round
+	ackSeen  []bool       // servers whose reply counted toward the round in flight
+	ackCount int
+	opTS     types.TS    // TS of the in-flight pre-write, matched by acceptPWAck
+	nackSeen bool        // a PW_NACK arrived for the in-flight pre-write
+	nackMax  types.Stamp // highest Max any such NACK carried
+	outBuf   []transport.Outgoing
+	qtsr     types.ReaderTS // stamp-query tag, incremented per query
 
 	// freezeValues scratch, touched only when a slow READ is in
 	// progress somewhere (nil/empty in steady state)
@@ -182,11 +181,12 @@ func (p writePhase) String() string {
 
 // writeOp is everything a WRITE carries from one call to the next: a
 // WRITE is Start (choose the stamp's path, emit the first round) and
-// then Step until done (wait out the round in flight, decide, complete
-// or emit the next round). The blocking calls are that loop; a batch
-// driver (internal/kv) interleaves the Steps of many writers on one
-// goroutine. Everything else a round needs — the ack set, the timers —
-// is the Writer's pooled round state.
+// then, round by round, Deliver the replies and Expire the deadlines
+// until the round is Decided, then Advance (complete or emit the next
+// round). Step is one round of that with its own timer; the blocking
+// calls loop on it, and a driver of many keys (internal/kv) runs the
+// non-blocking half itself. Everything else a round needs — the ack
+// set — is the Writer's pooled round state.
 type writeOp struct {
 	phase   writePhase
 	round   int // W round in flight (2 or 3)
@@ -199,8 +199,9 @@ type writeOp struct {
 	ghost   types.Stamp // aborted speculative stamp (WriteMeta.Ghost)
 	meta    WriteMeta   // assembled when the pre-write commits, published on completion
 
-	expired bool // the round's synchrony timer fired
-	inGrace bool // ... below a quorum: the retransmitGrace cycle is running
+	dl      deadlines // the round's timer and the operation's deadline
+	starved bool      // a speculative pre-write's grace ran out below a quorum
+	err     error     // the op deadline passed, or a resend failed
 
 	t0 time.Time // invocation time when Config.Metrics observes the op
 }
@@ -214,10 +215,10 @@ var errNoOp = errors.New("core: Step without an operation in flight")
 func (w *Writer) Write(v types.Value) error { return w.run(w.Start(v)) }
 
 // Start begins WRITE(v): it binds the stamp (or opens the round that
-// will — the speculative pre-write or the MWMR stamp query), arms the
-// round's timer and sends the first round. The operation then advances
-// by Step until either call reports done or an error; the writer takes
-// no other operation meanwhile.
+// will — the speculative pre-write or the MWMR stamp query), records the
+// round's deadline and sends the first round. The operation then
+// advances by Step — or by Deliver/Expire/Advance — until a call reports
+// done or an error; the writer takes no other operation meanwhile.
 func (w *Writer) Start(v types.Value) (done bool, err error) {
 	var t0 time.Time
 	if w.cfg.Metrics != nil {
@@ -230,7 +231,60 @@ func (w *Writer) Start(v types.Value) (done bool, err error) {
 // it (line 5: S−t PW_ACKs and the timer, or all S; a quorum of acks for
 // the query and W rounds), then either completes the WRITE — done, with
 // LastMeta describing it — or sends the next round and returns.
-func (w *Writer) Step() (done bool, err error) { return w.settle(w.step()) }
+func (w *Writer) Step() (done bool, err error) {
+	if w.op.phase == phaseIdle {
+		return false, errNoOp
+	}
+	if err := await(w, w.ep, &w.alarm); err != nil {
+		return w.settle(false, err)
+	}
+	return w.Advance()
+}
+
+// Deliver folds one reply into the round in flight. It never blocks:
+// with Decided, Deadline, Expire and Advance it is the non-blocking half
+// a driver of many operations steps from one goroutine (DESIGN.md §5).
+func (w *Writer) Deliver(env wire.Envelope) { w.accept(env) }
+
+// Decided reports whether the round in flight has what its wait
+// condition asks for — the replies and, for a pre-write, the timer's
+// verdict — or has failed; either way Advance acts on it next.
+func (w *Writer) Decided() bool {
+	return w.op.err != nil || w.op.starved || w.decided()
+}
+
+// Deadline returns when Expire next has something to judge: the end of
+// the round's timer or grace cycle, or the operation's deadline.
+func (w *Writer) Deadline() time.Time { return w.op.dl.next() }
+
+// Expire is the timer of Fig. 1 line 5 firing at now, judged against
+// every reply delivered so far: a round at a quorum takes the verdict
+// and is decided; below a quorum the retransmitGrace cycle starts, and
+// after the grace the round is re-sent (same targets, same message — the
+// merges are idempotent, a round-1 READ is stateless on servers) rather
+// than wedged until the operation deadline. A speculative attempt is
+// abandoned instead (starved): the slow path owns loss recovery, and a
+// stale speculative stamp would only be NACKed again anyway. Past the
+// operation deadline the WRITE fails with ErrOpTimeout. Before the
+// deadline, Expire does nothing.
+func (w *Writer) Expire(now time.Time) {
+	o := &w.op
+	switch {
+	case o.phase == phaseIdle || o.err != nil:
+	case !now.Before(o.dl.op):
+		o.err = fmt.Errorf("WRITE(ts=%d) %v: %w", o.c.TS, o.phase, ErrOpTimeout)
+	case !o.dl.expire(now, w.ackCount >= w.cfg.Quorum(), w.cfg.Metrics):
+	case o.phase == phaseSpec:
+		o.starved = true
+	default:
+		o.err = resend(w.cfg.Metrics, w.ep, w.outBuf)
+	}
+}
+
+// Advance acts on a decided round: it completes the WRITE — done, with
+// LastMeta describing it — or sends the next round, or returns the
+// round's failure.
+func (w *Writer) Advance() (done bool, err error) { return w.settle(w.advance()) }
 
 // WriteWithFault runs a WRITE with scripted crash behavior; it returns
 // ErrCrashed at the scripted point and leaves the writer permanently
@@ -257,18 +311,22 @@ func (w *Writer) LastMeta() WriteMeta { return w.lastMeta }
 // writer already completed a WRITE at least as new, so the register
 // already holds a pair ≥ c. Subsequent Writes continue from seq
 // c.TS + 1.
-func (w *Writer) WriteAt(c types.Tagged) error {
+func (w *Writer) WriteAt(c types.Tagged) error { return w.run(w.StartAt(c)) }
+
+// StartAt begins WriteAt(c) as Start begins Write; a pair WriteAt would
+// skip is done at once, with no round sent.
+func (w *Writer) StartAt(c types.Tagged) (done bool, err error) {
 	if w.crashed {
-		return ErrCrashed
+		return false, ErrCrashed
 	}
 	if c.IsBottom() || c.Val == "" {
-		return ErrBottomValue
+		return false, ErrBottomValue
 	}
 	if !w.last.Less(c.Stamp()) {
-		return nil
+		return true, nil
 	}
 	w.begin(writeOp{})
-	return w.run(w.settle(w.emitPW(c)))
+	return w.settle(w.emitPW(c))
 }
 
 // run drives a started operation to completion: the blocking form.
@@ -279,18 +337,18 @@ func (w *Writer) run(done bool, err error) error {
 	return err
 }
 
-// begin installs a fresh operation and arms its deadline.
+// begin installs a fresh operation and records its deadline.
 func (w *Writer) begin(op writeOp) {
+	op.dl.op = time.Now().Add(w.cfg.opTimeout())
 	w.op = op
-	resetTimer(&w.opTimer, w.cfg.opTimeout())
 }
 
-// settle passes a Start/Step verdict through, retiring the operation —
-// timers stopped, round state dropped — once it is over either way.
+// settle passes a Start/Advance verdict through, retiring the operation
+// — round state dropped, the blocking timer stopped — once it is over
+// either way.
 func (w *Writer) settle(done bool, err error) (bool, error) {
 	if (done || err != nil) && w.op.phase != phaseIdle {
-		w.opTimer.Stop()
-		w.roundTimer.Stop()
+		w.alarm.stop()
 		w.op = writeOp{}
 	}
 	return done, err
@@ -312,18 +370,6 @@ func (w *Writer) NextTS() types.TS { return w.ts + 1 }
 // idempotent max-merges, and duplicate messages are already part of
 // the chaos fault model.
 const retransmitGrace = 50 * time.Millisecond
-
-// resetTimer arms a pooled timer, creating it on first use. Go 1.23+
-// timer semantics make Reset safe without draining: a pending fire from
-// a previous operation is discarded by the Reset.
-func resetTimer(t **time.Timer, d time.Duration) *time.Timer {
-	if *t == nil {
-		*t = time.NewTimer(d)
-	} else {
-		(*t).Reset(d)
-	}
-	return *t
-}
 
 // resetAcks clears the ack set (and a pre-write's PW_ACK/PW_NACK state)
 // for a new round.
@@ -370,15 +416,14 @@ func (w *Writer) start(v types.Value, f *WriteFault, t0 time.Time) (bool, error)
 	}
 }
 
-// step waits for the round in flight and acts on its outcome.
-func (w *Writer) step() (bool, error) {
+// advance acts on the decided round in flight.
+func (w *Writer) advance() (bool, error) {
 	o := &w.op
 	if o.phase == phaseIdle {
 		return false, errNoOp
 	}
-	starved, err := w.await()
-	if err != nil {
-		return false, err
+	if o.err != nil {
+		return false, o.err
 	}
 	switch o.phase {
 	case phaseQuery:
@@ -391,8 +436,7 @@ func (w *Writer) step() (bool, error) {
 		o.queried = true
 		return w.emitPW(types.Tagged{TS: o.seq + 1, W: w.wid, Val: o.val})
 	case phaseSpec:
-		w.drainAcks()
-		if starved || w.nackSeen {
+		if o.starved || w.nackSeen {
 			// Some server already held a stamp at or above c, or the
 			// quorum starved. The NACK made no server state change; the
 			// writer made none either, so the abort is clean — remember
@@ -419,7 +463,6 @@ func (w *Writer) step() (bool, error) {
 		w.stats.SpecOps++
 		return w.commitPW(true)
 	case phasePW:
-		w.drainAcks()
 		return w.commitPW(false)
 	default: // phaseW
 		if o.round < 3 {
@@ -427,56 +470,6 @@ func (w *Writer) step() (bool, error) {
 		}
 		return w.complete()
 	}
-}
-
-// await blocks until the round in flight is decided: Fig. 1 line 5 for a
-// pre-write — S−t valid PW_ACKs and timer expiry, with an early exit
-// when all S servers have answered (nothing more can arrive) or, for a
-// speculative attempt, when a PW_NACK decides it; a quorum of acks for
-// the query and W rounds, which no predicate reads a timer for.
-//
-// A timer expiry below a quorum starts the retransmitGrace cycle: after
-// the grace the round is re-sent (same targets, same message — the
-// merges are idempotent, a round-1 READ is stateless on servers) rather
-// than wedged until the operation deadline. A speculative attempt is
-// abandoned instead (starved): the slow path owns loss recovery, and a
-// stale speculative stamp would only be NACKed again anyway.
-//
-// The timer is judged against every reply that has arrived, not only
-// those already consumed: when this writer is one of a batch stepped in
-// lock-step, its replies queue up while a sibling is being waited on.
-func (w *Writer) await() (starved bool, err error) {
-	o := &w.op
-	for !w.decided() {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return false, transport.ErrClosed
-			}
-			w.accept(env)
-		case <-w.roundTimer.C:
-			w.drainAcks()
-			o.expired = true
-			if w.ackCount >= w.cfg.Quorum() {
-				continue
-			}
-			if !o.inGrace {
-				w.cfg.Metrics.starved()
-			} else if o.phase == phaseSpec {
-				return true, nil
-			} else {
-				w.cfg.Metrics.retransmit()
-				if err := resend(w.ep, w.outBuf); err != nil {
-					return false, err
-				}
-			}
-			o.inGrace = true
-			resetTimer(&w.roundTimer, retransmitGrace)
-		case <-w.opTimer.C:
-			return false, fmt.Errorf("WRITE(ts=%d) %v: %w", o.c.TS, o.phase, ErrOpTimeout)
-		}
-	}
-	return false, nil
 }
 
 // decided reports whether the round in flight has the replies (and, for
@@ -491,21 +484,20 @@ func (w *Writer) decided() bool {
 		}
 		fallthrough
 	case phasePW:
-		return n >= w.cfg.S() || (n >= w.cfg.Quorum() && o.expired)
+		return n >= w.cfg.S() || (n >= w.cfg.Quorum() && o.dl.expired)
 	}
 	return n >= w.cfg.Quorum()
 }
 
-// emit opens a round: fresh ack set, the round's timer, then the
+// emit opens a round: fresh ack set, the round's deadline, then the
 // broadcast. The synchrony timer runs from the start of the round, not
 // from the end of the broadcast: a send may be a socket write on this
 // goroutine (transport.Coalescer writes through).
 func (w *Writer) emit(phase writePhase, targets []types.ProcID, m wire.Message) error {
 	o := &w.op
 	o.phase = phase
-	o.expired, o.inGrace = false, false
+	o.dl.arm(w.cfg.roundTimeout())
 	w.resetAcks()
-	resetTimer(&w.roundTimer, w.cfg.roundTimeout())
 	return w.sendTo(targets, m)
 }
 
@@ -720,23 +712,6 @@ func (w *Writer) acceptWAck(env wire.Envelope) {
 	}
 }
 
-// drainAcks consumes replies that are already queued, so a verdict —
-// the timer's, or the fast-path check of line 8 once the wait condition
-// is met — sees every reply that arrived in time.
-func (w *Writer) drainAcks() {
-	for {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return
-			}
-			w.accept(env)
-		default:
-			return
-		}
-	}
-}
-
 // freezeValues implements Fig. 1 lines 13–15: for every reader reported
 // by at least b+1 servers with a READ timestamp above the writer's
 // recorded one, advance the record to the (b+1)-st highest reported
@@ -826,11 +801,12 @@ func (w *Writer) duplicateStamp(newread []types.ReadStamp, j int) bool {
 	return false
 }
 
-// resend repeats a round's broadcast and pushes it past any send-side
-// buffering (transport.Flusher): a retransmission issued from inside a
-// corked batch pass would otherwise wait for the very pass that is
-// waiting on its replies.
-func resend(ep transport.Endpoint, out []transport.Outgoing) error {
+// resend repeats a round's broadcast, counting it as a retransmission,
+// and pushes it past any send-side buffering (transport.Flusher): a
+// retransmission held behind another driver's cork would otherwise wait
+// for that driver's pass.
+func resend(m *Metrics, ep transport.Endpoint, out []transport.Outgoing) error {
+	m.retransmit()
 	err := transport.SendAll(ep, out)
 	if f, ok := ep.(transport.Flusher); ok && err == nil {
 		err = f.Flush()

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"luckystore/internal/node"
 	"luckystore/internal/transport"
@@ -101,6 +102,12 @@ func rewrapAppended(key string, prefix, out []transport.Outgoing) []transport.Ou
 // for that key and receives only that key's replies. Different keys can
 // then run operations concurrently from one client process.
 //
+// A client that drives many keys from one goroutine subscribes them
+// instead (Subscribe): a subscription has no inbox of its own, and its
+// replies go to the Inbox slot it is routed to — the inbox of the
+// driver running an operation on the key — and are dropped while it is
+// routed nowhere.
+//
 // Subscriptions live in a sync.Map so the routing pump does a lock-free
 // read per envelope; the mutex guards only the cold Open/Close paths,
 // keeping reply routing off every other key's critical path under
@@ -108,11 +115,12 @@ func rewrapAppended(key string, prefix, out []transport.Outgoing) []transport.Ou
 type Demux struct {
 	inner transport.Endpoint
 
-	subs sync.Map // key string → *transport.Mailbox
+	subs sync.Map // key string → *Sub
 
-	mu     sync.Mutex // guards closed and the subs/Close race; never taken by pump
-	closed bool
-	done   chan struct{}
+	mu      sync.Mutex // guards closed, inboxes and the subs/Close race; never taken by pump
+	closed  bool
+	inboxes []*Inbox // every inbox NewInbox made; Close closes them
+	done    chan struct{}
 }
 
 // NewDemux wraps an endpoint and starts the routing pump. The demux
@@ -126,10 +134,25 @@ func NewDemux(ep transport.Endpoint) *Demux {
 	return d
 }
 
-// Open returns the virtual endpoint for key. Opening the same key twice
-// returns endpoints sharing one inbox; callers should hold one endpoint
-// per key.
+// Open returns the virtual endpoint for key, with an inbox of its own.
+// Opening the same key twice returns endpoints sharing one inbox;
+// callers should hold one endpoint per key.
 func (d *Demux) Open(key string) (transport.Endpoint, error) {
+	s, err := d.subscribe(key, true)
+	if err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Subscribe returns key's routed subscription: an endpoint whose sends
+// are wrapped for key and whose replies go where Route points. Its Recv
+// channel is nil. Subscribing a key twice returns the same subscription.
+func (d *Demux) Subscribe(key string) (*Sub, error) {
+	return d.subscribe(key, false)
+}
+
+func (d *Demux) subscribe(key string, inbox bool) (*Sub, error) {
 	if err := validKey(key); err != nil {
 		return nil, err
 	}
@@ -138,15 +161,61 @@ func (d *Demux) Open(key string) (transport.Endpoint, error) {
 	if d.closed {
 		return nil, transport.ErrClosed
 	}
-	var mbox *transport.Mailbox
 	if v, ok := d.subs.Load(key); ok {
-		mbox = v.(*transport.Mailbox)
-	} else {
-		mbox = transport.NewMailbox()
-		d.subs.Store(key, mbox)
+		s := v.(*Sub)
+		if (s.mbox != nil) != inbox {
+			return nil, fmt.Errorf("keyed: %q is already open with the other kind of inbox", key)
+		}
+		return s, nil
 	}
-	return &subEndpoint{key: key, demux: d, mbox: mbox}, nil
+	s := &Sub{key: key, demux: d}
+	if inbox {
+		s.mbox = transport.NewMailbox()
+	}
+	d.subs.Store(key, s)
+	return s, nil
 }
+
+// inboxBuffer is an Inbox's capacity: one round of a 32-key batch over
+// S = 3 is 96 replies, and the pump waits on a full inbox.
+const inboxBuffer = 128
+
+// Inbox is the reply queue of a driver that runs operations on many
+// keys from one goroutine: each key's subscription is routed to one
+// slot of it (Sub.Route) while the driver holds an operation on the key.
+// The pump waits on a full inbox rather than queue without bound, so a
+// driver keeps receiving while any of its routes is set, and an idle
+// inbox holds at most the one delivery the pump had in hand when the
+// last route was cleared. Close closes it.
+type Inbox struct {
+	c chan Delivery
+}
+
+// Delivery is one reply routed into an Inbox: the slot and subscription
+// it was routed for, and the reply itself. A driver that reuses an inbox
+// checks the subscription — a slot's previous key may still have a reply
+// under way.
+type Delivery struct {
+	Slot int
+	Sub  *Sub
+	Env  wire.Envelope
+}
+
+// NewInbox makes an inbox and registers it, so that Close wakes a driver
+// waiting on it.
+func (d *Demux) NewInbox() (*Inbox, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return nil, transport.ErrClosed
+	}
+	in := &Inbox{c: make(chan Delivery, inboxBuffer)}
+	d.inboxes = append(d.inboxes, in)
+	return in, nil
+}
+
+// C returns the delivery channel; Close closes it.
+func (in *Inbox) C() <-chan Delivery { return in.c }
 
 // Flush implements transport.Flusher by delegating to the underlying
 // endpoint when it buffers sends (a Coalescer); an unbuffered endpoint
@@ -183,8 +252,9 @@ func (d *Demux) Uncork() {
 	}
 }
 
-// Close stops the pump, closes every per-key inbox and the underlying
-// endpoint, and waits for the pump goroutine to exit.
+// Close stops the pump, closes every per-key inbox, every registered
+// Inbox and the underlying endpoint, and waits for the pump goroutine to
+// exit. A driver waiting on an inbox wakes to its closed channel.
 func (d *Demux) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -197,10 +267,16 @@ func (d *Demux) Close() error {
 
 	err := d.inner.Close() // unblocks the pump
 	<-d.done
-	// No Open can race here: closed is set, so the subscription set is
-	// frozen and every inbox can be joined.
+	// No Open or NewInbox can race here: closed is set, so the
+	// subscription and inbox sets are frozen, and with the pump gone
+	// nothing sends to an inbox any more.
+	for _, in := range d.inboxes {
+		close(in.c)
+	}
 	d.subs.Range(func(_, v any) bool {
-		v.(*transport.Mailbox).Close()
+		if s := v.(*Sub); s.mbox != nil {
+			s.mbox.Close()
+		}
 		return true
 	})
 	return err
@@ -219,42 +295,69 @@ func (d *Demux) pump() {
 		if !ok {
 			continue // reply for a key this client never opened
 		}
-		_ = v.(*transport.Mailbox).Put(wire.Envelope{From: env.From, To: env.To, Msg: k.Inner})
+		s := v.(*Sub)
+		reply := wire.Envelope{From: env.From, To: env.To, Msg: k.Inner}
+		if s.mbox != nil {
+			_ = s.mbox.Put(reply)
+		} else if in := s.route.Load(); in != nil {
+			in.c <- Delivery{Slot: int(s.slot.Load()), Sub: s, Env: reply}
+		}
+		// else: no operation on the key is in flight; the reply is stale
 	}
 }
 
-// subEndpoint is the per-key virtual endpoint.
-type subEndpoint struct {
+// Sub is one key's virtual endpoint: Open's, with an inbox of its own,
+// or Subscribe's, routed.
+type Sub struct {
 	key   string
 	demux *Demux
-	mbox  *transport.Mailbox
+	mbox  *transport.Mailbox    // Open's inbox; nil for a routed subscription
+	route atomic.Pointer[Inbox] // a routed subscription's inbox, nil for none
+	slot  atomic.Int64          // ... and its slot there
 }
 
 var (
-	_ transport.Endpoint = (*subEndpoint)(nil)
-	_ transport.Flusher  = (*subEndpoint)(nil)
+	_ transport.Endpoint = (*Sub)(nil)
+	_ transport.Flusher  = (*Sub)(nil)
 )
 
-func (s *subEndpoint) ID() types.ProcID { return s.demux.inner.ID() }
+// Route sends the key's replies to slot i of in from now on; a nil in
+// drops them. The slot is stored first, so a pump that sees the new
+// inbox sees the new slot: it can tag a reply with a stale slot only
+// once the route has moved on, when the reply is stale anyway.
+func (s *Sub) Route(in *Inbox, i int) {
+	s.slot.Store(int64(i))
+	s.route.Store(in)
+}
 
-func (s *subEndpoint) Send(to types.ProcID, m wire.Message) error {
+func (s *Sub) ID() types.ProcID { return s.demux.inner.ID() }
+
+func (s *Sub) Send(to types.ProcID, m wire.Message) error {
 	return s.demux.inner.Send(to, wire.Keyed{Key: s.key, Inner: m})
 }
 
-func (s *subEndpoint) Recv() <-chan wire.Envelope { return s.mbox.Out() }
+// Recv returns Open's inbox; a routed subscription's is nil.
+func (s *Sub) Recv() <-chan wire.Envelope {
+	if s.mbox == nil {
+		return nil
+	}
+	return s.mbox.Out()
+}
 
 // Flush implements transport.Flusher: the key's sends share the demux's
 // one endpoint, so draining that (past any cork) drains them.
-func (s *subEndpoint) Flush() error { return s.demux.Flush() }
+func (s *Sub) Flush() error { return s.demux.Flush() }
 
-// Close detaches the key's inbox from the demux.
-func (s *subEndpoint) Close() error {
+// Close detaches the key from the demux.
+func (s *Sub) Close() error {
 	s.demux.mu.Lock()
-	if v, ok := s.demux.subs.Load(s.key); ok && v.(*transport.Mailbox) == s.mbox {
+	if v, ok := s.demux.subs.Load(s.key); ok && v.(*Sub) == s {
 		s.demux.subs.Delete(s.key)
 	}
 	s.demux.mu.Unlock()
-	s.mbox.Close()
+	if s.mbox != nil {
+		s.mbox.Close()
+	}
 	return nil
 }
 

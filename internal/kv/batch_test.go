@@ -109,9 +109,9 @@ func TestBatchRoundsTravelTogether(t *testing.T) {
 }
 
 // A batch runs on its caller: no goroutine per key, none for the batch.
-// The one goroutine allowed while it runs is not the driver's: the
-// client's 16-slot inbox (transport.Mailbox) starts its self-retiring
-// overflow drainer when a round's 96 replies land on it at once.
+// The one goroutine allowed while it runs is not the driver's: a client
+// endpoint's inbox (transport.Mailbox) starts its self-retiring overflow
+// drainer when more replies land on it at once than its buffer holds.
 func TestBatchAddsNoGoroutines(t *testing.T) {
 	st := testStore(t)
 	keys, puts := batchOf(32, "v")

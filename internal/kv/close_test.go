@@ -234,3 +234,48 @@ func TestBatchesDrainOnClose(t *testing.T) {
 		t.Errorf("goroutines: %d before Open, %d after Close\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// TestParkedDriversWakeOnClose holds all traffic under a 5 s round
+// timer, so that nothing but Close can end an operation for seconds: a
+// lone Put, a lone Get and a PutBatch parked on their drivers' inboxes
+// must each return ErrClosed within 500 ms of Close. Without Close
+// closing the inboxes, only the failed resend after the timer and its
+// grace would.
+func TestParkedDriversWakeOnClose(t *testing.T) {
+	cfg := fixCfg()
+	cfg.RoundTimeout = 5 * time.Second
+	st, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Sim().HoldAllFrom(types.WriterID())
+	st.Sim().HoldAllFrom(types.ReaderID(0))
+
+	type result struct {
+		what string
+		err  error
+	}
+	results := make(chan result, 3)
+	_, puts := batchOf(32, "stuck")
+	go func() { results <- result{"Put", st.Put("lone", "stuck")} }()
+	go func() {
+		_, err := st.Get(0, "lone")
+		results <- result{"Get", err}
+	}()
+	go func() { results <- result{"PutBatch", st.PutBatch(puts)} }()
+	time.Sleep(20 * time.Millisecond) // let all three park
+
+	closed := time.Now()
+	go st.Close()
+	deadline := time.After(500 * time.Millisecond)
+	for range 3 {
+		select {
+		case r := <-results:
+			if !errors.Is(r.err, ErrClosed) {
+				t.Errorf("%s racing Close = %v, want ErrClosed", r.what, r.err)
+			}
+		case <-deadline:
+			t.Fatalf("an operation was still parked %v after Close", time.Since(closed))
+		}
+	}
+}

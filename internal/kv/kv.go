@@ -15,12 +15,13 @@
 // The engine is sharded and batched: every server runs its per-key
 // automata across a pool of shard workers (node.ShardedRunner over
 // keyed.ShardedServer), so no global lock serializes independent keys.
-// Blocking Put/Get stay the simple interface. PutBatch/GetBatch step
-// the per-key operations of a batch round by round from one goroutine,
-// so each protocol round of N keys travels as one wire.Batch frame per
-// server (batch.go); PutAsync/GetAsync run a blocking operation on a
-// goroutine of its own and share frames only when their sends happen to
-// collide in the coalescer.
+// Blocking Put/Get stay the simple interface. Every operation — a lone
+// Put or Get, a future, a batch — runs on one pooled driver that steps
+// the per-key operations round by round from one goroutine with one
+// inbox and one timer (batch.go), so each protocol round of a batch of
+// N keys travels as one wire.Batch frame per server; PutAsync/GetAsync
+// run a batch of one on a goroutine of their own and share frames only
+// when their sends happen to collide in the coalescer.
 package kv
 
 import (
@@ -142,9 +143,10 @@ func WithReaderBase(base int) Option {
 // reader handles live in sync.Maps, so concurrent Put/Get on existing
 // keys never contend on a store-wide lock (the old mu serialized every
 // operation's handle fetch). openMu serializes only the cold path —
-// opening a demux endpoint for a key's first operation — and closed is
-// an atomic flag checked there; operations racing Close are cut off by
-// their endpoints closing under them, which surfaces ErrClosed.
+// subscribing a key with the demux on its first operation — and closed
+// is an atomic flag checked there; operations racing Close are cut off
+// by their drivers' inboxes closing under them, which surfaces
+// ErrClosed.
 type Store struct {
 	cfg        core.Config
 	shards     int
@@ -164,8 +166,10 @@ type Store struct {
 	durMet    *storage.DurableMetrics
 	runnersMu sync.RWMutex // guards runners[i] replacement vs gauge reads
 
-	writerDemux  *keyed.Demux
-	readerDemuxs []*keyed.Demux
+	writerDemux   *keyed.Demux
+	readerDemuxs  []*keyed.Demux
+	writerDrivers *drivers   // pooled operation drivers over writerDemux
+	readerDrivers []*drivers // ... and over each reader demux
 
 	writers sync.Map   // key string → *writerHandle
 	readers []sync.Map // per reader client: key string → *readerHandle
@@ -187,16 +191,19 @@ type Store struct {
 
 // writerHandle serializes per-key writes (one writer per register, one
 // operation at a time) while allowing different keys to write
-// concurrently.
+// concurrently. sub is the key's routed subscription the writer sends
+// through; the driver holding mu routes its replies.
 type writerHandle struct {
-	mu sync.Mutex
-	w  *core.Writer
+	mu  sync.Mutex
+	w   *core.Writer
+	sub *keyed.Sub
 }
 
 // readerHandle serializes one reader client's operations per key.
 type readerHandle struct {
-	mu sync.Mutex
-	r  *core.Reader
+	mu  sync.Mutex
+	r   *core.Reader
+	sub *keyed.Sub
 }
 
 // Open builds and starts a store for cfg on an in-memory network.
@@ -283,16 +290,27 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 		st.Close()
 		return nil, err
 	}
-	st.writerDemux = keyed.NewDemux(st.newCoalescer(wep, "writer"))
-	for i := 0; i < cfg.NumReaders; i++ {
-		rep, err := sim.Endpoint(types.ReaderID(i))
-		if err != nil {
+	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
+	for i := range readerEPs {
+		if readerEPs[i], err = sim.Endpoint(types.ReaderID(i)); err != nil {
 			st.Close()
 			return nil, err
 		}
-		st.readerDemuxs = append(st.readerDemuxs, keyed.NewDemux(st.newCoalescer(rep, "reader")))
 	}
+	st.openClients(wep, readerEPs)
 	return st, nil
+}
+
+// openClients wraps the client endpoints in coalescers and demuxes, each
+// demux with its pool of drivers.
+func (s *Store) openClients(writerEP transport.Endpoint, readerEPs []transport.Endpoint) {
+	s.writerDemux = keyed.NewDemux(s.newCoalescer(writerEP, "writer"))
+	s.writerDrivers = &drivers{d: s.writerDemux}
+	for _, rep := range readerEPs {
+		d := keyed.NewDemux(s.newCoalescer(rep, "reader"))
+		s.readerDemuxs = append(s.readerDemuxs, d)
+		s.readerDrivers = append(s.readerDrivers, &drivers{d: d})
+	}
 }
 
 // newServer builds one sharded keyed server whose per-register
@@ -414,10 +432,7 @@ func OpenWithEndpoints(cfg core.Config, writerEP transport.Endpoint, readerEPs [
 	if o.metrics != nil {
 		st.met = newStoreMetrics(o.metrics)
 	}
-	st.writerDemux = keyed.NewDemux(st.newCoalescer(writerEP, "writer"))
-	for _, rep := range readerEPs {
-		st.readerDemuxs = append(st.readerDemuxs, keyed.NewDemux(st.newCoalescer(rep, "reader")))
-	}
+	st.openClients(writerEP, readerEPs)
 	return st, nil
 }
 
@@ -529,9 +544,7 @@ func (s *Store) Put(key string, value types.Value) error {
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	h.mu.Lock()
-	err = h.w.Write(value)
-	h.mu.Unlock()
+	_, err = s.writerDrivers.one(op{key: key, mu: &h.mu, sub: h.sub, c: h.w, val: value})
 	if err == nil {
 		s.met.observePut(key, t0)
 	}
@@ -569,9 +582,8 @@ func (s *Store) ForwardPut(key string, last types.Tagged) error {
 	if err != nil {
 		return err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.w.WriteAt(last)
+	_, err = s.writerDrivers.one(op{key: key, mu: &h.mu, sub: h.sub, c: h.w, pair: last, forward: true})
+	return err
 }
 
 // Flush blocks until every outbound message of every key — writer and
@@ -599,13 +611,12 @@ func (s *Store) Get(idx int, key string) (types.Tagged, error) {
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	h.mu.Lock()
-	v, err := h.r.Read()
-	h.mu.Unlock()
-	if err == nil {
-		s.met.observeGet(key, t0)
+	o, err := s.readerDrivers[idx].one(op{key: key, mu: &h.mu, sub: h.sub, c: h.r})
+	if err != nil {
+		return types.Tagged{}, err
 	}
-	return v, err
+	s.met.observeGet(key, t0)
+	return o.got, nil
 }
 
 // GetMeta returns the read metadata of reader idx's last Get on key. A
@@ -664,9 +675,9 @@ func (f *GetFuture) Wait() (types.Tagged, error) {
 	return f.val, f.err
 }
 
-// PutAsync starts a Put on a goroutine of its own and returns
-// immediately with its future. Concurrent async puts to one key
-// serialize in an unspecified order (the register stays SWMR); puts to
+// PutAsync starts a Put — a batch of one — on a goroutine of its own
+// and returns immediately with its future. Concurrent async puts to one
+// key serialize in an unspecified order (the register stays SWMR); puts to
 // different keys run concurrently. Their messages share a wire.Batch
 // frame only when their sends collide in the coalescer, which over
 // loopback TCP they measurably do not (EXPERIMENTS.md: 32 of them left
@@ -685,11 +696,9 @@ func (s *Store) PutAsync(key string, value types.Value) *PutFuture {
 	}
 	go func() {
 		defer close(f.done)
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		f.err = h.w.Write(value)
-		f.meta = h.w.LastMeta()
-		if f.err == nil {
+		o, err := s.writerDrivers.one(op{key: key, mu: &h.mu, sub: h.sub, c: h.w, val: value})
+		f.err, f.meta = err, o.meta
+		if err == nil {
 			s.met.observeAsyncPut(t0)
 		}
 	}()
@@ -712,10 +721,9 @@ func (s *Store) GetAsync(idx int, key string) *GetFuture {
 	}
 	go func() {
 		defer close(f.done)
-		h.mu.Lock()
-		defer h.mu.Unlock()
-		f.val, f.err = h.r.Read()
-		if f.err == nil {
+		o, err := s.readerDrivers[idx].one(op{key: key, mu: &h.mu, sub: h.sub, c: h.r})
+		f.val, f.err = o.got, err
+		if err == nil {
 			s.met.observeAsyncGet(t0)
 		}
 	}()
@@ -866,9 +874,9 @@ func (s *Store) Sim() *simnet.Network { return s.sim }
 // Close stops every server and client, joining all goroutines. It is
 // idempotent and safe to call concurrently; every call returns only
 // once teardown has completed. Operations in flight when Close runs
-// (including PutAsync/GetAsync futures) complete with ErrClosed — their
-// endpoints close under them — and operations started after Close fail
-// fast with ErrClosed.
+// (including PutAsync/GetAsync futures) complete with ErrClosed — the
+// demuxes close their drivers' inboxes under them — and operations
+// started after Close fail fast with ErrClosed.
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
@@ -909,11 +917,11 @@ func (s *Store) writerFor(key string) (*writerHandle, error) {
 	if v, ok := s.writers.Load(key); ok {
 		return v.(*writerHandle), nil // lost the open race; reuse the winner
 	}
-	ep, err := s.writerDemux.Open(key)
+	sub, err := s.writerDemux.Subscribe(key)
 	if err != nil {
 		return nil, fmt.Errorf("kv writer for %q: %w", key, err)
 	}
-	h := &writerHandle{w: core.NewWriter(s.cfg, s.writerID, ep)}
+	h := &writerHandle{w: core.NewWriter(s.cfg, s.writerID, sub), sub: sub}
 	s.writers.Store(key, h)
 	return h, nil
 }
@@ -935,11 +943,11 @@ func (s *Store) readerFor(idx int, key string) (*readerHandle, error) {
 	if v, ok := s.readers[idx].Load(key); ok {
 		return v.(*readerHandle), nil
 	}
-	ep, err := s.readerDemuxs[idx].Open(key)
+	sub, err := s.readerDemuxs[idx].Subscribe(key)
 	if err != nil {
 		return nil, fmt.Errorf("kv reader %d for %q: %w", idx, key, err)
 	}
-	h := &readerHandle{r: core.NewReader(s.cfg, types.ReaderID(s.readerBase+idx), ep)}
+	h := &readerHandle{r: core.NewReader(s.cfg, types.ReaderID(s.readerBase+idx), sub), sub: sub}
 	s.readers[idx].Store(key, h)
 	return h, nil
 }

@@ -7,10 +7,9 @@
 // Each cluster stays a plain kv.Store, so the per-cluster machinery
 // (zero-alloc codec, per-destination Coalescer, sharded stepping) is
 // reused unchanged; the router adds only the placement layer. Batches
-// split per destination cluster for free: PutBatch fires the per-key
-// asynchronous puts on whichever backend owns each key, and every
-// backend's own Coalescer groups its share into batched frames — one
-// coalesced fan-out per cluster, futures joined transparently.
+// split per destination cluster: PutBatch groups the keys by owning
+// backend and hands each its share as one backend PutBatch, whose
+// lock-step rounds leave as one frame per server.
 //
 // Live rebalancing works by ClusterMap epoch: AddCluster/RemoveCluster
 // install a new ring under a bumped epoch, then migrate keys whose
@@ -49,8 +48,8 @@ type Backend interface {
 	PutMeta(key string) (core.WriteMeta, error)
 	Get(idx int, key string) (types.Tagged, error)
 	GetMeta(idx int, key string) (core.ReadMeta, error)
-	PutAsync(key string, value types.Value) *kv.PutFuture
-	GetAsync(idx int, key string) *kv.GetFuture
+	PutBatch(puts map[string]types.Value) error
+	GetBatch(idx int, keys []string) (map[string]types.Tagged, error)
 	ForwardPut(key string, last types.Tagged) error
 	Flush() error
 	Close()
@@ -442,19 +441,15 @@ func (r *Router) Get(idx int, key string) (types.Tagged, core.ReadMeta, error) {
 	return v, meta, err
 }
 
-// PutBatch writes every entry concurrently. The fan-out splits per
-// destination cluster by construction: each key's asynchronous put
-// fires on its owning backend, and every backend's Coalescer groups
-// its share of the batch into coalesced frames — one batched fan-out
-// per cluster, one join here. Like kv.PutBatch this is not a
-// transaction; each key individually keeps its register guarantees.
+// PutBatch writes every entry, each cluster's share as one backend
+// PutBatch — so a round of the keys one cluster owns leaves as one frame
+// per server of that cluster — with the clusters' shares running
+// concurrently. Every key's placement is held shared for the whole call,
+// as a lone Put holds it. Like kv.PutBatch this is not a transaction;
+// each key individually keeps its register guarantees.
 func (r *Router) PutBatch(puts map[string]types.Value) error {
-	type pending struct {
-		ks  *keyState
-		f   *kv.PutFuture
-		key string
-	}
-	pends := make([]pending, 0, len(puts))
+	shares := make(map[Backend]map[string]types.Value)
+	held := make([]*keyState, 0, len(puts))
 	var errs []error
 	for key, value := range puts {
 		ks, b, err := r.acquire(key)
@@ -462,31 +457,29 @@ func (r *Router) PutBatch(puts map[string]types.Value) error {
 			errs = append(errs, fmt.Errorf("put %q: %w", key, err))
 			continue
 		}
+		held = append(held, ks)
 		r.met.put(ks.cluster)
-		pends = append(pends, pending{ks: ks, f: b.PutAsync(key, value), key: key})
-	}
-	for _, p := range pends {
-		if err := p.f.Wait(); err != nil {
-			errs = append(errs, fmt.Errorf("put %q: %w", p.key, err))
+		if shares[b] == nil {
+			shares[b] = make(map[string]types.Value)
 		}
-		p.ks.mu.RUnlock()
+		shares[b][key] = value
 	}
+	errs = append(errs, eachShare(shares, func(b Backend, share map[string]types.Value) error {
+		return b.PutBatch(share)
+	})...)
+	release(held)
 	return errors.Join(errs...)
 }
 
 // GetBatch reads every key through reader idx of its owning cluster,
-// with the same per-cluster coalescing as PutBatch. Keys never written
-// map to the initial pair 〈0,⊥〉; on failures the successful subset is
-// returned with an errors.Join of the failures.
+// each cluster's share as one backend GetBatch (see PutBatch). Keys
+// never written map to the initial pair 〈0,⊥〉; on failures the
+// successful subset is returned with an errors.Join of the failures.
 func (r *Router) GetBatch(idx int, keys []string) (map[string]types.Tagged, error) {
-	type pending struct {
-		ks  *keyState
-		f   *kv.GetFuture
-		key string
-	}
-	pends := make([]pending, 0, len(keys))
-	var errs []error
+	shares := make(map[Backend][]string)
+	held := make([]*keyState, 0, len(keys))
 	seen := make(map[string]bool, len(keys))
+	var errs []error
 	for _, key := range keys {
 		// Dedup: a repeated key would re-RLock its own keyState, which
 		// can deadlock against a waiting migration writer.
@@ -499,20 +492,46 @@ func (r *Router) GetBatch(idx int, keys []string) (map[string]types.Tagged, erro
 			errs = append(errs, fmt.Errorf("get %q: %w", key, err))
 			continue
 		}
+		held = append(held, ks)
 		r.met.get(ks.cluster)
-		pends = append(pends, pending{ks: ks, f: b.GetAsync(idx, key), key: key})
+		shares[b] = append(shares[b], key)
 	}
-	out := make(map[string]types.Tagged, len(pends))
-	for _, p := range pends {
-		v, err := p.f.Wait()
-		if err != nil {
-			errs = append(errs, fmt.Errorf("get %q: %w", p.key, err))
-		} else {
-			out[p.key] = v
+	out := make(map[string]types.Tagged, len(held))
+	var mu sync.Mutex
+	errs = append(errs, eachShare(shares, func(b Backend, share []string) error {
+		got, err := b.GetBatch(idx, share)
+		mu.Lock()
+		defer mu.Unlock()
+		for k, v := range got {
+			out[k] = v
 		}
-		p.ks.mu.RUnlock()
-	}
+		return err
+	})...)
+	release(held)
 	return out, errors.Join(errs...)
+}
+
+// eachShare runs do on every backend's share concurrently and returns
+// the failures.
+func eachShare[S any](shares map[Backend]S, do func(Backend, S) error) []error {
+	errc := make(chan error, len(shares))
+	for b, share := range shares {
+		go func() { errc <- do(b, share) }()
+	}
+	var errs []error
+	for range shares {
+		if err := <-errc; err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errs
+}
+
+// release drops the shared placement locks a batch took.
+func release(held []*keyState) {
+	for _, ks := range held {
+		ks.mu.RUnlock()
+	}
 }
 
 // Flush drains every active backend's outbound queues.

@@ -130,12 +130,13 @@ type Mailbox struct {
 	idle sync.Cond     // signalled when the drainer exits; waits on mu
 }
 
-// mailboxBuffer is the capacity of Out. A client inbox holds one
-// operation's replies at a time — S of them, plus stragglers of the
-// round before — so 16 covers every deployment up to t = b = 2 (S = 7)
-// without the overflow path; server inboxes under pipelined load
-// overflow and are drained, which is the old behaviour.
-const mailboxBuffer = 16
+// mailboxBuffer is the capacity of Out. A client endpoint's inbox takes
+// the replies to every key its process has in flight, one entry per
+// message of a batch frame: a round of a 32-key batch over S = 3 is 96
+// replies in three 32-entry frames, which 128 holds without the
+// overflow path; server inboxes under pipelined load overflow and are
+// drained, which is the old behaviour.
+const mailboxBuffer = 128
 
 // NewMailbox creates a mailbox. It starts no goroutine.
 func NewMailbox() *Mailbox {
