@@ -14,6 +14,8 @@ import (
 	"fmt"
 	"time"
 
+	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
 	"luckystore/internal/transport"
@@ -25,8 +27,9 @@ import (
 // assumptions into errors.
 const DefaultOpTimeout = 30 * time.Second
 
-// ErrOpTimeout is returned when an operation cannot gather a majority.
-var ErrOpTimeout = errors.New("abd: operation timed out (majority unavailable?)")
+// ErrOpTimeout is returned when an operation cannot gather a majority:
+// core's sentinel, each error naming the ABD phase.
+var ErrOpTimeout = core.ErrOpTimeout
 
 // Config holds the ABD deployment parameters.
 type Config struct {
@@ -87,130 +90,173 @@ func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
 	}
 }
 
-// Writer is the ABD writer: one store round per WRITE.
+// Writer is the ABD writer: one store round per WRITE. Like every
+// client it is a drive.Op: Start sends the round, replies go in by
+// Deliver until a majority has answered (Expire only fails the WRITE
+// past its deadline), and Advance completes it.
 type Writer struct {
-	cfg Config
-	ep  transport.Endpoint
-	ts  types.TS
-	seq int64
+	client
+	ts types.TS
 }
 
 // NewWriter creates the writer client.
-func NewWriter(cfg Config, ep transport.Endpoint) *Writer { return &Writer{cfg: cfg, ep: ep} }
+func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
+	return &Writer{client: client{cfg: cfg, ep: ep}}
+}
 
 // Write stores v: one round-trip to a majority.
 func (w *Writer) Write(v types.Value) error {
-	if v == "" {
-		return errors.New("abd: cannot write the initial value ⊥")
-	}
-	w.ts++
-	w.seq++
-	c := types.Tagged{TS: w.ts, Val: v}
-	if err := broadcast(w.ep, w.cfg.S(), wire.ABDWrite{Seq: w.seq, C: c}); err != nil {
-		return err
-	}
-	return awaitWriteAcks(w.ep, w.cfg, w.seq)
+	done, err := w.Start(v)
+	return w.drv.Wait(w.ep, w, done, err)
 }
+
+// Start begins WRITE(v): it sends the store round.
+func (w *Writer) Start(v types.Value) (done bool, err error) {
+	if v == "" {
+		return false, errors.New("abd: cannot write the initial value ⊥")
+	}
+	w.begin()
+	w.ts++
+	return false, w.send(wire.ABDWrite{Seq: w.next(), C: types.Tagged{TS: w.ts, Val: v}})
+}
+
+// Deliver counts one WRITE_ACK.
+func (w *Writer) Deliver(env wire.Envelope) {
+	if a, ok := env.Msg.(wire.ABDWriteAck); ok {
+		w.count(env.From, a.Seq)
+	}
+}
+
+// Expire fails the WRITE past its deadline.
+func (w *Writer) Expire(now time.Time) { w.expire(now, "WRITE") }
+
+// Advance completes the WRITE.
+func (w *Writer) Advance() (done bool, err error) { return w.err == nil, w.err }
 
 // Rounds reports the (constant) round-trip complexity of an ABD WRITE.
 func (w *Writer) Rounds() int { return 1 }
 
-// Reader is the ABD reader: query round + write-back round.
+// Reader is the ABD reader: query round + write-back round, as a
+// drive.Op (see Writer).
 type Reader struct {
-	cfg Config
-	ep  transport.Endpoint
-	seq int64
+	client
+	wb   bool         // the write-back round is in flight, not the query
+	best types.Tagged // the highest pair the query found
 }
 
 // NewReader creates a reader client.
-func NewReader(cfg Config, ep transport.Endpoint) *Reader { return &Reader{cfg: cfg, ep: ep} }
+func NewReader(cfg Config, ep transport.Endpoint) *Reader {
+	return &Reader{client: client{cfg: cfg, ep: ep}}
+}
 
 // Read returns the register value after the classic two phases.
 func (r *Reader) Read() (types.Tagged, error) {
-	deadline := time.NewTimer(r.cfg.opTimeout())
-	defer deadline.Stop()
-
-	// Phase 1: query a majority, adopt the highest pair.
-	r.seq++
-	if err := broadcast(r.ep, r.cfg.S(), wire.ABDRead{Seq: r.seq}); err != nil {
+	done, err := r.Start()
+	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
 		return types.Tagged{}, err
 	}
-	best := types.Bottom()
-	got := make(map[types.ProcID]bool, r.cfg.S())
-	for len(got) < r.cfg.Quorum() {
-		select {
-		case env, ok := <-r.ep.Recv():
-			if !ok {
-				return types.Tagged{}, transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.ABDReadAck)
-			if !isAck || !env.From.IsServer() || a.Seq != r.seq || got[env.From] {
-				continue
-			}
-			got[env.From] = true
-			if best.Less(a.C) {
-				best = a.C
-			}
-		case <-deadline.C:
-			return types.Tagged{}, fmt.Errorf("abd READ query: %w", ErrOpTimeout)
-		}
-	}
+	return r.best, nil
+}
 
-	// Phase 2: write the adopted pair back to a majority.
-	r.seq++
-	if err := broadcast(r.ep, r.cfg.S(), wire.ABDWrite{Seq: r.seq, C: best}); err != nil {
-		return types.Tagged{}, err
-	}
-	wbGot := make(map[types.ProcID]bool, r.cfg.S())
-	for len(wbGot) < r.cfg.Quorum() {
-		select {
-		case env, ok := <-r.ep.Recv():
-			if !ok {
-				return types.Tagged{}, transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.ABDWriteAck)
-			if !isAck || !env.From.IsServer() || a.Seq != r.seq {
-				continue
-			}
-			wbGot[env.From] = true
-		case <-deadline.C:
-			return types.Tagged{}, fmt.Errorf("abd READ write-back: %w", ErrOpTimeout)
+// Start begins a READ with phase 1: query a majority, adopt the highest
+// pair.
+func (r *Reader) Start() (done bool, err error) {
+	r.begin()
+	r.wb, r.best = false, types.Bottom()
+	return false, r.send(wire.ABDRead{Seq: r.next()})
+}
+
+// Deliver folds one READ_ACK of the query, or counts one WRITE_ACK of
+// the write-back.
+func (r *Reader) Deliver(env wire.Envelope) {
+	switch a := env.Msg.(type) {
+	case wire.ABDReadAck:
+		if !r.wb && r.count(env.From, a.Seq) && r.best.Less(a.C) {
+			r.best = a.C
+		}
+	case wire.ABDWriteAck:
+		if r.wb {
+			r.count(env.From, a.Seq)
 		}
 	}
-	return best, nil
+}
+
+// Expire fails the READ past its deadline.
+func (r *Reader) Expire(now time.Time) {
+	if r.wb {
+		r.expire(now, "READ write-back")
+	} else {
+		r.expire(now, "READ query")
+	}
+}
+
+// Advance runs phase 2 — write the adopted pair back to a majority —
+// then completes the READ.
+func (r *Reader) Advance() (done bool, err error) {
+	if r.err != nil || r.wb {
+		return r.err == nil, r.err
+	}
+	r.wb = true
+	return false, r.send(wire.ABDWrite{Seq: r.next(), C: r.best})
 }
 
 // Rounds reports the (constant) round-trip complexity of an ABD READ.
 func (r *Reader) Rounds() int { return 2 }
 
-func broadcast(ep transport.Endpoint, s int, m wire.Message) error {
-	out := make([]transport.Outgoing, s)
+// client is what the writer and a reader share: the endpoint and its
+// driver, and the operation in flight — the servers that acknowledged
+// its round, tagged with the round's seq, and its deadline.
+type client struct {
+	cfg      Config
+	ep       transport.Endpoint
+	drv      drive.Private
+	seq      int64
+	got      map[types.ProcID]bool
+	deadline time.Time
+	err      error
+}
+
+// begin opens an operation.
+func (c *client) begin() {
+	c.deadline, c.err = time.Now().Add(c.cfg.opTimeout()), nil
+}
+
+// next is the seq of the next round.
+func (c *client) next() int64 {
+	c.seq++
+	return c.seq
+}
+
+// send opens a round: a fresh ack set, and m to every server.
+func (c *client) send(m wire.Message) error {
+	c.got = make(map[types.ProcID]bool, c.cfg.S())
+	out := make([]transport.Outgoing, c.cfg.S())
 	for i := range out {
 		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
 	}
-	return transport.SendAll(ep, out)
+	return transport.SendAll(c.ep, out)
 }
 
-func awaitWriteAcks(ep transport.Endpoint, cfg Config, seq int64) error {
-	deadline := time.NewTimer(cfg.opTimeout())
-	defer deadline.Stop()
-	got := make(map[types.ProcID]bool, cfg.S())
-	for len(got) < cfg.Quorum() {
-		select {
-		case env, ok := <-ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.ABDWriteAck)
-			if !isAck || !env.From.IsServer() || a.Seq != seq {
-				continue
-			}
-			got[env.From] = true
-		case <-deadline.C:
-			return fmt.Errorf("abd WRITE: %w", ErrOpTimeout)
-		}
+// count records a server's ack tagged seq, reporting whether it is the
+// server's first of the round.
+func (c *client) count(from types.ProcID, seq int64) bool {
+	if !from.IsServer() || seq != c.seq || c.got[from] {
+		return false
 	}
-	return nil
+	c.got[from] = true
+	return true
+}
+
+// Decided reports a majority of the round's acks, or a failure.
+func (c *client) Decided() bool { return c.err != nil || len(c.got) >= c.cfg.Quorum() }
+
+// Deadline is the operation's.
+func (c *client) Deadline() time.Time { return c.deadline }
+
+func (c *client) expire(now time.Time, phase string) {
+	if !now.Before(c.deadline) {
+		c.err = fmt.Errorf("abd %s: %w", phase, ErrOpTimeout)
+	}
 }
 
 // Cluster wires an ABD deployment over a simulated network.
@@ -267,6 +313,9 @@ func (c *Cluster) Writer() *Writer { return c.writer }
 
 // Reader returns the i-th reader client.
 func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
+
+// Sim returns the underlying simulated network.
+func (c *Cluster) Sim() *simnet.Network { return c.sim }
 
 // CrashServer crash-stops server i.
 func (c *Cluster) CrashServer(i int) { c.runners[i].Crash() }

@@ -17,7 +17,6 @@ type Cluster struct {
 	cfg     Config
 	net     transport.Network
 	sim     *simnet.Network // non-nil when the cluster built its own simnet
-	factory func() node.Automaton
 	runners []*node.Runner
 	servers []node.Automaton // inner automata, for state inspection
 	writers []*Writer
@@ -34,7 +33,6 @@ type clusterOpts struct {
 	net       transport.Network
 	sim       *simnet.Network
 	automata  map[int]node.Automaton
-	regular   bool
 	dontStart map[int]bool
 	store     storage.Provider
 }
@@ -61,12 +59,6 @@ func WithServerAutomaton(i int, a node.Automaton) ClusterOption {
 // (its runner never starts): an initially crash-faulty server.
 func WithCrashedServer(i int) ClusterOption {
 	return func(o *clusterOpts) { o.dontStart[i] = true }
-}
-
-// WithRegularServers installs Appendix D regular-variant servers
-// (readers' write-backs ignored) instead of the default atomic ones.
-func WithRegularServers() ClusterOption {
-	return func(o *clusterOpts) { o.regular = true }
 }
 
 // WithStorage gives every server a durable backend from the provider
@@ -100,11 +92,6 @@ func NewCluster(cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	ids = append(ids, types.ReaderIDs(cfg.NumReaders)...)
 
 	c := &Cluster{cfg: cfg, store: o.store}
-	if o.regular {
-		c.factory = func() node.Automaton { return NewRegularServer() }
-	} else {
-		c.factory = func() node.Automaton { return NewServer() }
-	}
 	if o.net != nil {
 		c.net, c.sim = o.net, o.sim
 	} else {
@@ -124,7 +111,7 @@ func NewCluster(cfg Config, opts ...ClusterOption) (*Cluster, error) {
 		a := o.automata[i]
 		substituted := a != nil
 		if a == nil {
-			a = c.factory()
+			a = NewServer()
 		}
 		run := a
 		var back storage.Backend
@@ -238,7 +225,7 @@ func (c *Cluster) RestartServer(i int) error {
 	if c.backends[i] == nil {
 		return c.restart(i, c.servers[i], c.servers[i])
 	}
-	a := c.factory()
+	a := NewServer()
 	if _, err := storage.Recover(c.backends[i], a); err != nil {
 		return fmt.Errorf("cluster restart server %d: %w", i, err)
 	}
@@ -254,7 +241,7 @@ func (c *Cluster) RestartServerFresh(i int) error {
 	if i < 0 || i >= len(c.servers) {
 		return fmt.Errorf("cluster restart: server %d out of range [0,%d)", i, len(c.servers))
 	}
-	a := c.factory()
+	a := NewServer()
 	if c.backends[i] == nil {
 		return c.restart(i, a, a)
 	}

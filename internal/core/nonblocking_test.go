@@ -267,3 +267,28 @@ func TestNonBlockingReadRoundOneVerdictAndWriteBack(t *testing.T) {
 		t.Errorf("meta %+v; want %v returned after one query round and a write-back", m, c)
 	}
 }
+
+// Between operations there is nothing to advance: before the first
+// Start, and after an operation completed.
+func TestNonBlockingAdvanceWithNothingInFlight(t *testing.T) {
+	wep := &recorder{id: types.WriterID()}
+	w := core.NewWriter(nbCfg, wep.id, wep)
+	rep := &recorder{id: types.ReaderID(0)}
+	r := core.NewReader(nbCfg, rep.id, rep)
+	for what, c := range map[string]interface{ Advance() (bool, error) }{"Writer": w, "Reader": r} {
+		if _, err := c.Advance(); err == nil {
+			t.Errorf("%s.Advance before any Start succeeded", what)
+		}
+	}
+	started(t, w, "v")
+	for i := 0; i < 3; i++ {
+		w.Deliver(from(i, wep.id, wire.PWAck{TS: 1}))
+	}
+	advanced(t, "PW", w, true)
+	if _, err := w.Advance(); err == nil {
+		t.Error("Writer.Advance after the WRITE completed succeeded")
+	}
+	if len(wep.take()) != 3 || len(rep.take()) != 0 {
+		t.Error("advancing nothing sent a message")
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"luckystore/internal/drive"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -48,8 +49,8 @@ type Reader struct {
 	// pooled per-operation round state, reset per READ
 	op        readOp
 	view      *View
-	alarm     alarm  // the blocking Step's timer, armed at Deadline
-	roundSeen []bool // this round's ack set, slot per server
+	drv       drive.Private // runs Read over ep
+	roundSeen []bool        // this round's ack set, slot per server
 	outBuf    []transport.Outgoing
 	serverIDs []types.ProcID // cached broadcast target list
 
@@ -88,8 +89,8 @@ func (r *Reader) resetRoundSeen() {
 
 // readOp is everything a READ carries from one call to the next (see
 // writeOp: Start emits the first round, Deliver/Expire decide it and
-// Advance completes or emits the next; Step is one round of that). The
-// view and the round's ack set are the Reader's pooled state.
+// Advance completes or emits the next). The view and the round's ack set
+// are the Reader's pooled state.
 type readOp struct {
 	rnd  int          // READ round in flight (0: no READ is); the query-round count once a candidate is selected
 	wb   int          // write-back round in flight (1–3), 0 while querying
@@ -105,19 +106,16 @@ type readOp struct {
 // the timestamp the writer assigned to it (the k of wr_k).
 func (r *Reader) Read() (types.Tagged, error) {
 	done, err := r.Start()
-	for !done && err == nil {
-		done, err = r.Step()
-	}
-	if err != nil {
+	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
 		return types.Tagged{}, err
 	}
 	return r.lastMeta.Returned, nil
 }
 
 // Start begins a READ (Fig. 2 lines 12–16): new READ timestamp, fresh
-// view, round 1 to every server. The operation then advances by Step —
-// or by Deliver/Expire/Advance — until a call reports done or an error;
-// the reader takes no other operation meanwhile.
+// view, round 1 to every server. The operation then advances by
+// Deliver/Expire/Advance until a call reports done or an error; the
+// reader takes no other operation meanwhile.
 func (r *Reader) Start() (done bool, err error) {
 	now := time.Now()
 	r.op = readOp{dl: deadlines{op: now.Add(r.cfg.opTimeout())}}
@@ -127,20 +125,6 @@ func (r *Reader) Start() (done bool, err error) {
 	r.tsr++
 	r.resetView()
 	return r.settle(false, r.emitQuery())
-}
-
-// Step waits out the round in flight exactly as Fig. 2 prescribes for it
-// (line 17 for a query round, a quorum of acks for a write-back round),
-// then either completes the READ — done, with LastMeta().Returned the
-// value read — or sends the next round and returns.
-func (r *Reader) Step() (done bool, err error) {
-	if r.op.rnd == 0 {
-		return false, errNoOp
-	}
-	if err := await(r, r.ep, &r.alarm); err != nil {
-		return r.settle(false, err)
-	}
-	return r.Advance()
 }
 
 // Deliver folds one reply into the round in flight without blocking
@@ -182,7 +166,6 @@ func (r *Reader) Advance() (done bool, err error) { return r.settle(r.advance())
 // once it is over either way.
 func (r *Reader) settle(done bool, err error) (bool, error) {
 	if (done || err != nil) && r.op.rnd > 0 {
-		r.alarm.stop()
 		r.op = readOp{}
 	}
 	return done, err

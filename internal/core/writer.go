@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"luckystore/internal/drive"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -124,9 +125,9 @@ type Writer struct {
 	// pooled per-operation round state, reset per WRITE (op) and per
 	// round (the ack set)
 	op       writeOp
-	alarm    alarm        // the blocking Step's timer, armed at Deadline
-	acks     []wire.PWAck // slot per server, valid where ackSeen in a pre-write round
-	ackSeen  []bool       // servers whose reply counted toward the round in flight
+	drv      drive.Private // runs the blocking calls over ep
+	acks     []wire.PWAck  // slot per server, valid where ackSeen in a pre-write round
+	ackSeen  []bool        // servers whose reply counted toward the round in flight
 	ackCount int
 	opTS     types.TS    // TS of the in-flight pre-write, matched by acceptPWAck
 	nackSeen bool        // a PW_NACK arrived for the in-flight pre-write
@@ -183,10 +184,10 @@ func (p writePhase) String() string {
 // WRITE is Start (choose the stamp's path, emit the first round) and
 // then, round by round, Deliver the replies and Expire the deadlines
 // until the round is Decided, then Advance (complete or emit the next
-// round). Step is one round of that with its own timer; the blocking
-// calls loop on it, and a driver of many keys (internal/kv) runs the
-// non-blocking half itself. Everything else a round needs — the ack
-// set — is the Writer's pooled round state.
+// round). The blocking calls hand that to a driver over the writer's
+// endpoint (internal/drive), as internal/kv hands many keys' operations
+// to one. Everything else a round needs — the ack set — is the Writer's
+// pooled round state.
 type writeOp struct {
 	phase   writePhase
 	round   int // W round in flight (2 or 3)
@@ -206,39 +207,28 @@ type writeOp struct {
 	t0 time.Time // invocation time when Config.Metrics observes the op
 }
 
-var errNoOp = errors.New("core: Step without an operation in flight")
+var errNoOp = errors.New("core: Advance without an operation in flight")
 
 // Write stores v in the register. It returns once atomicity of the
 // write is secured: after one round-trip on the fast path (S − fw
 // PW_ACKs within the synchrony timer), otherwise after the two
 // additional W rounds.
-func (w *Writer) Write(v types.Value) error { return w.run(w.Start(v)) }
+func (w *Writer) Write(v types.Value) error {
+	done, err := w.Start(v)
+	return w.drv.Wait(w.ep, w, done, err)
+}
 
 // Start begins WRITE(v): it binds the stamp (or opens the round that
 // will — the speculative pre-write or the MWMR stamp query), records the
 // round's deadline and sends the first round. The operation then
-// advances by Step — or by Deliver/Expire/Advance — until a call reports
-// done or an error; the writer takes no other operation meanwhile.
+// advances by Deliver/Expire/Advance until a call reports done or an
+// error; the writer takes no other operation meanwhile.
 func (w *Writer) Start(v types.Value) (done bool, err error) {
 	var t0 time.Time
 	if w.cfg.Metrics != nil {
 		t0 = time.Now()
 	}
 	return w.settle(w.start(v, nil, t0))
-}
-
-// Step waits out the round in flight exactly as Fig. 1 prescribes for
-// it (line 5: S−t PW_ACKs and the timer, or all S; a quorum of acks for
-// the query and W rounds), then either completes the WRITE — done, with
-// LastMeta describing it — or sends the next round and returns.
-func (w *Writer) Step() (done bool, err error) {
-	if w.op.phase == phaseIdle {
-		return false, errNoOp
-	}
-	if err := await(w, w.ep, &w.alarm); err != nil {
-		return w.settle(false, err)
-	}
-	return w.Advance()
 }
 
 // Deliver folds one reply into the round in flight. It never blocks:
@@ -290,7 +280,8 @@ func (w *Writer) Advance() (done bool, err error) { return w.settle(w.advance())
 // ErrCrashed at the scripted point and leaves the writer permanently
 // crashed.
 func (w *Writer) WriteWithFault(v types.Value, f *WriteFault) error {
-	return w.run(w.settle(w.start(v, f, time.Time{})))
+	done, err := w.settle(w.start(v, f, time.Time{}))
+	return w.drv.Wait(w.ep, w, done, err)
 }
 
 // LastMeta returns metadata about the most recent completed WRITE.
@@ -311,7 +302,10 @@ func (w *Writer) LastMeta() WriteMeta { return w.lastMeta }
 // writer already completed a WRITE at least as new, so the register
 // already holds a pair ≥ c. Subsequent Writes continue from seq
 // c.TS + 1.
-func (w *Writer) WriteAt(c types.Tagged) error { return w.run(w.StartAt(c)) }
+func (w *Writer) WriteAt(c types.Tagged) error {
+	done, err := w.StartAt(c)
+	return w.drv.Wait(w.ep, w, done, err)
+}
 
 // StartAt begins WriteAt(c) as Start begins Write; a pair WriteAt would
 // skip is done at once, with no round sent.
@@ -329,14 +323,6 @@ func (w *Writer) StartAt(c types.Tagged) (done bool, err error) {
 	return w.settle(w.emitPW(c))
 }
 
-// run drives a started operation to completion: the blocking form.
-func (w *Writer) run(done bool, err error) error {
-	for !done && err == nil {
-		done, err = w.Step()
-	}
-	return err
-}
-
 // begin installs a fresh operation and records its deadline.
 func (w *Writer) begin(op writeOp) {
 	op.dl.op = time.Now().Add(w.cfg.opTimeout())
@@ -344,11 +330,9 @@ func (w *Writer) begin(op writeOp) {
 }
 
 // settle passes a Start/Advance verdict through, retiring the operation
-// — round state dropped, the blocking timer stopped — once it is over
-// either way.
+// once it is over either way.
 func (w *Writer) settle(done bool, err error) (bool, error) {
 	if (done || err != nil) && w.op.phase != phaseIdle {
-		w.alarm.stop()
 		w.op = writeOp{}
 	}
 	return done, err

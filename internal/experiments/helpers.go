@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
 	"luckystore/internal/transport"
@@ -91,51 +92,85 @@ type weakReadMeta struct {
 // need it) and gives up after opTimeout, reporting TimedOut.
 func weakRead(ep transport.Endpoint, nServers int, th core.Thresholds, tsr types.ReaderTS,
 	roundTimeout, opTimeout time.Duration) (weakReadMeta, error) {
+	r := &weakReader{ep: ep, n: nServers, th: th, tsr: tsr, view: core.NewViewWithThresholds(th, tsr),
+		roundTimeout: roundTimeout, deadline: time.Now().Add(opTimeout)}
+	var drv drive.Private
+	if err := drv.Wait(ep, r, false, r.query()); err != nil {
+		return weakReadMeta{}, err
+	}
+	return r.meta, nil
+}
 
-	deadline := time.NewTimer(opTimeout)
-	defer deadline.Stop()
-	view := core.NewViewWithThresholds(th, tsr)
+// weakReader is weakRead's READ as a drive.Op.
+type weakReader struct {
+	ep              transport.Endpoint
+	n               int // servers
+	th              core.Thresholds
+	tsr             types.ReaderTS
+	view            *core.View
+	roundTimeout    time.Duration
+	rnd             int
+	acks            map[types.ProcID]bool
+	timer, deadline time.Time
+	expired         bool
+	meta            weakReadMeta
+}
 
-	var timer *time.Timer
-	expired := false
-	rnd := 0
-	for {
-		rnd++
-		for i := 0; i < nServers; i++ {
-			if err := ep.Send(types.ServerID(i), wire.Read{TSR: tsr, Round: rnd}); err != nil {
-				return weakReadMeta{}, err
-			}
-		}
-		if rnd == 1 {
-			timer = time.NewTimer(roundTimeout)
-			defer timer.Stop()
-		}
-		roundAcks := make(map[types.ProcID]bool, nServers)
-		for len(roundAcks) < nServers &&
-			!(len(roundAcks) >= th.Quorum && (rnd > 1 || expired)) {
-			select {
-			case env, ok := <-ep.Recv():
-				if !ok {
-					return weakReadMeta{}, transport.ErrClosed
-				}
-				a, isAck := env.Msg.(wire.ReadAck)
-				if !isAck || !env.From.IsServer() || a.TSR != tsr || wire.Validate(a) != nil || a.Round > rnd {
-					continue
-				}
-				if a.Round == rnd {
-					roundAcks[env.From] = true
-				}
-				view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
-			case <-timer.C:
-				expired = true
-			case <-deadline.C:
-				return weakReadMeta{Rounds: rnd, TimedOut: true}, nil
-			}
-		}
-		if c, ok := view.Select(); ok {
-			return weakReadMeta{Returned: c, Rounds: rnd}, nil
+// query sends the next READ round to every server; round 1 arms the
+// timer.
+func (r *weakReader) query() error {
+	r.rnd++
+	r.acks = make(map[types.ProcID]bool, r.n)
+	for i := 0; i < r.n; i++ {
+		if err := r.ep.Send(types.ServerID(i), wire.Read{TSR: r.tsr, Round: r.rnd}); err != nil {
+			return err
 		}
 	}
+	if r.rnd == 1 {
+		r.timer = time.Now().Add(r.roundTimeout)
+	}
+	return nil
+}
+
+func (r *weakReader) Deliver(env wire.Envelope) {
+	a, isAck := env.Msg.(wire.ReadAck)
+	if !isAck || !env.From.IsServer() || a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > r.rnd {
+		return
+	}
+	if a.Round == r.rnd {
+		r.acks[env.From] = true
+	}
+	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
+}
+
+func (r *weakReader) Decided() bool {
+	n := len(r.acks)
+	return r.meta.TimedOut || n >= r.n || (n >= r.th.Quorum && (r.rnd > 1 || r.expired))
+}
+
+func (r *weakReader) Deadline() time.Time {
+	if !r.expired && r.timer.Before(r.deadline) {
+		return r.timer
+	}
+	return r.deadline
+}
+
+func (r *weakReader) Expire(now time.Time) {
+	r.expired = r.expired || !now.Before(r.timer)
+	if !now.Before(r.deadline) {
+		r.meta = weakReadMeta{Rounds: r.rnd, TimedOut: true}
+	}
+}
+
+func (r *weakReader) Advance() (bool, error) {
+	if r.meta.TimedOut {
+		return true, nil
+	}
+	if c, ok := r.view.Select(); ok {
+		r.meta = weakReadMeta{Returned: c, Rounds: r.rnd}
+		return true, nil
+	}
+	return false, r.query()
 }
 
 // overEagerWrite performs a one-round WRITE that declares success after
@@ -150,24 +185,37 @@ func overEagerWrite(ep transport.Endpoint, nServers, needAcks int, ts types.TS, 
 			return err
 		}
 	}
-	deadline := time.NewTimer(opTimeout)
-	defer deadline.Stop()
-	acks := make(map[types.ProcID]bool, nServers)
-	for len(acks) < needAcks {
-		select {
-		case env, ok := <-ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			if a, isAck := env.Msg.(wire.PWAck); isAck && env.From.IsServer() && a.TS == ts {
-				acks[env.From] = true
-			}
-		case <-deadline.C:
-			return fmt.Errorf("over-eager write: %w", core.ErrOpTimeout)
-		}
-	}
-	return nil
+	w := &eagerWrite{ts: ts, need: needAcks, acks: make(map[types.ProcID]bool, nServers),
+		deadline: time.Now().Add(opTimeout)}
+	var drv drive.Private
+	return drv.Wait(ep, w, false, nil)
 }
+
+// eagerWrite is overEagerWrite's PW round as a drive.Op.
+type eagerWrite struct {
+	ts       types.TS
+	need     int
+	acks     map[types.ProcID]bool
+	deadline time.Time
+	err      error
+}
+
+func (w *eagerWrite) Deliver(env wire.Envelope) {
+	if a, isAck := env.Msg.(wire.PWAck); isAck && env.From.IsServer() && a.TS == w.ts {
+		w.acks[env.From] = true
+	}
+}
+
+func (w *eagerWrite) Decided() bool       { return w.err != nil || len(w.acks) >= w.need }
+func (w *eagerWrite) Deadline() time.Time { return w.deadline }
+
+func (w *eagerWrite) Expire(now time.Time) {
+	if !now.Before(w.deadline) {
+		w.err = fmt.Errorf("over-eager write: %w", core.ErrOpTimeout)
+	}
+}
+
+func (w *eagerWrite) Advance() (bool, error) { return w.err == nil, w.err }
 
 // releaseAfter releases all held links of sim after d, from a separate
 // goroutine; the returned func waits for it (call before Close).

@@ -1,7 +1,7 @@
 // Package keyed multiplexes many independent registers over one set of
 // servers: every protocol message travels wrapped in a wire.Keyed
 // envelope naming its register, servers run one core automaton per key,
-// and clients obtain per-key virtual endpoints from a demultiplexer.
+// and clients subscribe per-key virtual endpoints from a demultiplexer.
 //
 // Each key is a completely independent SWMR atomic register with its
 // own timestamp space and its own freezing state — the composition
@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"luckystore/internal/drive"
 	"luckystore/internal/node"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
@@ -97,21 +98,18 @@ func rewrapAppended(key string, prefix, out []transport.Outgoing) []transport.Ou
 	return out
 }
 
-// Demux splits one client endpoint into per-key virtual endpoints: each
-// Open(key) returns a transport.Endpoint that sends messages wrapped
-// for that key and receives only that key's replies. Different keys can
-// then run operations concurrently from one client process.
-//
-// A client that drives many keys from one goroutine subscribes them
-// instead (Subscribe): a subscription has no inbox of its own, and its
-// replies go to the Inbox slot it is routed to — the inbox of the
-// driver running an operation on the key — and are dropped while it is
-// routed nowhere.
+// Demux splits one client endpoint into per-key subscriptions, so that
+// different keys can run operations concurrently from one client
+// process. A subscription sends its messages wrapped for its key and has
+// no inbox of its own: its replies go to the drive.Inbox slot it is
+// routed to — the inbox of the driver running an operation on the key —
+// and are dropped while it is routed nowhere.
 //
 // Subscriptions live in a sync.Map so the routing pump does a lock-free
-// read per envelope; the mutex guards only the cold Open/Close paths,
-// keeping reply routing off every other key's critical path under
-// concurrent multi-key traffic.
+// read per envelope, and so does a caller finding a key's handle; the
+// mutex guards only the cold Subscribe/Close paths, keeping reply
+// routing off every other key's critical path under concurrent multi-key
+// traffic.
 type Demux struct {
 	inner transport.Endpoint
 
@@ -119,7 +117,7 @@ type Demux struct {
 
 	mu      sync.Mutex // guards closed, inboxes and the subs/Close race; never taken by pump
 	closed  bool
-	inboxes []*Inbox // every inbox NewInbox made; Close closes them
+	inboxes []*drive.Inbox // every inbox NewInbox made; Close closes them
 	done    chan struct{}
 }
 
@@ -134,27 +132,20 @@ func NewDemux(ep transport.Endpoint) *Demux {
 	return d
 }
 
-// Open returns the virtual endpoint for key, with an inbox of its own.
-// Opening the same key twice returns endpoints sharing one inbox;
-// callers should hold one endpoint per key.
-func (d *Demux) Open(key string) (transport.Endpoint, error) {
-	s, err := d.subscribe(key, true)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 // Subscribe returns key's routed subscription: an endpoint whose sends
 // are wrapped for key and whose replies go where Route points. Its Recv
-// channel is nil. Subscribing a key twice returns the same subscription.
-func (d *Demux) Subscribe(key string) (*Sub, error) {
-	return d.subscribe(key, false)
-}
-
-func (d *Demux) subscribe(key string, inbox bool) (*Sub, error) {
+// channel is nil. A subscription carries a handle, mk(sub) — the
+// caller's per-key state, which Handle finds — made before the
+// subscription is published; a nil mk leaves it nil. Subscribing a key
+// twice returns the first subscription, and the second handle is
+// dropped.
+func (d *Demux) Subscribe(key string, mk func(*Sub) any) (*Sub, error) {
 	if err := validKey(key); err != nil {
 		return nil, err
+	}
+	s := &Sub{key: key, demux: d}
+	if mk != nil {
+		s.handle = mk(s)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -162,60 +153,33 @@ func (d *Demux) subscribe(key string, inbox bool) (*Sub, error) {
 		return nil, transport.ErrClosed
 	}
 	if v, ok := d.subs.Load(key); ok {
-		s := v.(*Sub)
-		if (s.mbox != nil) != inbox {
-			return nil, fmt.Errorf("keyed: %q is already open with the other kind of inbox", key)
-		}
-		return s, nil
-	}
-	s := &Sub{key: key, demux: d}
-	if inbox {
-		s.mbox = transport.NewMailbox()
+		return v.(*Sub), nil
 	}
 	d.subs.Store(key, s)
 	return s, nil
 }
 
-// inboxBuffer is an Inbox's capacity: one round of a 32-key batch over
-// S = 3 is 96 replies, and the pump waits on a full inbox.
-const inboxBuffer = 128
-
-// Inbox is the reply queue of a driver that runs operations on many
-// keys from one goroutine: each key's subscription is routed to one
-// slot of it (Sub.Route) while the driver holds an operation on the key.
-// The pump waits on a full inbox rather than queue without bound, so a
-// driver keeps receiving while any of its routes is set, and an idle
-// inbox holds at most the one delivery the pump had in hand when the
-// last route was cleared. Close closes it.
-type Inbox struct {
-	c chan Delivery
-}
-
-// Delivery is one reply routed into an Inbox: the slot and subscription
-// it was routed for, and the reply itself. A driver that reuses an inbox
-// checks the subscription — a slot's previous key may still have a reply
-// under way.
-type Delivery struct {
-	Slot int
-	Sub  *Sub
-	Env  wire.Envelope
+// Handle returns the handle of key's subscription by one lock-free load,
+// nil when the key has none.
+func (d *Demux) Handle(key string) any {
+	if v, ok := d.subs.Load(key); ok {
+		return v.(*Sub).handle
+	}
+	return nil
 }
 
 // NewInbox makes an inbox and registers it, so that Close wakes a driver
 // waiting on it.
-func (d *Demux) NewInbox() (*Inbox, error) {
+func (d *Demux) NewInbox() (*drive.Inbox, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.closed {
 		return nil, transport.ErrClosed
 	}
-	in := &Inbox{c: make(chan Delivery, inboxBuffer)}
+	in := drive.NewInbox()
 	d.inboxes = append(d.inboxes, in)
 	return in, nil
 }
-
-// C returns the delivery channel; Close closes it.
-func (in *Inbox) C() <-chan Delivery { return in.c }
 
 // Flush implements transport.Flusher by delegating to the underlying
 // endpoint when it buffers sends (a Coalescer); an unbuffered endpoint
@@ -228,33 +192,28 @@ func (d *Demux) Flush() error {
 	return nil
 }
 
-// corker is the send-side cork of the endpoint a Demux wraps
-// (transport.Coalescer has it).
-type corker interface {
-	Cork()
-	Uncork()
-}
+var _ drive.Corker = (*Demux)(nil)
 
 // Cork holds back the sends of every key until the matching Uncork, so a
 // caller driving many keys from one goroutine emits a protocol round as
 // one frame per server. It forwards to the wrapped endpoint's cork and
 // is a no-op over an endpoint that does not buffer sends.
 func (d *Demux) Cork() {
-	if c, ok := d.inner.(corker); ok {
+	if c, ok := d.inner.(drive.Corker); ok {
 		c.Cork()
 	}
 }
 
 // Uncork releases one Cork and flushes what the keys queued meanwhile.
 func (d *Demux) Uncork() {
-	if c, ok := d.inner.(corker); ok {
+	if c, ok := d.inner.(drive.Corker); ok {
 		c.Uncork()
 	}
 }
 
-// Close stops the pump, closes every per-key inbox, every registered
-// Inbox and the underlying endpoint, and waits for the pump goroutine to
-// exit. A driver waiting on an inbox wakes to its closed channel.
+// Close stops the pump, closes every registered inbox and the underlying
+// endpoint, and waits for the pump goroutine to exit. A driver waiting
+// on an inbox wakes to its closed channel.
 func (d *Demux) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -267,18 +226,11 @@ func (d *Demux) Close() error {
 
 	err := d.inner.Close() // unblocks the pump
 	<-d.done
-	// No Open or NewInbox can race here: closed is set, so the
-	// subscription and inbox sets are frozen, and with the pump gone
-	// nothing sends to an inbox any more.
+	// No NewInbox can race here: closed is set, so the inbox set is
+	// frozen, and with the pump gone nothing sends to an inbox any more.
 	for _, in := range d.inboxes {
-		close(in.c)
+		in.Close()
 	}
-	d.subs.Range(func(_, v any) bool {
-		if s := v.(*Sub); s.mbox != nil {
-			s.mbox.Close()
-		}
-		return true
-	})
 	return err
 }
 
@@ -293,42 +245,43 @@ func (d *Demux) pump() {
 		}
 		v, ok := d.subs.Load(k.Key) // lock-free: no cross-key contention
 		if !ok {
-			continue // reply for a key this client never opened
+			continue // reply for a key this client never subscribed
 		}
 		s := v.(*Sub)
-		reply := wire.Envelope{From: env.From, To: env.To, Msg: k.Inner}
-		if s.mbox != nil {
-			_ = s.mbox.Put(reply)
-		} else if in := s.route.Load(); in != nil {
-			in.c <- Delivery{Slot: int(s.slot.Load()), Sub: s, Env: reply}
+		if in := s.route.Load(); in != nil {
+			in.Put(drive.Delivery{Slot: int(s.slot.Load()), Src: s,
+				Env: wire.Envelope{From: env.From, To: env.To, Msg: k.Inner}})
 		}
 		// else: no operation on the key is in flight; the reply is stale
 	}
 }
 
-// Sub is one key's virtual endpoint: Open's, with an inbox of its own,
-// or Subscribe's, routed.
+// Sub is one key's routed subscription.
 type Sub struct {
-	key   string
-	demux *Demux
-	mbox  *transport.Mailbox    // Open's inbox; nil for a routed subscription
-	route atomic.Pointer[Inbox] // a routed subscription's inbox, nil for none
-	slot  atomic.Int64          // ... and its slot there
+	key    string
+	demux  *Demux
+	handle any                         // the subscriber's per-key state (Subscribe's mk)
+	route  atomic.Pointer[drive.Inbox] // the inbox replies go to, nil for none
+	slot   atomic.Int64                // ... and their slot there
 }
 
 var (
 	_ transport.Endpoint = (*Sub)(nil)
 	_ transport.Flusher  = (*Sub)(nil)
+	_ drive.Source       = (*Sub)(nil)
 )
 
 // Route sends the key's replies to slot i of in from now on; a nil in
 // drops them. The slot is stored first, so a pump that sees the new
 // inbox sees the new slot: it can tag a reply with a stale slot only
 // once the route has moved on, when the reply is stale anyway.
-func (s *Sub) Route(in *Inbox, i int) {
+func (s *Sub) Route(in *drive.Inbox, i int) {
 	s.slot.Store(int64(i))
 	s.route.Store(in)
 }
+
+// Handle returns the subscription's handle (Subscribe's mk).
+func (s *Sub) Handle() any { return s.handle }
 
 func (s *Sub) ID() types.ProcID { return s.demux.inner.ID() }
 
@@ -336,13 +289,8 @@ func (s *Sub) Send(to types.ProcID, m wire.Message) error {
 	return s.demux.inner.Send(to, wire.Keyed{Key: s.key, Inner: m})
 }
 
-// Recv returns Open's inbox; a routed subscription's is nil.
-func (s *Sub) Recv() <-chan wire.Envelope {
-	if s.mbox == nil {
-		return nil
-	}
-	return s.mbox.Out()
-}
+// Recv is nil: replies go where Route points.
+func (s *Sub) Recv() <-chan wire.Envelope { return nil }
 
 // Flush implements transport.Flusher: the key's sends share the demux's
 // one endpoint, so draining that (past any cork) drains them.
@@ -355,9 +303,6 @@ func (s *Sub) Close() error {
 		s.demux.subs.Delete(s.key)
 	}
 	s.demux.mu.Unlock()
-	if s.mbox != nil {
-		s.mbox.Close()
-	}
 	return nil
 }
 

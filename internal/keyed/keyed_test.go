@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
 	"luckystore/internal/transport"
@@ -88,13 +89,81 @@ func newDemuxPair(t *testing.T) (*simnet.Network, *Demux, transport.Endpoint) {
 	return n, d, sep
 }
 
-func TestDemuxRoutesRepliesByKey(t *testing.T) {
-	_, d, sep := newDemuxPair(t)
-	alpha, err := d.Open("alpha")
+// probe is a task that only listens: it starts with start, keeps the
+// replies delivered to it, and is decided on its first reply or at its
+// deadline.
+type probe struct {
+	start   func()
+	until   time.Time
+	got     []wire.Envelope
+	expired bool
+}
+
+func (p *probe) Start() (bool, error) {
+	if p.start != nil {
+		p.start()
+	}
+	return false, nil
+}
+func (p *probe) Deliver(env wire.Envelope) { p.got = append(p.got, env) }
+func (p *probe) Decided() bool             { return len(p.got) > 0 || p.expired }
+func (p *probe) Deadline() time.Time       { return p.until }
+func (p *probe) Expire(time.Time)          { p.expired = true }
+func (p *probe) Advance() (bool, error)    { return true, nil }
+func (p *probe) End(error)                 {}
+
+// task is a core client's operation as a drive.Task: start begins it,
+// and End keeps how it ended.
+type task struct {
+	drive.Op
+	start func() (bool, error)
+	err   error
+}
+
+func (t *task) Start() (bool, error) { return t.start() }
+func (t *task) End(err error)        { t.err = err }
+
+// newDriver returns a driver over a fresh inbox of d.
+func newDriver(t *testing.T, d *Demux) *drive.Driver {
+	t.Helper()
+	in, err := d.NewInbox()
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, err := d.Open("beta")
+	return drive.New(in, d)
+}
+
+// run drives one operation of a core client — begun by start — over the
+// client's subscription sub of d, on a driver of its own, as kv does.
+func run(d *Demux, sub *Sub, op drive.Op, start func() (bool, error)) error {
+	in, err := d.NewInbox()
+	if err != nil {
+		return err
+	}
+	tk := &task{Op: op, start: start}
+	dr := drive.New(in, d)
+	dr.Add(tk, sub)
+	dr.Run()
+	return tk.err
+}
+
+// subscribe returns key's subscription of d.
+func subscribe(t *testing.T, d *Demux, key string) *Sub {
+	t.Helper()
+	sub, err := d.Subscribe(key, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sub
+}
+
+func TestDemuxRoutesRepliesByKey(t *testing.T) {
+	_, d, sep := newDemuxPair(t)
+	alpha, err := d.Subscribe("alpha", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta, err := d.Subscribe("beta", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,59 +178,72 @@ func TestDemuxRoutesRepliesByKey(t *testing.T) {
 		t.Fatalf("server received %+v, want keyed alpha", env.Msg)
 	}
 
-	// Replies route to the matching sub-endpoint only.
-	reply := wire.Keyed{Key: "beta", Inner: wire.ABDReadAck{Seq: 9, C: types.Bottom()}}
-	if err := sep.Send(types.WriterID(), reply); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case env := <-beta.Recv():
-		ack, ok := env.Msg.(wire.ABDReadAck)
-		if !ok || ack.Seq != 9 {
-			t.Fatalf("beta got %+v", env.Msg)
+	// Replies route to the matching subscription's slot only.
+	now := time.Now()
+	pa := &probe{until: now.Add(30 * time.Millisecond)}
+	pb := &probe{until: now.Add(2 * time.Second), start: func() {
+		reply := wire.Keyed{Key: "beta", Inner: wire.ABDReadAck{Seq: 9, C: types.Bottom()}}
+		if err := sep.Send(types.WriterID(), reply); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("beta reply not delivered")
+	}}
+	dr := newDriver(t, d)
+	dr.Add(pa, alpha)
+	dr.Add(pb, beta)
+	dr.Run()
+	if len(pb.got) != 1 {
+		t.Fatalf("beta got %d replies, want its one", len(pb.got))
 	}
-	select {
-	case env := <-alpha.Recv():
-		t.Fatalf("alpha stole beta's reply: %+v", env)
-	case <-time.After(30 * time.Millisecond):
+	if ack, ok := pb.got[0].Msg.(wire.ABDReadAck); !ok || ack.Seq != 9 {
+		t.Fatalf("beta got %+v", pb.got[0].Msg)
+	}
+	if len(pa.got) != 0 {
+		t.Fatalf("alpha stole beta's reply: %+v", pa.got)
 	}
 }
 
 func TestDemuxDropsRepliesForUnopenedKeys(t *testing.T) {
 	_, d, sep := newDemuxPair(t)
-	opened, err := d.Open("opened")
+	opened, err := d.Subscribe("opened", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sep.Send(types.WriterID(), wire.Keyed{Key: "ghost", Inner: wire.ABDReadAck{Seq: 1, C: types.Bottom()}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sep.Send(types.WriterID(), wire.Keyed{Key: "opened", Inner: wire.ABDReadAck{Seq: 2, C: types.Bottom()}}); err != nil {
-		t.Fatal(err)
-	}
-	env := <-opened.Recv()
-	if env.Msg.(wire.ABDReadAck).Seq != 2 {
-		t.Fatalf("got %+v, ghost traffic leaked", env.Msg)
+	p := &probe{until: time.Now().Add(2 * time.Second), start: func() {
+		if err := sep.Send(types.WriterID(), wire.Keyed{Key: "ghost", Inner: wire.ABDReadAck{Seq: 1, C: types.Bottom()}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sep.Send(types.WriterID(), wire.Keyed{Key: "opened", Inner: wire.ABDReadAck{Seq: 2, C: types.Bottom()}}); err != nil {
+			t.Fatal(err)
+		}
+	}}
+	dr := newDriver(t, d)
+	dr.Add(p, opened)
+	dr.Run()
+	if len(p.got) == 0 || p.got[0].Msg.(wire.ABDReadAck).Seq != 2 {
+		t.Fatalf("got %+v, ghost traffic leaked", p.got)
 	}
 }
 
 func TestDemuxKeyValidationAndClose(t *testing.T) {
 	_, d, _ := newDemuxPair(t)
-	if _, err := d.Open(""); err == nil {
-		t.Error("empty key opened")
+	if _, err := d.Subscribe("", nil); err == nil {
+		t.Error("empty key subscribed")
 	}
-	if _, err := d.Open(strings.Repeat("k", wire.MaxKeyLen+1)); err == nil {
-		t.Error("oversized key opened")
+	if _, err := d.Subscribe(strings.Repeat("k", wire.MaxKeyLen+1), nil); err == nil {
+		t.Error("oversized key subscribed")
 	}
-	sub, err := d.Open("x")
+	sub, err := d.Subscribe("x", func(*Sub) any { return "handle of x" })
 	if err != nil {
 		t.Fatal(err)
 	}
+	if h := d.Handle("x"); h != "handle of x" {
+		t.Errorf("Handle(x) = %v", h)
+	}
 	if err := sub.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if h := d.Handle("x"); h != nil {
+		t.Errorf("Handle(x) = %v after the subscription closed", h)
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -169,8 +251,11 @@ func TestDemuxKeyValidationAndClose(t *testing.T) {
 	if err := d.Close(); err != nil { // idempotent
 		t.Fatal(err)
 	}
-	if _, err := d.Open("y"); err == nil {
-		t.Error("Open succeeded after Close")
+	if _, err := d.Subscribe("y", nil); err == nil {
+		t.Error("Subscribe succeeded after Close")
+	}
+	if _, err := d.NewInbox(); err == nil {
+		t.Error("NewInbox succeeded after Close")
 	}
 }
 
@@ -214,27 +299,20 @@ func TestEndToEndTwoRegisters(t *testing.T) {
 	defer rd.Close()
 
 	for _, key := range []string{"users/42", "config"} {
-		wsub, err := wd.Open(key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		wsub := subscribe(t, wd, key)
 		w := core.NewWriter(cfg, types.WriterID(), wsub)
-		if err := w.Write(types.Value("value-of-" + key)); err != nil {
+		if err := run(wd, wsub, w, func() (bool, error) { return w.Start(types.Value("value-of-" + key)) }); err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
 		if !w.LastMeta().Fast {
 			t.Errorf("%s: write not fast over keyed transport", key)
 		}
-		rsub, err := rd.Open(key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rsub := subscribe(t, rd, key)
 		r := core.NewReader(cfg, types.ReaderID(0), rsub)
-		got, err := r.Read()
-		if err != nil {
+		if err := run(rd, rsub, r, r.Start); err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
-		if got.Val != types.Value("value-of-"+key) {
+		if got := r.LastMeta().Returned; got.Val != types.Value("value-of-"+key) {
 			t.Errorf("%s: Read() = %v", key, got)
 		}
 		if !r.LastMeta().Fast() {

@@ -166,16 +166,14 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 	var wg sync.WaitGroup
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("key-%d", k)
-		sub, err := wd.Open(key)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sub := subscribe(t, wd, key)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			w := core.NewWriter(cfg, types.WriterID(), sub)
 			for i := 1; i <= writesPerKey; i++ {
-				if err := w.Write(types.Value(fmt.Sprintf("v%d", i))); err != nil {
+				v := types.Value(fmt.Sprintf("v%d", i))
+				if err := run(wd, sub, w, func() (bool, error) { return w.Start(v) }); err != nil {
 					t.Errorf("write %s #%d: %v", key, i, err)
 					return
 				}
@@ -198,14 +196,12 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 	defer rd.Close()
 	for k := 0; k < keys; k++ {
 		key := fmt.Sprintf("key-%d", k)
-		sub, err := rd.Open(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.NewReader(cfg, types.ReaderID(0), sub).Read()
-		if err != nil {
+		sub := subscribe(t, rd, key)
+		r := core.NewReader(cfg, types.ReaderID(0), sub)
+		if err := run(rd, sub, r, r.Start); err != nil {
 			t.Fatalf("read %s: %v", key, err)
 		}
+		got := r.LastMeta().Returned
 		want := types.Tagged{TS: writesPerKey, Val: types.Value(fmt.Sprintf("v%d", writesPerKey))}
 		if got != want {
 			t.Errorf("%s = %+v, want %+v", key, got, want)
@@ -256,21 +252,17 @@ func TestEndToEndSharded(t *testing.T) {
 
 	for i := 0; i < 8; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		wsub, err := wd.Open(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := core.NewWriter(cfg, types.WriterID(), wsub).Write(types.Value("v-" + key)); err != nil {
+		wsub := subscribe(t, wd, key)
+		w := core.NewWriter(cfg, types.WriterID(), wsub)
+		if err := run(wd, wsub, w, func() (bool, error) { return w.Start(types.Value("v-" + key)) }); err != nil {
 			t.Fatalf("write %s: %v", key, err)
 		}
-		rsub, err := rd.Open(key)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.NewReader(cfg, types.ReaderID(0), rsub).Read()
-		if err != nil {
+		rsub := subscribe(t, rd, key)
+		r := core.NewReader(cfg, types.ReaderID(0), rsub)
+		if err := run(rd, rsub, r, r.Start); err != nil {
 			t.Fatalf("read %s: %v", key, err)
 		}
+		got := r.LastMeta().Returned
 		if got != (types.Tagged{TS: 1, Val: types.Value("v-" + key)}) {
 			t.Errorf("%s = %+v", key, got)
 		}

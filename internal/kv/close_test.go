@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/keyed"
 	"luckystore/internal/types"
 )
 
@@ -42,11 +43,8 @@ func TestMetaLookupDoesNotCreate(t *testing.T) {
 	if gm.Rounds() != 0 {
 		t.Errorf("GetMeta on unused key = %+v, want zero meta", gm)
 	}
-	nw, nr := 0, 0
-	st.writers.Range(func(_, _ any) bool { nw++; return true })
-	st.readers[0].Range(func(_, _ any) bool { nr++; return true })
-	if nw != 0 || nr != 0 {
-		t.Errorf("meta lookups allocated handles: %d writers, %d readers", nw, nr)
+	if st.writerDemux.Handle("never-put") != nil || st.readerDemuxs[0].Handle("never-got") != nil {
+		t.Error("meta lookups allocated handles")
 	}
 
 	// Out-of-range reader index still errors.
@@ -189,7 +187,7 @@ func TestBatchesDrainOnClose(t *testing.T) {
 		}
 		getErr <- err
 	}()
-	time.Sleep(20 * time.Millisecond) // let both batches enter their first Step
+	time.Sleep(20 * time.Millisecond) // let both batches park on their drivers
 
 	closed := make(chan struct{})
 	go func() { defer close(closed); st.Close() }()
@@ -210,18 +208,13 @@ func TestBatchesDrainOnClose(t *testing.T) {
 	}
 
 	held := 0
-	st.writers.Range(func(_, h any) bool {
-		if !h.(*writerHandle).mu.TryLock() {
-			held++
+	for _, key := range keys {
+		for _, d := range []*keyed.Demux{st.writerDemux, st.readerDemuxs[0]} {
+			if h, ok := d.Handle(key).(*handle); ok && !h.mu.TryLock() {
+				held++
+			}
 		}
-		return true
-	})
-	st.readers[0].Range(func(_, h any) bool {
-		if !h.(*readerHandle).mu.TryLock() {
-			held++
-		}
-		return true
-	})
+	}
 	if held != 0 {
 		t.Errorf("%d handle locks still held after the batches returned", held)
 	}

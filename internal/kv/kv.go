@@ -18,10 +18,11 @@
 // Blocking Put/Get stay the simple interface. Every operation — a lone
 // Put or Get, a future, a batch — runs on one pooled driver that steps
 // the per-key operations round by round from one goroutine with one
-// inbox and one timer (batch.go), so each protocol round of a batch of
-// N keys travels as one wire.Batch frame per server; PutAsync/GetAsync
-// run a batch of one on a goroutine of their own and share frames only
-// when their sends happen to collide in the coalescer.
+// inbox and one timer (internal/drive; batch.go assembles the batch),
+// so each protocol round of a batch of N keys travels as one wire.Batch
+// frame per server; PutAsync/GetAsync run a batch of one on a goroutine
+// of their own and share frames only when their sends happen to collide
+// in the coalescer.
 package kv
 
 import (
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/keyed"
 	"luckystore/internal/metrics"
 	"luckystore/internal/node"
@@ -139,14 +141,13 @@ func WithReaderBase(base int) Option {
 
 // Store is a running multi-register deployment plus its clients.
 //
-// Handle lookup is lock-free on the hot path: the per-key writer and
-// reader handles live in sync.Maps, so concurrent Put/Get on existing
-// keys never contend on a store-wide lock (the old mu serialized every
-// operation's handle fetch). openMu serializes only the cold path —
-// subscribing a key with the demux on its first operation — and closed
-// is an atomic flag checked there; operations racing Close are cut off
-// by their drivers' inboxes closing under them, which surfaces
-// ErrClosed.
+// Handle lookup is lock-free on the hot path: a role's per-key handles
+// ride on the role's demux subscriptions, found by one sync.Map load, so
+// concurrent Put/Get on existing keys never contend on a store-wide lock.
+// openMu serializes only the cold path — subscribing a key with the
+// demux on its first operation — and closed is an atomic flag checked
+// there; operations racing Close are cut off by their drivers' inboxes
+// closing under them, which surfaces ErrClosed.
 type Store struct {
 	cfg        core.Config
 	shards     int
@@ -166,13 +167,10 @@ type Store struct {
 	durMet    *storage.DurableMetrics
 	runnersMu sync.RWMutex // guards runners[i] replacement vs gauge reads
 
-	writerDemux   *keyed.Demux
-	readerDemuxs  []*keyed.Demux
-	writerDrivers *drivers   // pooled operation drivers over writerDemux
-	readerDrivers []*drivers // ... and over each reader demux
-
-	writers sync.Map   // key string → *writerHandle
-	readers []sync.Map // per reader client: key string → *readerHandle
+	writerDemux   *keyed.Demux   // its subscriptions carry the writer handles
+	readerDemuxs  []*keyed.Demux // ... each reader client's, its reader handles
+	writerBatches *batches       // pooled operation drivers over writerDemux
+	readerBatches []*batches     // ... and over each reader demux
 
 	// adopted is the writer-identity map: contending stores attached
 	// with AdoptContender, index k−1 holding identity "wk". It turns
@@ -189,20 +187,15 @@ type Store struct {
 	closeOnce sync.Once
 }
 
-// writerHandle serializes per-key writes (one writer per register, one
-// operation at a time) while allowing different keys to write
-// concurrently. sub is the key's routed subscription the writer sends
-// through; the driver holding mu routes its replies.
-type writerHandle struct {
+// handle is one key's client of one role — a *core.Writer, or one
+// reader client's *core.Reader — and the lock that serializes its
+// operations (one writer per register, one operation at a time) while
+// different keys run concurrently. sub is the key's routed subscription
+// the client sends through, which carries the handle; the driver holding
+// mu routes its replies.
+type handle struct {
+	drive.Op
 	mu  sync.Mutex
-	w   *core.Writer
-	sub *keyed.Sub
-}
-
-// readerHandle serializes one reader client's operations per key.
-type readerHandle struct {
-	mu  sync.Mutex
-	r   *core.Reader
 	sub *keyed.Sub
 }
 
@@ -240,7 +233,6 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 		sim:        sim,
 		contenders: o.contenders,
 		writerID:   types.WriterID(),
-		readers:    make([]sync.Map, cfg.NumReaders),
 		store:      o.store,
 	}
 	if o.metrics != nil {
@@ -302,14 +294,14 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 }
 
 // openClients wraps the client endpoints in coalescers and demuxes, each
-// demux with its pool of drivers.
+// demux with its pool of batches.
 func (s *Store) openClients(writerEP transport.Endpoint, readerEPs []transport.Endpoint) {
 	s.writerDemux = keyed.NewDemux(s.newCoalescer(writerEP, "writer"))
-	s.writerDrivers = &drivers{d: s.writerDemux}
+	s.writerBatches = &batches{d: s.writerDemux}
 	for _, rep := range readerEPs {
 		d := keyed.NewDemux(s.newCoalescer(rep, "reader"))
 		s.readerDemuxs = append(s.readerDemuxs, d)
-		s.readerDrivers = append(s.readerDrivers, &drivers{d: d})
+		s.readerBatches = append(s.readerBatches, &batches{d: d})
 	}
 }
 
@@ -427,7 +419,6 @@ func OpenWithEndpoints(cfg core.Config, writerEP transport.Endpoint, readerEPs [
 		cfg:        cfg,
 		writerID:   o.writerID,
 		readerBase: o.readerBase,
-		readers:    make([]sync.Map, len(readerEPs)),
 	}
 	if o.metrics != nil {
 		st.met = newStoreMetrics(o.metrics)
@@ -544,7 +535,7 @@ func (s *Store) Put(key string, value types.Value) error {
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	_, err = s.writerDrivers.one(op{key: key, mu: &h.mu, sub: h.sub, c: h.w, val: value})
+	_, err = s.writerBatches.one(op{handle: h, key: key, val: value})
 	if err == nil {
 		s.met.observePut(key, t0)
 	}
@@ -556,14 +547,13 @@ func (s *Store) Put(key string, value types.Value) error {
 // meta: inspecting metadata is a pure lookup and allocates no writer
 // state for the key.
 func (s *Store) PutMeta(key string) (core.WriteMeta, error) {
-	v, ok := s.writers.Load(key)
+	h, ok := s.writerDemux.Handle(key).(*handle)
 	if !ok {
 		return core.WriteMeta{}, nil
 	}
-	h := v.(*writerHandle)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.w.LastMeta(), nil
+	return h.Op.(*core.Writer).LastMeta(), nil
 }
 
 // ForwardPut installs an exact 〈ts, value〉 pair under key: the
@@ -582,7 +572,7 @@ func (s *Store) ForwardPut(key string, last types.Tagged) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.writerDrivers.one(op{key: key, mu: &h.mu, sub: h.sub, c: h.w, pair: last, forward: true})
+	_, err = s.writerBatches.one(op{handle: h, key: key, pair: last, forward: true})
 	return err
 }
 
@@ -611,7 +601,7 @@ func (s *Store) Get(idx int, key string) (types.Tagged, error) {
 	if s.met != nil {
 		t0 = time.Now()
 	}
-	o, err := s.readerDrivers[idx].one(op{key: key, mu: &h.mu, sub: h.sub, c: h.r})
+	o, err := s.readerBatches[idx].one(op{handle: h, key: key})
 	if err != nil {
 		return types.Tagged{}, err
 	}
@@ -626,14 +616,13 @@ func (s *Store) GetMeta(idx int, key string) (core.ReadMeta, error) {
 	if idx < 0 || idx >= len(s.readerDemuxs) {
 		return core.ReadMeta{}, fmt.Errorf("kv: reader index %d out of range [0,%d)", idx, len(s.readerDemuxs))
 	}
-	v, ok := s.readers[idx].Load(key)
+	h, ok := s.readerDemuxs[idx].Handle(key).(*handle)
 	if !ok {
 		return core.ReadMeta{}, nil
 	}
-	h := v.(*readerHandle)
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.r.LastMeta(), nil
+	return h.Op.(*core.Reader).LastMeta(), nil
 }
 
 // PutFuture is a pending asynchronous Put.
@@ -696,7 +685,7 @@ func (s *Store) PutAsync(key string, value types.Value) *PutFuture {
 	}
 	go func() {
 		defer close(f.done)
-		o, err := s.writerDrivers.one(op{key: key, mu: &h.mu, sub: h.sub, c: h.w, val: value})
+		o, err := s.writerBatches.one(op{handle: h, key: key, val: value})
 		f.err, f.meta = err, o.meta
 		if err == nil {
 			s.met.observeAsyncPut(t0)
@@ -721,7 +710,7 @@ func (s *Store) GetAsync(idx int, key string) *GetFuture {
 	}
 	go func() {
 		defer close(f.done)
-		o, err := s.readerDrivers[idx].one(op{key: key, mu: &h.mu, sub: h.sub, c: h.r})
+		o, err := s.readerBatches[idx].one(op{handle: h, key: key})
 		f.val, f.err = o.got, err
 		if err == nil {
 			s.met.observeAsyncGet(t0)
@@ -904,50 +893,52 @@ func (s *Store) Close() {
 }
 
 // writerFor returns key's writer handle. The hot path is one lock-free
-// sync.Map load; only a key's first Put takes the cold path below.
-func (s *Store) writerFor(key string) (*writerHandle, error) {
-	if v, ok := s.writers.Load(key); ok {
-		return v.(*writerHandle), nil
+// load; only a key's first Put takes the cold path (handleFor).
+func (s *Store) writerFor(key string) (*handle, error) {
+	if h, ok := s.writerDemux.Handle(key).(*handle); ok {
+		return h, nil
 	}
-	s.openMu.Lock()
-	defer s.openMu.Unlock()
-	if s.closed.Load() {
-		return nil, fmt.Errorf("kv writer for %q: %w", key, ErrClosed)
-	}
-	if v, ok := s.writers.Load(key); ok {
-		return v.(*writerHandle), nil // lost the open race; reuse the winner
-	}
-	sub, err := s.writerDemux.Subscribe(key)
+	h, err := s.handleFor(s.writerDemux, key, func(sub *keyed.Sub) drive.Op {
+		return core.NewWriter(s.cfg, s.writerID, sub)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("kv writer for %q: %w", key, err)
 	}
-	h := &writerHandle{w: core.NewWriter(s.cfg, s.writerID, sub), sub: sub}
-	s.writers.Store(key, h)
 	return h, nil
 }
 
 // readerFor returns reader idx's handle for key, lock-free once the
 // handle exists (see writerFor).
-func (s *Store) readerFor(idx int, key string) (*readerHandle, error) {
+func (s *Store) readerFor(idx int, key string) (*handle, error) {
 	if idx < 0 || idx >= len(s.readerDemuxs) {
 		return nil, fmt.Errorf("kv: reader index %d out of range [0,%d)", idx, len(s.readerDemuxs))
 	}
-	if v, ok := s.readers[idx].Load(key); ok {
-		return v.(*readerHandle), nil
+	if h, ok := s.readerDemuxs[idx].Handle(key).(*handle); ok {
+		return h, nil
 	}
-	s.openMu.Lock()
-	defer s.openMu.Unlock()
-	if s.closed.Load() {
-		return nil, fmt.Errorf("kv reader %d for %q: %w", idx, key, ErrClosed)
-	}
-	if v, ok := s.readers[idx].Load(key); ok {
-		return v.(*readerHandle), nil
-	}
-	sub, err := s.readerDemuxs[idx].Subscribe(key)
+	h, err := s.handleFor(s.readerDemuxs[idx], key, func(sub *keyed.Sub) drive.Op {
+		return core.NewReader(s.cfg, types.ReaderID(s.readerBase+idx), sub)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("kv reader %d for %q: %w", idx, key, err)
 	}
-	h := &readerHandle{r: core.NewReader(s.cfg, types.ReaderID(s.readerBase+idx), sub), sub: sub}
-	s.readers[idx].Store(key, h)
 	return h, nil
+}
+
+// handleFor subscribes key with d, its handle's client made by client,
+// and returns the handle — the one an earlier subscription made when
+// another operation won the race to the key.
+func (s *Store) handleFor(d *keyed.Demux, key string, client func(*keyed.Sub) drive.Op) (*handle, error) {
+	s.openMu.Lock()
+	defer s.openMu.Unlock()
+	if s.closed.Load() {
+		return nil, ErrClosed
+	}
+	sub, err := d.Subscribe(key, func(sub *keyed.Sub) any {
+		return &handle{Op: client(sub), sub: sub}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sub.Handle().(*handle), nil
 }

@@ -42,10 +42,12 @@ func (cannedServer) Step(from types.ProcID, m wire.Message) []transport.Outgoing
 // clientBytesPerKey is what one open key costs a client store on the
 // heap once it has been Put and Got: the writer handle and one reader
 // handle — the core clients with their pooled round state, the routed
-// subscriptions and the map entries. Measured 3 178 B on S = 3, where a
-// per-key inbox (transport.Mailbox: its 16-slot channel, stop channel
-// and cond) and two timers per role made it 6 558 B before the pooled
-// drivers replaced them. Pinned at the measurement plus 10 %.
+// subscriptions carrying the handles, and the demux map entries.
+// Measured 2 996 B on S = 3; 3 178 B while kv kept the handles in maps
+// of its own, and 6 558 B while a per-key inbox (transport.Mailbox: its
+// 16-slot channel, stop channel and cond) and two timers per role stood
+// where the pooled drivers are. Pinned at the 3 178 B measurement plus
+// 10 %.
 const clientBytesPerKey = 3500
 
 func TestClientMemoryPerOpenKey(t *testing.T) {

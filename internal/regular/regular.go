@@ -15,11 +15,11 @@
 package regular
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
 	"luckystore/internal/storage"
@@ -28,8 +28,9 @@ import (
 	"luckystore/internal/wire"
 )
 
-// ErrOpTimeout is returned when an operation exceeds its bound.
-var ErrOpTimeout = errors.New("regular: operation timed out (more than t servers unresponsive?)")
+// ErrOpTimeout is returned when an operation exceeds its bound: core's
+// sentinel, each error naming the variant's phase.
+var ErrOpTimeout = core.ErrOpTimeout
 
 // Config holds the deployment parameters. The fast-write threshold is
 // fixed at its maximum fw = t − b (Proposition 7), so there is no Fw
@@ -92,15 +93,28 @@ func (c Config) opTimeout() time.Duration {
 }
 
 // Writer implements the Appendix D WRITE: PW round with the fast check
-// at S − (t−b) acks, then a single W round when slow.
+// at S − (t−b) acks, then a single W round when slow. Its non-blocking
+// half is a drive.Op, as core's is: Start sends the PW round, replies go
+// in by Deliver and the timer's verdicts by Expire until the round is
+// Decided, and Advance completes the WRITE or sends the W round.
 type Writer struct {
 	cfg      Config
 	ep       transport.Endpoint
+	drv      drive.Private
 	ts       types.TS
 	pw, w    types.Tagged
 	readTS   map[types.ProcID]types.ReaderTS
 	frozen   []types.FrozenEntry
 	lastMeta core.WriteMeta
+
+	// the WRITE in flight
+	inW      bool                        // the W round is, not the PW round
+	acks     map[types.ProcID]wire.PWAck // the PW round's
+	wacks    map[types.ProcID]bool       // the W round's
+	round    time.Time                   // the PW round's timer
+	expired  bool                        // ... has fired
+	deadline time.Time                   // the operation's
+	err      error
 }
 
 // NewWriter creates the writer client.
@@ -118,90 +132,99 @@ func (w *Writer) LastMeta() core.WriteMeta { return w.lastMeta }
 // Write stores v: one round-trip when lucky and at most t−b failures,
 // otherwise two.
 func (w *Writer) Write(v types.Value) error {
-	if v == "" {
-		return core.ErrBottomValue
-	}
-	opDeadline := time.NewTimer(w.cfg.opTimeout())
-	defer opDeadline.Stop()
+	done, err := w.Start(v)
+	return w.drv.Wait(w.ep, w, done, err)
+}
 
+// Start begins WRITE(v): it sends the PW round and arms its timer.
+func (w *Writer) Start(v types.Value) (done bool, err error) {
+	if v == "" {
+		return false, core.ErrBottomValue
+	}
+	w.deadline = time.Now().Add(w.cfg.opTimeout())
+	w.inW, w.expired, w.err = false, false, nil
+	w.acks = make(map[types.ProcID]wire.PWAck, w.cfg.S())
 	w.ts++
 	w.pw = types.Tagged{TS: w.ts, Val: v}
-	if err := w.broadcast(wire.PW{TS: w.ts, PW: w.pw, W: w.w, Frozen: w.frozen}); err != nil {
-		return err
+	if err := broadcast(w.ep, w.cfg.S(), wire.PW{TS: w.ts, PW: w.pw, W: w.w, Frozen: w.frozen}); err != nil {
+		return false, err
 	}
-	timer := time.NewTimer(w.cfg.roundTimeout())
-	defer timer.Stop()
-	acks := make(map[types.ProcID]wire.PWAck, w.cfg.S())
-	expired := false
-	for len(acks) < w.cfg.S() && !(len(acks) >= w.cfg.Quorum() && expired) {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			w.acceptPWAck(acks, env)
-		case <-timer.C:
-			expired = true
-		case <-opDeadline.C:
-			return fmt.Errorf("regular WRITE(ts=%d) PW round: %w", w.ts, ErrOpTimeout)
-		}
-	}
-	w.drainPWAcks(acks)
-
-	w.frozen = nil
-	w.w = w.pw
-	w.freezeValues(acks)
-
-	if len(acks) >= w.cfg.FastWriteAcks() {
-		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 1, Fast: true, PWAcks: len(acks)}
-		return nil
-	}
-
-	// Single W round (Appendix D removes the third round).
-	if err := w.broadcast(wire.W{Round: 2, Tag: int64(w.ts), C: w.pw}); err != nil {
-		return err
-	}
-	got := make(map[types.ProcID]bool, w.cfg.S())
-	for len(got) < w.cfg.Quorum() {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.WAck)
-			if !isAck || !w.validServer(env.From) || a.Round != 2 || a.Tag != int64(w.ts) {
-				continue
-			}
-			got[env.From] = true
-		case <-opDeadline.C:
-			return fmt.Errorf("regular WRITE(ts=%d) W round: %w", w.ts, ErrOpTimeout)
-		}
-	}
-	w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 2, Fast: false, PWAcks: len(acks)}
-	return nil
+	w.round = time.Now().Add(w.cfg.roundTimeout())
+	return false, nil
 }
 
-func (w *Writer) acceptPWAck(acks map[types.ProcID]wire.PWAck, env wire.Envelope) {
-	a, ok := env.Msg.(wire.PWAck)
-	if !ok || !w.validServer(env.From) || a.TS != w.ts || wire.Validate(a) != nil {
+// Deliver counts one ack of the round in flight.
+func (w *Writer) Deliver(env wire.Envelope) {
+	if !w.inW {
+		w.acceptPWAck(env)
 		return
 	}
-	if _, dup := acks[env.From]; !dup {
-		acks[env.From] = a
+	a, ok := env.Msg.(wire.WAck)
+	if ok && validServer(w.cfg, env.From) && a.Round == 2 && a.Tag == int64(w.ts) {
+		w.wacks[env.From] = true
 	}
 }
 
-func (w *Writer) drainPWAcks(acks map[types.ProcID]wire.PWAck) {
-	for {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return
-			}
-			w.acceptPWAck(acks, env)
-		default:
-			return
-		}
+// Decided reports whether the round in flight may end: all S PW_ACKs,
+// or a quorum once the timer fired; a quorum of W acks; or a failure.
+func (w *Writer) Decided() bool {
+	if w.inW {
+		return w.err != nil || len(w.wacks) >= w.cfg.Quorum()
+	}
+	n := len(w.acks)
+	return w.err != nil || n >= w.cfg.S() || (n >= w.cfg.Quorum() && w.expired)
+}
+
+// Deadline returns when Expire next has something to judge.
+func (w *Writer) Deadline() time.Time {
+	if !w.inW && !w.expired && w.round.Before(w.deadline) {
+		return w.round
+	}
+	return w.deadline
+}
+
+// Expire fires the PW round's timer, or fails the WRITE past its
+// deadline.
+func (w *Writer) Expire(now time.Time) {
+	switch {
+	case !now.Before(w.deadline) && w.inW:
+		w.err = fmt.Errorf("regular WRITE(ts=%d) W round: %w", w.ts, ErrOpTimeout)
+	case !now.Before(w.deadline):
+		w.err = fmt.Errorf("regular WRITE(ts=%d) PW round: %w", w.ts, ErrOpTimeout)
+	case !now.Before(w.round):
+		w.expired = true
+	}
+}
+
+// Advance completes the WRITE — fast on S − fw PW_ACKs — or sends its
+// single W round (Appendix D removes the third).
+func (w *Writer) Advance() (done bool, err error) {
+	switch {
+	case w.err != nil:
+		return false, w.err
+	case w.inW:
+		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 2, Fast: false, PWAcks: len(w.acks)}
+		return true, nil
+	}
+	w.frozen = nil
+	w.w = w.pw
+	w.freezeValues(w.acks)
+	if len(w.acks) >= w.cfg.FastWriteAcks() {
+		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 1, Fast: true, PWAcks: len(w.acks)}
+		return true, nil
+	}
+	w.inW = true
+	w.wacks = make(map[types.ProcID]bool, w.cfg.S())
+	return false, broadcast(w.ep, w.cfg.S(), wire.W{Round: 2, Tag: int64(w.ts), C: w.pw})
+}
+
+func (w *Writer) acceptPWAck(env wire.Envelope) {
+	a, ok := env.Msg.(wire.PWAck)
+	if !ok || !validServer(w.cfg, env.From) || a.TS != w.ts || wire.Validate(a) != nil {
+		return
+	}
+	if _, dup := w.acks[env.From]; !dup {
+		w.acks[env.From] = a
 	}
 }
 
@@ -232,16 +255,18 @@ func (w *Writer) freezeValues(acks map[types.ProcID]wire.PWAck) {
 	}
 }
 
-func (w *Writer) broadcast(m wire.Message) error {
-	out := make([]transport.Outgoing, w.cfg.S())
+// broadcast sends m to every server.
+func broadcast(ep transport.Endpoint, s int, m wire.Message) error {
+	out := make([]transport.Outgoing, s)
 	for i := range out {
 		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
 	}
-	return transport.SendAll(w.ep, out)
+	return transport.SendAll(ep, out)
 }
 
-func (w *Writer) validServer(id types.ProcID) bool {
-	return id.IsServer() && id.Index() < w.cfg.S()
+// validServer reports whether id names one of the S servers.
+func validServer(cfg Config, id types.ProcID) bool {
+	return id.IsServer() && id.Index() < cfg.S()
 }
 
 // ReadMeta describes a completed regular READ (no write-back exists in
@@ -259,13 +284,23 @@ func (m ReadMeta) Rounds() int { return m.QueryRounds }
 func (m ReadMeta) Fast() bool { return m.Rounds() == 1 }
 
 // Reader implements the Appendix D READ: the core READ loop without
-// the write-back.
+// the write-back, as a drive.Op (see Writer).
 type Reader struct {
 	cfg      Config
 	ep       transport.Endpoint
+	drv      drive.Private
 	id       types.ProcID
 	tsr      types.ReaderTS
 	lastMeta ReadMeta
+
+	// the READ in flight
+	view      *core.View
+	rnd       int
+	roundAcks map[types.ProcID]bool
+	round     time.Time // round 1's timer
+	expired   bool      // ... has fired
+	deadline  time.Time // the operation's
+	err       error
 }
 
 // NewReader creates reader client id.
@@ -278,79 +313,83 @@ func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
 
 // Read returns the register value with regular semantics.
 func (r *Reader) Read() (types.Tagged, error) {
-	opDeadline := time.NewTimer(r.cfg.opTimeout())
-	defer opDeadline.Stop()
-
-	r.tsr++
-	view := core.NewViewWithThresholds(r.cfg.coreConfig().Thresholds(), r.tsr)
-
-	var timer *time.Timer
-	expired := false
-	rnd := 0
-	for {
-		rnd++
-		if err := r.broadcast(wire.Read{TSR: r.tsr, Round: rnd}); err != nil {
-			return types.Tagged{}, err
-		}
-		if rnd == 1 {
-			timer = time.NewTimer(r.cfg.roundTimeout())
-			defer timer.Stop()
-		}
-		roundAcks := make(map[types.ProcID]bool, r.cfg.S())
-		for len(roundAcks) < r.cfg.S() &&
-			!(len(roundAcks) >= r.cfg.Quorum() && (rnd > 1 || expired)) {
-			select {
-			case env, ok := <-r.ep.Recv():
-				if !ok {
-					return types.Tagged{}, transport.ErrClosed
-				}
-				r.acceptAck(view, roundAcks, rnd, env)
-			case <-timer.C:
-				expired = true
-			case <-opDeadline.C:
-				return types.Tagged{}, fmt.Errorf("regular READ(tsr=%d) round %d: %w", r.tsr, rnd, ErrOpTimeout)
-			}
-		}
-		r.drainAcks(view, roundAcks, rnd)
-		if c, ok := view.Select(); ok {
-			r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: rnd, Returned: c}
-			return c, nil
-		}
+	done, err := r.Start()
+	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
+		return types.Tagged{}, err
 	}
+	return r.lastMeta.Returned, nil
 }
 
-func (r *Reader) acceptAck(view *core.View, roundAcks map[types.ProcID]bool, rnd int, env wire.Envelope) {
+// Start begins a READ: a fresh view and round 1, with its timer.
+func (r *Reader) Start() (done bool, err error) {
+	r.deadline = time.Now().Add(r.cfg.opTimeout())
+	r.tsr++
+	r.view = core.NewViewWithThresholds(r.cfg.coreConfig().Thresholds(), r.tsr)
+	r.rnd, r.expired, r.err = 0, false, nil
+	return false, r.query()
+}
+
+// query sends the next READ round.
+func (r *Reader) query() error {
+	r.rnd++
+	r.roundAcks = make(map[types.ProcID]bool, r.cfg.S())
+	if err := broadcast(r.ep, r.cfg.S(), wire.Read{TSR: r.tsr, Round: r.rnd}); err != nil {
+		return err
+	}
+	if r.rnd == 1 {
+		r.round = time.Now().Add(r.cfg.roundTimeout())
+	}
+	return nil
+}
+
+// Deliver folds one READ_ACK into the view.
+func (r *Reader) Deliver(env wire.Envelope) {
 	a, ok := env.Msg.(wire.ReadAck)
-	if !ok || !env.From.IsServer() || env.From.Index() >= r.cfg.S() ||
-		a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > rnd {
+	if !ok || !validServer(r.cfg, env.From) ||
+		a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > r.rnd {
 		return
 	}
-	if a.Round == rnd {
-		roundAcks[env.From] = true
+	if a.Round == r.rnd {
+		r.roundAcks[env.From] = true
 	}
-	view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
+	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
 }
 
-func (r *Reader) drainAcks(view *core.View, roundAcks map[types.ProcID]bool, rnd int) {
-	for {
-		select {
-		case env, ok := <-r.ep.Recv():
-			if !ok {
-				return
-			}
-			r.acceptAck(view, roundAcks, rnd, env)
-		default:
-			return
-		}
+// Decided reports whether the round may end: all S acks, or a quorum —
+// in round 1 once the timer fired; or a failure.
+func (r *Reader) Decided() bool {
+	n := len(r.roundAcks)
+	return r.err != nil || n >= r.cfg.S() || (n >= r.cfg.Quorum() && (r.rnd > 1 || r.expired))
+}
+
+// Deadline returns when Expire next has something to judge.
+func (r *Reader) Deadline() time.Time {
+	if r.rnd == 1 && !r.expired && r.round.Before(r.deadline) {
+		return r.round
+	}
+	return r.deadline
+}
+
+// Expire fires round 1's timer, or fails the READ past its deadline.
+func (r *Reader) Expire(now time.Time) {
+	switch {
+	case !now.Before(r.deadline):
+		r.err = fmt.Errorf("regular READ(tsr=%d) round %d: %w", r.tsr, r.rnd, ErrOpTimeout)
+	case r.rnd == 1 && !now.Before(r.round):
+		r.expired = true
 	}
 }
 
-func (r *Reader) broadcast(m wire.Message) error {
-	out := make([]transport.Outgoing, r.cfg.S())
-	for i := range out {
-		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
+// Advance returns the selected candidate, or sends the next round.
+func (r *Reader) Advance() (done bool, err error) {
+	if r.err != nil {
+		return false, r.err
 	}
-	return transport.SendAll(r.ep, out)
+	if c, ok := r.view.Select(); ok {
+		r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.rnd, Returned: c}
+		return true, nil
+	}
+	return false, r.query()
 }
 
 // Cluster wires a regular-variant deployment over a simulated network.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/keyed"
 	"luckystore/internal/kv"
 	"luckystore/internal/node"
@@ -395,12 +396,12 @@ func TestShardedEndToEndProtocol(t *testing.T) {
 	}
 	wd := keyed.NewDemux(wc) // owns wc
 	defer wd.Close()
-	wep, err := wd.Open("reg")
+	wep, err := wd.Subscribe("reg", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	writer := core.NewWriter(cfg, types.WriterID(), wep)
-	if err := writer.Write("sharded-tcp"); err != nil {
+	if err := runKeyed(wd, wep, writer, func() (bool, error) { return writer.Start("sharded-tcp") }); err != nil {
 		t.Fatal(err)
 	}
 	if m := writer.LastMeta(); !m.Fast {
@@ -413,16 +414,40 @@ func TestShardedEndToEndProtocol(t *testing.T) {
 	}
 	rd := keyed.NewDemux(rc) // owns rc
 	defer rd.Close()
-	rep, err := rd.Open("reg")
+	rep, err := rd.Subscribe("reg", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reader := core.NewReader(cfg, types.ReaderID(0), rep)
-	got, err := reader.Read()
-	if err != nil {
+	if err := runKeyed(rd, rep, reader, reader.Start); err != nil {
 		t.Fatal(err)
 	}
-	if got != (types.Tagged{TS: 1, Val: "sharded-tcp"}) {
+	if got := reader.LastMeta().Returned; got != (types.Tagged{TS: 1, Val: "sharded-tcp"}) {
 		t.Errorf("Read() = %v", got)
 	}
+}
+
+// keyedTask is a core client's operation as a drive.Task: start begins
+// it, and End keeps how it ended.
+type keyedTask struct {
+	drive.Op
+	start func() (bool, error)
+	err   error
+}
+
+func (t *keyedTask) Start() (bool, error) { return t.start() }
+func (t *keyedTask) End(err error)        { t.err = err }
+
+// runKeyed drives one operation of a core client — begun by start — over
+// the client's subscription sub of d, on a driver of its own, as kv does.
+func runKeyed(d *keyed.Demux, sub *keyed.Sub, op drive.Op, start func() (bool, error)) error {
+	in, err := d.NewInbox()
+	if err != nil {
+		return err
+	}
+	tk := &keyedTask{Op: op, start: start}
+	dr := drive.New(in, d)
+	dr.Add(tk, sub)
+	dr.Run()
+	return tk.err
 }

@@ -17,11 +17,11 @@
 package twophase
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
 	"luckystore/internal/transport"
@@ -29,14 +29,9 @@ import (
 	"luckystore/internal/wire"
 )
 
-// DefaultRoundTimeout mirrors core.DefaultRoundTimeout.
-const DefaultRoundTimeout = 25 * time.Millisecond
-
-// DefaultOpTimeout mirrors core.DefaultOpTimeout.
-const DefaultOpTimeout = 30 * time.Second
-
-// ErrOpTimeout is returned when an operation exceeds its bound.
-var ErrOpTimeout = errors.New("twophase: operation timed out (more than t servers unresponsive?)")
+// ErrOpTimeout is returned when an operation exceeds its bound: core's
+// sentinel, each error naming the variant's phase.
+var ErrOpTimeout = core.ErrOpTimeout
 
 // Config holds the deployment parameters of the two-phase variant.
 type Config struct {
@@ -98,14 +93,14 @@ func (c Config) roundTimeout() time.Duration {
 	if c.RoundTimeout > 0 {
 		return c.RoundTimeout
 	}
-	return DefaultRoundTimeout
+	return core.DefaultRoundTimeout
 }
 
 func (c Config) opTimeout() time.Duration {
 	if c.OpTimeout > 0 {
 		return c.OpTimeout
 	}
-	return DefaultOpTimeout
+	return core.DefaultOpTimeout
 }
 
 // Server is the server automaton of Figure 8: pw and w fields, per
@@ -218,14 +213,25 @@ func update(local *types.Tagged, c types.Tagged) {
 
 // Writer implements the WRITE of Figure 6: PW round, freezevalues,
 // then exactly one W round carrying the frozen set — two round-trips,
-// always.
+// always. Its non-blocking half is a drive.Op, as core's is: Start sends
+// the PW round, replies go in by Deliver until a quorum has answered
+// (Expire only fails the WRITE past its deadline), and Advance sends the
+// W round, then completes.
 type Writer struct {
 	cfg    Config
 	ep     transport.Endpoint
+	drv    drive.Private
 	ts     types.TS
 	pw, w  types.Tagged
 	readTS map[types.ProcID]types.ReaderTS
 	frozen []types.FrozenEntry
+
+	// the WRITE in flight
+	inW      bool                        // the W round is, not the PW round
+	acks     map[types.ProcID]wire.PWAck // the PW round's
+	wacks    map[types.ProcID]bool       // the W round's
+	deadline time.Time                   // the operation's
+	err      error
 }
 
 // NewWriter creates the writer client.
@@ -243,64 +249,81 @@ func (w *Writer) Rounds() int { return 2 }
 
 // Write stores v in exactly two communication round-trips.
 func (w *Writer) Write(v types.Value) error {
-	if v == "" {
-		return core.ErrBottomValue
-	}
-	opDeadline := time.NewTimer(w.cfg.opTimeout())
-	defer opDeadline.Stop()
+	done, err := w.Start(v)
+	return w.drv.Wait(w.ep, w, done, err)
+}
 
-	// PW round (Fig. 6 lines 3–6): no timer — the variant's writes are
-	// never "fast", so there is nothing to wait extra for.
+// Start begins WRITE(v) with its PW round (Fig. 6 lines 3–6): no timer —
+// the variant's writes are never "fast", so there is nothing to wait
+// extra for.
+func (w *Writer) Start(v types.Value) (done bool, err error) {
+	if v == "" {
+		return false, core.ErrBottomValue
+	}
+	w.deadline = time.Now().Add(w.cfg.opTimeout())
+	w.inW, w.err = false, nil
+	w.acks = make(map[types.ProcID]wire.PWAck, w.cfg.S())
 	w.ts++
 	w.pw = types.Tagged{TS: w.ts, Val: v}
-	if err := w.broadcast(wire.PW{TS: w.ts, PW: w.pw, W: w.w}); err != nil {
-		return err
-	}
-	acks := make(map[types.ProcID]wire.PWAck, w.cfg.S())
-	for len(acks) < w.cfg.Quorum() {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.PWAck)
-			if !isAck || !w.validServer(env.From) || a.TS != w.ts || wire.Validate(a) != nil {
-				continue
-			}
-			if _, dup := acks[env.From]; !dup {
-				acks[env.From] = a
-			}
-		case <-opDeadline.C:
-			return fmt.Errorf("twophase WRITE(ts=%d) PW round: %w", w.ts, ErrOpTimeout)
-		}
-	}
+	return false, broadcast(w.ep, w.cfg.S(), wire.PW{TS: w.ts, PW: w.pw, W: w.w})
+}
 
-	// Fig. 6 lines 7–10: freeze values, then ship them inside the W
-	// message of this same write.
-	w.freezeValues(acks)
+// Deliver counts one ack of the round in flight.
+func (w *Writer) Deliver(env wire.Envelope) {
+	if w.inW {
+		a, ok := env.Msg.(wire.WAck)
+		if ok && validServer(w.cfg, env.From) && a.Round == 2 && a.Tag == int64(w.ts) {
+			w.wacks[env.From] = true
+		}
+		return
+	}
+	a, ok := env.Msg.(wire.PWAck)
+	if !ok || !validServer(w.cfg, env.From) || a.TS != w.ts || wire.Validate(a) != nil {
+		return
+	}
+	if _, dup := w.acks[env.From]; !dup {
+		w.acks[env.From] = a
+	}
+}
+
+// Decided reports a quorum of the round's acks, or a failure.
+func (w *Writer) Decided() bool {
+	if w.inW {
+		return w.err != nil || len(w.wacks) >= w.cfg.Quorum()
+	}
+	return w.err != nil || len(w.acks) >= w.cfg.Quorum()
+}
+
+// Deadline is the operation's.
+func (w *Writer) Deadline() time.Time { return w.deadline }
+
+// Expire fails the WRITE past its deadline.
+func (w *Writer) Expire(now time.Time) {
+	switch {
+	case now.Before(w.deadline):
+	case w.inW:
+		w.err = fmt.Errorf("twophase WRITE(ts=%d) W round: %w", w.ts, ErrOpTimeout)
+	default:
+		w.err = fmt.Errorf("twophase WRITE(ts=%d) PW round: %w", w.ts, ErrOpTimeout)
+	}
+}
+
+// Advance sends the W round (Fig. 6 lines 7–10: freeze values, then ship
+// them inside the W message of this same write), then completes.
+func (w *Writer) Advance() (done bool, err error) {
+	switch {
+	case w.err != nil:
+		return false, w.err
+	case w.inW:
+		return true, nil
+	}
+	w.freezeValues(w.acks)
 	w.w = w.pw
 	frozenOut := w.frozen
 	w.frozen = nil
-	if err := w.broadcast(wire.W{Round: 2, Tag: int64(w.ts), C: w.pw, Frozen: frozenOut}); err != nil {
-		return err
-	}
-	got := make(map[types.ProcID]bool, w.cfg.S())
-	for len(got) < w.cfg.Quorum() {
-		select {
-		case env, ok := <-w.ep.Recv():
-			if !ok {
-				return transport.ErrClosed
-			}
-			a, isAck := env.Msg.(wire.WAck)
-			if !isAck || !w.validServer(env.From) || a.Round != 2 || a.Tag != int64(w.ts) {
-				continue
-			}
-			got[env.From] = true
-		case <-opDeadline.C:
-			return fmt.Errorf("twophase WRITE(ts=%d) W round: %w", w.ts, ErrOpTimeout)
-		}
-	}
-	return nil
+	w.inW = true
+	w.wacks = make(map[types.ProcID]bool, w.cfg.S())
+	return false, broadcast(w.ep, w.cfg.S(), wire.W{Round: 2, Tag: int64(w.ts), C: w.pw, Frozen: frozenOut})
 }
 
 // freezeValues mirrors Fig. 6 lines 13–15 (identical rule to the core
@@ -332,16 +355,18 @@ func (w *Writer) freezeValues(acks map[types.ProcID]wire.PWAck) {
 	}
 }
 
-func (w *Writer) broadcast(m wire.Message) error {
-	out := make([]transport.Outgoing, w.cfg.S())
+// broadcast sends m to every server.
+func broadcast(ep transport.Endpoint, s int, m wire.Message) error {
+	out := make([]transport.Outgoing, s)
 	for i := range out {
 		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
 	}
-	return transport.SendAll(w.ep, out)
+	return transport.SendAll(ep, out)
 }
 
-func (w *Writer) validServer(id types.ProcID) bool {
-	return id.IsServer() && id.Index() < w.cfg.S()
+// validServer reports whether id names one of the S servers.
+func validServer(cfg Config, id types.ProcID) bool {
+	return id.IsServer() && id.Index() < cfg.S()
 }
 
 // ReadMeta describes a completed two-phase READ.
@@ -364,13 +389,25 @@ func (m ReadMeta) Rounds() int {
 // Fast reports a single round-trip READ.
 func (m ReadMeta) Fast() bool { return m.Rounds() == 1 }
 
-// Reader implements the READ of Figure 7.
+// Reader implements the READ of Figure 7, as a drive.Op (see Writer).
 type Reader struct {
 	cfg      Config
 	ep       transport.Endpoint
+	drv      drive.Private
 	id       types.ProcID
 	tsr      types.ReaderTS
 	lastMeta ReadMeta
+
+	// the READ in flight
+	view      *core.View
+	rnd       int                   // query round; the query-round count once one selected
+	wb        int                   // write-back round in flight (1–2), 0 while querying
+	sel       types.Tagged          // the selected candidate
+	roundAcks map[types.ProcID]bool // the round's
+	round     time.Time             // round 1's timer
+	expired   bool                  // ... has fired
+	deadline  time.Time             // the operation's
+	err       error
 }
 
 // NewReader creates reader client id.
@@ -383,118 +420,121 @@ func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
 
 // Read returns the register value.
 func (r *Reader) Read() (types.Tagged, error) {
-	opDeadline := time.NewTimer(r.cfg.opTimeout())
-	defer opDeadline.Stop()
+	done, err := r.Start()
+	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
+		return types.Tagged{}, err
+	}
+	return r.lastMeta.Returned, nil
+}
 
+// Start begins a READ: a fresh view and round 1, with its timer.
+func (r *Reader) Start() (done bool, err error) {
+	r.deadline = time.Now().Add(r.cfg.opTimeout())
 	r.tsr++
-	view := core.NewViewWithThresholds(r.cfg.Thresholds(), r.tsr)
-
-	var timer *time.Timer
-	expired := false
-	rnd := 0
-	var sel types.Tagged
-	for {
-		rnd++
-		if err := r.broadcast(wire.Read{TSR: r.tsr, Round: rnd}); err != nil {
-			return types.Tagged{}, err
-		}
-		if rnd == 1 {
-			timer = time.NewTimer(r.cfg.roundTimeout())
-			defer timer.Stop()
-		}
-		roundAcks := make(map[types.ProcID]bool, r.cfg.S())
-		for len(roundAcks) < r.cfg.S() &&
-			!(len(roundAcks) >= r.cfg.Quorum() && (rnd > 1 || expired)) {
-			select {
-			case env, ok := <-r.ep.Recv():
-				if !ok {
-					return types.Tagged{}, transport.ErrClosed
-				}
-				r.acceptAck(view, roundAcks, rnd, env)
-			case <-timer.C:
-				expired = true
-			case <-opDeadline.C:
-				return types.Tagged{}, fmt.Errorf("twophase READ(tsr=%d) round %d: %w", r.tsr, rnd, ErrOpTimeout)
-			}
-		}
-		r.drainAcks(view, roundAcks, rnd)
-		if c, ok := view.Select(); ok {
-			sel = c
-			break
-		}
-	}
-
-	// Fig. 7 line 19: fast(c) ::= |{i : w_i = c}| ≥ S−t−fr.
-	fast := view.CountW(sel) >= r.cfg.FastW()
-	wroteBack := false
-	if !fast || rnd > 1 {
-		if err := r.writeBack(sel, opDeadline); err != nil {
-			return types.Tagged{}, err
-		}
-		wroteBack = true
-	}
-	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: rnd, WroteBack: wroteBack, Returned: sel}
-	return sel, nil
+	r.view = core.NewViewWithThresholds(r.cfg.Thresholds(), r.tsr)
+	r.rnd, r.wb, r.expired, r.err = 0, 0, false, nil
+	return false, r.query()
 }
 
-func (r *Reader) acceptAck(view *core.View, roundAcks map[types.ProcID]bool, rnd int, env wire.Envelope) {
-	a, ok := env.Msg.(wire.ReadAck)
-	if !ok || !env.From.IsServer() || env.From.Index() >= r.cfg.S() ||
-		a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > rnd {
-		return
+// query sends the next READ round.
+func (r *Reader) query() error {
+	r.rnd++
+	r.roundAcks = make(map[types.ProcID]bool, r.cfg.S())
+	if err := broadcast(r.ep, r.cfg.S(), wire.Read{TSR: r.tsr, Round: r.rnd}); err != nil {
+		return err
 	}
-	if a.Round == rnd {
-		roundAcks[env.From] = true
-	}
-	view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
-}
-
-func (r *Reader) drainAcks(view *core.View, roundAcks map[types.ProcID]bool, rnd int) {
-	for {
-		select {
-		case env, ok := <-r.ep.Recv():
-			if !ok {
-				return
-			}
-			r.acceptAck(view, roundAcks, rnd, env)
-		default:
-			return
-		}
-	}
-}
-
-// writeBack runs the two-round write-back (Fig. 7 lines 24–26).
-func (r *Reader) writeBack(c types.Tagged, opDeadline *time.Timer) error {
-	for round := 1; round <= 2; round++ {
-		if err := r.broadcast(wire.W{Round: round, Tag: int64(r.tsr), C: c}); err != nil {
-			return err
-		}
-		got := make(map[types.ProcID]bool, r.cfg.S())
-		for len(got) < r.cfg.Quorum() {
-			select {
-			case env, ok := <-r.ep.Recv():
-				if !ok {
-					return transport.ErrClosed
-				}
-				a, isAck := env.Msg.(wire.WAck)
-				if !isAck || !env.From.IsServer() || a.Round != round || a.Tag != int64(r.tsr) {
-					continue
-				}
-				got[env.From] = true
-			case <-opDeadline.C:
-				return fmt.Errorf("twophase READ(tsr=%d) write-back round %d: %w", r.tsr, round, ErrOpTimeout)
-			}
-		}
+	if r.rnd == 1 {
+		r.round = time.Now().Add(r.cfg.roundTimeout())
 	}
 	return nil
 }
 
-func (r *Reader) broadcast(m wire.Message) error {
-	out := make([]transport.Outgoing, r.cfg.S())
-	for i := range out {
-		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
+// writeBack sends write-back round wb (Fig. 7 lines 24–26).
+func (r *Reader) writeBack(wb int) error {
+	r.wb = wb
+	r.roundAcks = make(map[types.ProcID]bool, r.cfg.S())
+	return broadcast(r.ep, r.cfg.S(), wire.W{Round: wb, Tag: int64(r.tsr), C: r.sel})
+}
+
+// Deliver folds one READ_ACK into the view, or counts one WRITE_ACK of
+// a write-back round.
+func (r *Reader) Deliver(env wire.Envelope) {
+	if r.wb > 0 {
+		a, ok := env.Msg.(wire.WAck)
+		if ok && env.From.IsServer() && a.Round == r.wb && a.Tag == int64(r.tsr) {
+			r.roundAcks[env.From] = true
+		}
+		return
 	}
-	return transport.SendAll(r.ep, out)
+	a, ok := env.Msg.(wire.ReadAck)
+	if !ok || !validServer(r.cfg, env.From) ||
+		a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > r.rnd {
+		return
+	}
+	if a.Round == r.rnd {
+		r.roundAcks[env.From] = true
+	}
+	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
+}
+
+// Decided reports whether the round may end: all S acks of a query
+// round, or a quorum — in round 1 once the timer fired; a quorum of a
+// write-back round; or a failure.
+func (r *Reader) Decided() bool {
+	n := len(r.roundAcks)
+	if r.wb > 0 {
+		return r.err != nil || n >= r.cfg.Quorum()
+	}
+	return r.err != nil || n >= r.cfg.S() || (n >= r.cfg.Quorum() && (r.rnd > 1 || r.expired))
+}
+
+// Deadline returns when Expire next has something to judge.
+func (r *Reader) Deadline() time.Time {
+	if r.rnd == 1 && r.wb == 0 && !r.expired && r.round.Before(r.deadline) {
+		return r.round
+	}
+	return r.deadline
+}
+
+// Expire fires round 1's timer, or fails the READ past its deadline.
+func (r *Reader) Expire(now time.Time) {
+	switch {
+	case !now.Before(r.deadline) && r.wb > 0:
+		r.err = fmt.Errorf("twophase READ(tsr=%d) write-back round %d: %w", r.tsr, r.wb, ErrOpTimeout)
+	case !now.Before(r.deadline):
+		r.err = fmt.Errorf("twophase READ(tsr=%d) round %d: %w", r.tsr, r.rnd, ErrOpTimeout)
+	case r.rnd == 1 && !now.Before(r.round):
+		r.expired = true
+	}
+}
+
+// Advance sends the next query round until a candidate is selected,
+// then writes it back in two rounds unless it is fast (Fig. 7 line 19:
+// fast(c) ::= |{i : w_i = c}| ≥ S−t−fr) after a first round, then
+// returns it.
+func (r *Reader) Advance() (done bool, err error) {
+	switch {
+	case r.err != nil:
+		return false, r.err
+	case r.wb == 1:
+		return false, r.writeBack(2)
+	case r.wb == 2:
+		return r.complete(true)
+	}
+	c, ok := r.view.Select()
+	if !ok {
+		return false, r.query()
+	}
+	r.sel = c
+	if r.view.CountW(c) < r.cfg.FastW() || r.rnd > 1 {
+		return false, r.writeBack(1)
+	}
+	return r.complete(false)
+}
+
+func (r *Reader) complete(wroteBack bool) (bool, error) {
+	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.rnd, WroteBack: wroteBack, Returned: r.sel}
+	return true, nil
 }
 
 // Cluster wires a two-phase deployment over a simulated network.

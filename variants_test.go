@@ -1,10 +1,12 @@
 package luckystore_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"luckystore"
+	"luckystore/internal/abd"
 )
 
 func TestFacadeRegularVariant(t *testing.T) {
@@ -68,5 +70,76 @@ func TestFacadeVariantValidation(t *testing.T) {
 	}
 	if _, err := luckystore.NewTwoPhase(luckystore.TwoPhaseConfig{T: 2, B: 1, Fr: 9}); err == nil {
 		t.Error("invalid two-phase config accepted")
+	}
+}
+
+// TestOpTimeoutIsOneSentinel runs every client kind with a majority of
+// its servers crashed: each Write and Read gives up at the operation
+// deadline with an error that is luckystore.ErrOpTimeout, whichever
+// variant — and phase — it names.
+func TestOpTimeoutIsOneSentinel(t *testing.T) {
+	const opTimeout = 150 * time.Millisecond
+	for _, tc := range []struct {
+		name  string
+		build func(t *testing.T) (write func() error, read func() error)
+	}{
+		{"core", func(t *testing.T) (func() error, func() error) {
+			c, err := luckystore.New(luckystore.Config{T: 1, NumReaders: 1, OpTimeout: opTimeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			c.CrashServer(0)
+			c.CrashServer(1)
+			return func() error { return c.Writer().Write("v") },
+				func() error { _, err := c.Reader(0).Read(); return err }
+		}},
+		{"regular", func(t *testing.T) (func() error, func() error) {
+			c, err := luckystore.NewRegular(luckystore.RegularConfig{T: 1, NumReaders: 1, OpTimeout: opTimeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			c.CrashServer(0)
+			c.CrashServer(1)
+			return func() error { return c.Writer().Write("v") },
+				func() error { _, err := c.Reader(0).Read(); return err }
+		}},
+		{"twophase", func(t *testing.T) (func() error, func() error) {
+			c, err := luckystore.NewTwoPhase(luckystore.TwoPhaseConfig{T: 1, NumReaders: 1, OpTimeout: opTimeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			c.CrashServer(0)
+			c.CrashServer(1)
+			return func() error { return c.Writer().Write("v") },
+				func() error { _, err := c.Reader(0).Read(); return err }
+		}},
+		{"abd", func(t *testing.T) (func() error, func() error) {
+			c, err := abd.NewCluster(abd.Config{T: 1, NumReaders: 1, OpTimeout: opTimeout})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Close)
+			c.CrashServer(0)
+			c.CrashServer(1)
+			return func() error { return c.Writer().Write("v") },
+				func() error { _, err := c.Reader(0).Read(); return err }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			write, read := tc.build(t)
+			for op, run := range map[string]func() error{"Write": write, "Read": read} {
+				t0 := time.Now()
+				err := run()
+				if !errors.Is(err, luckystore.ErrOpTimeout) {
+					t.Errorf("%s = %v; want luckystore.ErrOpTimeout", op, err)
+				}
+				if d := time.Since(t0); d < opTimeout {
+					t.Errorf("%s gave up after %v, before its %v deadline", op, d, opTimeout)
+				}
+			}
+		})
 	}
 }
