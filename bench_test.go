@@ -528,29 +528,19 @@ func BenchmarkGetBatch(b *testing.B) {
 
 // --- Loopback-TCP KV benchmarks -------------------------------------
 
-// benchTCPKVCluster starts S KV servers on loopback TCP — serialized
-// (the pre-sharding path: every step behind one global mutex, via
-// tcpnet.Listen) or sharded (ListenTCPKV's pipeline) — plus a client
-// store dialed to them.
+// benchTCPKVCluster starts S KV servers on loopback TCP, each stepping
+// its keys on the given number of shard workers (ListenTCPKV's
+// pipeline), plus a client store dialed to them.
 func benchTCPKVCluster(b *testing.B, cfg luckystore.Config, shards int) *luckystore.KVStore {
 	b.Helper()
 	addrs := make([]string, cfg.S())
 	for i := range addrs {
-		if shards == 0 {
-			srv, err := tcpnet.Listen(types.ServerID(i), "127.0.0.1:0", kv.NewServerAutomaton())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { srv.Close() })
-			addrs[i] = srv.Addr()
-		} else {
-			srv, err := luckystore.ListenTCPKV(i, "127.0.0.1:0", luckystore.WithTCPShards(shards))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { srv.Close() })
-			addrs[i] = srv.Addr()
+		srv, err := luckystore.ListenTCPKV(i, "127.0.0.1:0", luckystore.WithTCPShards(shards))
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Cleanup(func() { srv.Close() })
+		addrs[i] = srv.Addr()
 	}
 	st, err := luckystore.OpenKVTCP(cfg, luckystore.ServerAddrs(addrs))
 	if err != nil {
@@ -561,12 +551,11 @@ func benchTCPKVCluster(b *testing.B, cfg luckystore.Config, shards int) *luckyst
 }
 
 // BenchmarkTCPKVStepping measures concurrent multi-key Put throughput
-// over real loopback sockets: the serialized variant is the seed
-// deployment (one mutex serializes every automaton step across all
-// connections and keys), the sharded variants step independent keys on
-// parallel shard workers. This is the deployment-level twin of
-// BenchmarkKVShardScaling — gains need GOMAXPROCS > 1; on one core it
-// bounds the pipeline's overhead instead.
+// over real loopback sockets: sharded=1 steps every key of a server on
+// one shard, the wider variants step independent keys on parallel shard
+// workers. This is the deployment-level twin of BenchmarkKVShardScaling
+// — gains need GOMAXPROCS > 1; on one core it bounds the pipeline's
+// overhead instead.
 func BenchmarkTCPKVStepping(b *testing.B) {
 	cfg := luckystore.Config{T: 1, B: 0, Fw: 1, NumReaders: 1,
 		RoundTimeout: 50 * time.Millisecond, OpTimeout: 30 * time.Second}
@@ -574,7 +563,7 @@ func BenchmarkTCPKVStepping(b *testing.B) {
 		name   string
 		shards int
 	}{
-		{"serialized", 0},
+		{"sharded=1", 1},
 		{"sharded=4", 4},
 		{"sharded=16", 16},
 	} {

@@ -53,7 +53,7 @@ func runStamps(args []string) int {
 	// max-merge, so replaying snapshots then logs in name order —
 	// duplicates included — converges on exactly the installed state a
 	// recovering server would reach.
-	ks := keyed.NewServer(func() node.Automaton { return core.NewServer() })
+	ks := keyed.NewShardedServer(1, func() node.Automaton { return core.NewServer() })
 	var bare *core.Server
 	records := 0
 	for _, info := range infos {
@@ -88,7 +88,7 @@ func runStamps(args []string) int {
 		printReg("(register)", bare)
 		registers++
 	}
-	ks.Range(func(key string, reg node.Automaton) {
+	ks.RangeShard(0, func(key string, reg node.Automaton) {
 		printReg(key, reg.(*core.Server))
 		registers++
 	})

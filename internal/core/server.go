@@ -32,7 +32,7 @@ import (
 // a contending writer's identity lives only inside the stamps of the
 // pairs themselves, so millions of writers cost a key nothing.
 type Server struct {
-	// mu guards all fields: the runner serializes Step calls, but tests
+	// mu guards all fields: the step pool serializes Step calls, but tests
 	// and experiments inspect server state concurrently.
 	mu        sync.Mutex
 	pw, w, vw types.Tagged
@@ -60,6 +60,7 @@ type Server struct {
 var (
 	_ node.Automaton     = (*Server)(nil)
 	_ node.AppendStepper = (*Server)(nil)
+	_ node.NonBlocking   = (*Server)(nil)
 )
 
 // NewServer creates a server in its initial state
@@ -133,6 +134,11 @@ func (s *Server) InjectState(pw, w, vw types.Tagged) {
 	defer s.mu.Unlock()
 	s.pw, s.w, s.vw = pw, w, vw
 }
+
+// StepNeverBlocks implements node.NonBlocking: a step computes on
+// memory under the server's own lock, so a runner's pump or a
+// connection's read goroutine may run it.
+func (s *Server) StepNeverBlocks() bool { return true }
 
 // Step implements node.Automaton.
 func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {

@@ -123,7 +123,7 @@ func RandomLiar(seed int64) Behavior {
 // exist to defeat.
 //
 // The behavior snapshots perClient and guards its state with a mutex:
-// a sharded deployment (node.StepPool, node.ShardedRunner) steps one
+// a sharded deployment (node.StepPool, node.Runner) steps one
 // substituted automaton from several worker goroutines at once, and a
 // caller mutating its map after installation must not race Step.
 func Equivocator(perClient map[types.ProcID]types.Tagged, fallback types.Tagged) Behavior {

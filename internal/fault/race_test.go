@@ -3,7 +3,7 @@ package fault
 // Regression (PR 5 satellite): every Byzantine behavior must be safe to
 // step from multiple goroutines at once. Since PR 2 a substituted
 // automaton can be driven by a pool of shard workers (node.StepPool,
-// node.ShardedRunner), so internal behavior state shared across steps —
+// node.Runner), so internal behavior state shared across steps —
 // Equivocator's client map, SplitBrain's wrapped automaton, RandomLiar's
 // RNG — races unless locked. Run with -race.
 

@@ -11,92 +11,14 @@ package keyed
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
 	"luckystore/internal/drive"
-	"luckystore/internal/node"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 )
-
-// Server routes keyed messages to one inner automaton per register,
-// created on first use by the factory. It implements node.Automaton.
-type Server struct {
-	mu      sync.Mutex
-	regs    map[string]node.Automaton
-	factory func() node.Automaton
-}
-
-var (
-	_ node.Automaton     = (*Server)(nil)
-	_ node.AppendStepper = (*Server)(nil)
-)
-
-// NewServer creates a keyed server whose per-register automata come
-// from factory (e.g. func() node.Automaton { return core.NewServer() }).
-func NewServer(factory func() node.Automaton) *Server {
-	return &Server{regs: make(map[string]node.Automaton), factory: factory}
-}
-
-// Regs reports the number of instantiated registers (for tests).
-func (s *Server) Regs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.regs)
-}
-
-// Range calls fn for every instantiated register in sorted key order.
-// The lock is held across the iteration: callers are offline tooling
-// (luckyctl stamps) and tests inspecting a quiesced server, never the
-// hot path.
-func (s *Server) Range(fn func(key string, reg node.Automaton)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.regs))
-	for k := range s.regs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fn(k, s.regs[k])
-	}
-}
-
-// Step implements node.Automaton: unwrap, dispatch, re-wrap.
-func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
-	return s.StepAppend(from, m, nil)
-}
-
-// StepAppend implements node.AppendStepper: the inner automaton appends
-// its replies directly into out and the suffix is re-wrapped for the
-// key in place — no intermediate slice per message.
-func (s *Server) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
-	k, ok := m.(wire.Keyed)
-	// Validate m, not the unboxed k: re-boxing would allocate per step.
-	if !ok || wire.Validate(m) != nil {
-		return out
-	}
-	s.mu.Lock()
-	reg, exists := s.regs[k.Key]
-	if !exists {
-		reg = s.factory()
-		s.regs[k.Key] = reg
-	}
-	s.mu.Unlock()
-	return rewrapAppended(k.Key, out, node.StepInto(reg, from, k.Inner, out))
-}
-
-// rewrapAppended wraps the replies a keyed step appended past the
-// caller's prefix back into the register's Keyed envelope.
-func rewrapAppended(key string, prefix, out []transport.Outgoing) []transport.Outgoing {
-	for i := len(prefix); i < len(out); i++ {
-		out[i].Msg = wire.Keyed{Key: key, Inner: out[i].Msg}
-	}
-	return out
-}
 
 // Demux splits one client endpoint into per-key subscriptions, so that
 // different keys can run operations concurrently from one client

@@ -16,8 +16,10 @@ import (
 
 func coreFactory() node.Automaton { return core.NewServer() }
 
+// TestServerRoutesPerKey steps a one-shard keyed server through its
+// whole-server Step, the path replay and offline tooling take.
 func TestServerRoutesPerKey(t *testing.T) {
-	s := NewServer(func() node.Automaton { return core.NewServer() })
+	s := NewShardedServer(1, coreFactory)
 	pw := wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()}
 
 	out := s.Step(types.WriterID(), wire.Keyed{Key: "alpha", Inner: pw})
@@ -51,7 +53,7 @@ func TestServerRoutesPerKey(t *testing.T) {
 }
 
 func TestServerDropsUnkeyedAndMalformed(t *testing.T) {
-	s := NewServer(coreFactory)
+	s := NewShardedServer(1, coreFactory)
 	if out := s.Step(types.WriterID(), wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()}); out != nil {
 		t.Error("unkeyed message answered")
 	}
@@ -259,8 +261,8 @@ func TestDemuxKeyValidationAndClose(t *testing.T) {
 	}
 }
 
-// Full stack: core writer/reader over keyed endpoints against keyed
-// servers — two independent registers on one 6-server deployment.
+// Full stack: core writer/reader over keyed endpoints against one-shard
+// keyed servers — two independent registers on one 6-server deployment.
 func TestEndToEndTwoRegisters(t *testing.T) {
 	cfg := core.Config{T: 2, B: 1, Fw: 1, NumReaders: 1, RoundTimeout: 15 * time.Millisecond}
 	ids := append(types.ServerIDs(cfg.S()), types.WriterID(), types.ReaderID(0))
@@ -275,7 +277,8 @@ func TestEndToEndTwoRegisters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := node.NewRunner(ep, NewServer(coreFactory))
+		srv := NewShardedServer(1, coreFactory)
+		r := node.NewShardedRunner(ep, srv.Shards(), srv.Route())
 		runners = append(runners, r)
 		r.Start()
 	}

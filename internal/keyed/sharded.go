@@ -15,9 +15,10 @@ import (
 // key, mod the shard count. It is the single routing function shared by
 // the server pool and anything that needs to reason about placement, so
 // a key's automaton lives on exactly one shard. Shard counts below 1
-// are treated as 1, matching NewShardedServer's floor.
+// are treated as 1, matching NewShardedServer's floor; one shard needs
+// no hash.
 func ShardIndex(key string, shards int) int {
-	if shards < 1 {
+	if shards <= 1 {
 		return 0
 	}
 	h := fnv.New32a()
@@ -29,9 +30,9 @@ func ShardIndex(key string, shards int) int {
 // the automata of every key with ShardIndex(key, n) == i in a plain,
 // unlocked map. Each shard implements node.Automaton and must be
 // stepped by one goroutine at a time, consecutive steps ordered by a
-// happens-before edge — node.ShardedRunner's per-shard workers, or
-// node.StepPool's per-shard lock — which is what removes the global
-// mutex keyed.Server takes on every message.
+// happens-before edge — node.StepPool's per-shard lock — so no lock is
+// shared between keys of different shards. With n = 1 it is the plain
+// keyed server that storage replay and offline tooling step.
 type ShardedServer struct {
 	shards []*shard
 	regs   atomic.Int64
@@ -70,7 +71,8 @@ func NewShardedServer(n int, factory func() node.Automaton) *ShardedServer {
 	return s
 }
 
-// Shards returns the per-shard automata, for node.NewShardedRunner.
+// Shards returns the per-shard automata, for node.NewShardedRunner and
+// tcpnet.ListenSharded.
 func (s *ShardedServer) Shards() []node.Automaton {
 	out := make([]node.Automaton, len(s.shards))
 	for i, sh := range s.shards {
@@ -79,8 +81,8 @@ func (s *ShardedServer) Shards() []node.Automaton {
 	return out
 }
 
-// Route returns the dispatch function pairing this server with
-// node.ShardedRunner: keyed messages go to their key's shard, anything
+// Route returns the dispatch function pairing this server with its
+// shards' step pool: keyed messages go to their key's shard, anything
 // else to shard 0 (whose Step drops it as malformed).
 func (s *ShardedServer) Route() func(wire.Message) int {
 	n := len(s.shards)
@@ -147,4 +149,13 @@ func (sh *shard) StepAppend(from types.ProcID, m wire.Message, out []transport.O
 		sh.parent.regs.Add(1)
 	}
 	return rewrapAppended(k.Key, out, node.StepInto(reg, from, k.Inner, out))
+}
+
+// rewrapAppended wraps the replies a keyed step appended past the
+// caller's prefix back into the register's Keyed envelope.
+func rewrapAppended(key string, prefix, out []transport.Outgoing) []transport.Outgoing {
+	for i := len(prefix); i < len(out); i++ {
+		out[i].Msg = wire.Keyed{Key: key, Inner: out[i].Msg}
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package keyed
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -139,7 +140,7 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 	defer net.Close()
 
 	servers := make([]*ShardedServer, cfg.S())
-	runners := make([]*node.ShardedRunner, cfg.S())
+	runners := make([]*node.Runner, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
 		ep, err := net.Endpoint(types.ServerID(i))
 		if err != nil {
@@ -210,7 +211,7 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 }
 
 // TestEndToEndSharded runs a full write/read pair per key through a
-// ShardedServer driven by a node.ShardedRunner over simnet, with the
+// ShardedServer driven by a node.Runner over simnet, with the
 // client side demultiplexed — the exact stack kv.Open assembles.
 func TestEndToEndSharded(t *testing.T) {
 	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1, RoundTimeout: 20 * time.Millisecond}
@@ -221,7 +222,7 @@ func TestEndToEndSharded(t *testing.T) {
 	}
 	defer net.Close()
 
-	runners := make([]*node.ShardedRunner, cfg.S())
+	runners := make([]*node.Runner, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
 		ep, err := net.Endpoint(types.ServerID(i))
 		if err != nil {
@@ -265,6 +266,41 @@ func TestEndToEndSharded(t *testing.T) {
 		got := r.LastMeta().Returned
 		if got != (types.Tagged{TS: 1, Val: types.Value("v-" + key)}) {
 			t.Errorf("%s = %+v", key, got)
+		}
+	}
+}
+
+// TestShardedSnapshotIndependentOfShardCount pins that a snapshot walks
+// keys in sorted order across every shard: the same registers snapshot
+// to the same records on one shard or many, so a log compacted by a
+// one-shard storage automaton replays into a server of any width.
+func TestShardedSnapshotIndependentOfShardCount(t *testing.T) {
+	type record struct {
+		from types.ProcID
+		m    wire.Message
+	}
+	snapshot := func(n int) []record {
+		s := NewShardedServer(n, coreFactory)
+		for i, key := range []string{"m", "b", "z", "a", "k", "q"} {
+			pw := wire.PW{TS: types.TS(i + 1), PW: types.Tagged{TS: types.TS(i + 1), Val: types.Value(key)}, W: types.Bottom()}
+			s.Step(types.WriterID(), wire.Keyed{Key: key, Inner: pw})
+		}
+		var recs []record
+		if err := s.SnapshotRecords(func(from types.ProcID, m wire.Message) error {
+			recs = append(recs, record{from, m})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return recs
+	}
+	one, four := snapshot(1), snapshot(4)
+	if len(one) == 0 || !reflect.DeepEqual(one, four) {
+		t.Fatalf("snapshot on 1 shard %+v, on 4 shards %+v", one, four)
+	}
+	for i := 1; i < len(one); i++ {
+		if prev, cur := one[i-1].m.(wire.Keyed).Key, one[i].m.(wire.Keyed).Key; prev > cur {
+			t.Fatalf("record %d: key %q after %q", i, cur, prev)
 		}
 	}
 }

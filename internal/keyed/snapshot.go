@@ -16,30 +16,24 @@ type snapshotter interface {
 
 // SnapshotRecords implements storage.Snapshotter for the keyed server:
 // each register's snapshot records are emitted wrapped in that key's
-// Keyed envelope, in sorted key order so snapshots are deterministic.
-// Registers whose automata cannot snapshot themselves are skipped.
-// The caller must be quiesced relative to stepping (compaction and
-// recovery both own their automaton privately).
-func (s *Server) SnapshotRecords(emit func(from types.ProcID, m wire.Message) error) error {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.regs))
-	for k := range s.regs {
-		keys = append(keys, k)
-	}
-	regs := make(map[string]snapshotter, len(keys))
-	for k, reg := range s.regs {
-		if sn, ok := reg.(snapshotter); ok {
-			regs[k] = sn
+// Keyed envelope, in sorted key order across every shard, so snapshots
+// are deterministic and the same bytes whatever the shard count.
+// Registers whose automata cannot snapshot themselves are skipped. The
+// caller must own every shard (compaction and recovery both own their
+// automaton privately).
+func (s *ShardedServer) SnapshotRecords(emit func(from types.ProcID, m wire.Message) error) error {
+	var keys []string
+	for _, sh := range s.shards {
+		for k := range sh.regs {
+			keys = append(keys, k)
 		}
 	}
-	s.mu.Unlock()
 	sort.Strings(keys)
-	for _, k := range keys {
-		sn, ok := regs[k]
+	for _, key := range keys {
+		sn, ok := s.shards[ShardIndex(key, len(s.shards))].regs[key].(snapshotter)
 		if !ok {
 			continue
 		}
-		key := k
 		if err := sn.SnapshotRecords(func(from types.ProcID, m wire.Message) error {
 			return emit(from, wire.Keyed{Key: key, Inner: m})
 		}); err != nil {
@@ -50,9 +44,9 @@ func (s *Server) SnapshotRecords(emit func(from types.ProcID, m wire.Message) er
 }
 
 // Step implements node.Automaton across the whole sharded server for
-// single-goroutine contexts — log replay during recovery steps keyed
-// records through the same routing the live traffic used. It must not
-// race the shard workers: recover before the runner starts.
+// single-goroutine contexts — log replay during recovery and compaction
+// steps keyed records through the same routing the live traffic used.
+// It must not race the shard workers: recover before the runner starts.
 func (s *ShardedServer) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
 	i := 0
 	if k, ok := m.(wire.Keyed); ok {

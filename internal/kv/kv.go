@@ -13,7 +13,7 @@
 // composite 〈seq, writer〉 stamps and the writers' stamp-query round.
 //
 // The engine is sharded and batched: every server runs its per-key
-// automata across a pool of shard workers (node.ShardedRunner over
+// automata across a pool of shard workers (a node.Runner over
 // keyed.ShardedServer), so no global lock serializes independent keys.
 // Blocking Put/Get stay the simple interface. Every operation — a lone
 // Put or Get, a future, a batch — runs on one pooled driver that steps
@@ -111,8 +111,8 @@ func WithWriterID(id types.ProcID) Option {
 // backend's group commit batches the shards' concurrent fsyncs — and
 // RestartServer rebuilds the whole keyed state by replaying the
 // backend instead of trusting what the dead process left in memory.
-// The provider's factory must produce keyed automata (e.g.
-// kv.NewServerAutomaton) so compaction and recovery route wire.Keyed
+// The provider's factory must produce keyed automata
+// (kv.NewStorageAutomaton) so compaction and recovery route wire.Keyed
 // records correctly.
 func WithStorage(p storage.Provider) Option {
 	return func(o *openOptions) { o.store = p }
@@ -156,7 +156,7 @@ type Store struct {
 	contenders int                    // contender identities pre-registered at Open
 	writerID   types.ProcID           // identity this store's writers bind stamps under
 	readerBase int                    // local reader idx speaks as ReaderID(readerBase+idx)
-	runners    []node.Process         // per-server pumps (sharded, or plain after a swap)
+	runners    []*node.Runner         // per-server pumps (keyed shards, or the automaton of a swap)
 	srvs       []*keyed.ShardedServer // per-server keyed state, retained for warm restarts
 
 	store    storage.Provider
@@ -265,15 +265,12 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 		for i := range st.runners {
 			idx := i
 			st.met.reg.GaugeFunc("lucky_kv_server_queue_depth",
-				"Envelopes queued on a server's shard mailboxes, not yet stepped.",
+				"Step jobs (runs) queued on a server's shard workers, not yet stepped.",
 				func() int64 {
 					st.runnersMu.RLock()
 					r := st.runners[idx]
 					st.runnersMu.RUnlock()
-					if q, ok := r.(interface{ QueueLen() int }); ok {
-						return int64(q.QueueLen())
-					}
-					return 0
+					return int64(r.QueueLen())
 				}, metrics.L("server", string(types.ServerID(idx))))
 		}
 	}
@@ -327,19 +324,10 @@ func (s *Store) newCoalescer(ep transport.Endpoint, role string) *transport.Coal
 	return c
 }
 
-// NewServerAutomaton returns the keyed server automaton a KV server
-// process runs when its driver steps it from a single goroutine (e.g.
-// tcpnet.Listen, which serializes steps per server): one core register
-// per key. Sharded deployments use keyed.NewShardedServer with
-// node.NewShardedRunner instead, which is what Open assembles.
-func NewServerAutomaton() node.Automaton {
-	return keyed.NewServer(func() node.Automaton { return core.NewServer() })
-}
-
 // NewShardedServerAutomaton returns the sharded keyed server a KV
-// server process runs when its driver steps shards in parallel (e.g.
-// tcpnet.ListenSharded, or node.NewShardedRunner as Open assembles):
-// per-register core automata split across n shards, routed by key.
+// server process runs (tcpnet.ListenSharded, or node.NewShardedRunner
+// as Open assembles): per-register core automata split across n shards,
+// routed by key, whose shards step in parallel.
 // Values below 1 mean DefaultShards.
 func NewShardedServerAutomaton(n int) *keyed.ShardedServer {
 	if n < 1 {
@@ -376,12 +364,13 @@ func MetricsRegistry(opts ...Option) *metrics.Registry {
 }
 
 // NewStorageAutomaton returns the automaton storage backends rebuild
-// state into during compaction and recovery: a serialized keyed server
-// of core registers that can snapshot itself. Pass it as the factory
-// of storage.NewMemProvider / storage.NewDirProvider when opening a
-// store (or TCP server) with durable storage.
+// state into during compaction and recovery: a one-shard keyed server
+// of core registers, stepped from the one replaying goroutine, that can
+// snapshot itself. Pass it as the factory of storage.NewMemProvider /
+// storage.NewDirProvider when opening a store (or TCP server) with
+// durable storage.
 func NewStorageAutomaton() storage.Automaton {
-	return keyed.NewServer(func() node.Automaton { return core.NewServer() })
+	return keyed.NewShardedServer(1, func() node.Automaton { return core.NewServer() })
 }
 
 // OpenWithEndpoints builds a client-side store over externally provided
@@ -747,7 +736,7 @@ func (s *Store) RestartServer(i int) error {
 		}
 		s.srvs[i] = srv
 	}
-	return s.restart(i, func(ep transport.Endpoint) node.Process {
+	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
 		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
 	})
 }
@@ -769,20 +758,20 @@ func (s *Store) RestartServerFresh(i int) error {
 	}
 	srv := s.newServer()
 	s.srvs[i] = srv
-	return s.restart(i, func(ep transport.Endpoint) node.Process {
+	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
 		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
 	})
 }
 
 // SwapServerAutomaton crash-stops server i and brings it back running
-// the given automaton on a plain (serialized) pump — the hook chaos
+// the given automaton as its one shard — the hook chaos
 // schedules use to turn a server Byzantine mid-run. For KV traffic the
 // automaton should understand wire.Keyed (see fault.Keyed).
 func (s *Store) SwapServerAutomaton(i int, a node.Automaton) error {
 	if _, err := s.serverFor(i); err != nil {
 		return err
 	}
-	return s.restart(i, func(ep transport.Endpoint) node.Process {
+	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
 		return node.NewRunner(ep, a)
 	})
 }
@@ -843,7 +832,7 @@ func (s *Store) serverFor(i int) (*keyed.ShardedServer, error) {
 	return s.srvs[i], nil
 }
 
-func (s *Store) restart(i int, build func(transport.Endpoint) node.Process) error {
+func (s *Store) restart(i int, build func(transport.Endpoint) *node.Runner) error {
 	s.runners[i].Crash() // idempotent; joins the old pump
 	ep, err := s.sim.Endpoint(types.ServerID(i))
 	if err != nil {

@@ -139,7 +139,7 @@ func (s *slowEndpoint) take() []wire.Envelope {
 // and a client store whose writer and reader-0 endpoints record (and
 // delay) every frame they send. The runners are returned so a test can
 // crash a server.
-func recordedFleet(t *testing.T, cfg core.Config, delay time.Duration) (st *Store, w, r *slowEndpoint, runners []*node.ShardedRunner) {
+func recordedFleet(t *testing.T, cfg core.Config, delay time.Duration) (st *Store, w, r *slowEndpoint, runners []*node.Runner) {
 	t.Helper()
 	ids := append(types.ServerIDs(cfg.S()), types.WriterID(), types.ReaderID(0))
 	sim, err := simnet.New(ids)

@@ -5,11 +5,17 @@ package kv
 // arbitrary automaton (chaos Byzantine hook).
 
 import (
+	"fmt"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"luckystore/internal/core"
 	"luckystore/internal/fault"
+	"luckystore/internal/metrics"
+	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 )
@@ -92,6 +98,57 @@ func TestStoreRestartServerFreshAndSwap(t *testing.T) {
 	if err := st.RestartServer(99); err == nil {
 		t.Error("restart of out-of-range server succeeded")
 	}
+}
+
+// heldAutomaton blocks its first step until release is closed and
+// answers nothing, so whatever reaches it meanwhile queues.
+type heldAutomaton struct {
+	release chan struct{}
+	once    sync.Once
+}
+
+func (h *heldAutomaton) Step(types.ProcID, wire.Message) []transport.Outgoing {
+	h.once.Do(func() { <-h.release })
+	return nil
+}
+
+// The per-server queue-depth gauge keeps reading the server's runner
+// after a swap: with the swapped-in automaton held on its first step,
+// the messages behind it must show as queued.
+func TestQueueDepthGaugeSurvivesSwap(t *testing.T) {
+	reg := metrics.NewRegistry()
+	st, err := Open(restartCfg(), WithShards(2), WithMetrics(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	held := &heldAutomaton{release: make(chan struct{})}
+	defer close(held.release) // before Close, which joins the held worker
+	if err := st.SwapServerAutomaton(0, held); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := st.Put(fmt.Sprintf("k%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	line := `lucky_kv_server_queue_depth{server="s0"} `
+	var depth int
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(buf.String(), "\n") {
+			if v, ok := strings.CutPrefix(l, line); ok {
+				depth, _ = strconv.Atoi(v)
+			}
+		}
+		if depth >= 1 {
+			return
+		}
+	}
+	t.Fatalf("queue depth of the held server = %d, want >= 1", depth)
 }
 
 // Stores over external endpoints do not own servers: restart must

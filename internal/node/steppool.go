@@ -85,11 +85,10 @@ type poolShard struct {
 	scratch []transport.Outgoing // step output buffer, guarded by mu
 }
 
-// StepPool drives shard automata from explicit submissions, the
-// synchronous sibling of ShardedRunner: where the runner pumps an
-// endpoint and sends the outputs back through it, the pool lets a
-// caller submit individual steps and collect each step's output through
-// a per-submission sink. One worker goroutine per shard steps what is
+// StepPool drives shard automata from explicit submissions — every live
+// server steps on one, under a Runner's pump on simnet and under tcpnet's
+// connection read loops: a caller submits steps and collects each
+// step's output through a per-submission sink. One worker goroutine per shard steps what is
 // queued; a caller may also step an idle shard itself (TryStep). Either
 // way a shard is stepped by one goroutine at a time, so shard automata
 // (e.g. keyed.ShardedServer's unlocked per-shard maps) need no locking,
@@ -236,10 +235,16 @@ func (p *StepPool) enqueue(sh *poolShard, job poolJob) bool {
 // submits as usual. The sink contract is Submit's. A step
 // taken here may run before jobs already queued on the shard, so a
 // caller that needs its own messages stepped in order must have none of
-// them queued (tcpnet checks its connection's pipeline is empty);
+// them queued (tcpnet checks its connection's pipeline is empty, a
+// Runner its shard's backlog);
 // messages of different callers have no order to keep.
 func (p *StepPool) TryStep(from types.ProcID, m wire.Message, sink func([]transport.Outgoing)) bool {
-	sh := &p.shards[p.shardOf(m)]
+	return p.tryStep(p.shardOf(m), from, m, sink)
+}
+
+// tryStep is TryStep on shard i, which m routes to.
+func (p *StepPool) tryStep(i int, from types.ProcID, m wire.Message, sink func([]transport.Outgoing)) bool {
+	sh := &p.shards[i]
 	if !sh.inline || !sh.mu.TryLock() {
 		return false
 	}

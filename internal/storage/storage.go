@@ -94,7 +94,7 @@ type Snapshotter interface {
 
 // Automaton is what a backend needs for compaction and recovery: a
 // steppable automaton that can snapshot itself. core.Server and
-// keyed.Server satisfy it structurally.
+// keyed.ShardedServer satisfy it structurally.
 type Automaton interface {
 	node.Automaton
 	Snapshotter

@@ -30,7 +30,7 @@ import (
 // not with the pipeline.
 const tcpSteadyStateAllocBudget = 12
 
-// tcpAllocCluster starts S serialized-mode servers and a client
+// tcpAllocCluster starts S single-register servers and a client
 // endpoint for id over loopback TCP.
 func tcpAllocCluster(t *testing.T, cfg core.Config, id types.ProcID) *Client {
 	t.Helper()

@@ -17,8 +17,8 @@ import (
 // travel back coalesced and the client endpoint surfaces them unwrapped,
 // one envelope per key.
 func TestBatchFrameOverTCP(t *testing.T) {
-	auto := keyed.NewServer(func() node.Automaton { return core.NewServer() })
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", auto)
+	auto := keyed.NewShardedServer(1, func() node.Automaton { return core.NewServer() })
+	srv, err := ListenSharded(types.ServerID(0), "127.0.0.1:0", auto.Shards(), auto.Route())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,8 +72,8 @@ func TestBatchFrameOverTCP(t *testing.T) {
 // acknowledgements of one inbound batch into a single outbound frame:
 // a raw connection decodes exactly one frame carrying all three acks.
 func TestBatchRepliesShareOneFrame(t *testing.T) {
-	auto := keyed.NewServer(func() node.Automaton { return core.NewServer() })
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", auto)
+	auto := keyed.NewShardedServer(1, func() node.Automaton { return core.NewServer() })
+	srv, err := ListenSharded(types.ServerID(0), "127.0.0.1:0", auto.Shards(), auto.Route())
 	if err != nil {
 		t.Fatal(err)
 	}

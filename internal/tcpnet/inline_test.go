@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"luckystore/internal/core"
 	"luckystore/internal/kv"
 	"luckystore/internal/node"
 	"luckystore/internal/storage"
@@ -394,5 +395,42 @@ func TestShardedDurableStepsInlineAndWithholdsReply(t *testing.T) {
 			sendPW(3) // a mute Durable steps nothing and commits nothing
 			silent("a frame after the failed commit")
 		})
+	}
+}
+
+// forwardRecorder is a pathRecorder that answers NonBlocking as its
+// inner automaton does.
+type forwardRecorder struct{ *pathRecorder }
+
+func (r forwardRecorder) StepNeverBlocks() bool {
+	nb, ok := r.inner.(node.NonBlocking)
+	return ok && nb.StepNeverBlocks()
+}
+
+// A single-register server — Listen over a core.Server, as ListenTCP
+// runs it — steps a lone frame on the connection's read goroutine: the
+// register answers NonBlocking true, so one shard costs no hand-off.
+func TestListenSingleRegisterStepsInline(t *testing.T) {
+	rec := &pathRecorder{inner: core.NewServer()}
+	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", forwardRecorder{rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := dialRaw(t, srv.Addr(), types.ReaderID(0))
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	const frames = 20
+	for i := 1; i <= frames; i++ {
+		env := wire.Envelope{From: types.ReaderID(0), To: types.ServerID(0), Msg: wire.Read{TSR: types.ReaderTS(i), Round: 1}}
+		if err := wire.EncodeFrame(conn, env); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := wire.DecodeFrame(conn); err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+	}
+	_ = conn.Close()
+	_ = srv.Close() // joins every step before the counts are read
+	if rec.inline != frames || rec.pooled != 0 {
+		t.Errorf("inline %d, pooled %d of %d lone frames — want all inline", rec.inline, rec.pooled, frames)
 	}
 }

@@ -29,16 +29,16 @@ const framePipelineDepth = 64
 // observe): it steps the message itself and writes the reply itself —
 // run to completion, no hand-off — or it submits the frame's messages
 // to the shard workers, one job per shard the frame touches, and lets
-// the connection's write pump send the replies. Unlike Listen, no mutex
-// serializes steps across connections — messages for different shards
-// (different keys, under keyed.ShardedServer's routing) are stepped
-// concurrently, across and within connections.
+// the connection's write pump send the replies. No lock is shared
+// between shards — messages for different shards (different keys,
+// under keyed.ShardedServer's routing) are stepped concurrently, across
+// and within connections.
 //
-// The reply contract matches Listen's serialized loop on both paths:
-// all replies to one request frame coalesce into batch frames (one
-// frame per round trip for a batched multi-key request), reply frames
-// for one connection go out in request order, and so per-(peer,key)
-// FIFO order is preserved end to end.
+// The reply contract is the same on both paths: all replies to one
+// request frame coalesce into batch frames (one frame per round trip
+// for a batched multi-key request), reply frames for one connection go
+// out in request order, and so per-(peer,key) FIFO order is preserved
+// end to end.
 //
 // The shards and route function typically come from a
 // keyed.ShardedServer's Shards and Route methods.
@@ -46,9 +46,17 @@ func ListenSharded(id types.ProcID, addr string, shards []node.Automaton, route 
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("tcpnet: sharded server needs at least one shard")
 	}
-	s, err := listen(id, addr)
+	if !id.IsServer() {
+		return nil, fmt.Errorf("tcpnet: %q is not a server id", id)
+	}
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("tcpnet listen %s: %w", addr, err)
+	}
+	s := &Server{
+		id: id, ln: ln,
+		conns:  make(map[net.Conn]struct{}),
+		closed: make(chan struct{}),
 	}
 	for _, o := range opts {
 		o(s)
@@ -169,9 +177,9 @@ func (s *Server) serviceClass(m wire.Message) int {
 	return metrics.KeyClass(k.Key)
 }
 
-// servePipelined handles one connection on the sharded path. The read
-// loop (this goroutine) decodes request frames and, per frame, takes
-// one of two paths.
+// servePipelined handles one connection. The read loop (this
+// goroutine) decodes request frames and, per frame, takes one of two
+// paths.
 //
 // Inline — run to completion: step the message here and write its reply
 // here, zero hand-offs. Taken only when everything the loop can observe

@@ -80,8 +80,7 @@ func TestShardedBatchFrameOverTCP(t *testing.T) {
 }
 
 // TestShardedBatchRepliesShareOneFrame checks the sharded pipeline
-// preserves the serialized server's reply contract: all replies to one
-// request batch coalesce into a single outbound frame even though the
+// keeps the reply contract: all replies to one request batch coalesce into a single outbound frame even though the
 // steps ran on different shard workers.
 func TestShardedBatchRepliesShareOneFrame(t *testing.T) {
 	srv, _ := listenShardedKV(t, 4)
@@ -137,7 +136,7 @@ func (a *signalAutomaton) Step(from types.ProcID, m wire.Message) []transport.Ou
 
 // TestShardedStepsShardsInParallel proves the pipeline actually steps
 // shards concurrently: shard 0 blocks until shard 1 has stepped. Under
-// the serialized server (one mutex, in-order stepping of a single
+// one lock for the whole server (in-order stepping of a single
 // connection's messages) this deadlocks; with per-shard workers the
 // second message overtakes the first and both replies arrive.
 func TestShardedStepsShardsInParallel(t *testing.T) {

@@ -53,17 +53,14 @@ const connBufSize = 32 << 10
 // the connection's lifetime.
 const maxRetainedConnBuf = 1 << 20
 
-// Server serves one automaton over TCP, in one of two stepping modes:
-// Listen serializes every step behind a mutex (one plain automaton),
-// ListenSharded steps a shard pool in parallel (see sharded.go).
+// Server serves an automaton, split into shards stepped under a
+// node.StepPool, over TCP (see sharded.go for the connection pipeline).
 type Server struct {
 	id   types.ProcID
 	ln   net.Listener
-	auto node.Automaton // serialized mode; nil when sharded
-	pool *node.StepPool // sharded mode; nil when serialized
+	pool *node.StepPool
 	met  *ServerMetrics // nil when uninstrumented
 
-	mu        sync.Mutex // serializes automaton steps across connections
 	connMu    sync.Mutex
 	conns     map[net.Conn]struct{}
 	wg        sync.WaitGroup
@@ -79,39 +76,13 @@ func WithServerMetrics(m *ServerMetrics) ServerOption {
 	return func(s *Server) { s.met = m }
 }
 
-// Listen starts a server for the automaton on addr (e.g.
-// "127.0.0.1:0"); the chosen address is available via Addr. Every
-// automaton step is serialized behind one mutex; a keyed store meant to
-// step independent keys in parallel should use ListenSharded instead.
+// Listen starts a server for one automaton on addr (e.g.
+// "127.0.0.1:0"); the chosen address is available via Addr. It is
+// ListenSharded with a single shard: steps are serialized by the shard,
+// and a lone request frame to an automaton that answers
+// node.NonBlocking true steps on the connection's read goroutine.
 func Listen(id types.ProcID, addr string, auto node.Automaton, opts ...ServerOption) (*Server, error) {
-	s, err := listen(id, addr)
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	s.auto = auto
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// listen validates the id and binds the listener; the caller installs
-// the stepping backend and starts the accept loop.
-func listen(id types.ProcID, addr string) (*Server, error) {
-	if !id.IsServer() {
-		return nil, fmt.Errorf("tcpnet: %q is not a server id", id)
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("tcpnet listen %s: %w", addr, err)
-	}
-	return &Server{
-		id: id, ln: ln,
-		conns:  make(map[net.Conn]struct{}),
-		closed: make(chan struct{}),
-	}, nil
+	return ListenSharded(id, addr, []node.Automaton{auto}, func(wire.Message) int { return 0 }, opts...)
 }
 
 // Addr returns the listening address.
@@ -120,14 +91,22 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // ID returns the server's process id.
 func (s *Server) ID() types.ProcID { return s.id }
 
-// Pool returns the sharded step pool, nil in serialized mode. The
-// admin surface uses it for per-shard queue-depth gauges and for
-// walking live shard state on the worker goroutines (StepPool.Do).
+// Pool returns the server's step pool. The admin surface uses it for
+// per-shard queue-depth gauges and for walking live shard state on the
+// worker goroutines (StepPool.Do).
 func (s *Server) Pool() *node.StepPool { return s.pool }
 
-// Close stops the listener and every connection, waiting for all
-// server goroutines to exit. It is idempotent and safe to call
-// concurrently; every call returns only once teardown has completed.
+// Close stops the listener, the step pool and every connection,
+// waiting for all server goroutines to exit. It is idempotent and safe
+// to call concurrently; every call returns only once teardown has
+// completed.
+//
+// A connection is stopped, not closed: its read side is shut and its
+// writes time out, and its own goroutine closes the socket on the way
+// out. So a peer sees the connection drop only as the last of the
+// server's goroutines exit, just before Close returns, which keeps short
+// the time in which a redialing peer finds the address unbound before
+// the caller listens on it again.
 func (s *Server) Close() error {
 	var err error
 	s.closeOnce.Do(func() {
@@ -135,13 +114,12 @@ func (s *Server) Close() error {
 		err = s.ln.Close()
 		s.connMu.Lock()
 		for c := range s.conns {
-			_ = c.Close()
+			_ = c.(*net.TCPConn).CloseRead()
+			_ = c.SetWriteDeadline(time.Now())
 		}
 		s.connMu.Unlock()
+		s.pool.Close()
 		s.wg.Wait()
-		if s.pool != nil {
-			s.pool.Close()
-		}
 	})
 	return err
 }
@@ -181,53 +159,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	if err != nil || !peer.Valid() || peer.IsServer() {
 		return // reject unidentified or server-impersonating peers
 	}
-	if s.pool != nil {
-		s.servePipelined(conn, peer)
-		return
-	}
-	br := bufio.NewReaderSize(conn, connBufSize)
-	bw := bufio.NewWriterSize(conn, connBufSize)
-	// Per-connection reusable buffers: the automaton appends step output
-	// into scratch (the step-sink contract) and peer-bound replies
-	// accumulate in replies, both backed by one array across frames.
-	var scratch []transport.Outgoing
-	var replies []wire.Message
-	for {
-		env, err := wire.DecodeFrame(br)
-		if err != nil {
-			return // EOF, malformed frame, or closed
-		}
-		s.met.frameIn()
-		// A batch frame unwraps at the endpoint boundary: each inner
-		// message is a separate automaton step. Replies to one batch
-		// coalesce back into a single frame, so a lucky multi-key round
-		// trip costs one frame each way.
-		replies = replies[:0]
-		for _, e := range wire.Expand(env) {
-			// The connection authenticates the sender: ignore the claimed
-			// From and use the handshake identity.
-			s.mu.Lock()
-			scratch = node.StepInto(s.auto, peer, e.Msg, scratch[:0])
-			s.mu.Unlock()
-			for _, o := range scratch {
-				if o.To != peer {
-					continue // a data-centric server replies only to the requester
-				}
-				replies = append(replies, o.Msg)
-			}
-		}
-		// One flush per request frame: the buffered writer turns a
-		// multi-frame reply set into one syscall, and flushing here (not
-		// later) keeps the one-reply-frame-per-round-trip latency
-		// contract — nothing a client is waiting for sits in the buffer.
-		if err := writeReplies(bw, s.id, peer, replies); err != nil {
-			return
-		}
-		s.met.replies(len(replies))
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
+	s.servePipelined(conn, peer)
 }
 
 // writeReplies frames a step's replies back to the peer: runs of keyed

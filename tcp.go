@@ -40,10 +40,10 @@ func (s *TCPServer) ID() ProcID { return s.inner.ID() }
 
 // Close stops the server; to the rest of the cluster this is a crash.
 // A disk-backed server closes its WAL after the listener — stepping
-// has stopped by then (the listener's Close joins every connection's
-// read goroutine, and so any step running there, before it closes the
-// shard workers), so the final flush+fsync captures every acknowledged
-// operation.
+// has stopped by then (the listener's Close closes the step pool, which
+// waits out its shard workers and any step a connection's read
+// goroutine is running), so the final flush+fsync captures every
+// acknowledged operation.
 func (s *TCPServer) Close() error {
 	err := s.inner.Close()
 	if s.back != nil {
