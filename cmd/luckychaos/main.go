@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"luckystore/internal/chaos"
@@ -36,7 +38,7 @@ func run(args []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	var (
 		scenario = fs.String("scenario", "all", "scenario name, or \"all\"")
-		deploy   = fs.String("deploy", "core", "deployment kind (core|kv|tcpkv|router|tcprouter|regular), or \"all\"")
+		deploy   = fs.String("deploy", "core", "deployment kind ("+strings.Join(chaos.Kinds(), "|")+"), or \"all\"")
 		seed     = fs.Int64("seed", 1, "schedule seed; same seed replays the same fault sequence")
 		duration = fs.Duration("duration", 2*time.Second, "fault window per run (plus settle time)")
 		readers  = fs.Int("readers", 3, "reader clients")
@@ -70,18 +72,10 @@ func run(args []string, stdout, stderr *os.File) int {
 		}
 		scenarios = []chaos.Scenario{sc}
 	}
-	var kinds []string
-	if *deploy == "all" {
-		kinds = chaos.Kinds()
-	} else {
-		known := false
-		for _, k := range chaos.Kinds() {
-			if k == *deploy {
-				known = true
-			}
-		}
-		if !known {
-			fmt.Fprintf(stderr, "luckychaos: unknown deployment %q (core|kv|tcpkv|router|tcprouter|regular|all)\n", *deploy)
+	kinds := chaos.Kinds()
+	if *deploy != "all" {
+		if !slices.Contains(kinds, *deploy) {
+			fmt.Fprintf(stderr, "luckychaos: unknown deployment %q (%s|all)\n", *deploy, strings.Join(kinds, "|"))
 			return 2
 		}
 		kinds = []string{*deploy}

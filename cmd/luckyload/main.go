@@ -151,7 +151,7 @@ func run(args []string, stdout io.Writer) int {
 			return 1
 		}
 		defer store.Close()
-		driver = workload.KVDriver{S: store, Readers: *readers}
+		driver = workload.KVDriver{S: store}
 		if *chaosList != "" {
 			fmt.Fprintln(os.Stderr, "luckyload: -chaos needs a selfhost deployment (drop -addrs)")
 			return 2

@@ -56,11 +56,11 @@ const (
 	// on Server's backend: the next mutating operation kills the disk
 	// and the server goes mute — a crash fault in the model's terms, so
 	// it is budgeted against t exactly like ActCrash. A later
-	// ActRestart heals the disk and recovers from it. Deployments
-	// without injectable storage skip it benignly.
+	// ActRestart heals the disk and recovers from it. Fleet deployments
+	// skip it benignly.
 	ActDiskFault ActionKind = "disk-fault"
-	// Fleet actions, honored by deployments implementing Rebalancer
-	// (scale-out router fleets); others skip them benignly.
+	// Fleet actions, honored by deployments with a router in front;
+	// others skip them benignly.
 	ActJoinCluster   ActionKind = "join-cluster"   // add one cluster to the fleet
 	ActRemoveCluster ActionKind = "remove-cluster" // retire active cluster ordinal Server
 )
@@ -225,14 +225,10 @@ func Run(d Deployment, sc Scenario, seed int64, duration time.Duration, opts Opt
 		duration = minDuration
 	}
 	t, b := d.Budget()
-	writers := 1
-	if mw, ok := d.(workload.MultiWriter); ok {
-		writers = mw.NumWriters()
-	}
+	writers := d.NumWriters()
 	p := SchedParams{
 		Servers: d.Servers(), T: t, B: b,
 		Readers: d.NumReaders(), Writers: writers, Seed: seed, Duration: duration,
-		Cold: d.ColdRestarts(),
 	}
 	events := sc.Schedule(p)
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
@@ -356,162 +352,78 @@ func (g *guard) faulty(addDown, addSuspect int) int {
 	return n
 }
 
+// skip reports why a would push the deployment outside the failure
+// model, "" when it stays inside. Network and fleet actions consume no
+// budget: clusters are independent quorum groups, and the rebalance
+// handoff is a client-side protocol, not a server fault.
+func (g *guard) skip(a Action) string {
+	overT := fmt.Sprintf("budget: would exceed t=%d faulty", g.t)
+	switch a.Kind {
+	// A disk fault mutes the server on its next mutating step:
+	// conservatively a crash fault from arming on, until a restart
+	// heals it.
+	case ActCrash, ActDiskFault:
+		if g.down[a.Server] {
+			return "already down"
+		}
+		if g.faulty(a.Server, -1) > g.t {
+			return overT
+		}
+	case ActRestart:
+		if a.Fresh && !g.suspect[a.Server] {
+			if len(g.suspect)+1 > g.b {
+				return fmt.Sprintf("budget: amnesiac restart would exceed b=%d", g.b)
+			}
+			// A fresh restart of a *running* server mints a new suspect
+			// without freeing a down slot: check t too.
+			if !g.down[a.Server] && g.faulty(-1, a.Server) > g.t {
+				return overT
+			}
+		}
+	case ActSwap:
+		if !g.suspect[a.Server] && len(g.suspect)+1 > g.b {
+			return fmt.Sprintf("budget: swap would exceed b=%d Byzantine", g.b)
+		}
+		if g.faulty(-1, a.Server) > g.t {
+			return overT
+		}
+	}
+	return ""
+}
+
+// record books an applied action.
+func (g *guard) record(a Action) {
+	switch a.Kind {
+	case ActCrash, ActDiskFault:
+		g.down[a.Server] = true
+	case ActRestart:
+		delete(g.down, a.Server)
+		if a.Fresh {
+			g.suspect[a.Server] = true
+		}
+	case ActSwap:
+		delete(g.down, a.Server) // the swapped automaton is running
+		g.suspect[a.Server] = true
+	}
+}
+
 // apply executes one event against the deployment, enforcing the
 // failure budget. The decision depends only on the event sequence, so
 // a replayed schedule skips exactly the same events.
 func apply(d Deployment, ev Event, g *guard) AppliedEvent {
 	out := AppliedEvent{Event: ev}
-	net := d.Net()
-	switch a := ev.Action; a.Kind {
-	case ActPartition:
-		if net == nil {
-			out.Skipped = "no simulated network"
-			return out
-		}
-		net.SetPartition(a.Groups...)
-		out.Applied = true
-	case ActHeal:
-		if net == nil {
-			out.Skipped = "no simulated network"
-			return out
-		}
-		net.Heal()
-		out.Applied = true
-	case ActHoldLink:
-		if net == nil {
-			out.Skipped = "no simulated network"
-			return out
-		}
-		net.Hold(a.From, a.To)
-		out.Applied = true
-	case ActReleaseLink:
-		if net == nil {
-			out.Skipped = "no simulated network"
-			return out
-		}
-		net.Release(a.From, a.To)
-		out.Applied = true
-	case ActProcFaults:
-		if net == nil {
-			out.Skipped = "no simulated network"
-			return out
-		}
-		net.SetProcFaults(a.Proc, a.Faults)
-		out.Applied = true
-	case ActClearFaults:
-		if net == nil {
-			out.Skipped = "no simulated network"
-			return out
-		}
-		net.ClearAllFaults()
-		out.Applied = true
-	case ActCrash:
-		if g.down[a.Server] {
-			out.Skipped = "already down"
-			return out
-		}
-		if g.faulty(a.Server, -1) > g.t {
-			out.Skipped = fmt.Sprintf("budget: would exceed t=%d faulty", g.t)
-			return out
-		}
-		if err := d.Crash(a.Server); err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		g.down[a.Server] = true
-		out.Applied = true
-	case ActRestart:
-		fresh := a.Fresh || d.ColdRestarts()
-		if fresh && !g.suspect[a.Server] {
-			if len(g.suspect)+1 > g.b {
-				out.Skipped = fmt.Sprintf("budget: amnesiac restart would exceed b=%d", g.b)
-				return out
-			}
-			// A fresh restart of a *running* server mints a new suspect
-			// without freeing a down slot: check t too.
-			if !g.down[a.Server] && g.faulty(-1, a.Server) > g.t {
-				out.Skipped = fmt.Sprintf("budget: would exceed t=%d faulty", g.t)
-				return out
-			}
-		}
-		if err := d.Restart(a.Server, fresh); err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		delete(g.down, a.Server)
-		if fresh {
-			g.suspect[a.Server] = true
-		}
-		out.Applied = true
-	case ActDiskFault:
-		df, ok := d.(DiskFaulter)
-		if !ok {
-			out.Skipped = "deployment has no injectable storage"
-			return out
-		}
-		if g.down[a.Server] {
-			out.Skipped = "already down"
-			return out
-		}
-		if g.faulty(a.Server, -1) > g.t {
-			out.Skipped = fmt.Sprintf("budget: would exceed t=%d faulty", g.t)
-			return out
-		}
-		if err := df.DiskFault(a.Server, a.Disk); err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		// The server mutes on its next mutating step: conservatively a
-		// crash fault from this moment on, until a restart heals it.
-		g.down[a.Server] = true
-		out.Applied = true
-	case ActSwap:
-		if !g.suspect[a.Server] && len(g.suspect)+1 > g.b {
-			out.Skipped = fmt.Sprintf("budget: swap would exceed b=%d Byzantine", g.b)
-			return out
-		}
-		if g.faulty(-1, a.Server) > g.t {
-			out.Skipped = fmt.Sprintf("budget: would exceed t=%d faulty", g.t)
-			return out
-		}
-		if err := d.Swap(a.Server, a.Behavior, ev.At.Nanoseconds()+int64(a.Server)); err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		delete(g.down, a.Server) // the swapped automaton is running
-		g.suspect[a.Server] = true
-		out.Applied = true
-	// Fleet actions consume no fault budget: clusters are independent
-	// quorum groups, and the rebalance handoff is a client-side
-	// protocol, not a server fault.
-	case ActJoinCluster:
-		rb, ok := d.(Rebalancer)
-		if !ok {
-			out.Skipped = "deployment cannot rebalance"
-			return out
-		}
-		if err := rb.JoinCluster(); err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		out.Applied = true
-	case ActRemoveCluster:
-		rb, ok := d.(Rebalancer)
-		if !ok {
-			out.Skipped = "deployment cannot rebalance"
-			return out
-		}
-		if rb.NumClusters() <= 1 {
-			out.Skipped = "last cluster"
-			return out
-		}
-		if err := rb.RemoveCluster(a.Server); err != nil {
-			out.Err = err.Error()
-			return out
-		}
-		out.Applied = true
-	default:
-		out.Skipped = fmt.Sprintf("unknown action %q", a.Kind)
+	a := ev.Action
+	if out.Skipped = d.skip(a); out.Skipped == "" {
+		out.Skipped = g.skip(a)
 	}
+	if out.Skipped != "" {
+		return out
+	}
+	if err := d.do(a, ev.At.Nanoseconds()+int64(a.Server)); err != nil {
+		out.Err = err.Error()
+		return out
+	}
+	g.record(a)
+	out.Applied = true
 	return out
 }

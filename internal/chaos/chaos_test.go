@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"luckystore/internal/checker"
+	"luckystore/internal/core"
+	"luckystore/internal/node"
 	"luckystore/internal/simnet"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
@@ -104,7 +106,7 @@ func b2(f func() []AppliedEvent) []AppliedEvent { return f() }
 // whatever the seed, applied crashes/swaps stay within t and b.
 func TestGuardEnforcesBudget(t *testing.T) {
 	g := newGuard(2, 1)
-	d := &fakeDep{}
+	d := fakeDep()
 	evAt := func(k ActionKind, srv int) Event {
 		return Event{Action: Action{Kind: k, Server: srv, Behavior: "stale"}}
 	}
@@ -135,7 +137,7 @@ func TestGuardEnforcesBudget(t *testing.T) {
 // freeing a down slot: it must respect the t budget too.
 func TestGuardFreshRestartOfRunningServerRespectsT(t *testing.T) {
 	g := newGuard(2, 1)
-	d := &fakeDep{}
+	d := fakeDep()
 	apply(d, Event{Action: Action{Kind: ActCrash, Server: 0}}, g)
 	apply(d, Event{Action: Action{Kind: ActCrash, Server: 1}}, g)
 	// down={0,1} = t: an amnesiac restart of running s2 would make the
@@ -146,16 +148,16 @@ func TestGuardFreshRestartOfRunningServerRespectsT(t *testing.T) {
 	}
 }
 
-// On cold deployments a restart is amnesiac and counts against b.
+// An amnesiac (fresh) restart counts against b, even of a down server.
 func TestGuardBudgetsColdRestartsAgainstB(t *testing.T) {
 	g := newGuard(2, 1)
-	d := &fakeDep{cold: true}
+	d := fakeDep()
 	apply(d, Event{Action: Action{Kind: ActCrash, Server: 0}}, g)
-	if out := apply(d, Event{Action: Action{Kind: ActRestart, Server: 0}}, g); !out.Applied {
+	if out := apply(d, Event{Action: Action{Kind: ActRestart, Server: 0, Fresh: true}}, g); !out.Applied {
 		t.Fatalf("first cold restart skipped: %+v", out)
 	}
 	apply(d, Event{Action: Action{Kind: ActCrash, Server: 1}}, g)
-	if out := apply(d, Event{Action: Action{Kind: ActRestart, Server: 1}}, g); out.Applied {
+	if out := apply(d, Event{Action: Action{Kind: ActRestart, Server: 1, Fresh: true}}, g); out.Applied {
 		t.Fatalf("second amnesiac restart applied beyond b=1: %+v", out)
 	}
 }
@@ -320,27 +322,22 @@ func TestContendingWritersFleetEngagesBothIdentities(t *testing.T) {
 	}
 }
 
-// fakeDep satisfies Deployment for guard unit tests; fault hooks
-// always succeed.
-type fakeDep struct{ cold bool }
-
-func (f *fakeDep) NumReaders() int                        { return 1 }
-func (f *fakeDep) MultiKey() bool                         { return false }
-func (f *fakeDep) Kind() string                           { return "fake" }
-func (f *fakeDep) Servers() int                           { return 6 }
-func (f *fakeDep) Budget() (int, int)                     { return 2, 1 }
-func (f *fakeDep) ColdRestarts() bool                     { return f.cold }
-func (f *fakeDep) Close()                                 {}
-func (f *fakeDep) Crash(int) error                        { return nil }
-func (f *fakeDep) Restart(int, bool) error                { return nil }
-func (f *fakeDep) Swap(int, string, int64) error          { return nil }
-func (f *fakeDep) Net() *simnet.Network                   { return nil }
-func (f *fakeDep) Check([]checker.Op) []checker.Violation { return nil }
-
-func (f *fakeDep) Write(string, types.Value) (types.Tagged, workload.OpMeta, error) {
-	return types.Tagged{}, workload.OpMeta{}, nil
+// fakeDep is a deployment of one cluster whose fault hooks always
+// succeed, for guard unit tests.
+func fakeDep() *deployment {
+	return &deployment{
+		cfg:    core.Config{T: 2, B: 1},
+		drv:    workload.KVDriver{},
+		check:  checker.CheckAtomicityPerKey,
+		active: []member{{c: nopCluster{}}},
+	}
 }
 
-func (f *fakeDep) Read(int, string) (types.Tagged, workload.OpMeta, error) {
-	return types.Tagged{}, workload.OpMeta{}, nil
-}
+type nopCluster struct{}
+
+func (nopCluster) crash(int) error                { return nil }
+func (nopCluster) restart(int, bool) error        { return nil }
+func (nopCluster) swap(int, node.Automaton) error { return nil }
+func (nopCluster) diskFault(int, string) error    { return nil }
+func (nopCluster) sim() *simnet.Network           { return nil }
+func (nopCluster) close()                         {}

@@ -1,15 +1,19 @@
 package chaos
 
-// Deployment adapters: one fault surface over every way this repo can
-// run the protocol. Each adapter embeds the matching workload driver —
-// so the engine generates identical traffic everywhere — and exposes
-// crash / restart / Byzantine-swap hooks plus (when the deployment is
-// simulated) the simnet for network faults.
+// Deployments: one fault surface over every way this repo can run the
+// protocol. A deployment is one or more clusters of one of two kinds —
+// a simnet cluster (core, kv or regular servers) or S sharded KV
+// servers on loopback TCP with file WALs — with a router in front when
+// there is more than one. Its workload driver generates identical
+// traffic everywhere; server-indexed faults hit server i of every
+// active cluster.
 
 import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"luckystore/internal/checker"
@@ -28,31 +32,28 @@ import (
 	"luckystore/internal/workload"
 )
 
-// Deployment is a running system the chaos engine can hurt. All fault
-// methods are called from the engine's single schedule goroutine.
+// Deployment is a running system the chaos engine can hurt; Open builds
+// it. All fault methods are called from the engine's single schedule
+// goroutine.
 type Deployment interface {
 	workload.Driver
-	// Kind names the deployment flavor ("core", "kv", "tcpkv",
-	// "regular").
+	workload.MultiWriter
+	// Kind names the deployment flavor (one of Kinds).
 	Kind() string
-	// Servers reports the server count S.
+	// Servers reports the server count S of each cluster.
 	Servers() int
 	// Budget reports the deployment's failure model (t, b).
 	Budget() (t, b int)
 	// Net returns the simulated network for partition/link faults, or
-	// nil when the deployment runs over real sockets — the engine
-	// skips network actions there (a real network is not scriptable).
+	// nil when there is none to script — real sockets, or a fleet whose
+	// clusters each run their own simnet. The engine skips network
+	// actions then.
 	Net() *simnet.Network
 	// Crash stops server i.
 	Crash(i int) error
-	// Restart brings server i back. fresh discards its state; some
-	// deployments (ColdRestarts) can only restart fresh.
+	// Restart brings server i back from its storage; fresh wipes the
+	// storage first (an amnesiac restart).
 	Restart(i int, fresh bool) error
-	// ColdRestarts reports whether every restart loses state (a real
-	// process restart), which the engine budgets against b: an
-	// amnesiac server answers correctly from initial state, which the
-	// model can only classify as Byzantine.
-	ColdRestarts() bool
 	// Swap replaces server i with the named Byzantine behavior.
 	Swap(i int, behavior string, seed int64) error
 	// Check verifies a recorded history against the deployment's
@@ -61,37 +62,312 @@ type Deployment interface {
 	Check(ops []checker.Op) []checker.Violation
 	// Close tears the deployment down.
 	Close()
+
+	// skip reports why the deployment cannot honor a, "" when it can;
+	// do executes a once skip and the budget guard have let it through.
+	skip(a Action) string
+	do(a Action, seed int64) error
 }
 
-// DiskFaulter is the optional Deployment capability behind
-// ActDiskFault: deployments whose servers write through injectable
-// storage backends arm the named fault (storage.FaultTornWrite or
-// storage.FaultFsyncError) on server i's disk. The fault fires on the
-// server's next mutating operation, muting it; the deployment's
-// Restart must heal (or reopen) the disk before recovering from it.
-type DiskFaulter interface {
-	DiskFault(i int, kind string) error
+// deployments is Open's table: per kind, the cluster kind (its
+// opener), how many clusters (more than one puts a router in front),
+// and the consistency contract its histories are checked against.
+var deployments = []struct {
+	kind     string
+	open     opener
+	clusters int
+	check    func([]checker.Op) []checker.Violation
+}{
+	{"core", openCore, 1, checker.CheckAtomicityPerKey},
+	{"kv", openKV, 1, checker.CheckAtomicityPerKey},
+	{"tcpkv", openTCP, 1, checker.CheckAtomicityPerKey},
+	{"router", openKV, 2, checker.CheckAtomicityPerKey},
+	{"tcprouter", openTCP, 2, checker.CheckAtomicityPerKey},
+	{"regular", openRegular, 1, checker.CheckRegularityPerKey},
 }
 
-// serverName is the per-server backend name used with storage
-// providers across every deployment ("s0", "s1", …).
-func serverName(i int) string { return string(types.ServerID(i)) }
-
-// simFaultProvider builds the injectable in-memory storage the simnet
-// deployments give their servers: memory backends (the "disk" survives
-// in-process restarts) behind fault wrappers the schedule can arm.
-func simFaultProvider(factory func() storage.Automaton) *storage.FaultProvider {
-	return storage.NewFaultProvider(storage.NewMemProvider(factory))
+// Kinds lists the deployment kinds Open accepts.
+func Kinds() []string {
+	out := make([]string, len(deployments))
+	for i, row := range deployments {
+		out[i] = row.kind
+	}
+	return out
 }
 
-// healDisk clears any armed or fired fault on server i's wrapper
-// before a restart recovers from the backend — the restarted process
-// got a working disk back; what survives on it is recovery's problem.
-func healDisk(fp *storage.FaultProvider, i int) {
-	if f := fp.Fault(serverName(i)); f != nil {
-		f.Heal()
+// Open builds a deployment by kind name — the entry point luckychaos,
+// luckyload and the smoke matrix use — in the stock chaos
+// configuration: t=2, b=1 (S = 6 servers), fw=0, room for one
+// Byzantine server or one amnesiac restart plus one crash, with fr = 1.
+// The short round timeout keeps slow paths quick under scripted
+// asynchrony. writers > 1 opens that many writer identities on every
+// cluster, joined ones included; only the regular variant stays
+// single-writer, and the engine clamps multi-writer scenarios to SWMR
+// traffic on it (Report.MWClamped).
+func Open(kind string, readers, writers int) (Deployment, error) {
+	for _, row := range deployments {
+		if row.kind != kind {
+			continue
+		}
+		d := &deployment{kind: kind, check: row.check, cfg: core.Config{
+			T: 2, B: 1, Writers: writers, NumReaders: readers,
+			RoundTimeout: 8 * time.Millisecond,
+			OpTimeout:    20 * time.Second,
+		}}
+		if err := d.start(row.open, row.clusters); err != nil {
+			d.Close()
+			return nil, err
+		}
+		return d, nil
+	}
+	return nil, fmt.Errorf("chaos: unknown deployment %q (%s)", kind, strings.Join(Kinds(), "|"))
+}
+
+// deployment is the one Deployment implementation.
+type deployment struct {
+	kind   string
+	cfg    core.Config
+	drv    workload.Driver
+	net    *simnet.Network // the lone simnet cluster's network, else nil
+	check  func([]checker.Op) []checker.Violation
+	active []member // the fault targets
+
+	// Fleets only: the router in front, the opener of joining clusters,
+	// and the clusters retired from the ring, whose servers stay up for
+	// lazy handoffs until Close.
+	r       *router.Router
+	open    opener
+	retired []member
+}
+
+// member is one cluster of a deployment under its ring id.
+type member struct {
+	id ring.ClusterID
+	c  cluster
+}
+
+// routerSeed fixes the ring seed for chaos fleets: placement must be a
+// pure function of the schedule seed alone, and the schedule already
+// owns all randomness, so the ring gets a constant.
+const routerSeed = 1
+
+// start opens n clusters, fronted by a router when n > 1.
+func (d *deployment) start(open opener, n int) error {
+	backends := make(map[ring.ClusterID]router.Backend, n)
+	for i := range n {
+		c, drv, err := open(d.cfg)
+		if err != nil {
+			return err
+		}
+		d.active = append(d.active, member{ring.ID(i), c})
+		d.drv = drv
+		if kd, ok := drv.(workload.KVDriver); ok {
+			backends[ring.ID(i)] = kd.S
+		}
+	}
+	if n == 1 {
+		d.net = d.active[0].c.sim()
+		return nil
+	}
+	r, err := router.New(router.Options{Seed: routerSeed, Readers: d.cfg.NumReaders}, backends)
+	if err != nil {
+		return err
+	}
+	d.r, d.open, d.drv = r, open, workload.RouterDriver{R: r}
+	return nil
+}
+
+func (d *deployment) Kind() string                               { return d.kind }
+func (d *deployment) Servers() int                               { return d.cfg.S() }
+func (d *deployment) Budget() (int, int)                         { return d.cfg.T, d.cfg.B }
+func (d *deployment) Net() *simnet.Network                       { return d.net }
+func (d *deployment) Check(ops []checker.Op) []checker.Violation { return d.check(ops) }
+func (d *deployment) NumReaders() int                            { return d.drv.NumReaders() }
+func (d *deployment) MultiKey() bool                             { return d.drv.MultiKey() }
+
+func (d *deployment) Write(key string, v types.Value) (types.Tagged, workload.OpMeta, error) {
+	return d.drv.Write(key, v)
+}
+
+func (d *deployment) Read(r int, key string) (types.Tagged, workload.OpMeta, error) {
+	return d.drv.Read(r, key)
+}
+
+// NumWriters implements workload.MultiWriter: a single-writer driver
+// (the regular variant's) has one identity.
+func (d *deployment) NumWriters() int {
+	if mw, ok := d.drv.(workload.MultiWriter); ok {
+		return mw.NumWriters()
+	}
+	return 1
+}
+
+// WriteAs implements workload.MultiWriter.
+func (d *deployment) WriteAs(w int, key string, v types.Value) (types.Tagged, workload.OpMeta, error) {
+	if mw, ok := d.drv.(workload.MultiWriter); ok {
+		return mw.WriteAs(w, key, v)
+	}
+	if w != 0 {
+		return types.Tagged{}, workload.OpMeta{}, workload.ErrMWUnsupported
+	}
+	return d.drv.Write(key, v)
+}
+
+func (d *deployment) Crash(i int) error {
+	return d.each(i, func(c cluster) error { return c.crash(i) })
+}
+
+func (d *deployment) Restart(i int, fresh bool) error {
+	return d.each(i, func(c cluster) error { return c.restart(i, fresh) })
+}
+
+func (d *deployment) Swap(i int, behavior string, seed int64) error {
+	return d.each(i, func(c cluster) error {
+		// One automaton per cluster: behaviors are stateful.
+		a, err := behaviorFor(behavior, seed, d.MultiKey())
+		if err != nil {
+			return err
+		}
+		return c.swap(i, a)
+	})
+}
+
+// each applies f to every active cluster: a fault on server i hits
+// server i of every cluster — "rack i" in fleet terms — so a fleet's
+// per-cluster budget (t, b) is stressed everywhere at once while
+// staying within the model.
+func (d *deployment) each(i int, f func(c cluster) error) error {
+	if i < 0 || i >= d.cfg.S() {
+		return fmt.Errorf("chaos: server %d out of range [0,%d)", i, d.cfg.S())
+	}
+	for _, m := range d.active {
+		if err := f(m.c); err != nil {
+			return fmt.Errorf("cluster %s: %w", m.id, err)
+		}
+	}
+	return nil
+}
+
+func (d *deployment) skip(a Action) string {
+	switch a.Kind {
+	case ActPartition, ActHeal, ActHoldLink, ActReleaseLink, ActProcFaults, ActClearFaults:
+		if d.net == nil {
+			return "no simulated network"
+		}
+	case ActDiskFault:
+		// Fleets have never been scripted with disk faults; their
+		// storage is exercised by warm restarts.
+		if d.r != nil {
+			return "deployment has no injectable storage"
+		}
+	case ActJoinCluster, ActRemoveCluster:
+		if d.r == nil {
+			return "deployment cannot rebalance"
+		}
+		if a.Kind == ActRemoveCluster && len(d.active) <= 1 {
+			return "last cluster"
+		}
+	case ActCrash, ActRestart, ActSwap:
+	default:
+		return fmt.Sprintf("unknown action %q", a.Kind)
+	}
+	return ""
+}
+
+func (d *deployment) do(a Action, seed int64) error {
+	switch a.Kind {
+	case ActPartition:
+		d.net.SetPartition(a.Groups...)
+	case ActHeal:
+		d.net.Heal()
+	case ActHoldLink:
+		d.net.Hold(a.From, a.To)
+	case ActReleaseLink:
+		d.net.Release(a.From, a.To)
+	case ActProcFaults:
+		d.net.SetProcFaults(a.Proc, a.Faults)
+	case ActClearFaults:
+		d.net.ClearAllFaults()
+	case ActCrash:
+		return d.Crash(a.Server)
+	case ActRestart:
+		return d.Restart(a.Server, a.Fresh)
+	case ActSwap:
+		return d.Swap(a.Server, a.Behavior, seed)
+	case ActDiskFault:
+		return d.each(a.Server, func(c cluster) error { return c.diskFault(a.Server, a.Disk) })
+	case ActJoinCluster:
+		return d.join()
+	case ActRemoveCluster:
+		return d.remove(a.Server)
+	}
+	return nil
+}
+
+// join opens one more cluster and adds it to the fleet.
+func (d *deployment) join() error {
+	c, drv, err := d.open(d.cfg)
+	if err != nil {
+		return err
+	}
+	id := ring.ID(len(d.active) + len(d.retired))
+	if err := d.r.AddCluster(id, drv.(workload.KVDriver).S); err != nil {
+		c.close()
+		return err
+	}
+	d.active = append(d.active, member{id, c})
+	return nil
+}
+
+// remove retires the i-th active cluster (ring order, wrapped modulo
+// the active count). It stops being a fault target but keeps serving:
+// lazily migrating keys still read their pair out of it through the
+// router-owned client store.
+func (d *deployment) remove(i int) error {
+	ids := d.r.Clusters()
+	id := ids[i%len(ids)]
+	if err := d.r.RemoveCluster(id); err != nil {
+		return err
+	}
+	j := slices.IndexFunc(d.active, func(m member) bool { return m.id == id })
+	d.retired = append(d.retired, d.active[j])
+	d.active = slices.Delete(d.active, j, j+1)
+	return nil
+}
+
+func (d *deployment) Close() {
+	if d.r != nil {
+		_ = d.r.Close() // closes every client store, active and retired
+	}
+	for _, m := range slices.Concat(d.active, d.retired) {
+		m.c.close()
 	}
 }
+
+// cluster is one quorum group of S servers a deployment can hurt.
+type cluster interface {
+	crash(i int) error
+	// restart brings server i back from its storage, wiped first when
+	// fresh.
+	restart(i int, fresh bool) error
+	swap(i int, a node.Automaton) error
+	// diskFault arms a storage fault kind (storage.FaultTornWrite,
+	// storage.FaultFsyncError) on server i's backend. It fires on the
+	// server's next mutating operation, muting it; restart recovers.
+	diskFault(i int, kind string) error
+	// sim is the cluster's simulated network, nil over TCP.
+	sim() *simnet.Network
+	close()
+}
+
+// opener starts one cluster under cfg and returns it with the driver
+// of its client side — a workload.KVDriver for the clusters a router
+// can front.
+type opener func(cfg core.Config) (cluster, workload.Driver, error)
+
+// serverName is the per-server backend name used with storage
+// providers ("s0", "s1", …).
+func serverName(i int) string { return string(types.ServerID(i)) }
 
 // armDisk arms kind on server i's fault wrapper.
 func armDisk(fp *storage.FaultProvider, i int, kind string) error {
@@ -102,30 +378,20 @@ func armDisk(fp *storage.FaultProvider, i int, kind string) error {
 	return f.Arm(kind)
 }
 
-// Rebalancer is the optional Deployment capability behind the fleet
-// actions (ActJoinCluster, ActRemoveCluster): scale-out router
-// deployments implement it; single-cluster deployments skip fleet
-// events benignly.
-type Rebalancer interface {
-	// JoinCluster adds one fresh cluster to the fleet.
-	JoinCluster() error
-	// RemoveCluster retires the i-th active cluster (sorted order,
-	// wrapped modulo the active count by the caller's schedule).
-	RemoveCluster(i int) error
-	// NumClusters reports the active cluster count.
-	NumClusters() int
-}
-
-// DefaultConfig is the resilience configuration the stock deployments
-// use: t=2, b=1 (S = 6 servers), fw=0 — room for one Byzantine server
-// or one amnesiac restart plus one crash, with fr = 1. The short round
-// timeout keeps slow paths quick under scripted asynchrony.
-func DefaultConfig(readers int) core.Config {
-	return core.Config{
-		T: 2, B: 1, Fw: 0, NumReaders: readers,
-		RoundTimeout: 8 * time.Millisecond,
-		OpTimeout:    20 * time.Second,
+// adoptContenders opens writer identities 1 … writers-1 with open and
+// adopts each into st, which then owns (and closes) them.
+func adoptContenders(st *kv.Store, writers int, open func(k int) (*kv.Store, error)) error {
+	for k := 1; k < writers; k++ {
+		ct, err := open(k)
+		if err != nil {
+			return err
+		}
+		if err := st.AdoptContender(ct); err != nil {
+			ct.Close()
+			return err
+		}
 	}
+	return nil
 }
 
 // behaviorFor builds a named Byzantine behavior. keyed lifts it to the
@@ -155,195 +421,140 @@ func behaviorFor(name string, seed int64, keyed bool) (node.Automaton, error) {
 	return b, nil
 }
 
-// ---- core single-register cluster (simnet) ----
+// ---- simnet clusters ----
 
-type coreDep struct {
-	workload.ClusterDriver
-	c  *core.Cluster
+// simServers is what core.Cluster, regular.Cluster and kv.Store share:
+// servers on a simulated network the cluster owns.
+type simServers interface {
+	CrashServer(i int)
+	RestartServer(i int) error
+	RestartServerFresh(i int) error
+	SwapServerAutomaton(i int, a node.Automaton) error
+	Sim() *simnet.Network
+	Close()
+}
+
+// simCluster is a simnet cluster whose servers write through in-memory
+// backends behind fault wrappers: the "disk" survives in-process
+// restarts, so a warm restart is a genuine WAL replay, and schedules
+// can arm disk faults on it.
+type simCluster struct {
+	simServers
 	fp *storage.FaultProvider
 }
 
-// NewCore builds a core single-register simnet deployment. Servers
-// write through injectable in-memory backends, so warm restarts are
-// genuine WAL replays and schedules can arm disk faults.
-func NewCore(cfg core.Config) (Deployment, error) {
-	fp := simFaultProvider(func() storage.Automaton { return core.NewServer() })
+func (c simCluster) crash(i int) error                  { c.CrashServer(i); return nil }
+func (c simCluster) swap(i int, a node.Automaton) error { return c.SwapServerAutomaton(i, a) }
+func (c simCluster) diskFault(i int, kind string) error { return armDisk(c.fp, i, kind) }
+func (c simCluster) sim() *simnet.Network               { return c.Sim() }
+func (c simCluster) close()                             { c.Close() }
+
+// restart heals server i's disk first: the restarted process got a
+// working disk back; what survives on it is recovery's problem.
+func (c simCluster) restart(i int, fresh bool) error {
+	if f := c.fp.Fault(serverName(i)); f != nil {
+		f.Heal()
+	}
+	if fresh {
+		return c.RestartServerFresh(i)
+	}
+	return c.RestartServer(i)
+}
+
+// memFaults builds a simnet cluster's storage: fault-injectable memory
+// backends.
+func memFaults(factory func() storage.Automaton) *storage.FaultProvider {
+	return storage.NewFaultProvider(storage.NewMemProvider(factory))
+}
+
+func openCore(cfg core.Config) (cluster, workload.Driver, error) {
+	fp := memFaults(func() storage.Automaton { return core.NewServer() })
 	c, err := core.NewCluster(cfg, core.WithStorage(fp))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &coreDep{ClusterDriver: workload.ClusterDriver{C: c}, c: c, fp: fp}, nil
+	return simCluster{c, fp}, workload.ClusterDriver{C: c}, nil
 }
 
-func (d *coreDep) Kind() string         { return "core" }
-func (d *coreDep) Servers() int         { return d.c.Config().S() }
-func (d *coreDep) Budget() (int, int)   { return d.c.Config().T, d.c.Config().B }
-func (d *coreDep) Net() *simnet.Network { return d.c.Sim() }
-func (d *coreDep) Crash(i int) error    { d.c.CrashServer(i); return nil }
-func (d *coreDep) ColdRestarts() bool   { return false }
-func (d *coreDep) Close()               { d.c.Close() }
-
-func (d *coreDep) Restart(i int, fresh bool) error {
-	healDisk(d.fp, i)
-	if fresh {
-		return d.c.RestartServerFresh(i)
-	}
-	return d.c.RestartServer(i)
-}
-
-func (d *coreDep) DiskFault(i int, kind string) error { return armDisk(d.fp, i, kind) }
-
-func (d *coreDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, false)
+// openRegular opens the Appendix D regular variant, single-writer by
+// construction.
+func openRegular(cfg core.Config) (cluster, workload.Driver, error) {
+	fp := memFaults(func() storage.Automaton { return core.NewRegularServer() })
+	c, err := regular.NewDurableCluster(regular.Config{
+		T: cfg.T, B: cfg.B, NumReaders: cfg.NumReaders,
+		RoundTimeout: cfg.RoundTimeout, OpTimeout: cfg.OpTimeout,
+	}, fp)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
-	return d.c.SwapServerAutomaton(i, a)
+	return simCluster{c, fp}, workload.RegularDriver{C: c}, nil
 }
 
-func (d *coreDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-// ---- sharded KV engine (simnet) ----
-
-type kvDep struct {
-	workload.KVDriver
-	st         *kv.Store
-	contenders []*kv.Store
-	fp         *storage.FaultProvider
-}
-
-// NewKV builds an in-memory sharded KV deployment. writers > 1 opens
-// that many writer identities: the primary store plus contender stores
-// sharing its servers, each binding stamps under its own ⟨seq, writer⟩
-// component — the multi-writer fault surface.
-func NewKV(cfg core.Config, writers int, opts ...kv.Option) (Deployment, error) {
-	if writers > 1 {
-		opts = append(opts, kv.WithContenders(writers-1))
-	}
-	fp := simFaultProvider(kv.NewStorageAutomaton)
-	opts = append(opts, kv.WithStorage(fp))
-	st, err := kv.Open(cfg, opts...)
+// openKV opens a sharded KV store on its own simnet with cfg.Writers
+// writer identities: contender stores share its servers, each binding
+// stamps under its own ⟨seq, writer⟩ component.
+func openKV(cfg core.Config) (cluster, workload.Driver, error) {
+	fp := memFaults(kv.NewStorageAutomaton)
+	st, err := kv.Open(cfg, kv.WithStorage(fp), kv.WithContenders(cfg.WritersN()-1))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	d := &kvDep{st: st, fp: fp}
-	for k := 1; k < writers; k++ {
-		ct, err := st.OpenContender(k)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.contenders = append(d.contenders, ct)
+	if err := adoptContenders(st, cfg.WritersN(), st.OpenContender); err != nil {
+		st.Close()
+		return nil, nil, err
 	}
-	d.KVDriver = workload.KVDriver{S: st, Readers: cfg.NumReaders, Contenders: d.contenders}
-	return d, nil
+	return simCluster{st, fp}, workload.KVDriver{S: st}, nil
 }
 
-func (d *kvDep) Kind() string         { return "kv" }
-func (d *kvDep) Servers() int         { return d.st.Config().S() }
-func (d *kvDep) Budget() (int, int)   { return d.st.Config().T, d.st.Config().B }
-func (d *kvDep) Net() *simnet.Network { return d.st.Sim() }
-func (d *kvDep) Crash(i int) error    { d.st.CrashServer(i); return nil }
-func (d *kvDep) ColdRestarts() bool   { return false }
+// ---- loopback-TCP clusters ----
 
-func (d *kvDep) Close() {
-	for _, ct := range d.contenders {
-		ct.Close()
-	}
-	d.st.Close()
+// tcpCluster is S sharded KV servers on loopback TCP and the client
+// store dialed to them — the real-deployment shape, where a crash is a
+// listener teardown and a restart a rebind. Every server writes a file
+// WAL under the cluster's temp directory, so a restart reopens it
+// (running the genuine fsck/torn-tail path) and recovers the pre-crash
+// state.
+type tcpCluster struct {
+	dir   string
+	prov  *storage.FaultProvider
+	srvs  []*tcpnet.Server
+	backs []storage.Backend
+	addrs []string
+	st    *kv.Store
 }
 
-func (d *kvDep) Restart(i int, fresh bool) error {
-	healDisk(d.fp, i)
-	if fresh {
-		return d.st.RestartServerFresh(i)
-	}
-	return d.st.RestartServer(i)
-}
-
-func (d *kvDep) DiskFault(i int, kind string) error { return armDisk(d.fp, i, kind) }
-
-func (d *kvDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, true)
+// openTCP starts a TCP cluster and dials its store with cfg.Writers
+// writer identities: contending client stores dial the same listeners
+// under disjoint reader identities.
+func openTCP(cfg core.Config) (cluster, workload.Driver, error) {
+	dir, err := os.MkdirTemp("", "luckychaos-tcp-")
 	if err != nil {
-		return err
+		return nil, nil, fmt.Errorf("chaos tcp: data dir: %w", err)
 	}
-	return d.st.SwapServerAutomaton(i, a)
-}
-
-func (d *kvDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-// ---- KV over loopback TCP ----
-
-type tcpkvDep struct {
-	workload.KVDriver
-	cfg        core.Config
-	shards     int
-	dir        string // temp data root, one subdirectory per server
-	prov       *storage.FaultProvider
-	srvs       []*tcpnet.Server
-	backs      []storage.Backend
-	addrs      []string
-	st         *kv.Store
-	contenders []*kv.Store
-}
-
-// NewTCPKV starts S ListenTCPKV-style servers on loopback and a KV
-// client store dialed to them — the real-deployment shape, where
-// crashes and restarts are actual listener teardowns and rebinds.
-// Every server writes through a real file WAL in a per-run temp
-// directory, so a restart reopens the directory (running the genuine
-// fsck/torn-tail path) and recovers the pre-crash state. writers > 1
-// dials additional client stores under contending writer identities
-// (and disjoint reader identities), all against the same listeners.
-func NewTCPKV(cfg core.Config, shards, writers int) (Deployment, error) {
-	if writers > 1 && cfg.Writers < writers {
-		cfg.Writers = writers
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "luckychaos-tcpkv-")
-	if err != nil {
-		return nil, fmt.Errorf("chaos tcpkv: data dir: %w", err)
-	}
-	d := &tcpkvDep{cfg: cfg, shards: shards, dir: dir,
+	c := &tcpCluster{dir: dir,
 		prov:  storage.NewFaultProvider(storage.NewDirProvider(dir, kv.NewStorageAutomaton)),
+		srvs:  make([]*tcpnet.Server, cfg.S()),
 		backs: make([]storage.Backend, cfg.S()),
-	}
-	fail := func(err error) (Deployment, error) {
-		d.Close()
-		return nil, err
+		addrs: make([]string, cfg.S()),
 	}
 	addrMap := make(map[types.ProcID]string, cfg.S())
-	for i := 0; i < cfg.S(); i++ {
-		srv, back, err := listenDurableKV(d.prov, i, "127.0.0.1:0", shards)
-		if err != nil {
-			return fail(err)
+	for i := range c.srvs {
+		if c.srvs[i], err = c.listen(i, "127.0.0.1:0"); err != nil {
+			c.close()
+			return nil, nil, err
 		}
-		d.srvs = append(d.srvs, srv)
-		d.backs[i] = back
-		d.addrs = append(d.addrs, srv.Addr())
-		addrMap[types.ServerID(i)] = srv.Addr()
+		c.addrs[i] = c.srvs[i].Addr()
+		addrMap[types.ServerID(i)] = c.addrs[i]
 	}
-	st, err := dialStore(cfg, addrMap, 0)
+	dial := func(k int) (*kv.Store, error) { return dialStore(cfg, addrMap, k) }
+	if c.st, err = dial(0); err == nil {
+		err = adoptContenders(c.st, cfg.WritersN(), dial)
+	}
 	if err != nil {
-		return fail(err)
+		c.close()
+		return nil, nil, err
 	}
-	d.st = st
-	for k := 1; k < writers; k++ {
-		ct, err := dialStore(cfg, addrMap, k)
-		if err != nil {
-			return fail(err)
-		}
-		d.contenders = append(d.contenders, ct)
-	}
-	d.KVDriver = workload.KVDriver{S: st, Readers: cfg.NumReaders, Contenders: d.contenders}
-	return d, nil
+	return c, workload.KVDriver{S: c.st}, nil
 }
 
 // dialStore dials one client store as writer identity k: writer
@@ -373,26 +584,18 @@ func dialStore(cfg core.Config, addrMap map[types.ProcID]string, k int) (*kv.Sto
 		kv.WithWriterID(wid), kv.WithReaderBase(base))
 }
 
-// listenKV starts one sharded KV server over TCP with in-memory state
-// only (Byzantine swaps and non-durable callers).
-func listenKV(i int, addr string, shards int) (*tcpnet.Server, error) {
-	srv := kv.NewShardedServerAutomaton(shards)
-	return tcpnet.ListenSharded(types.ServerID(i), addr, srv.Shards(), srv.Route())
-}
-
-// listenDurableKV starts one sharded KV server over TCP whose shards
-// write through a backend opened from prov: recovery replays whatever
-// the backend holds (reopening a data directory runs the real
-// torn-tail fsck), then every shard shares the backend's group-commit.
-func listenDurableKV(prov storage.Provider, i int, addr string, shards int) (*tcpnet.Server, storage.Backend, error) {
-	back, err := prov.Open(serverName(i))
+// listen starts server i on addr over a backend opened from the
+// cluster's storage: recovery replays whatever the backend holds, then
+// every shard shares the backend's group commit.
+func (c *tcpCluster) listen(i int, addr string) (*tcpnet.Server, error) {
+	back, err := c.prov.Open(serverName(i))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	srv := kv.NewShardedServerAutomaton(shards)
+	srv := kv.NewShardedServerAutomaton(0)
 	if _, err := storage.Recover(back, srv); err != nil {
 		_ = back.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	sh := srv.Shards()
 	for j, a := range sh {
@@ -401,370 +604,32 @@ func listenDurableKV(prov storage.Provider, i int, addr string, shards int) (*tc
 	s, err := tcpnet.ListenSharded(types.ServerID(i), addr, sh, srv.Route())
 	if err != nil {
 		_ = back.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return s, back, nil
+	c.backs[i] = back
+	return s, nil
 }
 
-func (d *tcpkvDep) Kind() string         { return "tcpkv" }
-func (d *tcpkvDep) Servers() int         { return d.cfg.S() }
-func (d *tcpkvDep) Budget() (int, int)   { return d.cfg.T, d.cfg.B }
-func (d *tcpkvDep) Net() *simnet.Network { return nil }
-
-// ColdRestarts is false: the file WAL is the stable storage a real
-// process restart recovers from, so warm restarts are honest here.
-func (d *tcpkvDep) ColdRestarts() bool { return false }
-
-func (d *tcpkvDep) Crash(i int) error {
-	if i < 0 || i >= len(d.srvs) {
-		return fmt.Errorf("chaos tcpkv: server %d out of range", i)
+// rebind closes server i's listener (a restart implies the old process
+// is gone) and re-listens on its old address, retrying briefly while
+// the kernel releases the port.
+func (c *tcpCluster) rebind(i int, listen func(addr string) (*tcpnet.Server, error)) error {
+	_ = c.srvs[i].Close()
+	var err error
+	for attempt := 0; attempt < 100; attempt++ {
+		var srv *tcpnet.Server
+		if srv, err = listen(c.addrs[i]); err == nil {
+			c.srvs[i] = srv
+			return nil
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	err := d.srvs[i].Close()
-	d.closeBack(i) // the process died; its file handles went with it
-	return err
+	return fmt.Errorf("chaos: rebind %s: %w", c.addrs[i], err)
 }
 
 // closeBack releases server i's backend handle, ignoring errors — a
 // faulted disk fails its final flush by design, and the reopen path
 // recovers whatever made it to the medium.
-func (d *tcpkvDep) closeBack(i int) {
-	if d.backs[i] != nil {
-		_ = d.backs[i].Close()
-		d.backs[i] = nil
-	}
-}
-
-// rebind re-listens on a crashed server's old address, retrying
-// briefly while the kernel releases the port.
-func (d *tcpkvDep) rebind(i int, listen func(addr string) (*tcpnet.Server, error)) error {
-	if i < 0 || i >= len(d.srvs) {
-		return fmt.Errorf("chaos tcpkv: server %d out of range", i)
-	}
-	return rebindListener(d.srvs, d.addrs, i, listen)
-}
-
-// rebindListener closes slot i's listener (a restart implies the old
-// process is gone) and re-listens on its old address, retrying briefly
-// while the kernel releases the port.
-func rebindListener(srvs []*tcpnet.Server, addrs []string, i int, listen func(addr string) (*tcpnet.Server, error)) error {
-	_ = srvs[i].Close()
-	var lastErr error
-	for attempt := 0; attempt < 100; attempt++ {
-		srv, err := listen(addrs[i])
-		if err == nil {
-			srvs[i] = srv
-			return nil
-		}
-		lastErr = err
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("chaos: rebind %s: %w", addrs[i], lastErr)
-}
-
-func (d *tcpkvDep) Restart(i int, fresh bool) error {
-	if i < 0 || i >= len(d.srvs) {
-		return fmt.Errorf("chaos tcpkv: server %d out of range", i)
-	}
-	d.closeBack(i)
-	if fresh {
-		// Amnesiac restart: the disk burned down with the process.
-		if err := os.RemoveAll(filepath.Join(d.dir, serverName(i))); err != nil {
-			return fmt.Errorf("chaos tcpkv: wipe server %d: %w", i, err)
-		}
-	}
-	// Reopening the data directory IS the recovery path: fsck truncates
-	// any torn tail a disk fault left, then the WAL replays into a
-	// fresh keyed server.
-	return d.rebind(i, func(addr string) (*tcpnet.Server, error) {
-		srv, back, err := listenDurableKV(d.prov, i, addr, d.shards)
-		if err != nil {
-			return nil, err
-		}
-		d.backs[i] = back
-		return srv, nil
-	})
-}
-
-func (d *tcpkvDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, true)
-	if err != nil {
-		return err
-	}
-	d.closeBack(i) // the Byzantine automaton runs without storage
-	return d.rebind(i, func(addr string) (*tcpnet.Server, error) {
-		return tcpnet.Listen(types.ServerID(i), addr, a)
-	})
-}
-
-func (d *tcpkvDep) DiskFault(i int, kind string) error { return armDisk(d.prov, i, kind) }
-
-func (d *tcpkvDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-func (d *tcpkvDep) Close() {
-	for _, ct := range d.contenders {
-		ct.Close()
-	}
-	if d.st != nil {
-		d.st.Close()
-	}
-	for _, s := range d.srvs {
-		if s != nil {
-			_ = s.Close()
-		}
-	}
-	for i := range d.backs {
-		d.closeBack(i)
-	}
-	if d.dir != "" {
-		_ = os.RemoveAll(d.dir)
-	}
-}
-
-// ---- Appendix D regular variant (simnet) ----
-
-type regularDep struct {
-	workload.RegularDriver
-	c  *regular.Cluster
-	fp *storage.FaultProvider
-}
-
-// NewRegular builds a regular-variant simnet deployment. Its histories
-// are checked for regularity: the variant deliberately gives up the
-// read hierarchy. Servers write through injectable in-memory backends
-// like the core deployment.
-func NewRegular(cfg regular.Config) (Deployment, error) {
-	fp := simFaultProvider(func() storage.Automaton { return core.NewRegularServer() })
-	c, err := regular.NewDurableCluster(cfg, fp)
-	if err != nil {
-		return nil, err
-	}
-	return &regularDep{RegularDriver: workload.RegularDriver{C: c}, c: c, fp: fp}, nil
-}
-
-func (d *regularDep) Kind() string         { return "regular" }
-func (d *regularDep) Servers() int         { return d.c.Config().S() }
-func (d *regularDep) Budget() (int, int)   { return d.c.Config().T, d.c.Config().B }
-func (d *regularDep) Net() *simnet.Network { return d.c.Sim() }
-func (d *regularDep) Crash(i int) error    { d.c.CrashServer(i); return nil }
-func (d *regularDep) ColdRestarts() bool   { return false }
-func (d *regularDep) Close()               { d.c.Close() }
-
-func (d *regularDep) Restart(i int, fresh bool) error {
-	healDisk(d.fp, i)
-	if fresh {
-		return d.c.RestartServerFresh(i)
-	}
-	return d.c.RestartServer(i)
-}
-
-func (d *regularDep) DiskFault(i int, kind string) error { return armDisk(d.fp, i, kind) }
-
-func (d *regularDep) Swap(i int, behavior string, seed int64) error {
-	a, err := behaviorFor(behavior, seed, false)
-	if err != nil {
-		return err
-	}
-	return d.c.SwapServerAutomaton(i, a)
-}
-
-func (d *regularDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckRegularityPerKey(ops)
-}
-
-// ---- consistent-hash router fleet (simnet clusters) ----
-
-// routerSeed fixes the ring seed for chaos fleets: placement must be a
-// pure function of the schedule seed alone, and the schedule already
-// owns all randomness, so the ring gets a constant.
-const routerSeed = 1
-
-type routerDep struct {
-	workload.RouterDriver
-	cfg     core.Config
-	writers int
-	r       *router.Router
-	stores  map[ring.ClusterID]*kv.Store // active clusters only
-	nextID  int
-}
-
-// openSimCluster opens one simnet KV cluster for a router fleet:
-// in-memory storage backends, and — when writers > 1 — that many
-// writer identities, with every contender store adopted into the
-// primary so the cluster exposes the router's writer-identity map
-// (kv.Store.PutAs). The primary owns the contenders; closing it closes
-// them.
-func openSimCluster(cfg core.Config, writers int) (*kv.Store, error) {
-	opts := []kv.Option{kv.WithStorage(storage.NewMemProvider(kv.NewStorageAutomaton))}
-	if writers > 1 {
-		opts = append(opts, kv.WithContenders(writers-1))
-	}
-	st, err := kv.Open(cfg, opts...)
-	if err != nil {
-		return nil, err
-	}
-	for k := 1; k < writers; k++ {
-		ct, err := st.OpenContender(k)
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		if err := st.AdoptContender(ct); err != nil {
-			ct.Close()
-			st.Close()
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-// NewRouter builds a scale-out fleet of n simnet KV clusters behind
-// one router. Server faults hit server i of every active cluster —
-// "rack i" in fleet terms — so the per-cluster failure budget (t, b)
-// is stressed everywhere at once while staying within the model. Each
-// cluster's servers write through in-memory storage backends, so a
-// warm restart is a genuine WAL replay. writers > 1 opens that many
-// writer identities on every cluster (including ones that join later),
-// so fleet deployments carry contending multi-writer traffic.
-func NewRouter(cfg core.Config, n, writers int) (Deployment, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("chaos router: need at least one cluster")
-	}
-	d := &routerDep{cfg: cfg, writers: writers, stores: make(map[ring.ClusterID]*kv.Store, n)}
-	backends := make(map[ring.ClusterID]router.Backend, n)
-	for ; d.nextID < n; d.nextID++ {
-		st, err := openSimCluster(cfg, writers)
-		if err != nil {
-			for _, prev := range d.stores {
-				prev.Close()
-			}
-			return nil, err
-		}
-		id := ring.ID(d.nextID)
-		d.stores[id] = st
-		backends[id] = st
-	}
-	r, err := router.New(router.Options{Seed: routerSeed, Readers: cfg.NumReaders}, backends)
-	if err != nil {
-		for _, prev := range d.stores {
-			prev.Close()
-		}
-		return nil, err
-	}
-	d.r = r
-	d.RouterDriver = workload.RouterDriver{R: r}
-	return d, nil
-}
-
-func (d *routerDep) Kind() string       { return "router" }
-func (d *routerDep) Servers() int       { return d.cfg.S() }
-func (d *routerDep) Budget() (int, int) { return d.cfg.T, d.cfg.B }
-
-// Net returns nil: each cluster runs its own simnet, and the engine's
-// network actions script one network. Fleet runs exercise placement,
-// coalescing and rebalancing; single-cluster runs own the partition
-// scenarios.
-func (d *routerDep) Net() *simnet.Network { return nil }
-func (d *routerDep) ColdRestarts() bool   { return false }
-
-func (d *routerDep) Crash(i int) error {
-	for _, st := range d.stores {
-		st.CrashServer(i)
-	}
-	return nil
-}
-
-func (d *routerDep) Restart(i int, fresh bool) error {
-	for id, st := range d.stores {
-		var err error
-		if fresh {
-			err = st.RestartServerFresh(i)
-		} else {
-			err = st.RestartServer(i)
-		}
-		if err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-	}
-	return nil
-}
-
-func (d *routerDep) Swap(i int, behavior string, seed int64) error {
-	for id, st := range d.stores {
-		// One fresh automaton per cluster: behaviors are stateful.
-		a, err := behaviorFor(behavior, seed, true)
-		if err != nil {
-			return err
-		}
-		if err := st.SwapServerAutomaton(i, a); err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-	}
-	return nil
-}
-
-func (d *routerDep) JoinCluster() error {
-	st, err := openSimCluster(d.cfg, d.writers)
-	if err != nil {
-		return err
-	}
-	id := ring.ID(d.nextID)
-	if err := d.r.AddCluster(id, st); err != nil {
-		st.Close()
-		return err
-	}
-	d.nextID++
-	d.stores[id] = st
-	return nil
-}
-
-func (d *routerDep) RemoveCluster(i int) error {
-	active := d.r.Clusters()
-	if len(active) == 0 {
-		return fmt.Errorf("chaos router: no active clusters")
-	}
-	id := active[i%len(active)]
-	if err := d.r.RemoveCluster(id); err != nil {
-		return err
-	}
-	// The store stays open (and router-owned) for lazy handoffs; it is
-	// just no longer a fault target.
-	delete(d.stores, id)
-	return nil
-}
-
-func (d *routerDep) NumClusters() int { return len(d.r.Clusters()) }
-
-func (d *routerDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-func (d *routerDep) Close() { _ = d.r.Close() }
-
-// ---- consistent-hash router fleet (loopback-TCP clusters) ----
-
-// tcpCluster is one TCP-KV cluster of a router fleet: its listeners,
-// their file-backed storage, and the client store dialed to them.
-type tcpCluster struct {
-	prov  *storage.FaultProvider
-	srvs  []*tcpnet.Server
-	backs []storage.Backend
-	addrs []string
-	st    *kv.Store
-}
-
-func (c *tcpCluster) closeServers() {
-	for _, s := range c.srvs {
-		if s != nil {
-			_ = s.Close()
-		}
-	}
-	for i := range c.backs {
-		c.closeBack(i)
-	}
-}
-
 func (c *tcpCluster) closeBack(i int) {
 	if c.backs[i] != nil {
 		_ = c.backs[i].Close()
@@ -772,279 +637,44 @@ func (c *tcpCluster) closeBack(i int) {
 	}
 }
 
-// startTCPCluster starts S sharded KV listeners with file WALs under
-// dir and dials a store. writers > 1 dials that many client stores
-// under contending writer identities (disjoint reader identities, same
-// listeners) and adopts each into the primary, so the cluster exposes
-// the writer-identity map fleet routers need (kv.Store.PutAs).
-func startTCPCluster(cfg core.Config, shards, writers int, dir string) (*tcpCluster, error) {
-	c := &tcpCluster{
-		prov:  storage.NewFaultProvider(storage.NewDirProvider(dir, kv.NewStorageAutomaton)),
-		backs: make([]storage.Backend, cfg.S()),
-	}
-	addrMap := make(map[types.ProcID]string, cfg.S())
-	for i := 0; i < cfg.S(); i++ {
-		srv, back, err := listenDurableKV(c.prov, i, "127.0.0.1:0", shards)
-		if err != nil {
-			c.closeServers()
-			return nil, err
-		}
-		c.srvs = append(c.srvs, srv)
-		c.backs[i] = back
-		c.addrs = append(c.addrs, srv.Addr())
-		addrMap[types.ServerID(i)] = srv.Addr()
-	}
-	wep, err := tcpnet.Dial(types.WriterID(), addrMap)
-	if err != nil {
-		c.closeServers()
-		return nil, err
-	}
-	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range readerEPs {
-		rep, err := tcpnet.Dial(types.ReaderID(i), addrMap)
-		if err != nil {
-			_ = wep.Close()
-			for j := 0; j < i; j++ {
-				_ = readerEPs[j].Close()
-			}
-			c.closeServers()
-			return nil, err
-		}
-		readerEPs[i] = rep
-	}
-	st, err := kv.OpenWithEndpoints(cfg, wep, readerEPs)
-	if err != nil {
-		c.closeServers()
-		return nil, err
-	}
-	c.st = st
-	for k := 1; k < writers; k++ {
-		ct, err := dialStore(cfg, addrMap, k)
-		if err != nil {
-			st.Close() // closes any contenders adopted so far
-			c.closeServers()
-			return nil, err
-		}
-		if err := st.AdoptContender(ct); err != nil {
-			ct.Close()
-			st.Close()
-			c.closeServers()
-			return nil, err
-		}
-	}
-	return c, nil
+func (c *tcpCluster) crash(i int) error {
+	err := c.srvs[i].Close()
+	c.closeBack(i) // the process died; its file handles went with it
+	return err
 }
 
-type tcprouterDep struct {
-	workload.RouterDriver
-	cfg      core.Config
-	shards   int
-	writers  int
-	dir      string // temp data root, one subdirectory per cluster
-	r        *router.Router
-	clusters map[ring.ClusterID]*tcpCluster // active clusters only
-	retired  []*tcpCluster                  // listeners kept up for lazy handoffs
-	nextID   int
-}
-
-// NewTCPRouter builds a scale-out fleet of n loopback-TCP KV clusters
-// behind one router: the real-deployment shape of a fleet, where every
-// cluster is S sockets, a crash is a listener teardown, and every
-// server keeps a file WAL so restarts recover from disk. writers > 1
-// dials that many contending writer identities per cluster (joined
-// clusters included), so the fleet carries multi-writer traffic.
-func NewTCPRouter(cfg core.Config, shards, n, writers int) (Deployment, error) {
-	if writers > 1 && cfg.Writers < writers {
-		cfg.Writers = writers
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if n < 1 {
-		return nil, fmt.Errorf("chaos tcprouter: need at least one cluster")
-	}
-	dir, err := os.MkdirTemp("", "luckychaos-tcprouter-")
-	if err != nil {
-		return nil, fmt.Errorf("chaos tcprouter: data dir: %w", err)
-	}
-	d := &tcprouterDep{cfg: cfg, shards: shards, writers: writers, dir: dir, clusters: make(map[ring.ClusterID]*tcpCluster, n)}
-	backends := make(map[ring.ClusterID]router.Backend, n)
-	fail := func(err error) (Deployment, error) {
-		for _, c := range d.clusters {
-			c.st.Close()
-			c.closeServers()
-		}
-		_ = os.RemoveAll(dir)
-		return nil, err
-	}
-	for ; d.nextID < n; d.nextID++ {
-		id := ring.ID(d.nextID)
-		c, err := startTCPCluster(cfg, shards, writers, d.clusterDir(id))
-		if err != nil {
-			return fail(err)
-		}
-		d.clusters[id] = c
-		backends[id] = c.st
-	}
-	r, err := router.New(router.Options{Seed: routerSeed, Readers: cfg.NumReaders}, backends)
-	if err != nil {
-		return fail(err)
-	}
-	d.r = r
-	d.RouterDriver = workload.RouterDriver{R: r}
-	return d, nil
-}
-
-// clusterDir is the data root of one cluster.
-func (d *tcprouterDep) clusterDir(id ring.ClusterID) string {
-	return filepath.Join(d.dir, string(id))
-}
-
-func (d *tcprouterDep) Kind() string         { return "tcprouter" }
-func (d *tcprouterDep) Servers() int         { return d.cfg.S() }
-func (d *tcprouterDep) Budget() (int, int)   { return d.cfg.T, d.cfg.B }
-func (d *tcprouterDep) Net() *simnet.Network { return nil }
-
-// ColdRestarts is false: every server recovers from its file WAL.
-func (d *tcprouterDep) ColdRestarts() bool { return false }
-
-func (d *tcprouterDep) Crash(i int) error {
-	for id, c := range d.clusters {
-		if i < 0 || i >= len(c.srvs) {
-			return fmt.Errorf("chaos tcprouter: server %d out of range", i)
-		}
-		if err := c.srvs[i].Close(); err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-		c.closeBack(i)
-	}
-	return nil
-}
-
-func (d *tcprouterDep) Restart(i int, fresh bool) error {
-	for id, c := range d.clusters {
-		c.closeBack(i)
-		if fresh {
-			if err := os.RemoveAll(filepath.Join(d.clusterDir(id), serverName(i))); err != nil {
-				return fmt.Errorf("cluster %s: wipe server %d: %w", id, i, err)
-			}
-		}
-		err := rebindListener(c.srvs, c.addrs, i, func(addr string) (*tcpnet.Server, error) {
-			srv, back, err := listenDurableKV(c.prov, i, addr, d.shards)
-			if err != nil {
-				return nil, err
-			}
-			c.backs[i] = back
-			return srv, nil
-		})
-		if err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
-	}
-	return nil
-}
-
-func (d *tcprouterDep) Swap(i int, behavior string, seed int64) error {
-	for id, c := range d.clusters {
-		a, err := behaviorFor(behavior, seed, true)
-		if err != nil {
+// restart reopens server i's data directory: fsck truncates any torn
+// tail a disk fault left, then the WAL replays into a fresh server.
+func (c *tcpCluster) restart(i int, fresh bool) error {
+	c.closeBack(i)
+	if fresh {
+		// Amnesiac restart: the disk burned down with the process.
+		if err := os.RemoveAll(filepath.Join(c.dir, serverName(i))); err != nil {
 			return err
 		}
-		c.closeBack(i) // the Byzantine automaton runs without storage
-		err = rebindListener(c.srvs, c.addrs, i, func(addr string) (*tcpnet.Server, error) {
-			return tcpnet.Listen(types.ServerID(i), addr, a)
-		})
-		if err != nil {
-			return fmt.Errorf("cluster %s: %w", id, err)
-		}
 	}
-	return nil
+	return c.rebind(i, func(addr string) (*tcpnet.Server, error) { return c.listen(i, addr) })
 }
 
-func (d *tcprouterDep) JoinCluster() error {
-	id := ring.ID(d.nextID)
-	c, err := startTCPCluster(d.cfg, d.shards, d.writers, d.clusterDir(id))
-	if err != nil {
-		return err
-	}
-	if err := d.r.AddCluster(id, c.st); err != nil {
+func (c *tcpCluster) swap(i int, a node.Automaton) error {
+	c.closeBack(i) // the Byzantine automaton runs without storage
+	return c.rebind(i, func(addr string) (*tcpnet.Server, error) {
+		return tcpnet.Listen(types.ServerID(i), addr, a)
+	})
+}
+
+func (c *tcpCluster) diskFault(i int, kind string) error { return armDisk(c.prov, i, kind) }
+func (c *tcpCluster) sim() *simnet.Network               { return nil }
+
+func (c *tcpCluster) close() {
+	if c.st != nil {
 		c.st.Close()
-		c.closeServers()
-		return err
 	}
-	d.nextID++
-	d.clusters[id] = c
-	return nil
+	for i, s := range c.srvs {
+		if s != nil {
+			_ = s.Close()
+		}
+		c.closeBack(i)
+	}
+	_ = os.RemoveAll(c.dir)
 }
-
-func (d *tcprouterDep) RemoveCluster(i int) error {
-	active := d.r.Clusters()
-	if len(active) == 0 {
-		return fmt.Errorf("chaos tcprouter: no active clusters")
-	}
-	id := active[i%len(active)]
-	if err := d.r.RemoveCluster(id); err != nil {
-		return err
-	}
-	// Listeners stay up: lazily-migrated keys still read their pair out
-	// of the retired cluster through the router-owned client store.
-	c := d.clusters[id]
-	delete(d.clusters, id)
-	d.retired = append(d.retired, c)
-	return nil
-}
-
-func (d *tcprouterDep) NumClusters() int { return len(d.r.Clusters()) }
-
-func (d *tcprouterDep) Check(ops []checker.Op) []checker.Violation {
-	return checker.CheckAtomicityPerKey(ops)
-}
-
-func (d *tcprouterDep) Close() {
-	_ = d.r.Close() // closes every client store, active and retired
-	for _, c := range d.clusters {
-		c.closeServers()
-	}
-	for _, c := range d.retired {
-		c.closeServers()
-	}
-	if d.dir != "" {
-		_ = os.RemoveAll(d.dir)
-	}
-}
-
-// Open builds a deployment by kind name with the default chaos
-// configuration — the entry point luckychaos and the smoke matrix use.
-// writers > 1 opens that many writer identities on every kind that
-// supports contention (core, kv, tcpkv, router, tcprouter — the fleet
-// kinds route contending writes through their per-cluster
-// writer-identity maps); only the regular variant stays single-writer,
-// and multi-writer scenarios are explicitly clamped to SWMR traffic on
-// it (Report.MWClamped).
-func Open(kind string, readers, writers int) (Deployment, error) {
-	switch kind {
-	case "core":
-		cfg := DefaultConfig(readers)
-		cfg.Writers = writers
-		return NewCore(cfg)
-	case "kv":
-		return NewKV(DefaultConfig(readers), writers)
-	case "tcpkv":
-		return NewTCPKV(DefaultConfig(readers), 0, writers)
-	case "router":
-		return NewRouter(DefaultConfig(readers), 2, writers)
-	case "tcprouter":
-		return NewTCPRouter(DefaultConfig(readers), 0, 2, writers)
-	case "regular":
-		cfg := DefaultConfig(readers)
-		return NewRegular(regular.Config{
-			T: cfg.T, B: cfg.B, NumReaders: cfg.NumReaders,
-			RoundTimeout: cfg.RoundTimeout, OpTimeout: cfg.OpTimeout,
-		})
-	default:
-		return nil, fmt.Errorf("chaos: unknown deployment %q (core|kv|tcpkv|router|tcprouter|regular)", kind)
-	}
-}
-
-// Kinds lists the deployment kinds Open accepts.
-func Kinds() []string { return []string{"core", "kv", "tcpkv", "router", "tcprouter", "regular"} }

@@ -31,9 +31,6 @@ type SchedParams struct {
 	Seed    int64
 	// Duration is the fault window; offsets are fractions of it.
 	Duration time.Duration
-	// Cold reports that restarts on this deployment always lose state
-	// (scheduled restarts will be budgeted against b by the engine).
-	Cold bool
 }
 
 // Scenario is a named, parameterized chaos workload: a traffic shape

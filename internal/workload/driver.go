@@ -113,21 +113,14 @@ func (d ClusterDriver) Read(r int, _ string) (types.Tagged, OpMeta, error) {
 
 // KVDriver drives a multi-register kv.Store — both the in-memory
 // sharded engine (kv.Open) and a TCP deployment's client store
-// (kv.OpenWithEndpoints / luckystore.OpenKVTCP).
-type KVDriver struct {
-	S *kv.Store
-	// Readers is the number of reader clients the store was opened
-	// with (the store does not expose it for external-endpoint opens).
-	Readers int
-	// Contenders are additional stores sharing S's servers under
-	// distinct writer identities (kv.OpenContender). When non-empty the
-	// driver implements multi-writer workloads: WriteAs(k) for k ≥ 1
-	// routes through Contenders[k-1].
-	Contenders []*kv.Store
-}
+// (kv.OpenWithEndpoints / luckystore.OpenKVTCP). Its writer identities
+// are the store's own plus every contender the store adopted
+// (kv.Store.AdoptContender): WriteAs(k) for k ≥ 1 routes through the
+// k-th.
+type KVDriver struct{ S *kv.Store }
 
 // NumReaders implements Driver.
-func (d KVDriver) NumReaders() int { return d.Readers }
+func (d KVDriver) NumReaders() int { return d.S.Config().NumReaders }
 
 // MultiKey implements Driver.
 func (d KVDriver) MultiKey() bool { return true }
@@ -138,18 +131,14 @@ func (d KVDriver) Write(key string, v types.Value) (types.Tagged, OpMeta, error)
 }
 
 // NumWriters implements MultiWriter.
-func (d KVDriver) NumWriters() int { return 1 + len(d.Contenders) }
+func (d KVDriver) NumWriters() int { return d.S.NumWriters() }
 
 // WriteAs implements MultiWriter.
 func (d KVDriver) WriteAs(w int, key string, v types.Value) (types.Tagged, OpMeta, error) {
-	s := d.S
-	if w > 0 {
-		s = d.Contenders[w-1]
-	}
-	if err := s.Put(key, v); err != nil {
+	if err := d.S.PutAs(w, key, v); err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
-	m, err := s.PutMeta(key)
+	m, err := d.S.PutMetaAs(w, key)
 	if err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}

@@ -41,7 +41,7 @@ func TestMixedRunDriverAcrossDeployments(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer st.Close()
-		rec, err := mix.RunDriver(KVDriver{S: st, Readers: 2})
+		rec, err := mix.RunDriver(KVDriver{S: st})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestContinuousMultiKey(t *testing.T) {
 	rec, err := Continuous{
 		Keys: []string{"x", "y", "z"}, Seed: 5, HotFrac: 0.5,
 		WritePace: time.Millisecond, ReadPace: 500 * time.Microsecond,
-	}.Run(ctx, KVDriver{S: st, Readers: 2})
+	}.Run(ctx, KVDriver{S: st})
 	if err != nil {
 		t.Fatal(err)
 	}

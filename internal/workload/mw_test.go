@@ -63,11 +63,13 @@ func TestContinuousContendingWritersKV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ct.Close()
+	if err := st.AdoptContender(ct); err != nil { // st now closes ct
+		t.Fatal(err)
+	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	d := KVDriver{S: st, Readers: 2, Contenders: []*kv.Store{ct}}
+	d := KVDriver{S: st}
 	if d.NumWriters() != 2 {
 		t.Fatalf("NumWriters() = %d, want 2", d.NumWriters())
 	}
@@ -111,7 +113,7 @@ func TestContinuousWritersUnsupportedIsExplicit(t *testing.T) {
 	// run must refuse rather than silently degrade to one writer — a
 	// degraded run would make contention scenarios vacuously pass.
 	rec, err := Continuous{Writers: 3, Seed: 9,
-		WritePace: time.Millisecond}.Run(ctx, KVDriver{S: st, Readers: 1})
+		WritePace: time.Millisecond}.Run(ctx, KVDriver{S: st})
 	if !errors.Is(err, ErrMWUnsupported) {
 		t.Fatalf("Run with Writers=3 on a single-writer driver: err = %v, want ErrMWUnsupported", err)
 	}

@@ -79,7 +79,7 @@ func TestOpenLoopKV(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	rec, err := gen.Run(ctx, KVDriver{S: st, Readers: cfg.NumReaders})
+	rec, err := gen.Run(ctx, KVDriver{S: st})
 	if err != nil {
 		t.Fatalf("open loop: %v", err)
 	}

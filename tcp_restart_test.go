@@ -47,7 +47,7 @@ func TestTCPKVCrashRestartCheckerClean(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		rec, err := gen.Run(ctx, workload.KVDriver{S: store, Readers: cfg.NumReaders})
+		rec, err := gen.Run(ctx, workload.KVDriver{S: store})
 		done <- result{rec, err}
 	}()
 
