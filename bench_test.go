@@ -646,7 +646,7 @@ func benchMWStores(b *testing.B, writers int, tcp bool) []*kv.Store {
 	}
 	m := make(map[types.ProcID]string, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
-		auto := kv.NewShardedServerAutomaton(4)
+		auto := kv.NewShardedServerAutomatonInstrumented(4, nil)
 		srv, err := tcpnet.ListenSharded(types.ServerID(i), "127.0.0.1:0", auto.Shards(), auto.Route())
 		if err != nil {
 			b.Fatal(err)
@@ -755,7 +755,7 @@ func benchRouterCluster(b *testing.B, cfg core.Config, tcp bool) *kv.Store {
 	}
 	m := make(map[types.ProcID]string, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
-		auto := kv.NewShardedServerAutomaton(4)
+		auto := kv.NewShardedServerAutomatonInstrumented(4, nil)
 		srv, err := tcpnet.ListenSharded(types.ServerID(i), "127.0.0.1:0", auto.Shards(), auto.Route())
 		if err != nil {
 			b.Fatal(err)

@@ -259,12 +259,12 @@ func (c *client) expire(now time.Time, phase string) {
 	}
 }
 
-// Cluster wires an ABD deployment over a simulated network.
+// Cluster wires an ABD deployment over a simulated network. Its
+// embedded fleet carries the servers' fault hooks.
 type Cluster struct {
+	*core.Servers
 	cfg     Config
-	net     transport.Network
 	sim     *simnet.Network
-	runners []*node.Runner
 	writer  *Writer
 	readers []*Reader
 }
@@ -280,16 +280,11 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, net: sim, sim: sim}
-	for i := 0; i < cfg.S(); i++ {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		r := node.NewRunner(ep, NewServer())
-		c.runners = append(c.runners, r)
-		r.Start()
+	c := &Cluster{cfg: cfg, sim: sim}
+	if c.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return NewServer(), nil, nil
+	}, nil, nil); err != nil {
+		return nil, err
 	}
 	wep, err := sim.Endpoint(types.WriterID())
 	if err != nil {
@@ -316,16 +311,3 @@ func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
 
 // Sim returns the underlying simulated network.
 func (c *Cluster) Sim() *simnet.Network { return c.sim }
-
-// CrashServer crash-stops server i.
-func (c *Cluster) CrashServer(i int) { c.runners[i].Crash() }
-
-// Close stops all runners and the network.
-func (c *Cluster) Close() {
-	if c.net != nil {
-		_ = c.net.Close()
-	}
-	for _, r := range c.runners {
-		r.Stop()
-	}
-}

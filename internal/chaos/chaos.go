@@ -56,8 +56,8 @@ const (
 	// on Server's backend: the next mutating operation kills the disk
 	// and the server goes mute — a crash fault in the model's terms, so
 	// it is budgeted against t exactly like ActCrash. A later
-	// ActRestart heals the disk and recovers from it. Fleet deployments
-	// skip it benignly.
+	// ActRestart heals the disk and recovers from it. Every deployment
+	// honors it; on a fleet it hits server i of every cluster.
 	ActDiskFault ActionKind = "disk-fault"
 	// Fleet actions, honored by deployments with a router in front;
 	// others skip them benignly.

@@ -254,12 +254,6 @@ func (d *deployment) skip(a Action) string {
 		if d.net == nil {
 			return "no simulated network"
 		}
-	case ActDiskFault:
-		// Fleets have never been scripted with disk faults; their
-		// storage is exercised by warm restarts.
-		if d.r != nil {
-			return "deployment has no injectable storage"
-		}
 	case ActJoinCluster, ActRemoveCluster:
 		if d.r == nil {
 			return "deployment cannot rebalance"
@@ -267,7 +261,7 @@ func (d *deployment) skip(a Action) string {
 		if a.Kind == ActRemoveCluster && len(d.active) <= 1 {
 			return "last cluster"
 		}
-	case ActCrash, ActRestart, ActSwap:
+	case ActCrash, ActRestart, ActSwap, ActDiskFault:
 	default:
 		return fmt.Sprintf("unknown action %q", a.Kind)
 	}
@@ -423,31 +417,22 @@ func behaviorFor(name string, seed int64, keyed bool) (node.Automaton, error) {
 
 // ---- simnet clusters ----
 
-// simServers is what core.Cluster, regular.Cluster and kv.Store share:
-// servers on a simulated network the cluster owns.
-type simServers interface {
-	CrashServer(i int)
-	RestartServer(i int) error
-	RestartServerFresh(i int) error
-	SwapServerAutomaton(i int, a node.Automaton) error
-	Sim() *simnet.Network
-	Close()
-}
-
-// simCluster is a simnet cluster whose servers write through in-memory
-// backends behind fault wrappers: the "disk" survives in-process
-// restarts, so a warm restart is a genuine WAL replay, and schedules
-// can arm disk faults on it.
+// simCluster is a simnet cluster — its server fleet, network and
+// close — whose servers write through in-memory backends behind fault
+// wrappers: the "disk" survives in-process restarts, so a warm restart
+// is a genuine WAL replay, and schedules can arm disk faults on it.
 type simCluster struct {
-	simServers
-	fp *storage.FaultProvider
+	srvs *core.Servers
+	net  *simnet.Network
+	fp   *storage.FaultProvider
+	shut func()
 }
 
-func (c simCluster) crash(i int) error                  { c.CrashServer(i); return nil }
-func (c simCluster) swap(i int, a node.Automaton) error { return c.SwapServerAutomaton(i, a) }
+func (c simCluster) crash(i int) error                  { c.srvs.CrashServer(i); return nil }
+func (c simCluster) swap(i int, a node.Automaton) error { return c.srvs.SwapServerAutomaton(i, a) }
 func (c simCluster) diskFault(i int, kind string) error { return armDisk(c.fp, i, kind) }
-func (c simCluster) sim() *simnet.Network               { return c.Sim() }
-func (c simCluster) close()                             { c.Close() }
+func (c simCluster) sim() *simnet.Network               { return c.net }
+func (c simCluster) close()                             { c.shut() }
 
 // restart heals server i's disk first: the restarted process got a
 // working disk back; what survives on it is recovery's problem.
@@ -456,9 +441,9 @@ func (c simCluster) restart(i int, fresh bool) error {
 		f.Heal()
 	}
 	if fresh {
-		return c.RestartServerFresh(i)
+		return c.srvs.RestartServerFresh(i)
 	}
-	return c.RestartServer(i)
+	return c.srvs.RestartServer(i)
 }
 
 // memFaults builds a simnet cluster's storage: fault-injectable memory
@@ -473,7 +458,7 @@ func openCore(cfg core.Config) (cluster, workload.Driver, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return simCluster{c, fp}, workload.ClusterDriver{C: c}, nil
+	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.ClusterDriver{C: c}, nil
 }
 
 // openRegular opens the Appendix D regular variant, single-writer by
@@ -487,7 +472,7 @@ func openRegular(cfg core.Config) (cluster, workload.Driver, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return simCluster{c, fp}, workload.RegularDriver{C: c}, nil
+	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.RegularDriver{C: c}, nil
 }
 
 // openKV opens a sharded KV store on its own simnet with cfg.Writers
@@ -503,7 +488,7 @@ func openKV(cfg core.Config) (cluster, workload.Driver, error) {
 		st.Close()
 		return nil, nil, err
 	}
-	return simCluster{st, fp}, workload.KVDriver{S: st}, nil
+	return simCluster{st.Servers, st.Sim(), fp, st.Close}, workload.KVDriver{S: st}, nil
 }
 
 // ---- loopback-TCP clusters ----
@@ -592,16 +577,12 @@ func (c *tcpCluster) listen(i int, addr string) (*tcpnet.Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	srv := kv.NewShardedServerAutomaton(0)
-	if _, err := storage.Recover(back, srv); err != nil {
-		_ = back.Close()
-		return nil, err
+	srv := kv.NewShardedServerAutomatonInstrumented(0, nil)
+	sh, err := storage.RecoverShards(back, srv, srv.Shards(), types.ServerID(i), nil)
+	var s *tcpnet.Server
+	if err == nil {
+		s, err = tcpnet.ListenSharded(types.ServerID(i), addr, sh, srv.Route())
 	}
-	sh := srv.Shards()
-	for j, a := range sh {
-		sh[j] = storage.NewDurable(a, back, types.ServerID(i))
-	}
-	s, err := tcpnet.ListenSharded(types.ServerID(i), addr, sh, srv.Route())
 	if err != nil {
 		_ = back.Close()
 		return nil, err
@@ -610,11 +591,9 @@ func (c *tcpCluster) listen(i int, addr string) (*tcpnet.Server, error) {
 	return s, nil
 }
 
-// rebind closes server i's listener (a restart implies the old process
-// is gone) and re-listens on its old address, retrying briefly while
-// the kernel releases the port.
+// rebind re-listens server i, crashed first, on its old address,
+// retrying briefly while the kernel releases the port.
 func (c *tcpCluster) rebind(i int, listen func(addr string) (*tcpnet.Server, error)) error {
-	_ = c.srvs[i].Close()
 	var err error
 	for attempt := 0; attempt < 100; attempt++ {
 		var srv *tcpnet.Server
@@ -643,10 +622,12 @@ func (c *tcpCluster) crash(i int) error {
 	return err
 }
 
-// restart reopens server i's data directory: fsck truncates any torn
-// tail a disk fault left, then the WAL replays into a fresh server.
+// restart crashes server i — the old process may not step while the
+// new one recovers — and reopens its data directory: fsck truncates
+// any torn tail a disk fault left, then the WAL replays into a fresh
+// server.
 func (c *tcpCluster) restart(i int, fresh bool) error {
-	c.closeBack(i)
+	_ = c.crash(i)
 	if fresh {
 		// Amnesiac restart: the disk burned down with the process.
 		if err := os.RemoveAll(filepath.Join(c.dir, serverName(i))); err != nil {
@@ -657,7 +638,7 @@ func (c *tcpCluster) restart(i int, fresh bool) error {
 }
 
 func (c *tcpCluster) swap(i int, a node.Automaton) error {
-	c.closeBack(i) // the Byzantine automaton runs without storage
+	_ = c.crash(i) // the Byzantine automaton runs without storage
 	return c.rebind(i, func(addr string) (*tcpnet.Server, error) {
 		return tcpnet.Listen(types.ServerID(i), addr, a)
 	})

@@ -16,7 +16,6 @@ import (
 func TestDeploymentSurface(t *testing.T) {
 	const (
 		noNet   = "no simulated network"
-		noDisk  = "deployment has no injectable storage"
 		noFleet = "deployment cannot rebalance"
 	)
 	type want struct {
@@ -29,8 +28,8 @@ func TestDeploymentSurface(t *testing.T) {
 		"core":      {net: true, writers: 2, join: noFleet, leave: noFleet},
 		"kv":        {net: true, writers: 2, join: noFleet, leave: noFleet},
 		"tcpkv":     {writers: 2, partition: noNet, join: noFleet, leave: noFleet},
-		"router":    {writers: 2, partition: noNet, disk: noDisk},
-		"tcprouter": {writers: 2, partition: noNet, disk: noDisk},
+		"router":    {writers: 2, partition: noNet},
+		"tcprouter": {writers: 2, partition: noNet},
 		"regular":   {net: true, writers: 1, join: noFleet, leave: noFleet, regular: true},
 	}
 	if len(Kinds()) != len(wants) {

@@ -321,9 +321,9 @@ var Scenarios = []Scenario{
 			rng := rand.New(rand.NewSource(p.Seed))
 			perm := rng.Perm(p.Servers)
 			a, b := perm[0], perm[1%len(perm)]
-			// One victim down at a time — well inside t. Deployments
-			// without injectable storage skip the disk events benignly
-			// and the restarts become warm restarts of running servers.
+			// One victim down at a time — well inside t. Every
+			// deployment takes the disk faults; on a fleet they hit the
+			// victim of every cluster.
 			return []Event{
 				{At: frac(p, 0.15), Action: Action{Kind: ActDiskFault, Server: a, Disk: storage.FaultTornWrite}},
 				{At: frac(p, 0.35), Action: Action{Kind: ActRestart, Server: a}},

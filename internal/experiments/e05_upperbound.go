@@ -73,7 +73,7 @@ func E5UpperBound() (*Result, error) {
 		// Fw's PW stays in transit (run r1/r1′): the writer's fast write
 		// completes on the other five.
 		mc.sim.Hold(types.WriterID(), fw)
-		wep, err := mc.endpoint(types.WriterID())
+		wep, err := mc.sim.Endpoint(types.WriterID())
 		if err != nil {
 			mc.Close()
 			return nil, err
@@ -88,8 +88,8 @@ func E5UpperBound() (*Result, error) {
 			return nil, fmt.Errorf("r2: wr1 was not fast")
 		}
 		// Fr crashes at t1 (run r2): one actual failure during the read.
-		mc.crash(fr.Index())
-		rep, err := mc.endpoint(types.ReaderID(0))
+		mc.CrashServer(fr.Index())
+		rep, err := mc.sim.Endpoint(types.ReaderID(0))
 		if err != nil {
 			mc.Close()
 			return nil, err
@@ -120,7 +120,7 @@ func E5UpperBound() (*Result, error) {
 		for _, sid := range t1 {
 			mc.sim.Hold(sid, rid)
 		}
-		rep, err := mc.endpoint(rid)
+		rep, err := mc.sim.Endpoint(rid)
 		if err != nil {
 			return weakReadMeta{}, err
 		}

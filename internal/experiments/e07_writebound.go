@@ -85,7 +85,7 @@ func E7WriteBound() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		wep, err := mc.endpoint(types.WriterID())
+		wep, err := mc.sim.Endpoint(types.WriterID())
 		if err != nil {
 			mc.Close()
 			return nil, err
@@ -104,7 +104,7 @@ func E7WriteBound() (*Result, error) {
 		for _, sid := range t1 {
 			mc.sim.Hold(sid, rid)
 		}
-		rep, err := mc.endpoint(rid)
+		rep, err := mc.sim.Endpoint(rid)
 		if err != nil {
 			mc.Close()
 			return nil, err
@@ -143,7 +143,7 @@ func E7WriteBound() (*Result, error) {
 		for _, sid := range t1 {
 			mc.sim.Hold(sid, rid)
 		}
-		rep, err := mc.endpoint(rid)
+		rep, err := mc.sim.Endpoint(rid)
 		if err != nil {
 			mc.Close()
 			return nil, err

@@ -93,7 +93,7 @@ func E8TwoPhase() (*Result, error) {
 			th.Safe = 1 // the acceptance forced by fast reads on S' servers
 			th.FastVW = 1
 		}
-		rep, err := mc.endpoint(rid)
+		rep, err := mc.sim.Endpoint(rid)
 		if err != nil {
 			return weakReadMeta{}, err
 		}

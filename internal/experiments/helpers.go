@@ -26,46 +26,26 @@ const expOpTimeout = 5 * time.Second
 // experiments use to build deliberately misconfigured or undersized
 // deployments.
 type manualCluster struct {
-	sim     *simnet.Network
-	runners []*node.Runner
-	nSrv    int
+	*core.Servers
+	sim *simnet.Network
 }
 
 // newManualCluster starts the given automata as servers s0..s(n-1) and
 // registers one writer and nReaders reader endpoints.
 func newManualCluster(automata []node.Automaton, nReaders int) (*manualCluster, error) {
-	n := len(automata)
-	ids := append(types.ServerIDs(n), types.WriterID())
+	ids := append(types.ServerIDs(len(automata)), types.WriterID())
 	ids = append(ids, types.ReaderIDs(nReaders)...)
 	sim, err := simnet.New(ids)
 	if err != nil {
 		return nil, err
 	}
-	mc := &manualCluster{sim: sim, nSrv: n}
-	for i, a := range automata {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			mc.Close()
-			return nil, err
-		}
-		r := node.NewRunner(ep, a)
-		mc.runners = append(mc.runners, r)
-		r.Start()
+	srvs, err := core.NewServers(sim, len(automata), func(i int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return automata[i], nil, nil
+	}, nil, nil)
+	if err != nil {
+		return nil, err
 	}
-	return mc, nil
-}
-
-func (mc *manualCluster) endpoint(id types.ProcID) (transport.Endpoint, error) {
-	return mc.sim.Endpoint(id)
-}
-
-func (mc *manualCluster) crash(i int) { mc.runners[i].Crash() }
-
-func (mc *manualCluster) Close() {
-	_ = mc.sim.Close()
-	for _, r := range mc.runners {
-		r.Stop()
-	}
+	return &manualCluster{srvs, sim}, nil
 }
 
 // coreServers returns n fresh core.Server automata.

@@ -41,6 +41,7 @@ import (
 	"luckystore/internal/storage"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
+	"luckystore/internal/wire"
 )
 
 // ErrClosed is returned by operations on a closed store.
@@ -148,24 +149,23 @@ func WithReaderBase(base int) Option {
 // demux on its first operation — and closed is an atomic flag checked
 // there; operations racing Close are cut off by their drivers' inboxes
 // closing under them, which surfaces ErrClosed.
+//
+// The embedded fleet carries the servers' fault hooks (CrashServer,
+// RestartServer, RestartServerFresh, SwapServerAutomaton, …): a server
+// crashes as a whole — every register and shard on it at once. A store
+// over external endpoints (OpenWithEndpoints) has no fleet, and its
+// restart and swap hooks return an error.
 type Store struct {
+	*core.Servers // nil when the servers are managed externally
+
 	cfg        core.Config
 	shards     int
-	net        transport.Network
 	sim        *simnet.Network
-	contenders int                    // contender identities pre-registered at Open
-	writerID   types.ProcID           // identity this store's writers bind stamps under
-	readerBase int                    // local reader idx speaks as ReaderID(readerBase+idx)
-	runners    []*node.Runner         // per-server pumps (keyed shards, or the automaton of a swap)
-	srvs       []*keyed.ShardedServer // per-server keyed state, retained for warm restarts
+	contenders int          // contender identities pre-registered at Open
+	writerID   types.ProcID // identity this store's writers bind stamps under
+	readerBase int          // local reader idx speaks as ReaderID(readerBase+idx)
 
-	store    storage.Provider
-	backends []storage.Backend // per server; nil when not durable
-
-	met       *StoreMetrics       // nil when uninstrumented
-	srvMet    *core.ServerMetrics // shared by every server automaton
-	durMet    *storage.DurableMetrics
-	runnersMu sync.RWMutex // guards runners[i] replacement vs gauge reads
+	met *StoreMetrics // nil when uninstrumented
 
 	writerDemux   *keyed.Demux   // its subscriptions carry the writer handles
 	readerDemuxs  []*keyed.Demux // ... each reader client's, its reader handles
@@ -229,49 +229,34 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 	st := &Store{
 		cfg:        cfg,
 		shards:     o.shards,
-		net:        sim,
 		sim:        sim,
 		contenders: o.contenders,
 		writerID:   types.WriterID(),
-		store:      o.store,
 	}
+	var sm *core.ServerMetrics
+	var dm *storage.DurableMetrics
+	prov := o.store
 	if o.metrics != nil {
 		st.met = newStoreMetrics(o.metrics)
-		st.srvMet = core.NewServerMetrics(o.metrics)
-		st.durMet = storage.NewDurableMetrics(o.metrics)
+		sm = core.NewServerMetrics(o.metrics)
+		dm = storage.NewDurableMetrics(o.metrics)
+		if prov != nil {
+			prov = meteredProvider{prov, o.metrics}
+		}
 	}
-	for i := 0; i < cfg.S(); i++ {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			st.Close()
-			return nil, err
-		}
-		srv := st.newServer()
-		var back storage.Backend
-		if st.store != nil {
-			back, err = st.openAndRecover(i, srv)
-			if err != nil {
-				st.Close()
-				return nil, fmt.Errorf("kv server %d storage: %w", i, err)
-			}
-		}
-		r := node.NewShardedRunner(ep, st.durableShards(srv, back, i), srv.Route())
-		st.srvs = append(st.srvs, srv)
-		st.backends = append(st.backends, back)
-		st.runners = append(st.runners, r)
-		r.Start()
+	st.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		srv := NewShardedServerAutomatonInstrumented(o.shards, sm)
+		return srv, srv.Shards(), srv.Route()
+	}, prov, dm)
+	if err != nil {
+		return nil, fmt.Errorf("kv: %w", err)
 	}
 	if st.met != nil {
-		for i := range st.runners {
-			idx := i
+		for i := range cfg.S() {
 			st.met.reg.GaugeFunc("lucky_kv_server_queue_depth",
 				"Step jobs (runs) queued on a server's shard workers, not yet stepped.",
-				func() int64 {
-					st.runnersMu.RLock()
-					r := st.runners[idx]
-					st.runnersMu.RUnlock()
-					return int64(r.QueueLen())
-				}, metrics.L("server", string(types.ServerID(idx))))
+				func() int64 { return int64(st.QueueLen(i)) },
+				metrics.L("server", string(types.ServerID(i))))
 		}
 	}
 	wep, err := sim.Endpoint(types.WriterID())
@@ -302,18 +287,6 @@ func (s *Store) openClients(writerEP transport.Endpoint, readerEPs []transport.E
 	}
 }
 
-// newServer builds one sharded keyed server whose per-register
-// automata share the store's server metrics (nil when uninstrumented —
-// the hooks are no-ops).
-func (s *Store) newServer() *keyed.ShardedServer {
-	sm := s.srvMet
-	return keyed.NewShardedServer(s.shards, func() node.Automaton {
-		srv := core.NewServer()
-		srv.SetMetrics(sm)
-		return srv
-	})
-}
-
 // newCoalescer wraps ep in a send-side coalescer, instrumented under
 // the given role label when the store carries metrics.
 func (s *Store) newCoalescer(ep transport.Endpoint, role string) *transport.Coalescer {
@@ -324,22 +297,12 @@ func (s *Store) newCoalescer(ep transport.Endpoint, role string) *transport.Coal
 	return c
 }
 
-// NewShardedServerAutomaton returns the sharded keyed server a KV
-// server process runs (tcpnet.ListenSharded, or node.NewShardedRunner
-// as Open assembles): per-register core automata split across n shards,
-// routed by key, whose shards step in parallel.
-// Values below 1 mean DefaultShards.
-func NewShardedServerAutomaton(n int) *keyed.ShardedServer {
-	if n < 1 {
-		n = DefaultShards()
-	}
-	return keyed.NewShardedServer(n, func() node.Automaton { return core.NewServer() })
-}
-
-// NewShardedServerAutomatonInstrumented is NewShardedServerAutomaton
-// with every register automaton sharing sm (nil is allowed and leaves
-// the hooks disabled) — the path an instrumented TCP server process
-// takes (luckystore.ListenTCPKV with metrics).
+// NewShardedServerAutomatonInstrumented returns the sharded keyed
+// server a KV server process runs (tcpnet.ListenSharded, or the fleet
+// Open assembles): per-register core automata split across n shards,
+// routed by key, whose shards step in parallel, every register sharing
+// sm (nil is allowed and leaves the hooks disabled). Values below 1
+// mean DefaultShards.
 func NewShardedServerAutomatonInstrumented(n int, sm *core.ServerMetrics) *keyed.ShardedServer {
 	if n < 1 {
 		n = DefaultShards()
@@ -708,142 +671,20 @@ func (s *Store) GetAsync(idx int, key string) *GetFuture {
 	return f
 }
 
-// CrashServer crash-stops server i (all registers and shards on it at
-// once — machines fail, not registers).
-func (s *Store) CrashServer(i int) { s.runners[i].Crash() }
-
-// RestartServer restarts server i after a crash — crash-recovery with
-// stable storage, so the server is merely slow, not faulty, in the
-// model's terms. With a WithStorage backend a fresh keyed server is
-// rebuilt by replaying the server's WAL (the in-memory state died with
-// the process); without one the server object is simply kept, which
-// models stable storage only for in-process crashes. Only valid on a
-// store that owns its servers (Open); stores over external endpoints
-// return an error.
-//
-// Restart methods are for use by one coordinating goroutine (a chaos
-// schedule); they do not synchronize with each other.
-func (s *Store) RestartServer(i int) error {
-	srv, err := s.serverFor(i)
-	if err != nil {
-		return err
-	}
-	back := s.backends[i]
-	if back != nil {
-		srv = s.newServer()
-		if _, err := storage.Recover(back, srv); err != nil {
-			return fmt.Errorf("kv restart server %d: %w", i, err)
-		}
-		s.srvs[i] = srv
-	}
-	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
-		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
-	})
+// meteredProvider instruments every backend it opens that supports it
+// (the file backend, possibly under a fault wrapper that forwards the
+// method).
+type meteredProvider struct {
+	storage.Provider
+	reg *metrics.Registry
 }
 
-// RestartServerFresh restarts server i with empty register state AND a
-// wiped backend — a crash-recovery with NO stable storage, the only
-// amnesiac path. An amnesiac server answers protocol-correctly from
-// initial state, which the model can only classify as Byzantine;
-// schedules must count fresh restarts against b.
-func (s *Store) RestartServerFresh(i int) error {
-	if _, err := s.serverFor(i); err != nil {
-		return err
+func (p meteredProvider) Open(name string) (storage.Backend, error) {
+	back, err := p.Provider.Open(name)
+	if fb, ok := back.(interface{ SetMetrics(*storage.FileMetrics) }); ok {
+		fb.SetMetrics(storage.NewFileMetrics(p.reg))
 	}
-	back := s.backends[i]
-	if back != nil {
-		if err := back.Wipe(); err != nil {
-			return fmt.Errorf("kv fresh-restart server %d: %w", i, err)
-		}
-	}
-	srv := s.newServer()
-	s.srvs[i] = srv
-	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
-		return node.NewShardedRunner(ep, s.durableShards(srv, back, i), srv.Route())
-	})
-}
-
-// SwapServerAutomaton crash-stops server i and brings it back running
-// the given automaton as its one shard — the hook chaos
-// schedules use to turn a server Byzantine mid-run. For KV traffic the
-// automaton should understand wire.Keyed (see fault.Keyed).
-func (s *Store) SwapServerAutomaton(i int, a node.Automaton) error {
-	if _, err := s.serverFor(i); err != nil {
-		return err
-	}
-	return s.restart(i, func(ep transport.Endpoint) *node.Runner {
-		return node.NewRunner(ep, a)
-	})
-}
-
-// openAndRecover opens server i's backend and replays whatever it
-// already holds into srv — nothing on a fresh provider, the pre-crash
-// keyed state on a reopened data directory. Replay routes through
-// ShardedServer.Step before the shard workers start, so no locking.
-func (s *Store) openAndRecover(i int, srv *keyed.ShardedServer) (storage.Backend, error) {
-	back, err := s.store.Open(string(types.ServerID(i)))
-	if err != nil {
-		return nil, err
-	}
-	if s.met != nil {
-		// Instrument the backend when it supports it (the file backend,
-		// possibly under a fault wrapper that forwards the method).
-		if fb, ok := back.(interface{ SetMetrics(*storage.FileMetrics) }); ok {
-			fb.SetMetrics(storage.NewFileMetrics(s.met.reg))
-		}
-	}
-	if _, err := storage.Recover(back, srv); err != nil {
-		back.Close()
-		return nil, err
-	}
-	return back, nil
-}
-
-// durableShards returns the automata the shard workers step: the bare
-// shards when back is nil, or each shard wrapped in a storage.Durable
-// sharing the server's one backend — their records land in a single
-// ordered log and their commits share group fsyncs.
-func (s *Store) durableShards(srv *keyed.ShardedServer, back storage.Backend, i int) []node.Automaton {
-	shards := srv.Shards()
-	if back == nil {
-		return shards
-	}
-	out := make([]node.Automaton, len(shards))
-	for j, sh := range shards {
-		d := storage.NewDurable(sh, back, types.ServerID(i))
-		d.SetMetrics(s.durMet)
-		out[j] = d
-	}
-	return out
-}
-
-// ServerBackend returns server i's storage backend, nil when the store
-// runs without WithStorage. Chaos deployments use it to arm injected
-// disk faults.
-func (s *Store) ServerBackend(i int) storage.Backend { return s.backends[i] }
-
-func (s *Store) serverFor(i int) (*keyed.ShardedServer, error) {
-	if s.sim == nil {
-		return nil, fmt.Errorf("kv: store does not own its servers")
-	}
-	if i < 0 || i >= len(s.runners) {
-		return nil, fmt.Errorf("kv: server %d out of range [0,%d)", i, len(s.runners))
-	}
-	return s.srvs[i], nil
-}
-
-func (s *Store) restart(i int, build func(transport.Endpoint) *node.Runner) error {
-	s.runners[i].Crash() // idempotent; joins the old pump
-	ep, err := s.sim.Endpoint(types.ServerID(i))
-	if err != nil {
-		return fmt.Errorf("kv restart server %d: %w", i, err)
-	}
-	r := build(ep)
-	s.runnersMu.Lock()
-	s.runners[i] = r
-	s.runnersMu.Unlock()
-	r.Start()
-	return nil
+	return back, err
 }
 
 // Sim returns the underlying simulated network.
@@ -864,17 +705,7 @@ func (s *Store) Close() {
 		for _, d := range s.readerDemuxs {
 			_ = d.Close()
 		}
-		if s.net != nil {
-			_ = s.net.Close()
-		}
-		for _, r := range s.runners {
-			r.Stop()
-		}
-		for _, b := range s.backends {
-			if b != nil {
-				_ = b.Close()
-			}
-		}
+		s.Servers.Close()
 		for _, c := range s.adopted {
 			c.Close()
 		}

@@ -57,15 +57,13 @@ func TestClientMemoryPerOpenKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	for i := 0; i < cfg.S(); i++ {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := node.NewRunner(ep, cannedServer{})
-		r.Start()
-		defer r.Stop()
+	srvs, err := core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return cannedServer{}, nil, nil
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
+	defer srvs.Close()
 	wep, err := sim.Endpoint(types.WriterID())
 	if err != nil {
 		t.Fatal(err)

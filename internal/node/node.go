@@ -61,9 +61,10 @@ func StepInto(a Automaton, from types.ProcID, m wire.Message, out []transport.Ou
 	return append(out, a.Step(from, m)...)
 }
 
-// Runner drives shard automata — one, for NewRunner — from one
-// endpoint. Its pump goroutine reads the endpoint and hands each
-// envelope to a StepPool over the shards, which Start builds: the pump
+// Runner drives shard automata from one endpoint: one server process.
+// On simnet its one owner is core.Servers. Its pump goroutine reads the
+// endpoint and hands each envelope to a StepPool over the shards, which
+// Start builds: the pump
 // steps the envelope itself when its shard has nothing outstanding
 // (StepPool.TryStep: idle, and the automaton answers NonBlocking true),
 // or submits it to the shard's worker otherwise. Either way the replies
@@ -108,12 +109,6 @@ func (b *backlog) StepDone(i int, out []transport.Outgoing) {
 	// with a send error than keep serving.
 	_ = transport.SendAll(b.ep, out)
 	b.n[i].Add(-1)
-}
-
-// NewRunner creates a runner for the single automaton a attached to ep.
-// The runner does not start pumping until Start is called.
-func NewRunner(ep transport.Endpoint, a Automaton) *Runner {
-	return NewShardedRunner(ep, []Automaton{a}, func(wire.Message) int { return 0 })
 }
 
 // NewShardedRunner creates a runner pumping ep into the shard automata.

@@ -46,7 +46,7 @@ func setup(t *testing.T) (*simnet.Network, transport.Endpoint, *Runner) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRunner(srv, &echoAutomaton{})
+	r := NewShardedRunner(srv, []Automaton{&echoAutomaton{}}, func(wire.Message) int { return 0 })
 	return n, cli, r
 }
 

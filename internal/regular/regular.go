@@ -393,33 +393,26 @@ func (r *Reader) Advance() (done bool, err error) {
 }
 
 // Cluster wires a regular-variant deployment over a simulated network.
+// Its embedded fleet carries the servers' fault hooks.
 type Cluster struct {
-	cfg      Config
-	net      transport.Network
-	sim      *simnet.Network
-	runners  []*node.Runner
-	autos    []node.Automaton
-	writer   *Writer
-	readers  []*Reader
-	store    storage.Provider
-	backends []storage.Backend // per server; nil when not durable
+	*core.Servers
+	cfg     Config
+	sim     *simnet.Network
+	writer  *Writer
+	readers []*Reader
 }
 
 // NewCluster builds and starts a regular-variant cluster. Servers keep
 // their automata in memory only; see NewDurableCluster for disk-backed
 // restarts.
 func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
-	return newCluster(cfg, nil, simOpts...)
+	return NewDurableCluster(cfg, nil, simOpts...)
 }
 
 // NewDurableCluster builds a regular-variant cluster whose servers
 // write through storage backends from p (one per server) before
 // acknowledging, and whose RestartServer recovers by WAL replay.
 func NewDurableCluster(cfg Config, p storage.Provider, simOpts ...simnet.Option) (*Cluster, error) {
-	return newCluster(cfg, p, simOpts...)
-}
-
-func newCluster(cfg Config, p storage.Provider, simOpts ...simnet.Option) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -429,29 +422,11 @@ func newCluster(cfg Config, p storage.Provider, simOpts ...simnet.Option) (*Clus
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, net: sim, sim: sim, store: p}
-	for i := 0; i < cfg.S(); i++ {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		a := core.NewRegularServer()
-		run := node.Automaton(a)
-		var back storage.Backend
-		if c.store != nil {
-			back, err = c.openAndRecover(i, a)
-			if err != nil {
-				c.Close()
-				return nil, fmt.Errorf("regular server %d storage: %w", i, err)
-			}
-			run = storage.NewDurable(a, back, types.ServerID(i))
-		}
-		r := node.NewRunner(ep, run)
-		c.autos = append(c.autos, a)
-		c.backends = append(c.backends, back)
-		c.runners = append(c.runners, r)
-		r.Start()
+	c := &Cluster{cfg: cfg, sim: sim}
+	if c.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return core.NewRegularServer(), nil, nil
+	}, p, nil); err != nil {
+		return nil, fmt.Errorf("regular: %w", err)
 	}
 	wep, err := sim.Endpoint(types.WriterID())
 	if err != nil {
@@ -481,96 +456,3 @@ func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
 
 // Sim returns the underlying simulated network.
 func (c *Cluster) Sim() *simnet.Network { return c.sim }
-
-// CrashServer crash-stops server i.
-func (c *Cluster) CrashServer(i int) { c.runners[i].Crash() }
-
-// RestartServer restarts server i after a crash — crash-recovery with
-// stable storage. With a NewDurableCluster backend, "stable storage"
-// is the server's WAL: a fresh automaton is rebuilt by replay, as a
-// real process restart would. The default keeps the automaton object
-// in memory, which models stable storage only for in-process crashes.
-// For use by one coordinating goroutine, like the other fault hooks.
-func (c *Cluster) RestartServer(i int) error {
-	if i < 0 || i >= len(c.autos) {
-		return fmt.Errorf("regular restart: server %d out of range [0,%d)", i, len(c.autos))
-	}
-	if c.backends[i] == nil {
-		return c.restart(i, c.autos[i], c.autos[i])
-	}
-	a := core.NewRegularServer()
-	if _, err := storage.Recover(c.backends[i], a); err != nil {
-		return fmt.Errorf("regular restart server %d: %w", i, err)
-	}
-	return c.restart(i, a, storage.NewDurable(a, c.backends[i], types.ServerID(i)))
-}
-
-// RestartServerFresh restarts server i with a brand-new automaton and
-// a wiped backend — the only amnesiac recovery, which schedules must
-// count against b.
-func (c *Cluster) RestartServerFresh(i int) error {
-	if i < 0 || i >= len(c.autos) {
-		return fmt.Errorf("regular restart: server %d out of range [0,%d)", i, len(c.autos))
-	}
-	a := core.NewRegularServer()
-	if c.backends[i] == nil {
-		return c.restart(i, a, a)
-	}
-	if err := c.backends[i].Wipe(); err != nil {
-		return fmt.Errorf("regular fresh-restart server %d: %w", i, err)
-	}
-	return c.restart(i, a, storage.NewDurable(a, c.backends[i], types.ServerID(i)))
-}
-
-// SwapServerAutomaton crash-stops server i and brings it back running
-// the given automaton (an internal/fault Byzantine behavior, for chaos
-// schedules). The swapped-in automaton runs without storage; the
-// backend keeps the last correct durable state for a later restart.
-func (c *Cluster) SwapServerAutomaton(i int, a node.Automaton) error { return c.restart(i, a, a) }
-
-// ServerBackend returns server i's storage backend (nil without
-// NewDurableCluster); chaos deployments arm disk faults through it.
-func (c *Cluster) ServerBackend(i int) storage.Backend { return c.backends[i] }
-
-func (c *Cluster) openAndRecover(i int, a node.Automaton) (storage.Backend, error) {
-	back, err := c.store.Open(string(types.ServerID(i)))
-	if err != nil {
-		return nil, err
-	}
-	if _, err := storage.Recover(back, a); err != nil {
-		back.Close()
-		return nil, err
-	}
-	return back, nil
-}
-
-func (c *Cluster) restart(i int, inner, run node.Automaton) error {
-	if i < 0 || i >= len(c.runners) {
-		return fmt.Errorf("regular restart: server %d out of range [0,%d)", i, len(c.runners))
-	}
-	c.runners[i].Crash()
-	ep, err := c.net.Endpoint(types.ServerID(i))
-	if err != nil {
-		return fmt.Errorf("regular restart server %d: %w", i, err)
-	}
-	c.autos[i] = inner
-	c.runners[i] = node.NewRunner(ep, run)
-	c.runners[i].Start()
-	return nil
-}
-
-// Close stops all runners and the network, then closes the storage
-// backends.
-func (c *Cluster) Close() {
-	if c.net != nil {
-		_ = c.net.Close()
-	}
-	for _, r := range c.runners {
-		r.Stop()
-	}
-	for _, b := range c.backends {
-		if b != nil {
-			_ = b.Close()
-		}
-	}
-}

@@ -17,7 +17,7 @@ import (
 // server address.
 func listenTCPCluster(t *testing.T) string {
 	t.Helper()
-	auto := kv.NewShardedServerAutomaton(2)
+	auto := kv.NewShardedServerAutomatonInstrumented(2, nil)
 	srv, err := tcpnet.ListenSharded(types.ServerID(0), "127.0.0.1:0", auto.Shards(), auto.Route())
 	if err != nil {
 		t.Fatal(err)

@@ -49,9 +49,6 @@ func NewDurable(inner node.Automaton, back Backend, self types.ProcID) *Durable 
 	return &Durable{inner: inner, back: back, self: self}
 }
 
-// Inner returns the wrapped automaton, for tests that inspect state.
-func (d *Durable) Inner() node.Automaton { return d.inner }
-
 // StepNeverBlocks implements node.NonBlocking: the inner automaton's
 // answer when the backend does not fsync (Syncing), so a durable keyed
 // shard commits — a write — on a read goroutine, before replying. Over
@@ -104,4 +101,27 @@ func (d *Durable) StepAppend(from types.ProcID, m wire.Message, out []transport.
 		d.met.AppendLatency.ObserveSince(t0)
 	}
 	return res
+}
+
+// RecoverShards is the one recipe every durable server follows: it
+// replays back into a — the server's automaton, whose shards are
+// shards (a itself for a one-shard server) — and returns the shards to
+// step, each wrapped in a Durable that shares back, so their records
+// land in one ordered log and their commits share group fsyncs. met
+// may be nil. With a nil back the server keeps state in memory only,
+// and shards come back as given. It does not close back on error.
+func RecoverShards(back Backend, a node.Automaton, shards []node.Automaton, self types.ProcID, met *DurableMetrics) ([]node.Automaton, error) {
+	if back == nil {
+		return shards, nil
+	}
+	if _, err := Recover(back, a); err != nil {
+		return nil, err
+	}
+	out := make([]node.Automaton, len(shards))
+	for j, sh := range shards {
+		d := NewDurable(sh, back, self)
+		d.SetMetrics(met)
+		out[j] = d
+	}
+	return out, nil
 }

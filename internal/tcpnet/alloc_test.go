@@ -127,7 +127,7 @@ func kvFleet(t *testing.T, cfg core.Config, durable bool) *kv.Store {
 	t.Helper()
 	servers := make(map[types.ProcID]string, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
-		auto := kv.NewShardedServerAutomaton(2)
+		auto := kv.NewShardedServerAutomatonInstrumented(2, nil)
 		shards := auto.Shards()
 		if durable {
 			back, err := storage.NewFile(t.TempDir(), nil, storage.WithSyncMode(storage.SyncNone))

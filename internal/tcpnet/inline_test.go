@@ -319,7 +319,7 @@ func TestShardedDurableStepsInlineAndWithholdsReply(t *testing.T) {
 			name = "inline"
 		}
 		t.Run(name, func(t *testing.T) {
-			rec := &pathRecorder{inner: kv.NewShardedServerAutomaton(1).Shards()[0]}
+			rec := &pathRecorder{inner: kv.NewShardedServerAutomatonInstrumented(1, nil).Shards()[0]}
 			var shard node.Automaton = rec
 			if inline {
 				shard = inlineRecorder{rec}

@@ -20,7 +20,7 @@ import (
 // listenShardedKV brings up one sharded KV server for tests.
 func listenShardedKV(t *testing.T, shards int) (*Server, *keyed.ShardedServer) {
 	t.Helper()
-	auto := kv.NewShardedServerAutomaton(shards)
+	auto := kv.NewShardedServerAutomatonInstrumented(shards, nil)
 	srv, err := ListenSharded(types.ServerID(0), "127.0.0.1:0", auto.Shards(), auto.Route())
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestShardedReplyOrderPerKey(t *testing.T) {
 // mid-traffic: Close must join every goroutine (the test hangs
 // otherwise) and later frames are simply dropped, like a crash.
 func TestShardedServerCloseUnderLoad(t *testing.T) {
-	auto := kv.NewShardedServerAutomaton(4)
+	auto := kv.NewShardedServerAutomatonInstrumented(4, nil)
 	srv, err := ListenSharded(types.ServerID(0), "127.0.0.1:0", auto.Shards(), auto.Route())
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +380,7 @@ func TestShardedEndToEndProtocol(t *testing.T) {
 		RoundTimeout: 50 * time.Millisecond, OpTimeout: 10 * time.Second}
 	addrs := make(map[types.ProcID]string, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
-		auto := kv.NewShardedServerAutomaton(4)
+		auto := kv.NewShardedServerAutomatonInstrumented(4, nil)
 		srv, err := ListenSharded(types.ServerID(i), "127.0.0.1:0", auto.Shards(), auto.Route())
 		if err != nil {
 			t.Fatal(err)

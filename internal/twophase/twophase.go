@@ -537,12 +537,12 @@ func (r *Reader) complete(wroteBack bool) (bool, error) {
 	return true, nil
 }
 
-// Cluster wires a two-phase deployment over a simulated network.
+// Cluster wires a two-phase deployment over a simulated network. Its
+// embedded fleet carries the servers' fault hooks.
 type Cluster struct {
+	*core.Servers
 	cfg     Config
-	net     transport.Network
 	sim     *simnet.Network
-	runners []*node.Runner
 	writer  *Writer
 	readers []*Reader
 }
@@ -558,16 +558,11 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, net: sim, sim: sim}
-	for i := 0; i < cfg.S(); i++ {
-		ep, err := sim.Endpoint(types.ServerID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		r := node.NewRunner(ep, NewServer())
-		c.runners = append(c.runners, r)
-		r.Start()
+	c := &Cluster{cfg: cfg, sim: sim}
+	if c.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return NewServer(), nil, nil
+	}, nil, nil); err != nil {
+		return nil, err
 	}
 	wep, err := sim.Endpoint(types.WriterID())
 	if err != nil {
@@ -597,16 +592,3 @@ func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
 
 // Sim returns the underlying simulated network.
 func (c *Cluster) Sim() *simnet.Network { return c.sim }
-
-// CrashServer crash-stops server i.
-func (c *Cluster) CrashServer(i int) { c.runners[i].Crash() }
-
-// Close stops all runners and the network.
-func (c *Cluster) Close() {
-	if c.net != nil {
-		_ = c.net.Close()
-	}
-	for _, r := range c.runners {
-		r.Stop()
-	}
-}

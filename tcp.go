@@ -106,27 +106,9 @@ func ListenTCP(i int, addr string, opts ...TCPOption) (*TCPServer, error) {
 	if o.metrics != nil {
 		a.SetMetrics(core.NewServerMetrics(o.metrics))
 	}
-	run := node.Automaton(a)
-	back, err := o.openBackend(func() storage.Automaton { return core.NewServer() })
+	inner, back, err := o.listen(i, addr, func() storage.Automaton { return core.NewServer() },
+		a, []node.Automaton{a}, func(wire.Message) int { return 0 })
 	if err != nil {
-		return nil, fmt.Errorf("luckystore server %d storage: %w", i, err)
-	}
-	if back != nil {
-		if _, err := storage.Recover(back, a); err != nil {
-			_ = back.Close()
-			return nil, fmt.Errorf("luckystore server %d recovery: %w", i, err)
-		}
-		d := storage.NewDurable(a, back, types.ServerID(i))
-		if o.metrics != nil {
-			d.SetMetrics(storage.NewDurableMetrics(o.metrics))
-		}
-		run = d
-	}
-	inner, err := tcpnet.Listen(types.ServerID(i), addr, run, o.serverOptions()...)
-	if err != nil {
-		if back != nil {
-			_ = back.Close()
-		}
 		return nil, err
 	}
 	return &TCPServer{inner: inner, back: back, reg: a}, nil
@@ -184,20 +166,37 @@ type tcpOptions struct {
 	metrics *metrics.Registry
 }
 
-// openBackend opens the durable file backend when WithTCPDataDir was
-// given (instrumented when metrics are on), nil otherwise.
-func (o *tcpOptions) openBackend(factory func() storage.Automaton) (storage.Backend, error) {
-	if o.dataDir == "" {
-		return nil, nil
+// listen serves server i on addr: the durable-server recipe
+// (storage.RecoverShards) recovers a — its shards, routed by route —
+// from the file backend WithTCPDataDir names, which factory's automata
+// compact; the shards then step behind a sharded listener. The backend
+// is nil without a data directory.
+func (o *tcpOptions) listen(i int, addr string, factory func() storage.Automaton, a node.Automaton, shards []node.Automaton, route func(wire.Message) int) (*tcpnet.Server, storage.Backend, error) {
+	var back storage.Backend
+	var dm *storage.DurableMetrics
+	if o.dataDir != "" {
+		f, err := storage.NewFile(o.dataDir, factory)
+		if err != nil {
+			return nil, nil, fmt.Errorf("luckystore server %d storage: %w", i, err)
+		}
+		if o.metrics != nil {
+			f.SetMetrics(storage.NewFileMetrics(o.metrics))
+			dm = storage.NewDurableMetrics(o.metrics)
+		}
+		back = f
 	}
-	back, err := storage.NewFile(o.dataDir, factory)
+	shards, err := storage.RecoverShards(back, a, shards, types.ServerID(i), dm)
 	if err != nil {
-		return nil, err
+		err = fmt.Errorf("luckystore server %d recovery: %w", i, err)
 	}
-	if o.metrics != nil {
-		back.SetMetrics(storage.NewFileMetrics(o.metrics))
+	var inner *tcpnet.Server
+	if err == nil {
+		inner, err = tcpnet.ListenSharded(types.ServerID(i), addr, shards, route, o.serverOptions()...)
 	}
-	return back, nil
+	if err != nil && back != nil {
+		_ = back.Close()
+	}
+	return inner, back, err
 }
 
 // serverOptions translates the TCP options into tcpnet listener options.
@@ -254,42 +253,18 @@ func ListenTCPKV(i int, addr string, opts ...TCPOption) (*TCPServer, error) {
 		sm = core.NewServerMetrics(o.metrics)
 	}
 	srv := kv.NewShardedServerAutomatonInstrumented(o.shards, sm)
-	shards := srv.Shards()
-	back, err := o.openBackend(kv.NewStorageAutomaton)
+	// Replay routes through the sharded server's single-goroutine Step
+	// before any shard worker exists, then every shard writes through
+	// the one backend (group-committed fsyncs).
+	inner, back, err := o.listen(i, addr, kv.NewStorageAutomaton, srv, srv.Shards(), srv.Route())
 	if err != nil {
-		return nil, fmt.Errorf("luckystore kv server %d storage: %w", i, err)
-	}
-	if back != nil {
-		// Replay routes through the sharded server's single-goroutine
-		// Step before any shard worker exists, then every shard writes
-		// through the one backend (group-committed fsyncs).
-		if _, err := storage.Recover(back, srv); err != nil {
-			_ = back.Close()
-			return nil, fmt.Errorf("luckystore kv server %d recovery: %w", i, err)
-		}
-		var dm *storage.DurableMetrics
-		if o.metrics != nil {
-			dm = storage.NewDurableMetrics(o.metrics)
-		}
-		for j, sh := range shards {
-			d := storage.NewDurable(sh, back, types.ServerID(i))
-			d.SetMetrics(dm)
-			shards[j] = d
-		}
-	}
-	inner, err := tcpnet.ListenSharded(types.ServerID(i), addr, shards, srv.Route(), o.serverOptions()...)
-	if err != nil {
-		if back != nil {
-			_ = back.Close()
-		}
 		return nil, err
 	}
 	if o.metrics != nil {
 		// Per-shard queue depth: the live backpressure signal, one gauge
 		// per shard worker (DESIGN.md §13).
 		pool := inner.Pool()
-		for sh := 0; sh < pool.NumShards(); sh++ {
-			idx := sh
+		for idx := range pool.NumShards() {
 			o.metrics.GaugeFunc("lucky_tcp_shard_queue_depth",
 				"Step jobs (runs: one per request frame and shard it touches, however many messages) queued per shard worker, not yet stepped.",
 				func() int64 { return int64(pool.QueueLen(idx)) },
