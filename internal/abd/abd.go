@@ -25,7 +25,7 @@ import (
 
 // DefaultOpTimeout bounds one operation, converting violated model
 // assumptions into errors.
-const DefaultOpTimeout = 30 * time.Second
+const DefaultOpTimeout = drive.DefaultOpTimeout
 
 // ErrOpTimeout is returned when an operation cannot gather a majority:
 // core's sentinel, each error naming the ABD phase.
@@ -56,11 +56,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) opTimeout() time.Duration {
-	if c.OpTimeout > 0 {
-		return c.OpTimeout
-	}
-	return DefaultOpTimeout
+// shape is the drive.Shape of this deployment's clients. ABD waits for
+// no timer: the default round timer serves loss recovery only.
+func (c Config) shape(name string) drive.Shape {
+	return drive.Shape{Name: name, S: c.S(), Need: c.Quorum(), OpTimeout: c.OpTimeout}
 }
 
 // Server is the ABD server automaton: one stored pair, update on
@@ -92,16 +91,18 @@ func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
 
 // Writer is the ABD writer: one store round per WRITE. Like every
 // client it is a drive.Op: Start sends the round, replies go in by
-// Deliver until a majority has answered (Expire only fails the WRITE
-// past its deadline), and Advance completes it.
+// Deliver until a majority has answered, and Advance completes it.
 type Writer struct {
-	client
-	ts types.TS
+	ep  transport.Endpoint
+	drv drive.Private
+	rnd drive.Round
+	seq int64 // the round in flight's, which its acks carry
+	ts  types.TS
 }
 
 // NewWriter creates the writer client.
 func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
-	return &Writer{client: client{cfg: cfg, ep: ep}}
+	return &Writer{ep: ep, rnd: drive.NewRound(ep, cfg.shape("abd WRITE"))}
 }
 
 // Write stores v: one round-trip to a majority.
@@ -115,23 +116,30 @@ func (w *Writer) Start(v types.Value) (done bool, err error) {
 	if v == "" {
 		return false, errors.New("abd: cannot write the initial value ⊥")
 	}
-	w.begin()
+	w.rnd.Begin()
 	w.ts++
-	return false, w.send(wire.ABDWrite{Seq: w.next(), C: types.Tagged{TS: w.ts, Val: v}})
+	w.seq++
+	return false, w.rnd.Open("store round", false, nil, wire.ABDWrite{Seq: w.seq, C: types.Tagged{TS: w.ts, Val: v}})
 }
 
 // Deliver counts one WRITE_ACK.
 func (w *Writer) Deliver(env wire.Envelope) {
-	if a, ok := env.Msg.(wire.ABDWriteAck); ok {
-		w.count(env.From, a.Seq)
+	if a, ok := env.Msg.(wire.ABDWriteAck); ok && a.Seq == w.seq {
+		w.rnd.Ack(env.From)
 	}
 }
 
-// Expire fails the WRITE past its deadline.
-func (w *Writer) Expire(now time.Time) { w.expire(now, "WRITE") }
+// Decided reports a majority of the round's acks, or a failure.
+func (w *Writer) Decided() bool { return w.rnd.Decided() }
+
+// Deadline returns when Expire next has something to judge.
+func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
+
+// Expire fires the round's loss timer at now (see drive.Round.Expire).
+func (w *Writer) Expire(now time.Time) { w.rnd.Expire(now) }
 
 // Advance completes the WRITE.
-func (w *Writer) Advance() (done bool, err error) { return w.err == nil, w.err }
+func (w *Writer) Advance() (done bool, err error) { return w.rnd.Err() == nil, w.rnd.Err() }
 
 // Rounds reports the (constant) round-trip complexity of an ABD WRITE.
 func (w *Writer) Rounds() int { return 1 }
@@ -139,14 +147,17 @@ func (w *Writer) Rounds() int { return 1 }
 // Reader is the ABD reader: query round + write-back round, as a
 // drive.Op (see Writer).
 type Reader struct {
-	client
+	ep   transport.Endpoint
+	drv  drive.Private
+	rnd  drive.Round
+	seq  int64        // the round in flight's, which its acks carry
 	wb   bool         // the write-back round is in flight, not the query
 	best types.Tagged // the highest pair the query found
 }
 
 // NewReader creates a reader client.
 func NewReader(cfg Config, ep transport.Endpoint) *Reader {
-	return &Reader{client: client{cfg: cfg, ep: ep}}
+	return &Reader{ep: ep, rnd: drive.NewRound(ep, cfg.shape("abd READ"))}
 }
 
 // Read returns the register value after the classic two phases.
@@ -161,9 +172,10 @@ func (r *Reader) Read() (types.Tagged, error) {
 // Start begins a READ with phase 1: query a majority, adopt the highest
 // pair.
 func (r *Reader) Start() (done bool, err error) {
-	r.begin()
+	r.rnd.Begin()
 	r.wb, r.best = false, types.Bottom()
-	return false, r.send(wire.ABDRead{Seq: r.next()})
+	r.seq++
+	return false, r.rnd.Open("query round", false, nil, wire.ABDRead{Seq: r.seq})
 }
 
 // Deliver folds one READ_ACK of the query, or counts one WRITE_ACK of
@@ -171,93 +183,41 @@ func (r *Reader) Start() (done bool, err error) {
 func (r *Reader) Deliver(env wire.Envelope) {
 	switch a := env.Msg.(type) {
 	case wire.ABDReadAck:
-		if !r.wb && r.count(env.From, a.Seq) && r.best.Less(a.C) {
+		if r.wb || a.Seq != r.seq {
+			return
+		}
+		if _, first := r.rnd.Ack(env.From); first && r.best.Less(a.C) {
 			r.best = a.C
 		}
 	case wire.ABDWriteAck:
-		if r.wb {
-			r.count(env.From, a.Seq)
+		if r.wb && a.Seq == r.seq {
+			r.rnd.Ack(env.From)
 		}
 	}
 }
 
-// Expire fails the READ past its deadline.
-func (r *Reader) Expire(now time.Time) {
-	if r.wb {
-		r.expire(now, "READ write-back")
-	} else {
-		r.expire(now, "READ query")
-	}
-}
+// Decided reports a majority of the round's acks, or a failure.
+func (r *Reader) Decided() bool { return r.rnd.Decided() }
+
+// Deadline returns when Expire next has something to judge.
+func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
+
+// Expire fires the round's loss timer at now (see drive.Round.Expire).
+func (r *Reader) Expire(now time.Time) { r.rnd.Expire(now) }
 
 // Advance runs phase 2 — write the adopted pair back to a majority —
 // then completes the READ.
 func (r *Reader) Advance() (done bool, err error) {
-	if r.err != nil || r.wb {
-		return r.err == nil, r.err
+	if err := r.rnd.Err(); err != nil || r.wb {
+		return err == nil, err
 	}
 	r.wb = true
-	return false, r.send(wire.ABDWrite{Seq: r.next(), C: r.best})
+	r.seq++
+	return false, r.rnd.Open("write-back round", false, nil, wire.ABDWrite{Seq: r.seq, C: r.best})
 }
 
 // Rounds reports the (constant) round-trip complexity of an ABD READ.
 func (r *Reader) Rounds() int { return 2 }
-
-// client is what the writer and a reader share: the endpoint and its
-// driver, and the operation in flight — the servers that acknowledged
-// its round, tagged with the round's seq, and its deadline.
-type client struct {
-	cfg      Config
-	ep       transport.Endpoint
-	drv      drive.Private
-	seq      int64
-	got      map[types.ProcID]bool
-	deadline time.Time
-	err      error
-}
-
-// begin opens an operation.
-func (c *client) begin() {
-	c.deadline, c.err = time.Now().Add(c.cfg.opTimeout()), nil
-}
-
-// next is the seq of the next round.
-func (c *client) next() int64 {
-	c.seq++
-	return c.seq
-}
-
-// send opens a round: a fresh ack set, and m to every server.
-func (c *client) send(m wire.Message) error {
-	c.got = make(map[types.ProcID]bool, c.cfg.S())
-	out := make([]transport.Outgoing, c.cfg.S())
-	for i := range out {
-		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
-	}
-	return transport.SendAll(c.ep, out)
-}
-
-// count records a server's ack tagged seq, reporting whether it is the
-// server's first of the round.
-func (c *client) count(from types.ProcID, seq int64) bool {
-	if !from.IsServer() || seq != c.seq || c.got[from] {
-		return false
-	}
-	c.got[from] = true
-	return true
-}
-
-// Decided reports a majority of the round's acks, or a failure.
-func (c *client) Decided() bool { return c.err != nil || len(c.got) >= c.cfg.Quorum() }
-
-// Deadline is the operation's.
-func (c *client) Deadline() time.Time { return c.deadline }
-
-func (c *client) expire(now time.Time, phase string) {
-	if !now.Before(c.deadline) {
-		c.err = fmt.Errorf("abd %s: %w", phase, ErrOpTimeout)
-	}
-}
 
 // Cluster wires an ABD deployment over a simulated network. Its
 // embedded fleet carries the servers' fault hooks.

@@ -13,26 +13,22 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"luckystore/internal/drive"
 )
 
-// DefaultRoundTimeout is the default round-1 timer: the client-known
-// bound on a request/reply round trip with every correct server
-// (2 × t_{c,s_i} in the paper's terms). On the in-memory network a
-// round trip takes microseconds, so this leaves a wide synchrony
-// margin while keeping tests fast.
-const DefaultRoundTimeout = 25 * time.Millisecond
-
-// DefaultOpTimeout bounds a single operation. The algorithm is
-// wait-free under the model's assumption of at most t server failures;
-// the timeout exists to convert a violated assumption (e.g. an
-// experiment crashing more than t servers) into an error instead of a
-// hung test.
-const DefaultOpTimeout = 30 * time.Second
+// DefaultRoundTimeout is the default round timer and DefaultOpTimeout
+// the default bound on one operation (see drive.DefaultRoundTimeout and
+// drive.DefaultOpTimeout).
+const (
+	DefaultRoundTimeout = drive.DefaultRoundTimeout
+	DefaultOpTimeout    = drive.DefaultOpTimeout
+)
 
 // ErrOpTimeout is returned when an operation exceeds Config.OpTimeout,
 // which can only happen when the failure model's assumptions are
 // violated.
-var ErrOpTimeout = errors.New("operation timed out: failure assumptions violated (more than t servers unresponsive?)")
+var ErrOpTimeout = drive.ErrOpTimeout
 
 // ErrCrashed is returned by fault-injected client operations that
 // deliberately stop mid-way.
@@ -137,18 +133,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// roundTimeout returns the effective round-1 timer duration.
-func (c Config) roundTimeout() time.Duration {
-	if c.RoundTimeout > 0 {
-		return c.RoundTimeout
+// shape is the drive.Shape of this deployment's clients; name is the
+// operation their errors name.
+func (c Config) shape(name string) drive.Shape {
+	sh := drive.Shape{Name: name, S: c.S(), Need: c.Quorum(), RoundTimeout: c.RoundTimeout, OpTimeout: c.OpTimeout}
+	if c.Metrics != nil {
+		sh.Starved, sh.Retransmits = c.Metrics.Starved, c.Metrics.Retransmits
 	}
-	return DefaultRoundTimeout
-}
-
-// opTimeout returns the effective per-operation bound.
-func (c Config) opTimeout() time.Duration {
-	if c.OpTimeout > 0 {
-		return c.OpTimeout
-	}
-	return DefaultOpTimeout
+	return sh
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"luckystore/internal/drive"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 )
@@ -457,17 +458,29 @@ func TestConcurrentWritesAndReadsStress(t *testing.T) {
 	}
 }
 
-// feedPWAcks loads a PW_ACK set into the writer's pooled round state,
-// the way acceptPWAck does during a live pre-write phase.
+// sink is an endpoint that drops whatever it is sent.
+type sink struct{}
+
+func (sink) ID() types.ProcID                      { return types.WriterID() }
+func (sink) Send(types.ProcID, wire.Message) error { return nil }
+func (sink) Recv() <-chan wire.Envelope            { return nil }
+func (sink) Close() error                          { return nil }
+
+// feedPWAcks opens a pre-write round on w and delivers a PW_ACK set to
+// it, the way a live pre-write phase does.
 func feedPWAcks(w *Writer, acks map[types.ProcID]wire.PWAck) {
-	w.resetAcks()
+	w.rnd = drive.NewRound(sink{}, w.cfg.shape("WRITE"))
+	w.opTS = w.ts
+	if err := w.emit(phasePW, nil, wire.PW{TS: w.ts}); err != nil {
+		panic(err)
+	}
 	for id, a := range acks {
-		i := id.Index()
-		w.acks[i] = a
-		w.ackSeen[i] = true
-		w.ackCount++
+		w.acceptPWAck(wire.Envelope{From: id, To: w.id, Msg: a})
 	}
 }
+
+// freeze runs w's freezevalues() over the PW_ACKs fed to it.
+func freeze(w *Writer) { w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, w.frozen) }
 
 // The writer's freezevalues picks the (b+1)-st highest reported
 // timestamp and freezes at most one value per reader per write.
@@ -482,7 +495,7 @@ func TestWriterFreezeValuesSelection(t *testing.T) {
 		types.ServerID(1): {TS: 7, NewRead: []types.ReadStamp{{Reader: rj, TSR: 9}}},
 		types.ServerID(2): {TS: 7, NewRead: []types.ReadStamp{{Reader: rj, TSR: 3}}},
 	})
-	w.freezeValues()
+	freeze(w)
 	if len(w.frozen) != 1 {
 		t.Fatalf("frozen = %+v, want exactly one entry", w.frozen)
 	}
@@ -490,8 +503,8 @@ func TestWriterFreezeValuesSelection(t *testing.T) {
 	if got.Reader != rj || got.PW != w.pw || got.TSR != 5 {
 		t.Errorf("frozen entry = %+v, want {r0 〈7,v7〉 5} (2nd-highest of 9,5,3)", got)
 	}
-	if w.readTS[rj] != 5 {
-		t.Errorf("read_ts[r0] = %d, want 5", w.readTS[rj])
+	if w.fz.ReadTS[rj] != 5 {
+		t.Errorf("read_ts[r0] = %d, want 5", w.fz.ReadTS[rj])
 	}
 
 	// A lone report (< b+1) must not freeze.
@@ -500,7 +513,7 @@ func TestWriterFreezeValuesSelection(t *testing.T) {
 	feedPWAcks(w2, map[types.ProcID]wire.PWAck{
 		types.ServerID(0): {TS: 1, NewRead: []types.ReadStamp{{Reader: rj, TSR: 2}}},
 	})
-	w2.freezeValues()
+	freeze(w2)
 	if len(w2.frozen) != 0 {
 		t.Errorf("froze on a single report: %+v", w2.frozen)
 	}
@@ -513,9 +526,26 @@ func TestWriterFreezeValuesSelection(t *testing.T) {
 			{Reader: rj, TSR: 2}, {Reader: rj, TSR: 8},
 		}},
 	})
-	w3.freezeValues()
+	freeze(w3)
 	if len(w3.frozen) != 0 {
 		t.Errorf("duplicate stamps from one server caused a freeze: %+v", w3.frozen)
+	}
+
+	// ... and so do they in a set too large to scan (the map path): only
+	// the first of s0's nine stamps for r0 is its report.
+	w4 := NewWriter(cfg, types.WriterID(), nil)
+	w4.ts, w4.pw = 1, types.Tagged{TS: 1, Val: "x"}
+	var forged []types.ReadStamp
+	for tsr := types.ReaderTS(2); tsr <= 10; tsr++ {
+		forged = append(forged, types.ReadStamp{Reader: rj, TSR: tsr})
+	}
+	feedPWAcks(w4, map[types.ProcID]wire.PWAck{
+		types.ServerID(0): {TS: 1, NewRead: forged},
+		types.ServerID(1): {TS: 1, NewRead: []types.ReadStamp{{Reader: rj, TSR: 4}}},
+	})
+	freeze(w4)
+	if len(w4.frozen) != 1 || w4.frozen[0].TSR != 2 {
+		t.Errorf("frozen = %+v, want one entry at tsr 2 (2nd-highest of 4 and s0's first, 2)", w4.frozen)
 	}
 }
 

@@ -36,7 +36,7 @@ type Metrics struct {
 	// Timer-starvation telemetry: Starved counts round-timer expiries
 	// below a quorum (scheduling jitter or loss pushed acks past the
 	// synchrony timer), Retransmits the re-broadcasts the grace cycle
-	// then issued (see retransmitGrace).
+	// then issued (see drive.Round).
 	Starved     *metrics.Counter
 	Retransmits *metrics.Counter
 
@@ -104,20 +104,6 @@ func (m *Metrics) observeRead(meta ReadMeta, d time.Duration) {
 		m.ReadFast.Inc()
 	}
 	m.ReadLatency.Observe(d)
-}
-
-// starved records one round-timer expiry below a quorum.
-func (m *Metrics) starved() {
-	if m != nil {
-		m.Starved.Inc()
-	}
-}
-
-// retransmit records one grace-cycle re-broadcast.
-func (m *Metrics) retransmit() {
-	if m != nil {
-		m.Retransmits.Inc()
-	}
 }
 
 // ServerMetrics is the server automata's shared instrumentation: one

@@ -78,11 +78,10 @@ type WriteFault struct {
 // query round before the pre-write so concurrent writers totally order
 // their stamps. A Writer is not safe for concurrent use: each writer
 // process invokes one operation at a time — which is also what makes
-// its round state poolable. All per-operation machinery (timers, the
-// PW_ACK set, the outgoing-message buffer, the freeze scratch) lives on
-// the Writer and is reset per WRITE instead of reallocated, so a
-// steady-state fast WRITE allocates nothing beyond the messages
-// themselves (DESIGN.md §5).
+// its round state poolable. All per-operation machinery (the round, the
+// PW_ACK slots, the freeze scratch) lives on the Writer and is reset per
+// WRITE instead of reallocated, so a steady-state fast WRITE allocates
+// nothing beyond the messages themselves (DESIGN.md §5).
 //
 // MWMR soundness hinges on one rule: a WRITE binds exactly one stamp,
 // chosen before PW is sent and never revised. A writer that discovers
@@ -101,7 +100,7 @@ type Writer struct {
 	ts      types.TS    // sequence floor: seq of the last bound stamp
 	last    types.Stamp // stamp of the last completed/installed write
 	pw, w   types.Tagged
-	readTS  map[types.ProcID]types.ReaderTS // nil until the first freeze
+	fz      drive.Freezer
 	frozen  []types.FrozenEntry
 	crashed bool
 
@@ -119,26 +118,16 @@ type Writer struct {
 	cacheOK   bool
 	calm      bool
 
-	// serverIDs caches the all-servers broadcast target list.
-	serverIDs []types.ProcID
-
 	// pooled per-operation round state, reset per WRITE (op) and per
-	// round (the ack set)
+	// round (rnd)
 	op       writeOp
-	drv      drive.Private // runs the blocking calls over ep
-	acks     []wire.PWAck  // slot per server, valid where ackSeen in a pre-write round
-	ackSeen  []bool        // servers whose reply counted toward the round in flight
-	ackCount int
-	opTS     types.TS    // TS of the in-flight pre-write, matched by acceptPWAck
-	nackSeen bool        // a PW_NACK arrived for the in-flight pre-write
-	nackMax  types.Stamp // highest Max any such NACK carried
-	outBuf   []transport.Outgoing
+	rnd      drive.Round
+	drv      drive.Private  // runs the blocking calls over ep
+	acks     []wire.PWAck   // slot per server, valid where rnd counted a pre-write's ack
+	opTS     types.TS       // TS of the in-flight pre-write, matched by acceptPWAck
+	nackSeen bool           // a PW_NACK arrived for the in-flight pre-write
+	nackMax  types.Stamp    // highest Max any such NACK carried
 	qtsr     types.ReaderTS // stamp-query tag, incremented per query
-
-	// freezeValues scratch, touched only when a slow READ is in
-	// progress somewhere (nil/empty in steady state)
-	reported map[types.ProcID][]types.ReaderTS
-	dupSeen  map[types.ProcID]bool
 
 	lastMeta WriteMeta
 	stats    OpStats
@@ -159,6 +148,7 @@ func NewWriter(cfg Config, id types.ProcID, ep transport.Endpoint) *Writer {
 		wid: types.WID(wi),
 		pw:  types.Bottom(),
 		w:   types.Bottom(),
+		rnd: drive.NewRound(ep, cfg.shape("WRITE")),
 	}
 }
 
@@ -186,8 +176,8 @@ func (p writePhase) String() string {
 // until the round is Decided, then Advance (complete or emit the next
 // round). The blocking calls hand that to a driver over the writer's
 // endpoint (internal/drive), as internal/kv hands many keys' operations
-// to one. Everything else a round needs — the ack set — is the Writer's
-// pooled round state.
+// to one. Everything else a round needs — its acks, timer and deadlines
+// — is the Writer's pooled drive.Round.
 type writeOp struct {
 	phase   writePhase
 	round   int // W round in flight (2 or 3)
@@ -199,10 +189,7 @@ type writeOp struct {
 	queried bool
 	ghost   types.Stamp // aborted speculative stamp (WriteMeta.Ghost)
 	meta    WriteMeta   // assembled when the pre-write commits, published on completion
-
-	dl      deadlines // the round's timer and the operation's deadline
-	starved bool      // a speculative pre-write's grace ran out below a quorum
-	err     error     // the op deadline passed, or a resend failed
+	starved bool        // a speculative pre-write's grace ran out below a quorum
 
 	t0 time.Time // invocation time when Config.Metrics observes the op
 }
@@ -231,43 +218,48 @@ func (w *Writer) Start(v types.Value) (done bool, err error) {
 	return w.settle(w.start(v, nil, t0))
 }
 
-// Deliver folds one reply into the round in flight. It never blocks:
-// with Decided, Deadline, Expire and Advance it is the non-blocking half
-// a driver of many operations steps from one goroutine (DESIGN.md §5).
-func (w *Writer) Deliver(env wire.Envelope) { w.accept(env) }
+// Deliver folds one reply into the round in flight by the ack rule of
+// its phase. It never blocks: with Decided, Deadline, Expire and Advance
+// it is the non-blocking half a driver of many operations steps from one
+// goroutine (DESIGN.md §5).
+func (w *Writer) Deliver(env wire.Envelope) {
+	switch w.op.phase {
+	case phaseQuery:
+		w.acceptQueryAck(env)
+	case phaseSpec, phasePW:
+		w.acceptPWAck(env)
+	case phaseW:
+		w.acceptWAck(env)
+	}
+}
 
 // Decided reports whether the round in flight has what its wait
 // condition asks for — the replies and, for a pre-write, the timer's
 // verdict — or has failed; either way Advance acts on it next.
 func (w *Writer) Decided() bool {
-	return w.op.err != nil || w.op.starved || w.decided()
+	return w.op.starved || (w.op.phase == phaseSpec && w.nackSeen) || w.rnd.Decided()
 }
 
-// Deadline returns when Expire next has something to judge: the end of
-// the round's timer or grace cycle, or the operation's deadline.
-func (w *Writer) Deadline() time.Time { return w.op.dl.next() }
+// Deadline returns when Expire next has something to judge (see
+// drive.Round.Deadline).
+func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
 // Expire is the timer of Fig. 1 line 5 firing at now, judged against
-// every reply delivered so far: a round at a quorum takes the verdict
-// and is decided; below a quorum the retransmitGrace cycle starts, and
-// after the grace the round is re-sent (same targets, same message — the
-// merges are idempotent, a round-1 READ is stateless on servers) rather
-// than wedged until the operation deadline. A speculative attempt is
-// abandoned instead (starved): the slow path owns loss recovery, and a
-// stale speculative stamp would only be NACKed again anyway. Past the
-// operation deadline the WRITE fails with ErrOpTimeout. Before the
-// deadline, Expire does nothing.
+// every reply delivered so far (see drive.Round.Expire): the verdict at
+// a quorum, the resend of a round still below one after the grace, and
+// ErrOpTimeout past the operation deadline. A speculative attempt whose
+// grace ran out is abandoned instead (starved): the slow path owns loss
+// recovery, and a stale speculative stamp would only be NACKed again
+// anyway.
 func (w *Writer) Expire(now time.Time) {
-	o := &w.op
-	switch {
-	case o.phase == phaseIdle || o.err != nil:
-	case !now.Before(o.dl.op):
-		o.err = fmt.Errorf("WRITE(ts=%d) %v: %w", o.c.TS, o.phase, ErrOpTimeout)
-	case !o.dl.expire(now, w.ackCount >= w.cfg.Quorum(), w.cfg.Metrics):
-	case o.phase == phaseSpec:
-		o.starved = true
+	switch w.op.phase {
+	case phaseIdle:
+	case phaseSpec:
+		if w.rnd.Lapse(now) {
+			w.op.starved = true
+		}
 	default:
-		o.err = resend(w.cfg.Metrics, w.ep, w.outBuf)
+		w.rnd.Expire(now)
 	}
 }
 
@@ -323,9 +315,9 @@ func (w *Writer) StartAt(c types.Tagged) (done bool, err error) {
 	return w.settle(w.emitPW(c))
 }
 
-// begin installs a fresh operation and records its deadline.
+// begin installs a fresh operation and starts its deadline.
 func (w *Writer) begin(op writeOp) {
-	op.dl.op = time.Now().Add(w.cfg.opTimeout())
+	w.rnd.Begin()
 	w.op = op
 }
 
@@ -340,35 +332,6 @@ func (w *Writer) settle(done bool, err error) (bool, error) {
 
 // NextTS returns the timestamp the next WRITE will use (for tests).
 func (w *Writer) NextTS() types.TS { return w.ts + 1 }
-
-// retransmitGrace separates the synchrony verdict from loss recovery:
-// a wait loop whose round timer expired below a quorum re-arms for
-// this long before re-sending its round message. Scheduling jitter on
-// a loaded machine routinely delays an in-flight ack past a round
-// timer tuned to link delay; actual loss (a TCP conn silently
-// swallowing one write after its peer restarts) does not resolve
-// itself at any timescale. The grace keeps spurious retransmissions
-// out of the message-complexity measurements while still unwedging a
-// genuinely lost broadcast well inside any operation deadline.
-// Retransmission itself is always safe: server transitions are
-// idempotent max-merges, and duplicate messages are already part of
-// the chaos fault model.
-const retransmitGrace = 50 * time.Millisecond
-
-// resetAcks clears the ack set (and a pre-write's PW_ACK/PW_NACK state)
-// for a new round.
-func (w *Writer) resetAcks() {
-	if w.acks == nil {
-		w.acks = make([]wire.PWAck, w.cfg.S())
-		w.ackSeen = make([]bool, w.cfg.S())
-	} else {
-		clear(w.acks)
-		clear(w.ackSeen)
-	}
-	w.ackCount = 0
-	w.nackSeen = false
-	w.nackMax = types.Stamp0
-}
 
 // start opens a WRITE: it chooses how the stamp will be bound and sends
 // the round that does it. Single-writer deployments take the published
@@ -406,8 +369,8 @@ func (w *Writer) advance() (bool, error) {
 	if o.phase == phaseIdle {
 		return false, errNoOp
 	}
-	if o.err != nil {
-		return false, o.err
+	if err := w.rnd.Err(); err != nil {
+		return false, err
 	}
 	switch o.phase {
 	case phaseQuery:
@@ -456,33 +419,12 @@ func (w *Writer) advance() (bool, error) {
 	}
 }
 
-// decided reports whether the round in flight has the replies (and, for
-// a pre-write, the timer verdict) its wait condition asks for.
-func (w *Writer) decided() bool {
-	o := &w.op
-	n := w.ackCount
-	switch o.phase {
-	case phaseSpec:
-		if w.nackSeen {
-			return true
-		}
-		fallthrough
-	case phasePW:
-		return n >= w.cfg.S() || (n >= w.cfg.Quorum() && o.dl.expired)
-	}
-	return n >= w.cfg.Quorum()
-}
-
-// emit opens a round: fresh ack set, the round's deadline, then the
-// broadcast. The synchrony timer runs from the start of the round, not
-// from the end of the broadcast: a send may be a socket write on this
-// goroutine (transport.Coalescer writes through).
+// emit opens a round: fresh ack and NACK state, then the send. Only a
+// pre-write's decision waits for the timer (Fig. 1 line 5).
 func (w *Writer) emit(phase writePhase, targets []types.ProcID, m wire.Message) error {
-	o := &w.op
-	o.phase = phase
-	o.dl.arm(w.cfg.roundTimeout())
-	w.resetAcks()
-	return w.sendTo(targets, m)
+	w.op.phase = phase
+	w.nackSeen, w.nackMax = false, types.Stamp0
+	return w.rnd.Open(phase.String(), phase == phaseSpec || phase == phasePW, targets, m)
 }
 
 // emitQuery sends the MWMR stamp-discovery round: a round-1 READ
@@ -492,7 +434,7 @@ func (w *Writer) emit(phase writePhase, targets []types.ProcID, m wire.Message) 
 func (w *Writer) emitQuery() (bool, error) {
 	w.qtsr++
 	w.op.qmax = types.Stamp0
-	return false, w.emit(phaseQuery, w.allServers(), wire.Read{TSR: w.qtsr, Round: 1})
+	return false, w.emit(phaseQuery, nil, wire.Read{TSR: w.qtsr, Round: 1})
 }
 
 // emitSpec sends the speculative pre-write of DESIGN.md §12 at the
@@ -501,8 +443,7 @@ func (w *Writer) emitQuery() (bool, error) {
 func (w *Writer) emitSpec(c types.Tagged) (bool, error) {
 	w.stats.SpecAttempts++
 	w.op.c, w.opTS = c, c.TS
-	return false, w.emit(phaseSpec, w.allServers(),
-		wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen, Spec: true})
+	return false, w.emit(phaseSpec, nil, wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen, Spec: true})
 }
 
 // emitPW binds the pair c and sends its pre-write (Fig. 1 lines 3–4),
@@ -514,7 +455,7 @@ func (w *Writer) emitPW(c types.Tagged) (bool, error) {
 	w.ts, w.last, w.pw = c.TS, c.Stamp(), c
 	w.op.c, w.opTS = c, c.TS
 	f := w.op.fault
-	err := w.emit(phasePW, w.pwTargets(f), wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen})
+	err := w.emit(phasePW, f.pwTo(), wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen})
 	if err == nil && f != nil && f.CrashAfterPW {
 		w.crashed = true
 		err = ErrCrashed
@@ -527,7 +468,7 @@ func (w *Writer) emitPW(c types.Tagged) (bool, error) {
 func (w *Writer) emitW(round int) (bool, error) {
 	w.op.round = round
 	f := w.op.fault
-	err := w.emit(phaseW, w.wTargets(f, round), wire.W{Round: round, Tag: int64(w.op.c.TS), C: w.pw})
+	err := w.emit(phaseW, f.wTo(round), wire.W{Round: round, Tag: int64(w.op.c.TS), C: w.pw})
 	if err == nil && f != nil && f.CrashAfterW[round] {
 		w.crashed = true
 		err = ErrCrashed
@@ -540,11 +481,10 @@ func (w *Writer) emitW(round int) (bool, error) {
 // return on the fast path or open the write phase.
 func (w *Writer) commitPW(spec bool) (bool, error) {
 	o := &w.op
-	w.frozen = nil
 	w.w = w.pw
-	w.freezeValues()
+	w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
 
-	o.meta = WriteMeta{TS: o.c.TS, Writer: o.c.W, Rounds: 1, PWAcks: w.ackCount,
+	o.meta = WriteMeta{TS: o.c.TS, Writer: o.c.W, Rounds: 1, PWAcks: w.rnd.Acks(),
 		Queried: o.queried, Contended: w.sawContention(o.c), Spec: spec, Ghost: o.ghost}
 	if o.queried {
 		o.meta.Rounds = 2 // the stamp query is a round-trip too
@@ -555,7 +495,7 @@ func (w *Writer) commitPW(spec bool) (bool, error) {
 	// writer speculates again.
 	w.noteCompletion(o.c, o.meta.Contended || !o.ghost.IsZero())
 
-	if w.ackCount >= w.cfg.FastWriteAcks() {
+	if w.rnd.Acks() >= w.cfg.FastWriteAcks() {
 		o.meta.Fast = true
 		return w.complete()
 	}
@@ -587,8 +527,8 @@ func (w *Writer) foldCache(s types.Stamp) {
 // so the cache becomes trustworthy), and the contention verdict sets
 // the calm flag for the next operation's speculation decision.
 func (w *Writer) noteCompletion(c types.Tagged, contended bool) {
-	for i, seen := range w.ackSeen {
-		if seen {
+	for i := range w.acks {
+		if w.rnd.Acked(i) {
 			w.foldCache(w.acks[i].Max)
 		}
 	}
@@ -603,8 +543,8 @@ func (w *Writer) noteCompletion(c types.Tagged, contended bool) {
 // v1 peers leave Max zero, which can never exceed a bound stamp.
 func (w *Writer) sawContention(c types.Tagged) bool {
 	st := c.Stamp()
-	for i, seen := range w.ackSeen {
-		if seen && st.Less(w.acks[i].Max) {
+	for i := range w.acks {
+		if w.rnd.Acked(i) && st.Less(w.acks[i].Max) {
 			return true
 		}
 	}
@@ -623,14 +563,17 @@ func (w *Writer) acceptPWAck(env wire.Envelope) {
 	// re-boxing it would allocate on every ack.
 	switch a := env.Msg.(type) {
 	case wire.PWAck:
-		if !validServer(w.cfg, env.From) || a.TS != w.opTS || wire.Validate(env.Msg) != nil {
+		if a.TS != w.opTS || wire.Validate(env.Msg) != nil {
 			return
 		}
-		if i := env.From.Index(); w.count(i) {
+		if i, first := w.rnd.Ack(env.From); first {
+			if w.acks == nil {
+				w.acks = make([]wire.PWAck, w.cfg.S())
+			}
 			w.acks[i] = a
 		}
 	case wire.PWNack:
-		if !validServer(w.cfg, env.From) || a.TS != w.opTS || wire.Validate(env.Msg) != nil {
+		if !w.rnd.Server(env.From) || a.TS != w.opTS || wire.Validate(env.Msg) != nil {
 			return
 		}
 		w.nackSeen = true
@@ -638,29 +581,6 @@ func (w *Writer) acceptPWAck(env wire.Envelope) {
 			w.nackMax = a.Max
 		}
 	}
-}
-
-// accept routes one envelope to the ack rule of the round in flight.
-func (w *Writer) accept(env wire.Envelope) {
-	switch w.op.phase {
-	case phaseQuery:
-		w.acceptQueryAck(env)
-	case phaseSpec, phasePW:
-		w.acceptPWAck(env)
-	case phaseW:
-		w.acceptWAck(env)
-	}
-}
-
-// count marks server i as having answered the round in flight and
-// reports whether this was its first answer.
-func (w *Writer) count(i int) bool {
-	if w.ackSeen[i] {
-		return false
-	}
-	w.ackSeen[i] = true
-	w.ackCount++
-	return true
 }
 
 // acceptQueryAck folds one stamp-query ack: the plain maximum over
@@ -675,10 +595,10 @@ func (w *Writer) count(i int) bool {
 // atomicity, since stamps only need to keep growing (DESIGN.md §10).
 func (w *Writer) acceptQueryAck(env wire.Envelope) {
 	a, ok := env.Msg.(wire.ReadAck)
-	if !ok || !validServer(w.cfg, env.From) || a.TSR != w.qtsr || a.Round != 1 || wire.Validate(env.Msg) != nil {
+	if !ok || a.TSR != w.qtsr || a.Round != 1 || wire.Validate(env.Msg) != nil {
 		return
 	}
-	if !w.count(env.From.Index()) {
+	if _, first := w.rnd.Ack(env.From); !first {
 		return
 	}
 	for _, s := range [...]types.Stamp{a.PW.Stamp(), a.W.Stamp(), a.VW.Stamp()} {
@@ -691,148 +611,23 @@ func (w *Writer) acceptQueryAck(env wire.Envelope) {
 // acceptWAck counts one WRITE_ACK of the W round in flight.
 func (w *Writer) acceptWAck(env wire.Envelope) {
 	a, ok := env.Msg.(wire.WAck)
-	if ok && validServer(w.cfg, env.From) && a.Round == w.op.round && a.Tag == int64(w.op.c.TS) {
-		w.count(env.From.Index())
+	if ok && a.Round == w.op.round && a.Tag == int64(w.op.c.TS) {
+		w.rnd.Ack(env.From)
 	}
 }
 
-// freezeValues implements Fig. 1 lines 13–15: for every reader reported
-// by at least b+1 servers with a READ timestamp above the writer's
-// recorded one, advance the record to the (b+1)-st highest reported
-// timestamp and freeze the current pre-written pair for that reader.
-//
-// The steady state — no slow READ in progress anywhere, so every
-// NewRead set is empty — is detected with one scan and skips the
-// tallying machinery entirely. The slow path reuses the writer's
-// scratch map across operations and scans small NewRead sets linearly
-// for duplicates (a map is built only for implausibly large, i.e.
-// forged-but-valid, sets).
-func (w *Writer) freezeValues() {
-	any := false
-	for i, seen := range w.ackSeen {
-		if seen && len(w.acks[i].NewRead) > 0 {
-			any = true
-			break
-		}
+// pwTo and wTo are the recipients a round may reach: nil — every server
+// — for a correct writer.
+func (f *WriteFault) pwTo() []types.ProcID {
+	if f == nil {
+		return nil
 	}
-	if !any {
-		return
-	}
-	if w.reported == nil {
-		w.reported = make(map[types.ProcID][]types.ReaderTS)
-	} else {
-		clear(w.reported)
-	}
-	for i, seen := range w.ackSeen {
-		if !seen {
-			continue
-		}
-		newread := w.acks[i].NewRead
-		for j, rs := range newread {
-			if w.duplicateStamp(newread, j) {
-				continue // a malicious server may repeat a reader; count it once
-			}
-			if rs.TSR > w.readTS[rs.Reader] {
-				w.reported[rs.Reader] = append(w.reported[rs.Reader], rs.TSR)
-			}
-		}
-	}
-	for rj, tsrs := range w.reported {
-		if len(tsrs) < w.cfg.SafeThreshold() {
-			continue
-		}
-		nth, ok := types.NthHighest(tsrs, w.cfg.B)
-		if !ok {
-			continue
-		}
-		if w.readTS == nil {
-			w.readTS = make(map[types.ProcID]types.ReaderTS)
-		}
-		w.readTS[rj] = nth
-		w.frozen = append(w.frozen, types.FrozenEntry{Reader: rj, PW: w.pw, TSR: nth})
-	}
+	return f.PWTo
 }
 
-// smallNewReadSet is the size up to which duplicate detection scans the
-// prefix linearly; correct servers report at most one stamp per reader
-// with an outstanding slow READ, so real sets are tiny.
-const smallNewReadSet = 8
-
-// duplicateStamp reports whether newread[j] repeats an earlier entry's
-// reader. Large (necessarily forged) sets switch to the reusable map so
-// a Byzantine server cannot force a quadratic scan.
-func (w *Writer) duplicateStamp(newread []types.ReadStamp, j int) bool {
-	rj := newread[j].Reader
-	if len(newread) <= smallNewReadSet {
-		for _, prev := range newread[:j] {
-			if prev.Reader == rj {
-				return true
-			}
-		}
-		return false
+func (f *WriteFault) wTo(round int) []types.ProcID {
+	if f == nil {
+		return nil
 	}
-	if j == 0 {
-		if w.dupSeen == nil {
-			w.dupSeen = make(map[types.ProcID]bool, len(newread))
-		} else {
-			clear(w.dupSeen)
-		}
-	}
-	if w.dupSeen[rj] {
-		return true
-	}
-	w.dupSeen[rj] = true
-	return false
-}
-
-// resend repeats a round's broadcast, counting it as a retransmission,
-// and pushes it past any send-side buffering (transport.Flusher): a
-// retransmission held behind another driver's cork would otherwise wait
-// for that driver's pass.
-func resend(m *Metrics, ep transport.Endpoint, out []transport.Outgoing) error {
-	m.retransmit()
-	err := transport.SendAll(ep, out)
-	if f, ok := ep.(transport.Flusher); ok && err == nil {
-		err = f.Flush()
-	}
-	return err
-}
-
-// sendTo fans m out to targets through the writer's reusable outgoing
-// buffer.
-func (w *Writer) sendTo(targets []types.ProcID, m wire.Message) error {
-	out := w.outBuf[:0]
-	for _, id := range targets {
-		out = append(out, transport.Outgoing{To: id, Msg: m})
-	}
-	w.outBuf = out
-	return transport.SendAll(w.ep, out)
-}
-
-// allServers returns the cached all-servers broadcast list.
-func (w *Writer) allServers() []types.ProcID {
-	if w.serverIDs == nil {
-		w.serverIDs = types.ServerIDs(w.cfg.S())
-	}
-	return w.serverIDs
-}
-
-func (w *Writer) pwTargets(f *WriteFault) []types.ProcID {
-	if f != nil && f.PWTo != nil {
-		return f.PWTo
-	}
-	return w.allServers()
-}
-
-func (w *Writer) wTargets(f *WriteFault, round int) []types.ProcID {
-	if f != nil && f.WTo != nil && f.WTo[round] != nil {
-		return f.WTo[round]
-	}
-	return w.allServers()
-}
-
-// validServer reports whether id names one of the cluster's S servers;
-// clients ignore messages claiming other origins.
-func validServer(cfg Config, id types.ProcID) bool {
-	return id.IsServer() && id.Index() < cfg.S()
+	return f.WTo[round]
 }

@@ -1,9 +1,18 @@
-// Package drive is the one wait loop behind every client: core's, the
-// variants' and kv's. Figs. 1–2 (and 6–8) write a client as event
-// handlers — on receive, fold the ack; on timer expiry, decide — and an
-// Op is exactly those handlers: replies go in by Deliver, the round
-// timer's verdicts by Expire at the Deadline, and once the round is
-// Decided, Advance completes the operation or emits its next round.
+// Package drive is the one wait loop behind every client — core's, the
+// variants' and kv's — and the one round they all build on. Figs. 1–2
+// (and 6–8) write a client as event handlers — on receive, fold the
+// ack; on timer expiry, decide — and an Op is exactly those handlers:
+// replies go in by Deliver, the round timer's verdicts by Expire at the
+// Deadline, and once the round is Decided, Advance completes the
+// operation or emits its next round.
+//
+// A Round is what every client's rounds have in common: send to the
+// servers, count S − t validated acks and, in a timed round, wait for
+// the timer's verdict too; re-send a round the timer found below a
+// quorum once a grace has passed (the timer is for loss recovery in
+// every round, and for a decision only in a timed one); and fail the
+// operation at its deadline with ErrOpTimeout. A client keeps only its
+// phases, its predicates and what it takes from an ack's payload.
 //
 // A Driver feeds Ops from one goroutine with one timer. Its replies come
 // from one of two places: a client's private endpoint, for one operation

@@ -2,16 +2,19 @@ package drive_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
 	"luckystore/internal/abd"
 	"luckystore/internal/core"
+	"luckystore/internal/drive"
 	"luckystore/internal/regular"
 	"luckystore/internal/simnet"
 	"luckystore/internal/transport"
 	"luckystore/internal/twophase"
 	"luckystore/internal/types"
+	"luckystore/internal/wire"
 )
 
 // cluster is what the test needs of every client kind's deployment.
@@ -77,7 +80,7 @@ func TestPrivateOpEndsWithErrClosedOnClose(t *testing.T) {
 			errs := make(chan error, 2)
 			go func() { errs <- c.write() }()
 			go func() { errs <- c.read() }()
-			time.Sleep(8 * round) // both parked; core's timer has run a grace cycle and resent
+			time.Sleep(8 * round) // both parked; their timers have run a grace cycle and resent
 			t0 := time.Now()
 			c.close()
 			for i := 0; i < 2; i++ {
@@ -95,4 +98,83 @@ func TestPrivateOpEndsWithErrClosedOnClose(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestVariantsResendALostRound gives each variant client's first round
+// one ack of the two it needs and lets its timer run out twice: the
+// first expiry starts the grace, the second re-sends the round — the same
+// message to the same servers — well before the operation deadline,
+// instead of waiting for it.
+func TestVariantsResendALostRound(t *testing.T) {
+	type start func() (bool, error)
+	for name, build := range map[string]func(ep transport.Endpoint) (drive.Op, start){
+		"regular.Writer": func(ep transport.Endpoint) (drive.Op, start) {
+			w := regular.NewWriter(regular.Config{T: 1}, ep)
+			return w, func() (bool, error) { return w.Start("v") }
+		},
+		"regular.Reader": func(ep transport.Endpoint) (drive.Op, start) {
+			r := regular.NewReader(regular.Config{T: 1, NumReaders: 1}, types.ReaderID(0), ep)
+			return r, r.Start
+		},
+		"twophase.Writer": func(ep transport.Endpoint) (drive.Op, start) {
+			w := twophase.NewWriter(twophase.Config{T: 1}, ep)
+			return w, func() (bool, error) { return w.Start("v") }
+		},
+		"twophase.Reader": func(ep transport.Endpoint) (drive.Op, start) {
+			r := twophase.NewReader(twophase.Config{T: 1, NumReaders: 1}, types.ReaderID(0), ep)
+			return r, r.Start
+		},
+		"abd.Writer": func(ep transport.Endpoint) (drive.Op, start) {
+			w := abd.NewWriter(abd.Config{T: 1}, ep)
+			return w, func() (bool, error) { return w.Start("v") }
+		},
+		"abd.Reader": func(ep transport.Endpoint) (drive.Op, start) {
+			r := abd.NewReader(abd.Config{T: 1, NumReaders: 1}, ep)
+			return r, r.Start
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ep := &recorder{}
+			op, start := build(ep)
+			if done, err := start(); done || err != nil {
+				t.Fatalf("Start = %v, %v; want a round in flight", done, err)
+			}
+			round := ep.take()
+			if len(round) != 3 {
+				t.Fatalf("first round %+v, want one message to each of 3 servers", round)
+			}
+			op.Deliver(wire.Envelope{From: round[0].To, Msg: ackOf(t, round[0].Msg)})
+			opDeadline := time.Now().Add(drive.DefaultOpTimeout)
+			for i := 0; i < 2; i++ {
+				dl := op.Deadline()
+				if !dl.Before(opDeadline) {
+					t.Fatalf("expiry %d: the next deadline is the operation's", i+1)
+				}
+				op.Expire(dl)
+			}
+			if got := ep.take(); !reflect.DeepEqual(got, round) {
+				t.Fatalf("after the grace sent %+v, want the round %+v again", got, round)
+			}
+			if op.Decided() {
+				t.Fatal("one ack of two: the round is decided")
+			}
+		})
+	}
+}
+
+// ackOf is a server's ack of round message m.
+func ackOf(t *testing.T, m wire.Message) wire.Message {
+	bot := types.Bottom()
+	switch m := m.(type) {
+	case wire.PW:
+		return wire.PWAck{TS: m.TS}
+	case wire.Read:
+		return wire.ReadAck{TSR: m.TSR, Round: m.Round, PW: bot, W: bot, VW: bot, Frozen: types.InitialFrozen()}
+	case wire.ABDWrite:
+		return wire.ABDWriteAck{Seq: m.Seq}
+	case wire.ABDRead:
+		return wire.ABDReadAck{Seq: m.Seq, C: bot}
+	}
+	t.Fatalf("no ack for %T", m)
+	return nil
 }

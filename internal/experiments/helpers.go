@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"fmt"
+	"errors"
 	"time"
 
 	"luckystore/internal/core"
@@ -72,8 +72,9 @@ type weakReadMeta struct {
 // need it) and gives up after opTimeout, reporting TimedOut.
 func weakRead(ep transport.Endpoint, nServers int, th core.Thresholds, tsr types.ReaderTS,
 	roundTimeout, opTimeout time.Duration) (weakReadMeta, error) {
-	r := &weakReader{ep: ep, n: nServers, th: th, tsr: tsr, view: core.NewViewWithThresholds(th, tsr),
-		roundTimeout: roundTimeout, deadline: time.Now().Add(opTimeout)}
+	r := &weakReader{Round: drive.NewRound(ep, drive.Shape{Name: "weak READ", S: nServers, Need: th.Quorum,
+		RoundTimeout: roundTimeout, OpTimeout: opTimeout}), tsr: tsr, view: core.NewViewWithThresholds(th, tsr)}
+	r.Begin()
 	var drv drive.Private
 	if err := drv.Wait(ep, r, false, r.query()); err != nil {
 		return weakReadMeta{}, err
@@ -81,70 +82,41 @@ func weakRead(ep transport.Endpoint, nServers int, th core.Thresholds, tsr types
 	return r.meta, nil
 }
 
-// weakReader is weakRead's READ as a drive.Op.
+// weakReader is weakRead's READ as a drive.Op: its Round decides, and it
+// keeps the view.
 type weakReader struct {
-	ep              transport.Endpoint
-	n               int // servers
-	th              core.Thresholds
-	tsr             types.ReaderTS
-	view            *core.View
-	roundTimeout    time.Duration
-	rnd             int
-	acks            map[types.ProcID]bool
-	timer, deadline time.Time
-	expired         bool
-	meta            weakReadMeta
+	drive.Round
+	tsr  types.ReaderTS
+	view *core.View
+	rnd  int
+	meta weakReadMeta
 }
 
-// query sends the next READ round to every server; round 1 arms the
-// timer.
+// query sends the next READ round to every server; round 1's decision
+// waits for the timer.
 func (r *weakReader) query() error {
 	r.rnd++
-	r.acks = make(map[types.ProcID]bool, r.n)
-	for i := 0; i < r.n; i++ {
-		if err := r.ep.Send(types.ServerID(i), wire.Read{TSR: r.tsr, Round: r.rnd}); err != nil {
-			return err
-		}
-	}
-	if r.rnd == 1 {
-		r.timer = time.Now().Add(r.roundTimeout)
-	}
-	return nil
+	return r.Open("query round", r.rnd == 1, nil, wire.Read{TSR: r.tsr, Round: r.rnd})
 }
 
 func (r *weakReader) Deliver(env wire.Envelope) {
 	a, isAck := env.Msg.(wire.ReadAck)
-	if !isAck || !env.From.IsServer() || a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > r.rnd {
+	if !isAck || a.TSR != r.tsr || wire.Validate(env.Msg) != nil || a.Round > r.rnd {
 		return
 	}
 	if a.Round == r.rnd {
-		r.acks[env.From] = true
+		r.Ack(env.From)
 	}
 	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
 }
 
-func (r *weakReader) Decided() bool {
-	n := len(r.acks)
-	return r.meta.TimedOut || n >= r.n || (n >= r.th.Quorum && (r.rnd > 1 || r.expired))
-}
-
-func (r *weakReader) Deadline() time.Time {
-	if !r.expired && r.timer.Before(r.deadline) {
-		return r.timer
-	}
-	return r.deadline
-}
-
-func (r *weakReader) Expire(now time.Time) {
-	r.expired = r.expired || !now.Before(r.timer)
-	if !now.Before(r.deadline) {
-		r.meta = weakReadMeta{Rounds: r.rnd, TimedOut: true}
-	}
-}
-
 func (r *weakReader) Advance() (bool, error) {
-	if r.meta.TimedOut {
+	switch err := r.Err(); {
+	case errors.Is(err, drive.ErrOpTimeout):
+		r.meta = weakReadMeta{Rounds: r.rnd, TimedOut: true}
 		return true, nil
+	case err != nil:
+		return false, err
 	}
 	if c, ok := r.view.Select(); ok {
 		r.meta = weakReadMeta{Returned: c, Rounds: r.rnd}
@@ -158,44 +130,27 @@ func (r *weakReader) Advance() (bool, error) {
 // implementation Appendix B proves unsafe. It sends only the PW round.
 func overEagerWrite(ep transport.Endpoint, nServers, needAcks int, ts types.TS, v types.Value,
 	opTimeout time.Duration) error {
-
-	c := types.Tagged{TS: ts, Val: v}
-	for i := 0; i < nServers; i++ {
-		if err := ep.Send(types.ServerID(i), wire.PW{TS: ts, PW: c, W: types.Bottom()}); err != nil {
-			return err
-		}
-	}
-	w := &eagerWrite{ts: ts, need: needAcks, acks: make(map[types.ProcID]bool, nServers),
-		deadline: time.Now().Add(opTimeout)}
+	w := &eagerWrite{Round: drive.NewRound(ep, drive.Shape{Name: "over-eager WRITE", S: nServers, Need: needAcks,
+		OpTimeout: opTimeout}), ts: ts}
+	w.Begin()
+	err := w.Open("PW round", false, nil, wire.PW{TS: ts, PW: types.Tagged{TS: ts, Val: v}, W: types.Bottom()})
 	var drv drive.Private
-	return drv.Wait(ep, w, false, nil)
+	return drv.Wait(ep, w, false, err)
 }
 
 // eagerWrite is overEagerWrite's PW round as a drive.Op.
 type eagerWrite struct {
-	ts       types.TS
-	need     int
-	acks     map[types.ProcID]bool
-	deadline time.Time
-	err      error
+	drive.Round
+	ts types.TS
 }
 
 func (w *eagerWrite) Deliver(env wire.Envelope) {
-	if a, isAck := env.Msg.(wire.PWAck); isAck && env.From.IsServer() && a.TS == w.ts {
-		w.acks[env.From] = true
+	if a, isAck := env.Msg.(wire.PWAck); isAck && a.TS == w.ts {
+		w.Ack(env.From)
 	}
 }
 
-func (w *eagerWrite) Decided() bool       { return w.err != nil || len(w.acks) >= w.need }
-func (w *eagerWrite) Deadline() time.Time { return w.deadline }
-
-func (w *eagerWrite) Expire(now time.Time) {
-	if !now.Before(w.deadline) {
-		w.err = fmt.Errorf("over-eager write: %w", core.ErrOpTimeout)
-	}
-}
-
-func (w *eagerWrite) Advance() (bool, error) { return w.err == nil, w.err }
+func (w *eagerWrite) Advance() (bool, error) { return w.Err() == nil, w.Err() }
 
 // releaseAfter releases all held links of sim after d, from a separate
 // goroutine; the returned func waits for it (call before Close).

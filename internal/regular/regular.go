@@ -78,18 +78,9 @@ func (c Config) coreConfig() core.Config {
 	return core.Config{T: c.T, B: c.B, Fw: c.Fw(), NumReaders: c.NumReaders}
 }
 
-func (c Config) roundTimeout() time.Duration {
-	if c.RoundTimeout > 0 {
-		return c.RoundTimeout
-	}
-	return core.DefaultRoundTimeout
-}
-
-func (c Config) opTimeout() time.Duration {
-	if c.OpTimeout > 0 {
-		return c.OpTimeout
-	}
-	return core.DefaultOpTimeout
+// shape is the drive.Shape of this deployment's clients.
+func (c Config) shape(name string) drive.Shape {
+	return drive.Shape{Name: name, S: c.S(), Need: c.Quorum(), RoundTimeout: c.RoundTimeout, OpTimeout: c.OpTimeout}
 }
 
 // Writer implements the Appendix D WRITE: PW round with the fast check
@@ -101,28 +92,25 @@ type Writer struct {
 	cfg      Config
 	ep       transport.Endpoint
 	drv      drive.Private
+	rnd      drive.Round
 	ts       types.TS
 	pw, w    types.Tagged
-	readTS   map[types.ProcID]types.ReaderTS
+	fz       drive.Freezer
 	frozen   []types.FrozenEntry
 	lastMeta core.WriteMeta
 
 	// the WRITE in flight
-	inW      bool                        // the W round is, not the PW round
-	acks     map[types.ProcID]wire.PWAck // the PW round's
-	wacks    map[types.ProcID]bool       // the W round's
-	round    time.Time                   // the PW round's timer
-	expired  bool                        // ... has fired
-	deadline time.Time                   // the operation's
-	err      error
+	inW    bool         // the W round is, not the PW round
+	acks   []wire.PWAck // the PW round's, slot per server
+	pwAcks int          // ... how many counted
 }
 
 // NewWriter creates the writer client.
 func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
 	return &Writer{
-		cfg: cfg, ep: ep,
+		cfg: cfg, ep: ep, rnd: drive.NewRound(ep, cfg.shape("regular WRITE")),
 		pw: types.Bottom(), w: types.Bottom(),
-		readTS: make(map[types.ProcID]types.ReaderTS),
+		acks: make([]wire.PWAck, cfg.S()),
 	}
 }
 
@@ -136,137 +124,64 @@ func (w *Writer) Write(v types.Value) error {
 	return w.drv.Wait(w.ep, w, done, err)
 }
 
-// Start begins WRITE(v): it sends the PW round and arms its timer.
+// Start begins WRITE(v): it sends the PW round, whose decision waits for
+// the timer.
 func (w *Writer) Start(v types.Value) (done bool, err error) {
 	if v == "" {
 		return false, core.ErrBottomValue
 	}
-	w.deadline = time.Now().Add(w.cfg.opTimeout())
-	w.inW, w.expired, w.err = false, false, nil
-	w.acks = make(map[types.ProcID]wire.PWAck, w.cfg.S())
+	w.rnd.Begin()
+	w.inW = false
 	w.ts++
 	w.pw = types.Tagged{TS: w.ts, Val: v}
-	if err := broadcast(w.ep, w.cfg.S(), wire.PW{TS: w.ts, PW: w.pw, W: w.w, Frozen: w.frozen}); err != nil {
-		return false, err
-	}
-	w.round = time.Now().Add(w.cfg.roundTimeout())
-	return false, nil
+	return false, w.rnd.Open("PW round", true, nil, wire.PW{TS: w.ts, PW: w.pw, W: w.w, Frozen: w.frozen})
 }
 
 // Deliver counts one ack of the round in flight.
 func (w *Writer) Deliver(env wire.Envelope) {
-	if !w.inW {
-		w.acceptPWAck(env)
-		return
-	}
-	a, ok := env.Msg.(wire.WAck)
-	if ok && validServer(w.cfg, env.From) && a.Round == 2 && a.Tag == int64(w.ts) {
-		w.wacks[env.From] = true
+	switch a := env.Msg.(type) {
+	case wire.PWAck:
+		if w.inW || a.TS != w.ts || wire.Validate(env.Msg) != nil {
+			return
+		}
+		if i, first := w.rnd.Ack(env.From); first {
+			w.acks[i] = a
+		}
+	case wire.WAck:
+		if w.inW && a.Round == 2 && a.Tag == int64(w.ts) {
+			w.rnd.Ack(env.From)
+		}
 	}
 }
 
-// Decided reports whether the round in flight may end: all S PW_ACKs,
-// or a quorum once the timer fired; a quorum of W acks; or a failure.
-func (w *Writer) Decided() bool {
-	if w.inW {
-		return w.err != nil || len(w.wacks) >= w.cfg.Quorum()
-	}
-	n := len(w.acks)
-	return w.err != nil || n >= w.cfg.S() || (n >= w.cfg.Quorum() && w.expired)
-}
+// Decided reports whether the round in flight may end (see
+// drive.Round.Decided).
+func (w *Writer) Decided() bool { return w.rnd.Decided() }
 
 // Deadline returns when Expire next has something to judge.
-func (w *Writer) Deadline() time.Time {
-	if !w.inW && !w.expired && w.round.Before(w.deadline) {
-		return w.round
-	}
-	return w.deadline
-}
+func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
-// Expire fires the PW round's timer, or fails the WRITE past its
-// deadline.
-func (w *Writer) Expire(now time.Time) {
-	switch {
-	case !now.Before(w.deadline) && w.inW:
-		w.err = fmt.Errorf("regular WRITE(ts=%d) W round: %w", w.ts, ErrOpTimeout)
-	case !now.Before(w.deadline):
-		w.err = fmt.Errorf("regular WRITE(ts=%d) PW round: %w", w.ts, ErrOpTimeout)
-	case !now.Before(w.round):
-		w.expired = true
-	}
-}
+// Expire fires the round's timer at now (see drive.Round.Expire).
+func (w *Writer) Expire(now time.Time) { w.rnd.Expire(now) }
 
 // Advance completes the WRITE — fast on S − fw PW_ACKs — or sends its
 // single W round (Appendix D removes the third).
 func (w *Writer) Advance() (done bool, err error) {
 	switch {
-	case w.err != nil:
-		return false, w.err
+	case w.rnd.Err() != nil:
+		return false, w.rnd.Err()
 	case w.inW:
-		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 2, Fast: false, PWAcks: len(w.acks)}
+		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 2, Fast: false, PWAcks: w.pwAcks}
 		return true, nil
 	}
-	w.frozen = nil
 	w.w = w.pw
-	w.freezeValues(w.acks)
-	if len(w.acks) >= w.cfg.FastWriteAcks() {
-		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 1, Fast: true, PWAcks: len(w.acks)}
+	w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
+	if w.pwAcks = w.rnd.Acks(); w.pwAcks >= w.cfg.FastWriteAcks() {
+		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 1, Fast: true, PWAcks: w.pwAcks}
 		return true, nil
 	}
 	w.inW = true
-	w.wacks = make(map[types.ProcID]bool, w.cfg.S())
-	return false, broadcast(w.ep, w.cfg.S(), wire.W{Round: 2, Tag: int64(w.ts), C: w.pw})
-}
-
-func (w *Writer) acceptPWAck(env wire.Envelope) {
-	a, ok := env.Msg.(wire.PWAck)
-	if !ok || !validServer(w.cfg, env.From) || a.TS != w.ts || wire.Validate(a) != nil {
-		return
-	}
-	if _, dup := w.acks[env.From]; !dup {
-		w.acks[env.From] = a
-	}
-}
-
-func (w *Writer) freezeValues(acks map[types.ProcID]wire.PWAck) {
-	reported := make(map[types.ProcID][]types.ReaderTS)
-	for _, a := range acks {
-		seen := make(map[types.ProcID]bool, len(a.NewRead))
-		for _, rs := range a.NewRead {
-			if seen[rs.Reader] {
-				continue
-			}
-			seen[rs.Reader] = true
-			if rs.TSR > w.readTS[rs.Reader] {
-				reported[rs.Reader] = append(reported[rs.Reader], rs.TSR)
-			}
-		}
-	}
-	for rj, tsrs := range reported {
-		if len(tsrs) < w.cfg.SafeThreshold() {
-			continue
-		}
-		nth, ok := types.NthHighest(tsrs, w.cfg.B)
-		if !ok {
-			continue
-		}
-		w.readTS[rj] = nth
-		w.frozen = append(w.frozen, types.FrozenEntry{Reader: rj, PW: w.pw, TSR: nth})
-	}
-}
-
-// broadcast sends m to every server.
-func broadcast(ep transport.Endpoint, s int, m wire.Message) error {
-	out := make([]transport.Outgoing, s)
-	for i := range out {
-		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
-	}
-	return transport.SendAll(ep, out)
-}
-
-// validServer reports whether id names one of the S servers.
-func validServer(cfg Config, id types.ProcID) bool {
-	return id.IsServer() && id.Index() < cfg.S()
+	return false, w.rnd.Open("W round", false, nil, wire.W{Round: 2, Tag: int64(w.ts), C: w.pw})
 }
 
 // ReadMeta describes a completed regular READ (no write-back exists in
@@ -289,23 +204,19 @@ type Reader struct {
 	cfg      Config
 	ep       transport.Endpoint
 	drv      drive.Private
+	rnd      drive.Round
 	id       types.ProcID
 	tsr      types.ReaderTS
 	lastMeta ReadMeta
 
 	// the READ in flight
-	view      *core.View
-	rnd       int
-	roundAcks map[types.ProcID]bool
-	round     time.Time // round 1's timer
-	expired   bool      // ... has fired
-	deadline  time.Time // the operation's
-	err       error
+	view *core.View
+	n    int // query round
 }
 
 // NewReader creates reader client id.
 func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id}
+	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(ep, cfg.shape("regular READ"))}
 }
 
 // LastMeta returns metadata about the most recent READ.
@@ -320,73 +231,50 @@ func (r *Reader) Read() (types.Tagged, error) {
 	return r.lastMeta.Returned, nil
 }
 
-// Start begins a READ: a fresh view and round 1, with its timer.
+// Start begins a READ: a fresh view and round 1, whose decision waits
+// for the timer.
 func (r *Reader) Start() (done bool, err error) {
-	r.deadline = time.Now().Add(r.cfg.opTimeout())
+	r.rnd.Begin()
 	r.tsr++
 	r.view = core.NewViewWithThresholds(r.cfg.coreConfig().Thresholds(), r.tsr)
-	r.rnd, r.expired, r.err = 0, false, nil
+	r.n = 0
 	return false, r.query()
 }
 
 // query sends the next READ round.
 func (r *Reader) query() error {
-	r.rnd++
-	r.roundAcks = make(map[types.ProcID]bool, r.cfg.S())
-	if err := broadcast(r.ep, r.cfg.S(), wire.Read{TSR: r.tsr, Round: r.rnd}); err != nil {
-		return err
-	}
-	if r.rnd == 1 {
-		r.round = time.Now().Add(r.cfg.roundTimeout())
-	}
-	return nil
+	r.n++
+	return r.rnd.Open("query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n})
 }
 
 // Deliver folds one READ_ACK into the view.
 func (r *Reader) Deliver(env wire.Envelope) {
 	a, ok := env.Msg.(wire.ReadAck)
-	if !ok || !validServer(r.cfg, env.From) ||
-		a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > r.rnd {
+	if !ok || a.TSR != r.tsr || wire.Validate(env.Msg) != nil || a.Round > r.n {
 		return
 	}
-	if a.Round == r.rnd {
-		r.roundAcks[env.From] = true
+	if a.Round == r.n {
+		r.rnd.Ack(env.From)
 	}
 	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
 }
 
-// Decided reports whether the round may end: all S acks, or a quorum —
-// in round 1 once the timer fired; or a failure.
-func (r *Reader) Decided() bool {
-	n := len(r.roundAcks)
-	return r.err != nil || n >= r.cfg.S() || (n >= r.cfg.Quorum() && (r.rnd > 1 || r.expired))
-}
+// Decided reports whether the round may end (see drive.Round.Decided).
+func (r *Reader) Decided() bool { return r.rnd.Decided() }
 
 // Deadline returns when Expire next has something to judge.
-func (r *Reader) Deadline() time.Time {
-	if r.rnd == 1 && !r.expired && r.round.Before(r.deadline) {
-		return r.round
-	}
-	return r.deadline
-}
+func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
 
-// Expire fires round 1's timer, or fails the READ past its deadline.
-func (r *Reader) Expire(now time.Time) {
-	switch {
-	case !now.Before(r.deadline):
-		r.err = fmt.Errorf("regular READ(tsr=%d) round %d: %w", r.tsr, r.rnd, ErrOpTimeout)
-	case r.rnd == 1 && !now.Before(r.round):
-		r.expired = true
-	}
-}
+// Expire fires the round's timer at now (see drive.Round.Expire).
+func (r *Reader) Expire(now time.Time) { r.rnd.Expire(now) }
 
 // Advance returns the selected candidate, or sends the next round.
 func (r *Reader) Advance() (done bool, err error) {
-	if r.err != nil {
-		return false, r.err
+	if err := r.rnd.Err(); err != nil {
+		return false, err
 	}
 	if c, ok := r.view.Select(); ok {
-		r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.rnd, Returned: c}
+		r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.n, Returned: c}
 		return true, nil
 	}
 	return false, r.query()

@@ -245,8 +245,8 @@ type dialCall struct {
 
 // dialHoldDown is how long a failed dial stands in for the next ones.
 // It delays the first frame to a server that came back by at most this
-// much, so it stays below the 75 ms after which core re-sends a starved
-// round (round timer + retransmitGrace): a retransmission always gets a
+// much, so it stays below the 75 ms after which a client re-sends a starved
+// round (round timer + drive.Round's grace): a retransmission always gets a
 // dial of its own.
 const dialHoldDown = 50 * time.Millisecond
 

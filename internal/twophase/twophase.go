@@ -7,7 +7,8 @@
 // Differences from the core algorithm (internal/core):
 //
 //   - the W phase is a single round (round 2) and always runs — there
-//     is no fast-write path and no timer in the WRITE;
+//     is no fast-write path, and the WRITE's timer serves loss recovery
+//     only, never a decision;
 //   - servers keep no vw field;
 //   - the writer ships the frozen set inside the W message instead of
 //     the PW message, and servers act on it only when the sender is the
@@ -41,7 +42,8 @@ type Config struct {
 	// READ must be fast (0 ≤ fr ≤ t).
 	Fr         int
 	NumReaders int
-	// RoundTimeout is the READ round-1 timer; zero selects the default.
+	// RoundTimeout is the READ round-1 timer, and every round's loss
+	// timer; zero selects the default.
 	RoundTimeout time.Duration
 	// OpTimeout bounds one operation; zero selects the default.
 	OpTimeout time.Duration
@@ -89,18 +91,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-func (c Config) roundTimeout() time.Duration {
-	if c.RoundTimeout > 0 {
-		return c.RoundTimeout
-	}
-	return core.DefaultRoundTimeout
-}
-
-func (c Config) opTimeout() time.Duration {
-	if c.OpTimeout > 0 {
-		return c.OpTimeout
-	}
-	return core.DefaultOpTimeout
+// shape is the drive.Shape of this deployment's clients. Only READ
+// round 1 waits for the timer; in every other round it serves loss
+// recovery alone.
+func (c Config) shape(name string) drive.Shape {
+	return drive.Shape{Name: name, S: c.S(), Need: c.Quorum(), RoundTimeout: c.RoundTimeout, OpTimeout: c.OpTimeout}
 }
 
 // Server is the server automaton of Figure 8: pw and w fields, per
@@ -214,32 +209,28 @@ func update(local *types.Tagged, c types.Tagged) {
 // Writer implements the WRITE of Figure 6: PW round, freezevalues,
 // then exactly one W round carrying the frozen set — two round-trips,
 // always. Its non-blocking half is a drive.Op, as core's is: Start sends
-// the PW round, replies go in by Deliver until a quorum has answered
-// (Expire only fails the WRITE past its deadline), and Advance sends the
-// W round, then completes.
+// the PW round, replies go in by Deliver until a quorum has answered,
+// and Advance sends the W round, then completes.
 type Writer struct {
-	cfg    Config
-	ep     transport.Endpoint
-	drv    drive.Private
-	ts     types.TS
-	pw, w  types.Tagged
-	readTS map[types.ProcID]types.ReaderTS
-	frozen []types.FrozenEntry
+	cfg   Config
+	ep    transport.Endpoint
+	drv   drive.Private
+	rnd   drive.Round
+	ts    types.TS
+	pw, w types.Tagged
+	fz    drive.Freezer
 
 	// the WRITE in flight
-	inW      bool                        // the W round is, not the PW round
-	acks     map[types.ProcID]wire.PWAck // the PW round's
-	wacks    map[types.ProcID]bool       // the W round's
-	deadline time.Time                   // the operation's
-	err      error
+	inW  bool         // the W round is, not the PW round
+	acks []wire.PWAck // the PW round's, slot per server
 }
 
 // NewWriter creates the writer client.
 func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
 	return &Writer{
-		cfg: cfg, ep: ep,
+		cfg: cfg, ep: ep, rnd: drive.NewRound(ep, cfg.shape("twophase WRITE")),
 		pw: types.Bottom(), w: types.Bottom(),
-		readTS: make(map[types.ProcID]types.ReaderTS),
+		acks: make([]wire.PWAck, cfg.S()),
 	}
 }
 
@@ -253,120 +244,59 @@ func (w *Writer) Write(v types.Value) error {
 	return w.drv.Wait(w.ep, w, done, err)
 }
 
-// Start begins WRITE(v) with its PW round (Fig. 6 lines 3–6): no timer —
-// the variant's writes are never "fast", so there is nothing to wait
-// extra for.
+// Start begins WRITE(v) with its PW round (Fig. 6 lines 3–6), decided at
+// a quorum: the variant's writes are never "fast", so there is no timer
+// verdict to wait for.
 func (w *Writer) Start(v types.Value) (done bool, err error) {
 	if v == "" {
 		return false, core.ErrBottomValue
 	}
-	w.deadline = time.Now().Add(w.cfg.opTimeout())
-	w.inW, w.err = false, nil
-	w.acks = make(map[types.ProcID]wire.PWAck, w.cfg.S())
+	w.rnd.Begin()
+	w.inW = false
 	w.ts++
 	w.pw = types.Tagged{TS: w.ts, Val: v}
-	return false, broadcast(w.ep, w.cfg.S(), wire.PW{TS: w.ts, PW: w.pw, W: w.w})
+	return false, w.rnd.Open("PW round", false, nil, wire.PW{TS: w.ts, PW: w.pw, W: w.w})
 }
 
 // Deliver counts one ack of the round in flight.
 func (w *Writer) Deliver(env wire.Envelope) {
-	if w.inW {
-		a, ok := env.Msg.(wire.WAck)
-		if ok && validServer(w.cfg, env.From) && a.Round == 2 && a.Tag == int64(w.ts) {
-			w.wacks[env.From] = true
+	switch a := env.Msg.(type) {
+	case wire.PWAck:
+		if w.inW || a.TS != w.ts || wire.Validate(env.Msg) != nil {
+			return
 		}
-		return
-	}
-	a, ok := env.Msg.(wire.PWAck)
-	if !ok || !validServer(w.cfg, env.From) || a.TS != w.ts || wire.Validate(a) != nil {
-		return
-	}
-	if _, dup := w.acks[env.From]; !dup {
-		w.acks[env.From] = a
+		if i, first := w.rnd.Ack(env.From); first {
+			w.acks[i] = a
+		}
+	case wire.WAck:
+		if w.inW && a.Round == 2 && a.Tag == int64(w.ts) {
+			w.rnd.Ack(env.From)
+		}
 	}
 }
 
 // Decided reports a quorum of the round's acks, or a failure.
-func (w *Writer) Decided() bool {
-	if w.inW {
-		return w.err != nil || len(w.wacks) >= w.cfg.Quorum()
-	}
-	return w.err != nil || len(w.acks) >= w.cfg.Quorum()
-}
+func (w *Writer) Decided() bool { return w.rnd.Decided() }
 
-// Deadline is the operation's.
-func (w *Writer) Deadline() time.Time { return w.deadline }
+// Deadline returns when Expire next has something to judge.
+func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
-// Expire fails the WRITE past its deadline.
-func (w *Writer) Expire(now time.Time) {
-	switch {
-	case now.Before(w.deadline):
-	case w.inW:
-		w.err = fmt.Errorf("twophase WRITE(ts=%d) W round: %w", w.ts, ErrOpTimeout)
-	default:
-		w.err = fmt.Errorf("twophase WRITE(ts=%d) PW round: %w", w.ts, ErrOpTimeout)
-	}
-}
+// Expire fires the round's loss timer at now (see drive.Round.Expire).
+func (w *Writer) Expire(now time.Time) { w.rnd.Expire(now) }
 
 // Advance sends the W round (Fig. 6 lines 7–10: freeze values, then ship
 // them inside the W message of this same write), then completes.
 func (w *Writer) Advance() (done bool, err error) {
 	switch {
-	case w.err != nil:
-		return false, w.err
+	case w.rnd.Err() != nil:
+		return false, w.rnd.Err()
 	case w.inW:
 		return true, nil
 	}
-	w.freezeValues(w.acks)
+	frozen := w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
 	w.w = w.pw
-	frozenOut := w.frozen
-	w.frozen = nil
 	w.inW = true
-	w.wacks = make(map[types.ProcID]bool, w.cfg.S())
-	return false, broadcast(w.ep, w.cfg.S(), wire.W{Round: 2, Tag: int64(w.ts), C: w.pw, Frozen: frozenOut})
-}
-
-// freezeValues mirrors Fig. 6 lines 13–15 (identical rule to the core
-// algorithm).
-func (w *Writer) freezeValues(acks map[types.ProcID]wire.PWAck) {
-	reported := make(map[types.ProcID][]types.ReaderTS)
-	for _, a := range acks {
-		seen := make(map[types.ProcID]bool, len(a.NewRead))
-		for _, rs := range a.NewRead {
-			if seen[rs.Reader] {
-				continue
-			}
-			seen[rs.Reader] = true
-			if rs.TSR > w.readTS[rs.Reader] {
-				reported[rs.Reader] = append(reported[rs.Reader], rs.TSR)
-			}
-		}
-	}
-	for rj, tsrs := range reported {
-		if len(tsrs) < w.cfg.SafeThreshold() {
-			continue
-		}
-		nth, ok := types.NthHighest(tsrs, w.cfg.B)
-		if !ok {
-			continue
-		}
-		w.readTS[rj] = nth
-		w.frozen = append(w.frozen, types.FrozenEntry{Reader: rj, PW: w.pw, TSR: nth})
-	}
-}
-
-// broadcast sends m to every server.
-func broadcast(ep transport.Endpoint, s int, m wire.Message) error {
-	out := make([]transport.Outgoing, s)
-	for i := range out {
-		out[i] = transport.Outgoing{To: types.ServerID(i), Msg: m}
-	}
-	return transport.SendAll(ep, out)
-}
-
-// validServer reports whether id names one of the S servers.
-func validServer(cfg Config, id types.ProcID) bool {
-	return id.IsServer() && id.Index() < cfg.S()
+	return false, w.rnd.Open("W round", false, nil, wire.W{Round: 2, Tag: int64(w.ts), C: w.pw, Frozen: frozen})
 }
 
 // ReadMeta describes a completed two-phase READ.
@@ -394,25 +324,21 @@ type Reader struct {
 	cfg      Config
 	ep       transport.Endpoint
 	drv      drive.Private
+	rnd      drive.Round
 	id       types.ProcID
 	tsr      types.ReaderTS
 	lastMeta ReadMeta
 
 	// the READ in flight
-	view      *core.View
-	rnd       int                   // query round; the query-round count once one selected
-	wb        int                   // write-back round in flight (1–2), 0 while querying
-	sel       types.Tagged          // the selected candidate
-	roundAcks map[types.ProcID]bool // the round's
-	round     time.Time             // round 1's timer
-	expired   bool                  // ... has fired
-	deadline  time.Time             // the operation's
-	err       error
+	view *core.View
+	n    int          // query round; the query-round count once one selected
+	wb   int          // write-back round in flight (1–2), 0 while querying
+	sel  types.Tagged // the selected candidate
 }
 
 // NewReader creates reader client id.
 func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id}
+	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(ep, cfg.shape("twophase READ"))}
 }
 
 // LastMeta returns metadata about the most recent READ.
@@ -427,33 +353,26 @@ func (r *Reader) Read() (types.Tagged, error) {
 	return r.lastMeta.Returned, nil
 }
 
-// Start begins a READ: a fresh view and round 1, with its timer.
+// Start begins a READ: a fresh view and round 1, whose decision waits
+// for the timer.
 func (r *Reader) Start() (done bool, err error) {
-	r.deadline = time.Now().Add(r.cfg.opTimeout())
+	r.rnd.Begin()
 	r.tsr++
 	r.view = core.NewViewWithThresholds(r.cfg.Thresholds(), r.tsr)
-	r.rnd, r.wb, r.expired, r.err = 0, 0, false, nil
+	r.n, r.wb = 0, 0
 	return false, r.query()
 }
 
 // query sends the next READ round.
 func (r *Reader) query() error {
-	r.rnd++
-	r.roundAcks = make(map[types.ProcID]bool, r.cfg.S())
-	if err := broadcast(r.ep, r.cfg.S(), wire.Read{TSR: r.tsr, Round: r.rnd}); err != nil {
-		return err
-	}
-	if r.rnd == 1 {
-		r.round = time.Now().Add(r.cfg.roundTimeout())
-	}
-	return nil
+	r.n++
+	return r.rnd.Open("query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n})
 }
 
 // writeBack sends write-back round wb (Fig. 7 lines 24–26).
 func (r *Reader) writeBack(wb int) error {
 	r.wb = wb
-	r.roundAcks = make(map[types.ProcID]bool, r.cfg.S())
-	return broadcast(r.ep, r.cfg.S(), wire.W{Round: wb, Tag: int64(r.tsr), C: r.sel})
+	return r.rnd.Open("write-back round", false, nil, wire.W{Round: wb, Tag: int64(r.tsr), C: r.sel})
 }
 
 // Deliver folds one READ_ACK into the view, or counts one WRITE_ACK of
@@ -461,52 +380,29 @@ func (r *Reader) writeBack(wb int) error {
 func (r *Reader) Deliver(env wire.Envelope) {
 	if r.wb > 0 {
 		a, ok := env.Msg.(wire.WAck)
-		if ok && env.From.IsServer() && a.Round == r.wb && a.Tag == int64(r.tsr) {
-			r.roundAcks[env.From] = true
+		if ok && a.Round == r.wb && a.Tag == int64(r.tsr) {
+			r.rnd.Ack(env.From)
 		}
 		return
 	}
 	a, ok := env.Msg.(wire.ReadAck)
-	if !ok || !validServer(r.cfg, env.From) ||
-		a.TSR != r.tsr || wire.Validate(a) != nil || a.Round > r.rnd {
+	if !ok || a.TSR != r.tsr || wire.Validate(env.Msg) != nil || a.Round > r.n {
 		return
 	}
-	if a.Round == r.rnd {
-		r.roundAcks[env.From] = true
+	if a.Round == r.n {
+		r.rnd.Ack(env.From)
 	}
 	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
 }
 
-// Decided reports whether the round may end: all S acks of a query
-// round, or a quorum — in round 1 once the timer fired; a quorum of a
-// write-back round; or a failure.
-func (r *Reader) Decided() bool {
-	n := len(r.roundAcks)
-	if r.wb > 0 {
-		return r.err != nil || n >= r.cfg.Quorum()
-	}
-	return r.err != nil || n >= r.cfg.S() || (n >= r.cfg.Quorum() && (r.rnd > 1 || r.expired))
-}
+// Decided reports whether the round may end (see drive.Round.Decided).
+func (r *Reader) Decided() bool { return r.rnd.Decided() }
 
 // Deadline returns when Expire next has something to judge.
-func (r *Reader) Deadline() time.Time {
-	if r.rnd == 1 && r.wb == 0 && !r.expired && r.round.Before(r.deadline) {
-		return r.round
-	}
-	return r.deadline
-}
+func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
 
-// Expire fires round 1's timer, or fails the READ past its deadline.
-func (r *Reader) Expire(now time.Time) {
-	switch {
-	case !now.Before(r.deadline) && r.wb > 0:
-		r.err = fmt.Errorf("twophase READ(tsr=%d) write-back round %d: %w", r.tsr, r.wb, ErrOpTimeout)
-	case !now.Before(r.deadline):
-		r.err = fmt.Errorf("twophase READ(tsr=%d) round %d: %w", r.tsr, r.rnd, ErrOpTimeout)
-	case r.rnd == 1 && !now.Before(r.round):
-		r.expired = true
-	}
-}
+// Expire fires the round's timer at now (see drive.Round.Expire).
+func (r *Reader) Expire(now time.Time) { r.rnd.Expire(now) }
 
 // Advance sends the next query round until a candidate is selected,
 // then writes it back in two rounds unless it is fast (Fig. 7 line 19:
@@ -514,8 +410,8 @@ func (r *Reader) Expire(now time.Time) {
 // returns it.
 func (r *Reader) Advance() (done bool, err error) {
 	switch {
-	case r.err != nil:
-		return false, r.err
+	case r.rnd.Err() != nil:
+		return false, r.rnd.Err()
 	case r.wb == 1:
 		return false, r.writeBack(2)
 	case r.wb == 2:
@@ -526,14 +422,14 @@ func (r *Reader) Advance() (done bool, err error) {
 		return false, r.query()
 	}
 	r.sel = c
-	if r.view.CountW(c) < r.cfg.FastW() || r.rnd > 1 {
+	if r.view.CountW(c) < r.cfg.FastW() || r.n > 1 {
 		return false, r.writeBack(1)
 	}
 	return r.complete(false)
 }
 
 func (r *Reader) complete(wroteBack bool) (bool, error) {
-	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.rnd, WroteBack: wroteBack, Returned: r.sel}
+	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.n, WroteBack: wroteBack, Returned: r.sel}
 	return true, nil
 }
 
