@@ -58,10 +58,10 @@ func main() {
 func run(args []string, ready chan<- string, stop <-chan struct{}) int {
 	fs := flag.NewFlagSet("luckyd", flag.ContinueOnError)
 	var (
-		index   = fs.Int("index", 0, "server index i (process id becomes s<i>)")
-		listen  = fs.String("listen", "127.0.0.1:0", "TCP listen address")
-		kvMode  = fs.Bool("kv", false, "serve the key-value store (one lucky register per key) instead of the single register")
-		shards  = fs.Int("shards", 0, "shard workers stepping the KV registers; 0 means one per CPU (requires -kv)")
+		index     = fs.Int("index", 0, "server index i (process id becomes s<i>)")
+		listen    = fs.String("listen", "127.0.0.1:0", "TCP listen address")
+		kvMode    = fs.Bool("kv", false, "serve the key-value store (one lucky register per key) instead of the single register")
+		shards    = fs.Int("shards", 0, "shard workers stepping the KV registers; 0 means one per CPU (requires -kv)")
 		dataDir   = fs.String("data", "", "data directory for the WAL and snapshots; empty keeps state in memory only")
 		adminAddr = fs.String("admin", "", "HTTP admin listen address serving /metrics, /healthz, /readyz, /debug/stamps; empty disables")
 	)

@@ -90,7 +90,7 @@ func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
 }
 
 // Writer is the ABD writer: one store round per WRITE. Like every
-// client it is a drive.Op: Start sends the round, replies go in by
+// client it is a drive.Op: Start emits the round, replies go in by
 // Deliver until a majority has answered, and Advance completes it.
 type Writer struct {
 	ep  transport.Endpoint
@@ -102,24 +102,26 @@ type Writer struct {
 
 // NewWriter creates the writer client.
 func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
-	return &Writer{ep: ep, rnd: drive.NewRound(ep, cfg.shape("abd WRITE"))}
+	return &Writer{ep: ep, rnd: drive.NewRound(cfg.shape("abd WRITE"))}
 }
 
 // Write stores v: one round-trip to a majority.
 func (w *Writer) Write(v types.Value) error {
-	done, err := w.Start(v)
-	return w.drv.Wait(w.ep, w, done, err)
+	return w.drv.Wait(w.ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		return w.Start(now, v, out)
+	})
 }
 
-// Start begins WRITE(v): it sends the store round.
-func (w *Writer) Start(v types.Value) (done bool, err error) {
+// Start begins WRITE(v) at now: it emits the store round.
+func (w *Writer) Start(now time.Time, v types.Value, out *[]transport.Outgoing) (done bool, err error) {
 	if v == "" {
 		return false, errors.New("abd: cannot write the initial value ⊥")
 	}
-	w.rnd.Begin()
+	w.rnd.Begin(now)
 	w.ts++
 	w.seq++
-	return false, w.rnd.Open("store round", false, nil, wire.ABDWrite{Seq: w.seq, C: types.Tagged{TS: w.ts, Val: v}})
+	w.rnd.Open(now, "store round", false, nil, wire.ABDWrite{Seq: w.seq, C: types.Tagged{TS: w.ts, Val: v}}, out)
+	return false, nil
 }
 
 // Deliver counts one WRITE_ACK.
@@ -136,10 +138,12 @@ func (w *Writer) Decided() bool { return w.rnd.Decided() }
 func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
 // Expire fires the round's loss timer at now (see drive.Round.Expire).
-func (w *Writer) Expire(now time.Time) { w.rnd.Expire(now) }
+func (w *Writer) Expire(now time.Time, out *[]transport.Outgoing) { w.rnd.Expire(now, out) }
 
 // Advance completes the WRITE.
-func (w *Writer) Advance() (done bool, err error) { return w.rnd.Err() == nil, w.rnd.Err() }
+func (w *Writer) Advance(time.Time, *[]transport.Outgoing) (done bool, err error) {
+	return w.rnd.Err() == nil, w.rnd.Err()
+}
 
 // Rounds reports the (constant) round-trip complexity of an ABD WRITE.
 func (w *Writer) Rounds() int { return 1 }
@@ -157,25 +161,25 @@ type Reader struct {
 
 // NewReader creates a reader client.
 func NewReader(cfg Config, ep transport.Endpoint) *Reader {
-	return &Reader{ep: ep, rnd: drive.NewRound(ep, cfg.shape("abd READ"))}
+	return &Reader{ep: ep, rnd: drive.NewRound(cfg.shape("abd READ"))}
 }
 
 // Read returns the register value after the classic two phases.
 func (r *Reader) Read() (types.Tagged, error) {
-	done, err := r.Start()
-	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
+	if err := r.drv.Wait(r.ep, r, r.Start); err != nil {
 		return types.Tagged{}, err
 	}
 	return r.best, nil
 }
 
-// Start begins a READ with phase 1: query a majority, adopt the highest
-// pair.
-func (r *Reader) Start() (done bool, err error) {
-	r.rnd.Begin()
+// Start begins a READ at now with phase 1: query a majority, adopt the
+// highest pair.
+func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
+	r.rnd.Begin(now)
 	r.wb, r.best = false, types.Bottom()
 	r.seq++
-	return false, r.rnd.Open("query round", false, nil, wire.ABDRead{Seq: r.seq})
+	r.rnd.Open(now, "query round", false, nil, wire.ABDRead{Seq: r.seq}, out)
+	return false, nil
 }
 
 // Deliver folds one READ_ACK of the query, or counts one WRITE_ACK of
@@ -203,30 +207,26 @@ func (r *Reader) Decided() bool { return r.rnd.Decided() }
 func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
 
 // Expire fires the round's loss timer at now (see drive.Round.Expire).
-func (r *Reader) Expire(now time.Time) { r.rnd.Expire(now) }
+func (r *Reader) Expire(now time.Time, out *[]transport.Outgoing) { r.rnd.Expire(now, out) }
 
 // Advance runs phase 2 — write the adopted pair back to a majority —
 // then completes the READ.
-func (r *Reader) Advance() (done bool, err error) {
+func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
 	if err := r.rnd.Err(); err != nil || r.wb {
 		return err == nil, err
 	}
 	r.wb = true
 	r.seq++
-	return false, r.rnd.Open("write-back round", false, nil, wire.ABDWrite{Seq: r.seq, C: r.best})
+	r.rnd.Open(now, "write-back round", false, nil, wire.ABDWrite{Seq: r.seq, C: r.best}, out)
+	return false, nil
 }
 
 // Rounds reports the (constant) round-trip complexity of an ABD READ.
 func (r *Reader) Rounds() int { return 2 }
 
-// Cluster wires an ABD deployment over a simulated network. Its
-// embedded fleet carries the servers' fault hooks.
+// Cluster wires an ABD deployment over a simulated network.
 type Cluster struct {
-	*core.Servers
-	cfg     Config
-	sim     *simnet.Network
-	writer  *Writer
-	readers []*Reader
+	*core.VariantCluster[*Writer, *Reader]
 }
 
 // NewCluster builds and starts an ABD cluster.
@@ -234,40 +234,11 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ids := append(types.ServerIDs(cfg.S()), types.WriterID())
-	ids = append(ids, types.ReaderIDs(cfg.NumReaders)...)
-	sim, err := simnet.New(ids, simOpts...)
+	c, err := core.NewVariantCluster(cfg.S(), cfg.NumReaders, func() node.Automaton { return NewServer() }, nil, simOpts,
+		func(ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
+		func(_ int, ep transport.Endpoint) *Reader { return NewReader(cfg, ep) })
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, sim: sim}
-	if c.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
-		return NewServer(), nil, nil
-	}, nil, nil); err != nil {
-		return nil, err
-	}
-	wep, err := sim.Endpoint(types.WriterID())
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.writer = NewWriter(cfg, wep)
-	for i := 0; i < cfg.NumReaders; i++ {
-		rep, err := sim.Endpoint(types.ReaderID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.readers = append(c.readers, NewReader(cfg, rep))
-	}
-	return c, nil
+	return &Cluster{c}, nil
 }
-
-// Writer returns the writer client.
-func (c *Cluster) Writer() *Writer { return c.writer }
-
-// Reader returns the i-th reader client.
-func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
-
-// Sim returns the underlying simulated network.
-func (c *Cluster) Sim() *simnet.Network { return c.sim }

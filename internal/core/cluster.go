@@ -148,3 +148,56 @@ func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
 // Sim returns the underlying simulated network, or nil when the
 // cluster runs on another transport.
 func (c *Cluster) Sim() *simnet.Network { return c.sim }
+
+// VariantCluster is a single-writer protocol variant's deployment over a
+// simulated network: S servers, its writer client and its readers. Its
+// embedded fleet carries the servers' fault hooks.
+type VariantCluster[W, R any] struct {
+	*Servers
+	sim     *simnet.Network
+	writer  W
+	readers []R
+}
+
+// NewVariantCluster starts s servers made by mk — writing through
+// store's backends, when store is not nil — and readers reader clients
+// and a writer client on a new simnet, each client made from its
+// endpoint by newWriter or newReader(i, ep).
+func NewVariantCluster[W, R any](s, readers int, mk func() node.Automaton, store storage.Provider, simOpts []simnet.Option,
+	newWriter func(ep transport.Endpoint) W, newReader func(i int, ep transport.Endpoint) R) (*VariantCluster[W, R], error) {
+	ids := append(types.ServerIDs(s), types.WriterID())
+	sim, err := simnet.New(append(ids, types.ReaderIDs(readers)...), simOpts...)
+	if err != nil {
+		return nil, err
+	}
+	c := &VariantCluster[W, R]{sim: sim}
+	if c.Servers, err = NewServers(sim, s, func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return mk(), nil, nil
+	}, store, nil); err != nil {
+		return nil, err
+	}
+	wep, err := sim.Endpoint(types.WriterID())
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.writer = newWriter(wep)
+	for i := 0; i < readers; i++ {
+		rep, err := sim.Endpoint(types.ReaderID(i))
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.readers = append(c.readers, newReader(i, rep))
+	}
+	return c, nil
+}
+
+// Writer returns the writer client.
+func (c *VariantCluster[W, R]) Writer() W { return c.writer }
+
+// Reader returns the i-th reader client.
+func (c *VariantCluster[W, R]) Reader(i int) R { return c.readers[i] }
+
+// Sim returns the underlying simulated network.
+func (c *VariantCluster[W, R]) Sim() *simnet.Network { return c.sim }

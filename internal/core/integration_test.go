@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"luckystore/internal/drive"
+	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 )
@@ -458,22 +459,12 @@ func TestConcurrentWritesAndReadsStress(t *testing.T) {
 	}
 }
 
-// sink is an endpoint that drops whatever it is sent.
-type sink struct{}
-
-func (sink) ID() types.ProcID                      { return types.WriterID() }
-func (sink) Send(types.ProcID, wire.Message) error { return nil }
-func (sink) Recv() <-chan wire.Envelope            { return nil }
-func (sink) Close() error                          { return nil }
-
 // feedPWAcks opens a pre-write round on w and delivers a PW_ACK set to
 // it, the way a live pre-write phase does.
 func feedPWAcks(w *Writer, acks map[types.ProcID]wire.PWAck) {
-	w.rnd = drive.NewRound(sink{}, w.cfg.shape("WRITE"))
+	w.rnd = drive.NewRound(w.cfg.shape("WRITE"))
 	w.opTS = w.ts
-	if err := w.emit(phasePW, nil, wire.PW{TS: w.ts}); err != nil {
-		panic(err)
-	}
+	w.emit(time.Now(), phasePW, nil, wire.PW{TS: w.ts}, new([]transport.Outgoing))
 	for id, a := range acks {
 		w.acceptPWAck(wire.Envelope{From: id, To: w.id, Msg: a})
 	}

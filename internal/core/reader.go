@@ -57,7 +57,7 @@ type Reader struct {
 
 // NewReader creates reader client id on the given endpoint.
 func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(ep, cfg.shape("READ"))}
+	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(cfg.shape("READ"))}
 }
 
 // ID returns the reader's process id.
@@ -90,26 +90,25 @@ type readOp struct {
 // or the last value written. The returned Tagged carries the value and
 // the timestamp the writer assigned to it (the k of wr_k).
 func (r *Reader) Read() (types.Tagged, error) {
-	done, err := r.Start()
-	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
+	if err := r.drv.Wait(r.ep, r, r.Start); err != nil {
 		return types.Tagged{}, err
 	}
 	return r.lastMeta.Returned, nil
 }
 
-// Start begins a READ (Fig. 2 lines 12–16): new READ timestamp, fresh
-// view, round 1 to every server. The operation then advances by
-// Deliver/Expire/Advance until a call reports done or an error; the
-// reader takes no other operation meanwhile.
-func (r *Reader) Start() (done bool, err error) {
-	r.rnd.Begin()
+// Start begins a READ at now (Fig. 2 lines 12–16): new READ timestamp,
+// fresh view, round 1 to every server appended to out. The operation
+// then advances by Deliver/Expire/Advance until a call reports done or
+// an error; the reader takes no other operation meanwhile.
+func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
+	r.rnd.Begin(now)
 	r.op = readOp{}
 	if r.cfg.Metrics != nil {
-		r.op.t0 = time.Now()
+		r.op.t0 = now
 	}
 	r.tsr++
 	r.resetView()
-	return r.settle(false, r.emitQuery())
+	return r.settle(r.emitQuery(now, out))
 }
 
 // Decided reports whether the round in flight has what Fig. 2 line 17
@@ -123,17 +122,20 @@ func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
 
 // Expire is the round's timer firing at now (see drive.Round.Expire):
 // the synchrony verdict at a quorum, the resend of a round still below
-// one after the grace, and ErrOpTimeout past the operation deadline.
-func (r *Reader) Expire(now time.Time) {
+// one after the grace (appended to out), and ErrOpTimeout past the
+// operation deadline.
+func (r *Reader) Expire(now time.Time, out *[]transport.Outgoing) {
 	if r.op.rnd > 0 {
-		r.rnd.Expire(now)
+		r.rnd.Expire(now, out)
 	}
 }
 
-// Advance acts on a decided round: it completes the READ — done, with
-// LastMeta().Returned the value read — or sends the next round, or
-// returns the round's failure.
-func (r *Reader) Advance() (done bool, err error) { return r.settle(r.advance()) }
+// Advance acts on a decided round at now: it completes the READ — done,
+// with LastMeta().Returned the value read — or appends the next round to
+// out, or returns the round's failure.
+func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
+	return r.settle(r.advance(now, out))
+}
 
 // settle passes a Start/Advance verdict through, retiring the operation
 // once it is over either way.
@@ -144,7 +146,7 @@ func (r *Reader) settle(done bool, err error) (bool, error) {
 	return done, err
 }
 
-func (r *Reader) advance() (bool, error) {
+func (r *Reader) advance(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	o := &r.op
 	if o.rnd == 0 {
 		return false, errNoOp
@@ -154,48 +156,50 @@ func (r *Reader) advance() (bool, error) {
 	}
 	if o.wb > 0 {
 		if o.wb < 3 {
-			return false, r.emitWriteBack(o.wb + 1)
+			return r.emitWriteBack(now, o.wb+1, out)
 		}
-		return r.complete(true)
+		return r.complete(now, true)
 	}
 	// Fig. 2 lines 18–20: stop querying as soon as a candidate exists.
 	c, ok := r.view.Select()
 	if !ok {
-		return false, r.emitQuery()
+		return r.emitQuery(now, out)
 	}
 	// Fig. 2 line 21: write back unless the READ is provably complete
 	// after a fast first round.
 	o.sel = c
 	if !r.view.Fast(c) || o.rnd > 1 {
-		return false, r.emitWriteBack(1)
+		return r.emitWriteBack(now, 1, out)
 	}
-	return r.complete(false)
+	return r.complete(now, false)
 }
 
-// complete publishes the finished READ's meta.
-func (r *Reader) complete(wroteBack bool) (bool, error) {
+// complete publishes the finished READ's meta at now.
+func (r *Reader) complete(now time.Time, wroteBack bool) (bool, error) {
 	o := &r.op
 	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: o.rnd, WroteBack: wroteBack, Returned: o.sel}
 	r.stats.record(r.lastMeta.Rounds(), r.lastMeta.Fast())
 	if !o.t0.IsZero() {
-		r.cfg.Metrics.observeRead(r.lastMeta, time.Since(o.t0))
+		r.cfg.Metrics.observeRead(r.lastMeta, now.Sub(o.t0))
 	}
 	return true, nil
 }
 
-// emitQuery sends the next READ round to all servers (Fig. 2 lines
+// emitQuery emits the next READ round to all servers (Fig. 2 lines
 // 15–16).
-func (r *Reader) emitQuery() error {
+func (r *Reader) emitQuery(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	r.op.rnd++
-	return r.rnd.Open("query round", r.op.rnd == 1, nil, wire.Read{TSR: r.tsr, Round: r.op.rnd})
+	r.rnd.Open(now, "query round", r.op.rnd == 1, nil, wire.Read{TSR: r.tsr, Round: r.op.rnd}, out)
+	return false, nil
 }
 
-// emitWriteBack sends one round of the three-round write-back of Fig. 2
+// emitWriteBack emits one round of the three-round write-back of Fig. 2
 // lines 26–28, following the W-phase communication pattern with the
 // reader's timestamp as the tag.
-func (r *Reader) emitWriteBack(round int) error {
+func (r *Reader) emitWriteBack(now time.Time, round int, out *[]transport.Outgoing) (bool, error) {
 	r.op.wb = round
-	return r.rnd.Open("write-back round", false, nil, wire.W{Round: round, Tag: int64(r.tsr), C: r.op.sel})
+	r.rnd.Open(now, "write-back round", false, nil, wire.W{Round: round, Tag: int64(r.tsr), C: r.op.sel}, out)
+	return false, nil
 }
 
 // Deliver folds one reply into the round in flight without blocking

@@ -148,7 +148,7 @@ func NewWriter(cfg Config, id types.ProcID, ep transport.Endpoint) *Writer {
 		wid: types.WID(wi),
 		pw:  types.Bottom(),
 		w:   types.Bottom(),
-		rnd: drive.NewRound(ep, cfg.shape("WRITE")),
+		rnd: drive.NewRound(cfg.shape("WRITE")),
 	}
 }
 
@@ -201,21 +201,23 @@ var errNoOp = errors.New("core: Advance without an operation in flight")
 // PW_ACKs within the synchrony timer), otherwise after the two
 // additional W rounds.
 func (w *Writer) Write(v types.Value) error {
-	done, err := w.Start(v)
-	return w.drv.Wait(w.ep, w, done, err)
+	return w.drv.Wait(w.ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		return w.Start(now, v, out)
+	})
 }
 
-// Start begins WRITE(v): it binds the stamp (or opens the round that
-// will — the speculative pre-write or the MWMR stamp query), records the
-// round's deadline and sends the first round. The operation then
-// advances by Deliver/Expire/Advance until a call reports done or an
-// error; the writer takes no other operation meanwhile.
-func (w *Writer) Start(v types.Value) (done bool, err error) {
+// Start begins WRITE(v) at now: it binds the stamp (or opens the round
+// that will — the speculative pre-write or the MWMR stamp query), starts
+// the operation's and the round's deadlines and appends the first round
+// to out. The operation then advances by Deliver/Expire/Advance until a
+// call reports done or an error; the writer takes no other operation
+// meanwhile.
+func (w *Writer) Start(now time.Time, v types.Value, out *[]transport.Outgoing) (done bool, err error) {
 	var t0 time.Time
 	if w.cfg.Metrics != nil {
-		t0 = time.Now()
+		t0 = now
 	}
-	return w.settle(w.start(v, nil, t0))
+	return w.settle(w.start(now, v, nil, t0, out))
 }
 
 // Deliver folds one reply into the round in flight by the ack rule of
@@ -246,12 +248,13 @@ func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
 // Expire is the timer of Fig. 1 line 5 firing at now, judged against
 // every reply delivered so far (see drive.Round.Expire): the verdict at
-// a quorum, the resend of a round still below one after the grace, and
+// a quorum, the resend of a round still below one after the grace
+// (appended to out), and
 // ErrOpTimeout past the operation deadline. A speculative attempt whose
 // grace ran out is abandoned instead (starved): the slow path owns loss
 // recovery, and a stale speculative stamp would only be NACKed again
 // anyway.
-func (w *Writer) Expire(now time.Time) {
+func (w *Writer) Expire(now time.Time, out *[]transport.Outgoing) {
 	switch w.op.phase {
 	case phaseIdle:
 	case phaseSpec:
@@ -259,21 +262,24 @@ func (w *Writer) Expire(now time.Time) {
 			w.op.starved = true
 		}
 	default:
-		w.rnd.Expire(now)
+		w.rnd.Expire(now, out)
 	}
 }
 
-// Advance acts on a decided round: it completes the WRITE — done, with
-// LastMeta describing it — or sends the next round, or returns the
-// round's failure.
-func (w *Writer) Advance() (done bool, err error) { return w.settle(w.advance()) }
+// Advance acts on a decided round at now: it completes the WRITE — done,
+// with LastMeta describing it — or appends the next round to out, or
+// returns the round's failure.
+func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
+	return w.settle(w.advance(now, out))
+}
 
 // WriteWithFault runs a WRITE with scripted crash behavior; it returns
 // ErrCrashed at the scripted point and leaves the writer permanently
 // crashed.
 func (w *Writer) WriteWithFault(v types.Value, f *WriteFault) error {
-	done, err := w.settle(w.start(v, f, time.Time{}))
-	return w.drv.Wait(w.ep, w, done, err)
+	return w.drv.Wait(w.ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		return w.settle(w.start(now, v, f, time.Time{}, out))
+	})
 }
 
 // LastMeta returns metadata about the most recent completed WRITE.
@@ -295,13 +301,14 @@ func (w *Writer) LastMeta() WriteMeta { return w.lastMeta }
 // already holds a pair ≥ c. Subsequent Writes continue from seq
 // c.TS + 1.
 func (w *Writer) WriteAt(c types.Tagged) error {
-	done, err := w.StartAt(c)
-	return w.drv.Wait(w.ep, w, done, err)
+	return w.drv.Wait(w.ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		return w.StartAt(now, c, out)
+	})
 }
 
 // StartAt begins WriteAt(c) as Start begins Write; a pair WriteAt would
-// skip is done at once, with no round sent.
-func (w *Writer) StartAt(c types.Tagged) (done bool, err error) {
+// skip is done at once, with no round emitted.
+func (w *Writer) StartAt(now time.Time, c types.Tagged, out *[]transport.Outgoing) (done bool, err error) {
 	if w.crashed {
 		return false, ErrCrashed
 	}
@@ -311,13 +318,13 @@ func (w *Writer) StartAt(c types.Tagged) (done bool, err error) {
 	if !w.last.Less(c.Stamp()) {
 		return true, nil
 	}
-	w.begin(writeOp{})
-	return w.settle(w.emitPW(c))
+	w.begin(now, writeOp{})
+	return w.settle(w.emitPW(now, c, out))
 }
 
-// begin installs a fresh operation and starts its deadline.
-func (w *Writer) begin(op writeOp) {
-	w.rnd.Begin()
+// begin installs a fresh operation and starts its deadline at now.
+func (w *Writer) begin(now time.Time, op writeOp) {
+	w.rnd.Begin(now)
 	w.op = op
 }
 
@@ -330,9 +337,6 @@ func (w *Writer) settle(done bool, err error) (bool, error) {
 	return done, err
 }
 
-// NextTS returns the timestamp the next WRITE will use (for tests).
-func (w *Writer) NextTS() types.TS { return w.ts + 1 }
-
 // start opens a WRITE: it chooses how the stamp will be bound and sends
 // the round that does it. Single-writer deployments take the published
 // Fig. 1 path: advance the sequence, no extra round. Multi-writer
@@ -341,30 +345,30 @@ func (w *Writer) NextTS() types.TS { return w.ts + 1 }
 // explicit quorum query otherwise. Once chosen, the stamp of a
 // (non-aborted) attempt is final, whatever the PW round later reveals
 // about the race.
-func (w *Writer) start(v types.Value, f *WriteFault, t0 time.Time) (bool, error) {
+func (w *Writer) start(now time.Time, v types.Value, f *WriteFault, t0 time.Time, out *[]transport.Outgoing) (bool, error) {
 	if w.crashed {
 		return false, ErrCrashed
 	}
 	if v == "" {
 		return false, ErrBottomValue
 	}
-	w.begin(writeOp{val: v, fault: f, seq: w.ts, t0: t0})
+	w.begin(now, writeOp{val: v, fault: f, seq: w.ts, t0: t0})
 	switch {
 	case !w.cfg.MW():
-		return w.emitPW(types.Tagged{TS: w.ts + 1, W: w.wid, Val: v})
+		return w.emitPW(now, types.Tagged{TS: w.ts + 1, W: w.wid, Val: v}, out)
 	case f == nil && !w.cfg.NoSpec && w.cacheOK && w.calm:
 		// Speculative fast path (DESIGN.md §12): bind one above the
 		// cached maximum and let the servers arbitrate. A NACK or a
 		// starved quorum aborts the attempt with no writer state
 		// change and falls back to the query-round slow path.
-		return w.emitSpec(types.Tagged{TS: max(w.ts, w.cachedMax.Seq) + 1, W: w.wid, Val: v})
+		return w.emitSpec(now, types.Tagged{TS: max(w.ts, w.cachedMax.Seq) + 1, W: w.wid, Val: v}, out)
 	default:
-		return w.emitQuery()
+		return w.emitQuery(now, out)
 	}
 }
 
 // advance acts on the decided round in flight.
-func (w *Writer) advance() (bool, error) {
+func (w *Writer) advance(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	o := &w.op
 	if o.phase == phaseIdle {
 		return false, errNoOp
@@ -381,7 +385,7 @@ func (w *Writer) advance() (bool, error) {
 		w.foldCache(o.qmax)
 		w.cacheOK = true
 		o.queried = true
-		return w.emitPW(types.Tagged{TS: o.seq + 1, W: w.wid, Val: o.val})
+		return w.emitPW(now, types.Tagged{TS: o.seq + 1, W: w.wid, Val: o.val}, out)
 	case phaseSpec:
 		if o.starved || w.nackSeen {
 			// Some server already held a stamp at or above c, or the
@@ -397,7 +401,7 @@ func (w *Writer) advance() (bool, error) {
 			w.stats.SpecFlips++
 			o.ghost = o.c.Stamp()
 			o.seq = max(o.seq, o.c.TS)
-			return w.emitQuery()
+			return w.emitQuery(now, out)
 		}
 		// A quorum acknowledged with zero NACKs: every acking server
 		// installed c as strictly newest, and by quorum intersection any
@@ -408,78 +412,81 @@ func (w *Writer) advance() (bool, error) {
 		// pre-write at a bound stamp does.
 		w.ts, w.last, w.pw = o.c.TS, o.c.Stamp(), o.c
 		w.stats.SpecOps++
-		return w.commitPW(true)
+		return w.commitPW(now, true, out)
 	case phasePW:
-		return w.commitPW(false)
+		return w.commitPW(now, false, out)
 	default: // phaseW
 		if o.round < 3 {
-			return w.emitW(o.round + 1)
+			return w.emitW(now, o.round+1, out)
 		}
-		return w.complete()
+		return w.complete(now)
 	}
 }
 
-// emit opens a round: fresh ack and NACK state, then the send. Only a
-// pre-write's decision waits for the timer (Fig. 1 line 5).
-func (w *Writer) emit(phase writePhase, targets []types.ProcID, m wire.Message) error {
+// emit opens a round at now: fresh ack and NACK state, and its messages
+// appended to out. Only a pre-write's decision waits for the timer
+// (Fig. 1 line 5).
+func (w *Writer) emit(now time.Time, phase writePhase, targets []types.ProcID, m wire.Message, out *[]transport.Outgoing) {
 	w.op.phase = phase
 	w.nackSeen, w.nackMax = false, types.Stamp0
-	return w.rnd.Open(phase.String(), phase == phaseSpec || phase == phasePW, targets, m)
+	w.rnd.Open(now, phase.String(), phase == phaseSpec || phase == phasePW, targets, m, out)
 }
 
-// emitQuery sends the MWMR stamp-discovery round: a round-1 READ
+// emitQuery emits the MWMR stamp-discovery round: a round-1 READ
 // (servers answer a writer's round-1 query statelessly — it never
 // touches the freezing machinery), whose acks acceptQueryAck folds by
 // plain maximum.
-func (w *Writer) emitQuery() (bool, error) {
+func (w *Writer) emitQuery(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	w.qtsr++
 	w.op.qmax = types.Stamp0
-	return false, w.emit(phaseQuery, nil, wire.Read{TSR: w.qtsr, Round: 1})
+	w.emit(now, phaseQuery, nil, wire.Read{TSR: w.qtsr, Round: 1}, out)
+	return false, nil
 }
 
-// emitSpec sends the speculative pre-write of DESIGN.md §12 at the
+// emitSpec emits the speculative pre-write of DESIGN.md §12 at the
 // already-chosen pair c: PW with Spec set and — unlike emitPW — no
 // writer state committed up front, because the attempt may be rejected.
-func (w *Writer) emitSpec(c types.Tagged) (bool, error) {
+func (w *Writer) emitSpec(now time.Time, c types.Tagged, out *[]transport.Outgoing) (bool, error) {
 	w.stats.SpecAttempts++
 	w.op.c, w.opTS = c, c.TS
-	return false, w.emit(phaseSpec, nil, wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen, Spec: true})
+	w.emit(now, phaseSpec, nil, wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen, Spec: true}, out)
+	return false, nil
 }
 
-// emitPW binds the pair c and sends its pre-write (Fig. 1 lines 3–4),
+// emitPW binds the pair c and emits its pre-write (Fig. 1 lines 3–4),
 // with the frozen set left over from the previous WRITE's
 // freezevalues(). The stamp is immutable from here on (see the Writer
 // doc): contention observed in the PW_ACKs is recorded in the meta,
 // never acted on.
-func (w *Writer) emitPW(c types.Tagged) (bool, error) {
+func (w *Writer) emitPW(now time.Time, c types.Tagged, out *[]transport.Outgoing) (bool, error) {
 	w.ts, w.last, w.pw = c.TS, c.Stamp(), c
 	w.op.c, w.opTS = c, c.TS
 	f := w.op.fault
-	err := w.emit(phasePW, f.pwTo(), wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen})
-	if err == nil && f != nil && f.CrashAfterPW {
+	w.emit(now, phasePW, f.pwTo(), wire.PW{TS: c.TS, PW: c, W: w.w, Frozen: w.frozen}, out)
+	if f != nil && f.CrashAfterPW {
 		w.crashed = true
-		err = ErrCrashed
+		return false, ErrCrashed
 	}
-	return false, err
+	return false, nil
 }
 
-// emitW sends W round 2 or 3 of the write phase (Fig. 1 lines 9–11) at
+// emitW emits W round 2 or 3 of the write phase (Fig. 1 lines 9–11) at
 // the already pre-written pair.
-func (w *Writer) emitW(round int) (bool, error) {
+func (w *Writer) emitW(now time.Time, round int, out *[]transport.Outgoing) (bool, error) {
 	w.op.round = round
 	f := w.op.fault
-	err := w.emit(phaseW, f.wTo(round), wire.W{Round: round, Tag: int64(w.op.c.TS), C: w.pw})
-	if err == nil && f != nil && f.CrashAfterW[round] {
+	w.emit(now, phaseW, f.wTo(round), wire.W{Round: round, Tag: int64(w.op.c.TS), C: w.pw}, out)
+	if f != nil && f.CrashAfterW[round] {
 		w.crashed = true
-		err = ErrCrashed
+		return false, ErrCrashed
 	}
-	return false, err
+	return false, nil
 }
 
 // commitPW acts on a decided pre-write (Fig. 1 lines 6–8): record the
 // value as written, detect slow READs and freeze values for them, then
 // return on the fast path or open the write phase.
-func (w *Writer) commitPW(spec bool) (bool, error) {
+func (w *Writer) commitPW(now time.Time, spec bool, out *[]transport.Outgoing) (bool, error) {
 	o := &w.op
 	w.w = w.pw
 	w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
@@ -497,19 +504,19 @@ func (w *Writer) commitPW(spec bool) (bool, error) {
 
 	if w.rnd.Acks() >= w.cfg.FastWriteAcks() {
 		o.meta.Fast = true
-		return w.complete()
+		return w.complete(now)
 	}
 	o.meta.Rounds += 2
-	return w.emitW(2)
+	return w.emitW(now, 2, out)
 }
 
-// complete publishes the finished WRITE's meta.
-func (w *Writer) complete() (bool, error) {
+// complete publishes the finished WRITE's meta at now.
+func (w *Writer) complete(now time.Time) (bool, error) {
 	o := &w.op
 	w.lastMeta = o.meta
 	w.stats.record(o.meta.Rounds, o.meta.Fast)
 	if !o.t0.IsZero() {
-		w.cfg.Metrics.observeWrite(o.meta, time.Since(o.t0))
+		w.cfg.Metrics.observeWrite(o.meta, now.Sub(o.t0))
 	}
 	return true, nil
 }

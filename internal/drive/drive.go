@@ -14,6 +14,13 @@
 // operation at its deadline with ErrOpTimeout. A client keeps only its
 // phases, its predicates and what it takes from an ack's payload.
 //
+// Ops and Rounds neither read the clock nor send, as servers do not
+// (node.AppendStepper): a call that may start a round or judge a timer
+// takes the time it runs at, and appends what it emits to the caller's
+// outgoing buffer. A Driver is the one place that reads the time — its
+// Clock, the wall clock unless a test or a simulation supplies another —
+// and the one place that sends: each op's messages to its endpoint.
+//
 // A Driver feeds Ops from one goroutine with one timer. Its replies come
 // from one of two places: a client's private endpoint, for one operation
 // at a time (Private), or an Inbox that a demultiplexer routes many
@@ -32,8 +39,8 @@ type Op interface {
 	Deliver(env wire.Envelope)
 	Decided() bool
 	Deadline() time.Time
-	Expire(now time.Time)
-	Advance() (done bool, err error)
+	Expire(now time.Time, out *[]transport.Outgoing)
+	Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error)
 }
 
 // Task is an Op that a Run starts: Start once its replies are routed to
@@ -41,15 +48,38 @@ type Op interface {
 // failed.
 type Task interface {
 	Op
-	Start() (done bool, err error)
+	Start(now time.Time, out *[]transport.Outgoing) (done bool, err error)
 	End(err error)
 }
 
-// Source is where a Task's replies come from: a demultiplexed
-// subscription, which sends them to slot i of in from Route(in, i) on
-// and drops them after Route(nil, 0).
+// Source is a Task's endpoint, a demultiplexed subscription: it carries
+// the Task's messages out, routes its replies to slot i of in from
+// Route(in, i) on, and drops them after Route(nil, 0).
 type Source interface {
+	transport.Endpoint
 	Route(in *Inbox, slot int)
+}
+
+// Clock is a Driver's time: the now its operations run at, and one
+// timer, which Arm sets to fire at t — replacing any earlier setting —
+// on the channel it returns.
+type Clock interface {
+	Now() time.Time
+	Arm(t time.Time) <-chan time.Time
+}
+
+// wallClock is the wall clock, with one real timer.
+type wallClock struct{ timer *time.Timer }
+
+func (c *wallClock) Now() time.Time { return time.Now() }
+
+func (c *wallClock) Arm(t time.Time) <-chan time.Time {
+	if c.timer == nil {
+		c.timer = time.NewTimer(time.Until(t))
+	} else {
+		c.timer.Reset(time.Until(t))
+	}
+	return c.timer.C
 }
 
 // Corker holds back sends until the matching Uncork, so that a round of
@@ -94,14 +124,18 @@ func (in *Inbox) Put(dl Delivery) { in.c <- dl }
 func (in *Inbox) Close() { close(in.c) }
 
 // Driver runs operations to completion: the Tasks of a Run, or the one
-// Op of a Private's Wait. It is for one goroutine at a time, and keeps
-// its timer and slots from one call to the next.
+// Op of a Private's Wait. It starts them, reads its clock for every call
+// it makes on them and sends what they emit. It is for one goroutine at
+// a time, and keeps its clock, buffer and slots from one call to the
+// next.
 type Driver struct {
 	in    *Inbox               // a Run's replies ...
 	dls   <-chan Delivery      // ... as its channel
 	cork  Corker               // ... and its sends' cork
 	recv  <-chan wire.Envelope // a Wait's replies, all for slot 0
-	timer *time.Timer
+	clock Clock
+	fire  <-chan time.Time     // the clock's timer, as last armed
+	out   []transport.Outgoing // what the op in hand emitted, until sent
 	slots []slot
 
 	live      int // slots not over
@@ -110,20 +144,28 @@ type Driver struct {
 
 type slot struct {
 	op      Op
-	task    Task   // nil for a Wait's op
-	src     Source // nil for a Wait's op
-	over    bool   // completed or failed, and unrouted
-	decided bool   // the round in flight is decided
+	task    Task               // nil for a Wait's op
+	src     Source             // nil for a Wait's op
+	ep      transport.Endpoint // where its op's messages go
+	over    bool               // completed or failed, and unrouted
+	decided bool               // the round in flight is decided
 	err     error
 }
 
-// New returns a driver for runs over in, whose sends c corks.
-func New(in *Inbox, c Corker) *Driver { return &Driver{in: in, dls: in.c, cork: c} }
+// New returns a driver for runs over in, whose sends c corks, on clock
+// (nil: the wall clock).
+func New(in *Inbox, c Corker, clock Clock) *Driver {
+	if clock == nil {
+		clock = new(wallClock)
+	}
+	return &Driver{in: in, dls: in.c, cork: c, clock: clock}
+}
 
-// Add queues t, whose replies src routes, for the next Run. A Run
-// routes and starts its tasks in the order they were added.
+// Add queues t, whose messages src sends and whose replies it routes,
+// for the next Run. A Run routes and starts its tasks in the order they
+// were added.
 func (d *Driver) Add(t Task, src Source) {
-	d.slots = append(d.slots, slot{op: t, task: t, src: src})
+	d.slots = append(d.slots, slot{op: t, task: t, src: src, ep: src})
 }
 
 // Run drives the added tasks to completion in lock-step, and forgets
@@ -145,8 +187,8 @@ func (d *Driver) Run() {
 	for i := range d.slots {
 		s := &d.slots[i]
 		s.src.Route(d.in, i)
-		done, err := s.task.Start()
-		d.settle(s, done, err)
+		done, err := s.task.Start(d.clock.Now(), &d.out)
+		d.settle(s, done, d.send(s, err, false))
 	}
 	d.loop()
 	clear(d.slots)
@@ -160,22 +202,21 @@ type Private struct {
 	d *Driver
 }
 
-// Wait drives op, whose Start has just returned done and err, to its end
-// over ep's replies, and returns its error: transport.ErrClosed if ep
-// closes first.
-func (p *Private) Wait(ep transport.Endpoint, op Op, done bool, err error) error {
-	if done || err != nil {
-		return err
-	}
+// Wait starts op by start, sends over ep and drives it to its end over
+// ep's replies, and returns its error: transport.ErrClosed if ep closes
+// first.
+func (p *Private) Wait(ep transport.Endpoint, op Op, start func(now time.Time, out *[]transport.Outgoing) (bool, error)) error {
 	if p.d == nil {
-		p.d = &Driver{recv: ep.Recv()}
+		p.d = &Driver{recv: ep.Recv(), clock: new(wallClock)}
 	}
 	d := p.d
-	d.slots = append(d.slots[:0], slot{op: op})
+	d.slots = append(d.slots[:0], slot{op: op, ep: ep})
 	d.live, d.undecided = 1, 0
-	d.settle(&d.slots[0], false, nil)
+	s := &d.slots[0]
+	done, err := start(d.clock.Now(), &d.out)
+	d.settle(s, done, d.send(s, err, false))
 	d.loop()
-	return d.slots[0].err
+	return s.err
 }
 
 // loop runs the live slots' rounds until none is live.
@@ -196,8 +237,8 @@ func (d *Driver) loop() {
 		d.corkRound()
 		for i := range d.slots {
 			if s := &d.slots[i]; !s.over {
-				done, err := s.op.Advance()
-				d.settle(s, done, err)
+				done, err := s.op.Advance(d.clock.Now(), &d.out)
+				d.settle(s, done, d.send(s, err, false))
 			}
 		}
 	}
@@ -214,6 +255,28 @@ func (d *Driver) uncorkRound() {
 	if len(d.slots) > 1 {
 		d.cork.Uncork()
 	}
+}
+
+// send sends what s's op emitted to its endpoint, and returns the op's
+// err or, failing that, the send's: a round that reaches no server fails
+// the operation. A resend is pushed past any send-side buffering
+// (transport.Flusher): held behind another driver's cork, it would wait
+// for that driver's pass.
+func (d *Driver) send(s *slot, err error, resend bool) error {
+	if len(d.out) == 0 {
+		return err
+	}
+	serr := transport.SendAll(s.ep, d.out)
+	d.out = d.out[:0]
+	if resend && serr == nil {
+		if f, ok := s.ep.(transport.Flusher); ok {
+			serr = f.Flush()
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return serr
 }
 
 // settle takes a slot's Start/Advance verdict: an op that is over is
@@ -239,8 +302,8 @@ func (d *Driver) settle(s *slot, done bool, err error) {
 // await delivers replies and expires deadlines until every live slot's
 // round is decided, then delivers what is already queued, so that every
 // verdict — the timer's, and the fast-path check Advance makes — sees
-// every reply that arrived in time. It fails only when the reply source
-// closed.
+// every reply that arrived in time. An op whose resend reaches no server
+// fails there. It fails only when the reply source closed.
 func (d *Driver) await() error {
 	for d.undecided > 0 {
 		d.arm()
@@ -257,11 +320,16 @@ func (d *Driver) await() error {
 		if err := d.drain(); err != nil {
 			return err
 		}
-		now := time.Now()
+		now := d.clock.Now()
 		for i := range d.slots {
 			if s := &d.slots[i]; !s.over && !s.decided && !now.Before(s.op.Deadline()) {
-				s.op.Expire(now)
-				d.check(s)
+				s.op.Expire(now, &d.out)
+				if err := d.send(s, nil, true); err != nil {
+					d.undecided--
+					d.settle(s, false, err)
+				} else {
+					d.check(s)
+				}
 			}
 		}
 	}
@@ -292,7 +360,7 @@ func (d *Driver) receive(wait bool) (bool, error) {
 		case dl, ok = <-d.dls:
 		case env, ok = <-d.recv:
 			dl = Delivery{Env: env}
-		case <-d.timer.C:
+		case <-d.fire:
 			return true, nil
 		}
 	} else {
@@ -321,11 +389,7 @@ func (d *Driver) arm() {
 			}
 		}
 	}
-	if d.timer == nil {
-		d.timer = time.NewTimer(time.Until(next))
-	} else {
-		d.timer.Reset(time.Until(next))
-	}
+	d.fire = d.clock.Arm(next)
 }
 
 // deliver hands a reply to the op its slot holds, unless the slot has

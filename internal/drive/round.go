@@ -59,8 +59,12 @@ type Shape struct {
 // S − t acks — and, in a timed round (the PW round of Fig. 1 line 5,
 // READ round 1 of Fig. 2 line 17), the timer's verdict too, unless all S
 // answered first. A client keeps one Round for its lifetime, Begins it
-// per operation and Opens it per round; the ack set, the outgoing
-// buffer and the server ids are reused, so a round allocates nothing.
+// per operation and Opens it per round; the ack set and the server ids
+// are reused, so a round allocates nothing.
+//
+// A Round neither reads the clock nor sends: Begin, Open and Expire take
+// the caller's now, and Open and Expire append the round's messages to
+// the caller's outgoing buffer, for the driver to send (Driver).
 //
 // The timer serves loss recovery in every round, timed or not. A round
 // still below a quorum when its timer runs out starts the
@@ -73,45 +77,45 @@ type Shape struct {
 // checks that a reply answers the round in flight, counts its sender by
 // Ack, and keeps what it needs of it.
 type Round struct {
-	ep  transport.Endpoint
 	sh  Shape
 	ids []types.ProcID // the S servers, built on first use
 
-	op    time.Time // the operation's deadline
-	n     int       // rounds opened since Begin
-	phase string    // the round's name, for the op deadline's error
-	timed bool      // the decision waits for the timer's verdict
-	out   []transport.Outgoing
-	seen  []bool // servers that acked the round, by index
-	acks  int
-	timer time.Time // when the round's timer or grace runs out; zero once it gave its verdict
+	op      time.Time // the operation's deadline
+	n       int       // rounds opened since Begin
+	phase   string    // the round's name, for the op deadline's error
+	timed   bool      // the decision waits for the timer's verdict
+	targets []types.ProcID
+	m       wire.Message // sent to targets, and again by a resend
+	seen    []bool       // servers that acked the round, by index
+	acks    int
+	timer   time.Time // when the round's timer or grace runs out; zero once it gave its verdict
 	// expired: the timer fired; inGrace: ... below a quorum
 	expired, inGrace bool
 	err              error
 }
 
-// NewRound returns the round of a client that sends from ep.
-func NewRound(ep transport.Endpoint, sh Shape) Round {
+// NewRound returns the round of a client of shape sh.
+func NewRound(sh Shape) Round {
 	if sh.RoundTimeout <= 0 {
 		sh.RoundTimeout = DefaultRoundTimeout
 	}
 	if sh.OpTimeout <= 0 {
 		sh.OpTimeout = DefaultOpTimeout
 	}
-	return Round{ep: ep, sh: sh}
+	return Round{sh: sh}
 }
 
-// Begin starts an operation: its deadline runs from now.
-func (r *Round) Begin() {
-	r.op, r.n, r.err = time.Now().Add(r.sh.OpTimeout), 0, nil
+// Begin starts an operation at now: its deadline runs from there.
+func (r *Round) Begin(now time.Time) {
+	r.op, r.n, r.err = now.Add(r.sh.OpTimeout), 0, nil
 }
 
-// Open sends the operation's next round, m to targets (nil: every
-// server), with a fresh ack set; timed says the decision waits for the
-// timer's verdict. The timer runs from the start of the round, not from
-// the end of the send: a send may be a socket write on this goroutine
+// Open starts the operation's next round at now, m to targets (nil:
+// every server), with a fresh ack set, and appends its messages to out;
+// timed says the decision waits for the timer's verdict. The timer runs
+// from now, before the messages leave: their send may be a socket write
 // (transport.Coalescer writes through).
-func (r *Round) Open(phase string, timed bool, targets []types.ProcID, m wire.Message) error {
+func (r *Round) Open(now time.Time, phase string, timed bool, targets []types.ProcID, m wire.Message, out *[]transport.Outgoing) {
 	if r.ids == nil {
 		r.ids = types.ServerIDs(r.sh.S)
 		r.seen = make([]bool, r.sh.S)
@@ -120,16 +124,18 @@ func (r *Round) Open(phase string, timed bool, targets []types.ProcID, m wire.Me
 		targets = r.ids
 	}
 	r.n++
-	r.phase, r.timed = phase, timed
+	r.phase, r.timed, r.targets, r.m = phase, timed, targets, m
 	r.acks, r.expired, r.inGrace = 0, false, false
 	clear(r.seen)
-	r.timer = time.Now().Add(r.sh.RoundTimeout)
-	out := r.out[:0]
-	for _, id := range targets {
-		out = append(out, transport.Outgoing{To: id, Msg: m})
+	r.timer = now.Add(r.sh.RoundTimeout)
+	r.emit(out)
+}
+
+// emit appends the round's messages to out.
+func (r *Round) emit(out *[]transport.Outgoing) {
+	for _, id := range r.targets {
+		*out = append(*out, transport.Outgoing{To: id, Msg: r.m})
 	}
-	r.out = out
-	return transport.SendAll(r.ep, out)
 }
 
 // Server reports whether id names one of the S servers: replies
@@ -173,15 +179,15 @@ func (r *Round) Deadline() time.Time {
 	return r.op
 }
 
-// Err returns the operation's failure: ErrOpTimeout naming the phase,
-// or a resend's error.
+// Err returns the operation's failure: ErrOpTimeout naming the phase.
 func (r *Round) Err() error { return r.err }
 
-// Expire is the timer firing at now: Lapse, and a resend when the grace
-// ran out.
-func (r *Round) Expire(now time.Time) {
+// Expire is the timer firing at now: Lapse, and the round's resend
+// appended to out when the grace ran out.
+func (r *Round) Expire(now time.Time, out *[]transport.Outgoing) {
 	if r.Lapse(now) {
-		r.resend()
+		r.sh.Retransmits.Inc()
+		r.emit(out)
 	}
 }
 
@@ -208,17 +214,4 @@ func (r *Round) Lapse(now time.Time) (graceOver bool) {
 		r.expired, r.inGrace, r.timer = true, true, now.Add(retransmitGrace)
 	}
 	return graceOver
-}
-
-// resend repeats the round and pushes it past any send-side buffering
-// (transport.Flusher): a resend held behind another driver's cork would
-// otherwise wait for that driver's pass. A failed resend fails the
-// operation.
-func (r *Round) resend() {
-	r.sh.Retransmits.Inc()
-	err := transport.SendAll(r.ep, r.out)
-	if f, ok := r.ep.(transport.Flusher); ok && err == nil {
-		err = f.Flush()
-	}
-	r.err = err
 }

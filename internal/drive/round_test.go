@@ -14,61 +14,37 @@ import (
 	"luckystore/internal/wire"
 )
 
-// recorder is an endpoint with no network behind it: it keeps what the
-// round sends and counts Flush calls.
-type recorder struct {
-	sent    []transport.Outgoing
-	flushes int
-}
-
-func (r *recorder) ID() types.ProcID           { return types.WriterID() }
-func (r *recorder) Recv() <-chan wire.Envelope { return nil }
-func (r *recorder) Close() error               { return nil }
-func (r *recorder) Flush() error               { r.flushes++; return nil }
-func (r *recorder) Send(to types.ProcID, m wire.Message) error {
-	r.sent = append(r.sent, transport.Outgoing{To: to, Msg: m})
-	return nil
-}
-
-// take returns what was sent since the last take.
-func (r *recorder) take() []transport.Outgoing {
-	out := r.sent
-	r.sent = nil
-	return out
-}
+// t0 is when the tests' operations begin.
+var t0 = time.Date(2006, 6, 25, 0, 0, 0, 0, time.UTC)
 
 // shape3 is S = 3 with a quorum of two.
 var shape3 = drive.Shape{Name: "test WRITE", S: 3, Need: 2, RoundTimeout: 25 * time.Millisecond, OpTimeout: time.Second}
 
-// opened returns a round over a fresh recorder with its first round open.
-func opened(t *testing.T, sh drive.Shape, timed bool) (*drive.Round, *recorder) {
-	t.Helper()
-	ep := &recorder{}
-	r := drive.NewRound(ep, sh)
-	r.Begin()
-	if err := r.Open("PW round", timed, nil, wire.Read{TSR: 1, Round: 1}); err != nil {
-		t.Fatal(err)
-	}
-	return &r, ep
+// opened returns a round begun at t0 with its first round open, and the
+// messages that round emitted.
+func opened(sh drive.Shape, timed bool) (*drive.Round, []transport.Outgoing) {
+	r := drive.NewRound(sh)
+	r.Begin(t0)
+	var out []transport.Outgoing
+	r.Open(t0, "PW round", timed, nil, wire.Read{TSR: 1, Round: 1}, &out)
+	return &r, out
 }
 
 func TestRoundSendsToEveryServerOrTheTargets(t *testing.T) {
-	r, ep := opened(t, shape3, true)
+	r, out := opened(shape3, true)
 	m := wire.Read{TSR: 1, Round: 1}
 	want := []transport.Outgoing{{To: "s0", Msg: m}, {To: "s1", Msg: m}, {To: "s2", Msg: m}}
-	if got := ep.take(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sent %+v, want %+v", got, want)
+	if !reflect.DeepEqual(out, want) {
+		t.Fatalf("emitted %+v, want %+v", out, want)
 	}
-	if err := r.Open("W round", false, []types.ProcID{"s1"}, m); err != nil {
-		t.Fatal(err)
-	}
-	if got := ep.take(); !reflect.DeepEqual(got, want[1:2]) {
-		t.Fatalf("sent %+v, want %+v", got, want[1:2])
+	r.Open(t0, "W round", false, []types.ProcID{"s1"}, m, &out)
+	if want = append(want, want[1]); !reflect.DeepEqual(out, want) {
+		t.Fatalf("emitted %+v, want %+v: the targets, appended", out, want)
 	}
 }
 
 func TestRoundTimedDecidesEarlyOnAllS(t *testing.T) {
-	r, _ := opened(t, shape3, true)
+	r, _ := opened(shape3, true)
 	for i := 0; i < 3; i++ {
 		if r.Decided() {
 			t.Fatalf("decided on %d of 3 acks without the timer", i)
@@ -81,26 +57,29 @@ func TestRoundTimedDecidesEarlyOnAllS(t *testing.T) {
 }
 
 func TestRoundTimedDecidesAtAQuorumWithTheTimer(t *testing.T) {
-	r, ep := opened(t, shape3, true)
-	ep.take()
+	r, _ := opened(shape3, true)
 	r.Ack("s0")
 	r.Ack("s2")
 	dl := r.Deadline()
-	r.Expire(dl.Add(-time.Nanosecond))
+	if want := t0.Add(shape3.RoundTimeout); !dl.Equal(want) {
+		t.Fatalf("round deadline %v, want %v", dl, want)
+	}
+	var out []transport.Outgoing
+	r.Expire(dl.Add(-time.Nanosecond), &out)
 	if r.Decided() {
 		t.Fatal("a quorum decided before the timer's verdict")
 	}
-	r.Expire(dl)
-	if !r.Decided() || len(ep.sent) != 0 || r.Err() != nil {
-		t.Fatalf("a quorum and the timer: decided %v, sent %+v, err %v", r.Decided(), ep.sent, r.Err())
+	r.Expire(dl, &out)
+	if !r.Decided() || len(out) != 0 || r.Err() != nil {
+		t.Fatalf("a quorum and the timer: decided %v, emitted %+v, err %v", r.Decided(), out, r.Err())
 	}
-	if !r.Deadline().After(dl) {
-		t.Error("the timer gave its verdict but is still the next deadline")
+	if want := t0.Add(shape3.OpTimeout); !r.Deadline().Equal(want) {
+		t.Errorf("the timer gave its verdict, next deadline %v; want the op's, %v", r.Deadline(), want)
 	}
 }
 
 func TestRoundUntimedDecidesAtAQuorum(t *testing.T) {
-	r, _ := opened(t, shape3, false)
+	r, _ := opened(shape3, false)
 	r.Ack("s1")
 	if r.Decided() {
 		t.Fatal("decided on one ack of two")
@@ -114,34 +93,37 @@ func TestRoundUntimedDecidesAtAQuorum(t *testing.T) {
 func TestRoundResendsOncePerGrace(t *testing.T) {
 	sh := shape3
 	sh.Starved, sh.Retransmits = new(metrics.Counter), new(metrics.Counter)
-	r, ep := opened(t, sh, false)
-	round := ep.take()
+	r, round := opened(sh, false)
 	r.Ack("s1")
 
+	var out []transport.Outgoing
 	dl := r.Deadline()
-	r.Expire(dl)
-	if len(ep.sent) != 0 || sh.Starved.Value() != 1 {
-		t.Fatalf("first expiry below a quorum: sent %+v, starved %d; want the grace, nothing sent", ep.sent, sh.Starved.Value())
+	r.Expire(dl, &out)
+	if len(out) != 0 || sh.Starved.Value() != 1 {
+		t.Fatalf("first expiry below a quorum: emitted %+v, starved %d; want the grace, nothing emitted", out, sh.Starved.Value())
+	}
+	grace := r.Deadline().Sub(dl)
+	if grace <= 0 {
+		t.Fatalf("the grace runs out at %v, not after the timer's %v", r.Deadline(), dl)
 	}
 	for n := 1; n <= 2; n++ {
-		grace := r.Deadline()
-		if !grace.After(dl) {
-			t.Fatalf("grace %d deadline %v not after %v", n, grace, dl)
+		next := dl.Add(grace)
+		if !r.Deadline().Equal(next) {
+			t.Fatalf("grace %d runs out at %v, want %v", n, r.Deadline(), next)
 		}
-		r.Expire(grace.Add(-time.Nanosecond))
-		if len(ep.sent) != 0 {
+		r.Expire(next.Add(-time.Nanosecond), &out)
+		if len(out) != 0 {
 			t.Fatalf("grace %d: resent before it ran out", n)
 		}
-		r.Expire(grace)
-		r.Expire(grace)
-		if got := ep.take(); !reflect.DeepEqual(got, round) {
-			t.Fatalf("grace %d: resent %+v, want the round %+v once", n, got, round)
+		r.Expire(next, &out)
+		r.Expire(next, &out)
+		if !reflect.DeepEqual(out, round) {
+			t.Fatalf("grace %d: resent %+v, want the round %+v once", n, out, round)
 		}
-		if ep.flushes != n || sh.Retransmits.Value() != int64(n) || sh.Starved.Value() != 1 {
-			t.Fatalf("grace %d: %d flushes, %d retransmits, %d starved; want %d, %d, 1",
-				n, ep.flushes, sh.Retransmits.Value(), sh.Starved.Value(), n, n)
+		if sh.Retransmits.Value() != int64(n) || sh.Starved.Value() != 1 {
+			t.Fatalf("grace %d: %d retransmits, %d starved; want %d, 1", n, sh.Retransmits.Value(), sh.Starved.Value(), n)
 		}
-		dl = grace
+		out, dl = out[:0], next
 	}
 	r.Ack("s2")
 	if !r.Decided() || r.Err() != nil {
@@ -150,55 +132,51 @@ func TestRoundResendsOncePerGrace(t *testing.T) {
 }
 
 func TestRoundLapseLeavesTheResendToTheClient(t *testing.T) {
-	r, ep := opened(t, shape3, true)
-	ep.take()
+	r, _ := opened(shape3, true)
 	if r.Lapse(r.Deadline()) {
 		t.Fatal("the first expiry below a quorum reported the grace over")
 	}
 	if !r.Lapse(r.Deadline()) {
 		t.Fatal("the grace ran out below a quorum, not reported")
 	}
-	if len(ep.sent) != 0 {
-		t.Fatalf("Lapse sent %+v", ep.sent)
-	}
 }
 
 func TestRoundOpDeadlineNamesTheClientAndPhase(t *testing.T) {
-	r, _ := opened(t, shape3, true)
-	if err := r.Open("W round", false, nil, wire.W{Round: 2, Tag: 1}); err != nil {
-		t.Fatal(err)
+	r, out := opened(shape3, true)
+	r.Open(t0, "W round", false, nil, wire.W{Round: 2, Tag: 1}, &out)
+	r.Expire(t0.Add(shape3.OpTimeout-time.Nanosecond), &out)
+	if r.Err() != nil {
+		t.Fatalf("failed before the op deadline: %v", r.Err())
 	}
-	r.Expire(time.Now().Add(shape3.OpTimeout + time.Second))
+	r.Expire(t0.Add(shape3.OpTimeout), &out)
 	err := r.Err()
 	if !r.Decided() || !errors.Is(err, drive.ErrOpTimeout) {
-		t.Fatalf("past the op deadline: decided %v, err %v; want ErrOpTimeout", r.Decided(), err)
+		t.Fatalf("at the op deadline: decided %v, err %v; want ErrOpTimeout", r.Decided(), err)
 	}
 	if msg := err.Error(); !strings.Contains(msg, "test WRITE") || !strings.Contains(msg, "W round") || !strings.Contains(msg, "round 2") {
 		t.Errorf("error %q does not name the client, the phase and the round", msg)
 	}
-	r.Begin()
+	r.Begin(t0)
 	if r.Err() != nil {
 		t.Errorf("a new operation still carries the last one's error %v", r.Err())
 	}
 }
 
 func TestRoundDefaultsTheTimeouts(t *testing.T) {
-	before := time.Now()
-	r, _ := opened(t, drive.Shape{Name: "test READ", S: 3, Need: 2}, true)
-	after := time.Now()
-	if dl := r.Deadline(); dl.Before(before.Add(drive.DefaultRoundTimeout)) || dl.After(after.Add(drive.DefaultRoundTimeout)) {
-		t.Errorf("round deadline %v not DefaultRoundTimeout after the open", dl)
+	r, out := opened(drive.Shape{Name: "test READ", S: 3, Need: 2}, true)
+	if dl, want := r.Deadline(), t0.Add(drive.DefaultRoundTimeout); !dl.Equal(want) {
+		t.Errorf("round deadline %v, want DefaultRoundTimeout after the open, %v", dl, want)
 	}
 	r.Ack("s0")
 	r.Ack("s1")
-	r.Expire(r.Deadline())
-	if dl := r.Deadline(); dl.Before(before.Add(drive.DefaultOpTimeout)) || dl.After(after.Add(drive.DefaultOpTimeout)) {
-		t.Errorf("op deadline %v not DefaultOpTimeout after the begin", dl)
+	r.Expire(r.Deadline(), &out)
+	if dl, want := r.Deadline(), t0.Add(drive.DefaultOpTimeout); !dl.Equal(want) {
+		t.Errorf("op deadline %v, want DefaultOpTimeout after the begin, %v", dl, want)
 	}
 }
 
 func TestRoundCountsEachServerOnce(t *testing.T) {
-	r, _ := opened(t, shape3, false)
+	r, out := opened(shape3, false)
 	if i, first := r.Ack("s1"); i != 1 || !first {
 		t.Fatalf("Ack(s1) = %d, %v; want 1, true", i, first)
 	}
@@ -213,9 +191,7 @@ func TestRoundCountsEachServerOnce(t *testing.T) {
 	if !r.Server("s2") || r.Server("s3") || r.Server("r0") {
 		t.Error("Server does not name exactly s0..s2")
 	}
-	if err := r.Open("W round", false, nil, wire.W{Round: 2, Tag: 1}); err != nil {
-		t.Fatal(err)
-	}
+	r.Open(t0, "W round", false, nil, wire.W{Round: 2, Tag: 1}, &out)
 	if r.Acks() != 0 || r.Acked(1) {
 		t.Error("a new round kept the last round's acks")
 	}

@@ -57,13 +57,8 @@ func E11Baselines() (*Result, error) {
 		}
 		wMean, rMean, wR, rR, err := e11Drive(nOps,
 			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() (int, error) {
-				if _, err := c.Reader(0).Read(); err != nil {
-					return 0, err
-				}
-				return c.Reader(0).LastMeta().Rounds(), nil
-			},
-			func() int { return c.Writer().LastMeta().Rounds })
+			func() error { _, err := c.Reader(0).Read(); return err },
+			func() int { return c.Writer().LastMeta().Rounds }, func() int { return c.Reader(0).LastMeta().Rounds() })
 		c.Close()
 		if err != nil {
 			return nil, fmt.Errorf("lucky: %w", err)
@@ -80,13 +75,8 @@ func E11Baselines() (*Result, error) {
 		}
 		wMean, rMean, wR, rR, err := e11Drive(nOps,
 			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() (int, error) {
-				if _, err := c.Reader(0).Read(); err != nil {
-					return 0, err
-				}
-				return c.Reader(0).LastMeta().Rounds(), nil
-			},
-			func() int { return c.Writer().LastMeta().Rounds })
+			func() error { _, err := c.Reader(0).Read(); return err },
+			func() int { return c.Writer().LastMeta().Rounds }, func() int { return c.Reader(0).LastMeta().Rounds() })
 		c.Close()
 		if err != nil {
 			return nil, fmt.Errorf("regular: %w", err)
@@ -103,13 +93,8 @@ func E11Baselines() (*Result, error) {
 		}
 		wMean, rMean, wR, rR, err := e11Drive(nOps,
 			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() (int, error) {
-				if _, err := c.Reader(0).Read(); err != nil {
-					return 0, err
-				}
-				return c.Reader(0).LastMeta().Rounds(), nil
-			},
-			func() int { return 2 })
+			func() error { _, err := c.Reader(0).Read(); return err },
+			func() int { return 2 }, func() int { return c.Reader(0).LastMeta().Rounds() })
 		c.Close()
 		if err != nil {
 			return nil, fmt.Errorf("twophase: %w", err)
@@ -126,13 +111,8 @@ func E11Baselines() (*Result, error) {
 		}
 		wMean, rMean, wR, rR, err := e11Drive(nOps,
 			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() (int, error) {
-				if _, err := c.Reader(0).Read(); err != nil {
-					return 0, err
-				}
-				return 2, nil
-			},
-			func() int { return 1 })
+			func() error { _, err := c.Reader(0).Read(); return err },
+			func() int { return 1 }, func() int { return 2 })
 		c.Close()
 		if err != nil {
 			return nil, fmt.Errorf("abd: %w", err)
@@ -171,8 +151,8 @@ func E11Baselines() (*Result, error) {
 
 // e11Drive alternates writes and reads, returning mean latencies and
 // the (stable) round counts observed.
-func e11Drive(n int, write func(i int) error, read func() (int, error),
-	writeRounds func() int) (wMean, rMean time.Duration, wR, rR int, err error) {
+func e11Drive(n int, write func(i int) error, read func() error,
+	writeRounds, readRounds func() int) (wMean, rMean time.Duration, wR, rR int, err error) {
 
 	var wLat, rLat []time.Duration
 	for i := 1; i <= n; i++ {
@@ -184,12 +164,11 @@ func e11Drive(n int, write func(i int) error, read func() (int, error),
 		wR = writeRounds()
 
 		start = time.Now()
-		rounds, err := read()
-		if err != nil {
+		if err := read(); err != nil {
 			return 0, 0, 0, 0, err
 		}
 		rLat = append(rLat, time.Since(start))
-		rR = rounds
+		rR = readRounds()
 	}
 	return metrics.Summarize(wLat).Mean, metrics.Summarize(rLat).Mean, wR, rR, nil
 }

@@ -39,27 +39,14 @@ func E12Latency() (*Result, error) {
 			return nil, err
 		}
 
-		var wLat, rLat []time.Duration
 		before := sim.StatsSnapshot()
-		for i := 1; i <= nOps; i++ {
-			start := time.Now()
-			if err := c.Writer().Write(workload.Value(i, 0)); err != nil {
-				c.Close()
-				return nil, err
-			}
-			wLat = append(wLat, time.Since(start))
-			start = time.Now()
-			if _, err := c.Reader(0).Read(); err != nil {
-				c.Close()
-				return nil, err
-			}
-			rLat = append(rLat, time.Since(start))
-		}
+		wMean, rMean, _, _, err := e11Drive(nOps, func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
+			func() error { _, err := c.Reader(0).Read(); return err }, func() int { return 0 }, func() int { return 0 })
 		after := sim.StatsSnapshot()
 		c.Close()
-
-		wMean := metrics.Summarize(wLat).Mean
-		rMean := metrics.Summarize(rLat).Mean
+		if err != nil {
+			return nil, err
+		}
 		// Message accounting: per lucky write S PW + S PW_ACK; per lucky
 		// read S READ + S READ_ACK.
 		msgsPerWrite := float64(after.ByKind[wire.KindPW]-before.ByKind[wire.KindPW]+

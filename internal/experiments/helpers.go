@@ -72,11 +72,13 @@ type weakReadMeta struct {
 // need it) and gives up after opTimeout, reporting TimedOut.
 func weakRead(ep transport.Endpoint, nServers int, th core.Thresholds, tsr types.ReaderTS,
 	roundTimeout, opTimeout time.Duration) (weakReadMeta, error) {
-	r := &weakReader{Round: drive.NewRound(ep, drive.Shape{Name: "weak READ", S: nServers, Need: th.Quorum,
+	r := &weakReader{Round: drive.NewRound(drive.Shape{Name: "weak READ", S: nServers, Need: th.Quorum,
 		RoundTimeout: roundTimeout, OpTimeout: opTimeout}), tsr: tsr, view: core.NewViewWithThresholds(th, tsr)}
-	r.Begin()
 	var drv drive.Private
-	if err := drv.Wait(ep, r, false, r.query()); err != nil {
+	if err := drv.Wait(ep, r, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		r.Begin(now)
+		return r.query(now, out)
+	}); err != nil {
 		return weakReadMeta{}, err
 	}
 	return r.meta, nil
@@ -92,11 +94,12 @@ type weakReader struct {
 	meta weakReadMeta
 }
 
-// query sends the next READ round to every server; round 1's decision
+// query emits the next READ round to every server; round 1's decision
 // waits for the timer.
-func (r *weakReader) query() error {
+func (r *weakReader) query(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	r.rnd++
-	return r.Open("query round", r.rnd == 1, nil, wire.Read{TSR: r.tsr, Round: r.rnd})
+	r.Open(now, "query round", r.rnd == 1, nil, wire.Read{TSR: r.tsr, Round: r.rnd}, out)
+	return false, nil
 }
 
 func (r *weakReader) Deliver(env wire.Envelope) {
@@ -110,7 +113,7 @@ func (r *weakReader) Deliver(env wire.Envelope) {
 	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
 }
 
-func (r *weakReader) Advance() (bool, error) {
+func (r *weakReader) Advance(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	switch err := r.Err(); {
 	case errors.Is(err, drive.ErrOpTimeout):
 		r.meta = weakReadMeta{Rounds: r.rnd, TimedOut: true}
@@ -122,7 +125,7 @@ func (r *weakReader) Advance() (bool, error) {
 		r.meta = weakReadMeta{Returned: c, Rounds: r.rnd}
 		return true, nil
 	}
-	return false, r.query()
+	return r.query(now, out)
 }
 
 // overEagerWrite performs a one-round WRITE that declares success after
@@ -130,12 +133,14 @@ func (r *weakReader) Advance() (bool, error) {
 // implementation Appendix B proves unsafe. It sends only the PW round.
 func overEagerWrite(ep transport.Endpoint, nServers, needAcks int, ts types.TS, v types.Value,
 	opTimeout time.Duration) error {
-	w := &eagerWrite{Round: drive.NewRound(ep, drive.Shape{Name: "over-eager WRITE", S: nServers, Need: needAcks,
+	w := &eagerWrite{Round: drive.NewRound(drive.Shape{Name: "over-eager WRITE", S: nServers, Need: needAcks,
 		OpTimeout: opTimeout}), ts: ts}
-	w.Begin()
-	err := w.Open("PW round", false, nil, wire.PW{TS: ts, PW: types.Tagged{TS: ts, Val: v}, W: types.Bottom()})
 	var drv drive.Private
-	return drv.Wait(ep, w, false, err)
+	return drv.Wait(ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		w.Begin(now)
+		w.Open(now, "PW round", false, nil, wire.PW{TS: ts, PW: types.Tagged{TS: ts, Val: v}, W: types.Bottom()}, out)
+		return false, nil
+	})
 }
 
 // eagerWrite is overEagerWrite's PW round as a drive.Op.
@@ -150,7 +155,9 @@ func (w *eagerWrite) Deliver(env wire.Envelope) {
 	}
 }
 
-func (w *eagerWrite) Advance() (bool, error) { return w.Err() == nil, w.Err() }
+func (w *eagerWrite) Advance(time.Time, *[]transport.Outgoing) (bool, error) {
+	return w.Err() == nil, w.Err()
+}
 
 // releaseAfter releases all held links of sim after d, from a separate
 // goroutine; the returned func waits for it (call before Close).

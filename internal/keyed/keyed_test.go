@@ -101,29 +101,40 @@ type probe struct {
 	expired bool
 }
 
-func (p *probe) Start() (bool, error) {
+func (p *probe) Start(time.Time, *[]transport.Outgoing) (bool, error) {
 	if p.start != nil {
 		p.start()
 	}
 	return false, nil
 }
-func (p *probe) Deliver(env wire.Envelope) { p.got = append(p.got, env) }
-func (p *probe) Decided() bool             { return len(p.got) > 0 || p.expired }
-func (p *probe) Deadline() time.Time       { return p.until }
-func (p *probe) Expire(time.Time)          { p.expired = true }
-func (p *probe) Advance() (bool, error)    { return true, nil }
-func (p *probe) End(error)                 {}
+func (p *probe) Deliver(env wire.Envelope)                              { p.got = append(p.got, env) }
+func (p *probe) Decided() bool                                          { return len(p.got) > 0 || p.expired }
+func (p *probe) Deadline() time.Time                                    { return p.until }
+func (p *probe) Expire(time.Time, *[]transport.Outgoing)                { p.expired = true }
+func (p *probe) Advance(time.Time, *[]transport.Outgoing) (bool, error) { return true, nil }
+func (p *probe) End(error)                                              {}
+
+// start begins a client's operation at now, appending its first round to
+// out.
+type start = func(now time.Time, out *[]transport.Outgoing) (bool, error)
+
+// write is the start of a WRITE of v by w.
+func write(w *core.Writer, v types.Value) start {
+	return func(now time.Time, out *[]transport.Outgoing) (bool, error) { return w.Start(now, v, out) }
+}
 
 // task is a core client's operation as a drive.Task: start begins it,
 // and End keeps how it ended.
 type task struct {
 	drive.Op
-	start func() (bool, error)
+	start start
 	err   error
 }
 
-func (t *task) Start() (bool, error) { return t.start() }
-func (t *task) End(err error)        { t.err = err }
+func (t *task) Start(now time.Time, out *[]transport.Outgoing) (bool, error) {
+	return t.start(now, out)
+}
+func (t *task) End(err error) { t.err = err }
 
 // newDriver returns a driver over a fresh inbox of d.
 func newDriver(t *testing.T, d *Demux) *drive.Driver {
@@ -132,18 +143,18 @@ func newDriver(t *testing.T, d *Demux) *drive.Driver {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return drive.New(in, d)
+	return drive.New(in, d, nil)
 }
 
 // run drives one operation of a core client — begun by start — over the
 // client's subscription sub of d, on a driver of its own, as kv does.
-func run(d *Demux, sub *Sub, op drive.Op, start func() (bool, error)) error {
+func run(d *Demux, sub *Sub, op drive.Op, start start) error {
 	in, err := d.NewInbox()
 	if err != nil {
 		return err
 	}
 	tk := &task{Op: op, start: start}
-	dr := drive.New(in, d)
+	dr := drive.New(in, d, nil)
 	dr.Add(tk, sub)
 	dr.Run()
 	return tk.err
@@ -304,7 +315,7 @@ func TestEndToEndTwoRegisters(t *testing.T) {
 	for _, key := range []string{"users/42", "config"} {
 		wsub := subscribe(t, wd, key)
 		w := core.NewWriter(cfg, types.WriterID(), wsub)
-		if err := run(wd, wsub, w, func() (bool, error) { return w.Start(types.Value("value-of-" + key)) }); err != nil {
+		if err := run(wd, wsub, w, write(w, types.Value("value-of-"+key))); err != nil {
 			t.Fatalf("%s: %v", key, err)
 		}
 		if !w.LastMeta().Fast {

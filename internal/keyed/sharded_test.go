@@ -174,7 +174,7 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 			w := core.NewWriter(cfg, types.WriterID(), sub)
 			for i := 1; i <= writesPerKey; i++ {
 				v := types.Value(fmt.Sprintf("v%d", i))
-				if err := run(wd, sub, w, func() (bool, error) { return w.Start(v) }); err != nil {
+				if err := run(wd, sub, w, write(w, v)); err != nil {
 					t.Errorf("write %s #%d: %v", key, i, err)
 					return
 				}
@@ -255,7 +255,7 @@ func TestEndToEndSharded(t *testing.T) {
 		key := fmt.Sprintf("key-%d", i)
 		wsub := subscribe(t, wd, key)
 		w := core.NewWriter(cfg, types.WriterID(), wsub)
-		if err := run(wd, wsub, w, func() (bool, error) { return w.Start(types.Value("v-" + key)) }); err != nil {
+		if err := run(wd, wsub, w, write(w, types.Value("v-"+key))); err != nil {
 			t.Fatalf("write %s: %v", key, err)
 		}
 		rsub := subscribe(t, rd, key)

@@ -11,6 +11,7 @@ import (
 	"luckystore/internal/core"
 	"luckystore/internal/drive"
 	"luckystore/internal/keyed"
+	"luckystore/internal/transport"
 	"luckystore/internal/types"
 )
 
@@ -29,15 +30,15 @@ type op struct {
 	got  types.Tagged   // a completed Get's
 }
 
-func (o *op) Start() (bool, error) {
+func (o *op) Start(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	switch c := o.Op.(type) {
 	case *core.Writer:
 		if o.forward {
-			return c.StartAt(o.pair)
+			return c.StartAt(now, o.pair, out)
 		}
-		return c.Start(o.val)
+		return c.Start(now, o.val, out)
 	default:
-		return c.(*core.Reader).Start()
+		return c.(*core.Reader).Start(now, out)
 	}
 }
 
@@ -85,7 +86,7 @@ func (p *batches) get() (*batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &batch{dr: drive.New(in, p.d)}, nil
+	return &batch{dr: drive.New(in, p.d, nil)}, nil
 }
 
 func (p *batches) put(b *batch) {
@@ -143,10 +144,7 @@ func (s *Store) PutBatch(puts map[string]types.Value) error { return s.putBatch(
 // still held, which is what a per-key history needs when other writers
 // share the key: PutMeta after the call may already describe a later Put.
 func (s *Store) putBatch(puts map[string]types.Value, observe func(key string, m core.WriteMeta)) error {
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
+	t0 := s.met.start()
 	b, err := s.writerBatches.get()
 	if err != nil {
 		return err
@@ -182,10 +180,7 @@ func (s *Store) putBatch(puts map[string]types.Value, observe func(key string, m
 // the initial pair 〈0,⊥〉. On failures it returns the successful subset
 // together with an errors.Join of the failures.
 func (s *Store) GetBatch(idx int, keys []string) (map[string]types.Tagged, error) {
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
+	t0 := s.met.start()
 	out := make(map[string]types.Tagged, len(keys))
 	if idx < 0 || idx >= len(s.readerBatches) {
 		return out, fmt.Errorf("kv: reader index %d out of range [0,%d)", idx, len(s.readerBatches))

@@ -30,7 +30,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"luckystore/internal/core"
 	"luckystore/internal/drive"
@@ -483,10 +482,7 @@ func (s *Store) Put(key string, value types.Value) error {
 	if err != nil {
 		return err
 	}
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
+	t0 := s.met.start()
 	_, err = s.writerBatches.one(op{handle: h, key: key, val: value})
 	if err == nil {
 		s.met.observePut(key, t0)
@@ -549,10 +545,7 @@ func (s *Store) Get(idx int, key string) (types.Tagged, error) {
 	if err != nil {
 		return types.Tagged{}, err
 	}
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
+	t0 := s.met.start()
 	o, err := s.readerBatches[idx].one(op{handle: h, key: key})
 	if err != nil {
 		return types.Tagged{}, err
@@ -631,10 +624,7 @@ func (s *Store) PutAsync(key string, value types.Value) *PutFuture {
 		close(f.done)
 		return f
 	}
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
+	t0 := s.met.start()
 	go func() {
 		defer close(f.done)
 		o, err := s.writerBatches.one(op{handle: h, key: key, val: value})
@@ -656,10 +646,7 @@ func (s *Store) GetAsync(idx int, key string) *GetFuture {
 		close(f.done)
 		return f
 	}
-	var t0 time.Time
-	if s.met != nil {
-		t0 = time.Now()
-	}
+	t0 := s.met.start()
 	go func() {
 		defer close(f.done)
 		o, err := s.readerBatches[idx].one(op{handle: h, key: key})

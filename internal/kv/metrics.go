@@ -48,6 +48,15 @@ func (s *Store) Registry() *metrics.Registry {
 	return s.met.reg
 }
 
+// start starts a stopwatch on the wall clock — it times the caller, not
+// the protocol — or returns zero on an uninstrumented store.
+func (m *StoreMetrics) start() time.Time {
+	if m == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
 func (m *StoreMetrics) observePut(key string, t0 time.Time) {
 	if m == nil {
 		return

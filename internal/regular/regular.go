@@ -85,9 +85,9 @@ func (c Config) shape(name string) drive.Shape {
 
 // Writer implements the Appendix D WRITE: PW round with the fast check
 // at S − (t−b) acks, then a single W round when slow. Its non-blocking
-// half is a drive.Op, as core's is: Start sends the PW round, replies go
+// half is a drive.Op, as core's is: Start emits the PW round, replies go
 // in by Deliver and the timer's verdicts by Expire until the round is
-// Decided, and Advance completes the WRITE or sends the W round.
+// Decided, and Advance completes the WRITE or emits the W round.
 type Writer struct {
 	cfg      Config
 	ep       transport.Endpoint
@@ -108,7 +108,7 @@ type Writer struct {
 // NewWriter creates the writer client.
 func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
 	return &Writer{
-		cfg: cfg, ep: ep, rnd: drive.NewRound(ep, cfg.shape("regular WRITE")),
+		cfg: cfg, ep: ep, rnd: drive.NewRound(cfg.shape("regular WRITE")),
 		pw: types.Bottom(), w: types.Bottom(),
 		acks: make([]wire.PWAck, cfg.S()),
 	}
@@ -120,21 +120,23 @@ func (w *Writer) LastMeta() core.WriteMeta { return w.lastMeta }
 // Write stores v: one round-trip when lucky and at most t−b failures,
 // otherwise two.
 func (w *Writer) Write(v types.Value) error {
-	done, err := w.Start(v)
-	return w.drv.Wait(w.ep, w, done, err)
+	return w.drv.Wait(w.ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		return w.Start(now, v, out)
+	})
 }
 
-// Start begins WRITE(v): it sends the PW round, whose decision waits for
-// the timer.
-func (w *Writer) Start(v types.Value) (done bool, err error) {
+// Start begins WRITE(v) at now: it emits the PW round, whose decision
+// waits for the timer.
+func (w *Writer) Start(now time.Time, v types.Value, out *[]transport.Outgoing) (done bool, err error) {
 	if v == "" {
 		return false, core.ErrBottomValue
 	}
-	w.rnd.Begin()
+	w.rnd.Begin(now)
 	w.inW = false
 	w.ts++
 	w.pw = types.Tagged{TS: w.ts, Val: v}
-	return false, w.rnd.Open("PW round", true, nil, wire.PW{TS: w.ts, PW: w.pw, W: w.w, Frozen: w.frozen})
+	w.rnd.Open(now, "PW round", true, nil, wire.PW{TS: w.ts, PW: w.pw, W: w.w, Frozen: w.frozen}, out)
+	return false, nil
 }
 
 // Deliver counts one ack of the round in flight.
@@ -162,11 +164,11 @@ func (w *Writer) Decided() bool { return w.rnd.Decided() }
 func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
 // Expire fires the round's timer at now (see drive.Round.Expire).
-func (w *Writer) Expire(now time.Time) { w.rnd.Expire(now) }
+func (w *Writer) Expire(now time.Time, out *[]transport.Outgoing) { w.rnd.Expire(now, out) }
 
-// Advance completes the WRITE — fast on S − fw PW_ACKs — or sends its
+// Advance completes the WRITE — fast on S − fw PW_ACKs — or emits its
 // single W round (Appendix D removes the third).
-func (w *Writer) Advance() (done bool, err error) {
+func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
 	switch {
 	case w.rnd.Err() != nil:
 		return false, w.rnd.Err()
@@ -181,7 +183,8 @@ func (w *Writer) Advance() (done bool, err error) {
 		return true, nil
 	}
 	w.inW = true
-	return false, w.rnd.Open("W round", false, nil, wire.W{Round: 2, Tag: int64(w.ts), C: w.pw})
+	w.rnd.Open(now, "W round", false, nil, wire.W{Round: 2, Tag: int64(w.ts), C: w.pw}, out)
+	return false, nil
 }
 
 // ReadMeta describes a completed regular READ (no write-back exists in
@@ -216,7 +219,7 @@ type Reader struct {
 
 // NewReader creates reader client id.
 func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(ep, cfg.shape("regular READ"))}
+	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(cfg.shape("regular READ"))}
 }
 
 // LastMeta returns metadata about the most recent READ.
@@ -224,27 +227,27 @@ func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
 
 // Read returns the register value with regular semantics.
 func (r *Reader) Read() (types.Tagged, error) {
-	done, err := r.Start()
-	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
+	if err := r.drv.Wait(r.ep, r, r.Start); err != nil {
 		return types.Tagged{}, err
 	}
 	return r.lastMeta.Returned, nil
 }
 
-// Start begins a READ: a fresh view and round 1, whose decision waits
-// for the timer.
-func (r *Reader) Start() (done bool, err error) {
-	r.rnd.Begin()
+// Start begins a READ at now: a fresh view and round 1, whose decision
+// waits for the timer.
+func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
+	r.rnd.Begin(now)
 	r.tsr++
 	r.view = core.NewViewWithThresholds(r.cfg.coreConfig().Thresholds(), r.tsr)
 	r.n = 0
-	return false, r.query()
+	return r.query(now, out)
 }
 
-// query sends the next READ round.
-func (r *Reader) query() error {
+// query emits the next READ round.
+func (r *Reader) query(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	r.n++
-	return r.rnd.Open("query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n})
+	r.rnd.Open(now, "query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n}, out)
+	return false, nil
 }
 
 // Deliver folds one READ_ACK into the view.
@@ -266,10 +269,10 @@ func (r *Reader) Decided() bool { return r.rnd.Decided() }
 func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
 
 // Expire fires the round's timer at now (see drive.Round.Expire).
-func (r *Reader) Expire(now time.Time) { r.rnd.Expire(now) }
+func (r *Reader) Expire(now time.Time, out *[]transport.Outgoing) { r.rnd.Expire(now, out) }
 
-// Advance returns the selected candidate, or sends the next round.
-func (r *Reader) Advance() (done bool, err error) {
+// Advance returns the selected candidate, or emits the next round.
+func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
 	if err := r.rnd.Err(); err != nil {
 		return false, err
 	}
@@ -277,17 +280,13 @@ func (r *Reader) Advance() (done bool, err error) {
 		r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.n, Returned: c}
 		return true, nil
 	}
-	return false, r.query()
+	return r.query(now, out)
 }
 
 // Cluster wires a regular-variant deployment over a simulated network.
-// Its embedded fleet carries the servers' fault hooks.
 type Cluster struct {
-	*core.Servers
-	cfg     Config
-	sim     *simnet.Network
-	writer  *Writer
-	readers []*Reader
+	*core.VariantCluster[*Writer, *Reader]
+	cfg Config
 }
 
 // NewCluster builds and starts a regular-variant cluster. Servers keep
@@ -304,43 +303,14 @@ func NewDurableCluster(cfg Config, p storage.Provider, simOpts ...simnet.Option)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ids := append(types.ServerIDs(cfg.S()), types.WriterID())
-	ids = append(ids, types.ReaderIDs(cfg.NumReaders)...)
-	sim, err := simnet.New(ids, simOpts...)
+	c, err := core.NewVariantCluster(cfg.S(), cfg.NumReaders, func() node.Automaton { return core.NewRegularServer() }, p, simOpts,
+		func(ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
+		func(i int, ep transport.Endpoint) *Reader { return NewReader(cfg, types.ReaderID(i), ep) })
 	if err != nil {
-		return nil, err
-	}
-	c := &Cluster{cfg: cfg, sim: sim}
-	if c.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
-		return core.NewRegularServer(), nil, nil
-	}, p, nil); err != nil {
 		return nil, fmt.Errorf("regular: %w", err)
 	}
-	wep, err := sim.Endpoint(types.WriterID())
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.writer = NewWriter(cfg, wep)
-	for i := 0; i < cfg.NumReaders; i++ {
-		rep, err := sim.Endpoint(types.ReaderID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.readers = append(c.readers, NewReader(cfg, types.ReaderID(i), rep))
-	}
-	return c, nil
+	return &Cluster{c, cfg}, nil
 }
 
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// Writer returns the writer client.
-func (c *Cluster) Writer() *Writer { return c.writer }
-
-// Reader returns the i-th reader client.
-func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
-
-// Sim returns the underlying simulated network.
-func (c *Cluster) Sim() *simnet.Network { return c.sim }

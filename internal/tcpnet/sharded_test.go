@@ -400,7 +400,9 @@ func TestShardedEndToEndProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	writer := core.NewWriter(cfg, types.WriterID(), wep)
-	if err := runKeyed(wd, wep, writer, func() (bool, error) { return writer.Start("sharded-tcp") }); err != nil {
+	if err := runKeyed(wd, wep, writer, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		return writer.Start(now, "sharded-tcp", out)
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if m := writer.LastMeta(); !m.Fast {
@@ -430,22 +432,25 @@ func TestShardedEndToEndProtocol(t *testing.T) {
 // it, and End keeps how it ended.
 type keyedTask struct {
 	drive.Op
-	start func() (bool, error)
+	start func(time.Time, *[]transport.Outgoing) (bool, error)
 	err   error
 }
 
-func (t *keyedTask) Start() (bool, error) { return t.start() }
-func (t *keyedTask) End(err error)        { t.err = err }
+func (t *keyedTask) Start(now time.Time, out *[]transport.Outgoing) (bool, error) {
+	return t.start(now, out)
+}
+
+func (t *keyedTask) End(err error) { t.err = err }
 
 // runKeyed drives one operation of a core client — begun by start — over
 // the client's subscription sub of d, on a driver of its own, as kv does.
-func runKeyed(d *keyed.Demux, sub *keyed.Sub, op drive.Op, start func() (bool, error)) error {
+func runKeyed(d *keyed.Demux, sub *keyed.Sub, op drive.Op, start func(time.Time, *[]transport.Outgoing) (bool, error)) error {
 	in, err := d.NewInbox()
 	if err != nil {
 		return err
 	}
 	tk := &keyedTask{Op: op, start: start}
-	dr := drive.New(in, d)
+	dr := drive.New(in, d, nil)
 	dr.Add(tk, sub)
 	dr.Run()
 	return tk.err

@@ -208,9 +208,9 @@ func update(local *types.Tagged, c types.Tagged) {
 
 // Writer implements the WRITE of Figure 6: PW round, freezevalues,
 // then exactly one W round carrying the frozen set — two round-trips,
-// always. Its non-blocking half is a drive.Op, as core's is: Start sends
+// always. Its non-blocking half is a drive.Op, as core's is: Start emits
 // the PW round, replies go in by Deliver until a quorum has answered,
-// and Advance sends the W round, then completes.
+// and Advance emits the W round, then completes.
 type Writer struct {
 	cfg   Config
 	ep    transport.Endpoint
@@ -228,7 +228,7 @@ type Writer struct {
 // NewWriter creates the writer client.
 func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
 	return &Writer{
-		cfg: cfg, ep: ep, rnd: drive.NewRound(ep, cfg.shape("twophase WRITE")),
+		cfg: cfg, ep: ep, rnd: drive.NewRound(cfg.shape("twophase WRITE")),
 		pw: types.Bottom(), w: types.Bottom(),
 		acks: make([]wire.PWAck, cfg.S()),
 	}
@@ -240,22 +240,24 @@ func (w *Writer) Rounds() int { return 2 }
 
 // Write stores v in exactly two communication round-trips.
 func (w *Writer) Write(v types.Value) error {
-	done, err := w.Start(v)
-	return w.drv.Wait(w.ep, w, done, err)
+	return w.drv.Wait(w.ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
+		return w.Start(now, v, out)
+	})
 }
 
-// Start begins WRITE(v) with its PW round (Fig. 6 lines 3–6), decided at
-// a quorum: the variant's writes are never "fast", so there is no timer
-// verdict to wait for.
-func (w *Writer) Start(v types.Value) (done bool, err error) {
+// Start begins WRITE(v) at now with its PW round (Fig. 6 lines 3–6),
+// decided at a quorum: the variant's writes are never "fast", so there
+// is no timer verdict to wait for.
+func (w *Writer) Start(now time.Time, v types.Value, out *[]transport.Outgoing) (done bool, err error) {
 	if v == "" {
 		return false, core.ErrBottomValue
 	}
-	w.rnd.Begin()
+	w.rnd.Begin(now)
 	w.inW = false
 	w.ts++
 	w.pw = types.Tagged{TS: w.ts, Val: v}
-	return false, w.rnd.Open("PW round", false, nil, wire.PW{TS: w.ts, PW: w.pw, W: w.w})
+	w.rnd.Open(now, "PW round", false, nil, wire.PW{TS: w.ts, PW: w.pw, W: w.w}, out)
+	return false, nil
 }
 
 // Deliver counts one ack of the round in flight.
@@ -282,11 +284,11 @@ func (w *Writer) Decided() bool { return w.rnd.Decided() }
 func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
 // Expire fires the round's loss timer at now (see drive.Round.Expire).
-func (w *Writer) Expire(now time.Time) { w.rnd.Expire(now) }
+func (w *Writer) Expire(now time.Time, out *[]transport.Outgoing) { w.rnd.Expire(now, out) }
 
-// Advance sends the W round (Fig. 6 lines 7–10: freeze values, then ship
+// Advance emits the W round (Fig. 6 lines 7–10: freeze values, then ship
 // them inside the W message of this same write), then completes.
-func (w *Writer) Advance() (done bool, err error) {
+func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
 	switch {
 	case w.rnd.Err() != nil:
 		return false, w.rnd.Err()
@@ -296,7 +298,8 @@ func (w *Writer) Advance() (done bool, err error) {
 	frozen := w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
 	w.w = w.pw
 	w.inW = true
-	return false, w.rnd.Open("W round", false, nil, wire.W{Round: 2, Tag: int64(w.ts), C: w.pw, Frozen: frozen})
+	w.rnd.Open(now, "W round", false, nil, wire.W{Round: 2, Tag: int64(w.ts), C: w.pw, Frozen: frozen}, out)
+	return false, nil
 }
 
 // ReadMeta describes a completed two-phase READ.
@@ -338,7 +341,7 @@ type Reader struct {
 
 // NewReader creates reader client id.
 func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(ep, cfg.shape("twophase READ"))}
+	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(cfg.shape("twophase READ"))}
 }
 
 // LastMeta returns metadata about the most recent READ.
@@ -346,33 +349,34 @@ func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
 
 // Read returns the register value.
 func (r *Reader) Read() (types.Tagged, error) {
-	done, err := r.Start()
-	if err := r.drv.Wait(r.ep, r, done, err); err != nil {
+	if err := r.drv.Wait(r.ep, r, r.Start); err != nil {
 		return types.Tagged{}, err
 	}
 	return r.lastMeta.Returned, nil
 }
 
-// Start begins a READ: a fresh view and round 1, whose decision waits
-// for the timer.
-func (r *Reader) Start() (done bool, err error) {
-	r.rnd.Begin()
+// Start begins a READ at now: a fresh view and round 1, whose decision
+// waits for the timer.
+func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
+	r.rnd.Begin(now)
 	r.tsr++
 	r.view = core.NewViewWithThresholds(r.cfg.Thresholds(), r.tsr)
 	r.n, r.wb = 0, 0
-	return false, r.query()
+	return r.query(now, out)
 }
 
-// query sends the next READ round.
-func (r *Reader) query() error {
+// query emits the next READ round.
+func (r *Reader) query(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	r.n++
-	return r.rnd.Open("query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n})
+	r.rnd.Open(now, "query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n}, out)
+	return false, nil
 }
 
-// writeBack sends write-back round wb (Fig. 7 lines 24–26).
-func (r *Reader) writeBack(wb int) error {
+// writeBack emits write-back round wb (Fig. 7 lines 24–26).
+func (r *Reader) writeBack(now time.Time, wb int, out *[]transport.Outgoing) (bool, error) {
 	r.wb = wb
-	return r.rnd.Open("write-back round", false, nil, wire.W{Round: wb, Tag: int64(r.tsr), C: r.sel})
+	r.rnd.Open(now, "write-back round", false, nil, wire.W{Round: wb, Tag: int64(r.tsr), C: r.sel}, out)
+	return false, nil
 }
 
 // Deliver folds one READ_ACK into the view, or counts one WRITE_ACK of
@@ -402,28 +406,28 @@ func (r *Reader) Decided() bool { return r.rnd.Decided() }
 func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
 
 // Expire fires the round's timer at now (see drive.Round.Expire).
-func (r *Reader) Expire(now time.Time) { r.rnd.Expire(now) }
+func (r *Reader) Expire(now time.Time, out *[]transport.Outgoing) { r.rnd.Expire(now, out) }
 
-// Advance sends the next query round until a candidate is selected,
+// Advance emits the next query round until a candidate is selected,
 // then writes it back in two rounds unless it is fast (Fig. 7 line 19:
 // fast(c) ::= |{i : w_i = c}| ≥ S−t−fr) after a first round, then
 // returns it.
-func (r *Reader) Advance() (done bool, err error) {
+func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
 	switch {
 	case r.rnd.Err() != nil:
 		return false, r.rnd.Err()
 	case r.wb == 1:
-		return false, r.writeBack(2)
+		return r.writeBack(now, 2, out)
 	case r.wb == 2:
 		return r.complete(true)
 	}
 	c, ok := r.view.Select()
 	if !ok {
-		return false, r.query()
+		return r.query(now, out)
 	}
 	r.sel = c
 	if r.view.CountW(c) < r.cfg.FastW() || r.n > 1 {
-		return false, r.writeBack(1)
+		return r.writeBack(now, 1, out)
 	}
 	return r.complete(false)
 }
@@ -433,14 +437,10 @@ func (r *Reader) complete(wroteBack bool) (bool, error) {
 	return true, nil
 }
 
-// Cluster wires a two-phase deployment over a simulated network. Its
-// embedded fleet carries the servers' fault hooks.
+// Cluster wires a two-phase deployment over a simulated network.
 type Cluster struct {
-	*core.Servers
-	cfg     Config
-	sim     *simnet.Network
-	writer  *Writer
-	readers []*Reader
+	*core.VariantCluster[*Writer, *Reader]
+	cfg Config
 }
 
 // NewCluster builds and starts a two-phase cluster.
@@ -448,43 +448,14 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ids := append(types.ServerIDs(cfg.S()), types.WriterID())
-	ids = append(ids, types.ReaderIDs(cfg.NumReaders)...)
-	sim, err := simnet.New(ids, simOpts...)
+	c, err := core.NewVariantCluster(cfg.S(), cfg.NumReaders, func() node.Automaton { return NewServer() }, nil, simOpts,
+		func(ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
+		func(i int, ep transport.Endpoint) *Reader { return NewReader(cfg, types.ReaderID(i), ep) })
 	if err != nil {
 		return nil, err
 	}
-	c := &Cluster{cfg: cfg, sim: sim}
-	if c.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
-		return NewServer(), nil, nil
-	}, nil, nil); err != nil {
-		return nil, err
-	}
-	wep, err := sim.Endpoint(types.WriterID())
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.writer = NewWriter(cfg, wep)
-	for i := 0; i < cfg.NumReaders; i++ {
-		rep, err := sim.Endpoint(types.ReaderID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.readers = append(c.readers, NewReader(cfg, types.ReaderID(i), rep))
-	}
-	return c, nil
+	return &Cluster{c, cfg}, nil
 }
 
 // Config returns the cluster configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// Writer returns the writer client.
-func (c *Cluster) Writer() *Writer { return c.writer }
-
-// Reader returns the i-th reader client.
-func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
-
-// Sim returns the underlying simulated network.
-func (c *Cluster) Sim() *simnet.Network { return c.sim }
