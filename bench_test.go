@@ -1,7 +1,7 @@
 package luckystore_test
 
 // One benchmark per reproduced table/figure (wrapping the E1–E14
-// experiment drivers, the same code cmd/luckybench runs), plus
+// and E16 experiment drivers, the same code cmd/luckybench runs), plus
 // operation-level micro-benchmarks for the core protocol, the Appendix
 // C/D variants and the ABD baseline.
 //

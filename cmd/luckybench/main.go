@@ -1,6 +1,7 @@
 // Command luckybench regenerates the paper-reproduction tables: it runs
-// the experiments E1–E12 (one per proposition/theorem/proof-figure of
-// the paper, see DESIGN.md §3) and prints their measured tables.
+// the experiments E1–E14 and E16 (one per proposition/theorem/
+// proof-figure of the paper, see EXPERIMENTS.md) and prints their
+// measured tables.
 //
 // Usage:
 //

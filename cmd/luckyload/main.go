@@ -87,7 +87,7 @@ func run(args []string, stdout io.Writer) int {
 		tFlag     = fs.Int("t", 1, "crash-fault budget t of the external cluster (with -addrs)")
 		bFlag     = fs.Int("b", 0, "Byzantine budget b of the external cluster (with -addrs)")
 		readers   = fs.Int("readers", 2, "reader clients")
-		writers   = fs.Int("writers", 1, "contending writer identities (selfhost only)")
+		writers   = fs.Int("writers", 1, "contending writer identities (selfhost, -loop closed only)")
 		deploy    = fs.String("deploy", "tcpkv", "selfhost deployment kind: "+strings.Join(chaos.Kinds(), "|"))
 		duration  = fs.Duration("duration", 5*time.Second, "length of each traffic phase")
 		seed      = fs.Int64("seed", 1, "seed for key choices and chaos schedules")
@@ -112,6 +112,10 @@ func run(args []string, stdout io.Writer) int {
 	}
 	if *loop != "closed" && *loop != "open" {
 		fmt.Fprintln(os.Stderr, "luckyload: -loop must be closed or open")
+		return 2
+	}
+	if *loop == "open" && *writers > 1 {
+		fmt.Fprintln(os.Stderr, "luckyload: -writers > 1 needs -loop closed (the open loop runs one writer per key)")
 		return 2
 	}
 	if *keys < 1 {

@@ -81,6 +81,17 @@ func TestExternalOpenLoopWithScrape(t *testing.T) {
 	}
 }
 
+// TestOpenLoopRejectsWriters: the open loop runs one writer per key,
+// so asking it for contending writers is a usage error, not a run that
+// silently drops them.
+func TestOpenLoopRejectsWriters(t *testing.T) {
+	var stdout bytes.Buffer
+	code := run([]string{"-deploy", "kv", "-loop", "open", "-writers", "2", "-duration", "100ms"}, &stdout)
+	if code != 2 || stdout.Len() != 0 {
+		t.Fatalf("exit %d with output %q, want usage exit 2 before any traffic", code, stdout.String())
+	}
+}
+
 // TestChaosOverlayRow checks a chaos scenario adds a second summarized
 // row through the shared reporting path.
 func TestChaosOverlayRow(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 
 	"luckystore/internal/core"
 	"luckystore/internal/fault"
-	"luckystore/internal/metrics"
 	"luckystore/internal/workload"
 )
 
@@ -16,7 +15,7 @@ import (
 // Failures are injected both as crashes and as Byzantine-mute servers
 // (the theorem's "all fw failures can be malicious, provided fw ≤ b").
 func E1FastWrites() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Lucky WRITE round-trips vs actual failures (S = 2t+b+1)",
 		"t", "b", "fw", "failures", "kind", "rounds", "fast", "expected-fast", "ok")
 	pass := true
@@ -46,9 +45,9 @@ func E1FastWrites() (*Result, error) {
 					pass = false
 				}
 				table.AddRow(
-					metrics.Itoa(sc.t), metrics.Itoa(sc.b), metrics.Itoa(sc.fw),
-					metrics.Itoa(f), kind, metrics.Itoa(rounds),
-					metrics.Bool(fast), metrics.Bool(expected), metrics.Bool(ok))
+					Itoa(sc.t), Itoa(sc.b), Itoa(sc.fw),
+					Itoa(f), kind, Itoa(rounds),
+					Bool(fast), Bool(expected), Bool(ok))
 			}
 		}
 	}
@@ -57,7 +56,7 @@ func E1FastWrites() (*Result, error) {
 		ID:     "E1",
 		Title:  "Fast lucky WRITEs (Theorem 3)",
 		Claim:  "Every synchronous WRITE is fast iff at most fw servers fail; slow WRITEs take exactly 3 round-trips.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

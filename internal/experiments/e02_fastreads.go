@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/workload"
 )
 
@@ -14,7 +13,7 @@ import (
 // fields of 2b+t+1 correct servers) or slow (the fast_vw path,
 // witnesses in the vw fields of b+1 correct servers).
 func E2FastReads() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Lucky READ round-trips vs actual failures",
 		"t", "b", "fw", "fr", "prior-write", "failures", "rounds", "fast", "expected-fast", "ok")
 	pass := true
@@ -55,9 +54,9 @@ func E2FastReads() (*Result, error) {
 				prior = "slow"
 			}
 			table.AddRow(
-				metrics.Itoa(sc.t), metrics.Itoa(sc.b), metrics.Itoa(sc.fw), metrics.Itoa(fr),
-				prior, metrics.Itoa(f), metrics.Itoa(rounds),
-				metrics.Bool(fast), metrics.Bool(expected), metrics.Bool(ok))
+				Itoa(sc.t), Itoa(sc.b), Itoa(sc.fw), Itoa(fr),
+				prior, Itoa(f), Itoa(rounds),
+				Bool(fast), Bool(expected), Bool(ok))
 		}
 	}
 
@@ -65,7 +64,7 @@ func E2FastReads() (*Result, error) {
 		ID:     "E2",
 		Title:  "Fast lucky READs (Theorem 4)",
 		Claim:  "Every lucky READ is fast despite at most fr = t−b−fw failures, after fast and slow preceding WRITEs alike.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"luckystore/internal/checker"
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
 )
@@ -17,7 +19,7 @@ import (
 // write-back. Slowness is induced three ways: too many failures for the
 // write, too many failures for the read, and read/write contention.
 func E3SlowPaths() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Slow-path round-trips (t=2, b=1, fw=1, S=6)",
 		"scenario", "op", "rounds", "wrote-back", "ok")
 	pass := true
@@ -25,7 +27,7 @@ func E3SlowPaths() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(scenario, op, metrics.Itoa(rounds), metrics.Bool(wroteBack), metrics.Bool(ok))
+		table.AddRow(scenario, op, Itoa(rounds), Bool(wroteBack), Bool(ok))
 	}
 
 	cfg := core.Config{T: 2, B: 1, Fw: 1, NumReaders: 2, RoundTimeout: expRoundTimeout, OpTimeout: expOpTimeout}
@@ -114,40 +116,52 @@ func E3SlowPaths() (*Result, error) {
 
 	// Scenario 4: a mixed concurrent workload stays atomic and its round
 	// distribution is reported.
-	distTable := metrics.NewTable(
+	distTable := NewTable(
 		"Round distribution, mixed workload (40 writes, 3×25 reads, no failures)",
 		"op", "distribution", "fast-fraction")
+	var notes []string
 	{
 		c, err := core.NewCluster(cfg)
 		if err != nil {
 			return nil, err
 		}
-		rec, err := workload.Mixed{Writes: 40, ReadsPerReader: 25}.Run(c)
+		rec, err := workload.Mixed{Writes: 40, ReadsPerReader: 25}.RunDriver(workload.ClusterDriver{C: c})
 		c.Close()
 		if err != nil {
 			return nil, err
 		}
 		if vs := checker.CheckAtomicity(rec.Ops()); len(vs) != 0 {
 			pass = false
-			return &Result{
-				ID: "E3", Title: "Worst-case complexity (Section 3.1)",
-				Claim:  "Slow WRITE = 3 round-trips; slow READ = query rounds + 3-round write-back.",
-				Tables: []*metrics.Table{table, distTable},
-				Pass:   false,
-				Notes:  []string{fmt.Sprintf("atomicity violations under contention: %v", vs)},
-			}, nil
+			notes = append(notes, fmt.Sprintf("atomicity violations under contention: %v", vs))
 		}
 		w, r := workload.RoundStats(rec.Ops())
-		wd, rd := metrics.RoundDist(w), metrics.RoundDist(r)
-		distTable.AddRow("WRITE", wd.String(), fmt.Sprintf("%.2f", wd.FastFraction()))
-		distTable.AddRow("READ", rd.String(), fmt.Sprintf("%.2f", rd.FastFraction()))
+		wd, wf := roundDist(w)
+		rd, rf := roundDist(r)
+		distTable.AddRow("WRITE", wd, wf)
+		distTable.AddRow("READ", rd, rf)
 	}
 
 	return &Result{
 		ID:     "E3",
 		Title:  "Worst-case complexity (Section 3.1)",
 		Claim:  "Slow WRITE = 3 round-trips; slow READ = query rounds + 3-round write-back; atomicity holds under contention.",
-		Tables: []*metrics.Table{table, distTable},
+		Tables: []*Table{table, distTable},
 		Pass:   pass,
+		Notes:  notes,
 	}, nil
+}
+
+// roundDist renders a round histogram (workload.RoundStats) compactly,
+// e.g. "1r:47 3r:3", with its share of 1-round operations.
+func roundDist(d map[int]int) (hist, fastFrac string) {
+	if len(d) == 0 {
+		return "(empty)", "0.00"
+	}
+	var parts []string
+	total := 0
+	for _, r := range slices.Sorted(maps.Keys(d)) {
+		parts = append(parts, fmt.Sprintf("%dr:%d", r, d[r]))
+		total += d[r]
+	}
+	return strings.Join(parts, " "), fmt.Sprintf("%.2f", float64(d[1])/float64(total))
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/workload"
 )
 
@@ -14,7 +13,7 @@ import (
 // failures, and one failure beyond the read budget breaks the fast
 // read (showing the thresholds are exact, not slack).
 func E4Tradeoff() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"The fw + fr = t − b trade-off (Proposition 1)",
 		"t", "b", "S", "fw", "fr", "write-fast@fw", "read-fast@fr", "read-slow@fr+1", "ok")
 	pass := true
@@ -34,10 +33,10 @@ func E4Tradeoff() (*Result, error) {
 				pass = false
 			}
 			table.AddRow(
-				metrics.Itoa(cc.t), metrics.Itoa(cc.b), metrics.Itoa(2*cc.t+cc.b+1),
-				metrics.Itoa(fw), metrics.Itoa(fr),
-				metrics.Bool(writeFast), metrics.Bool(readFast), metrics.Bool(beyondSlow),
-				metrics.Bool(ok))
+				Itoa(cc.t), Itoa(cc.b), Itoa(2*cc.t+cc.b+1),
+				Itoa(fw), Itoa(fr),
+				Bool(writeFast), Bool(readFast), Bool(beyondSlow),
+				Bool(ok))
 		}
 	}
 
@@ -45,7 +44,7 @@ func E4Tradeoff() (*Result, error) {
 		ID:     "E4",
 		Title:  "Resilience trade-off sweep (Proposition 1)",
 		Claim:  "Every split fw + fr = t − b works, and the thresholds are exact: one extra failure past fr breaks the fast read.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

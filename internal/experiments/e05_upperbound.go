@@ -6,7 +6,6 @@ import (
 
 	"luckystore/internal/core"
 	"luckystore/internal/fault"
-	"luckystore/internal/metrics"
 	"luckystore/internal/node"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
@@ -50,7 +49,7 @@ func E5UpperBound() (*Result, error) {
 	weakTh.FastPW = 2*b + t // 4: one short of the sound 2b+t+1
 	weakTh.FastVW = 1
 
-	table := metrics.NewTable(
+	table := NewTable(
 		"Upper bound fw + fr ≤ t − b (Proposition 2; t=2, b=1, fw=fr=1)",
 		"run", "reader", "returned", "rounds", "atomic", "ok")
 	pass := true
@@ -58,8 +57,8 @@ func E5UpperBound() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(run, reader, returned.String(), metrics.Itoa(rounds),
-			metrics.Bool(atomic), metrics.Bool(ok))
+		table.AddRow(run, reader, returned.String(), Itoa(rounds),
+			Bool(atomic), Bool(ok))
 	}
 
 	// ---- Run r2-analog: the weakened reader achieves the over-budget
@@ -166,7 +165,7 @@ func E5UpperBound() (*Result, error) {
 		ID:     "E5",
 		Title:  "Tight upper bound, read side (Proposition 2, Figure 4)",
 		Claim:  "No optimally resilient implementation has fast lucky writes despite fw and fast lucky reads despite fr failures when fw+fr > t−b: the evidence a reader must then accept lets b malicious servers impose a never-written value.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 		Notes: []string{
 			"weakened thresholds: safe=1, fast_pw=2b+t — the minimum acceptance forced by requiring 1-round reads despite fr=1 on top of fw=1",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/workload"
 )
 
@@ -15,7 +14,7 @@ import (
 // intuitively, that single slow read "finishes" the preceding fast
 // write by writing its value back.
 func E6TradingReads() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Trading (few) reads: fw = t−b, fr = t (Proposition 3; t=2, b=1)",
 		"scenario", "failures", "sequence-rounds", "slow-reads", "ok (≤1 slow)")
 	pass := true
@@ -23,7 +22,7 @@ func E6TradingReads() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(scenario, metrics.Itoa(failures), seq, metrics.Itoa(slow), metrics.Bool(ok))
+		table.AddRow(scenario, Itoa(failures), seq, Itoa(slow), Bool(ok))
 	}
 
 	const seqLen = 6
@@ -119,7 +118,7 @@ func E6TradingReads() (*Result, error) {
 		ID:     "E6",
 		Title:  "Trading (few) reads (Proposition 3 / Theorem 5)",
 		Claim:  "With fw = t−b, any sequence of consecutive lucky READs contains at most one slow READ, despite up to fr = t failures.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"luckystore/internal/core"
 	"luckystore/internal/fault"
-	"luckystore/internal/metrics"
 	"luckystore/internal/node"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
@@ -47,7 +46,7 @@ func E7WriteBound() (*Result, error) {
 	weakTh.Safe = 1
 	weakTh.FastVW = 1
 
-	table := metrics.NewTable(
+	table := NewTable(
 		"Fast-write bound fw ≤ t − b (Proposition 4; t=2, b=1, over-eager fw=2)",
 		"run", "observation", "ok")
 	pass := true
@@ -55,7 +54,7 @@ func E7WriteBound() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(run, obs, metrics.Bool(ok))
+		table.AddRow(run, obs, Bool(ok))
 	}
 	v1 := types.Tagged{TS: 1, Val: workload.Value(1, 0)}
 
@@ -161,7 +160,7 @@ func E7WriteBound() (*Result, error) {
 		ID:     "E7",
 		Title:  "Fast-write upper bound (Proposition 4, Appendix B)",
 		Claim:  "fw > t−b is untenable: the writer can be fast, but readers must then accept b-witness evidence, which forged states turn into a safeness violation (or they starve).",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

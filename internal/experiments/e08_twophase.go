@@ -6,7 +6,6 @@ import (
 
 	"luckystore/internal/core"
 	"luckystore/internal/fault"
-	"luckystore/internal/metrics"
 	"luckystore/internal/node"
 	"luckystore/internal/twophase"
 	"luckystore/internal/types"
@@ -25,7 +24,7 @@ import (
 //     return a never-written value; the sound thresholds instead starve
 //     until the network heals.
 func E8TwoPhase() (*Result, error) {
-	suff := metrics.NewTable(
+	suff := NewTable(
 		"Sufficiency: two-phase variant at S = 2t+b+min(b,fr)+1 (Proposition 6)",
 		"t", "b", "fr", "S", "write-rounds", "read-fast@fr", "ok")
 	pass := true
@@ -56,15 +55,15 @@ func E8TwoPhase() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		suff.AddRow(metrics.Itoa(p.t), metrics.Itoa(p.b), metrics.Itoa(p.fr), metrics.Itoa(cfg.S()),
-			metrics.Itoa(c.Writer().Rounds()), metrics.Bool(m.Fast()), metrics.Bool(ok))
+		suff.AddRow(Itoa(p.t), Itoa(p.b), Itoa(p.fr), Itoa(cfg.S()),
+			Itoa(c.Writer().Rounds()), Bool(m.Fast()), Bool(ok))
 	}
 
 	// ---- Necessity (Proposition 5, Figure 5): t=2, b=1, fr=1 on
 	// S−1 = 2t+b+min(b,fr) = 6 servers. Blocks: T1={s0,s1}, T2={s2,s3},
 	// B=s4, FB=s5. Run5: wr1 never invoked, FB forges σ1, T2's messages
 	// to the reader delayed.
-	nec := metrics.NewTable(
+	nec := NewTable(
 		"Necessity: one server fewer re-opens the forged-state attack (Figure 5)",
 		"reader", "returned", "rounds", "ok")
 	const undersized = 6 // 2t + b + min(b,fr) for t=2, b=1, fr=1
@@ -117,7 +116,7 @@ func E8TwoPhase() (*Result, error) {
 		if !violated {
 			pass = false
 		}
-		nec.AddRow("forced-weak (safe=1)", m.Returned.String(), metrics.Itoa(m.Rounds), metrics.Bool(violated))
+		nec.AddRow("forced-weak (safe=1)", m.Returned.String(), Itoa(m.Rounds), Bool(violated))
 	}
 	{
 		m, err := runFig5(false)
@@ -128,14 +127,14 @@ func E8TwoPhase() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		nec.AddRow("sound (safe=b+1)", m.Returned.String(), metrics.Itoa(m.Rounds), metrics.Bool(ok))
+		nec.AddRow("sound (safe=b+1)", m.Returned.String(), Itoa(m.Rounds), Bool(ok))
 	}
 
 	return &Result{
 		ID:     "E8",
 		Title:  "Two-round writes + fast lucky reads (Propositions 5–6, Appendix C)",
 		Claim:  "2-round WRITEs with fast lucky READs despite fr failures exist iff S ≥ 2t + b + min(b,fr) + 1.",
-		Tables: []*metrics.Table{suff, nec},
+		Tables: []*Table{suff, nec},
 		Pass:   pass,
 	}, nil
 }

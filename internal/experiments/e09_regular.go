@@ -8,7 +8,6 @@ import (
 	"luckystore/internal/checker"
 	"luckystore/internal/core"
 	"luckystore/internal/fault"
-	"luckystore/internal/metrics"
 	"luckystore/internal/regular"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
@@ -24,7 +23,7 @@ import (
 // attack dies), then measures the regular variant's fast paths and
 // checks regularity under concurrency.
 func E9Regular() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Regular variant (Appendix D; t=2, b=1, S=6)",
 		"check", "observation", "ok")
 	pass := true
@@ -32,7 +31,7 @@ func E9Regular() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(check, obs, metrics.Bool(ok))
+		table.AddRow(check, obs, Bool(ok))
 	}
 	forged := types.Tagged{TS: 2, Val: "never-written"}
 
@@ -180,7 +179,7 @@ func E9Regular() (*Result, error) {
 		ID:     "E9",
 		Title:  "Regularity vs atomicity (Proposition 7, Appendix D)",
 		Claim:  "The regular variant tolerates malicious readers and achieves fw = t−b, fr = t, while the atomic variant is corrupted by a forged reader write-back.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

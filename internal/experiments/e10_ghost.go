@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
 )
@@ -21,7 +20,7 @@ import (
 // protocol; two readers then each issue a sequence of synchronous
 // reads and the slow ones are counted.
 func E10Ghost() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Ghost contention (Theorem 13; t=2, b=1, fw=1, 2 readers × 6 reads)",
 		"crash-point", "reader", "rounds-sequence", "slow-reads", "ok (≤3)")
 	pass := true
@@ -83,7 +82,7 @@ func E10Ghost() (*Result, error) {
 			if !ok {
 				pass = false
 			}
-			table.AddRow(p.name, fmt.Sprintf("r%d", r), seq, metrics.Itoa(slow), metrics.Bool(ok))
+			table.AddRow(p.name, fmt.Sprintf("r%d", r), seq, Itoa(slow), Bool(ok))
 		}
 		c.Close()
 	}
@@ -92,7 +91,7 @@ func E10Ghost() (*Result, error) {
 		ID:     "E10",
 		Title:  "Contending with the ghost (Theorem 13, Appendix E)",
 		Claim:  "After the writer fails mid-WRITE, at most three synchronous READs per reader are slow before the fast path is restored.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

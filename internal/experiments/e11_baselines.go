@@ -6,7 +6,6 @@ import (
 
 	"luckystore/internal/abd"
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/regular"
 	"luckystore/internal/simnet"
 	"luckystore/internal/twophase"
@@ -29,7 +28,7 @@ func E11Baselines() (*Result, error) {
 		roundTO   = 2*linkDelay + 8*time.Millisecond
 		nOps      = 12
 	)
-	table := metrics.NewTable(
+	table := NewTable(
 		"Best-case comparison (t=2; 1 ms links; means over 12 ops)",
 		"protocol", "S", "write-rounds", "read-rounds", "write-mean", "read-mean", "read-ratio-vs-lucky", "ok")
 	pass := true
@@ -135,16 +134,16 @@ func E11Baselines() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(r.name, metrics.Itoa(r.s), metrics.Itoa(r.wRounds), metrics.Itoa(r.rRounds),
+		table.AddRow(r.name, Itoa(r.s), Itoa(r.wRounds), Itoa(r.rRounds),
 			r.wMean.Round(10*time.Microsecond).String(), r.rMean.Round(10*time.Microsecond).String(),
-			fmt.Sprintf("%.2f", ratio), metrics.Bool(ok))
+			fmt.Sprintf("%.2f", ratio), Bool(ok))
 	}
 
 	return &Result{
 		ID:     "E11",
 		Title:  "Best-case comparison vs baselines (Sections 1 and 6)",
 		Claim:  "Lucky reads and writes take one round-trip where ABD reads take two; the two-phase variant pays two rounds per write; latency scales with round-trips.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }
@@ -154,21 +153,20 @@ func E11Baselines() (*Result, error) {
 func e11Drive(n int, write func(i int) error, read func() error,
 	writeRounds, readRounds func() int) (wMean, rMean time.Duration, wR, rR int, err error) {
 
-	var wLat, rLat []time.Duration
 	for i := 1; i <= n; i++ {
 		start := time.Now()
 		if err := write(i); err != nil {
 			return 0, 0, 0, 0, err
 		}
-		wLat = append(wLat, time.Since(start))
+		wMean += time.Since(start)
 		wR = writeRounds()
 
 		start = time.Now()
 		if err := read(); err != nil {
 			return 0, 0, 0, 0, err
 		}
-		rLat = append(rLat, time.Since(start))
+		rMean += time.Since(start)
 		rR = readRounds()
 	}
-	return metrics.Summarize(wLat).Mean, metrics.Summarize(rLat).Mean, wR, rR, nil
+	return wMean / time.Duration(n), rMean / time.Duration(n), wR, rR, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/simnet"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -19,7 +18,7 @@ import (
 // and one reply per server). A one-way link-delay sweep shows fast-op
 // latency tracking 2×delay.
 func E12Latency() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Latency and message complexity of lucky operations (t=2, b=1, fw=1, S=6)",
 		"one-way delay", "write-mean", "read-mean", "read/(2·delay)", "msgs/write", "msgs/read", "ok")
 	pass := true
@@ -72,14 +71,14 @@ func E12Latency() (*Result, error) {
 			wMean.Round(10*time.Microsecond).String(), rMean.Round(10*time.Microsecond).String(),
 			fmt.Sprintf("%.2f", ratio),
 			fmt.Sprintf("%.1f", msgsPerWrite), fmt.Sprintf("%.1f", msgsPerRead),
-			metrics.Bool(ok))
+			Bool(ok))
 	}
 
 	return &Result{
 		ID:     "E12",
 		Title:  "Latency ∝ round-trips × delay; message complexity",
 		Claim:  "A lucky operation costs one round-trip (≈ 2×link delay) and exactly 2S messages; the round-trip count, not computation, governs latency.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

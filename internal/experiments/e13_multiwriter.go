@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/simnet"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -20,7 +19,7 @@ import (
 // ⟨seq, writer⟩ stamps; the PW_ACK.Max channel flags contention when a
 // server already holds a higher stamp.
 func E13MultiWriter() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"WRITE rounds and messages vs writer identities (t=2, b=1, fw=1, S=6, sequential round-robin)",
 		"writers", "rounds", "fast", "queried", "msgs/write", "stamps", "ok")
 	pass := true
@@ -84,10 +83,10 @@ func E13MultiWriter() (*Result, error) {
 		if !rowOK {
 			pass = false
 		}
-		table.AddRow(metrics.Itoa(writers), metrics.Itoa(wantRounds),
-			metrics.Bool(true), metrics.Bool(writers > 1),
+		table.AddRow(Itoa(writers), Itoa(wantRounds),
+			Bool(true), Bool(writers > 1),
 			fmt.Sprintf("%.1f", msgsPerWrite), "strictly-increasing",
-			metrics.Bool(rowOK))
+			Bool(rowOK))
 	}
 
 	// Contention telemetry. The stamp query makes an ordinary MW write
@@ -98,7 +97,7 @@ func E13MultiWriter() (*Result, error) {
 	// WriteAt replays a migrated pair verbatim, and when the destination
 	// already advanced past it the replay completes idempotently with
 	// Contended reporting the race instead of silently masking it.
-	cTable := metrics.NewTable(
+	cTable := NewTable(
 		"Contention telemetry (Writers=2, servers later hold installed stamp 〈50.5〉)",
 		"phase", "contended", "stamp", "ok")
 	{
@@ -114,8 +113,8 @@ func E13MultiWriter() (*Result, error) {
 		}
 		m := c.WriterN(0).LastMeta()
 		calmOK := !m.Contended
-		cTable.AddRow("uncontended", metrics.Bool(m.Contended),
-			fmt.Sprintf("%v", m.Stamp()), metrics.Bool(calmOK))
+		cTable.AddRow("uncontended", Bool(m.Contended),
+			fmt.Sprintf("%v", m.Stamp()), Bool(calmOK))
 
 		installed := types.Tagged{TS: 50, W: 5, Val: "raced"}
 		for i := 0; i < cfg.S(); i++ {
@@ -127,8 +126,8 @@ func E13MultiWriter() (*Result, error) {
 		}
 		m = c.WriterN(1).LastMeta()
 		queryOK := !m.Contended && m.Stamp() == (types.Stamp{Seq: 51, Writer: 1})
-		cTable.AddRow("query-resolves-installed", metrics.Bool(m.Contended),
-			fmt.Sprintf("%v", m.Stamp()), metrics.Bool(queryOK))
+		cTable.AddRow("query-resolves-installed", Bool(m.Contended),
+			fmt.Sprintf("%v", m.Stamp()), Bool(queryOK))
 
 		// Handoff replay of a pair the destination has already passed:
 		// no query, exact foreign stamp, race detected via PW_ACK.Max.
@@ -139,8 +138,8 @@ func E13MultiWriter() (*Result, error) {
 		m = c.WriterN(0).LastMeta()
 		c.Close()
 		replayOK := m.Contended && m.Stamp() == (types.Stamp{Seq: 2, Writer: 7})
-		cTable.AddRow("handoff-behind-destination", metrics.Bool(m.Contended),
-			fmt.Sprintf("%v", m.Stamp()), metrics.Bool(replayOK))
+		cTable.AddRow("handoff-behind-destination", Bool(m.Contended),
+			fmt.Sprintf("%v", m.Stamp()), Bool(replayOK))
 		if !calmOK || !queryOK || !replayOK {
 			pass = false
 		}
@@ -150,7 +149,7 @@ func E13MultiWriter() (*Result, error) {
 		ID:     "E13",
 		Title:  "Multi-writer WRITE cost: one query round on top of Fig. 1",
 		Claim:  "A multi-writer WRITE is the published one-round fast write plus exactly one stamp-query round (2 round-trips, 4S messages); single-writer deployments keep the 1-round, 2S path byte for byte, and contention is detected, never lost.",
-		Tables: []*metrics.Table{table, cTable},
+		Tables: []*Table{table, cTable},
 		Pass:   pass,
 	}, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/types"
 	"luckystore/internal/workload"
 )
@@ -17,7 +16,7 @@ import (
 // tagged pairs plus per-reader slots, nothing per writer (the paper's
 // space-bounds property, Theorem 2, extended to the MW setting).
 func E14MWReads() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"READ and server state vs writer identities (t=2, b=1, fw=1, S=6, 12 round-robin writes)",
 		"writers", "read-rounds", "fast", "read-stamp", "server-pw", "frozen-slots", "readerTS-slots", "ok")
 	pass := true
@@ -71,16 +70,16 @@ func E14MWReads() (*Result, error) {
 		if !rowOK {
 			pass = false
 		}
-		table.AddRow(metrics.Itoa(writers), metrics.Itoa(rm.Rounds()), metrics.Bool(rm.Fast()),
+		table.AddRow(Itoa(writers), Itoa(rm.Rounds()), Bool(rm.Fast()),
 			fmt.Sprintf("%v", got.Stamp()), fmt.Sprintf("%v", last.Stamp()),
-			metrics.Itoa(maxFrozen), metrics.Itoa(maxReaderTS), metrics.Bool(rowOK))
+			Itoa(maxFrozen), Itoa(maxReaderTS), Bool(rowOK))
 	}
 
 	return &Result{
 		ID:     "E14",
 		Title:  "Multi-writer READs and bounded server state",
 		Claim:  "A READ returns the pair with the highest ⟨seq, writer⟩ stamp in one round-trip; server state holds the full stamp verbatim and stays bounded — per-reader slots only, nothing per writer.",
-		Tables: []*metrics.Table{table},
+		Tables: []*Table{table},
 		Pass:   pass,
 	}, nil
 }

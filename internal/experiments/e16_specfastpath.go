@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/metrics"
 	"luckystore/internal/simnet"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -20,7 +19,7 @@ import (
 // SpecFraction, mean rounds, wire messages per write) and the flip /
 // back-off / re-engage cycle is pinned step by step.
 func E16SpecFastPath() (*Result, error) {
-	table := metrics.NewTable(
+	table := NewTable(
 		"Speculative engagement vs contention (t=2, b=1, fw=1, S=6, 12 writes)",
 		"regime", "writers", "spec-frac", "flip-rate", "mean-rounds", "msgs/write", "ok")
 	pass := true
@@ -124,16 +123,16 @@ func E16SpecFastPath() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(rg.name, metrics.Itoa(rg.writers),
+		table.AddRow(rg.name, Itoa(rg.writers),
 			fmt.Sprintf("%.2f", st.SpecFraction()), fmt.Sprintf("%.2f", st.FlipRate()),
 			fmt.Sprintf("%.2f", st.MeanRounds()), fmt.Sprintf("%.1f", msgs),
-			metrics.Bool(ok))
+			Bool(ok))
 	}
 
 	// The adaptive cycle, step by step: speculate → NACK flips the
 	// attempt to the query path (recording the ghost) → one queried
 	// back-off operation → speculation re-engages.
-	cTable := metrics.NewTable(
+	cTable := NewTable(
 		"Flip and recovery (Writers=2, servers injected with installed stamp 〈50.5〉)",
 		"phase", "spec", "queried", "rounds", "ghost", "stamp", "ok")
 	{
@@ -154,9 +153,9 @@ func E16SpecFastPath() (*Result, error) {
 			if !ok {
 				pass = false
 			}
-			cTable.AddRow(phase, metrics.Bool(m.Spec), metrics.Bool(m.Queried),
-				metrics.Itoa(m.Rounds), fmt.Sprintf("%v", m.Ghost),
-				fmt.Sprintf("%v", m.Stamp()), metrics.Bool(ok))
+			cTable.AddRow(phase, Bool(m.Spec), Bool(m.Queried),
+				Itoa(m.Rounds), fmt.Sprintf("%v", m.Ghost),
+				fmt.Sprintf("%v", m.Stamp()), Bool(ok))
 			return nil
 		}
 		if err := step("cold-query", "a", func(m core.WriteMeta) bool {
@@ -200,7 +199,7 @@ func E16SpecFastPath() (*Result, error) {
 		ID:     "E16",
 		Title:  "Contention-adaptive speculative MW fast path: quiet keys write in one round",
 		Claim:  "With the stamp cache warm and no recent contention, a multi-writer WRITE elides the stamp-query round and completes in one round trip (2S messages) — the published Fig. 1 shape; a server NACK flips the attempt to the E13 query path, one clean queried operation re-arms speculation, and the flip rate tracks actual contention.",
-		Tables: []*metrics.Table{table, cTable},
+		Tables: []*Table{table, cTable},
 		Pass:   pass,
 	}, nil
 }

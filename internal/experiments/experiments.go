@@ -4,15 +4,13 @@
 // cmd/luckybench runs them all; bench_test.go wraps each one as a Go
 // benchmark.
 //
-// The experiment index (ids E1–E14) is documented in DESIGN.md §3.
+// The experiment index (ids E1–E14 and E16) is EXPERIMENTS.md "Inventory".
 package experiments
 
 import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"luckystore/internal/metrics"
 )
 
 // Result is the outcome of one experiment.
@@ -22,7 +20,7 @@ type Result struct {
 	// Claim quotes the paper statement the experiment reproduces.
 	Claim string
 	// Tables hold the measured rows.
-	Tables []*metrics.Table
+	Tables []*Table
 	// Pass reports whether the measured shape matches the paper.
 	Pass bool
 	// Notes carry free-form observations (substitutions, caveats).

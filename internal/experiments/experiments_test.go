@@ -62,3 +62,44 @@ func TestE12Latency(t *testing.T)      { runAndCheck(t, "E12") }
 func TestE13MultiWriter(t *testing.T)  { runAndCheck(t, "E13") }
 func TestE14MWReads(t *testing.T)      { runAndCheck(t, "E14") }
 func TestE16SpecFastPath(t *testing.T) { runAndCheck(t, "E16") }
+
+func TestRoundDist(t *testing.T) {
+	hist, fast := roundDist(map[int]int{1: 9, 3: 1})
+	if hist != "1r:9 3r:1" || fast != "0.90" {
+		t.Errorf("roundDist = %q %q, want \"1r:9 3r:1\" \"0.90\"", hist, fast)
+	}
+	if hist, fast := roundDist(map[int]int{}); hist != "(empty)" || fast != "0.00" {
+		t.Errorf("empty roundDist = %q %q", hist, fast)
+	}
+}
+
+func TestTableRendering(t *testing.T) {
+	tbl := NewTable("demo", "name", "rounds")
+	tbl.AddRow("fast-write", "1")
+	tbl.AddRow("slow", "3")
+	out := tbl.String()
+	if !strings.Contains(out, "demo") || !strings.Contains(out, "fast-write") {
+		t.Errorf("rendered table missing content:\n%s", out)
+	}
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 5 { // title, header, separator, 2 rows
+		t.Errorf("got %d lines, want 5:\n%s", len(lines), out)
+	}
+	// Padded row: short rows fill with empty cells without panic.
+	tbl.AddRow("only-one")
+	_ = tbl.String()
+
+	md := tbl.Markdown()
+	if !strings.Contains(md, "| name | rounds |") {
+		t.Errorf("markdown header missing:\n%s", md)
+	}
+}
+
+func TestHelpers(t *testing.T) {
+	if Itoa(42) != "42" {
+		t.Error("Itoa broken")
+	}
+	if Bool(true) != "yes" || Bool(false) != "no" {
+		t.Error("Bool broken")
+	}
+}

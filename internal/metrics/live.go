@@ -1,4 +1,4 @@
-// Live instrumentation layer (DESIGN.md §13): atomic counters and
+// Package metrics is the live instrumentation layer (DESIGN.md §13): atomic counters and
 // gauges, lock-free power-of-two latency histograms, and a Registry
 // that exposes everything in the Prometheus text format — no external
 // dependencies, and zero allocation on every hot-path observation.

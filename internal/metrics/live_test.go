@@ -8,59 +8,6 @@ import (
 	"time"
 )
 
-// TestPercentileNearestRankSmallN pins the nearest-rank arithmetic at
-// the small sample sizes where off-by-ones live: the p-th percentile
-// of N samples is the element at rank ceil(p·N/100), 1-based, clamped
-// to [1, N].
-func TestPercentileNearestRankSmallN(t *testing.T) {
-	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
-	cases := []struct {
-		samples []time.Duration
-		p       int
-		want    time.Duration
-	}{
-		// N=1: every percentile is the single sample.
-		{[]time.Duration{ms(7)}, 1, ms(7)},
-		{[]time.Duration{ms(7)}, 50, ms(7)},
-		{[]time.Duration{ms(7)}, 99, ms(7)},
-		{[]time.Duration{ms(7)}, 100, ms(7)},
-		// N=2: p50 → rank ceil(1.0)=1, p51 → rank ceil(1.02)=2.
-		{[]time.Duration{ms(1), ms(2)}, 50, ms(1)},
-		{[]time.Duration{ms(1), ms(2)}, 51, ms(2)},
-		{[]time.Duration{ms(1), ms(2)}, 95, ms(2)},
-		// N=3: p50 → rank 2 (the true median), p95 → rank 3.
-		{[]time.Duration{ms(1), ms(2), ms(3)}, 50, ms(2)},
-		{[]time.Duration{ms(1), ms(2), ms(3)}, 95, ms(3)},
-		// N=4: p50 → rank 2, p75 → rank 3, p76 → rank 4.
-		{[]time.Duration{ms(1), ms(2), ms(3), ms(4)}, 50, ms(2)},
-		{[]time.Duration{ms(1), ms(2), ms(3), ms(4)}, 75, ms(3)},
-		{[]time.Duration{ms(1), ms(2), ms(3), ms(4)}, 76, ms(4)},
-		// N=20: p95 → rank 19, not 20.
-		{seq(ms, 20), 95, ms(19)},
-		// N=100: p95 is exactly the 95th sample.
-		{seq(ms, 100), 95, ms(95)},
-		// p=0 clamps to rank 1 rather than rank 0.
-		{seq(ms, 5), 0, ms(1)},
-	}
-	for _, c := range cases {
-		got := percentile(c.samples, c.p)
-		if got != c.want {
-			t.Errorf("percentile(N=%d, p=%d) = %v, want %v", len(c.samples), c.p, got, c.want)
-		}
-	}
-	if got := Summarize(nil); got != (Summary{}) {
-		t.Errorf("Summarize(nil) = %+v, want zero", got)
-	}
-}
-
-func seq(ms func(int) time.Duration, n int) []time.Duration {
-	out := make([]time.Duration, n)
-	for i := range out {
-		out[i] = ms(i + 1)
-	}
-	return out
-}
-
 // TestHistogramBuckets pins the power-of-two bucket boundaries.
 func TestHistogramBuckets(t *testing.T) {
 	cases := []struct {

@@ -1,40 +1,21 @@
 package workload
 
 import (
+	"cmp"
 	"context"
-	"errors"
-	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"luckystore/internal/checker"
-	"luckystore/internal/types"
 )
 
-// ErrMWUnsupported is returned by Continuous.Run when the workload asks
-// for contending writer identities (Writers > 1) but the deployment
-// exposes only one. The silent fall-back to a single writer this
-// replaces made multi-writer scenarios vacuously pass on deployments
-// that never exercised contention; callers that genuinely want
-// best-effort degradation (the chaos matrix running one scenario set
-// over every deployment kind) clamp Writers themselves and say so.
-var ErrMWUnsupported = errors.New("workload: multi-writer traffic unsupported (deployment exposes a single writer identity)")
-
-// ErrSpecGhost marks the failed-write history entry recorded for a
-// speculative pre-write attempt that was NACKed or starved and
-// abandoned (OpMeta.Ghost). The pair may linger on servers, so the
-// checker must know the stamp was bound — as by a crashed writer —
-// without treating the attempt as a completed write.
-var ErrSpecGhost = errors.New("speculative pre-write aborted (stamp may linger on servers)")
-
 // Continuous generates open-ended traffic until its context is
-// cancelled: one writer goroutine per key and one goroutine per reader
-// client, each pacing its own operations. It is the traffic source the
-// chaos engine runs underneath a fault schedule, so it is built to keep
-// going while servers crash, links flap and partitions roll — an
-// operation error is recorded (and stops only the actor that hit it),
-// never panics the run.
+// cancelled: one writer actor per (key, writer identity) and one actor
+// per reader client, each pacing its own operations. It is the traffic
+// source the chaos engine runs underneath a fault schedule, so it is
+// built to keep going while servers crash, links flap and partitions
+// roll — an operation error is recorded (and stops only the actor that
+// hit it), never panics the run.
 //
 // Key choice per read is driven by a seeded RNG, so the operation mix
 // is reproducible up to scheduling. HotFrac concentrates reads on
@@ -46,8 +27,8 @@ type Continuous struct {
 	// Writers is how many writer identities contend on every key. Zero
 	// or one keeps the classic SWMR shape. Higher values require a
 	// driver implementing MultiWriter and are capped at its
-	// NumWriters(); drivers without the capability fall back to one
-	// writer, so the same scenario runs benignly everywhere.
+	// NumWriters(); a driver with a single identity fails the run
+	// with ErrMWUnsupported before any operation starts.
 	Writers int
 	// ValueSize pads written values (0 keeps the short form).
 	ValueSize int
@@ -75,144 +56,27 @@ const (
 // run). Every recorded Op carries its key, so per-key checking applies
 // directly.
 func (g Continuous) Run(ctx context.Context, d Driver) (*checker.Recorder, error) {
-	keys := g.Keys
-	if !d.MultiKey() {
-		keys = []string{""}
-	} else if len(keys) == 0 {
-		keys = []string{DefaultKey}
+	e, err := newEngine(d, g.Keys, g.Writers, g.ValueSize)
+	if err != nil {
+		return e.rec, err
 	}
-	writePace, readPace := g.WritePace, g.ReadPace
-	if writePace <= 0 {
-		writePace = DefaultWritePace
+	rngs := make([]*rand.Rand, d.NumReaders())
+	for r := range rngs {
+		rngs[r] = rand.New(rand.NewSource(g.Seed*1000003 + int64(r)))
 	}
-	if readPace <= 0 {
-		readPace = DefaultReadPace
-	}
-
-	rec := checker.NewRecorder()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-	}
-
-	// One writer goroutine per (key, writer): a single identity per
-	// register is the classic SWMR shape, and with Writers > 1 the
-	// identities contend on every key through MultiWriter.WriteAs. A
-	// given writer identity still never runs two of its own writes
-	// concurrently — contention is across identities, as in the model.
-	// Asking for contention a deployment cannot deliver is an error,
-	// not a quiet downgrade (ErrMWUnsupported).
-	writers := 1
-	var mw MultiWriter
-	if g.Writers > 1 {
-		m, ok := d.(MultiWriter)
-		if !ok || m.NumWriters() <= 1 {
-			return rec, fmt.Errorf("%w: driver %T, Writers=%d", ErrMWUnsupported, d, g.Writers)
-		}
-		mw = m
-		writers = min(g.Writers, m.NumWriters())
-	}
-	for _, key := range keys {
-		for w := 0; w < writers; w++ {
-			key, w := key, w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := 1; ; i++ {
-					// Writer-distinct values keep the checker's
-					// read-to-write association unambiguous under
-					// contention.
-					v := WriterValue(w, i, g.ValueSize)
-					if writers == 1 {
-						v = Value(i, g.ValueSize)
-					}
-					inv := time.Now()
-					var (
-						got  types.Tagged
-						meta OpMeta
-						err  error
-					)
-					if mw != nil {
-						got, meta, err = mw.WriteAs(w, key, v)
-					} else {
-						got, meta, err = d.Write(key, v)
-					}
-					ret := time.Now()
-					if err != nil {
-						got = types.Tagged{Val: v}
-					}
-					if !meta.Ghost.IsZero() {
-						// The operation abandoned a speculative pre-write
-						// at this stamp before completing at got's: record
-						// it as a failed write so the checker accepts
-						// concurrent reads that return the lingering pair.
-						rec.Add(checker.Op{
-							Client: types.WriterIDN(w), Kind: checker.KindWrite, Key: key,
-							Value:  types.Tagged{TS: meta.Ghost.Seq, W: meta.Ghost.Writer, Val: v},
-							Invoke: inv, Return: ret, Err: ErrSpecGhost,
-						})
-					}
-					op := checker.Op{
-						Client: types.WriterIDN(w), Kind: checker.KindWrite, Key: key,
-						Value:  got,
-						Invoke: inv, Return: ret, Rounds: meta.Rounds, Fast: meta.Fast, Err: err,
-					}
-					rec.Add(op)
-					if err != nil {
-						fail(fmt.Errorf("writer %d %q #%d: %w", w, key, i, err))
-						return
-					}
-					if !sleepCtx(ctx, writePace) {
-						return
-					}
-				}
-			}()
-		}
-	}
-
-	for r := 0; r < d.NumReaders(); r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(g.Seed*1000003 + int64(r)))
-			for i := 0; ; i++ {
-				key := keys[rng.Intn(len(keys))]
-				if g.HotFrac > 0 && rng.Float64() < g.HotFrac {
-					key = keys[0]
-				}
-				inv := time.Now()
-				got, meta, err := d.Read(r, key)
-				ret := time.Now()
-				op := checker.Op{
-					Client: types.ReaderID(r), Kind: checker.KindRead, Key: key,
-					Value:  got,
-					Invoke: inv, Return: ret, Rounds: meta.Rounds, Fast: meta.Fast, Err: err,
-				}
-				rec.Add(op)
-				if err != nil {
-					fail(fmt.Errorf("reader %d op %d on %q: %w", r, i, key, err))
-					return
-				}
-				if !sleepCtx(ctx, readPace) {
-					return
-				}
+	return e.run(func(a *actor, i int) (job, bool) {
+		// A pace ≤ 0 takes its default.
+		j, pace := job{key: a.key}, cmp.Or(max(g.WritePace, 0), DefaultWritePace)
+		if a.w < 0 {
+			rng := rngs[a.r]
+			j.key = e.keys[rng.Intn(len(e.keys))]
+			if g.HotFrac > 0 && rng.Float64() < g.HotFrac {
+				j.key = e.keys[0]
 			}
-		}()
-	}
-
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	return rec, firstErr
+			pace = cmp.Or(max(g.ReadPace, 0), DefaultReadPace)
+		}
+		return j, a.err == nil && (i == 1 || sleepCtx(ctx, pace))
+	})
 }
 
 // sleepCtx sleeps for d or until ctx is done; it reports whether the

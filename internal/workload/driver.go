@@ -27,7 +27,7 @@ import (
 )
 
 // DefaultKey is the register multi-key drivers use when a workload is
-// single-register in spirit (Mixed, Sequential): keyed transports
+// single-register in spirit (Mixed): keyed transports
 // reject the empty key, so "k0" stands in for "the one register".
 const DefaultKey = "k0"
 

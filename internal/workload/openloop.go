@@ -1,43 +1,33 @@
 package workload
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"luckystore/internal/checker"
-	"luckystore/internal/types"
 )
-
-// ErrOverload marks an operation the open-loop generator had to shed:
-// its arrival found the target actor's queue full, meaning the system
-// fell behind the offered rate. Shed arrivals are recorded as failed
-// ops (and surface as Errors in a Result) instead of silently vanishing
-// — an open-loop harness that drops load without accounting overstates
-// the system it measures.
-var ErrOverload = errors.New("workload: open-loop arrival shed (actor queue full)")
 
 // OpenLoop generates traffic at a fixed offered rate, independent of
 // operation completions — the harness shape that exposes queueing
 // delay, unlike Continuous's closed loop where a slow system simply
 // slows its own clients. Arrivals are produced by one central clock and
-// dispatched to per-actor queues: one worker per key serializes that
-// key's writes (the SWMR contract), one worker per reader client
-// serializes its reads. Latency is measured from arrival, so time spent
-// queued behind a slow operation counts — the coordinated-omission-free
-// number an SLO wants.
+// dispatched to bounded per-actor queues: one writer actor per key
+// serializes that key's writes (the SWMR contract), one actor per
+// reader client serializes its reads. Latency is measured from arrival,
+// so time spent queued behind a slow operation counts — the
+// coordinated-omission-free number an SLO wants.
 type OpenLoop struct {
-	// Keys are the registers to exercise (required; open loop drives
-	// multi-key drivers only).
+	// Keys are the registers to exercise. Empty (or a single-register
+	// driver) collapses to the one unnamed register.
 	Keys []string
 	// Rate is the offered load in operations per second, arrivals
 	// spaced evenly. Required.
 	Rate float64
 	// WriteFrac is the probability an arrival is a write; zero means
-	// 0.5.
+	// 0.5. Below 1 the driver needs at least one reader.
 	WriteFrac float64
 	// ValueSize pads written values (0 keeps the short form).
 	ValueSize int
@@ -51,195 +41,66 @@ type OpenLoop struct {
 	QueueDepth int
 }
 
-// openJob is one arrival: the instant it entered the system and, for
-// writes, nothing else — the worker owns value sequencing.
-type openJob struct {
-	key     string
-	arrival time.Time
-}
-
 // Run offers load to d until ctx is cancelled and returns the recorded
 // history with the first operation error (shed arrivals are recorded
-// but do not count as operation errors). Wall time between Run's start
-// and return is the window to pass Summarize.
+// but do not count as operation errors). An actor whose operation
+// failed sheds its later arrivals. Wall time between Run's start and
+// return is the window to pass Summarize.
 func (g OpenLoop) Run(ctx context.Context, d Driver) (*checker.Recorder, error) {
-	if !d.MultiKey() {
-		return nil, fmt.Errorf("workload: open loop requires a multi-key driver, got %T", d)
-	}
-	keys := g.Keys
-	if len(keys) == 0 {
-		keys = []string{DefaultKey}
-	}
 	if g.Rate <= 0 {
 		return nil, fmt.Errorf("workload: open loop needs a positive Rate, got %v", g.Rate)
 	}
-	writeFrac := g.WriteFrac
-	if writeFrac == 0 {
-		writeFrac = 0.5
+	writeFrac := cmp.Or(g.WriteFrac, 0.5)
+	if writeFrac < 1 && d.NumReaders() == 0 {
+		return nil, fmt.Errorf("workload: open loop with WriteFrac %v needs a reader client, driver %T has none", writeFrac, d)
 	}
 	depth := g.QueueDepth
 	if depth <= 0 {
 		depth = 128
 	}
-
-	rec := checker.NewRecorder()
-	var (
-		wg       sync.WaitGroup
-		errMu    sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
+	e, _ := newEngine(d, g.Keys, 1, g.ValueSize) // one writer always resolves
+	for _, a := range e.actors {
+		a.q = make(chan job, depth)
 	}
-
-	// One write worker per key: arrivals for a key serialize through
-	// its queue, preserving the SWMR per-key contract while different
-	// keys proceed concurrently.
-	writeQ := make(map[string]chan openJob, len(keys))
-	for _, key := range keys {
-		key := key
-		q := make(chan openJob, depth)
-		writeQ[key] = q
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			broken := false
-			for i := 1; ; i++ {
-				job, ok := <-q
-				if !ok {
-					return
-				}
-				if broken {
-					// The writer already failed; account the queued
-					// arrival as shed rather than retrying on a dead path.
-					rec.Add(checker.Op{
-						Client: types.WriterID(), Kind: checker.KindWrite, Key: key,
-						Invoke: job.arrival, Return: time.Now(), Err: ErrOverload,
-					})
-					continue
-				}
-				v := Value(i, g.ValueSize)
-				got, meta, err := d.Write(key, v)
-				ret := time.Now()
-				if err != nil {
-					got = types.Tagged{Val: v}
-				}
-				if !meta.Ghost.IsZero() {
-					rec.Add(checker.Op{
-						Client: types.WriterID(), Kind: checker.KindWrite, Key: key,
-						Value:  types.Tagged{TS: meta.Ghost.Seq, W: meta.Ghost.Writer, Val: v},
-						Invoke: job.arrival, Return: ret, Err: ErrSpecGhost,
-					})
-				}
-				rec.Add(checker.Op{
-					Client: types.WriterID(), Kind: checker.KindWrite, Key: key,
-					Value:  got,
-					Invoke: job.arrival, Return: ret, Rounds: meta.Rounds, Fast: meta.Fast, Err: err,
-				})
-				if err != nil {
-					fail(fmt.Errorf("open-loop writer %q #%d: %w", key, i, err))
-					broken = true
-				}
-			}
-		}()
-	}
-
-	// One read worker per reader client, honoring the per-reader
-	// serialization contract; arrivals round-robin over them.
-	readQs := make([]chan openJob, d.NumReaders())
-	for r := range readQs {
-		r := r
-		q := make(chan openJob, depth)
-		readQs[r] = q
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			broken := false
-			for i := 0; ; i++ {
-				job, ok := <-q
-				if !ok {
-					return
-				}
-				if broken {
-					rec.Add(checker.Op{
-						Client: types.ReaderID(r), Kind: checker.KindRead, Key: job.key,
-						Invoke: job.arrival, Return: time.Now(), Err: ErrOverload,
-					})
-					continue
-				}
-				got, meta, err := d.Read(r, job.key)
-				ret := time.Now()
-				rec.Add(checker.Op{
-					Client: types.ReaderID(r), Kind: checker.KindRead, Key: job.key,
-					Value:  got,
-					Invoke: job.arrival, Return: ret, Rounds: meta.Rounds, Fast: meta.Fast, Err: err,
-				})
-				if err != nil {
-					fail(fmt.Errorf("open-loop reader %d op %d on %q: %w", r, i, job.key, err))
-					broken = true
-				}
-			}
-		}()
-	}
+	// e.actors[k] is key k's writer; the readers follow.
+	readers := e.actors[len(e.keys):]
 
 	// Arrival clock: evenly spaced ticks at the offered rate, each
 	// dispatching one operation. A full queue sheds the arrival
 	// immediately — the clock never blocks, or the loop would degrade
 	// into a closed one.
-	rng := rand.New(rand.NewSource(g.Seed))
-	interval := time.Duration(float64(time.Second) / g.Rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
-	nextReader := 0
-arrivals:
-	for {
-		select {
-		case <-ctx.Done():
-			break arrivals
-		case <-tick.C:
-		}
-		key := keys[rng.Intn(len(keys))]
-		now := time.Now()
-		if rng.Float64() < writeFrac {
-			select {
-			case writeQ[key] <- openJob{key: key, arrival: now}:
-			default:
-				rec.Add(checker.Op{
-					Client: types.WriterID(), Kind: checker.KindWrite, Key: key,
-					Invoke: now, Return: now, Err: ErrOverload,
-				})
+	go func() {
+		defer func() {
+			for _, a := range e.actors {
+				close(a.q)
 			}
-		} else {
-			if g.HotFrac > 0 && rng.Float64() < g.HotFrac {
-				key = keys[0]
-			}
-			q := readQs[nextReader]
-			nextReader = (nextReader + 1) % len(readQs)
+		}()
+		rng := rand.New(rand.NewSource(g.Seed))
+		tick := time.NewTicker(max(time.Duration(float64(time.Second)/g.Rate), time.Nanosecond))
+		defer tick.Stop()
+		for next := 0; ; {
 			select {
-			case q <- openJob{key: key, arrival: now}:
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+			k := rng.Intn(len(e.keys))
+			a, j := e.actors[k], job{key: e.keys[k], at: time.Now()}
+			if rng.Float64() >= writeFrac {
+				if g.HotFrac > 0 && rng.Float64() < g.HotFrac {
+					j.key = e.keys[0]
+				}
+				a, next = readers[next], (next+1)%len(readers)
+			}
+			select {
+			case a.q <- j:
 			default:
-				rec.Add(checker.Op{
-					Client: types.ReaderID(0), Kind: checker.KindRead, Key: key,
-					Invoke: now, Return: now, Err: ErrOverload,
-				})
+				e.shed(a, j)
 			}
 		}
-	}
-	for _, q := range writeQ {
-		close(q)
-	}
-	for _, q := range readQs {
-		close(q)
-	}
-	wg.Wait()
-	errMu.Lock()
-	defer errMu.Unlock()
-	return rec, firstErr
+	}()
+	return e.run(func(a *actor, _ int) (job, bool) {
+		j, ok := <-a.q
+		return j, ok
+	})
 }

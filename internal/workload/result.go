@@ -3,7 +3,7 @@ package workload
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"luckystore/internal/checker"
@@ -57,22 +57,22 @@ type LatencySummary struct {
 // summarizeLatency computes percentiles over a sample set; it sorts
 // its argument in place.
 func summarizeLatency(samples []time.Duration) LatencySummary {
-	if len(samples) == 0 {
-		return LatencySummary{}
+	slices.Sort(samples)
+	return LatencySummary{
+		P50: percentile(samples, 0.50), P95: percentile(samples, 0.95),
+		P99: percentile(samples, 0.99), P999: percentile(samples, 0.999),
 	}
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	at := func(q float64) time.Duration {
-		// Nearest-rank: the smallest sample ≥ q of the distribution.
-		i := int(math.Ceil(q*float64(len(samples)))) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(samples) {
-			i = len(samples) - 1
-		}
-		return samples[i]
+}
+
+// percentile returns the q-quantile (0 ≤ q ≤ 1) of a sorted sample by
+// nearest rank: the sample at rank ceil(q·N), 1-based, clamped to
+// [1, N]; zero for an empty sample.
+func percentile(sorted []time.Duration, q float64) time.Duration {
+	if len(sorted) == 0 {
+		return 0
 	}
-	return LatencySummary{P50: at(0.50), P95: at(0.95), P99: at(0.99), P999: at(0.999)}
+	rank := int(math.Ceil(q * float64(len(sorted))))
+	return sorted[min(max(rank, 1), len(sorted))-1]
 }
 
 // Summarize reduces a recorded history to a Result. elapsed is the

@@ -3,8 +3,11 @@ package workload
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"luckystore/internal/checker"
@@ -29,7 +32,11 @@ func TestSummarize(t *testing.T) {
 		op(checker.KindWrite, 0, 0, false, ErrSpecGhost),
 		op(checker.KindRead, 0, 0, false, errors.New("boom")),
 	}
+	before := slices.Clone(ops)
 	res := Summarize(ops, 2*time.Second)
+	if !reflect.DeepEqual(ops, before) {
+		t.Fatal("Summarize mutated its input")
+	}
 	if res.Ops != 4 || res.Writes != 2 || res.Reads != 2 {
 		t.Fatalf("counts: %+v", res)
 	}
@@ -50,6 +57,81 @@ func TestSummarize(t *testing.T) {
 	}
 	if res.WriteLatency.P50 != 1*time.Millisecond || res.ReadLatency.P50 != 2*time.Millisecond {
 		t.Fatalf("by-kind latency %+v %+v", res.WriteLatency, res.ReadLatency)
+	}
+}
+
+// TestPercentileNearestRankSmallN pins the nearest-rank arithmetic at
+// the small sample sizes where off-by-ones live: the p-th percentile
+// of N samples is the element at rank ceil(p·N/100), 1-based, clamped
+// to [1, N].
+func TestPercentileNearestRankSmallN(t *testing.T) {
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	cases := []struct {
+		samples []time.Duration
+		p       int
+		want    time.Duration
+	}{
+		// N=1: every percentile is the single sample.
+		{[]time.Duration{ms(7)}, 1, ms(7)},
+		{[]time.Duration{ms(7)}, 50, ms(7)},
+		{[]time.Duration{ms(7)}, 99, ms(7)},
+		{[]time.Duration{ms(7)}, 100, ms(7)},
+		// N=2: p50 → rank ceil(1.0)=1, p51 → rank ceil(1.02)=2.
+		{[]time.Duration{ms(1), ms(2)}, 50, ms(1)},
+		{[]time.Duration{ms(1), ms(2)}, 51, ms(2)},
+		{[]time.Duration{ms(1), ms(2)}, 95, ms(2)},
+		// N=3: p50 → rank 2 (the true median), p95 → rank 3.
+		{[]time.Duration{ms(1), ms(2), ms(3)}, 50, ms(2)},
+		{[]time.Duration{ms(1), ms(2), ms(3)}, 95, ms(3)},
+		// N=4: p50 → rank 2, p75 → rank 3, p76 → rank 4.
+		{[]time.Duration{ms(1), ms(2), ms(3), ms(4)}, 50, ms(2)},
+		{[]time.Duration{ms(1), ms(2), ms(3), ms(4)}, 75, ms(3)},
+		{[]time.Duration{ms(1), ms(2), ms(3), ms(4)}, 76, ms(4)},
+		// N=20: p95 → rank 19, not 20.
+		{seq(ms, 20), 95, ms(19)},
+		// N=100: p95 is exactly the 95th sample.
+		{seq(ms, 100), 95, ms(95)},
+		// p=0 clamps to rank 1 rather than rank 0.
+		{seq(ms, 5), 0, ms(1)},
+	}
+	for _, c := range cases {
+		got := percentile(c.samples, float64(c.p)/100)
+		if got != c.want {
+			t.Errorf("percentile(N=%d, p=%d) = %v, want %v", len(c.samples), c.p, got, c.want)
+		}
+	}
+	if got := Summarize(nil, 0); got != (Result{}) {
+		t.Errorf("Summarize(nil, 0) = %+v, want zero", got)
+	}
+}
+
+func seq(ms func(int) time.Duration, n int) []time.Duration {
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = ms(i + 1)
+	}
+	return out
+}
+
+// Percentiles must be monotone and within [min, max] of the sample.
+func TestSummarizeQuick(t *testing.T) {
+	base := time.Now()
+	f := func(raw []uint16) bool {
+		if len(raw) == 0 {
+			return true
+		}
+		ops := make([]checker.Op, len(raw))
+		lo, hi := time.Duration(raw[0]), time.Duration(raw[0])
+		for i, v := range raw {
+			lat := time.Duration(v) * time.Microsecond
+			lo, hi = min(lo, lat), max(hi, lat)
+			ops[i] = checker.Op{Kind: checker.KindRead, Invoke: base, Return: base.Add(lat)}
+		}
+		l := Summarize(ops, 0).Latency
+		return lo <= l.P50 && l.P50 <= l.P95 && l.P95 <= l.P99 && l.P99 <= l.P999 && l.P999 <= hi
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -100,9 +182,10 @@ func TestOpenLoopKV(t *testing.T) {
 
 // TestOpenLoopShedsWhenBehind drives an offered rate far beyond what a
 // one-op-at-a-time blocked driver can serve and checks arrivals are
-// shed with ErrOverload instead of blocking the clock.
+// shed with ErrOverload instead of blocking the clock, each recorded
+// under the reader whose queue was full.
 func TestOpenLoopShedsWhenBehind(t *testing.T) {
-	d := &slowDriver{readers: 1, delay: 20 * time.Millisecond}
+	d := &slowDriver{readers: 2, delay: 20 * time.Millisecond}
 	gen := OpenLoop{Keys: []string{"k"}, Rate: 5000, Seed: 1, QueueDepth: 1}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
@@ -113,6 +196,41 @@ func TestOpenLoopShedsWhenBehind(t *testing.T) {
 	res := Summarize(rec.Ops(), 200*time.Millisecond)
 	if res.Errors == 0 {
 		t.Fatalf("expected shed arrivals, got %+v", res)
+	}
+	shedReads := map[types.ProcID]int{}
+	for _, op := range rec.Ops() {
+		if op.Kind == checker.KindRead && errors.Is(op.Err, ErrOverload) {
+			shedReads[op.Client]++
+		}
+	}
+	for r := 0; r < 2; r++ {
+		if shedReads[types.ReaderID(r)] == 0 {
+			t.Errorf("no shed read recorded under reader %d: %v", r, shedReads)
+		}
+	}
+}
+
+// An open loop that would route reads to a driver without readers
+// refuses to start instead of panicking on its first read arrival.
+func TestOpenLoopWithoutReadersRefuses(t *testing.T) {
+	st, err := kv.Open(core.Config{T: 1, B: 0, NumReaders: 0,
+		RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	if _, err := (OpenLoop{Keys: []string{"a"}, Rate: 1000, Seed: 1}).Run(ctx, KVDriver{S: st}); err == nil {
+		t.Fatal("open loop with reads and no reader clients started")
+	}
+	// All-write traffic needs no reader.
+	rec, err := OpenLoop{Keys: []string{"a"}, Rate: 1000, WriteFrac: 1, Seed: 1}.Run(ctx, KVDriver{S: st})
+	if err != nil {
+		t.Fatalf("write-only open loop: %v", err)
+	}
+	if res := Summarize(rec.Ops(), 0); res.Writes == 0 || res.Reads != 0 {
+		t.Fatalf("write-only open loop recorded %+v", res)
 	}
 }
 

@@ -1,16 +1,14 @@
-// Package workload drives clusters with reproducible operation mixes
-// and records the resulting histories for the checker. It is the shared
-// engine behind the experiments (internal/experiments), the benchmarks
-// (bench_test.go) and several integration tests.
+// Package workload drives deployments with reproducible operation
+// mixes and records the histories for the checker: Mixed (a count),
+// Continuous (paced until cancelled) and OpenLoop (a fixed offered
+// rate) run on one engine with one record rule. Its users are the
+// experiments, the chaos engine, cmd/luckyload and integration tests.
 package workload
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"luckystore/internal/checker"
-	"luckystore/internal/core"
 	"luckystore/internal/types"
 )
 
@@ -36,114 +34,29 @@ func WriterValue(w, i, size int) types.Value {
 	return types.Value(v)
 }
 
-// Mixed drives writes sequentially from the cluster writer while
-// nReaders reader clients loop concurrently, recording every operation.
+// Mixed drives a fixed count of operations on one register: one
+// writer runs Writes writes back to back while every reader client
+// runs ReadsPerReader reads concurrently, all recorded. An operation
+// error stops the actor that hit it.
 type Mixed struct {
 	Writes         int
 	ReadsPerReader int
 	ValueSize      int
 }
 
-// Run executes the workload on a core cluster and returns the recorded
-// history. The first error from any client is returned after all
-// goroutines have stopped.
-func (m Mixed) Run(c *core.Cluster) (*checker.Recorder, error) {
-	return m.RunDriver(ClusterDriver{C: c})
-}
-
 // RunDriver executes the workload against any deployment through its
-// Driver. Single-register semantics: all traffic targets one register
-// (DefaultKey on multi-key drivers).
+// Driver and returns the recorded history with the first operation
+// error, once every actor has stopped. All traffic targets one
+// register (DefaultKey on multi-key drivers).
 func (m Mixed) RunDriver(d Driver) (*checker.Recorder, error) {
-	key := ""
-	if d.MultiKey() {
-		key = DefaultKey
-	}
-	rec := checker.NewRecorder()
-	var wg sync.WaitGroup
-	errs := make(chan error, 1+d.NumReaders())
-
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i <= m.Writes; i++ {
-			v := Value(i, m.ValueSize)
-			inv := time.Now()
-			got, meta, err := d.Write(key, v)
-			ret := time.Now()
-			if err != nil {
-				errs <- fmt.Errorf("write %d: %w", i, err)
-				return
-			}
-			rec.Add(checker.Op{
-				Client: types.WriterID(), Kind: checker.KindWrite, Key: key,
-				Value:  got,
-				Invoke: inv, Return: ret, Rounds: meta.Rounds, Fast: meta.Fast,
-			})
+	e, _ := newEngine(d, nil, 1, m.ValueSize) // one writer always resolves
+	return e.run(func(a *actor, i int) (job, bool) {
+		n := m.ReadsPerReader
+		if a.w >= 0 {
+			n = m.Writes
 		}
-	}()
-
-	for r := 0; r < d.NumReaders(); r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < m.ReadsPerReader; i++ {
-				inv := time.Now()
-				got, meta, err := d.Read(r, key)
-				ret := time.Now()
-				if err != nil {
-					errs <- fmt.Errorf("reader %d op %d: %w", r, i, err)
-					return
-				}
-				rec.Add(checker.Op{
-					Client: types.ReaderID(r), Kind: checker.KindRead, Key: key,
-					Value:  got,
-					Invoke: inv, Return: ret, Rounds: meta.Rounds, Fast: meta.Fast,
-				})
-			}
-		}()
-	}
-
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return rec, err
-	default:
-		return rec, nil
-	}
-}
-
-// Sequential drives n writes, each followed by one read from reader 0,
-// with no concurrency at all: every operation is contention-free, and
-// on a synchronous network therefore lucky.
-func Sequential(c *core.Cluster, n int) (*checker.Recorder, error) {
-	rec := checker.NewRecorder()
-	for i := 1; i <= n; i++ {
-		v := Value(i, 0)
-		inv := time.Now()
-		if err := c.Writer().Write(v); err != nil {
-			return rec, fmt.Errorf("write %d: %w", i, err)
-		}
-		wm := c.Writer().LastMeta()
-		rec.Add(checker.Op{
-			Client: types.WriterID(), Kind: checker.KindWrite,
-			Value:  wm.Value(v),
-			Invoke: inv, Return: time.Now(), Rounds: wm.Rounds, Fast: wm.Fast,
-		})
-		inv = time.Now()
-		got, err := c.Reader(0).Read()
-		if err != nil {
-			return rec, fmt.Errorf("read %d: %w", i, err)
-		}
-		rm := c.Reader(0).LastMeta()
-		rec.Add(checker.Op{
-			Client: types.ReaderID(0), Kind: checker.KindRead,
-			Value:  got,
-			Invoke: inv, Return: time.Now(), Rounds: rm.Rounds(), Fast: rm.Fast(),
-		})
-	}
-	return rec, nil
+		return job{key: e.keys[0]}, a.err == nil && i <= n
+	})
 }
 
 // RoundStats extracts per-kind round distributions from a history.

@@ -32,33 +32,9 @@ func TestValueUniqueAndPadded(t *testing.T) {
 	}
 }
 
-func TestSequentialWorkloadAllFastAndAtomic(t *testing.T) {
-	c := testCluster(t)
-	rec, err := Sequential(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := rec.Ops()
-	if len(ops) != 20 {
-		t.Fatalf("recorded %d ops, want 20", len(ops))
-	}
-	for _, op := range ops {
-		if !op.Fast {
-			t.Errorf("sequential lucky op not fast: %+v", op)
-		}
-	}
-	if vs := checker.CheckAtomicity(ops); len(vs) != 0 {
-		t.Errorf("violations: %v", vs)
-	}
-	writes, reads := RoundStats(ops)
-	if writes[1] != 10 || reads[1] != 10 {
-		t.Errorf("round stats writes=%v reads=%v, want all 1-round", writes, reads)
-	}
-}
-
 func TestMixedWorkloadAtomic(t *testing.T) {
 	c := testCluster(t)
-	rec, err := Mixed{Writes: 25, ReadsPerReader: 15}.Run(c)
+	rec, err := Mixed{Writes: 25, ReadsPerReader: 15}.RunDriver(ClusterDriver{C: c})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +48,6 @@ func TestMixedWorkloadAtomic(t *testing.T) {
 }
 
 func TestMixedWorkloadReportsClientErrors(t *testing.T) {
-	c := testCluster(t)
 	// Crash t+1 servers: operations cannot finish; Run must surface the
 	// timeout instead of hanging (cluster OpTimeout guards each op).
 	cShort, err := core.NewCluster(core.Config{
@@ -86,8 +61,7 @@ func TestMixedWorkloadReportsClientErrors(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cShort.CrashServer(i)
 	}
-	if _, err := (Mixed{Writes: 1, ReadsPerReader: 1}).Run(cShort); err == nil {
-		t.Error("Run swallowed client errors")
+	if _, err := (Mixed{Writes: 1, ReadsPerReader: 1}).RunDriver(ClusterDriver{C: cShort}); err == nil {
+		t.Error("RunDriver swallowed client errors")
 	}
-	_ = c
 }
