@@ -68,13 +68,13 @@ func runStamps(args []string) int {
 		err := storage.DumpRecords(info.Path, func(_ int, _ int64, env wire.Envelope) error {
 			records++
 			if _, ok := env.Msg.(wire.Keyed); ok {
-				ks.Step(env.From, env.Msg)
+				ks.StepAppend(env.From, env.Msg, nil)
 				return nil
 			}
 			if bare == nil {
 				bare = core.NewServer()
 			}
-			bare.Step(env.From, env.Msg)
+			bare.StepAppend(env.From, env.Msg, nil)
 			return nil
 		})
 		if err != nil {

@@ -71,21 +71,21 @@ type Server struct {
 // NewServer creates a server holding 〈ts0,⊥〉.
 func NewServer() *Server { return &Server{c: types.Bottom()} }
 
-// Step implements node.Automaton.
-func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+// StepAppend implements node.Automaton.
+func (s *Server) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	if wire.Validate(m) != nil {
-		return nil
+		return out
 	}
 	switch v := m.(type) {
 	case wire.ABDWrite:
 		if s.c.Less(v.C) {
 			s.c = v.C
 		}
-		return []transport.Outgoing{{To: from, Msg: wire.ABDWriteAck{Seq: v.Seq}}}
+		return append(out, transport.Outgoing{To: from, Msg: wire.ABDWriteAck{Seq: v.Seq}})
 	case wire.ABDRead:
-		return []transport.Outgoing{{To: from, Msg: wire.ABDReadAck{Seq: v.Seq, C: s.c}}}
+		return append(out, transport.Outgoing{To: from, Msg: wire.ABDReadAck{Seq: v.Seq, C: s.c}})
 	default:
-		return nil
+		return out
 	}
 }
 

@@ -37,21 +37,21 @@ func TestConfigValidate(t *testing.T) {
 
 func TestServerAutomaton(t *testing.T) {
 	s := NewServer()
-	out := s.Step(types.WriterID(), wire.ABDWrite{Seq: 1, C: types.Tagged{TS: 2, Val: "b"}})
+	out := s.StepAppend(types.WriterID(), wire.ABDWrite{Seq: 1, C: types.Tagged{TS: 2, Val: "b"}}, nil)
 	if len(out) != 1 {
 		t.Fatalf("no ack: %v", out)
 	}
 	// Older write ignored, still acked.
-	out = s.Step(types.WriterID(), wire.ABDWrite{Seq: 2, C: types.Tagged{TS: 1, Val: "a"}})
+	out = s.StepAppend(types.WriterID(), wire.ABDWrite{Seq: 2, C: types.Tagged{TS: 1, Val: "a"}}, nil)
 	if len(out) != 1 {
 		t.Fatalf("stale write not acked")
 	}
-	out = s.Step(types.ReaderID(0), wire.ABDRead{Seq: 3})
+	out = s.StepAppend(types.ReaderID(0), wire.ABDRead{Seq: 3}, nil)
 	ack := out[0].Msg.(wire.ABDReadAck)
 	if ack.C != (types.Tagged{TS: 2, Val: "b"}) {
 		t.Errorf("read ack = %v, want 〈2,b〉", ack.C)
 	}
-	if s.Step(types.WriterID(), wire.Read{TSR: 1, Round: 1}) != nil {
+	if s.StepAppend(types.WriterID(), wire.Read{TSR: 1, Round: 1}, nil) != nil {
 		t.Error("ABD server answered a lucky-protocol message")
 	}
 }

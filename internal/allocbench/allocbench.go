@@ -163,6 +163,6 @@ func touchIdleKeys(srv *keyed.ShardedServer, n int) {
 	route := srv.Route()
 	for i := 0; i < n; i++ {
 		m := wire.Keyed{Key: "key-" + strconv.Itoa(i), Inner: wire.Read{TSR: 1, Round: 1}}
-		shards[route(m)].Step(types.ReaderID(0), m)
+		shards[route(m)].StepAppend(types.ReaderID(0), m, nil)
 	}
 }

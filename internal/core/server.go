@@ -15,9 +15,10 @@ import (
 // reader's last announced READ timestamp tsr_j and the frozen slot
 // frozen_rj used by the freezing mechanism.
 //
-// The automaton is pure and single-threaded: Step consumes one message
-// and returns the replies to send. It never initiates communication
-// (servers reply only to clients, per the paper's data-centric model).
+// The automaton is pure and single-threaded: StepAppend consumes one
+// message and appends the replies to send. It never initiates
+// communication (servers reply only to clients, per the paper's
+// data-centric model).
 //
 // Memory discipline (DESIGN.md §5): the per-reader maps are nil until
 // the first slow READ touches them. At millions-of-keys scale every KV
@@ -32,7 +33,7 @@ import (
 // a contending writer's identity lives only inside the stamps of the
 // pairs themselves, so millions of writers cost a key nothing.
 type Server struct {
-	// mu guards all fields: the step pool serializes Step calls, but tests
+	// mu guards all fields: the step pool serializes steps, but tests
 	// and experiments inspect server state concurrently.
 	mu        sync.Mutex
 	pw, w, vw types.Tagged
@@ -58,9 +59,8 @@ type Server struct {
 }
 
 var (
-	_ node.Automaton     = (*Server)(nil)
-	_ node.AppendStepper = (*Server)(nil)
-	_ node.NonBlocking   = (*Server)(nil)
+	_ node.Automaton   = (*Server)(nil)
+	_ node.NonBlocking = (*Server)(nil)
 )
 
 // NewServer creates a server in its initial state
@@ -140,12 +140,7 @@ func (s *Server) InjectState(pw, w, vw types.Tagged) {
 // connection's read goroutine may run it.
 func (s *Server) StepNeverBlocks() bool { return true }
 
-// Step implements node.Automaton.
-func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
-	return s.StepAppend(from, m, nil)
-}
-
-// StepAppend implements node.AppendStepper: replies are appended to out
+// StepAppend implements node.Automaton: replies are appended to out
 // instead of allocated per message, so a driver with a reusable buffer
 // steps the automaton without a single slice allocation. Messages that
 // fail structural validation, or arrive from a process whose role may

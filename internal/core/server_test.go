@@ -13,9 +13,9 @@ func tv(ts int64, val string) types.Tagged {
 
 func stepOne(t *testing.T, s *Server, from types.ProcID, m wire.Message) wire.Message {
 	t.Helper()
-	out := s.Step(from, m)
+	out := s.StepAppend(from, m, nil)
 	if len(out) != 1 {
-		t.Fatalf("Step(%T) produced %d messages, want 1", m, len(out))
+		t.Fatalf("StepAppend(%T) produced %d messages, want 1", m, len(out))
 	}
 	if out[0].To != from {
 		t.Fatalf("reply addressed to %s, want %s", out[0].To, from)
@@ -70,10 +70,10 @@ func TestServerPWIgnoresStaleValues(t *testing.T) {
 
 func TestServerRejectsPWFromNonWriter(t *testing.T) {
 	s := NewServer()
-	if out := s.Step(types.ReaderID(0), wire.PW{TS: 1, PW: tv(1, "a"), W: types.Bottom()}); out != nil {
+	if out := s.StepAppend(types.ReaderID(0), wire.PW{TS: 1, PW: tv(1, "a"), W: types.Bottom()}, nil); out != nil {
 		t.Errorf("server replied to PW from a reader: %v", out)
 	}
-	if out := s.Step(types.ServerID(1), wire.PW{TS: 1, PW: tv(1, "a"), W: types.Bottom()}); out != nil {
+	if out := s.StepAppend(types.ServerID(1), wire.PW{TS: 1, PW: tv(1, "a"), W: types.Bottom()}, nil); out != nil {
 		t.Errorf("server replied to PW from a server: %v", out)
 	}
 	pw, _, _ := s.State()
@@ -91,7 +91,7 @@ func TestServerDropsMalformedMessages(t *testing.T) {
 		wire.Read{TSR: 0, Round: 1},
 	}
 	for _, m := range malformed {
-		if out := s.Step(types.WriterID(), m); out != nil {
+		if out := s.StepAppend(types.WriterID(), m, nil); out != nil {
 			t.Errorf("server replied to malformed %T: %v", m, out)
 		}
 	}
@@ -134,7 +134,7 @@ func TestServerWFromReaderAllowed(t *testing.T) {
 
 func TestRegularServerIgnoresReaderWriteBack(t *testing.T) {
 	s := NewRegularServer()
-	if out := s.Step(types.ReaderID(0), wire.W{Round: 3, Tag: 1, C: tv(9, "evil")}); out != nil {
+	if out := s.StepAppend(types.ReaderID(0), wire.W{Round: 3, Tag: 1, C: tv(9, "evil")}, nil); out != nil {
 		t.Errorf("regular server replied to reader write-back: %v", out)
 	}
 	pw, _, _ := s.State()
@@ -239,7 +239,7 @@ func TestServerFrozenAppliesOnlyForCurrentOrNewerTSR(t *testing.T) {
 
 func TestServerStepIsPureOnUnknownKinds(t *testing.T) {
 	s := NewServer()
-	if out := s.Step(types.WriterID(), wire.ABDRead{Seq: 1}); out != nil {
+	if out := s.StepAppend(types.WriterID(), wire.ABDRead{Seq: 1}, nil); out != nil {
 		t.Errorf("core server replied to ABD message: %v", out)
 	}
 }
@@ -256,7 +256,7 @@ func TestServerRepliesOnlyToSender(t *testing.T) {
 		{types.WriterID(), wire.W{Round: 2, Tag: 1, C: tv(1, "a")}},
 	}
 	for _, tc := range msgs {
-		for _, o := range s.Step(tc.from, tc.m) {
+		for _, o := range s.StepAppend(tc.from, tc.m, nil) {
 			if o.To != tc.from {
 				t.Errorf("reply to %s for %T sent from %s", o.To, tc.m, tc.from)
 			}

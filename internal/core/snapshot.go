@@ -18,13 +18,18 @@ const snapshotFrozenChunk = 4096
 // recovery on the automaton's only state-mutation path — a snapshot
 // cannot express a state the protocol itself cannot reach.
 //
-// Order matters once: frozen slots are emitted before the reader
-// timestamps. At replay time every readerTS is still tsr0, so the
-// freezing guard (tsr >= readerTS[r]) accepts each stored pair
-// verbatim; the READs that restore the timestamps come after. The
-// register pairs ride W rounds 1–3 from the writer identity (accepted
-// by both the standard and the regular variant); merges are monotone
-// max-merges, so their relative order is irrelevant.
+// Shape: pw and w ride one PW from the writer identity, which sets
+// each independently (a W round would raise pw to its pair), with the
+// first chunk of frozen slots; a further chunk repeats pw and w. A
+// register with pw = w = ⊥ and no frozen slots emits no PW. vw
+// follows as one W round 3, which raises pw and w only to vw — never
+// above them, since vw ≤ min(pw, w) always holds (only round 3 raises
+// vw, and it raises all three). Both are accepted by the standard and
+// the regular variant, and merges are monotone max-merges. Frozen
+// slots are emitted before the reader timestamps: at replay time
+// every readerTS is still tsr0, so the freezing guard
+// (tsr >= readerTS[r]) accepts each stored pair verbatim; the READs
+// that restore the timestamps come last.
 //
 // The emission is bounded by live state — three pairs plus the
 // per-reader slots, nothing per writer and nothing per historical
@@ -46,24 +51,14 @@ func (s *Server) SnapshotRecords(emit func(from types.ProcID, m wire.Message) er
 	sort.Slice(readers, func(i, j int) bool { return readers[i].Reader < readers[j].Reader })
 
 	from := types.WriterID()
-	for len(frozen) > 0 {
-		chunk := frozen
-		if len(chunk) > snapshotFrozenChunk {
-			chunk = chunk[:snapshotFrozenChunk]
-		}
+	for len(frozen) > 0 || !pw.IsBottom() || !w.IsBottom() {
+		chunk := frozen[:min(len(frozen), snapshotFrozenChunk)]
 		frozen = frozen[len(chunk):]
 		if err := emit(from, wire.PW{TS: 1, PW: pw, W: w, Frozen: chunk}); err != nil {
 			return err
 		}
-	}
-	if !pw.IsBottom() {
-		if err := emit(from, wire.W{Round: 1, Tag: int64(pw.TS), C: pw}); err != nil {
-			return err
-		}
-	}
-	if !w.IsBottom() {
-		if err := emit(from, wire.W{Round: 2, Tag: int64(w.TS), C: w}); err != nil {
-			return err
+		if len(frozen) == 0 {
+			break
 		}
 	}
 	if !vw.IsBottom() {

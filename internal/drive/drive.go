@@ -15,7 +15,7 @@
 // phases, its predicates and what it takes from an ack's payload.
 //
 // Ops and Rounds neither read the clock nor send, as servers do not
-// (node.AppendStepper): a call that may start a round or judge a timer
+// (node.Automaton): a call that may start a round or judge a timer
 // takes the time it runs at, and appends what it emits to the caller's
 // outgoing buffer. A Driver is the one place that reads the time — its
 // Clock, the wall clock unless a test or a simulation supplies another —

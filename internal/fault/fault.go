@@ -5,7 +5,8 @@
 // (the B2 behavior in run r4 of the upper-bound proof), and a malicious
 // reader that forges write-backs (the Section 5 discussion).
 //
-// All behaviors implement node.Automaton and plug into a cluster via
+// All behaviors implement node.Automaton — a Behavior's StepAppend
+// appends what its closure returns — and plug into a cluster via
 // core.WithServerAutomaton.
 package fault
 
@@ -13,6 +14,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"luckystore/internal/node"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -21,9 +23,9 @@ import (
 // Behavior is a function-shaped automaton.
 type Behavior func(from types.ProcID, m wire.Message) []transport.Outgoing
 
-// Step implements node.Automaton.
-func (b Behavior) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
-	return b(from, m)
+// StepAppend implements node.Automaton: it appends what b returns.
+func (b Behavior) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
+	return append(out, b(from, m)...)
 }
 
 // Mute returns a Byzantine server that never replies. To clients it is
@@ -125,7 +127,7 @@ func RandomLiar(seed int64) Behavior {
 // The behavior snapshots perClient and guards its state with a mutex:
 // a sharded deployment (node.StepPool, node.Runner) steps one
 // substituted automaton from several worker goroutines at once, and a
-// caller mutating its map after installation must not race Step.
+// caller mutating its map after installation must not race a step.
 func Equivocator(perClient map[types.ProcID]types.Tagged, fallback types.Tagged) Behavior {
 	var mu sync.Mutex
 	own := make(map[types.ProcID]types.Tagged, len(perClient))
@@ -163,19 +165,15 @@ func Equivocator(perClient map[types.ProcID]types.Tagged, fallback types.Tagged)
 // to all other servers and reader2, B2 plays like it never received any
 // message".
 type SplitBrain struct {
-	mu   sync.Mutex
-	real interface {
-		Step(types.ProcID, wire.Message) []transport.Outgoing
-	}
+	mu     sync.Mutex
+	real   node.Automaton
 	liar   Behavior
 	honest map[types.ProcID]bool
 }
 
 // NewSplitBrain builds a split-brain wrapper around real; honestTo
 // lists the clients that see protocol-conformant behavior.
-func NewSplitBrain(real interface {
-	Step(types.ProcID, wire.Message) []transport.Outgoing
-}, liar Behavior, honestTo ...types.ProcID) *SplitBrain {
+func NewSplitBrain(real node.Automaton, liar Behavior, honestTo ...types.ProcID) *SplitBrain {
 	h := make(map[types.ProcID]bool, len(honestTo))
 	for _, id := range honestTo {
 		h[id] = true
@@ -183,14 +181,14 @@ func NewSplitBrain(real interface {
 	return &SplitBrain{real: real, liar: liar, honest: h}
 }
 
-// Step implements node.Automaton.
-func (s *SplitBrain) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+// StepAppend implements node.Automaton.
+func (s *SplitBrain) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.honest[from] {
-		return s.real.Step(from, m)
+		return s.real.StepAppend(from, m, out)
 	}
-	return s.liar(from, m)
+	return s.liar.StepAppend(from, m, out)
 }
 
 // Keyed lifts a single-register Byzantine behavior to the multi-

@@ -16,7 +16,7 @@ func TestMuteNeverReplies(t *testing.T) {
 		wire.W{Round: 2, Tag: 1, C: types.Bottom()},
 	}
 	for _, m := range msgs {
-		if out := b.Step(types.WriterID(), m); out != nil {
+		if out := b.StepAppend(types.WriterID(), m, nil); out != nil {
 			t.Errorf("Mute replied to %T: %v", m, out)
 		}
 	}
@@ -24,7 +24,7 @@ func TestMuteNeverReplies(t *testing.T) {
 
 func TestForgeHighTSRepliesMatchTags(t *testing.T) {
 	b := ForgeHighTS(999, "evil")
-	out := b.Step(types.ReaderID(0), wire.Read{TSR: 7, Round: 2})
+	out := b.StepAppend(types.ReaderID(0), wire.Read{TSR: 7, Round: 2}, nil)
 	if len(out) != 1 {
 		t.Fatalf("got %d replies", len(out))
 	}
@@ -44,11 +44,11 @@ func TestForgeHighTSRepliesMatchTags(t *testing.T) {
 		t.Errorf("forged ack rejected by Validate: %v", err)
 	}
 	// PW and W get matching acks too.
-	pwOut := b.Step(types.WriterID(), wire.PW{TS: 3, PW: types.Tagged{TS: 3, Val: "x"}, W: types.Bottom()})
+	pwOut := b.StepAppend(types.WriterID(), wire.PW{TS: 3, PW: types.Tagged{TS: 3, Val: "x"}, W: types.Bottom()}, nil)
 	if a := pwOut[0].Msg.(wire.PWAck); a.TS != 3 {
 		t.Errorf("PW ack ts = %d", a.TS)
 	}
-	wOut := b.Step(types.WriterID(), wire.W{Round: 2, Tag: 3, C: types.Tagged{TS: 3, Val: "x"}})
+	wOut := b.StepAppend(types.WriterID(), wire.W{Round: 2, Tag: 3, C: types.Tagged{TS: 3, Val: "x"}}, nil)
 	if a := wOut[0].Msg.(wire.WAck); a.Round != 2 || a.Tag != 3 {
 		t.Errorf("W ack = %+v", a)
 	}
@@ -56,7 +56,7 @@ func TestForgeHighTSRepliesMatchTags(t *testing.T) {
 
 func TestStaleBottomAlwaysReportsInitial(t *testing.T) {
 	b := StaleBottom()
-	out := b.Step(types.ReaderID(1), wire.Read{TSR: 2, Round: 1})
+	out := b.StepAppend(types.ReaderID(1), wire.Read{TSR: 2, Round: 1}, nil)
 	ack := out[0].Msg.(wire.ReadAck)
 	if !ack.PW.IsBottom() || !ack.W.IsBottom() || !ack.VW.IsBottom() {
 		t.Errorf("StaleBottom leaked state: %+v", ack)
@@ -66,8 +66,8 @@ func TestStaleBottomAlwaysReportsInitial(t *testing.T) {
 func TestRandomLiarIsReproducible(t *testing.T) {
 	b1, b2 := RandomLiar(42), RandomLiar(42)
 	m := wire.Read{TSR: 1, Round: 1}
-	o1 := b1.Step(types.ReaderID(0), m)[0].Msg.(wire.ReadAck)
-	o2 := b2.Step(types.ReaderID(0), m)[0].Msg.(wire.ReadAck)
+	o1 := b1.StepAppend(types.ReaderID(0), m, nil)[0].Msg.(wire.ReadAck)
+	o2 := b2.StepAppend(types.ReaderID(0), m, nil)[0].Msg.(wire.ReadAck)
 	if o1 != o2 {
 		t.Errorf("same seed, different lies: %+v vs %+v", o1, o2)
 	}
@@ -85,13 +85,13 @@ func TestEquivocatorPerClientLies(t *testing.T) {
 		types.ReaderID(1): bPair,
 	}, fallback)
 	m := wire.Read{TSR: 1, Round: 1}
-	if got := eq.Step(types.ReaderID(0), m)[0].Msg.(wire.ReadAck); got.PW != a {
+	if got := eq.StepAppend(types.ReaderID(0), m, nil)[0].Msg.(wire.ReadAck); got.PW != a {
 		t.Errorf("reader0 saw %v, want %v", got.PW, a)
 	}
-	if got := eq.Step(types.ReaderID(1), m)[0].Msg.(wire.ReadAck); got.PW != bPair {
+	if got := eq.StepAppend(types.ReaderID(1), m, nil)[0].Msg.(wire.ReadAck); got.PW != bPair {
 		t.Errorf("reader1 saw %v, want %v", got.PW, bPair)
 	}
-	if got := eq.Step(types.ReaderID(2), m)[0].Msg.(wire.ReadAck); got.PW != fallback {
+	if got := eq.StepAppend(types.ReaderID(2), m, nil)[0].Msg.(wire.ReadAck); got.PW != fallback {
 		t.Errorf("reader2 saw %v, want fallback %v", got.PW, fallback)
 	}
 }
@@ -99,15 +99,15 @@ func TestEquivocatorPerClientLies(t *testing.T) {
 func TestSplitBrainHonestAndLyingFaces(t *testing.T) {
 	real := core.NewServer()
 	// Load real state via the writer's PW.
-	real.Step(types.WriterID(), wire.PW{TS: 4, PW: types.Tagged{TS: 4, Val: "v"}, W: types.Tagged{TS: 3, Val: "u"}})
+	real.StepAppend(types.WriterID(), wire.PW{TS: 4, PW: types.Tagged{TS: 4, Val: "v"}, W: types.Tagged{TS: 3, Val: "u"}}, nil)
 	sb := NewSplitBrain(real, StaleBottom(), types.ReaderID(0))
 
 	m := wire.Read{TSR: 1, Round: 1}
-	honest := sb.Step(types.ReaderID(0), m)[0].Msg.(wire.ReadAck)
+	honest := sb.StepAppend(types.ReaderID(0), m, nil)[0].Msg.(wire.ReadAck)
 	if honest.PW != (types.Tagged{TS: 4, Val: "v"}) {
 		t.Errorf("honest face = %+v, want real state", honest)
 	}
-	lying := sb.Step(types.ReaderID(1), m)[0].Msg.(wire.ReadAck)
+	lying := sb.StepAppend(types.ReaderID(1), m, nil)[0].Msg.(wire.ReadAck)
 	if !lying.PW.IsBottom() {
 		t.Errorf("lying face = %+v, want bottom", lying)
 	}

@@ -33,11 +33,11 @@ func stepStorm(t *testing.T, name string, a node.Automaton) {
 			for i := 0; i < steps; i++ {
 				switch i % 3 {
 				case 0:
-					a.Step(from, wire.PW{TS: types.TS(i + 1), PW: types.Tagged{TS: types.TS(i + 1), Val: "v"}, W: types.Bottom()})
+					a.StepAppend(from, wire.PW{TS: types.TS(i + 1), PW: types.Tagged{TS: types.TS(i + 1), Val: "v"}, W: types.Bottom()}, nil)
 				case 1:
-					a.Step(from, wire.Read{TSR: types.ReaderTS(i + 1), Round: 1})
+					a.StepAppend(from, wire.Read{TSR: types.ReaderTS(i + 1), Round: 1}, nil)
 				case 2:
-					a.Step(from, wire.W{Round: 2, Tag: int64(i + 1), C: types.Tagged{TS: types.TS(i + 1), Val: "v"}})
+					a.StepAppend(from, wire.W{Round: 2, Tag: int64(i + 1), C: types.Tagged{TS: types.TS(i + 1), Val: "v"}}, nil)
 				}
 			}
 		}()
@@ -87,11 +87,11 @@ func TestEquivocatorSnapshotsClientMap(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			b.Step(types.ReaderID(0), wire.Read{TSR: 1, Round: 1})
+			b.StepAppend(types.ReaderID(0), wire.Read{TSR: 1, Round: 1}, nil)
 		}
 	}()
 	wg.Wait()
-	out := b.Step(types.ReaderID(0), wire.Read{TSR: 2, Round: 1})
+	out := b.StepAppend(types.ReaderID(0), wire.Read{TSR: 2, Round: 1}, nil)
 	if len(out) != 1 {
 		t.Fatalf("got %d replies", len(out))
 	}
@@ -103,7 +103,7 @@ func TestEquivocatorSnapshotsClientMap(t *testing.T) {
 
 func TestKeyedWrapsAndUnwraps(t *testing.T) {
 	b := Keyed(ForgeHighTS(999, "evil"))
-	out := b.Step(types.ReaderID(0), wire.Keyed{Key: "k1", Inner: wire.Read{TSR: 3, Round: 1}})
+	out := b.StepAppend(types.ReaderID(0), wire.Keyed{Key: "k1", Inner: wire.Read{TSR: 3, Round: 1}}, nil)
 	if len(out) != 1 {
 		t.Fatalf("got %d replies", len(out))
 	}
@@ -115,7 +115,7 @@ func TestKeyedWrapsAndUnwraps(t *testing.T) {
 		t.Errorf("inner reply = %v", k.Inner)
 	}
 	// Non-keyed messages pass through.
-	if out := b.Step(types.ReaderID(0), wire.Read{TSR: 4, Round: 1}); len(out) != 1 {
+	if out := b.StepAppend(types.ReaderID(0), wire.Read{TSR: 4, Round: 1}, nil); len(out) != 1 {
 		t.Errorf("passthrough got %d replies", len(out))
 	}
 }

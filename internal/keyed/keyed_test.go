@@ -17,12 +17,12 @@ import (
 func coreFactory() node.Automaton { return core.NewServer() }
 
 // TestServerRoutesPerKey steps a one-shard keyed server through its
-// whole-server Step, the path replay and offline tooling take.
+// whole-server StepAppend, the path replay and offline tooling take.
 func TestServerRoutesPerKey(t *testing.T) {
 	s := NewShardedServer(1, coreFactory)
 	pw := wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()}
 
-	out := s.Step(types.WriterID(), wire.Keyed{Key: "alpha", Inner: pw})
+	out := s.StepAppend(types.WriterID(), wire.Keyed{Key: "alpha", Inner: pw}, nil)
 	if len(out) != 1 {
 		t.Fatalf("no reply: %v", out)
 	}
@@ -36,13 +36,13 @@ func TestServerRoutesPerKey(t *testing.T) {
 
 	// A different key gets a fresh register: reading beta sees ⊥.
 	rd := wire.Read{TSR: 1, Round: 1}
-	out = s.Step(types.ReaderID(0), wire.Keyed{Key: "beta", Inner: rd})
+	out = s.StepAppend(types.ReaderID(0), wire.Keyed{Key: "beta", Inner: rd}, nil)
 	ack := out[0].Msg.(wire.Keyed).Inner.(wire.ReadAck)
 	if !ack.PW.IsBottom() {
 		t.Errorf("beta register contaminated by alpha write: %+v", ack)
 	}
 	// Alpha still has its value.
-	out = s.Step(types.ReaderID(0), wire.Keyed{Key: "alpha", Inner: rd})
+	out = s.StepAppend(types.ReaderID(0), wire.Keyed{Key: "alpha", Inner: rd}, nil)
 	ack = out[0].Msg.(wire.Keyed).Inner.(wire.ReadAck)
 	if ack.PW != (types.Tagged{TS: 1, Val: "a"}) {
 		t.Errorf("alpha register lost its value: %+v", ack)
@@ -54,14 +54,14 @@ func TestServerRoutesPerKey(t *testing.T) {
 
 func TestServerDropsUnkeyedAndMalformed(t *testing.T) {
 	s := NewShardedServer(1, coreFactory)
-	if out := s.Step(types.WriterID(), wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()}); out != nil {
+	if out := s.StepAppend(types.WriterID(), wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()}, nil); out != nil {
 		t.Error("unkeyed message answered")
 	}
-	if out := s.Step(types.WriterID(), wire.Keyed{Key: "", Inner: wire.ABDRead{}}); out != nil {
+	if out := s.StepAppend(types.WriterID(), wire.Keyed{Key: "", Inner: wire.ABDRead{}}, nil); out != nil {
 		t.Error("empty key answered")
 	}
 	nested := wire.Keyed{Key: "a", Inner: wire.Keyed{Key: "b", Inner: wire.ABDRead{}}}
-	if out := s.Step(types.WriterID(), nested); out != nil {
+	if out := s.StepAppend(types.WriterID(), nested, nil); out != nil {
 		t.Error("nested keyed answered")
 	}
 	if s.Regs() != 0 {

@@ -49,9 +49,8 @@ type shard struct {
 }
 
 var (
-	_ node.Automaton     = (*shard)(nil)
-	_ node.AppendStepper = (*shard)(nil)
-	_ node.NonBlocking   = (*shard)(nil)
+	_ node.Automaton   = (*shard)(nil)
+	_ node.NonBlocking = (*shard)(nil)
 )
 
 // NewShardedServer creates a keyed server split across n shards whose
@@ -83,15 +82,14 @@ func (s *ShardedServer) Shards() []node.Automaton {
 
 // Route returns the dispatch function pairing this server with its
 // shards' step pool: keyed messages go to their key's shard, anything
-// else to shard 0 (whose Step drops it as malformed).
-func (s *ShardedServer) Route() func(wire.Message) int {
-	n := len(s.shards)
-	return func(m wire.Message) int {
-		if k, ok := m.(wire.Keyed); ok {
-			return ShardIndex(k.Key, n)
-		}
-		return 0
+// else to shard 0 (whose step drops it as malformed).
+func (s *ShardedServer) Route() func(wire.Message) int { return s.shardOf }
+
+func (s *ShardedServer) shardOf(m wire.Message) int {
+	if k, ok := m.(wire.Keyed); ok {
+		return ShardIndex(k.Key, len(s.shards))
 	}
+	return 0
 }
 
 // Regs reports the number of instantiated registers across all shards.
@@ -125,17 +123,12 @@ func (s *ShardedServer) RangeShard(i int, fn func(key string, reg node.Automaton
 // register step, no I/O.
 func (sh *shard) StepNeverBlocks() bool { return true }
 
-// Step implements node.Automaton for one shard: unwrap, dispatch to the
-// key's automaton, re-wrap. The map access is unlocked — the shard's
-// driver lets one goroutine at a time in here.
-func (sh *shard) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
-	return sh.StepAppend(from, m, nil)
-}
-
-// StepAppend implements node.AppendStepper: the key's automaton appends
-// its replies directly into out and the suffix is re-wrapped in place,
-// so a shard worker with a scratch buffer steps without slice
-// allocations.
+// StepAppend implements node.Automaton for one shard: unwrap, dispatch
+// to the key's automaton, re-wrap. The key's automaton appends its
+// replies directly into out and the suffix is re-wrapped in place, so a
+// shard worker with a scratch buffer steps without slice allocations.
+// The map access is unlocked — the shard's driver lets one goroutine at
+// a time in here.
 func (sh *shard) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	k, ok := m.(wire.Keyed)
 	// Validate m, not the unboxed k: re-boxing would allocate per step.
@@ -148,7 +141,7 @@ func (sh *shard) StepAppend(from types.ProcID, m wire.Message, out []transport.O
 		sh.regs[k.Key] = reg
 		sh.parent.regs.Add(1)
 	}
-	return rewrapAppended(k.Key, out, node.StepInto(reg, from, k.Inner, out))
+	return rewrapAppended(k.Key, out, reg.StepAppend(from, k.Inner, out))
 }
 
 // rewrapAppended wraps the replies a keyed step appended past the

@@ -58,7 +58,7 @@ func TestShardedServerRoutesKeysToOwningShard(t *testing.T) {
 		if idx != ShardIndex(key, n) {
 			t.Fatalf("Route(%q) = %d, want %d", key, idx, ShardIndex(key, n))
 		}
-		out := shards[idx].Step(types.WriterID(), m)
+		out := shards[idx].StepAppend(types.WriterID(), m, nil)
 		if len(out) != 1 {
 			t.Fatalf("shard %d ignored %q", idx, key)
 		}
@@ -81,17 +81,17 @@ func TestShardedServerKeysIndependent(t *testing.T) {
 	route := s.Route()
 
 	write := wire.Keyed{Key: "written", Inner: wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "v"}, W: types.Bottom()}}
-	shards[route(write)].Step(types.WriterID(), write)
+	shards[route(write)].StepAppend(types.WriterID(), write, nil)
 
 	read := wire.Keyed{Key: "fresh", Inner: wire.Read{TSR: 1, Round: 1}}
-	out := shards[route(read)].Step(types.ReaderID(0), read)
+	out := shards[route(read)].StepAppend(types.ReaderID(0), read, nil)
 	ack := out[0].Msg.(wire.Keyed).Inner.(wire.ReadAck)
 	if !ack.PW.IsBottom() {
 		t.Errorf("fresh register contaminated: %+v", ack)
 	}
 
 	readBack := wire.Keyed{Key: "written", Inner: wire.Read{TSR: 1, Round: 1}}
-	out = shards[route(readBack)].Step(types.ReaderID(0), readBack)
+	out = shards[route(readBack)].StepAppend(types.ReaderID(0), readBack, nil)
 	ack = out[0].Msg.(wire.Keyed).Inner.(wire.ReadAck)
 	if ack.PW != (types.Tagged{TS: 1, Val: "v"}) {
 		t.Errorf("written register lost its value: %+v", ack)
@@ -107,11 +107,11 @@ func TestShardedServerDropsUnkeyedAndMalformed(t *testing.T) {
 	if idx := route(unkeyed); idx != 0 {
 		t.Errorf("Route(unkeyed) = %d, want 0", idx)
 	}
-	if out := shards[0].Step(types.WriterID(), unkeyed); out != nil {
+	if out := shards[0].StepAppend(types.WriterID(), unkeyed, nil); out != nil {
 		t.Error("unkeyed message answered")
 	}
 	bad := wire.Keyed{Key: "", Inner: wire.ABDRead{}}
-	if out := shards[route(bad)].Step(types.WriterID(), bad); out != nil {
+	if out := shards[route(bad)].StepAppend(types.WriterID(), bad, nil); out != nil {
 		t.Error("empty key answered")
 	}
 	if s.Regs() != 0 {
@@ -283,7 +283,7 @@ func TestShardedSnapshotIndependentOfShardCount(t *testing.T) {
 		s := NewShardedServer(n, coreFactory)
 		for i, key := range []string{"m", "b", "z", "a", "k", "q"} {
 			pw := wire.PW{TS: types.TS(i + 1), PW: types.Tagged{TS: types.TS(i + 1), Val: types.Value(key)}, W: types.Bottom()}
-			s.Step(types.WriterID(), wire.Keyed{Key: key, Inner: pw})
+			s.StepAppend(types.WriterID(), wire.Keyed{Key: key, Inner: pw}, nil)
 		}
 		var recs []record
 		if err := s.SnapshotRecords(func(from types.ProcID, m wire.Message) error {

@@ -43,14 +43,11 @@ func (s *ShardedServer) SnapshotRecords(emit func(from types.ProcID, m wire.Mess
 	return nil
 }
 
-// Step implements node.Automaton across the whole sharded server for
-// single-goroutine contexts — log replay during recovery and compaction
-// steps keyed records through the same routing the live traffic used.
-// It must not race the shard workers: recover before the runner starts.
-func (s *ShardedServer) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
-	i := 0
-	if k, ok := m.(wire.Keyed); ok {
-		i = ShardIndex(k.Key, len(s.shards))
-	}
-	return s.shards[i].Step(from, m)
+// StepAppend implements node.Automaton across the whole sharded server
+// for single-goroutine contexts — log replay during recovery and
+// compaction steps keyed records through the same routing (Route) the
+// live traffic used. It must not race the shard workers: recover before
+// the runner starts.
+func (s *ShardedServer) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
+	return s.shards[s.shardOf(m)].StepAppend(from, m, out)
 }

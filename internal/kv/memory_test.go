@@ -20,10 +20,10 @@ import (
 // key, so that the heap a test measures behind it is the client's.
 type cannedServer struct{}
 
-func (cannedServer) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (cannedServer) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	k, ok := m.(wire.Keyed)
 	if !ok {
-		return nil
+		return out
 	}
 	var reply wire.Message
 	switch q := k.Inner.(type) {
@@ -34,9 +34,9 @@ func (cannedServer) Step(from types.ProcID, m wire.Message) []transport.Outgoing
 	case wire.Read:
 		reply = wire.ReadAck{TSR: q.TSR, Round: q.Round, PW: types.Bottom(), W: types.Bottom(), VW: types.Bottom()}
 	default:
-		return nil
+		return out
 	}
-	return []transport.Outgoing{{To: from, Msg: wire.Keyed{Key: k.Key, Inner: reply}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.Keyed{Key: k.Key, Inner: reply}})
 }
 
 // clientBytesPerKey is what one open key costs a client store on the

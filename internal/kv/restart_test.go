@@ -107,9 +107,9 @@ type heldAutomaton struct {
 	once    sync.Once
 }
 
-func (h *heldAutomaton) Step(types.ProcID, wire.Message) []transport.Outgoing {
+func (h *heldAutomaton) StepAppend(_ types.ProcID, _ wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	h.once.Do(func() { <-h.release })
-	return nil
+	return out
 }
 
 // The per-server queue-depth gauge keeps reading the server's runner

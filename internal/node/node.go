@@ -1,8 +1,10 @@
 // Package node runs server automata: a StepPool steps them, and a
 // Runner pumps an endpoint's inbox into one and sends the produced
-// replies. Separating the (deterministic, synchronous) automaton from
-// its (concurrent) driver keeps protocol logic unit-testable and makes
-// crash injection trivial — crashing a server is stopping its pump.
+// replies. An automaton has one step, StepAppend, which appends its
+// replies to the caller's buffer. Separating the (deterministic,
+// synchronous) automaton from its (concurrent) driver keeps protocol
+// logic unit-testable and makes crash injection trivial — crashing a
+// server is stopping its pump.
 package node
 
 import (
@@ -15,24 +17,20 @@ import (
 )
 
 // Automaton is a deterministic message-driven state machine: one step
-// consumes a message and yields the messages to send. Implementations
-// are not required to be concurrency-safe; a StepPool serializes the
-// steps of each shard.
-type Automaton interface {
-	Step(from types.ProcID, m wire.Message) []transport.Outgoing
-}
-
-// AppendStepper is the allocation-free variant of Automaton's step: the
-// caller passes a reusable output buffer and the automaton appends its
-// replies instead of allocating a fresh slice per message.
+// consumes a message and appends the messages to send to the caller's
+// buffer, so a driver with a reusable buffer steps without a slice
+// allocation per message. Implementations are not required to be
+// concurrency-safe; a StepPool serializes the steps of each shard.
 //
-// Buffer ownership (the step-sink contract, DESIGN.md §5): the caller
-// owns the backing array and may reuse it as soon as it has finished
-// with the returned slice; the callee must not retain the slice (or any
-// subslice) past the call. The message *values* appended are handed off
-// for good — they travel through mailboxes and sockets — so a callee
-// must never append a message it plans to mutate later.
-type AppendStepper interface {
+// Buffer ownership (the step-sink contract, DESIGN.md §5): the callee
+// only appends to out and returns the extended slice, leaving out's
+// entries untouched; a message it drops returns out as given. The
+// caller owns the backing array and may reuse it as soon as it has
+// finished with the returned slice; the callee must not retain the
+// slice (or any subslice) past the call. The message *values* appended
+// are handed off for good — they travel through mailboxes and sockets —
+// so a callee must never append a message it plans to mutate later.
+type Automaton interface {
 	StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing
 }
 
@@ -48,17 +46,15 @@ type NonBlocking interface {
 	StepNeverBlocks() bool
 }
 
-// StepInto drives one step through the append-based API when a
-// implements it, falling back to Step and copying its result. Every
-// stepper (StepPool, keyed's shards, storage's Durable and replay) goes
-// through this helper, so an automaton only has to implement
-// AppendStepper to put its whole deployment on the zero-allocation
-// path.
+// AppendStepper and StepInto remain only because the benchmark module
+// (bench/) names them: AppendStepper is Automaton, and StepInto calls
+// a.StepAppend. ROADMAP item 1, which rewrites bench/'s traced fleet,
+// removes them.
+type AppendStepper = Automaton
+
+// StepInto is a.StepAppend(from, m, out); see AppendStepper.
 func StepInto(a Automaton, from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
-	if as, ok := a.(AppendStepper); ok {
-		return as.StepAppend(from, m, out)
-	}
-	return append(out, a.Step(from, m)...)
+	return a.StepAppend(from, m, out)
 }
 
 // Runner drives shard automata from one endpoint: one server process.

@@ -20,15 +20,15 @@ type echoAutomaton struct {
 	stepCount int
 }
 
-func (e *echoAutomaton) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (e *echoAutomaton) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	e.stepCount++
 	if _, ok := m.(wire.ABDRead); !ok {
-		return nil
+		return out
 	}
-	return []transport.Outgoing{{
+	return append(out, transport.Outgoing{
 		To:  from,
 		Msg: wire.ABDReadAck{Seq: int64(e.stepCount), C: types.Bottom()},
-	}}
+	})
 }
 
 func setup(t *testing.T) (*simnet.Network, transport.Endpoint, *Runner) {
@@ -179,15 +179,15 @@ type shardEcho struct {
 	steps int
 }
 
-func (e *shardEcho) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (e *shardEcho) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	e.steps++
 	if _, ok := m.(wire.ABDRead); !ok {
-		return nil
+		return out
 	}
-	return []transport.Outgoing{{
+	return append(out, transport.Outgoing{
 		To:  from,
 		Msg: wire.ABDReadAck{Seq: int64(e.shard), C: types.Bottom()},
-	}}
+	})
 }
 
 // routeBySeq routes ABDRead{Seq} to shard Seq % n, everything else to 0.
@@ -438,7 +438,7 @@ type orderShard struct {
 
 func (*orderShard) StepNeverBlocks() bool { return true }
 
-func (s *orderShard) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (s *orderShard) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	k := m.(wire.Keyed)
 	r := k.Inner.(wire.Read)
 	if s.last == nil {
@@ -454,7 +454,7 @@ func (s *orderShard) Step(from types.ProcID, m wire.Message) []transport.Outgoin
 	} else {
 		s.pooled++
 	}
-	return []transport.Outgoing{{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: int64(r.TSR)}}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: int64(r.TSR)}}})
 }
 
 // steppedOnPump reports whether the current step runs on a Runner's

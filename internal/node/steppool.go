@@ -254,7 +254,7 @@ func (p *StepPool) tryStep(i int, from types.ProcID, m wire.Message, sink func([
 		return false // closed: nothing steps any more
 	default:
 	}
-	sh.scratch = StepInto(sh.auto, from, m, sh.scratch[:0])
+	sh.scratch = sh.auto.StepAppend(from, m, sh.scratch[:0])
 	sink(sh.scratch)
 	return true
 }
@@ -331,7 +331,7 @@ func (p *StepPool) work(sh *poolShard) {
 				do(sh.auto)
 			} else {
 				job.each(func(i int, m wire.Message) {
-					sh.scratch = StepInto(sh.auto, job.from, m, sh.scratch[:0])
+					sh.scratch = sh.auto.StepAppend(job.from, m, sh.scratch[:0])
 					job.sink.StepDone(i, sh.scratch)
 				})
 			}

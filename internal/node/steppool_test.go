@@ -28,7 +28,7 @@ type inlineShard struct{ countingShard }
 
 func (s *inlineShard) StepNeverBlocks() bool { return true }
 
-func (s *countingShard) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (s *countingShard) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	if s.entered != nil {
 		s.entered <- struct{}{}
 	}
@@ -45,7 +45,7 @@ func (s *countingShard) Step(from types.ProcID, m wire.Message) []transport.Outg
 		}
 		s.lastSeqs[from] = r.Seq
 	}
-	return []transport.Outgoing{{To: from, Msg: m}}
+	return append(out, transport.Outgoing{To: from, Msg: m})
 }
 
 func oneShard(wire.Message) int { return 0 }

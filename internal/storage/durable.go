@@ -38,9 +38,8 @@ type Durable struct {
 func (d *Durable) SetMetrics(m *DurableMetrics) { d.met = m }
 
 var (
-	_ node.Automaton     = (*Durable)(nil)
-	_ node.AppendStepper = (*Durable)(nil)
-	_ node.NonBlocking   = (*Durable)(nil)
+	_ node.Automaton   = (*Durable)(nil)
+	_ node.NonBlocking = (*Durable)(nil)
 )
 
 // NewDurable wraps inner so mutations persist to back before being
@@ -60,12 +59,7 @@ func (d *Durable) StepNeverBlocks() bool {
 	return ok && !s.CommitSyncs() && marked && nb.StepNeverBlocks()
 }
 
-// Step implements node.Automaton.
-func (d *Durable) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
-	return d.StepAppend(from, m, nil)
-}
-
-// StepAppend implements node.AppendStepper. The order is
+// StepAppend implements node.Automaton. The order is
 // step-then-commit: the automaton transitions first (its outputs are
 // needed anyway), but the replies are withheld — by returning out
 // unextended — unless the record is durable. On the steady-state hot
@@ -76,7 +70,7 @@ func (d *Durable) StepAppend(from types.ProcID, m wire.Message, out []transport.
 		return out
 	}
 	n := len(out)
-	res := node.StepInto(d.inner, from, m, out)
+	res := d.inner.StepAppend(from, m, out)
 	if !Mutating(m) {
 		return res
 	}

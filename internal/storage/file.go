@@ -135,7 +135,7 @@ func NewFile(dir string, factory func() Automaton, opts ...FileOption) (*File, e
 		dir:          dir,
 		factory:      factory,
 		mode:         SyncBatched,
-		minTail:      256,
+		minTail:      defaultMinTail,
 		lastFrameOff: -1,
 	}
 	f.cond = sync.NewCond(&f.mu)
@@ -372,7 +372,7 @@ func (f *File) Append(payload []byte) error {
 	f.pendingRecords++
 	f.appendSeq++
 	if f.factory != nil && !f.syncing &&
-		f.walRecords+f.pendingRecords > compactThresholdMin(f.minTail, f.snapRecords) {
+		f.walRecords+f.pendingRecords > compactThreshold(f.minTail, f.snapRecords) {
 		return f.compactLocked()
 	}
 	return nil
@@ -663,18 +663,8 @@ func (f *File) compactLocked() error {
 		return err
 	}
 	a := f.factory()
-	replayed := 0
-	replay := func(name string) error {
-		return f.replayFileLocked(name, func(p []byte) error {
-			env, err := DecodeRecord(p)
-			if err != nil {
-				return errRecord(replayed, err)
-			}
-			a.Step(env.From, env.Msg)
-			replayed++
-			return nil
-		})
-	}
+	r := replayer{a: a}
+	replay := func(name string) error { return f.replayFileLocked(name, r.step) }
 	if f.snapRecords > 0 {
 		if err := replay(snapName(f.gen)); err != nil {
 			f.sticky = err
@@ -763,14 +753,6 @@ func (f *File) compactLocked() error {
 		m.Compactions.Inc()
 	}
 	return nil
-}
-
-// compactThresholdMin is compactThreshold with a configurable floor.
-func compactThresholdMin(minTail, liveRecords int) int {
-	if t := 4 * liveRecords; t > minTail {
-		return t
-	}
-	return minTail
 }
 
 // syncDir fsyncs a directory so renames and creates are durable.

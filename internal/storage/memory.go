@@ -44,7 +44,7 @@ func (m *Memory) Append(payload []byte) error {
 	}
 	m.buf = append(m.buf, payload...)
 	m.lens = append(m.lens, len(payload))
-	if m.factory != nil && len(m.lens)-m.snapRecords > compactThreshold(m.snapRecords) {
+	if m.factory != nil && len(m.lens)-m.snapRecords > compactThreshold(defaultMinTail, m.snapRecords) {
 		return m.compactLocked()
 	}
 	return nil
@@ -114,13 +114,12 @@ func (m *Memory) Close() error {
 // replaces it with that automaton's snapshot records.
 func (m *Memory) compactLocked() error {
 	a := m.factory()
+	r := replayer{a: a}
 	off := 0
-	for i, n := range m.lens {
-		env, err := DecodeRecord(m.buf[off : off+n])
-		if err != nil {
-			return errRecord(i, err)
+	for _, n := range m.lens {
+		if err := r.step(m.buf[off : off+n]); err != nil {
+			return err
 		}
-		a.Step(env.From, env.Msg)
 		off += n
 	}
 	buf, lens, err := snapshotPayloads(a)
@@ -133,19 +132,16 @@ func (m *Memory) compactLocked() error {
 	return nil
 }
 
+// defaultMinTail is the log-tail floor of compaction: Memory's, and a
+// File's unless WithCompactEvery gives another.
+const defaultMinTail = 256
+
 // compactThreshold is the tail-growth bound before a snapshot: the
-// log may hold a small constant floor, or a few multiples of the live
-// state, whichever is larger — so stored bytes stay proportional to
-// state, not to write history (the space-bounds yardstick).
-func compactThreshold(liveRecords int) int {
-	const (
-		minTail = 256
-		factor  = 4
-	)
-	if t := factor * liveRecords; t > minTail {
-		return t
-	}
-	return minTail
+// log may hold a floor of minTail records, or a few multiples of the
+// live state, whichever is larger — so stored bytes stay proportional
+// to state, not to write history (the space-bounds yardstick).
+func compactThreshold(minTail, liveRecords int) int {
+	return max(minTail, 4*liveRecords)
 }
 
 // snapshotDest is the To identity stamped on snapshot records. Replay

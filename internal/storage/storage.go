@@ -134,10 +134,6 @@ func DecodeRecord(p []byte) (wire.Envelope, error) {
 	return env, nil
 }
 
-func errRecord(i int, err error) error {
-	return fmt.Errorf("record %d: %w", i, err)
-}
-
 // Mutating reports whether a message can change server automaton
 // state and therefore must be logged before its reply is released.
 // Acks never mutate; READ round 1 leaves no trace (the fast path stays
@@ -168,16 +164,26 @@ func Mutating(m wire.Message) bool {
 // fails to decode is corruption, not a torn tail — recovery refuses
 // rather than silently dropping possibly-acknowledged state.
 func Recover(b Backend, a node.Automaton) (int, error) {
-	n := 0
-	var scratch []transport.Outgoing
-	err := b.Replay(func(p []byte) error {
-		env, err := DecodeRecord(p)
-		if err != nil {
-			return fmt.Errorf("record %d: %w", n, err)
-		}
-		scratch = node.StepInto(a, env.From, env.Msg, scratch[:0])
-		n++
-		return nil
-	})
-	return n, err
+	r := replayer{a: a}
+	err := b.Replay(r.step)
+	return r.n, err
+}
+
+// replayer is the one decode-and-step of recovery and compaction: it
+// steps each record payload it is given into a, discarding the replies
+// into a reused scratch buffer, and counts the records stepped.
+type replayer struct {
+	a       node.Automaton
+	n       int
+	scratch []transport.Outgoing
+}
+
+func (r *replayer) step(p []byte) error {
+	env, err := DecodeRecord(p)
+	if err != nil {
+		return fmt.Errorf("record %d: %w", r.n, err)
+	}
+	r.scratch = r.a.StepAppend(env.From, env.Msg, r.scratch[:0])
+	r.n++
+	return nil
 }

@@ -87,7 +87,7 @@ func TestDurableRecoverRoundTrip(t *testing.T) {
 			inner := core.NewServer()
 			d := storage.NewDurable(inner, back, types.ServerID(0))
 			driveServer(t, func(from types.ProcID, m wire.Message) {
-				if out := d.Step(from, m); len(out) == 0 {
+				if out := d.StepAppend(from, m, nil); len(out) == 0 {
 					t.Fatalf("step %v: replies withheld (backend error?)", m)
 				}
 			})
@@ -103,13 +103,13 @@ func TestDurableSkipsNonMutating(t *testing.T) {
 	back := storage.NewMemory(coreFactory)
 	d := storage.NewDurable(core.NewServer(), back, types.ServerID(0))
 	// Round-1 READ is the fast path: answered, never logged.
-	if out := d.Step(types.ReaderID(0), wire.Read{TSR: 1, Round: 1}); len(out) != 1 {
+	if out := d.StepAppend(types.ReaderID(0), wire.Read{TSR: 1, Round: 1}, nil); len(out) != 1 {
 		t.Fatalf("fast read got %d replies, want 1", len(out))
 	}
 	if st := back.Stats(); st.Records != 0 {
 		t.Fatalf("fast read logged %d records, want 0", st.Records)
 	}
-	if out := d.Step(types.WriterID(), wMsg(2, 1, "x")); len(out) != 1 {
+	if out := d.StepAppend(types.WriterID(), wMsg(2, 1, "x"), nil); len(out) != 1 {
 		t.Fatalf("write got no reply")
 	}
 	if st := back.Stats(); st.Records != 1 {
@@ -149,7 +149,7 @@ func TestFileTornTailTruncatedOnReopen(t *testing.T) {
 	}
 	inner := core.NewServer()
 	d := storage.NewDurable(inner, f, types.ServerID(0))
-	driveServer(t, func(from types.ProcID, m wire.Message) { d.Step(from, m) })
+	driveServer(t, func(from types.ProcID, m wire.Message) { d.StepAppend(from, m, nil) })
 	recs := f.Stats().Records
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestFileHalfRecordTruncated(t *testing.T) {
 	}
 	inner := core.NewServer()
 	d := storage.NewDurable(inner, f, types.ServerID(0))
-	driveServer(t, func(from types.ProcID, m wire.Message) { d.Step(from, m) })
+	driveServer(t, func(from types.ProcID, m wire.Message) { d.StepAppend(from, m, nil) })
 	recs := f.Stats().Records
 	f.Close()
 
@@ -231,7 +231,7 @@ func TestCorruptSealedSnapshotRefused(t *testing.T) {
 	}
 	d := storage.NewDurable(core.NewServer(), f, types.ServerID(0))
 	for i := 1; i <= 20; i++ {
-		d.Step(types.WriterID(), wMsg(2, i, "v"))
+		d.StepAppend(types.WriterID(), wMsg(2, i, "v"), nil)
 	}
 	if f.Stats().Compactions == 0 {
 		t.Fatalf("no compaction after 20 writes with floor 4")
@@ -275,7 +275,7 @@ func TestCompactionBoundsLog(t *testing.T) {
 			d := storage.NewDurable(inner, back, types.ServerID(0))
 			const writes = 2000
 			for i := 1; i <= writes; i++ {
-				if out := d.Step(types.WriterID(), wMsg(2, i, "vvvvvvvv")); len(out) != 1 {
+				if out := d.StepAppend(types.WriterID(), wMsg(2, i, "vvvvvvvv"), nil); len(out) != 1 {
 					t.Fatalf("write %d muted", i)
 				}
 			}
@@ -299,7 +299,7 @@ func TestWipeIsAmnesiac(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			defer back.Close()
 			d := storage.NewDurable(core.NewServer(), back, types.ServerID(0))
-			driveServer(t, func(from types.ProcID, m wire.Message) { d.Step(from, m) })
+			driveServer(t, func(from types.ProcID, m wire.Message) { d.StepAppend(from, m, nil) })
 			if err := back.Wipe(); err != nil {
 				t.Fatalf("Wipe: %v", err)
 			}
@@ -329,10 +329,10 @@ func TestTornWriteFaultThenReopenRecovers(t *testing.T) {
 	// could have observed.
 	committed := core.NewServer()
 	driveServer(t, func(from types.ProcID, m wire.Message) {
-		if out := d.Step(from, m); len(out) == 0 {
+		if out := d.StepAppend(from, m, nil); len(out) == 0 {
 			t.Fatalf("pre-fault step muted")
 		}
-		committed.Step(from, m)
+		committed.StepAppend(from, m, nil)
 	})
 
 	// The torn write: the record lands half-written, the reply is
@@ -340,13 +340,13 @@ func TestTornWriteFaultThenReopenRecovers(t *testing.T) {
 	if err := fb.Arm(storage.FaultTornWrite); err != nil {
 		t.Fatal(err)
 	}
-	if out := d.Step(types.WriterID(), wMsg(2, 99, "never-acked")); len(out) != 0 {
+	if out := d.StepAppend(types.WriterID(), wMsg(2, 99, "never-acked"), nil); len(out) != 0 {
 		t.Fatalf("torn write was acknowledged")
 	}
 	if !fb.Dead() {
 		t.Fatalf("fault backend alive after torn write")
 	}
-	if out := d.Step(types.WriterID(), wMsg(2, 100, "after-death")); len(out) != 0 {
+	if out := d.StepAppend(types.WriterID(), wMsg(2, 100, "after-death"), nil); len(out) != 0 {
 		t.Fatalf("dead server answered")
 	}
 	fb.Close()
@@ -375,9 +375,9 @@ func TestFsyncErrorFaultMutesServer(t *testing.T) {
 			defer fb.Close()
 			committed := core.NewServer()
 			d := storage.NewDurable(committed, fb, types.ServerID(0))
-			driveServer(t, func(from types.ProcID, m wire.Message) { d.Step(from, m) })
+			driveServer(t, func(from types.ProcID, m wire.Message) { d.StepAppend(from, m, nil) })
 			fb.Arm(storage.FaultFsyncError)
-			if out := d.Step(types.WriterID(), wMsg(2, 50, "lost-sync")); len(out) != 0 {
+			if out := d.StepAppend(types.WriterID(), wMsg(2, 50, "lost-sync"), nil); len(out) != 0 {
 				t.Fatalf("fsync-failed write was acknowledged")
 			}
 			if !fb.Dead() {
@@ -404,7 +404,7 @@ func TestShortReadFailsRecoveryLoudly(t *testing.T) {
 	back := storage.NewMemory(coreFactory)
 	fb := storage.NewFault(back)
 	d := storage.NewDurable(core.NewServer(), fb, types.ServerID(0))
-	driveServer(t, func(from types.ProcID, m wire.Message) { d.Step(from, m) })
+	driveServer(t, func(from types.ProcID, m wire.Message) { d.StepAppend(from, m, nil) })
 
 	fb.Arm(storage.FaultShortRead)
 	if _, err := storage.Recover(fb, core.NewServer()); err == nil {
@@ -435,7 +435,7 @@ func TestKeyedDurableRoundTrip(t *testing.T) {
 	route := inner.Route()
 	stepKeyed := func(key string, from types.ProcID, m wire.Message) {
 		km := wire.Keyed{Key: key, Inner: m}
-		durables[route(km)].Step(from, km)
+		durables[route(km)].StepAppend(from, km, nil)
 	}
 	keys := []string{"alpha", "beta", "gamma", "delta", "epsilon"}
 	for i, k := range keys {
@@ -454,7 +454,7 @@ func TestKeyedDurableRoundTrip(t *testing.T) {
 	// Reads against the recovered automaton must serve each key's last
 	// written pair.
 	for i, k := range keys {
-		out := recovered.Step(types.ReaderID(0), wire.Keyed{Key: k, Inner: wire.Read{TSR: 100, Round: 1}})
+		out := recovered.StepAppend(types.ReaderID(0), wire.Keyed{Key: k, Inner: wire.Read{TSR: 100, Round: 1}}, nil)
 		if len(out) != 1 {
 			t.Fatalf("key %q: no read reply", k)
 		}
@@ -523,7 +523,7 @@ func TestProvidersReopenSemantics(t *testing.T) {
 		p := storage.NewMemProvider(coreFactory)
 		b1, _ := p.Open("s0")
 		d := storage.NewDurable(core.NewServer(), b1, types.ServerID(0))
-		d.Step(types.WriterID(), wMsg(2, 1, "x"))
+		d.StepAppend(types.WriterID(), wMsg(2, 1, "x"), nil)
 		b2, _ := p.Open("s0")
 		if b2.Stats().Records != 1 {
 			t.Fatalf("reopened memory backend lost records")
@@ -536,7 +536,7 @@ func TestProvidersReopenSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := storage.NewDurable(core.NewServer(), b1, types.ServerID(0))
-		d.Step(types.WriterID(), wMsg(2, 1, "x"))
+		d.StepAppend(types.WriterID(), wMsg(2, 1, "x"), nil)
 		b1.Close()
 		b2, err := p.Open("s0")
 		if err != nil {

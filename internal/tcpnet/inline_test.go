@@ -38,7 +38,7 @@ type fastShard struct{ *orderShard }
 
 func (fastShard) StepNeverBlocks() bool { return true }
 
-func (s *orderShard) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (s *orderShard) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	k := m.(wire.Keyed)
 	r := k.Inner.(wire.Read)
 	if s.last == nil {
@@ -58,7 +58,7 @@ func (s *orderShard) Step(from types.ProcID, m wire.Message) []transport.Outgoin
 	if s.mayBlock && s.steps%10 == 0 {
 		time.Sleep(200 * time.Microsecond)
 	}
-	return []transport.Outgoing{{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: int64(r.TSR)}}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: int64(r.TSR)}}})
 }
 
 // steppedInline reports whether the current step runs under
@@ -293,13 +293,13 @@ type pathRecorder struct {
 	inline, pooled int
 }
 
-func (r *pathRecorder) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (r *pathRecorder) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	if steppedInline() {
 		r.inline++
 	} else {
 		r.pooled++
 	}
-	return node.StepInto(r.inner, from, m, nil)
+	return r.inner.StepAppend(from, m, out)
 }
 
 type inlineRecorder struct{ *pathRecorder }

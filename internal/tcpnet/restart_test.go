@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/node"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -19,9 +20,7 @@ import (
 
 // restartServer closes srv and listens again on the same address,
 // retrying briefly in case the kernel has not released the port yet.
-func restartServer(t *testing.T, srv *Server, auto interface {
-	Step(types.ProcID, wire.Message) []transport.Outgoing
-}) *Server {
+func restartServer(t *testing.T, srv *Server, auto node.Automaton) *Server {
 	t.Helper()
 	id, addr := srv.ID(), srv.Addr()
 	if err := srv.Close(); err != nil {

@@ -116,10 +116,10 @@ type blockingAutomaton struct {
 	once    sync.Once
 }
 
-func (a *blockingAutomaton) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (a *blockingAutomaton) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	a.once.Do(func() { <-a.release })
 	k, _ := m.(wire.Keyed)
-	return []transport.Outgoing{{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: 1}}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: 1}}})
 }
 
 // signalAutomaton closes stepped on its first step, then acknowledges.
@@ -128,10 +128,10 @@ type signalAutomaton struct {
 	once    sync.Once
 }
 
-func (a *signalAutomaton) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (a *signalAutomaton) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	a.once.Do(func() { close(a.stepped) })
 	k, _ := m.(wire.Keyed)
-	return []transport.Outgoing{{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: 2}}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: 2}}})
 }
 
 // TestShardedStepsShardsInParallel proves the pipeline actually steps
@@ -195,13 +195,13 @@ type gateAutomaton struct {
 	once    sync.Once
 }
 
-func (a *gateAutomaton) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+func (a *gateAutomaton) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	a.once.Do(func() {
 		close(a.entered)
 		<-a.release
 	})
 	k, _ := m.(wire.Keyed)
-	return []transport.Outgoing{{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: 1}}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.Keyed{Key: k.Key, Inner: wire.WAck{Round: 1, Tag: 1}}})
 }
 
 // TestShardedBatchFrameIsOneJobPerShard pins the server half of a

@@ -121,35 +121,35 @@ func NewServer() *Server {
 // automaton access while running).
 func (s *Server) State() (pw, w types.Tagged) { return s.pw, s.w }
 
-// Step implements node.Automaton.
-func (s *Server) Step(from types.ProcID, m wire.Message) []transport.Outgoing {
+// StepAppend implements node.Automaton.
+func (s *Server) StepAppend(from types.ProcID, m wire.Message, out []transport.Outgoing) []transport.Outgoing {
 	if wire.Validate(m) != nil {
-		return nil
+		return out
 	}
 	switch v := m.(type) {
 	case wire.PW:
 		if !from.IsWriter() {
-			return nil
+			return out
 		}
-		return s.onPW(from, v)
+		return s.onPW(from, v, out)
 	case wire.Read:
 		if !from.IsReader() {
-			return nil
+			return out
 		}
-		return s.onRead(from, v)
+		return s.onRead(from, v, out)
 	case wire.W:
 		if !from.IsWriter() && !from.IsReader() {
-			return nil
+			return out
 		}
-		return s.onW(from, v)
+		return s.onW(from, v, out)
 	default:
-		return nil
+		return out
 	}
 }
 
 // onPW: Fig. 8 lines 3–6 — update pw/w, report newread; the PW message
 // of this variant carries no frozen set.
-func (s *Server) onPW(from types.ProcID, m wire.PW) []transport.Outgoing {
+func (s *Server) onPW(from types.ProcID, m wire.PW, out []transport.Outgoing) []transport.Outgoing {
 	update(&s.pw, m.PW)
 	update(&s.w, m.W)
 	var newread []types.ReadStamp
@@ -158,11 +158,11 @@ func (s *Server) onPW(from types.ProcID, m wire.PW) []transport.Outgoing {
 			newread = append(newread, types.ReadStamp{Reader: rj, TSR: tsr})
 		}
 	}
-	return []transport.Outgoing{{To: from, Msg: wire.PWAck{TS: m.TS, NewRead: newread}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.PWAck{TS: m.TS, NewRead: newread}})
 }
 
 // onRead: Fig. 8 lines 7–9.
-func (s *Server) onRead(from types.ProcID, m wire.Read) []transport.Outgoing {
+func (s *Server) onRead(from types.ProcID, m wire.Read, out []transport.Outgoing) []transport.Outgoing {
 	if m.TSR > s.readerTS[from] && m.Round > 1 {
 		s.readerTS[from] = m.TSR
 	}
@@ -170,15 +170,15 @@ func (s *Server) onRead(from types.ProcID, m wire.Read) []transport.Outgoing {
 	if !ok {
 		fz = types.InitialFrozen()
 	}
-	return []transport.Outgoing{{To: from, Msg: wire.ReadAck{
+	return append(out, transport.Outgoing{To: from, Msg: wire.ReadAck{
 		TSR: m.TSR, Round: m.Round,
 		PW: s.pw, W: s.w, VW: types.Bottom(), Frozen: fz,
-	}}}
+	}})
 }
 
 // onW: Fig. 8 lines 10–15 — round 1 updates pw, round 2 additionally
 // w; the frozen set applies only when the sender is the writer.
-func (s *Server) onW(from types.ProcID, m wire.W) []transport.Outgoing {
+func (s *Server) onW(from types.ProcID, m wire.W, out []transport.Outgoing) []transport.Outgoing {
 	update(&s.pw, m.C)
 	if m.Round > 1 {
 		update(&s.w, m.C)
@@ -190,7 +190,7 @@ func (s *Server) onW(from types.ProcID, m wire.W) []transport.Outgoing {
 			}
 		}
 	}
-	return []transport.Outgoing{{To: from, Msg: wire.WAck{Round: m.Round, Tag: m.Tag}}}
+	return append(out, transport.Outgoing{To: from, Msg: wire.WAck{Round: m.Round, Tag: m.Tag}})
 }
 
 func (s *Server) frozenTSR(rj types.ProcID) types.ReaderTS {

@@ -57,16 +57,16 @@ func TestConfigFormulaAndValidation(t *testing.T) {
 func TestServerHasNoVWAndFrozenViaW(t *testing.T) {
 	s := NewServer()
 	// PW carries no frozen processing in this variant.
-	out := s.Step(types.WriterID(), wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()})
+	out := s.StepAppend(types.WriterID(), wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()}, nil)
 	if _, ok := out[0].Msg.(wire.PWAck); !ok {
 		t.Fatalf("PW reply = %+v", out[0].Msg)
 	}
 	// Frozen arrives inside the writer's W message.
 	rj := types.ReaderID(0)
-	s.Step(rj, wire.Read{TSR: 3, Round: 2}) // announce tsr
+	s.StepAppend(rj, wire.Read{TSR: 3, Round: 2}, nil) // announce tsr
 	fz := []types.FrozenEntry{{Reader: rj, PW: types.Tagged{TS: 1, Val: "a"}, TSR: 3}}
-	s.Step(types.WriterID(), wire.W{Round: 2, Tag: 1, C: types.Tagged{TS: 1, Val: "a"}, Frozen: fz})
-	ack := s.Step(rj, wire.Read{TSR: 3, Round: 3})[0].Msg.(wire.ReadAck)
+	s.StepAppend(types.WriterID(), wire.W{Round: 2, Tag: 1, C: types.Tagged{TS: 1, Val: "a"}, Frozen: fz}, nil)
+	ack := s.StepAppend(rj, wire.Read{TSR: 3, Round: 3}, nil)[0].Msg.(wire.ReadAck)
 	if ack.Frozen != (types.FrozenPair{PW: types.Tagged{TS: 1, Val: "a"}, TSR: 3}) {
 		t.Errorf("frozen slot = %+v", ack.Frozen)
 	}
@@ -75,9 +75,9 @@ func TestServerHasNoVWAndFrozenViaW(t *testing.T) {
 	}
 	// Frozen inside a reader's W message must be ignored.
 	s2 := NewServer()
-	s2.Step(rj, wire.Read{TSR: 3, Round: 2})
-	s2.Step(rj, wire.W{Round: 2, Tag: 3, C: types.Tagged{TS: 1, Val: "a"}, Frozen: fz})
-	ack2 := s2.Step(rj, wire.Read{TSR: 3, Round: 3})[0].Msg.(wire.ReadAck)
+	s2.StepAppend(rj, wire.Read{TSR: 3, Round: 2}, nil)
+	s2.StepAppend(rj, wire.W{Round: 2, Tag: 3, C: types.Tagged{TS: 1, Val: "a"}, Frozen: fz}, nil)
+	ack2 := s2.StepAppend(rj, wire.Read{TSR: 3, Round: 3}, nil)[0].Msg.(wire.ReadAck)
 	if ack2.Frozen.TSR == 3 {
 		t.Error("server applied frozen set from a reader")
 	}

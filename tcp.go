@@ -253,7 +253,7 @@ func ListenTCPKV(i int, addr string, opts ...TCPOption) (*TCPServer, error) {
 		sm = core.NewServerMetrics(o.metrics)
 	}
 	srv := kv.NewShardedServerAutomatonInstrumented(o.shards, sm)
-	// Replay routes through the sharded server's single-goroutine Step
+	// Replay routes through the sharded server's single-goroutine StepAppend
 	// before any shard worker exists, then every shard writes through
 	// the one backend (group-committed fsyncs).
 	inner, back, err := o.listen(i, addr, kv.NewStorageAutomaton, srv, srv.Shards(), srv.Route())
