@@ -613,39 +613,34 @@ func BenchmarkTCPKVPutBatch(b *testing.B) {
 
 // --- Multi-writer fast-path benchmarks ------------------------------
 
-// benchMWStores opens a KV deployment with the given number of writer
-// identities — on the in-memory simnet or over loopback TCP — and
-// returns one client store per identity (index 0 is the primary).
-func benchMWStores(b *testing.B, writers int, tcp bool) []*kv.Store {
+// benchMWStore opens a KV deployment with the given number of writer
+// identities — on the in-memory simnet or over loopback TCP — whose
+// store speaks as every one of them (PutAs).
+func benchMWStore(b *testing.B, writers int, tcp bool) *kv.Store {
 	b.Helper()
-	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1,
+	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1, Writers: writers,
 		RoundTimeout: 50 * time.Millisecond, OpTimeout: 30 * time.Second}
-	if !tcp {
-		var opts []kv.Option
-		if writers > 1 {
-			opts = append(opts, kv.WithContenders(writers-1))
-		}
-		st, err := kv.Open(cfg, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(st.Close)
-		stores := []*kv.Store{st}
-		for k := 1; k < writers; k++ {
-			ct, err := st.OpenContender(k)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(ct.Close)
-			stores = append(stores, ct)
-		}
-		return stores
+	var st *kv.Store
+	var err error
+	if tcp {
+		st, err = kv.Connect(cfg, benchTCPServers(b, cfg.S()))
+	} else {
+		st, err = kv.Open(cfg)
 	}
-	if writers > 1 {
-		cfg.Writers = writers
+	if err != nil {
+		b.Fatal(err)
 	}
-	m := make(map[types.ProcID]string, cfg.S())
-	for i := 0; i < cfg.S(); i++ {
+	b.Cleanup(st.Close)
+	return st
+}
+
+// benchTCPServers starts s sharded KV servers on loopback TCP,
+// closed when the benchmark ends, and returns a dial function for
+// kv.Connect.
+func benchTCPServers(b *testing.B, s int) func(types.ProcID) (transport.Endpoint, error) {
+	b.Helper()
+	m := make(map[types.ProcID]string, s)
+	for i := 0; i < s; i++ {
 		auto := kv.NewShardedServerAutomatonInstrumented(4, nil)
 		srv, err := tcpnet.ListenSharded(types.ServerID(i), "127.0.0.1:0", auto.Shards(), auto.Route())
 		if err != nil {
@@ -654,29 +649,7 @@ func benchMWStores(b *testing.B, writers int, tcp bool) []*kv.Store {
 		b.Cleanup(func() { _ = srv.Close() })
 		m[types.ServerID(i)] = srv.Addr()
 	}
-	stores := make([]*kv.Store, writers)
-	for k := 0; k < writers; k++ {
-		wid := types.WriterIDN(k)
-		wep, err := tcpnet.Dial(wid, m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		base := k * cfg.NumReaders
-		reps := make([]transport.Endpoint, cfg.NumReaders)
-		for i := range reps {
-			if reps[i], err = tcpnet.Dial(types.ReaderID(base+i), m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		st, err := kv.OpenWithEndpoints(cfg, wep, reps,
-			kv.WithWriterID(wid), kv.WithReaderBase(base))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(st.Close)
-		stores[k] = st
-	}
-	return stores
+	return func(id types.ProcID) (transport.Endpoint, error) { return tcpnet.Dial(id, m) }
 }
 
 // BenchmarkMWWriteFastPath measures hot-key Put throughput by writer
@@ -704,11 +677,11 @@ func BenchmarkMWWriteFastPath(b *testing.B) {
 			{"contenders=4", 4, 4},
 		} {
 			b.Run(netName+"/"+v.name, func(b *testing.B) {
-				stores := benchMWStores(b, v.writers, tcp)
+				st := benchMWStore(b, v.writers, tcp)
 				const key = "hot"
 				for w := 0; w < v.active; w++ { // warm caches; spec engages
 					for i := 0; i < 64; i++ {
-						if err := stores[w].Put(key, "warm"); err != nil {
+						if err := st.PutAs(w, key, "warm"); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -724,7 +697,7 @@ func BenchmarkMWWriteFastPath(b *testing.B) {
 					go func(w, n int) {
 						defer wg.Done()
 						for i := 0; i < n; i++ {
-							if err := stores[w].Put(key, types.Value(fmt.Sprintf("w%d.v%d", w, i))); err != nil {
+							if err := st.PutAs(w, key, types.Value(fmt.Sprintf("w%d.v%d", w, i))); err != nil {
 								b.Error(err)
 								return
 							}
@@ -753,27 +726,7 @@ func benchRouterCluster(b *testing.B, cfg core.Config, tcp bool) *kv.Store {
 		}
 		return st
 	}
-	m := make(map[types.ProcID]string, cfg.S())
-	for i := 0; i < cfg.S(); i++ {
-		auto := kv.NewShardedServerAutomatonInstrumented(4, nil)
-		srv, err := tcpnet.ListenSharded(types.ServerID(i), "127.0.0.1:0", auto.Shards(), auto.Route())
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(func() { _ = srv.Close() })
-		m[types.ServerID(i)] = srv.Addr()
-	}
-	wep, err := tcpnet.Dial(types.WriterID(), m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reps := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range reps {
-		if reps[i], err = tcpnet.Dial(types.ReaderID(i), m); err != nil {
-			b.Fatal(err)
-		}
-	}
-	st, err := kv.OpenWithEndpoints(cfg, wep, reps)
+	st, err := kv.Connect(cfg, benchTCPServers(b, cfg.S()))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -41,20 +41,10 @@ func captureStdout(t *testing.T, fn func() int) (string, int) {
 // ⟨seq.1⟩ suffix.
 func TestStampsSubcommandAttributesWriters(t *testing.T) {
 	root := t.TempDir()
-	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1}
+	cfg := core.Config{T: 1, B: 0, Fw: 1, NumReaders: 1, Writers: 2}
 	prov := storage.NewDirProvider(root, kv.NewStorageAutomaton)
-	st, err := kv.Open(cfg, kv.WithStorage(prov), kv.WithContenders(1))
+	st, err := kv.Open(cfg, kv.WithStorage(prov))
 	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := st.OpenContender(1)
-	if err != nil {
-		st.Close()
-		t.Fatal(err)
-	}
-	if err := st.AdoptContender(ct); err != nil {
-		ct.Close()
-		st.Close()
 		t.Fatal(err)
 	}
 	if err := st.Put("alpha", "a0"); err != nil {

@@ -60,12 +60,14 @@ type sloReport struct {
 // sloRow is one phase: calm traffic, or traffic under a named chaos
 // scenario.
 type sloRow struct {
-	Phase      string          `json:"phase"`
-	Result     workload.Result `json:"result"`
-	OpError    string          `json:"op_error,omitempty"`
-	Violations []string        `json:"violations,omitempty"`
-	Clean      bool            `json:"clean"`
-	Scrapes    []scrapeResult  `json:"scrapes,omitempty"`
+	Phase  string          `json:"phase"`
+	Result workload.Result `json:"result"`
+	// WritesBy counts the phase's completed writes by writer identity.
+	WritesBy   map[luckystore.ProcID]int `json:"writes_by_writer,omitempty"`
+	OpError    string                    `json:"op_error,omitempty"`
+	Violations []string                  `json:"violations,omitempty"`
+	Clean      bool                      `json:"clean"`
+	Scrapes    []scrapeResult            `json:"scrapes,omitempty"`
 }
 
 // scrapeResult is one admin plane probed mid-run.
@@ -87,7 +89,7 @@ func run(args []string, stdout io.Writer) int {
 		tFlag     = fs.Int("t", 1, "crash-fault budget t of the external cluster (with -addrs)")
 		bFlag     = fs.Int("b", 0, "Byzantine budget b of the external cluster (with -addrs)")
 		readers   = fs.Int("readers", 2, "reader clients")
-		writers   = fs.Int("writers", 1, "contending writer identities (selfhost, -loop closed only)")
+		writers   = fs.Int("writers", 1, "contending writer identities (-loop closed only)")
 		deploy    = fs.String("deploy", "tcpkv", "selfhost deployment kind: "+strings.Join(chaos.Kinds(), "|"))
 		duration  = fs.Duration("duration", 5*time.Second, "length of each traffic phase")
 		seed      = fs.Int64("seed", 1, "seed for key choices and chaos schedules")
@@ -141,7 +143,7 @@ func run(args []string, stdout io.Writer) int {
 		rep.Mode = "external"
 		list := splitList(*addrs)
 		cfg := luckystore.Config{
-			T: *tFlag, B: *bFlag, NumReaders: *readers,
+			T: *tFlag, B: *bFlag, NumReaders: *readers, Writers: *writers,
 			RoundTimeout: 100 * time.Millisecond, OpTimeout: 30 * time.Second,
 		}
 		if len(list) != cfg.S() {
@@ -232,6 +234,7 @@ func run(args []string, stdout io.Writer) int {
 		row := sloRow{
 			Phase:      "chaos:" + name,
 			Result:     crep.Traffic,
+			WritesBy:   writesBy(crep.RecordedOps()),
 			OpError:    crep.OpError,
 			Violations: crep.Violations,
 			Clean:      crep.Clean,
@@ -314,15 +317,27 @@ func runCalm(d workload.Driver, p calmParams) (sloRow, error) {
 		return sloRow{}, err
 	}
 	row := sloRow{
-		Phase:   "calm",
-		Result:  workload.Summarize(rec.Ops(), elapsed),
-		Scrapes: <-scrapeDone,
+		Phase:    "calm",
+		Result:   workload.Summarize(rec.Ops(), elapsed),
+		WritesBy: writesBy(rec.Ops()),
+		Scrapes:  <-scrapeDone,
 	}
 	if err != nil {
 		row.OpError = err.Error()
 	}
 	row.Clean = err == nil
 	return row, nil
+}
+
+// writesBy counts the completed writes in ops by writer identity.
+func writesBy(ops []checker.Op) map[luckystore.ProcID]int {
+	n := make(map[luckystore.ProcID]int)
+	for _, op := range ops {
+		if op.Kind == checker.KindWrite && op.Err == nil {
+			n[op.Client]++
+		}
+	}
+	return n
 }
 
 // scrapeAt probes the admin URLs after the delay and delivers the

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,6 +79,38 @@ func TestExternalOpenLoopWithScrape(t *testing.T) {
 	}
 	if s := row.Scrapes[0]; !s.Healthz || !s.MetricsNonzero {
 		t.Fatalf("scrape assertion failed: %+v", s)
+	}
+}
+
+// TestExternalClosedLoopWriters: -writers 2 against an external
+// cluster dials both writer identities, and both complete writes.
+func TestExternalClosedLoopWriters(t *testing.T) {
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		srv, err := luckystore.ListenTCPKV(i, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		addrs = append(addrs, srv.Addr())
+	}
+	var stdout bytes.Buffer
+	code := run([]string{
+		"-addrs", strings.Join(addrs, ","), "-t", "1", "-b", "0",
+		"-writers", "2", "-duration", "400ms", "-keys", "4",
+	}, &stdout)
+	if code != 0 {
+		t.Fatalf("exit %d, output %s", code, stdout.String())
+	}
+	rep := decodeReport(t, &stdout)
+	row := rep.Rows[0]
+	if rep.Mode != "external" || !row.Clean {
+		t.Fatalf("report: %+v", rep)
+	}
+	for _, w := range []luckystore.ProcID{"w", "w1"} {
+		if row.WritesBy[w] == 0 {
+			t.Errorf("writer %s completed no writes: %v", w, row.WritesBy)
+		}
 	}
 }
 

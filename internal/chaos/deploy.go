@@ -372,22 +372,6 @@ func armDisk(fp *storage.FaultProvider, i int, kind string) error {
 	return f.Arm(kind)
 }
 
-// adoptContenders opens writer identities 1 … writers-1 with open and
-// adopts each into st, which then owns (and closes) them.
-func adoptContenders(st *kv.Store, writers int, open func(k int) (*kv.Store, error)) error {
-	for k := 1; k < writers; k++ {
-		ct, err := open(k)
-		if err != nil {
-			return err
-		}
-		if err := st.AdoptContender(ct); err != nil {
-			ct.Close()
-			return err
-		}
-	}
-	return nil
-}
-
 // behaviorFor builds a named Byzantine behavior. keyed lifts it to the
 // multi-register wire protocol.
 func behaviorFor(name string, seed int64, keyed bool) (node.Automaton, error) {
@@ -476,16 +460,12 @@ func openRegular(cfg core.Config) (cluster, workload.Driver, error) {
 }
 
 // openKV opens a sharded KV store on its own simnet with cfg.Writers
-// writer identities: contender stores share its servers, each binding
-// stamps under its own ⟨seq, writer⟩ component.
+// writer identities, each binding stamps under its own ⟨seq, writer⟩
+// component.
 func openKV(cfg core.Config) (cluster, workload.Driver, error) {
 	fp := memFaults(kv.NewStorageAutomaton)
-	st, err := kv.Open(cfg, kv.WithStorage(fp), kv.WithContenders(cfg.WritersN()-1))
+	st, err := kv.Open(cfg, kv.WithStorage(fp))
 	if err != nil {
-		return nil, nil, err
-	}
-	if err := adoptContenders(st, cfg.WritersN(), st.OpenContender); err != nil {
-		st.Close()
 		return nil, nil, err
 	}
 	return simCluster{st.Servers, st.Sim(), fp, st.Close}, workload.KVDriver{S: st}, nil
@@ -508,9 +488,8 @@ type tcpCluster struct {
 	st    *kv.Store
 }
 
-// openTCP starts a TCP cluster and dials its store with cfg.Writers
-// writer identities: contending client stores dial the same listeners
-// under disjoint reader identities.
+// openTCP starts a TCP cluster and dials its store, which speaks as
+// cfg.Writers writer identities over one set of readers.
 func openTCP(cfg core.Config) (cluster, workload.Driver, error) {
 	dir, err := os.MkdirTemp("", "luckychaos-tcp-")
 	if err != nil {
@@ -531,42 +510,14 @@ func openTCP(cfg core.Config) (cluster, workload.Driver, error) {
 		c.addrs[i] = c.srvs[i].Addr()
 		addrMap[types.ServerID(i)] = c.addrs[i]
 	}
-	dial := func(k int) (*kv.Store, error) { return dialStore(cfg, addrMap, k) }
-	if c.st, err = dial(0); err == nil {
-		err = adoptContenders(c.st, cfg.WritersN(), dial)
-	}
+	c.st, err = kv.Connect(cfg, func(id types.ProcID) (transport.Endpoint, error) {
+		return tcpnet.Dial(id, addrMap)
+	})
 	if err != nil {
 		c.close()
 		return nil, nil, err
 	}
 	return c, workload.KVDriver{S: c.st}, nil
-}
-
-// dialStore dials one client store as writer identity k: writer
-// endpoint w (k=0) or wK, reader endpoints offset by k·NumReaders —
-// contending clients must not share reader ids (servers key the
-// freezing machinery by reader process id).
-func dialStore(cfg core.Config, addrMap map[types.ProcID]string, k int) (*kv.Store, error) {
-	wid := types.WriterIDN(k)
-	wep, err := tcpnet.Dial(wid, addrMap)
-	if err != nil {
-		return nil, err
-	}
-	base := k * cfg.NumReaders
-	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range readerEPs {
-		rep, err := tcpnet.Dial(types.ReaderID(base+i), addrMap)
-		if err != nil {
-			_ = wep.Close()
-			for j := 0; j < i; j++ {
-				_ = readerEPs[j].Close()
-			}
-			return nil, err
-		}
-		readerEPs[i] = rep
-	}
-	return kv.OpenWithEndpoints(cfg, wep, readerEPs,
-		kv.WithWriterID(wid), kv.WithReaderBase(base))
 }
 
 // listen starts server i on addr over a backend opened from the

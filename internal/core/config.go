@@ -53,15 +53,17 @@ type Config struct {
 	Fw int
 	// NumReaders is the number of reader processes (R).
 	NumReaders int
-	// Writers is the number of writer clients sharing the register
-	// (MWMR). Zero or one selects the single-writer protocol exactly as
-	// published: no query round, stamps carry the writer's id with no
-	// contention possible. Above one, a WRITE totally orders its stamp
-	// against concurrent writers: by default adaptively — a writer whose
-	// stamp cache is warm and whose telemetry says the key is quiet
-	// sends a speculative pre-write directly (one round, servers reject
-	// stale stamps), falling back to the explicit stamp-query round
-	// (one extra round-trip) under contention (DESIGN.md §12).
+	// Writers is the number of writer identities a deployment runs over
+	// its one set of readers — a core.Cluster's writer clients, a kv
+	// store's writer roles — sharing every register (MWMR). Zero or one
+	// selects the single-writer protocol exactly as published: no query
+	// round, stamps carry the writer's id with no contention possible.
+	// Above one, a WRITE totally orders its stamp against concurrent
+	// writers: by default adaptively — a writer whose stamp cache is
+	// warm and whose telemetry says the key is quiet sends a speculative
+	// pre-write directly (one round, servers reject stale stamps),
+	// falling back to the explicit stamp-query round (one extra
+	// round-trip) under contention (DESIGN.md §12).
 	Writers int
 	// NoSpec disables the speculative multi-writer fast path: every
 	// MWMR WRITE pays the stamp-query round unconditionally, the pre-§12

@@ -4,6 +4,7 @@ package core_test
 // (crash, then recover, then start) and its teardown.
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -223,6 +224,17 @@ func TestOpenCloseLeavesNoGoroutines(t *testing.T) {
 			}
 			return func(v types.Value) error { return st.Put("k", v) }, st.Close, nil
 		}},
+		{"kv-writers", func() (func(types.Value) error, func(), error) {
+			cfg := cfg
+			cfg.Writers = 2
+			st, err := kv.Open(cfg, kv.WithShards(2))
+			if err != nil {
+				return nil, nil, err
+			}
+			return func(v types.Value) error { // every writer role opens its client
+				return errors.Join(st.PutAs(0, "k", v), st.PutAs(1, "k", v))
+			}, st.Close, nil
+		}},
 		{"kv-storage", func() (func(types.Value) error, func(), error) {
 			st, err := kv.Open(cfg, kv.WithShards(2), kv.WithStorage(mem(kv.NewStorageAutomaton)))
 			if err != nil {
@@ -253,16 +265,12 @@ func TestOpenCloseLeavesNoGoroutines(t *testing.T) {
 	}
 
 	// A store over external endpoints has no fleet: its hooks refuse.
-	sim, err := simnet.New([]types.ProcID{types.WriterID()})
+	sim, err := simnet.New(append(types.WriterIDs(1), types.ReaderIDs(cfg.NumReaders)...))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	ep, err := sim.Endpoint(types.WriterID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := kv.OpenWithEndpoints(cfg, ep, nil)
+	st, err := kv.Connect(cfg, sim.Endpoint)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,8 +17,7 @@ import (
 const kvMWAllocBudget = 10
 
 func TestMWFastPathPutAllocs(t *testing.T) {
-	st, err := Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1},
-		WithContenders(1))
+	st, err := Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1, Writers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,22 +58,24 @@ func (o *op) End(err error) {
 
 // batch is the operations of one call — a lone Put or Get, a future, a
 // batch — and the driver that runs them from one goroutine, with one
-// inbox and one timer for all of them. Batches are pooled per demux
-// (batches), so the driver and the op slice are reused call after call.
+// inbox and one timer for all of them. Batches are pooled per role, so
+// the driver and the op slice are reused call after call.
 type batch struct {
 	dr  *drive.Driver
 	ops []op
 }
 
-// batches is one demux's pool of batches. It never drops one: each
-// driver's inbox is registered with the demux, which closes it on Close.
-type batches struct {
+// role is one client identity of a store: its coalesced endpoint's
+// demux, whose subscriptions carry the role's per-key handles, and its
+// pool of batches. The pool never drops a batch: each driver's inbox is
+// registered with the demux, which closes it on Close.
+type role struct {
 	d    *keyed.Demux
 	mu   sync.Mutex
 	free []*batch
 }
 
-func (p *batches) get() (*batch, error) {
+func (p *role) get() (*batch, error) {
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
 		b := p.free[n-1]
@@ -89,7 +91,7 @@ func (p *batches) get() (*batch, error) {
 	return &batch{dr: drive.New(in, p.d, nil)}, nil
 }
 
-func (p *batches) put(b *batch) {
+func (p *role) put(b *batch) {
 	clear(b.ops)
 	b.ops = b.ops[:0]
 	p.mu.Lock()
@@ -99,7 +101,7 @@ func (p *batches) put(b *batch) {
 
 // one runs o as a batch of one and returns it, outcome filled in, with
 // its error.
-func (p *batches) one(o op) (op, error) {
+func (p *role) one(o op) (op, error) {
 	b, err := p.get()
 	if err != nil {
 		return o, err
@@ -145,13 +147,14 @@ func (s *Store) PutBatch(puts map[string]types.Value) error { return s.putBatch(
 // share the key: PutMeta after the call may already describe a later Put.
 func (s *Store) putBatch(puts map[string]types.Value, observe func(key string, m core.WriteMeta)) error {
 	t0 := s.met.start()
-	b, err := s.writerBatches.get()
+	r := s.writers[0]
+	b, err := r.get()
 	if err != nil {
 		return err
 	}
 	var errs []error
 	for key, v := range puts {
-		h, err := s.writerFor(key)
+		_, h, err := s.writerFor(0, key)
 		if err != nil {
 			errs = append(errs, err)
 			continue
@@ -170,7 +173,7 @@ func (s *Store) putBatch(puts map[string]types.Value, observe func(key string, m
 			observe(o.key, o.meta)
 		}
 	}
-	s.writerBatches.put(b)
+	r.put(b)
 	return errors.Join(errs...)
 }
 
@@ -182,16 +185,17 @@ func (s *Store) putBatch(puts map[string]types.Value, observe func(key string, m
 func (s *Store) GetBatch(idx int, keys []string) (map[string]types.Tagged, error) {
 	t0 := s.met.start()
 	out := make(map[string]types.Tagged, len(keys))
-	if idx < 0 || idx >= len(s.readerBatches) {
-		return out, fmt.Errorf("kv: reader index %d out of range [0,%d)", idx, len(s.readerBatches))
+	r, err := roleAt(s.readers, "reader", idx)
+	if err != nil {
+		return out, err
 	}
-	b, err := s.readerBatches[idx].get()
+	b, err := r.get()
 	if err != nil {
 		return out, err
 	}
 	var errs []error
 	for _, key := range keys {
-		h, err := s.readerFor(idx, key)
+		_, h, err := s.readerFor(idx, key)
 		if err != nil {
 			errs = append(errs, fmt.Errorf("get %q: %w", key, err))
 			continue
@@ -208,6 +212,6 @@ func (s *Store) GetBatch(idx int, keys []string) (map[string]types.Tagged, error
 		out[o.key] = o.got
 		s.met.observeAsyncGet(t0)
 	}
-	s.readerBatches[idx].put(b)
+	r.put(b)
 	return out, errors.Join(errs...)
 }

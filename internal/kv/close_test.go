@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"luckystore/internal/core"
-	"luckystore/internal/keyed"
 	"luckystore/internal/types"
 )
 
@@ -43,7 +42,7 @@ func TestMetaLookupDoesNotCreate(t *testing.T) {
 	if gm.Rounds() != 0 {
 		t.Errorf("GetMeta on unused key = %+v, want zero meta", gm)
 	}
-	if st.writerDemux.Handle("never-put") != nil || st.readerDemuxs[0].Handle("never-got") != nil {
+	if st.writers[0].d.Handle("never-put") != nil || st.readers[0].d.Handle("never-got") != nil {
 		t.Error("meta lookups allocated handles")
 	}
 
@@ -209,8 +208,8 @@ func TestBatchesDrainOnClose(t *testing.T) {
 
 	held := 0
 	for _, key := range keys {
-		for _, d := range []*keyed.Demux{st.writerDemux, st.readerDemuxs[0]} {
-			if h, ok := d.Handle(key).(*handle); ok && !h.mu.TryLock() {
+		for _, r := range []*role{st.writers[0], st.readers[0]} {
+			if h, ok := r.d.Handle(key).(*handle); ok && !h.mu.TryLock() {
 				held++
 			}
 		}

@@ -5,12 +5,12 @@
 // one-round lucky operations — and atomicity composes across keys
 // (linearizable objects are locally composable).
 //
-// By default each key is SWMR: one Store owns the writer role for every
-// key; readers are per-process handles. Multi-writer deployments open
-// contending stores with distinct writer identities (WithContenders +
-// OpenContender, or WithWriterID over TCP): every store may then Put
-// any key, with per-key atomicity across stores provided by the
-// composite 〈seq, writer〉 stamps and the writers' stamp-query round.
+// A store speaks as cfg.WritersN() writer identities ("w", "w1", …)
+// and cfg.NumReaders reader identities ("r0", …) over one set of
+// servers, like core.Cluster. With one writer every key is SWMR; with
+// more, any identity may Put any key (PutAs), per-key atomicity across
+// them provided by the composite 〈seq, writer〉 stamps and the
+// writers' stamp-query round.
 //
 // The engine is sharded and batched: every server runs its per-key
 // automata across a pool of shard workers (a node.Runner over
@@ -28,6 +28,7 @@ package kv
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -60,18 +61,15 @@ func DefaultShards() int {
 	return n
 }
 
-// Option configures Open (and, for the client-identity options,
+// Option configures Open (and, for WithMetrics, Connect and
 // OpenWithEndpoints).
 type Option func(*openOptions)
 
 type openOptions struct {
-	shards     int
-	simOpts    []simnet.Option
-	contenders int
-	writerID   types.ProcID
-	readerBase int
-	store      storage.Provider
-	metrics    *metrics.Registry
+	shards  int
+	simOpts []simnet.Option
+	store   storage.Provider
+	metrics *metrics.Registry
 }
 
 // WithShards sets the number of shard workers each server runs its
@@ -83,26 +81,6 @@ func WithShards(n int) Option {
 // WithSimOptions forwards options to the in-memory network Open builds.
 func WithSimOptions(opts ...simnet.Option) Option {
 	return func(o *openOptions) { o.simOpts = append(o.simOpts, opts...) }
-}
-
-// WithContenders pre-registers n additional writer identities
-// ("w1" … "wn") plus their reader id blocks on the store's network, so
-// that up to n contending Stores can later be opened on the same
-// keyspace with OpenContender. The identities must exist at Open time
-// because the in-memory network's process set is fixed at construction.
-// If cfg.Writers is below 1+n it is raised to match, putting every
-// writer — the primary included — in multi-writer mode (stamp query
-// round per Put).
-func WithContenders(n int) Option {
-	return func(o *openOptions) { o.contenders = n }
-}
-
-// WithWriterID sets the writer identity the store binds stamps under
-// (default types.WriterID(), the canonical writer "w"). TCP contender
-// clients use this with OpenWithEndpoints after dialing under the same
-// identity.
-func WithWriterID(id types.ProcID) Option {
-	return func(o *openOptions) { o.writerID = id }
 }
 
 // WithStorage gives every server a durable backend from the provider
@@ -130,55 +108,38 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(o *openOptions) { o.metrics = reg }
 }
 
-// WithReaderBase offsets the store's reader identities: local reader
-// idx speaks as types.ReaderID(base+idx). Contending stores need
-// disjoint reader ids — servers key the freezing machinery by reader
-// process id, so two clients sharing "r0" would corrupt each other's
-// slow reads.
-func WithReaderBase(base int) Option {
-	return func(o *openOptions) { o.readerBase = base }
-}
-
-// Store is a running multi-register deployment plus its clients.
+// Store is a running multi-register deployment plus its clients: one
+// role per client identity it speaks as — cfg.WritersN() writers, then
+// cfg.NumReaders readers — each role one coalesced endpoint, its demux
+// and its pool of operation drivers. Put, PutMeta, ForwardPut, PutBatch
+// and PutAsync write through writer 0; PutAs and PutMetaAs name the
+// writer.
 //
 // Handle lookup is lock-free on the hot path: a role's per-key handles
 // ride on the role's demux subscriptions, found by one sync.Map load, so
 // concurrent Put/Get on existing keys never contend on a store-wide lock.
-// openMu serializes only the cold path — subscribing a key with the
-// demux on its first operation — and closed is an atomic flag checked
-// there; operations racing Close are cut off by their drivers' inboxes
-// closing under them, which surfaces ErrClosed.
+// openMu serializes only the cold path — subscribing a key with a
+// demux on a role's first operation on it — for every role alike, and
+// closed is an atomic flag checked there; operations racing Close are
+// cut off by their drivers' inboxes closing under them, which surfaces
+// ErrClosed.
 //
 // The embedded fleet carries the servers' fault hooks (CrashServer,
 // RestartServer, RestartServerFresh, SwapServerAutomaton, …): a server
 // crashes as a whole — every register and shard on it at once. A store
-// over external endpoints (OpenWithEndpoints) has no fleet, and its
-// restart and swap hooks return an error.
+// over servers managed elsewhere (Connect, OpenWithEndpoints) has no
+// fleet, and its restart and swap hooks return an error.
 type Store struct {
 	*core.Servers // nil when the servers are managed externally
 
-	cfg        core.Config
-	shards     int
-	sim        *simnet.Network
-	contenders int          // contender identities pre-registered at Open
-	writerID   types.ProcID // identity this store's writers bind stamps under
-	readerBase int          // local reader idx speaks as ReaderID(readerBase+idx)
+	cfg    core.Config
+	shards int
+	sim    *simnet.Network
 
 	met *StoreMetrics // nil when uninstrumented
 
-	writerDemux   *keyed.Demux   // its subscriptions carry the writer handles
-	readerDemuxs  []*keyed.Demux // ... each reader client's, its reader handles
-	writerBatches *batches       // pooled operation drivers over writerDemux
-	readerBatches []*batches     // ... and over each reader demux
-
-	// adopted is the writer-identity map: contending stores attached
-	// with AdoptContender, index k−1 holding identity "wk". It turns
-	// this store into a single façade over every writer identity of its
-	// cluster (PutAs/PutMetaAs), which is how fleet layers
-	// (internal/router) route multi-writer traffic without tracking
-	// contender stores themselves. Populated at assembly time, before
-	// the store is shared — never mutated concurrently with operations.
-	adopted []*Store
+	writers []*role // writers[w] speaks as types.WriterIDN(w)
+	readers []*role // readers[i] speaks as types.ReaderID(i)
 
 	openMu sync.Mutex // cold path: first-use handle creation
 	closed atomic.Bool
@@ -186,65 +147,45 @@ type Store struct {
 	closeOnce sync.Once
 }
 
-// handle is one key's client of one role — a *core.Writer, or one
-// reader client's *core.Reader — and the lock that serializes its
-// operations (one writer per register, one operation at a time) while
-// different keys run concurrently. sub is the key's routed subscription
-// the client sends through, which carries the handle; the driver holding
-// mu routes its replies.
+// handle is one key's client of one role — a *core.Writer or a
+// *core.Reader — and the lock that serializes its operations (one
+// operation at a time per identity and key) while different keys run
+// concurrently. sub is the key's routed subscription the client sends
+// through, which carries the handle; the driver holding mu routes its
+// replies.
 type handle struct {
 	drive.Op
 	mu  sync.Mutex
 	sub *keyed.Sub
 }
 
-// Open builds and starts a store for cfg on an in-memory network.
+// Open builds and starts a store for cfg on an in-memory network: its
+// servers, then a client per identity the store speaks as (Connect).
 func Open(cfg core.Config, opts ...Option) (*Store, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	o := openOptions{shards: DefaultShards()}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.shards < 1 {
-		o.shards = DefaultShards()
-	}
-	if o.contenders < 0 {
-		return nil, fmt.Errorf("kv: contenders = %d must be non-negative", o.contenders)
-	}
-	if o.contenders > 0 && cfg.Writers < o.contenders+1 {
-		cfg.Writers = o.contenders + 1 // every writer must run the MW query round
-	}
-	ids := append(types.ServerIDs(cfg.S()), types.WriterIDs(o.contenders+1)...)
-	ids = append(ids, types.ReaderIDs((o.contenders+1)*cfg.NumReaders)...)
-	sim, err := simnet.New(ids, o.simOpts...)
+	st, o, err := newStore(cfg, opts)
 	if err != nil {
 		return nil, err
 	}
-	if o.metrics != nil {
-		cfg.Metrics = core.NewMetrics(o.metrics)
+	st.shards = o.shards
+	if st.shards < 1 {
+		st.shards = DefaultShards()
 	}
-	st := &Store{
-		cfg:        cfg,
-		shards:     o.shards,
-		sim:        sim,
-		contenders: o.contenders,
-		writerID:   types.WriterID(),
+	ids := append(types.ServerIDs(cfg.S()), types.WriterIDs(cfg.WritersN())...)
+	if st.sim, err = simnet.New(append(ids, types.ReaderIDs(cfg.NumReaders)...), o.simOpts...); err != nil {
+		return nil, err
 	}
 	var sm *core.ServerMetrics
 	var dm *storage.DurableMetrics
 	prov := o.store
 	if o.metrics != nil {
-		st.met = newStoreMetrics(o.metrics)
 		sm = core.NewServerMetrics(o.metrics)
 		dm = storage.NewDurableMetrics(o.metrics)
 		if prov != nil {
 			prov = meteredProvider{prov, o.metrics}
 		}
 	}
-	st.Servers, err = core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
-		srv := NewShardedServerAutomatonInstrumented(o.shards, sm)
+	st.Servers, err = core.NewServers(st.sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		srv := NewShardedServerAutomatonInstrumented(st.shards, sm)
 		return srv, srv.Shards(), srv.Route()
 	}, prov, dm)
 	if err != nil {
@@ -258,42 +199,113 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 				metrics.L("server", string(types.ServerID(i))))
 		}
 	}
-	wep, err := sim.Endpoint(types.WriterID())
-	if err != nil {
+	if err := st.openRoles(cfg.WritersN(), st.sim.Endpoint); err != nil {
 		st.Close()
 		return nil, err
 	}
-	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range readerEPs {
-		if readerEPs[i], err = sim.Endpoint(types.ReaderID(i)); err != nil {
-			st.Close()
-			return nil, err
-		}
-	}
-	st.openClients(wep, readerEPs)
 	return st, nil
 }
 
-// openClients wraps the client endpoints in coalescers and demuxes, each
-// demux with its pool of batches.
-func (s *Store) openClients(writerEP transport.Endpoint, readerEPs []transport.Endpoint) {
-	s.writerDemux = keyed.NewDemux(s.newCoalescer(writerEP, "writer"))
-	s.writerBatches = &batches{d: s.writerDemux}
-	for _, rep := range readerEPs {
-		d := keyed.NewDemux(s.newCoalescer(rep, "reader"))
-		s.readerDemuxs = append(s.readerDemuxs, d)
-		s.readerBatches = append(s.readerBatches, &batches{d: d})
-	}
+// Connect builds a client-side store over servers managed elsewhere
+// (e.g. a TCP cluster of ListenTCPKV servers). It asks dial for the
+// endpoint of every identity the store speaks as, in this order: the
+// writers w, w1, … w(W−1) for W = cfg.WritersN(), then the readers
+// r0 … r(R−1). The store owns the endpoints and closes them on Close; if
+// a dial fails, Connect closes every endpoint it already got and
+// returns the error. Outbound traffic on every endpoint is coalesced
+// into wire.Batch frames under concurrent multi-key load.
+func Connect(cfg core.Config, dial func(types.ProcID) (transport.Endpoint, error), opts ...Option) (*Store, error) {
+	return connect(cfg, cfg.WritersN(), dial, opts)
 }
 
-// newCoalescer wraps ep in a send-side coalescer, instrumented under
-// the given role label when the store carries metrics.
-func (s *Store) newCoalescer(ep transport.Endpoint, role string) *transport.Coalescer {
+// OpenWithEndpoints is Connect over endpoints already dialed: one
+// writer endpoint, speaking as "w", and exactly cfg.NumReaders reader
+// endpoints, r0 … r(R−1). The store has one writer identity whatever
+// cfg.Writers is. It takes ownership of the endpoints only when it
+// returns a store.
+func OpenWithEndpoints(cfg core.Config, writerEP transport.Endpoint, readerEPs []transport.Endpoint, opts ...Option) (*Store, error) {
+	if len(readerEPs) != cfg.NumReaders {
+		return nil, fmt.Errorf("kv: %d reader endpoints for NumReaders = %d", len(readerEPs), cfg.NumReaders)
+	}
+	eps := append([]transport.Endpoint{writerEP}, readerEPs...)
+	return connect(cfg, 1, func(types.ProcID) (transport.Endpoint, error) {
+		ep := eps[0]
+		eps = eps[1:]
+		return ep, nil
+	}, opts)
+}
+
+// connect is Connect with nw writer identities.
+func connect(cfg core.Config, nw int, dial func(types.ProcID) (transport.Endpoint, error), opts []Option) (*Store, error) {
+	st, _, err := newStore(cfg, opts)
+	if err != nil {
+		return nil, err
+	}
+	if err := st.openRoles(nw, dial); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// newStore validates cfg and applies opts: a store without servers or
+// clients yet.
+func newStore(cfg core.Config, opts []Option) (*Store, openOptions, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, openOptions{}, err
+	}
+	o := apply(opts)
+	st := &Store{cfg: cfg}
+	if o.metrics != nil {
+		st.cfg.Metrics = core.NewMetrics(o.metrics)
+		st.met = newStoreMetrics(o.metrics)
+	}
+	return st, o, nil
+}
+
+// apply folds opts into one set of options.
+func apply(opts []Option) openOptions {
+	var o openOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
+}
+
+// openRoles dials the store's roles — nw writers, then cfg.NumReaders
+// readers, in Connect's order — closing the endpoints it already got
+// when a dial fails.
+func (s *Store) openRoles(nw int, dial func(types.ProcID) (transport.Endpoint, error)) error {
+	ids := append(types.WriterIDs(nw), types.ReaderIDs(s.cfg.NumReaders)...)
+	eps := make([]transport.Endpoint, 0, len(ids))
+	for _, id := range ids {
+		ep, err := dial(id)
+		if err != nil {
+			for _, ep := range eps {
+				_ = ep.Close()
+			}
+			return fmt.Errorf("kv: dial %s: %w", id, err)
+		}
+		eps = append(eps, ep)
+	}
+	for i, ep := range eps {
+		if i < nw {
+			s.writers = append(s.writers, s.newRole(ep, "writer"))
+		} else {
+			s.readers = append(s.readers, s.newRole(ep, "reader"))
+		}
+	}
+	return nil
+}
+
+// newRole wraps ep in a send-side coalescer — instrumented under the
+// label when the store carries metrics — and a demux with its pool of
+// operation drivers.
+func (s *Store) newRole(ep transport.Endpoint, label string) *role {
 	c := transport.NewCoalescer(ep)
 	if s.met != nil {
-		c.SetMetrics(transport.NewCoalescerMetrics(s.met.reg, role))
+		c.SetMetrics(transport.NewCoalescerMetrics(s.met.reg, label))
 	}
-	return c
+	return &role{d: keyed.NewDemux(c)}
 }
 
 // NewShardedServerAutomatonInstrumented returns the sharded keyed
@@ -315,15 +327,8 @@ func NewShardedServerAutomatonInstrumented(n int, sm *core.ServerMetrics) *keyed
 
 // MetricsRegistry extracts the registry carried by a WithMetrics option
 // in opts, nil if none. Transport assemblers (luckystore.OpenKVTCP)
-// use it to instrument the endpoints they dial before handing them to
-// OpenWithEndpoints.
-func MetricsRegistry(opts ...Option) *metrics.Registry {
-	var o openOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	return o.metrics
-}
+// use it to instrument the endpoints their Connect dial returns.
+func MetricsRegistry(opts ...Option) *metrics.Registry { return apply(opts).metrics }
 
 // NewStorageAutomaton returns the automaton storage backends rebuild
 // state into during compaction and recovery: a one-shard keyed server
@@ -335,167 +340,51 @@ func NewStorageAutomaton() storage.Automaton {
 	return keyed.NewShardedServer(1, func() node.Automaton { return core.NewServer() })
 }
 
-// OpenWithEndpoints builds a client-side store over externally provided
-// endpoints (e.g. tcpnet clients dialed to a remote cluster): one
-// writer endpoint and one endpoint per reader client. The store takes
-// ownership of the endpoints and closes them on Close; the servers are
-// managed externally. Outbound traffic on every endpoint is coalesced
-// into wire.Batch frames under concurrent multi-key load.
-//
-// A contending client gives its store a distinct identity with
-// WithWriterID and WithReaderBase — the endpoints must have been dialed
-// under the matching process ids, and cfg.Writers must cover every
-// contender so Puts run the multi-writer stamp query.
-func OpenWithEndpoints(cfg core.Config, writerEP transport.Endpoint, readerEPs []transport.Endpoint, opts ...Option) (*Store, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	var o openOptions
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.writerID == "" {
-		o.writerID = types.WriterID()
-	}
-	if !o.writerID.IsWriter() {
-		return nil, fmt.Errorf("kv: %q is not a writer id", o.writerID)
-	}
-	if o.readerBase < 0 {
-		return nil, fmt.Errorf("kv: reader base = %d must be non-negative", o.readerBase)
-	}
-	if o.metrics != nil {
-		cfg.Metrics = core.NewMetrics(o.metrics)
-	}
-	st := &Store{
-		cfg:        cfg,
-		writerID:   o.writerID,
-		readerBase: o.readerBase,
-	}
-	if o.metrics != nil {
-		st.met = newStoreMetrics(o.metrics)
-	}
-	st.openClients(writerEP, readerEPs)
-	return st, nil
-}
-
-// OpenContender opens the k-th contending store (1 ≤ k ≤ the count
-// given to WithContenders) on this store's network: a client-only
-// Store whose writers bind stamps as "wk" and whose readers occupy the
-// k-th reader id block. Both stores Put and Get the same keys — the
-// same registers — concurrently; per-key atomicity across them is the
-// multi-writer protocol's job. The contender owns its endpoints and
-// must be Closed independently; it cannot crash or restart servers.
-func (s *Store) OpenContender(k int) (*Store, error) {
-	if s.sim == nil {
-		return nil, fmt.Errorf("kv: contenders need the store that owns the network (Open)")
-	}
-	if k < 1 || k > s.contenders {
-		return nil, fmt.Errorf("kv: contender %d out of range [1,%d] (pass WithContenders to Open)", k, s.contenders)
-	}
-	wep, err := s.sim.Endpoint(types.WriterIDN(k))
-	if err != nil {
-		return nil, fmt.Errorf("kv contender %d: %w", k, err)
-	}
-	readerEPs := make([]transport.Endpoint, s.cfg.NumReaders)
-	for j := range readerEPs {
-		rep, err := s.sim.Endpoint(types.ReaderID(k*s.cfg.NumReaders + j))
-		if err != nil {
-			return nil, fmt.Errorf("kv contender %d reader %d: %w", k, j, err)
-		}
-		readerEPs[j] = rep
-	}
-	copts := []Option{WithWriterID(types.WriterIDN(k)), WithReaderBase(k * s.cfg.NumReaders)}
-	if s.met != nil {
-		// Contender traffic lands in the same registry: the admin surface
-		// sees the whole fleet, not just the primary identity.
-		copts = append(copts, WithMetrics(s.met.reg))
-	}
-	return OpenWithEndpoints(s.cfg, wep, readerEPs, copts...)
-}
-
-// AdoptContender attaches a contending store — OpenContender's result,
-// or a TCP client store dialed under a contender identity — to this
-// store as its next writer identity, transferring ownership: Close
-// closes adopted stores too. Contenders must be adopted in identity
-// order ("w1", "w2", …); the store checks and refuses mismatches, so a
-// fleet assembled out of order fails loudly at build time rather than
-// binding stamps under the wrong identity. Adopt before sharing the
-// store across goroutines — adoption is assembly, not an operation.
-func (s *Store) AdoptContender(c *Store) error {
-	k := len(s.adopted) + 1
-	if want := types.WriterIDN(k); c.writerID != want {
-		return fmt.Errorf("kv: adopting store with writer id %q as identity %d (want %q)", c.writerID, k, want)
-	}
-	s.adopted = append(s.adopted, c)
-	return nil
-}
-
-// NumWriters reports the writer identities reachable through this
-// store: itself plus every adopted contender.
-func (s *Store) NumWriters() int { return 1 + len(s.adopted) }
-
-// PutAs writes value under key through writer identity w: 0 is this
-// store's own writer (identical to Put), w ≥ 1 the w-th adopted
-// contender. Distinct identities may Put the same key concurrently —
-// per-key atomicity across them is the multi-writer protocol's job.
-func (s *Store) PutAs(w int, key string, value types.Value) error {
-	st, err := s.writerStore(w)
-	if err != nil {
-		return err
-	}
-	return st.Put(key, value)
-}
-
-// PutMetaAs returns the metadata of writer identity w's last Put on
-// key (see PutMeta).
-func (s *Store) PutMetaAs(w int, key string) (core.WriteMeta, error) {
-	st, err := s.writerStore(w)
-	if err != nil {
-		return core.WriteMeta{}, err
-	}
-	return st.PutMeta(key)
-}
-
-// writerStore resolves writer identity w to its backing store.
-func (s *Store) writerStore(w int) (*Store, error) {
-	if w == 0 {
-		return s, nil
-	}
-	if w < 1 || w > len(s.adopted) {
-		return nil, fmt.Errorf("kv: writer identity %d out of range [0,%d] (AdoptContender)", w, len(s.adopted))
-	}
-	return s.adopted[w-1], nil
-}
+// NumWriters reports the writer identities the store speaks as.
+func (s *Store) NumWriters() int { return len(s.writers) }
 
 // Config returns the store's configuration.
 func (s *Store) Config() core.Config { return s.cfg }
 
 // Shards reports the per-server shard worker count, or 0 when the
-// servers are managed externally (OpenWithEndpoints): their sharding is
-// not this store's to know.
+// servers are managed externally (Connect): their sharding is not this
+// store's to know.
 func (s *Store) Shards() int { return s.shards }
 
-// Put writes value under key. Puts to different keys may run
-// concurrently; puts to one key are serialized (SWMR per register).
-func (s *Store) Put(key string, value types.Value) error {
-	h, err := s.writerFor(key)
+// Put writes value under key through writer 0. Puts to different keys
+// may run concurrently; one identity's puts to one key are serialized.
+func (s *Store) Put(key string, value types.Value) error { return s.PutAs(0, key, value) }
+
+// PutAs writes value under key through writer identity w, in
+// [0, NumWriters()). Distinct identities may Put the same key
+// concurrently — per-key atomicity across them is the multi-writer
+// protocol's job.
+func (s *Store) PutAs(w int, key string, value types.Value) error {
+	r, h, err := s.writerFor(w, key)
 	if err != nil {
 		return err
 	}
 	t0 := s.met.start()
-	_, err = s.writerBatches.one(op{handle: h, key: key, val: value})
+	_, err = r.one(op{handle: h, key: key, val: value})
 	if err == nil {
 		s.met.observePut(key, t0)
 	}
 	return err
 }
 
-// PutMeta returns the write metadata of the last Put on key (only
-// meaningful after a successful Put). A key never Put returns the zero
-// meta: inspecting metadata is a pure lookup and allocates no writer
-// state for the key.
-func (s *Store) PutMeta(key string) (core.WriteMeta, error) {
-	h, ok := s.writerDemux.Handle(key).(*handle)
+// PutMeta returns the write metadata of writer 0's last Put on key.
+func (s *Store) PutMeta(key string) (core.WriteMeta, error) { return s.PutMetaAs(0, key) }
+
+// PutMetaAs returns the write metadata of writer identity w's last Put
+// on key (only meaningful after a successful Put). A key never Put
+// returns the zero meta: inspecting metadata is a pure lookup and
+// allocates no writer state for the key.
+func (s *Store) PutMetaAs(w int, key string) (core.WriteMeta, error) {
+	r, err := roleAt(s.writers, "writer", w)
+	if err != nil {
+		return core.WriteMeta{}, err
+	}
+	h, ok := r.d.Handle(key).(*handle)
 	if !ok {
 		return core.WriteMeta{}, nil
 	}
@@ -516,22 +405,22 @@ func (s *Store) ForwardPut(key string, last types.Tagged) error {
 	if last.IsBottom() {
 		return nil
 	}
-	h, err := s.writerFor(key)
+	r, h, err := s.writerFor(0, key)
 	if err != nil {
 		return err
 	}
-	_, err = s.writerBatches.one(op{handle: h, key: key, pair: last, forward: true})
+	_, err = r.one(op{handle: h, key: key, pair: last, forward: true})
 	return err
 }
 
-// Flush blocks until every outbound message of every key — writer and
-// all readers — has been handed to the underlying transport, giving
+// Flush blocks until every outbound message of every key — all writers
+// and all readers — has been handed to the underlying transport, giving
 // callers a deterministic drain point (the router flushes a cluster's
 // store before retiring it at a rebalance boundary).
 func (s *Store) Flush() error {
-	err := s.writerDemux.Flush()
-	for _, d := range s.readerDemuxs {
-		if e := d.Flush(); err == nil {
+	var err error
+	for _, r := range slices.Concat(s.writers, s.readers) {
+		if e := r.d.Flush(); err == nil {
 			err = e
 		}
 	}
@@ -541,12 +430,12 @@ func (s *Store) Flush() error {
 // Get reads key through reader client idx. A key never written returns
 // the initial pair 〈0,⊥〉.
 func (s *Store) Get(idx int, key string) (types.Tagged, error) {
-	h, err := s.readerFor(idx, key)
+	r, h, err := s.readerFor(idx, key)
 	if err != nil {
 		return types.Tagged{}, err
 	}
 	t0 := s.met.start()
-	o, err := s.readerBatches[idx].one(op{handle: h, key: key})
+	o, err := r.one(op{handle: h, key: key})
 	if err != nil {
 		return types.Tagged{}, err
 	}
@@ -558,10 +447,11 @@ func (s *Store) Get(idx int, key string) (types.Tagged, error) {
 // key the reader never Got returns the zero meta: like PutMeta, a pure
 // lookup that opens no endpoint for the key.
 func (s *Store) GetMeta(idx int, key string) (core.ReadMeta, error) {
-	if idx < 0 || idx >= len(s.readerDemuxs) {
-		return core.ReadMeta{}, fmt.Errorf("kv: reader index %d out of range [0,%d)", idx, len(s.readerDemuxs))
+	r, err := roleAt(s.readers, "reader", idx)
+	if err != nil {
+		return core.ReadMeta{}, err
 	}
-	h, ok := s.readerDemuxs[idx].Handle(key).(*handle)
+	h, ok := r.d.Handle(key).(*handle)
 	if !ok {
 		return core.ReadMeta{}, nil
 	}
@@ -609,16 +499,16 @@ func (f *GetFuture) Wait() (types.Tagged, error) {
 	return f.val, f.err
 }
 
-// PutAsync starts a Put — a batch of one — on a goroutine of its own
-// and returns immediately with its future. Concurrent async puts to one
-// key serialize in an unspecified order (the register stays SWMR); puts to
-// different keys run concurrently. Their messages share a wire.Batch
+// PutAsync starts a Put through writer 0 — a batch of one — on a
+// goroutine of its own and returns immediately with its future.
+// Concurrent async puts to one key serialize in an unspecified order;
+// puts to different keys run concurrently. Their messages share a wire.Batch
 // frame only when their sends collide in the coalescer, which over
 // loopback TCP they measurably do not (EXPERIMENTS.md: 32 of them left
 // in frames 1.01 wide) — to send N keys in S frames, use PutBatch.
 func (s *Store) PutAsync(key string, value types.Value) *PutFuture {
 	f := &PutFuture{done: make(chan struct{})}
-	h, err := s.writerFor(key)
+	r, h, err := s.writerFor(0, key)
 	if err != nil {
 		f.err = err
 		close(f.done)
@@ -627,7 +517,7 @@ func (s *Store) PutAsync(key string, value types.Value) *PutFuture {
 	t0 := s.met.start()
 	go func() {
 		defer close(f.done)
-		o, err := s.writerBatches.one(op{handle: h, key: key, val: value})
+		o, err := r.one(op{handle: h, key: key, val: value})
 		f.err, f.meta = err, o.meta
 		if err == nil {
 			s.met.observeAsyncPut(t0)
@@ -640,7 +530,7 @@ func (s *Store) PutAsync(key string, value types.Value) *PutFuture {
 // its future.
 func (s *Store) GetAsync(idx int, key string) *GetFuture {
 	f := &GetFuture{done: make(chan struct{})}
-	h, err := s.readerFor(idx, key)
+	r, h, err := s.readerFor(idx, key)
 	if err != nil {
 		f.err = err
 		close(f.done)
@@ -649,7 +539,7 @@ func (s *Store) GetAsync(idx int, key string) *GetFuture {
 	t0 := s.met.start()
 	go func() {
 		defer close(f.done)
-		o, err := s.readerBatches[idx].one(op{handle: h, key: key})
+		o, err := r.one(op{handle: h, key: key})
 		f.val, f.err = o.got, err
 		if err == nil {
 			s.met.observeAsyncGet(t0)
@@ -686,50 +576,59 @@ func (s *Store) Sim() *simnet.Network { return s.sim }
 func (s *Store) Close() {
 	s.closeOnce.Do(func() {
 		s.closed.Store(true)
-		if s.writerDemux != nil {
-			_ = s.writerDemux.Close()
-		}
-		for _, d := range s.readerDemuxs {
-			_ = d.Close()
+		for _, r := range slices.Concat(s.writers, s.readers) {
+			_ = r.d.Close()
 		}
 		s.Servers.Close()
-		for _, c := range s.adopted {
-			c.Close()
-		}
 	})
 }
 
-// writerFor returns key's writer handle. The hot path is one lock-free
-// load; only a key's first Put takes the cold path (handleFor).
-func (s *Store) writerFor(key string) (*handle, error) {
-	if h, ok := s.writerDemux.Handle(key).(*handle); ok {
-		return h, nil
+// roleAt returns roles[i], or an error naming kind when i is out of
+// range.
+func roleAt(roles []*role, kind string, i int) (*role, error) {
+	if i < 0 || i >= len(roles) {
+		return nil, fmt.Errorf("kv: %s index %d out of range [0,%d)", kind, i, len(roles))
 	}
-	h, err := s.handleFor(s.writerDemux, key, func(sub *keyed.Sub) drive.Op {
-		return core.NewWriter(s.cfg, s.writerID, sub)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("kv writer for %q: %w", key, err)
-	}
-	return h, nil
+	return roles[i], nil
 }
 
-// readerFor returns reader idx's handle for key, lock-free once the
-// handle exists (see writerFor).
-func (s *Store) readerFor(idx int, key string) (*handle, error) {
-	if idx < 0 || idx >= len(s.readerDemuxs) {
-		return nil, fmt.Errorf("kv: reader index %d out of range [0,%d)", idx, len(s.readerDemuxs))
+// writerFor returns writer w's role and its handle for key. The hot path
+// is one lock-free load; only the role's first Put of key takes the cold
+// path (handleFor).
+func (s *Store) writerFor(w int, key string) (*role, *handle, error) {
+	r, err := roleAt(s.writers, "writer", w)
+	if err != nil {
+		return nil, nil, err
 	}
-	if h, ok := s.readerDemuxs[idx].Handle(key).(*handle); ok {
-		return h, nil
+	if h, ok := r.d.Handle(key).(*handle); ok {
+		return r, h, nil
 	}
-	h, err := s.handleFor(s.readerDemuxs[idx], key, func(sub *keyed.Sub) drive.Op {
-		return core.NewReader(s.cfg, types.ReaderID(s.readerBase+idx), sub)
+	h, err := s.handleFor(r.d, key, func(sub *keyed.Sub) drive.Op {
+		return core.NewWriter(s.cfg, types.WriterIDN(w), sub)
 	})
 	if err != nil {
-		return nil, fmt.Errorf("kv reader %d for %q: %w", idx, key, err)
+		return nil, nil, fmt.Errorf("kv writer %d for %q: %w", w, key, err)
 	}
-	return h, nil
+	return r, h, nil
+}
+
+// readerFor returns reader idx's role and its handle for key, lock-free
+// once the handle exists (see writerFor).
+func (s *Store) readerFor(idx int, key string) (*role, *handle, error) {
+	r, err := roleAt(s.readers, "reader", idx)
+	if err != nil {
+		return nil, nil, err
+	}
+	if h, ok := r.d.Handle(key).(*handle); ok {
+		return r, h, nil
+	}
+	h, err := s.handleFor(r.d, key, func(sub *keyed.Sub) drive.Op {
+		return core.NewReader(s.cfg, types.ReaderID(idx), sub)
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("kv reader %d for %q: %w", idx, key, err)
+	}
+	return r, h, nil
 }
 
 // handleFor subscribes key with d, its handle's client made by client,

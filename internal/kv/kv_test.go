@@ -1,12 +1,15 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/transport"
 	"luckystore/internal/types"
 )
 
@@ -137,7 +140,90 @@ func TestInvalidInputs(t *testing.T) {
 	if _, err := Open(core.Config{T: 1, B: 2}); err == nil {
 		t.Error("invalid config accepted")
 	}
+	// A store over external endpoints must be given one per reader: a
+	// short slice would report readers it cannot read through.
+	cfg := st.Config()
+	for _, readers := range []int{0, 1, cfg.NumReaders, 3} {
+		eps := make([]transport.Endpoint, readers)
+		for i := range eps {
+			eps[i] = newNopEndpoint()
+		}
+		ext, err := OpenWithEndpoints(cfg, newNopEndpoint(), eps)
+		if (err == nil) != (readers == cfg.NumReaders) {
+			t.Errorf("%d reader endpoints for NumReaders = %d: err = %v", readers, cfg.NumReaders, err)
+		}
+		if err == nil {
+			ext.Close()
+		}
+	}
 }
+
+// Connect dials every identity the store speaks as, writers first, and
+// a failed dial closes every endpoint dialed before it.
+func TestConnectDialOrderAndCleanup(t *testing.T) {
+	cfg := core.Config{T: 1, NumReaders: 2, Writers: 3}
+	want := []types.ProcID{"w", "w1", "w2", "r0", "r1"}
+	for failAt := -1; failAt < len(want); failAt++ {
+		d := &fakeDial{failAt: failAt, closed: map[types.ProcID]bool{}}
+		st, err := Connect(cfg, d.dial)
+		if failAt < 0 {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(d.asked, want) {
+				t.Errorf("dialed %v, want %v", d.asked, want)
+			}
+			if st.NumWriters() != 3 {
+				t.Errorf("NumWriters = %d, want 3", st.NumWriters())
+			}
+			st.Close()
+			if len(d.closed) != len(want) {
+				t.Errorf("Close closed %d of %d endpoints", len(d.closed), len(want))
+			}
+			continue
+		}
+		if err == nil {
+			st.Close()
+			t.Fatalf("dial %d failed, Connect succeeded", failAt)
+		}
+		if !slices.Equal(d.asked, want[:failAt+1]) {
+			t.Errorf("dial %d failed after asking %v, want %v", failAt, d.asked, want[:failAt+1])
+		}
+		for _, id := range want[:failAt] {
+			if !d.closed[id] {
+				t.Errorf("dial %d failed, %s left open", failAt, id)
+			}
+		}
+		if len(d.closed) != failAt {
+			t.Errorf("dial %d failed, %d endpoints closed", failAt, len(d.closed))
+		}
+	}
+}
+
+// fakeDial hands out endpoints that record their Close, and fails the
+// failAt-th dial (from 0; -1 never).
+type fakeDial struct {
+	failAt int
+	asked  []types.ProcID
+	closed map[types.ProcID]bool
+}
+
+func (d *fakeDial) dial(id types.ProcID) (transport.Endpoint, error) {
+	d.asked = append(d.asked, id)
+	if len(d.asked)-1 == d.failAt {
+		return nil, errors.New("connection refused")
+	}
+	return fakeEndpoint{newNopEndpoint(), id, d}, nil
+}
+
+type fakeEndpoint struct {
+	nopEndpoint
+	id types.ProcID
+	d  *fakeDial
+}
+
+func (e fakeEndpoint) ID() types.ProcID { return e.id }
+func (e fakeEndpoint) Close() error     { e.d.closed[e.id] = true; return nil }
 
 func TestConcurrentKeysAndReaders(t *testing.T) {
 	st := testStore(t)

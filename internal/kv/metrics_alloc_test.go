@@ -20,8 +20,8 @@ const metricsExtraAllocBudget = 1
 // within kvMWAllocBudget plus the metrics margin.
 func TestMWFastPathPutAllocsInstrumented(t *testing.T) {
 	reg := metrics.NewRegistry()
-	st, err := Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1},
-		WithContenders(1), WithMetrics(reg))
+	st, err := Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1, Writers: 2},
+		WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

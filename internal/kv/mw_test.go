@@ -16,143 +16,139 @@ func mwKVConfig() core.Config {
 		RoundTimeout: 10 * time.Millisecond}
 }
 
-// Two stores with distinct writer identities Put the same key
-// concurrently: every write binds a distinct stamp, and a Get through
-// either store returns the value bound at the highest stamp.
+// Two writer identities of one store Put the same key concurrently:
+// every write binds a distinct stamp, and a Get returns the value bound
+// at the highest stamp.
 func TestContendingStoresSameKey(t *testing.T) {
-	st, err := Open(mwKVConfig(), WithContenders(1))
+	cfg := mwKVConfig()
+	cfg.Writers = 2
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if got := st.Config().Writers; got != 2 {
-		t.Fatalf("WithContenders(1) left Writers = %d, want 2", got)
+	if got := st.NumWriters(); got != 2 {
+		t.Fatalf("Writers = 2 opened %d writer identities", got)
 	}
-	ct, err := st.OpenContender(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
 
-	const key, perStore = "hot", 8
-	stores := []*Store{st, ct}
-	stamps := make([][]types.Stamp, len(stores))
+	const key, perWriter = "hot", 8
+	stamps := make([][]types.Stamp, st.NumWriters())
 	var wg sync.WaitGroup
-	for i, s := range stores {
+	for w := range stamps {
 		wg.Add(1)
-		go func(i int, s *Store) {
+		go func(w int) {
 			defer wg.Done()
-			for k := 0; k < perStore; k++ {
-				if err := s.Put(key, types.Value(fmt.Sprintf("s%d-%d", i, k))); err != nil {
-					t.Errorf("store %d put %d: %v", i, k, err)
+			for k := 0; k < perWriter; k++ {
+				if err := st.PutAs(w, key, types.Value(fmt.Sprintf("s%d-%d", w, k))); err != nil {
+					t.Errorf("writer %d put %d: %v", w, k, err)
 					return
 				}
-				m, err := s.PutMeta(key)
+				m, err := st.PutMetaAs(w, key)
 				if err != nil {
-					t.Errorf("store %d meta %d: %v", i, k, err)
+					t.Errorf("writer %d meta %d: %v", w, k, err)
 					return
 				}
-				stamps[i] = append(stamps[i], m.Stamp())
+				stamps[w] = append(stamps[w], m.Stamp())
 			}
-		}(i, s)
+		}(w)
 	}
 	wg.Wait()
 
 	written := make(map[types.Stamp]types.Value)
 	var maxSt types.Stamp
-	for i, ss := range stamps {
+	for w, ss := range stamps {
 		for k, s := range ss {
-			if s.Writer != types.WID(i) {
-				t.Errorf("store %d bound writer component %d", i, s.Writer)
+			if s.Writer != types.WID(w) {
+				t.Errorf("writer %d bound writer component %d", w, s.Writer)
 			}
 			if _, dup := written[s]; dup {
-				t.Fatalf("stamp %v bound by two stores", s)
+				t.Fatalf("stamp %v bound by two writers", s)
 			}
-			written[s] = types.Value(fmt.Sprintf("s%d-%d", i, k))
+			written[s] = types.Value(fmt.Sprintf("s%d-%d", w, k))
 			if maxSt.Less(s) {
 				maxSt = s
 			}
 		}
 	}
 
-	for i, s := range stores {
-		got, err := s.Get(0, key)
+	for r := 0; r < st.Config().NumReaders; r++ {
+		got, err := st.Get(r, key)
 		if err != nil {
-			t.Fatalf("store %d get: %v", i, err)
+			t.Fatalf("reader %d get: %v", r, err)
 		}
 		if got.Stamp() != maxSt || got.Val != written[maxSt] {
-			t.Errorf("store %d read %+v, want stamp %v value %q", i, got, maxSt, written[maxSt])
+			t.Errorf("reader %d read %+v, want stamp %v value %q", r, got, maxSt, written[maxSt])
 		}
 	}
 }
 
-// Contending stores keep non-contended keys independent: each store's
-// writes to its own key are unaffected by the other store's identity.
+// Contending identities keep non-contended keys independent: each
+// identity's writes to its own key are unaffected by the others.
 func TestContendersDisjointKeys(t *testing.T) {
-	st, err := Open(mwKVConfig(), WithContenders(2))
+	cfg := mwKVConfig()
+	cfg.Writers = 3
+	st, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
 
-	stores := []*Store{st}
-	for k := 1; k <= 2; k++ {
-		ct, err := st.OpenContender(k)
-		if err != nil {
-			t.Fatal(err)
+	for w := 0; w < st.NumWriters(); w++ {
+		key := fmt.Sprintf("own-%d", w)
+		if err := st.PutAs(w, key, types.Value(fmt.Sprintf("v%d", w))); err != nil {
+			t.Fatalf("writer %d: %v", w, err)
 		}
-		defer ct.Close()
-		stores = append(stores, ct)
-	}
-	for i, s := range stores {
-		key := fmt.Sprintf("own-%d", i)
-		if err := s.Put(key, types.Value(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatalf("store %d: %v", i, err)
-		}
-		m, err := s.PutMeta(key)
+		m, err := st.PutMetaAs(w, key)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !m.Queried {
-			t.Errorf("store %d skipped the MW query round", i)
+			t.Errorf("writer %d skipped the MW query round", w)
 		}
-		if m.Stamp() != (types.Stamp{Seq: 1, Writer: types.WID(i)}) {
-			t.Errorf("store %d stamp = %v", i, m.Stamp())
+		if m.Stamp() != (types.Stamp{Seq: 1, Writer: types.WID(w)}) {
+			t.Errorf("writer %d stamp = %v", w, m.Stamp())
 		}
-		got, err := s.Get(0, key)
+		got, err := st.Get(0, key)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Val != types.Value(fmt.Sprintf("v%d", i)) {
-			t.Errorf("store %d read %+v", i, got)
+		if got.Val != types.Value(fmt.Sprintf("v%d", w)) {
+			t.Errorf("writer %d's key read %+v", w, got)
 		}
 	}
 }
 
-// OpenContender is guarded: out-of-range indices and stores that do not
-// own a network are refused.
-func TestOpenContenderValidation(t *testing.T) {
-	st, err := Open(mwKVConfig(), WithContenders(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for _, k := range []int{0, -1, 2} {
-		if _, err := st.OpenContender(k); err == nil {
-			t.Errorf("OpenContender(%d) accepted", k)
+// Writer identities are indexed [0, NumWriters()): PutAs and PutMetaAs
+// refuse any other index, and a single-writer store has identity 0
+// alone.
+func TestWriterIdentityValidation(t *testing.T) {
+	for _, writers := range []int{0, 2} {
+		cfg := mwKVConfig()
+		cfg.Writers = writers
+		st, err := Open(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ct, err := st.OpenContender(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ct.Close()
-	if _, err := ct.OpenContender(1); err == nil {
-		t.Error("contender of a contender accepted")
+		defer st.Close()
+		n := st.NumWriters()
+		if n != cfg.WritersN() {
+			t.Errorf("Writers = %d opened %d identities", writers, n)
+		}
+		for _, w := range []int{-1, n} {
+			if err := st.PutAs(w, "k", "v"); err == nil {
+				t.Errorf("Writers = %d: PutAs(%d) accepted", writers, w)
+			}
+			if _, err := st.PutMetaAs(w, "k"); err == nil {
+				t.Errorf("Writers = %d: PutMetaAs(%d) accepted", writers, w)
+			}
+		}
+		if err := st.PutAs(n-1, "k", "v"); err != nil {
+			t.Errorf("Writers = %d: PutAs(%d): %v", writers, n-1, err)
+		}
 	}
 }
 
-// The speculative write's NACK→query fallback inside a batch: a store
+// The speculative write's NACK→query fallback inside a batch: a writer
 // whose stamp cache went stale (a contender wrote every key since)
 // PutBatches them — every key's speculative pre-write is NACKed, every
 // key falls back to the query round and rebinds, all in lock-step (three
@@ -162,27 +158,29 @@ func TestBatchSpeculationFallsBackTogether(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := mwKVConfig()
 	cfg.RoundTimeout = time.Second // calm: no verdict here is the timer's
-	st, err := Open(cfg, WithContenders(1), WithMetrics(reg))
+	cfg.Writers = 2
+	st, err := Open(cfg, WithMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ct, err := st.OpenContender(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AdoptContender(ct); err != nil {
-		t.Fatal(err)
-	}
 	keys, puts := batchOf(32, "v")
 
-	// Each identity's first batch pays the query round and leaves it
-	// calm; its second speculates. The contender goes last, so the
-	// primary's cache is now two stamps behind on every key.
-	for w, s := range []*Store{st, ct} {
+	// Each identity's first write of a key pays the query round and
+	// leaves it calm; its second speculates. The contender goes last, so
+	// the primary's cache is now two stamps behind on every key.
+	for w := 0; w < 2; w++ {
 		for i := 0; i < 2; i++ {
-			if err := s.PutBatch(puts); err != nil {
-				t.Fatal(err)
+			if w == 0 {
+				if err := st.PutBatch(puts); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			for k, v := range puts {
+				if err := st.PutAs(w, k, v); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for _, k := range keys {
@@ -218,7 +216,7 @@ func TestBatchSpeculationFallsBackTogether(t *testing.T) {
 			t.Errorf("%s: bound %v, want above its ghost %v and the contender's %v", k, m.Stamp(), m.Ghost, theirs[k])
 		}
 	}
-	got, err := ct.GetBatch(0, keys)
+	got, err := st.GetBatch(0, keys)
 	if err != nil {
 		t.Fatal(err)
 	}

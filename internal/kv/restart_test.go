@@ -155,7 +155,7 @@ func TestQueueDepthGaugeSurvivesSwap(t *testing.T) {
 // refuse, not panic.
 func TestExternalStoreRejectsRestart(t *testing.T) {
 	cfg := restartCfg()
-	st, err := OpenWithEndpoints(cfg, newNopEndpoint(), nil)
+	st, err := OpenWithEndpoints(cfg, newNopEndpoint(), []transport.Endpoint{newNopEndpoint()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,25 +26,15 @@ func listenTCPCluster(t *testing.T) string {
 	return srv.Addr()
 }
 
-// dialStore opens a kv store over TCP endpoints for the given ordered
-// server addresses.
-func dialStore(t *testing.T, cfg core.Config, addrs []string) *kv.Store {
+// connectStore opens a kv store over TCP to the given ordered server
+// addresses.
+func connectStore(t *testing.T, cfg core.Config, addrs []string) *kv.Store {
 	t.Helper()
 	m := make(map[types.ProcID]string, len(addrs))
 	for i, a := range addrs {
 		m[types.ServerID(i)] = a
 	}
-	wep, err := tcpnet.Dial(types.WriterID(), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reps := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range reps {
-		if reps[i], err = tcpnet.Dial(types.ReaderID(i), m); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, err := kv.OpenWithEndpoints(cfg, wep, reps)
+	st, err := kv.Connect(cfg, func(id types.ProcID) (transport.Endpoint, error) { return tcpnet.Dial(id, m) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +59,7 @@ func TestProxyRoutesAcrossTCPClusters(t *testing.T) {
 	}
 	defer func() { _ = p.Close() }()
 
-	st := dialStore(t, cfg, p.Addrs())
+	st := connectStore(t, cfg, p.Addrs())
 	keys := make([]string, numKeys)
 	puts := make(map[string]types.Value, numKeys)
 	for i := range keys {
@@ -100,7 +90,7 @@ func TestProxyRoutesAcrossTCPClusters(t *testing.T) {
 	}
 	perCluster := map[ring.ClusterID]int{}
 	for id, addrs := range clusters {
-		direct := dialStore(t, cfg, addrs)
+		direct := connectStore(t, cfg, addrs)
 		for _, k := range keys {
 			got, err := direct.Get(0, k)
 			if err != nil {

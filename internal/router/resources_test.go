@@ -92,7 +92,7 @@ func TestProxyCloseReturnsEveryGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := dialStore(t, core.Config{NumReaders: 1, RoundTimeout: 100 * time.Millisecond}, p.Addrs())
+	st := connectStore(t, core.Config{NumReaders: 1, RoundTimeout: 100 * time.Millisecond}, p.Addrs())
 	keys := putKeys(t, 32, st.PutBatch)
 	if _, err := st.GetBatch(0, keys); err != nil {
 		t.Fatal(err)

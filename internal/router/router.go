@@ -42,10 +42,13 @@ var ErrClosed = errors.New("router closed")
 
 // Backend is one cluster as the router consumes it: the kv.Store
 // surface the routing layer needs. *kv.Store implements it for both
-// simnet (kv.Open) and TCP (kv.OpenWithEndpoints) deployments.
+// simnet (kv.Open) and TCP (kv.Connect) deployments. PutAs(0, …) is the
+// backend's primary writer; identities up to NumWriters contend on the
+// same registers.
 type Backend interface {
-	Put(key string, value types.Value) error
-	PutMeta(key string) (core.WriteMeta, error)
+	NumWriters() int
+	PutAs(w int, key string, value types.Value) error
+	PutMetaAs(w int, key string) (core.WriteMeta, error)
 	Get(idx int, key string) (types.Tagged, error)
 	GetMeta(idx int, key string) (core.ReadMeta, error)
 	PutBatch(puts map[string]types.Value) error
@@ -56,20 +59,6 @@ type Backend interface {
 }
 
 var _ Backend = (*kv.Store)(nil)
-
-// MultiWriterBackend is the optional capability of backends exposing
-// contending writer identities: a kv.Store that adopted contender
-// stores (kv.AdoptContender) implements it, for simnet and TCP fleets
-// alike. PutAs(0, …) is the backend's own writer; higher identities
-// contend on the same registers.
-type MultiWriterBackend interface {
-	Backend
-	NumWriters() int
-	PutAs(w int, key string, value types.Value) error
-	PutMetaAs(w int, key string) (core.WriteMeta, error)
-}
-
-var _ MultiWriterBackend = (*kv.Store)(nil)
 
 // Options configures a Router.
 type Options struct {
@@ -186,10 +175,9 @@ func (r *Router) Clusters() []ring.ClusterID {
 func (r *Router) NumReaders() int { return r.opts.Readers }
 
 // NumWriters reports how many contending writer identities are usable
-// fleet-wide: the minimum over the active clusters' writer-identity
-// maps, 1 as soon as any backend is single-writer. A key may migrate
-// to any cluster, so an identity is only usable if every cluster can
-// serve it.
+// fleet-wide: the minimum over the active clusters' writer counts. A
+// key may migrate to any cluster, so an identity is only usable if
+// every cluster can serve it.
 func (r *Router) NumWriters() int {
 	st := r.st.Load()
 	if st == nil {
@@ -197,11 +185,7 @@ func (r *Router) NumWriters() int {
 	}
 	n := 0
 	for _, b := range st.active {
-		m, ok := b.(MultiWriterBackend)
-		if !ok {
-			return 1
-		}
-		if nw := m.NumWriters(); n == 0 || nw < n {
+		if nw := b.NumWriters(); n == 0 || nw < n {
 			n = nw
 		}
 	}
@@ -383,21 +367,12 @@ func (r *Router) RemoveCluster(id ring.ClusterID) error {
 	return err
 }
 
-// Put writes value under key on the owning cluster and returns the
-// write's metadata. Puts to one key are serialized (each backend
-// register stays SWMR); puts to different keys run concurrently even
-// across clusters.
+// Put writes value under key through writer 0 of the owning cluster
+// and returns the write's metadata. One identity's puts to one key are
+// serialized; puts to different keys run concurrently even across
+// clusters.
 func (r *Router) Put(key string, value types.Value) (core.WriteMeta, error) {
-	ks, b, err := r.acquire(key)
-	if err != nil {
-		return core.WriteMeta{}, err
-	}
-	defer ks.mu.RUnlock()
-	r.met.put(ks.cluster)
-	if err := b.Put(key, value); err != nil {
-		return core.WriteMeta{}, err
-	}
-	return b.PutMeta(key)
+	return r.PutAs(0, key, value)
 }
 
 // PutAs writes value under key through contending writer identity w of
@@ -406,23 +381,16 @@ func (r *Router) Put(key string, value types.Value) (core.WriteMeta, error) {
 // so contending puts proceed in parallel while a handoff still excludes
 // them all. Identity w must exist on every cluster (NumWriters).
 func (r *Router) PutAs(w int, key string, value types.Value) (core.WriteMeta, error) {
-	if w == 0 {
-		return r.Put(key, value)
-	}
 	ks, b, err := r.acquire(key)
 	if err != nil {
 		return core.WriteMeta{}, err
 	}
 	defer ks.mu.RUnlock()
 	r.met.put(ks.cluster)
-	m, ok := b.(MultiWriterBackend)
-	if !ok {
-		return core.WriteMeta{}, fmt.Errorf("router: cluster owning %q exposes a single writer identity", key)
-	}
-	if err := m.PutAs(w, key, value); err != nil {
+	if err := b.PutAs(w, key, value); err != nil {
 		return core.WriteMeta{}, err
 	}
-	return m.PutMetaAs(w, key)
+	return b.PutMetaAs(w, key)
 }
 
 // Get reads key through reader idx of the owning cluster.

@@ -113,10 +113,9 @@ func (d ClusterDriver) Read(r int, _ string) (types.Tagged, OpMeta, error) {
 
 // KVDriver drives a multi-register kv.Store — both the in-memory
 // sharded engine (kv.Open) and a TCP deployment's client store
-// (kv.OpenWithEndpoints / luckystore.OpenKVTCP). Its writer identities
-// are the store's own plus every contender the store adopted
-// (kv.Store.AdoptContender): WriteAs(k) for k ≥ 1 routes through the
-// k-th.
+// (kv.Connect / luckystore.OpenKVTCP). Its writer identities are the
+// store's: WriteAs(w) writes through the store's writer w (PutAs), of
+// the cfg.Writers the store was opened with.
 type KVDriver struct{ S *kv.Store }
 
 // NumReaders implements Driver.

@@ -48,24 +48,16 @@ func TestContinuousContendingWritersCore(t *testing.T) {
 	}
 }
 
-// The same contending workload through kv contender stores: two Store
-// handles with distinct writer identities share every key, and the
-// per-key histories stay atomic.
+// The same contending workload through a kv store's two writer
+// identities: both share every key, and the per-key histories stay
+// atomic.
 func TestContinuousContendingWritersKV(t *testing.T) {
-	st, err := kv.Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 2,
-		RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second},
-		kv.WithContenders(1))
+	st, err := kv.Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 2, Writers: 2,
+		RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ct, err := st.OpenContender(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.AdoptContender(ct); err != nil { // st now closes ct
-		t.Fatal(err)
-	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()

@@ -119,20 +119,11 @@ func TestRecordRule(t *testing.T) {
 			return ClusterDriver{C: c}
 		},
 		"kv": func(t *testing.T) Driver {
-			cfg := cfg
-			cfg.Writers = 0
-			st, err := kv.Open(cfg, kv.WithContenders(1))
+			st, err := kv.Open(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(st.Close)
-			ct, err := st.OpenContender(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := st.AdoptContender(ct); err != nil {
-				t.Fatal(err)
-			}
 			return KVDriver{S: st}
 		},
 	}

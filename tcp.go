@@ -275,9 +275,10 @@ func ListenTCPKV(i int, addr string, opts ...TCPOption) (*TCPServer, error) {
 }
 
 // OpenKVTCP connects the client side of a key-value store to a TCP
-// cluster of ListenTCPKV servers: one writer connection plus
-// cfg.NumReaders reader connections. The returned store owns the
-// connections and closes them on Close.
+// cluster of ListenTCPKV servers: one connection per writer identity
+// (cfg.Writers of them, at least one) plus cfg.NumReaders reader
+// connections. The returned store owns the connections and closes them
+// on Close.
 // A store opened with WithKVMetrics additionally instruments the TCP
 // endpoints it dials (frame counters and redials, by role).
 func OpenKVTCP(cfg Config, servers map[ProcID]string, opts ...KVOption) (*KVStore, error) {
@@ -292,23 +293,13 @@ func OpenKVTCP(cfg Config, servers map[ProcID]string, opts ...KVOption) (*KVStor
 		wcm = tcpnet.NewClientMetrics(reg, "writer")
 		rcm = tcpnet.NewClientMetrics(reg, "reader")
 	}
-	writerEP, err := tcpnet.Dial(types.WriterID(), servers, clientOptions(wcm)...)
-	if err != nil {
-		return nil, err
-	}
-	readerEPs := make([]transport.Endpoint, cfg.NumReaders)
-	for i := range readerEPs {
-		ep, err := tcpnet.Dial(types.ReaderID(i), servers, clientOptions(rcm)...)
-		if err != nil {
-			_ = writerEP.Close()
-			for j := 0; j < i; j++ {
-				_ = readerEPs[j].Close()
-			}
-			return nil, err
+	return kv.Connect(cfg, func(id types.ProcID) (transport.Endpoint, error) {
+		m := rcm
+		if id.IsWriter() {
+			m = wcm
 		}
-		readerEPs[i] = ep
-	}
-	return kv.OpenWithEndpoints(cfg, writerEP, readerEPs, opts...)
+		return tcpnet.Dial(id, servers, clientOptions(m)...)
+	}, opts...)
 }
 
 // clientOptions translates an optional client-metrics handle into
