@@ -7,13 +7,19 @@ package storage_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"luckystore/internal/core"
+	"luckystore/internal/keyed"
+	"luckystore/internal/node"
 	"luckystore/internal/storage"
+	"luckystore/internal/types"
+	"luckystore/internal/wire"
 )
 
 // goldenWAL is the exact file a backend writes for two committed
@@ -130,4 +136,66 @@ func FuzzReplayLog(f *testing.F) {
 				n1, err1, n2, err2)
 		}
 	})
+}
+
+// appendFrameRef is the per-record snapshot encoder compaction used
+// before it framed the whole segment in one arena: length, CRC-32C,
+// payload. It stays here as the reference the sealed segment's bytes
+// are held to.
+func appendFrameRef(buf, payload []byte) []byte {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	return append(buf, payload...)
+}
+
+// TestGoldenSnapshotSegment: the segment a compaction seals is
+// byte-identical to the magic followed by each snapshot record of the
+// same state, encoded and framed one at a time.
+func TestGoldenSnapshotSegment(t *testing.T) {
+	factory := func() storage.Automaton {
+		return keyed.NewShardedServer(1, func() node.Automaton { return core.NewServer() })
+	}
+	dir := t.TempDir()
+	const tail = 8
+	f, err := storage.NewFile(dir, factory, storage.WithCompactEvery(tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	mirror := factory()
+	// tail+1 records overflow the floor: the last Append compacts.
+	for i := 0; i <= tail; i++ {
+		key := string(rune('a' + i%3))
+		m := wire.Keyed{Key: key, Inner: wire.PW{TS: types.TS(i + 1), PW: tagged(i+1, i%2, key),
+			W: tagged(i, i%2, "prev"), Frozen: []types.FrozenEntry{{Reader: types.ReaderID(i % 2), PW: tagged(i, 0, "f"), TSR: 1}}}}
+		p, err := storage.AppendRecord(nil, types.WriterIDN(i%2), types.ServerID(0), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		mirror.StepAppend(types.WriterIDN(i%2), m, nil)
+	}
+	if st := f.Stats(); st.Compactions != 1 || st.TailRecords != 0 || st.Records < 3 {
+		t.Fatalf("stats %+v, want one compaction, an empty tail and a record per key", st)
+	}
+	want := []byte("LSWAL1\n\x00")
+	if err := mirror.SnapshotRecords(func(from types.ProcID, m wire.Message) error {
+		p, err := storage.AppendRecord(nil, from, types.ServerID(0), m)
+		want = appendFrameRef(want, p)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "snap-1.seg"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("sealed segment differs from the per-record encoding:\ngot  %x\nwant %x", got, want)
+	}
+	if st := f.Stats(); st.Bytes != int64(len(want)) {
+		t.Errorf("Stats.Bytes = %d, want the segment's %d", st.Bytes, len(want))
+	}
 }
