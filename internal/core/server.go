@@ -182,11 +182,11 @@ func (s *Server) StepAppend(from types.ProcID, m wire.Message, out []transport.O
 
 // onPW handles the pre-write message (Fig. 3 lines 3–8).
 func (s *Server) onPW(from types.ProcID, m wire.PW, out []transport.Outgoing) []transport.Outgoing {
-	// Writer-stamp rule for speculative pre-writes (DESIGN.md §12,
-	// wire format v3): a spec PW whose pair is not strictly above the
-	// installed pre-write is answered with PW_NACK and makes no state
-	// change — the writer guessed its stamp from a cache and guessed
-	// low, so it must fall back to the query round. Re-sending the
+	// Writer-stamp rule for speculative pre-writes (DESIGN.md §12): a
+	// spec PW whose pair is not strictly above the installed pre-write
+	// is answered with PW_NACK and makes no state change — the writer
+	// guessed its stamp from a cache and guessed low, so it must fall
+	// back to the query round. Re-sending the
 	// identical pair is exempt (answered with a normal ack) so a
 	// retransmitted spec PW stays idempotent: the first copy already
 	// installed the pair, and NACKing the second would abort a write
@@ -227,7 +227,7 @@ func (s *Server) onPW(from types.ProcID, m wire.PW, out []transport.Outgoing) []
 	}
 	// Max is the pw stamp after applying this PW: under writer
 	// contention it exceeds the acknowledged write's own stamp, which is
-	// how the writer observes the race (wire format v2).
+	// how the writer observes the race.
 	return append(out, transport.Outgoing{To: from, Msg: wire.PWAck{TS: m.TS, Max: s.pw.Stamp(), NewRead: newread}})
 }
 

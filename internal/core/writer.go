@@ -29,7 +29,7 @@ type WriteMeta struct {
 	Queried bool
 	// Contended reports that some server acknowledged the PW while
 	// already holding a higher stamp — direct evidence another writer
-	// raced this operation (wire v2's PW_ACK.Max).
+	// raced this operation (PW_ACK.Max).
 	Contended bool
 	// Spec reports that the operation completed on the speculative
 	// multi-writer fast path: the stamp came from the writer's cache,
@@ -547,7 +547,6 @@ func (w *Writer) noteCompletion(c types.Tagged, contended bool) {
 // sawContention reports whether any counted PW_ACK's Max exceeds the
 // bound stamp: the server already held a higher stamp when it
 // acknowledged, direct evidence another writer raced this operation.
-// v1 peers leave Max zero, which can never exceed a bound stamp.
 func (w *Writer) sawContention(c types.Tagged) bool {
 	st := c.Stamp()
 	for i := range w.acks {

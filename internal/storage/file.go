@@ -10,9 +10,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"luckystore/internal/types"
-	"luckystore/internal/wire"
 )
 
 // On-disk layout. A backend directory holds at most one generation:
@@ -108,8 +105,6 @@ type File struct {
 	sticky      error
 	compactions int64
 	closed      bool
-
-	encScratch []byte // compaction/snapshot encode buffer
 
 	met atomic.Pointer[FileMetrics] // nil until SetMetrics
 }
@@ -676,6 +671,22 @@ func (f *File) compactLocked() error {
 		return err
 	}
 
+	// The whole segment is framed in one arena and written with one
+	// Write: the backend lock is held throughout, and every shard's
+	// Append waits on it.
+	payloads, lens, err := snapshotPayloads(a)
+	if err != nil {
+		f.sticky = err
+		return err
+	}
+	seg := make([]byte, 0, len(fileMagic)+frameHeaderSize*len(lens)+len(payloads))
+	seg = append(seg, fileMagic...)
+	off := 0
+	for _, n := range lens {
+		seg = appendFrame(seg, payloads[off:off+n])
+		off += n
+	}
+
 	newGen := f.gen + 1
 	tmp := filepath.Join(f.dir, fmt.Sprintf("snap-%d.tmp", newGen))
 	snap, err := os.Create(tmp)
@@ -683,28 +694,7 @@ func (f *File) compactLocked() error {
 		f.sticky = err
 		return err
 	}
-	if _, err := snap.WriteString(fileMagic); err != nil {
-		snap.Close()
-		os.Remove(tmp)
-		f.sticky = err
-		return err
-	}
-	written := 0
-	emit := func(from types.ProcID, msg wire.Message) error {
-		f.encScratch = f.encScratch[:0]
-		var aerr error
-		f.encScratch, aerr = AppendRecord(f.encScratch, from, snapshotDest, msg)
-		if aerr != nil {
-			return aerr
-		}
-		frame := appendFrame(nil, f.encScratch)
-		if _, werr := snap.Write(frame); werr != nil {
-			return werr
-		}
-		written++
-		return nil
-	}
-	if err := a.SnapshotRecords(emit); err != nil {
+	if _, err := snap.Write(seg); err != nil {
 		snap.Close()
 		os.Remove(tmp)
 		f.sticky = err
@@ -742,12 +732,7 @@ func (f *File) compactLocked() error {
 	if hadSnap {
 		os.Remove(filepath.Join(f.dir, snapName(oldGen)))
 	}
-	st, err2 := os.Stat(sealed)
-	if err2 != nil {
-		f.sticky = err2
-		return err2
-	}
-	f.snapRecords, f.snapBytes = written, st.Size()
+	f.snapRecords, f.snapBytes = len(lens), int64(len(seg))
 	f.compactions++
 	if m := f.met.Load(); m != nil {
 		m.Compactions.Inc()

@@ -149,7 +149,8 @@ func compactThreshold(minTail, liveRecords int) int {
 var snapshotDest = types.ServerID(0)
 
 // snapshotPayloads collects an automaton's snapshot records as
-// encoded payloads in one arena.
+// encoded payloads in one arena: Memory's log after a compaction, and
+// the records File frames into a snapshot segment.
 func snapshotPayloads(a Automaton) (buf []byte, lens []int, err error) {
 	emitErr := a.SnapshotRecords(func(from types.ProcID, msg wire.Message) error {
 		start := len(buf)

@@ -123,11 +123,16 @@ func AppendRecord(buf []byte, from, to types.ProcID, m wire.Message) ([]byte, er
 }
 
 // DecodeRecord decodes a WAL record payload produced by AppendRecord.
+// A record of any version but wire.FormatVersion is corrupt, never
+// skipped: recovery refuses the directory (DESIGN.md §4).
 func DecodeRecord(p []byte) (wire.Envelope, error) {
 	if len(p) == 0 {
 		return wire.Envelope{}, fmt.Errorf("%w: empty payload", ErrCorrupt)
 	}
-	env, err := wire.DecodeEnvelopeVersion(p[0], p[1:])
+	if p[0] != wire.FormatVersion {
+		return wire.Envelope{}, fmt.Errorf("%w: wire format version %d (want %d)", ErrCorrupt, p[0], wire.FormatVersion)
+	}
+	env, err := wire.DecodeEnvelope(p[1:])
 	if err != nil {
 		return wire.Envelope{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -2,6 +2,7 @@ package storage_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -397,6 +398,44 @@ func TestFsyncErrorFaultMutesServer(t *testing.T) {
 				t.Fatalf("recovered pw %+v older than committed %+v", rpw, cpw)
 			}
 		})
+	}
+}
+
+// TestRecoverRefusesRetiredRecordVersion: a record whose version byte
+// is 1 or 2 — a log last written before the codec settled on format 3
+// — is corrupt. Recovery stops at it with ErrCorrupt on either backend
+// rather than skip it and recover a state missing a committed write.
+func TestRecoverRefusesRetiredRecordVersion(t *testing.T) {
+	record := func(seq int) []byte {
+		p, err := storage.AppendRecord(nil, types.WriterID(), types.ServerID(0), wMsg(2, seq, "v"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, ver := range []byte{1, 2} {
+		for name, back := range backends(t) {
+			t.Run(fmt.Sprintf("v%d/%s", ver, name), func(t *testing.T) {
+				defer back.Close()
+				retired := record(2)
+				retired[0] = ver
+				for _, p := range [][]byte{record(1), retired, record(3)} {
+					if err := back.Append(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := back.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				n, err := storage.Recover(back, core.NewServer())
+				if !errors.Is(err, storage.ErrCorrupt) {
+					t.Fatalf("err = %v, want ErrCorrupt", err)
+				}
+				if n != 1 {
+					t.Errorf("replayed %d records, want 1: recovery must stop at the retired record", n)
+				}
+			})
+		}
 	}
 }
 

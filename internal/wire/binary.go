@@ -1,19 +1,15 @@
-// Binary wire format: a hand-rolled, versioned, append-based codec
-// that replaced the seed's gob framing on the TCP hot path.
-//
-// gob re-transmits type descriptors on every frame (each frame built a
-// fresh Encoder/Decoder) and allocates a bytes.Buffer plus a body slice
-// per envelope. The paper's whole point is that lucky operations finish
-// in two communication rounds; burning the saved latency on codec
-// overhead wastes it. This codec appends into caller-owned buffers
-// (zero allocations in steady state on the encode side, one — the
-// Message interface boxing — on the decode side for fixed-size
-// messages) and is bounds-checked everywhere, since on TCP a Byzantine
-// peer controls every byte after the handshake.
+// Binary wire format: a hand-rolled, append-based codec. The paper's
+// whole point is that lucky operations finish in two communication
+// rounds; burning the saved latency on codec overhead wastes it. This
+// codec appends into caller-owned buffers (zero allocations in steady
+// state on the encode side, one — the Message interface boxing — on
+// the decode side for fixed-size messages) and is bounds-checked
+// everywhere, since on TCP a Byzantine peer controls every byte after
+// the handshake.
 //
 // Frame layout (see DESIGN.md §4 for the normative description):
 //
-//	frame    = len(4, big-endian) version(1) envelope
+//	frame    = len(4, big-endian) version(1, always 3) envelope
 //	envelope = from(string) to(string) message
 //	message  = kind(1) fields…
 //
@@ -32,27 +28,14 @@ import (
 	"luckystore/internal/types"
 )
 
-// FormatVersion is the wire format version byte carried by every frame
-// this codec emits. Version 3 added the speculative multi-writer fast
-// path: PW carries a trailing spec flag byte (after the frozen set, so
-// the v2 layout is a strict prefix) and servers may answer a spec PW
-// with the new PW_NACK message. Decoders accept v3, v2 and v1 frames (a
-// v1 tagged value decodes with writer 0; a v2 PW decodes with Spec
-// false — exactly the meanings those bytes had when emitted), so mixed
-// fleets can roll forward; anything else is rejected before the body is
-// interpreted, so the format can evolve without silent
-// misinterpretation.
+// FormatVersion is the version byte of every frame and WAL record, and
+// the only version decoded: anything else is refused before the body
+// is interpreted, so the format can evolve without silent
+// misinterpretation. Version 3 carries the composite ⟨seq, writer⟩
+// stamp in every tagged value, PW_ACK's max stamp, PW's trailing spec
+// flag and the PW_NACK kind. Versions 1 and 2 lacked the writer stamp
+// and the spec flag; they are no longer read (DESIGN.md §4).
 const FormatVersion = 3
-
-// FormatVersionV2 is the pre-speculation MWMR wire format: version 2
-// added the writer component of the composite stamp (a writer varint in
-// every tagged value) and the max stamp in PW_ACK, but has no spec flag
-// on PW and no PW_NACK kind.
-const FormatVersionV2 = 2
-
-// FormatVersionV1 is the pre-MWMR wire format: identical layout minus
-// the writer varint in tagged values and the max stamp in PW_ACK.
-const FormatVersionV1 = 1
 
 // maxWireIDLen bounds the From/To identity strings in a decoded
 // envelope. Valid ProcIDs are a handful of bytes; anything longer is
@@ -76,7 +59,6 @@ func AppendMessage(buf []byte, m Message) ([]byte, error) {
 		buf = appendTagged(buf, v.PW)
 		buf = appendTagged(buf, v.W)
 		buf = appendFrozenSet(buf, v.Frozen)
-		// The spec flag trails the v2 layout (format v3).
 		spec := byte(0)
 		if v.Spec {
 			spec = 1
@@ -380,35 +362,13 @@ func WriteCoalesced(w io.Writer, from, to types.ProcID, msgs []Message) error {
 
 // --- Bounds-checked decoders ----------------------------------------
 
-// DecodeMessage decodes one current-format message from the front of b
-// and returns the remaining bytes. A Batch message extends to the end
-// of b (its frame), so it always returns an empty remainder. Every
-// decode failure wraps ErrMalformed; the decoder never panics and never
-// allocates more than the input could justify, whatever the bytes
-// claim.
-func DecodeMessage(b []byte) (Message, []byte, error) {
-	d := decoder{b: b, ver: FormatVersion}
-	m := d.message(0)
-	if d.err != nil {
-		return nil, nil, d.err
-	}
-	return m, d.b, nil
-}
-
-// DecodeEnvelope decodes a complete current-format envelope (from, to,
-// message) from b, requiring that every byte is consumed.
+// DecodeEnvelope decodes a complete envelope (from, to, message) — the
+// body of a frame or WAL record after its version byte — from b,
+// requiring that every byte is consumed. Every decode failure wraps
+// ErrMalformed; the decoder never panics and never allocates more than
+// the input could justify, whatever the bytes claim.
 func DecodeEnvelope(b []byte) (Envelope, error) {
-	return DecodeEnvelopeVersion(FormatVersion, b)
-}
-
-// DecodeEnvelopeVersion decodes an envelope encoded in the given wire
-// format version — the version byte of the frame the body arrived in.
-// Versions 1, 2 and 3 are supported.
-func DecodeEnvelopeVersion(ver byte, b []byte) (Envelope, error) {
-	if ver != FormatVersion && ver != FormatVersionV2 && ver != FormatVersionV1 {
-		return Envelope{}, fmt.Errorf("%w: unsupported wire format version %d", ErrMalformed, ver)
-	}
-	d := decoder{b: b, ver: ver}
+	d := decoder{b: b}
 	var env Envelope
 	env.From = d.procID()
 	env.To = d.procID()
@@ -424,11 +384,9 @@ func DecodeEnvelopeVersion(ver byte, b []byte) (Envelope, error) {
 
 // decoder is a sticky-error cursor over one frame body. All methods are
 // no-ops once err is set, so decode sequences read linearly without
-// per-field error plumbing. ver is the frame's format version: v1
-// bodies lack the writer component, which decodes as writer 0.
+// per-field error plumbing.
 type decoder struct {
 	b   []byte
-	ver byte
 	err error
 }
 
@@ -524,10 +482,7 @@ func (d *decoder) procID() types.ProcID {
 
 func (d *decoder) tagged() types.Tagged {
 	ts := d.varint()
-	var w int64
-	if d.ver >= 2 {
-		w = d.varint()
-	}
+	w := d.varint()
 	val := d.str(maxFrameSize)
 	return types.Tagged{TS: types.TS(ts), W: types.WID(w), Val: types.Value(val)}
 }
@@ -575,15 +530,9 @@ func (d *decoder) message(depth int) Message {
 		m.PW = d.tagged()
 		m.W = d.tagged()
 		m.Frozen = d.frozenSet()
-		if d.ver >= 3 {
-			m.Spec = d.byte() != 0
-		}
+		m.Spec = d.byte() != 0
 		return m
 	case KindPWNack:
-		if d.ver < 3 {
-			d.fail("PW_NACK in a v%d frame", d.ver)
-			return nil
-		}
 		var m PWNack
 		m.TS = types.TS(d.varint())
 		m.Max.Seq = types.TS(d.varint())
@@ -592,10 +541,8 @@ func (d *decoder) message(depth int) Message {
 	case KindPWAck:
 		var m PWAck
 		m.TS = types.TS(d.varint())
-		if d.ver >= 2 {
-			m.Max.Seq = types.TS(d.varint())
-			m.Max.Writer = types.WID(d.varint())
-		}
+		m.Max.Seq = types.TS(d.varint())
+		m.Max.Writer = types.WID(d.varint())
 		cnt := d.uvarint()
 		if d.err == nil && cnt > maxFrozenEntries {
 			d.fail("newread set too large (%d)", cnt)

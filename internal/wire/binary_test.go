@@ -121,15 +121,15 @@ func TestBinaryRoundTripAllKinds(t *testing.T) {
 }
 
 // TestDecodeFrameRejectsUnknownVersion pins the versioning contract: a
-// frame carrying any format version byte but the current one is
-// rejected with ErrMalformed, so a future format bump can never be
-// silently misread.
+// frame carrying any format version byte but the current one — a
+// retired one included — is rejected with ErrMalformed, so no other
+// format can ever be silently misread.
 func TestDecodeFrameRejectsUnknownVersion(t *testing.T) {
 	frame, err := AppendFrame(nil, Envelope{From: "w", To: "s0", Msg: Read{TSR: 1, Round: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, FormatVersion + 1, 0x7F, 0xFF} {
+	for _, v := range []byte{0, 1, 2, FormatVersion + 1, 0x7F, 0xFF} {
 		bad := append([]byte(nil), frame...)
 		bad[4] = v // the version byte follows the 4-byte length prefix
 		_, derr := DecodeFrame(bytes.NewReader(bad))
@@ -140,20 +140,23 @@ func TestDecodeFrameRejectsUnknownVersion(t *testing.T) {
 }
 
 // TestDecodeFrameRejectsBadVersionBeforeBody: an unsupported version
-// must be rejected as soon as the first chunk arrives, not after the
+// must be rejected as soon as the version byte arrives, not after the
 // claimed body (up to 16 MiB) has been transferred. The reader below
-// counts bytes served; a correct decoder stops within one read chunk.
+// counts bytes served; a correct decoder stops after the length prefix
+// and the version byte.
 func TestDecodeFrameRejectsBadVersionBeforeBody(t *testing.T) {
 	const claimed = 8 << 20
 	frame := binary.BigEndian.AppendUint32(nil, claimed)
-	frame = append(frame, FormatVersion+1)
-	frame = append(frame, make([]byte, claimed-1)...)
-	cr := &countingReader{r: bytes.NewReader(frame)}
-	if _, err := DecodeFrame(cr); !errors.Is(err, ErrMalformed) {
-		t.Fatalf("err = %v, want ErrMalformed", err)
-	}
-	if cr.n > 4+frameReadChunk {
-		t.Errorf("decoder read %d bytes of a bad-version frame, want ≤ header + one chunk (%d)", cr.n, 4+frameReadChunk)
+	frame = append(frame, make([]byte, claimed)...)
+	for _, v := range []byte{1, 2, FormatVersion + 1} {
+		frame[4] = v
+		cr := &countingReader{r: bytes.NewReader(frame)}
+		if _, err := DecodeFrame(cr); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("version %d: err = %v, want ErrMalformed", v, err)
+		}
+		if cr.n > 5 {
+			t.Errorf("version %d: decoder read %d bytes, want only the length prefix and version byte", v, cr.n)
+		}
 	}
 }
 
@@ -185,10 +188,10 @@ func TestAppendEnvelopeRejectsOversizedIdentity(t *testing.T) {
 	}
 }
 
-// TestDecodeMessageRejectsForgedNesting hand-crafts byte sequences no
+// TestDecodeMessageRejectsForgedNesting hand-crafts message bytes no
 // correct encoder emits: keyed inside keyed, batch inside keyed, batch
-// inside batch, unknown kinds, truncations. All must fail cleanly with
-// ErrMalformed.
+// inside batch, unknown kinds, truncations. Behind a valid from/to
+// header, all must fail DecodeEnvelope cleanly with ErrMalformed.
 func TestDecodeMessageRejectsForgedNesting(t *testing.T) {
 	key := func(buf []byte) []byte { // keyed header with key "k"
 		buf = append(buf, byte(KindKeyed))
@@ -218,7 +221,8 @@ func TestDecodeMessageRejectsForgedNesting(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, err := DecodeMessage(tc.b)
+			body := appendString(appendString(nil, "w"), "s0")
+			_, err := DecodeEnvelope(append(body, tc.b...))
 			if !errors.Is(err, ErrMalformed) {
 				t.Errorf("err = %v, want ErrMalformed", err)
 			}
@@ -290,6 +294,8 @@ func TestDecodeFrameForgedCountsDontOverallocate(t *testing.T) {
 			body = appendString(body, "w")
 			body = append(body, byte(KindPWAck))
 			body = binary.AppendVarint(body, 1)
+			body = binary.AppendVarint(body, 0) // max stamp seq
+			body = binary.AppendVarint(body, 0) // max stamp writer
 			return binary.AppendUvarint(body, maxFrozenEntries)
 		},
 	} {

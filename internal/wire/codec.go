@@ -75,8 +75,7 @@ func Expand(env Envelope) []Envelope {
 // EncodeFrame serializes an envelope in the binary wire format — 4-byte
 // big-endian length prefix, format version byte, envelope — building
 // the frame in a pooled scratch buffer and handing header and body to
-// the writer as a single Write call (the seed's gob codec issued two
-// unbuffered writes per frame).
+// the writer as a single Write call.
 func EncodeFrame(w io.Writer, env Envelope) error {
 	bp := getFrameBuf()
 	buf, err := AppendFrame((*bp)[:0], env)
@@ -96,60 +95,17 @@ func EncodeFrame(w io.Writer, env Envelope) error {
 
 // DecodeFrame reads one length-prefixed envelope from r. It returns
 // io.EOF unchanged on a clean end of stream, and validates the decoded
-// message structurally before returning it. The body is read through a
-// pooled scratch buffer that grows only as bytes arrive (frameReadChunk
-// at a time), so a forged length prefix cannot pin megabytes per
-// connection.
+// message structurally before returning it. The frame is read through
+// a pooled scratch buffer (the header too: a stack array would escape
+// through the io.Reader interface and cost one heap allocation per
+// frame).
 func DecodeFrame(r io.Reader) (Envelope, error) {
-	// The header is read through the pooled buffer too: a stack array
-	// would escape through the io.Reader interface and cost one heap
-	// allocation per frame.
 	bp := getFrameBuf()
-	hdr := grow((*bp)[:0], 4)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		*bp = hdr
-		putFrameBuf(bp)
-		if err == io.EOF {
-			return Envelope{}, io.EOF
-		}
-		return Envelope{}, fmt.Errorf("read frame header: %w", err)
+	buf, err := readFrame(r, (*bp)[:0])
+	var env Envelope
+	if err == nil {
+		env, err = DecodeEnvelope(buf)
 	}
-	n := int(binary.BigEndian.Uint32(hdr))
-	if n > maxFrameSize {
-		*bp = hdr
-		putFrameBuf(bp)
-		return Envelope{}, fmt.Errorf("%w: frame size %d exceeds limit %d", ErrMalformed, n, maxFrameSize)
-	}
-	if n < 2 { // version byte + at least an empty envelope's length bytes
-		*bp = hdr
-		putFrameBuf(bp)
-		return Envelope{}, fmt.Errorf("%w: frame size %d too small", ErrMalformed, n)
-	}
-	buf := hdr[:0]
-	for len(buf) < n {
-		chunk := n - len(buf)
-		if chunk > frameReadChunk {
-			chunk = frameReadChunk
-		}
-		start := len(buf)
-		buf = grow(buf, start+chunk)
-		if _, err := io.ReadFull(r, buf[start:start+chunk]); err != nil {
-			*bp = buf
-			putFrameBuf(bp)
-			return Envelope{}, fmt.Errorf("read frame body: %w", err)
-		}
-		// The version byte arrives with the first chunk; checking it
-		// here rejects an unsupported-version frame before its (up to
-		// 16 MiB) body is transferred and buffered. v1 and v2 frames
-		// (pre-MWMR / pre-speculation peers) still decode.
-		if start == 0 && buf[0] != FormatVersion && buf[0] != FormatVersionV2 && buf[0] != FormatVersionV1 {
-			v := buf[0]
-			*bp = buf
-			putFrameBuf(bp)
-			return Envelope{}, fmt.Errorf("%w: unsupported wire format version %d (want %d..%d)", ErrMalformed, v, FormatVersionV1, FormatVersion)
-		}
-	}
-	env, err := DecodeEnvelopeVersion(buf[0], buf[1:])
 	*bp = buf
 	putFrameBuf(bp)
 	if err != nil {
@@ -159,6 +115,46 @@ func DecodeFrame(r io.Reader) (Envelope, error) {
 		return Envelope{}, err
 	}
 	return env, nil
+}
+
+// readFrame reads a frame's length prefix and version byte into buf
+// and refuses the frame — before any of its body is read — if the
+// length is out of bounds or the version is not FormatVersion. It then
+// reads the envelope body over the header, growing buf only as bytes
+// arrive (frameReadChunk at a time), so a forged length prefix cannot
+// pin megabytes per connection. It returns buf holding the body.
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
+	hdr := grow(buf, 4)
+	if _, err := io.ReadFull(r, hdr); err != nil {
+		if err == io.EOF {
+			return hdr, io.EOF
+		}
+		return hdr, fmt.Errorf("read frame header: %w", err)
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > maxFrameSize {
+		return hdr, fmt.Errorf("%w: frame size %d exceeds limit %d", ErrMalformed, n, maxFrameSize)
+	}
+	if n < 2 { // version byte + at least an empty envelope's length bytes
+		return hdr, fmt.Errorf("%w: frame size %d too small", ErrMalformed, n)
+	}
+	hdr = grow(hdr, 5)
+	if _, err := io.ReadFull(r, hdr[4:]); err != nil {
+		return hdr, fmt.Errorf("read frame version: %w", err)
+	}
+	if hdr[4] != FormatVersion {
+		return hdr, fmt.Errorf("%w: unsupported wire format version %d (want %d)", ErrMalformed, hdr[4], FormatVersion)
+	}
+	n-- // the envelope follows the version byte
+	buf = hdr[:0]
+	for len(buf) < n {
+		start := len(buf)
+		buf = grow(buf, start+min(n-start, frameReadChunk))
+		if _, err := io.ReadFull(r, buf[start:]); err != nil {
+			return buf, fmt.Errorf("read frame body: %w", err)
+		}
+	}
+	return buf, nil
 }
 
 // grow extends buf to length n, reallocating amortized so chunked

@@ -2,10 +2,8 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"sync"
 	"testing"
 
 	"luckystore/internal/types"
@@ -48,9 +46,7 @@ func benchEnvelopes() []struct {
 	}
 }
 
-// BenchmarkEncodeFrame measures the binary codec's encode path; pair
-// with BenchmarkEncodeFrameGob for the before/after table in
-// EXPERIMENTS.md.
+// BenchmarkEncodeFrame measures the binary codec's encode path.
 func BenchmarkEncodeFrame(b *testing.B) {
 	for _, tc := range benchEnvelopes() {
 		b.Run(tc.name, func(b *testing.B) {
@@ -86,107 +82,6 @@ func BenchmarkDecodeFrame(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r.Reset(frame)
 				if _, err := DecodeFrame(r); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- gob baseline ----------------------------------------------------
-//
-// The seed's codec, kept verbatim (test-only) so every benchmark run
-// reproduces the before/after comparison instead of trusting numbers
-// frozen in a document.
-
-var registerGob = sync.OnceFunc(func() {
-	gob.Register(PW{})
-	gob.Register(PWAck{})
-	gob.Register(W{})
-	gob.Register(WAck{})
-	gob.Register(Read{})
-	gob.Register(ReadAck{})
-	gob.Register(ABDWrite{})
-	gob.Register(ABDWriteAck{})
-	gob.Register(ABDRead{})
-	gob.Register(ABDReadAck{})
-	gob.Register(Keyed{})
-	gob.Register(Batch{})
-})
-
-func gobEncodeFrame(w io.Writer, env Envelope) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	hdr[0] = byte(buf.Len() >> 24)
-	hdr[1] = byte(buf.Len() >> 16)
-	hdr[2] = byte(buf.Len() >> 8)
-	hdr[3] = byte(buf.Len())
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(buf.Bytes())
-	return err
-}
-
-func gobDecodeFrame(r io.Reader) (Envelope, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Envelope{}, err
-	}
-	n := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return Envelope{}, err
-	}
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&env); err != nil {
-		return Envelope{}, err
-	}
-	if err := Validate(env.Msg); err != nil {
-		return Envelope{}, err
-	}
-	return env, nil
-}
-
-func BenchmarkEncodeFrameGob(b *testing.B) {
-	registerGob()
-	for _, tc := range benchEnvelopes() {
-		b.Run(tc.name, func(b *testing.B) {
-			var sz bytes.Buffer
-			if err := gobEncodeFrame(&sz, tc.env); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(sz.Len()))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := gobEncodeFrame(io.Discard, tc.env); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkDecodeFrameGob(b *testing.B) {
-	registerGob()
-	for _, tc := range benchEnvelopes() {
-		b.Run(tc.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := gobEncodeFrame(&buf, tc.env); err != nil {
-				b.Fatal(err)
-			}
-			frame := buf.Bytes()
-			r := bytes.NewReader(frame)
-			b.SetBytes(int64(len(frame)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.Reset(frame)
-				if _, err := gobDecodeFrame(r); err != nil {
 					b.Fatal(err)
 				}
 			}

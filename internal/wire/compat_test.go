@@ -2,153 +2,83 @@ package wire
 
 import (
 	"bytes"
-	"encoding/binary"
+	"encoding/hex"
+	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"luckystore/internal/types"
 )
 
-// This file pins the v1 → v2 wire compatibility contract: frames
-// emitted by a pre-MWMR (format v1) peer must decode on a current
-// decoder, with every tagged value landing as writer 0 and PW_ACK.Max
-// as the zero stamp — exactly the meaning those frames had when they
-// were written.
-
-// appendTaggedV1 encodes a tagged value in the v1 layout: timestamp
-// varint + value string, no writer component.
-func appendTaggedV1(buf []byte, c types.Tagged) []byte {
-	buf = binary.AppendVarint(buf, int64(c.TS))
-	return appendString(buf, string(c.Val))
+// This file pins the sunset of wire formats 1 and 2 (DESIGN.md §4):
+// v3 is the only version decoded. retiredFrames are frames exactly as
+// v1 and v2 peers emitted them — v1 tagged values without the writer
+// varint and PW_ACKs without the max stamp, v2 PWs without the spec
+// byte — written down as hex from the encoders those formats had. Each
+// must be refused with ErrMalformed naming its version, before any of
+// its body is read.
+var retiredFrames = []struct {
+	name string
+	ver  byte
+	hex  string
+}{
+	{"v1_pw", 1, "00000018010177027330010e0e0276370c027636010272310a016604"},
+	{"v1_pwack", 1, "0000000d010273300177020e0102723006"},
+	{"v1_w", 1, "0000000e01017702733103040e0e02763700"},
+	{"v1_read", 1, "0000000a01027230027332050802"},
+	{"v1_readack", 1, "00000019010273320272300608020e0276370c0276360c027636000000"},
+	{"v1_keyed", 1, "000000170101770273300b0875736572732f343203060404017800"},
+	{"v2_pw", 2, "0000001c02027732027330011212040276391002027638010272300e04016606"},
+	{"v2_pwack", 2, "000000100202733002773202121602010272310a"},
+	{"v2_keyed", 2, "00000016020277310273320b03686f7401060602016b00000000"},
 }
 
-// appendMessageV1 encodes the message kinds a v1 peer could send that
-// carry tagged values (the kinds whose layout changed in v2), plus
-// Read as a fixed-layout control.
-func appendMessageV1(buf []byte, m Message) []byte {
-	switch v := m.(type) {
-	case PW:
-		buf = append(buf, byte(KindPW))
-		buf = binary.AppendVarint(buf, int64(v.TS))
-		buf = appendTaggedV1(buf, v.PW)
-		buf = appendTaggedV1(buf, v.W)
-		buf = binary.AppendUvarint(buf, uint64(len(v.Frozen)))
-		for _, f := range v.Frozen {
-			buf = appendString(buf, string(f.Reader))
-			buf = appendTaggedV1(buf, f.PW)
-			buf = binary.AppendVarint(buf, int64(f.TSR))
+func retiredFrame(t testing.TB, name string) []byte {
+	t.Helper()
+	for _, rf := range retiredFrames {
+		if rf.name == name {
+			b, err := hex.DecodeString(rf.hex)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
 		}
-		return buf
-	case PWAck:
-		buf = append(buf, byte(KindPWAck))
-		buf = binary.AppendVarint(buf, int64(v.TS))
-		buf = binary.AppendUvarint(buf, uint64(len(v.NewRead)))
-		for _, rs := range v.NewRead {
-			buf = appendString(buf, string(rs.Reader))
-			buf = binary.AppendVarint(buf, int64(rs.TSR))
-		}
-		return buf
-	case W:
-		buf = append(buf, byte(KindW))
-		buf = binary.AppendVarint(buf, int64(v.Round))
-		buf = binary.AppendVarint(buf, v.Tag)
-		buf = appendTaggedV1(buf, v.C)
-		return binary.AppendUvarint(buf, 0)
-	case Read:
-		buf = append(buf, byte(KindRead))
-		buf = binary.AppendVarint(buf, int64(v.TSR))
-		return binary.AppendVarint(buf, int64(v.Round))
-	case ReadAck:
-		buf = append(buf, byte(KindReadAck))
-		buf = binary.AppendVarint(buf, int64(v.TSR))
-		buf = binary.AppendVarint(buf, int64(v.Round))
-		buf = appendTaggedV1(buf, v.PW)
-		buf = appendTaggedV1(buf, v.W)
-		buf = appendTaggedV1(buf, v.VW)
-		buf = appendTaggedV1(buf, v.Frozen.PW)
-		return binary.AppendVarint(buf, int64(v.Frozen.TSR))
-	case Keyed:
-		buf = append(buf, byte(KindKeyed))
-		buf = appendString(buf, v.Key)
-		return appendMessageV1(buf, v.Inner)
-	default:
-		panic("appendMessageV1: unsupported kind in test encoder")
 	}
+	t.Fatalf("no retired frame %q", name)
+	return nil
 }
 
-// frameV1 wraps a v1-encoded envelope in a framed stream: length
-// prefix, version byte 1, from, to, message.
-func frameV1(from, to types.ProcID, m Message) []byte {
-	body := []byte{FormatVersionV1}
-	body = appendString(body, string(from))
-	body = appendString(body, string(to))
-	body = appendMessageV1(body, m)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	return append(frame, body...)
-}
-
-// v1Envelopes is the v1 interop corpus: every changed-layout kind, as a
-// v1 peer would have sent it (writer components necessarily zero).
-func v1Envelopes() []Envelope {
-	mk := func(from, to types.ProcID, m Message) Envelope {
-		return Envelope{From: from, To: to, Msg: m}
-	}
-	return []Envelope{
-		mk("w", "s0", PW{TS: 7, PW: types.Tagged{TS: 7, Val: "v7"}, W: types.Tagged{TS: 6, Val: "v6"},
-			Frozen: []types.FrozenEntry{{Reader: types.ReaderID(1), PW: types.Tagged{TS: 5, Val: "f"}, TSR: 2}}}),
-		mk("s0", "w", PWAck{TS: 7, NewRead: []types.ReadStamp{{Reader: types.ReaderID(0), TSR: 3}}}),
-		mk("w", "s1", W{Round: 2, Tag: 7, C: types.Tagged{TS: 7, Val: "v7"}}),
-		mk("r0", "s2", Read{TSR: 4, Round: 1}),
-		mk("s2", "r0", ReadAck{TSR: 4, Round: 1, PW: types.Tagged{TS: 7, Val: "v7"},
-			W: types.Tagged{TS: 6, Val: "v6"}, VW: types.Tagged{TS: 6, Val: "v6"},
-			Frozen: types.FrozenPair{PW: types.Bottom(), TSR: 0}}),
-		mk("w", "s0", Keyed{Key: "users/42", Inner: W{Round: 3, Tag: 2, C: types.Tagged{TS: 2, Val: "x"}}}),
-	}
-}
-
-// TestDecodeV1Frames: every v1 frame decodes on the current decoder to
-// the envelope a v1 peer meant — writer components zero, Max zero.
-func TestDecodeV1Frames(t *testing.T) {
-	for _, want := range v1Envelopes() {
-		raw := frameV1(want.From, want.To, want.Msg)
-		got, err := DecodeFrame(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("v1 frame %T failed to decode: %v", want.Msg, err)
+// assertRetiredRefused: every retired frame of version ver is refused
+// with ErrMalformed naming the version, after DecodeFrame has read no
+// more than the length prefix and the version byte.
+func assertRetiredRefused(t *testing.T, ver byte) {
+	t.Helper()
+	for _, rf := range retiredFrames {
+		if rf.ver != ver {
+			continue
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("v1 frame decoded to\n %+v\nwant\n %+v", got, want)
+		cr := &countingReader{r: bytes.NewReader(retiredFrame(t, rf.name))}
+		_, err := DecodeFrame(cr)
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", rf.name, err)
+			continue
 		}
-		// And re-encoding it as v2 must round-trip to the same envelope.
-		reenc, err := AppendFrame(nil, got)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
+		if want := fmt.Sprintf("version %d", ver); !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %s", rf.name, err, want)
 		}
-		again, err := DecodeFrame(bytes.NewReader(reenc))
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if !reflect.DeepEqual(again, want) {
-			t.Errorf("v1→v2 re-encode diverged:\n %+v\nwant\n %+v", again, want)
+		if cr.n > 5 {
+			t.Errorf("%s: decoder read %d bytes, want only the length prefix and version byte", rf.name, cr.n)
 		}
 	}
 }
 
-// TestDecodeEnvelopeVersionRejectsUnknown: only versions 1–3 are
-// decodable; anything else must be refused up front.
-func TestDecodeEnvelopeVersionRejectsUnknown(t *testing.T) {
-	body, err := AppendEnvelope(nil, Envelope{From: "w", To: "s0", Msg: Read{TSR: 1, Round: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []byte{0, 4, 0xFF} {
-		if _, err := DecodeEnvelopeVersion(v, body); err == nil {
-			t.Errorf("version %d accepted", v)
-		}
-	}
-	if _, err := DecodeEnvelopeVersion(FormatVersion, body); err != nil {
-		t.Errorf("current version rejected: %v", err)
-	}
-}
+// TestDecodeV1Frames: no v1 frame decodes.
+func TestDecodeV1Frames(t *testing.T) { assertRetiredRefused(t, 1) }
+
+// TestDecodeV2Frames: no v2 frame decodes.
+func TestDecodeV2Frames(t *testing.T) { assertRetiredRefused(t, 2) }
 
 // TestV2CarriesWriterThroughTCPFraming: a full-stamp tagged value
 // round-trips the framed codec with its writer component intact — the
@@ -175,111 +105,18 @@ func TestV2CarriesWriterThroughTCPFraming(t *testing.T) {
 	}
 }
 
-// --- v2 ↔ v3 interop ------------------------------------------------
-//
-// Version 3 added the trailing spec flag on PW and the PW_NACK kind.
-// Both directions are pinned: v2 frames (no spec byte, full stamps)
-// must decode on a current decoder with Spec false, and a v3 encoding
-// of a non-spec PW must be byte-identical to the v2 encoding plus the
-// single trailing zero byte — which is what lets a v2 peer's decoder,
-// were it lenient about trailing bytes, at worst reject (never
-// misread) a v3 frame, and what keeps the layouts prefix-compatible.
-
-// appendMessageV2 encodes the kinds whose layout changed in v3 exactly
-// as a v2 peer would have sent them: full composite stamps, no spec
-// byte, PW_ACK with Max.
-func appendMessageV2(buf []byte, m Message) []byte {
-	switch v := m.(type) {
-	case PW:
-		buf = append(buf, byte(KindPW))
-		buf = binary.AppendVarint(buf, int64(v.TS))
-		buf = appendTagged(buf, v.PW)
-		buf = appendTagged(buf, v.W)
-		return appendFrozenSet(buf, v.Frozen)
-	case PWAck:
-		buf = append(buf, byte(KindPWAck))
-		buf = binary.AppendVarint(buf, int64(v.TS))
-		buf = binary.AppendVarint(buf, int64(v.Max.Seq))
-		buf = binary.AppendVarint(buf, int64(v.Max.Writer))
-		buf = binary.AppendUvarint(buf, uint64(len(v.NewRead)))
-		for _, rs := range v.NewRead {
-			buf = appendString(buf, string(rs.Reader))
-			buf = binary.AppendVarint(buf, int64(rs.TSR))
-		}
-		return buf
-	case Keyed:
-		buf = append(buf, byte(KindKeyed))
-		buf = appendString(buf, v.Key)
-		return appendMessageV2(buf, v.Inner)
-	default:
-		panic("appendMessageV2: unsupported kind in test encoder")
-	}
-}
-
-// frameV2 wraps a v2-encoded envelope in a framed stream.
-func frameV2(from, to types.ProcID, m Message) []byte {
-	body := []byte{FormatVersionV2}
-	body = appendString(body, string(from))
-	body = appendString(body, string(to))
-	body = appendMessageV2(body, m)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
-	return append(frame, body...)
-}
-
-// v2Envelopes is the v2 interop corpus: the kinds whose layout v3
-// touched, with non-zero writer components (the v2 novelty) throughout.
-func v2Envelopes() []Envelope {
-	mk := func(from, to types.ProcID, m Message) Envelope {
-		return Envelope{From: from, To: to, Msg: m}
-	}
-	return []Envelope{
-		mk(types.WriterIDN(2), "s0", PW{TS: 9, PW: types.Tagged{TS: 9, W: 2, Val: "v9"},
-			W: types.Tagged{TS: 8, W: 1, Val: "v8"},
-			Frozen: []types.FrozenEntry{{Reader: types.ReaderID(0),
-				PW: types.Tagged{TS: 7, W: 2, Val: "f"}, TSR: 3}}}),
-		mk("s0", types.WriterIDN(2), PWAck{TS: 9, Max: types.Stamp{Seq: 11, Writer: 1},
-			NewRead: []types.ReadStamp{{Reader: types.ReaderID(1), TSR: 5}}}),
-		mk(types.WriterIDN(1), "s2", Keyed{Key: "hot", Inner: PW{TS: 3,
-			PW: types.Tagged{TS: 3, W: 1, Val: "k"}, W: types.Bottom()}}),
-	}
-}
-
-// TestDecodeV2Frames: every v2 frame decodes on the current decoder to
-// the envelope the v2 peer meant — Spec false, stamps intact — and
-// re-encoding it as v3 round-trips.
-func TestDecodeV2Frames(t *testing.T) {
-	for _, want := range v2Envelopes() {
-		raw := frameV2(want.From, want.To, want.Msg)
-		got, err := DecodeFrame(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatalf("v2 frame %T failed to decode: %v", want.Msg, err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("v2 frame decoded to\n %+v\nwant\n %+v", got, want)
-		}
-		reenc, err := AppendFrame(nil, got)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		again, err := DecodeFrame(bytes.NewReader(reenc))
-		if err != nil {
-			t.Fatalf("re-decode: %v", err)
-		}
-		if !reflect.DeepEqual(again, want) {
-			t.Errorf("v2→v3 re-encode diverged:\n %+v\nwant\n %+v", again, want)
-		}
-	}
-}
-
-// TestV3PWIsV2PlusSpecByte pins the prefix-compatibility that makes the
-// two formats interoperable: the current encoding of a PW is the v2
-// encoding with exactly one trailing flag byte.
+// TestV3PWIsV2PlusSpecByte pins how v3 grew out of v2: the current
+// encoding of a PW is the retired v2 encoding of the same pre-write
+// with exactly one trailing flag byte.
 func TestV3PWIsV2PlusSpecByte(t *testing.T) {
-	m := PW{TS: 4, PW: types.Tagged{TS: 4, W: 3, Val: "x"}, W: types.Tagged{TS: 3, W: 1, Val: "y"}}
-	v2 := appendMessageV2(nil, m)
+	v2Body := retiredFrame(t, "v2_pw")[5:] // past the length prefix and version byte
+	env := Envelope{From: types.WriterIDN(2), To: "s0", Msg: PW{TS: 9,
+		PW: types.Tagged{TS: 9, W: 2, Val: "v9"}, W: types.Tagged{TS: 8, W: 1, Val: "v8"},
+		Frozen: []types.FrozenEntry{{Reader: types.ReaderID(0), PW: types.Tagged{TS: 7, W: 2, Val: "f"}, TSR: 3}}}}
 	for _, spec := range []bool{false, true} {
-		m.Spec = spec
-		v3, err := AppendMessage(nil, m)
+		pw := env.Msg.(PW)
+		pw.Spec = spec
+		v3, err := AppendEnvelope(nil, Envelope{From: env.From, To: env.To, Msg: pw})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +124,7 @@ func TestV3PWIsV2PlusSpecByte(t *testing.T) {
 		if spec {
 			flag = 1
 		}
-		want := append(append([]byte(nil), v2...), flag)
+		want := append(append([]byte(nil), v2Body...), flag)
 		if !bytes.Equal(v3, want) {
 			t.Errorf("spec=%v: v3 encoding is not v2+flag:\n v3   %x\n want %x", spec, v3, want)
 		}
@@ -295,30 +132,27 @@ func TestV3PWIsV2PlusSpecByte(t *testing.T) {
 }
 
 // TestPWNackRoundTripAndVersionGate: PW_NACK frames round-trip on the
-// current codec, and the kind is refused inside pre-v3 frames — a v2
-// body can never have legally carried it.
+// current codec, and the same bytes under a v1 or v2 version byte are
+// refused — no retired format ever carried the kind.
 func TestPWNackRoundTripAndVersionGate(t *testing.T) {
 	env := Envelope{From: "s1", To: types.WriterIDN(2),
 		Msg: PWNack{TS: 9, Max: types.Stamp{Seq: 12, Writer: 1}}}
-	var buf bytes.Buffer
-	if err := EncodeFrame(&buf, env); err != nil {
+	frame, err := AppendFrame(nil, env)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeFrame(&buf)
+	got, err := DecodeFrame(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, env) {
 		t.Errorf("got %+v, want %+v", got, env)
 	}
-
-	body, err := AppendEnvelope(nil, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ver := range []byte{FormatVersionV1, FormatVersionV2} {
-		if _, err := DecodeEnvelopeVersion(ver, body); err == nil {
-			t.Errorf("PW_NACK accepted inside a v%d frame", ver)
+	for _, ver := range []byte{1, 2} {
+		bad := append([]byte(nil), frame...)
+		bad[4] = ver
+		if _, err := DecodeFrame(bytes.NewReader(bad)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("PW_NACK inside a v%d frame: err = %v, want ErrMalformed", ver, err)
 		}
 	}
 }

@@ -33,23 +33,21 @@ func FuzzDecodeFrame(f *testing.F) {
 		bad[4] ^= 0xFF
 		f.Add(bad)
 	}
-	// v1 and v2 frames seed the compat decode paths (tagged values
-	// without the writer component; PWs without the spec byte) so the
-	// fuzzer mutates around all three layouts.
-	for _, env := range v1Envelopes() {
-		frame := frameV1(env.From, env.To, env.Msg)
+	// Retired v1 and v2 frames must be refused however the fuzzer
+	// mutates them; flipping the version byte to 3 explores the
+	// near-miss layouts a confused peer would send.
+	for _, rf := range retiredFrames {
+		frame := retiredFrame(f, rf.name)
 		f.Add(frame)
 		f.Add(frame[:len(frame)-1])
-	}
-	for _, env := range v2Envelopes() {
-		frame := frameV2(env.From, env.To, env.Msg)
-		f.Add(frame)
-		f.Add(frame[:len(frame)-1])
+		relabeled := append([]byte(nil), frame...)
+		relabeled[4] = FormatVersion
+		f.Add(relabeled)
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 2, FormatVersion, 0})
-	f.Add([]byte{0, 0, 0, 2, FormatVersionV2, 0})
-	f.Add([]byte{0, 0, 0, 2, FormatVersionV1, 0})
+	f.Add([]byte{0, 0, 0, 2, 2, 0})
+	f.Add([]byte{0, 0, 0, 2, 1, 0})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(binary.BigEndian.AppendUint32(nil, maxFrameSize))
 

@@ -3,8 +3,9 @@
 // two-phase variant (Figures 6–8), the regular variant (Appendix D) and
 // the ABD baseline. It also provides structural validation — essential
 // in a Byzantine setting, where a malicious server may send arbitrarily
-// malformed payloads — and the versioned binary codec used by the TCP
-// transport (binary.go, codec.go; DESIGN.md §4 specifies the format).
+// malformed payloads — and the binary codec used by the TCP transport
+// and the write-ahead log (binary.go, codec.go). It reads and writes
+// one format, version 3; DESIGN.md §4 specifies it.
 //
 // Servers in the paper never talk to each other and never send
 // unsolicited messages; every message below therefore flows either
@@ -85,13 +86,12 @@ var ErrMalformed = errors.New("malformed message")
 // PW〈ts, pw, w, frozen〉. The Frozen set carries values frozen for slow
 // READs detected during the previous WRITE.
 //
-// Spec (format v3) marks a speculative multi-writer pre-write: the
-// writer skipped the stamp-query round and chose the stamp from its
-// cache. Servers apply the writer-stamp rule to speculative PWs only —
-// a Spec PW whose stamp is not strictly above the server's installed
-// pw is answered with PW_NACK and makes no state change — so a stale
-// cache is caught server-side instead of trusted. v2 peers neither
-// send nor receive the flag; a non-spec PW behaves exactly as before.
+// Spec marks a speculative multi-writer pre-write: the writer skipped
+// the stamp-query round and chose the stamp from its cache. Servers
+// apply the writer-stamp rule to speculative PWs only — a Spec PW
+// whose stamp is not strictly above the server's installed pw is
+// answered with PW_NACK and makes no state change — so a stale cache
+// is caught server-side instead of trusted.
 type PW struct {
 	TS     types.TS
 	PW     types.Tagged
@@ -107,11 +107,9 @@ func (PW) Kind() Kind { return KindPW }
 // PW_ACK〈ts, newread〉. NewRead reports readers whose slow READs the
 // writer has not yet frozen a value for.
 //
-// Max (format v2) is the stamp of the server's pw field after applying
-// the PW — under writer contention it can exceed the acknowledged
-// write's own stamp, which is how a writer observes that it raced
-// another writer. v1 peers neither send nor receive it; a zero Max
-// claims nothing.
+// Max is the stamp of the server's pw field after applying the PW —
+// under writer contention it can exceed the acknowledged write's own
+// stamp, which is how a writer observes that it raced another writer.
 type PWAck struct {
 	TS      types.TS
 	Max     types.Stamp
@@ -121,7 +119,7 @@ type PWAck struct {
 // Kind implements Message.
 func (PWAck) Kind() Kind { return KindPWAck }
 
-// PWNack is the server's rejection of a speculative PW (format v3): the
+// PWNack is the server's rejection of a speculative PW: the
 // pre-write's stamp was not strictly above the server's installed pw
 // stamp, so the server made no state change. Max carries the installed
 // stamp, which the writer folds into its cache before falling back to

@@ -170,7 +170,7 @@ func TestDecodeFrameRejectsInvalidDecodedMessage(t *testing.T) {
 	if err := EncodeFrame(&buf, env); err != nil {
 		t.Fatal(err)
 	}
-	// Mutating gob bytes reliably is brittle; instead encode an invalid
+	// Mutating encoded bytes reliably is brittle; instead encode an invalid
 	// message directly through the encoder path used by a malicious peer.
 	var evil bytes.Buffer
 	if err := EncodeFrame(&evil, Envelope{From: "w", To: "s0", Msg: Read{TSR: 0, Round: 1}}); err != nil {
