@@ -61,20 +61,21 @@ func benchExperiment(b *testing.B, id string) {
 
 // --- One benchmark per experiment (table/figure) -------------------
 
-func BenchmarkE1FastWrites(b *testing.B)   { benchExperiment(b, "E1") }
-func BenchmarkE2FastReads(b *testing.B)    { benchExperiment(b, "E2") }
-func BenchmarkE3SlowPaths(b *testing.B)    { benchExperiment(b, "E3") }
-func BenchmarkE4Tradeoff(b *testing.B)     { benchExperiment(b, "E4") }
-func BenchmarkE5UpperBound(b *testing.B)   { benchExperiment(b, "E5") }
-func BenchmarkE6TradingReads(b *testing.B) { benchExperiment(b, "E6") }
-func BenchmarkE7WriteBound(b *testing.B)   { benchExperiment(b, "E7") }
-func BenchmarkE8TwoPhase(b *testing.B)     { benchExperiment(b, "E8") }
-func BenchmarkE9Regular(b *testing.B)      { benchExperiment(b, "E9") }
-func BenchmarkE10Ghost(b *testing.B)       { benchExperiment(b, "E10") }
-func BenchmarkE11Baselines(b *testing.B)   { benchExperiment(b, "E11") }
-func BenchmarkE12Latency(b *testing.B)     { benchExperiment(b, "E12") }
-func BenchmarkE13MultiWriter(b *testing.B) { benchExperiment(b, "E13") }
-func BenchmarkE14MWReads(b *testing.B)     { benchExperiment(b, "E14") }
+func BenchmarkE1FastWrites(b *testing.B)    { benchExperiment(b, "E1") }
+func BenchmarkE2FastReads(b *testing.B)     { benchExperiment(b, "E2") }
+func BenchmarkE3SlowPaths(b *testing.B)     { benchExperiment(b, "E3") }
+func BenchmarkE4Tradeoff(b *testing.B)      { benchExperiment(b, "E4") }
+func BenchmarkE5UpperBound(b *testing.B)    { benchExperiment(b, "E5") }
+func BenchmarkE6TradingReads(b *testing.B)  { benchExperiment(b, "E6") }
+func BenchmarkE7WriteBound(b *testing.B)    { benchExperiment(b, "E7") }
+func BenchmarkE8TwoPhase(b *testing.B)      { benchExperiment(b, "E8") }
+func BenchmarkE9Regular(b *testing.B)       { benchExperiment(b, "E9") }
+func BenchmarkE10Ghost(b *testing.B)        { benchExperiment(b, "E10") }
+func BenchmarkE11Baselines(b *testing.B)    { benchExperiment(b, "E11") }
+func BenchmarkE12Latency(b *testing.B)      { benchExperiment(b, "E12") }
+func BenchmarkE13MultiWriter(b *testing.B)  { benchExperiment(b, "E13") }
+func BenchmarkE14MWReads(b *testing.B)      { benchExperiment(b, "E14") }
+func BenchmarkE16SpecFastPath(b *testing.B) { benchExperiment(b, "E16") }
 
 // --- Core protocol micro-benchmarks --------------------------------
 

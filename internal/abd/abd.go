@@ -93,17 +93,22 @@ func (s *Server) StepAppend(from types.ProcID, m wire.Message, out []transport.O
 // client it is a drive.Op: Start emits the round, replies go in by
 // Deliver until a majority has answered, and Advance completes it.
 type Writer struct {
-	ep  transport.Endpoint
-	drv drive.Private
-	rnd drive.Round
-	seq int64 // the round in flight's, which its acks carry
-	ts  types.TS
+	ep       transport.Endpoint
+	drv      drive.Private
+	rnd      drive.Round
+	seq      int64 // the round in flight's, which its acks carry
+	ts       types.TS
+	lastMeta core.WriteMeta
 }
 
 // NewWriter creates the writer client.
 func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
 	return &Writer{ep: ep, rnd: drive.NewRound(cfg.shape("abd WRITE"))}
 }
+
+// LastMeta returns metadata about the most recent completed WRITE: the
+// stamp it bound and the rounds it ran.
+func (w *Writer) LastMeta() core.WriteMeta { return w.lastMeta }
 
 // Write stores v: one round-trip to a majority.
 func (w *Writer) Write(v types.Value) error {
@@ -142,21 +147,38 @@ func (w *Writer) Expire(now time.Time, out *[]transport.Outgoing) { w.rnd.Expire
 
 // Advance completes the WRITE.
 func (w *Writer) Advance(time.Time, *[]transport.Outgoing) (done bool, err error) {
-	return w.rnd.Err() == nil, w.rnd.Err()
+	if err := w.rnd.Err(); err != nil {
+		return false, err
+	}
+	n := w.rnd.Rounds()
+	w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: n, Fast: n == 1}
+	return true, nil
 }
 
-// Rounds reports the (constant) round-trip complexity of an ABD WRITE.
-func (w *Writer) Rounds() int { return 1 }
+// ReadMeta describes a completed ABD READ.
+type ReadMeta struct {
+	// Opened counts the rounds the READ ran: the query and the
+	// write-back.
+	Opened   int
+	Returned types.Tagged
+}
+
+// Rounds returns the READ's round-trip count.
+func (m ReadMeta) Rounds() int { return m.Opened }
+
+// Fast reports a single round-trip READ, which ABD never has.
+func (m ReadMeta) Fast() bool { return m.Opened == 1 }
 
 // Reader is the ABD reader: query round + write-back round, as a
 // drive.Op (see Writer).
 type Reader struct {
-	ep   transport.Endpoint
-	drv  drive.Private
-	rnd  drive.Round
-	seq  int64        // the round in flight's, which its acks carry
-	wb   bool         // the write-back round is in flight, not the query
-	best types.Tagged // the highest pair the query found
+	ep       transport.Endpoint
+	drv      drive.Private
+	rnd      drive.Round
+	seq      int64        // the round in flight's, which its acks carry
+	wb       bool         // the write-back round is in flight, not the query
+	best     types.Tagged // the highest pair the query found
+	lastMeta ReadMeta
 }
 
 // NewReader creates a reader client.
@@ -164,12 +186,15 @@ func NewReader(cfg Config, ep transport.Endpoint) *Reader {
 	return &Reader{ep: ep, rnd: drive.NewRound(cfg.shape("abd READ"))}
 }
 
+// LastMeta returns metadata about the most recent completed READ.
+func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
+
 // Read returns the register value after the classic two phases.
 func (r *Reader) Read() (types.Tagged, error) {
 	if err := r.drv.Wait(r.ep, r, r.Start); err != nil {
 		return types.Tagged{}, err
 	}
-	return r.best, nil
+	return r.lastMeta.Returned, nil
 }
 
 // Start begins a READ at now with phase 1: query a majority, adopt the
@@ -212,8 +237,12 @@ func (r *Reader) Expire(now time.Time, out *[]transport.Outgoing) { r.rnd.Expire
 // Advance runs phase 2 — write the adopted pair back to a majority —
 // then completes the READ.
 func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
-	if err := r.rnd.Err(); err != nil || r.wb {
-		return err == nil, err
+	if err := r.rnd.Err(); err != nil {
+		return false, err
+	}
+	if r.wb {
+		r.lastMeta = ReadMeta{Opened: r.rnd.Rounds(), Returned: r.best}
+		return true, nil
 	}
 	r.wb = true
 	r.seq++
@@ -221,12 +250,9 @@ func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, e
 	return false, nil
 }
 
-// Rounds reports the (constant) round-trip complexity of an ABD READ.
-func (r *Reader) Rounds() int { return 2 }
-
 // Cluster wires an ABD deployment over a simulated network.
 type Cluster struct {
-	*core.VariantCluster[*Writer, *Reader]
+	*core.Deployment[*Writer, *Reader]
 }
 
 // NewCluster builds and starts an ABD cluster.
@@ -234,9 +260,9 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := core.NewVariantCluster(cfg.S(), cfg.NumReaders, func() node.Automaton { return NewServer() }, nil, simOpts,
-		func(ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
-		func(_ int, ep transport.Endpoint) *Reader { return NewReader(cfg, ep) })
+	c, err := core.Deploy(nil, simOpts, cfg.S(), func(int) node.Automaton { return NewServer() }, nil,
+		1, func(_ types.ProcID, ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
+		cfg.NumReaders, func(_ types.ProcID, ep transport.Endpoint) *Reader { return NewReader(cfg, ep) })
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,13 @@ package abd
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"luckystore/internal/checker"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
+	"luckystore/internal/workload"
 )
 
 func newTestCluster(t *testing.T, cfg Config) *Cluster {
@@ -68,8 +67,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got != (types.Tagged{TS: 1, Val: "hello"}) {
 		t.Errorf("Read() = %v", got)
 	}
-	if c.Writer().Rounds() != 1 || c.Reader(0).Rounds() != 2 {
-		t.Errorf("round counts = (%d,%d), want (1,2)", c.Writer().Rounds(), c.Reader(0).Rounds())
+	if w, r := c.Writer().LastMeta().Rounds, c.Reader(0).LastMeta().Rounds(); w != 1 || r != 2 {
+		t.Errorf("round counts = (%d,%d), want (1,2)", w, r)
 	}
 }
 
@@ -118,46 +117,15 @@ func TestRejectsBottomWrite(t *testing.T) {
 
 func TestAtomicityUnderConcurrency(t *testing.T) {
 	c := newTestCluster(t, Config{T: 2, NumReaders: 3})
-	rec := checker.NewRecorder()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i <= 40; i++ {
-			v := types.Value(fmt.Sprintf("v%d", i))
-			inv := time.Now()
-			if err := c.Writer().Write(v); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-			rec.Add(checker.Op{
-				Client: types.WriterID(), Kind: checker.KindWrite,
-				Value:  types.Tagged{TS: types.TS(i), Val: v},
-				Invoke: inv, Return: time.Now(), Rounds: 1,
-			})
-		}
-	}()
-	for r := 0; r < 3; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				inv := time.Now()
-				got, err := c.Reader(r).Read()
-				if err != nil {
-					t.Errorf("read: %v", err)
-					return
-				}
-				rec.Add(checker.Op{
-					Client: types.ReaderID(r), Kind: checker.KindRead,
-					Value: got, Invoke: inv, Return: time.Now(), Rounds: 2,
-				})
-			}
-		}()
+	rec, err := workload.Mixed{Writes: 40, ReadsPerReader: 25}.RunDriver(workload.Register(c.Deployment))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	for _, v := range checker.CheckAtomicity(rec.Ops()) {
 		t.Errorf("atomicity violation: %v", v)
+	}
+	writes, reads := workload.RoundStats(rec.Ops())
+	if writes[1] != 40 || reads[2] != 3*25 {
+		t.Errorf("counted rounds: writes %v, reads %v; want 40 one-round writes and 75 two-round reads", writes, reads)
 	}
 }

@@ -235,8 +235,7 @@ func TestContendingWritersEngagesBothIdentities(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			mw, ok := d.(workload.MultiWriter)
-			if !ok || mw.NumWriters() != sc.Writers {
+			if d.NumWriters() != sc.Writers {
 				t.Fatalf("deployment %s has no %d-writer capability", kind, sc.Writers)
 			}
 			rep, err := Run(d, sc, 11, 500*time.Millisecond, Options{})
@@ -287,8 +286,7 @@ func TestContendingWritersFleetEngagesBothIdentities(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d.Close()
-			mw, ok := d.(workload.MultiWriter)
-			if !ok || mw.NumWriters() != sc.Writers {
+			if d.NumWriters() != sc.Writers {
 				t.Fatalf("fleet deployment %s has no %d-writer capability", kind, sc.Writers)
 			}
 			rep, err := Run(d, sc, 11, 500*time.Millisecond, Options{})
@@ -327,7 +325,7 @@ func TestContendingWritersFleetEngagesBothIdentities(t *testing.T) {
 func fakeDep() *deployment {
 	return &deployment{
 		cfg:    core.Config{T: 2, B: 1},
-		drv:    workload.KVDriver{},
+		Driver: workload.KVDriver{},
 		check:  checker.CheckAtomicityPerKey,
 		active: []member{{c: nopCluster{}}},
 	}

@@ -37,7 +37,6 @@ import (
 // goroutine.
 type Deployment interface {
 	workload.Driver
-	workload.MultiWriter
 	// Kind names the deployment flavor (one of Kinds).
 	Kind() string
 	// Servers reports the server count S of each cluster.
@@ -123,11 +122,12 @@ func Open(kind string, readers, writers int) (Deployment, error) {
 	return nil, fmt.Errorf("chaos: unknown deployment %q (%s)", kind, strings.Join(Kinds(), "|"))
 }
 
-// deployment is the one Deployment implementation.
+// deployment is the one Deployment implementation. Its traffic goes
+// through the embedded driver: the lone cluster's, or the router's.
 type deployment struct {
+	workload.Driver
 	kind   string
 	cfg    core.Config
-	drv    workload.Driver
 	net    *simnet.Network // the lone simnet cluster's network, else nil
 	check  func([]checker.Op) []checker.Violation
 	active []member // the fault targets
@@ -160,7 +160,7 @@ func (d *deployment) start(open opener, n int) error {
 			return err
 		}
 		d.active = append(d.active, member{ring.ID(i), c})
-		d.drv = drv
+		d.Driver = drv
 		if kd, ok := drv.(workload.KVDriver); ok {
 			backends[ring.ID(i)] = kd.S
 		}
@@ -173,7 +173,7 @@ func (d *deployment) start(open opener, n int) error {
 	if err != nil {
 		return err
 	}
-	d.r, d.open, d.drv = r, open, workload.RouterDriver{R: r}
+	d.r, d.open, d.Driver = r, open, workload.RouterDriver{R: r}
 	return nil
 }
 
@@ -182,36 +182,6 @@ func (d *deployment) Servers() int                               { return d.cfg.
 func (d *deployment) Budget() (int, int)                         { return d.cfg.T, d.cfg.B }
 func (d *deployment) Net() *simnet.Network                       { return d.net }
 func (d *deployment) Check(ops []checker.Op) []checker.Violation { return d.check(ops) }
-func (d *deployment) NumReaders() int                            { return d.drv.NumReaders() }
-func (d *deployment) MultiKey() bool                             { return d.drv.MultiKey() }
-
-func (d *deployment) Write(key string, v types.Value) (types.Tagged, workload.OpMeta, error) {
-	return d.drv.Write(key, v)
-}
-
-func (d *deployment) Read(r int, key string) (types.Tagged, workload.OpMeta, error) {
-	return d.drv.Read(r, key)
-}
-
-// NumWriters implements workload.MultiWriter: a single-writer driver
-// (the regular variant's) has one identity.
-func (d *deployment) NumWriters() int {
-	if mw, ok := d.drv.(workload.MultiWriter); ok {
-		return mw.NumWriters()
-	}
-	return 1
-}
-
-// WriteAs implements workload.MultiWriter.
-func (d *deployment) WriteAs(w int, key string, v types.Value) (types.Tagged, workload.OpMeta, error) {
-	if mw, ok := d.drv.(workload.MultiWriter); ok {
-		return mw.WriteAs(w, key, v)
-	}
-	if w != 0 {
-		return types.Tagged{}, workload.OpMeta{}, workload.ErrMWUnsupported
-	}
-	return d.drv.Write(key, v)
-}
 
 func (d *deployment) Crash(i int) error {
 	return d.each(i, func(c cluster) error { return c.crash(i) })
@@ -442,7 +412,7 @@ func openCore(cfg core.Config) (cluster, workload.Driver, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.ClusterDriver{C: c}, nil
+	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.Register(c.Deployment), nil
 }
 
 // openRegular opens the Appendix D regular variant, single-writer by
@@ -456,7 +426,7 @@ func openRegular(cfg core.Config) (cluster, workload.Driver, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.RegularDriver{C: c}, nil
+	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.Register(c.Deployment), nil
 }
 
 // openKV opens a sharded KV store on its own simnet with cfg.Writers

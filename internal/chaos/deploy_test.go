@@ -7,7 +7,6 @@ import (
 	"luckystore/internal/checker"
 	"luckystore/internal/storage"
 	"luckystore/internal/types"
-	"luckystore/internal/workload"
 )
 
 // TestDeploymentSurface pins what every deployment kind exposes to the
@@ -58,11 +57,7 @@ func TestDeploymentSurface(t *testing.T) {
 			if got := d.Net() != nil; got != w.net {
 				t.Errorf("Net() non-nil = %v, want %v", got, w.net)
 			}
-			writers := 1
-			if mw, ok := d.(workload.MultiWriter); ok {
-				writers = mw.NumWriters()
-			}
-			if writers != w.writers {
+			if writers := d.NumWriters(); writers != w.writers {
 				t.Errorf("writer identities = %d, want %d", writers, w.writers)
 			}
 

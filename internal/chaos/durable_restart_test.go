@@ -28,7 +28,7 @@ func testFleetRebirthFromStorage(t *testing.T, kind string) {
 	for round := 1; round <= 2; round++ {
 		for _, k := range keys {
 			v := types.Value(fmt.Sprintf("v%d-%s", round, k))
-			if _, _, err := d.Write(k, v); err != nil {
+			if _, _, err := d.Write(0, k, v); err != nil {
 				t.Fatalf("write %s round %d: %v", k, round, err)
 			}
 		}
@@ -67,7 +67,7 @@ func testFleetRebirthFromStorage(t *testing.T, kind string) {
 	}
 	// The writer client never died, so its sequence numbers carry on
 	// above the recovered stamps: the reborn fleet must accept them.
-	if _, _, err := d.Write(keys[0], "post-rebirth"); err != nil {
+	if _, _, err := d.Write(0, keys[0], "post-rebirth"); err != nil {
 		t.Fatalf("post-rebirth write: %v", err)
 	}
 	got, _, err := d.Read(0, keys[0])

@@ -73,7 +73,7 @@ func runChaos(t *testing.T, seed int64) {
 		c.CrashServerAfterSteps(crashIdx, rng.Intn(40))
 	}
 
-	rec, err := workload.Mixed{Writes: 30, ReadsPerReader: 20}.RunDriver(workload.ClusterDriver{C: c})
+	rec, err := workload.Mixed{Writes: 30, ReadsPerReader: 20}.RunDriver(workload.Register(c.Deployment))
 	if err != nil {
 		t.Fatalf("seed %d: workload: %v", seed, err)
 	}

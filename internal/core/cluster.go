@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
@@ -11,26 +13,94 @@ import (
 	"luckystore/internal/wire"
 )
 
-// Cluster wires S server automata, WritersN() writers and NumReaders
-// readers over a network, owning every goroutine it starts. It is the
-// unit the examples, tests and experiments operate on. Its embedded
-// fleet carries the servers' fault hooks.
-type Cluster struct {
+// Deployment is the one simnet register deployment: S servers, writer
+// clients and reader clients over one network, owning every goroutine
+// it starts. W and R are the clients a protocol's deployment runs —
+// core's, a variant's, or raw endpoints for hand-scripted runs. Its
+// embedded fleet carries the servers' fault hooks.
+type Deployment[W, R any] struct {
 	*Servers
-	cfg     Config
 	sim     *simnet.Network // the network when it is a simnet
-	writers []*Writer
-	readers []*Reader
+	writers []W
+	readers []R
+}
+
+// Deploy starts s servers, server i made by server(i) — again on every
+// restart that needs fresh state — and writing through store's
+// backends when store is not nil; then writers writer and readers
+// reader clients, each made by newWriter or newReader from its process
+// id and endpoint. A nil net runs them on a new simnet built with
+// simOpts.
+func Deploy[W, R any](net transport.Network, simOpts []simnet.Option, s int, server func(i int) node.Automaton, store storage.Provider,
+	writers int, newWriter func(types.ProcID, transport.Endpoint) W,
+	readers int, newReader func(types.ProcID, transport.Endpoint) R) (*Deployment[W, R], error) {
+	ids := slices.Concat(types.ServerIDs(s), types.WriterIDs(writers), types.ReaderIDs(readers))
+	if net == nil {
+		sim, err := simnet.New(ids, simOpts...)
+		if err != nil {
+			return nil, fmt.Errorf("network: %w", err)
+		}
+		net = sim
+	}
+	d := &Deployment[W, R]{}
+	d.sim, _ = net.(*simnet.Network)
+	var err error
+	if d.Servers, err = NewServers(net, s, func(i int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return server(i), nil, nil
+	}, store, nil); err != nil {
+		return nil, err
+	}
+	for _, id := range ids[s:] {
+		ep, err := net.Endpoint(id)
+		if err != nil {
+			d.Close()
+			return nil, fmt.Errorf("client %s: %w", id, err)
+		}
+		if id.IsWriter() {
+			d.writers = append(d.writers, newWriter(id, ep))
+		} else {
+			d.readers = append(d.readers, newReader(id, ep))
+		}
+	}
+	return d, nil
+}
+
+// Writer returns the canonical writer client (writer 0): the only one
+// in single-writer deployments.
+func (d *Deployment[W, R]) Writer() W { return d.writers[0] }
+
+// WriterN returns the i-th writer client; NumWriters gives the count.
+func (d *Deployment[W, R]) WriterN(i int) W { return d.writers[i] }
+
+// NumWriters returns the number of writer clients.
+func (d *Deployment[W, R]) NumWriters() int { return len(d.writers) }
+
+// Reader returns the i-th reader client; NumReaders gives the count.
+func (d *Deployment[W, R]) Reader(i int) R { return d.readers[i] }
+
+// NumReaders returns the number of reader clients.
+func (d *Deployment[W, R]) NumReaders() int { return len(d.readers) }
+
+// Sim returns the underlying simulated network, or nil when the
+// deployment runs on another transport.
+func (d *Deployment[W, R]) Sim() *simnet.Network { return d.sim }
+
+// Cluster is the core protocol's deployment: S = 2t + b + 1 server
+// automata, Config.WritersN() writers and NumReaders readers. It is the
+// unit the examples, tests and experiments operate on.
+type Cluster struct {
+	*Deployment[*Writer, *Reader]
+	cfg Config
 }
 
 // ClusterOption configures a Cluster.
 type ClusterOption func(*clusterOpts)
 
 type clusterOpts struct {
-	net       transport.Network
-	automata  map[int]node.Automaton
-	dontStart map[int]bool
-	store     storage.Provider
+	net      transport.Network
+	automata map[int]node.Automaton
+	crashed  []int
+	store    storage.Provider
 }
 
 // WithNetwork runs the cluster over an externally built network; the
@@ -47,9 +117,9 @@ func WithServerAutomaton(i int, a node.Automaton) ClusterOption {
 }
 
 // WithCrashedServer starts the cluster with server i already crashed
-// (before any client exists): an initially crash-faulty server.
+// (before any client operation): an initially crash-faulty server.
 func WithCrashedServer(i int) ClusterOption {
-	return func(o *clusterOpts) { o.dontStart[i] = true }
+	return func(o *clusterOpts) { o.crashed = append(o.crashed, i) }
 }
 
 // WithStorage gives every server a durable backend from the provider
@@ -64,140 +134,39 @@ func WithStorage(p storage.Provider) ClusterOption {
 	return func(o *clusterOpts) { o.store = p }
 }
 
-// NewCluster builds and starts a cluster for cfg.
+// NewCluster builds and starts a cluster for cfg. An option naming a
+// server outside [0, S) is an error, not a no-op: a fault that never
+// lands would make the run it configures pass vacuously.
 func NewCluster(cfg Config, opts ...ClusterOption) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	o := &clusterOpts{
-		automata:  make(map[int]node.Automaton),
-		dontStart: make(map[int]bool),
-	}
+	o := &clusterOpts{automata: make(map[int]node.Automaton)}
 	for _, opt := range opts {
 		opt(o)
 	}
-
-	ids := make([]types.ProcID, 0, cfg.S()+cfg.NumReaders+cfg.WritersN())
-	ids = append(ids, types.ServerIDs(cfg.S())...)
-	ids = append(ids, types.WriterIDs(cfg.WritersN())...)
-	ids = append(ids, types.ReaderIDs(cfg.NumReaders)...)
-
-	net := o.net
-	if net == nil {
-		sim, err := simnet.New(ids)
-		if err != nil {
-			return nil, fmt.Errorf("cluster network: %w", err)
+	for _, i := range slices.Concat(slices.Collect(maps.Keys(o.automata)), o.crashed) {
+		if i < 0 || i >= cfg.S() {
+			return nil, fmt.Errorf("cluster: server %d out of range [0,%d)", i, cfg.S())
 		}
-		net = sim
 	}
-	srvs, err := NewServers(net, cfg.S(), func(i int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+	d, err := Deploy(o.net, nil, cfg.S(), func(i int) node.Automaton {
 		if a := o.automata[i]; a != nil {
 			delete(o.automata, i) // substituted once: a fresh restart installs a correct server
-			return a, nil, nil
+			return a
 		}
-		return NewServer(), nil, nil
-	}, o.store, nil)
+		return NewServer()
+	}, o.store,
+		cfg.WritersN(), func(id types.ProcID, ep transport.Endpoint) *Writer { return NewWriter(cfg, id, ep) },
+		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *Reader { return NewReader(cfg, id, ep) })
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	c := &Cluster{Servers: srvs, cfg: cfg}
-	c.sim, _ = net.(*simnet.Network)
-	for i := range o.dontStart {
-		if i >= 0 && i < cfg.S() {
-			c.CrashServer(i)
-		}
+	for _, i := range o.crashed {
+		d.CrashServer(i)
 	}
-
-	for i := 0; i < cfg.WritersN(); i++ {
-		wid := types.WriterIDN(i)
-		wep, err := net.Endpoint(wid)
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("cluster writer %s: %w", wid, err)
-		}
-		c.writers = append(c.writers, NewWriter(cfg, wid, wep))
-	}
-
-	for i := 0; i < cfg.NumReaders; i++ {
-		rep, err := net.Endpoint(types.ReaderID(i))
-		if err != nil {
-			c.Close()
-			return nil, fmt.Errorf("cluster reader %d: %w", i, err)
-		}
-		c.readers = append(c.readers, NewReader(cfg, types.ReaderID(i), rep))
-	}
-	return c, nil
+	return &Cluster{d, cfg}, nil
 }
 
 // Config returns the cluster's configuration.
 func (c *Cluster) Config() Config { return c.cfg }
-
-// Writer returns the canonical writer client (writer 0): the only one
-// in single-writer deployments.
-func (c *Cluster) Writer() *Writer { return c.writers[0] }
-
-// WriterN returns the i-th writer client; NumWriters gives the count.
-func (c *Cluster) WriterN(i int) *Writer { return c.writers[i] }
-
-// NumWriters returns the number of writer clients the cluster runs.
-func (c *Cluster) NumWriters() int { return len(c.writers) }
-
-// Reader returns the i-th reader client.
-func (c *Cluster) Reader(i int) *Reader { return c.readers[i] }
-
-// Sim returns the underlying simulated network, or nil when the
-// cluster runs on another transport.
-func (c *Cluster) Sim() *simnet.Network { return c.sim }
-
-// VariantCluster is a single-writer protocol variant's deployment over a
-// simulated network: S servers, its writer client and its readers. Its
-// embedded fleet carries the servers' fault hooks.
-type VariantCluster[W, R any] struct {
-	*Servers
-	sim     *simnet.Network
-	writer  W
-	readers []R
-}
-
-// NewVariantCluster starts s servers made by mk — writing through
-// store's backends, when store is not nil — and readers reader clients
-// and a writer client on a new simnet, each client made from its
-// endpoint by newWriter or newReader(i, ep).
-func NewVariantCluster[W, R any](s, readers int, mk func() node.Automaton, store storage.Provider, simOpts []simnet.Option,
-	newWriter func(ep transport.Endpoint) W, newReader func(i int, ep transport.Endpoint) R) (*VariantCluster[W, R], error) {
-	ids := append(types.ServerIDs(s), types.WriterID())
-	sim, err := simnet.New(append(ids, types.ReaderIDs(readers)...), simOpts...)
-	if err != nil {
-		return nil, err
-	}
-	c := &VariantCluster[W, R]{sim: sim}
-	if c.Servers, err = NewServers(sim, s, func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
-		return mk(), nil, nil
-	}, store, nil); err != nil {
-		return nil, err
-	}
-	wep, err := sim.Endpoint(types.WriterID())
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.writer = newWriter(wep)
-	for i := 0; i < readers; i++ {
-		rep, err := sim.Endpoint(types.ReaderID(i))
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-		c.readers = append(c.readers, newReader(i, rep))
-	}
-	return c, nil
-}
-
-// Writer returns the writer client.
-func (c *VariantCluster[W, R]) Writer() W { return c.writer }
-
-// Reader returns the i-th reader client.
-func (c *VariantCluster[W, R]) Reader(i int) R { return c.readers[i] }
-
-// Sim returns the underlying simulated network.
-func (c *VariantCluster[W, R]) Sim() *simnet.Network { return c.sim }

@@ -163,6 +163,10 @@ func (r *Round) Acked(i int) bool { return r.seen[i] }
 // Acks returns the number of servers whose ack of the round counted.
 func (r *Round) Acks() int { return r.acks }
 
+// Rounds returns the rounds opened since Begin: once the operation
+// completes, the round-trips it ran.
+func (r *Round) Rounds() int { return r.n }
+
 // Decided reports whether the round may end: all S acks, or S − t once
 // the timer gave its verdict (at once if the round is untimed); or the
 // operation failed.

@@ -125,7 +125,7 @@ func E3SlowPaths() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec, err := workload.Mixed{Writes: 40, ReadsPerReader: 25}.RunDriver(workload.ClusterDriver{C: c})
+		rec, err := workload.Mixed{Writes: 40, ReadsPerReader: 25}.RunDriver(workload.Register(c.Deployment))
 		c.Close()
 		if err != nil {
 			return nil, err

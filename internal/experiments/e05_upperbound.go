@@ -65,19 +65,14 @@ func E5UpperBound() (*Result, error) {
 	// fast read (this is what forces weak thresholds on any such
 	// implementation).
 	{
-		mc, err := newManualCluster(coreServers(s), 2)
+		mc, err := newRawCluster(coreServers(s), 2)
 		if err != nil {
 			return nil, err
 		}
 		// Fw's PW stays in transit (run r1/r1′): the writer's fast write
 		// completes on the other five.
-		mc.sim.Hold(types.WriterID(), fw)
-		wep, err := mc.sim.Endpoint(types.WriterID())
-		if err != nil {
-			mc.Close()
-			return nil, err
-		}
-		writer := core.NewWriter(core.Config{T: t, B: b, Fw: 1, RoundTimeout: expRoundTimeout, OpTimeout: expOpTimeout}, types.WriterID(), wep)
+		mc.Sim().Hold(types.WriterID(), fw)
+		writer := core.NewWriter(core.Config{T: t, B: b, Fw: 1, RoundTimeout: expRoundTimeout, OpTimeout: expOpTimeout}, types.WriterID(), mc.Writer())
 		if err := writer.Write(workload.Value(1, 0)); err != nil {
 			mc.Close()
 			return nil, err
@@ -88,12 +83,7 @@ func E5UpperBound() (*Result, error) {
 		}
 		// Fr crashes at t1 (run r2): one actual failure during the read.
 		mc.CrashServer(fr.Index())
-		rep, err := mc.sim.Endpoint(types.ReaderID(0))
-		if err != nil {
-			mc.Close()
-			return nil, err
-		}
-		m, err := weakRead(rep, s, weakTh, 1, expRoundTimeout, expOpTimeout)
+		m, err := weakRead(mc.Reader(0), s, weakTh, 1, expRoundTimeout, expOpTimeout)
 		if err != nil {
 			mc.Close()
 			return nil, err
@@ -109,19 +99,14 @@ func E5UpperBound() (*Result, error) {
 	runR5 := func(readerKind string) (weakReadMeta, error) {
 		automata := coreServers(s)
 		automata[b1.Index()] = node.Automaton(fault.ForgeHighTS(forged.TS, forged.Val))
-		mc, err := newManualCluster(automata, 2)
+		mc, err := newRawCluster(automata, 2)
 		if err != nil {
 			return weakReadMeta{}, err
 		}
 		defer mc.Close()
 		// T1's messages to the reader are delayed (asynchrony).
-		rid := types.ReaderID(0)
 		for _, sid := range t1 {
-			mc.sim.Hold(sid, rid)
-		}
-		rep, err := mc.sim.Endpoint(rid)
-		if err != nil {
-			return weakReadMeta{}, err
+			mc.Sim().Hold(sid, types.ReaderID(0))
 		}
 		th := weakTh
 		if readerKind == "paper" {
@@ -131,9 +116,9 @@ func E5UpperBound() (*Result, error) {
 		// heal the network shortly after so it can terminate.
 		var wait func()
 		if readerKind == "paper" {
-			wait = releaseAfter(mc.sim, 50*time.Millisecond)
+			wait = releaseAfter(mc.Sim(), 50*time.Millisecond)
 		}
-		m, err := weakRead(rep, s, th, 1, expRoundTimeout, expOpTimeout)
+		m, err := weakRead(mc.Reader(0), s, th, 1, expRoundTimeout, expOpTimeout)
 		if wait != nil {
 			wait()
 		}

@@ -60,19 +60,19 @@ func E7WriteBound() (*Result, error) {
 
 	// buildRun assembles the schedule common to r3/r4: B2 split-brain
 	// denying to readers, T1 crashed, Fw's writer links held.
-	buildRun := func(forgeB1 bool) (*manualCluster, error) {
+	buildRun := func(forgeB1 bool) (*rawCluster, error) {
 		automata := coreServers(s)
 		if forgeB1 {
 			automata[b1.Index()] = node.Automaton(fault.ForgeHighTS(v1.TS, v1.Val))
 		}
 		realB2 := core.NewServer()
 		automata[b2.Index()] = node.Automaton(fault.NewSplitBrain(realB2, fault.StaleBottom(), types.WriterID()))
-		mc, err := newManualCluster(automata, 1)
+		mc, err := newRawCluster(automata, 1)
 		if err != nil {
 			return nil, err
 		}
 		for _, sid := range fw {
-			mc.sim.Hold(types.WriterID(), sid)
+			mc.Sim().Hold(types.WriterID(), sid)
 		}
 		return mc, nil
 	}
@@ -84,13 +84,8 @@ func E7WriteBound() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		wep, err := mc.sim.Endpoint(types.WriterID())
-		if err != nil {
-			mc.Close()
-			return nil, err
-		}
 		start := time.Now()
-		if err := overEagerWrite(wep, s, s-fwN, v1.TS, v1.Val, expOpTimeout); err != nil {
+		if err := overEagerWrite(mc.Writer(), s, s-fwN, v1.TS, v1.Val, expOpTimeout); err != nil {
 			mc.Close()
 			return nil, err
 		}
@@ -99,15 +94,10 @@ func E7WriteBound() (*Result, error) {
 
 		// T1's replies to the reader stay in transit (asynchrony, not a
 		// crash: B2 alone uses the Byzantine budget b=1).
-		rid := types.ReaderID(0)
 		for _, sid := range t1 {
-			mc.sim.Hold(sid, rid)
+			mc.Sim().Hold(sid, types.ReaderID(0))
 		}
-		rep, err := mc.sim.Endpoint(rid)
-		if err != nil {
-			mc.Close()
-			return nil, err
-		}
+		rep := mc.Reader(0)
 		// Sound thresholds: the evidence (1 × v1, 3 × ⊥) cannot make v1
 		// safe, so the reader returns ⊥ — an older value than the
 		// "completed" wr1. The over-eager implementation is not safe.
@@ -138,16 +128,10 @@ func E7WriteBound() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		rid := types.ReaderID(0)
 		for _, sid := range t1 {
-			mc.sim.Hold(sid, rid)
+			mc.Sim().Hold(sid, types.ReaderID(0))
 		}
-		rep, err := mc.sim.Endpoint(rid)
-		if err != nil {
-			mc.Close()
-			return nil, err
-		}
-		m, err := weakRead(rep, s, weakTh, 1, expRoundTimeout, expOpTimeout)
+		m, err := weakRead(mc.Reader(0), s, weakTh, 1, expRoundTimeout, expOpTimeout)
 		mc.Close()
 		if err != nil {
 			return nil, err

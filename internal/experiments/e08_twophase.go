@@ -18,7 +18,8 @@ import (
 //
 //   - Sufficiency: the two-phase variant (internal/twophase) at exactly
 //     that S delivers 2-round writes and 1-round lucky reads despite fr
-//     crashes, across several (t, b, fr) points.
+//     crashes, across several (t, b, fr) points; both counts are the
+//     rounds the clients opened.
 //   - Necessity: on one server fewer, the Figure 5 forged-state
 //     schedule makes a reader with the forced (weakened) thresholds
 //     return a never-written value; the sound thresholds instead starve
@@ -41,22 +42,23 @@ func E8TwoPhase() (*Result, error) {
 		for i := 0; i < p.fr; i++ {
 			c.CrashServer(i)
 		}
-		if err := c.Writer().Write(workload.Value(1, 0)); err != nil {
+		d := workload.Register(c.Deployment)
+		_, w, err := d.Write(0, "", workload.Value(1, 0))
+		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("twophase t=%d b=%d fr=%d write: %w", p.t, p.b, p.fr, err)
 		}
-		if _, err := c.Reader(0).Read(); err != nil {
-			c.Close()
+		_, r, err := d.Read(0, "")
+		c.Close()
+		if err != nil {
 			return nil, fmt.Errorf("twophase t=%d b=%d fr=%d read: %w", p.t, p.b, p.fr, err)
 		}
-		m := c.Reader(0).LastMeta()
-		c.Close()
-		ok := c.Writer().Rounds() == 2 && m.Fast()
+		ok := w.Rounds == 2 && r.Fast
 		if !ok {
 			pass = false
 		}
 		suff.AddRow(Itoa(p.t), Itoa(p.b), Itoa(p.fr), Itoa(cfg.S()),
-			Itoa(c.Writer().Rounds()), Bool(m.Fast()), Bool(ok))
+			Itoa(w.Rounds), Bool(r.Fast), Bool(ok))
 	}
 
 	// ---- Necessity (Proposition 5, Figure 5): t=2, b=1, fr=1 on
@@ -76,14 +78,13 @@ func E8TwoPhase() (*Result, error) {
 			automata[i] = twophase.NewServer()
 		}
 		automata[5] = node.Automaton(fault.ForgeHighTS(forged.TS, forged.Val)) // FB forges σ1
-		mc, err := newManualCluster(automata, 1)
+		mc, err := newRawCluster(automata, 1)
 		if err != nil {
 			return weakReadMeta{}, err
 		}
 		defer mc.Close()
-		rid := types.ReaderID(0)
 		for _, sid := range t2 {
-			mc.sim.Hold(sid, rid)
+			mc.Sim().Hold(sid, types.ReaderID(0))
 		}
 		// Thresholds on the undersized deployment: quorum S'−t = 4.
 		th := core.Thresholds{S: undersized, Quorum: undersized - 2, Safe: 2,
@@ -92,15 +93,11 @@ func E8TwoPhase() (*Result, error) {
 			th.Safe = 1 // the acceptance forced by fast reads on S' servers
 			th.FastVW = 1
 		}
-		rep, err := mc.sim.Endpoint(rid)
-		if err != nil {
-			return weakReadMeta{}, err
-		}
 		var wait func()
 		if !weak {
-			wait = releaseAfter(mc.sim, 50*time.Millisecond)
+			wait = releaseAfter(mc.Sim(), 50*time.Millisecond)
 		}
-		m, err := weakRead(rep, undersized, th, 1, expRoundTimeout, expOpTimeout)
+		m, err := weakRead(mc.Reader(0), undersized, th, 1, expRoundTimeout, expOpTimeout)
 		if wait != nil {
 			wait()
 		}

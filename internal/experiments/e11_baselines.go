@@ -21,7 +21,8 @@ import (
 // rounds per write for its bounded worst case. Latencies are measured
 // on a network with a 1 ms one-way link delay so that round-trips
 // dominate; the ratio column is the measured mean latency normalised
-// to the lucky READ's.
+// to the lucky READ's. Every protocol runs through the one register
+// driver, and the round columns are the rounds its clients opened.
 func E11Baselines() (*Result, error) {
 	const (
 		linkDelay = raceDelayFactor * time.Millisecond
@@ -33,108 +34,91 @@ func E11Baselines() (*Result, error) {
 		"protocol", "S", "write-rounds", "read-rounds", "write-mean", "read-mean", "read-ratio-vs-lucky", "ok")
 	pass := true
 
-	type row struct {
+	delay := simnet.WithDefaultDelay(linkDelay)
+	lucky := core.Config{T: 2, B: 1, Fw: 1, NumReaders: 1, RoundTimeout: roundTO, OpTimeout: expOpTimeout}
+	reg := regular.Config{T: 2, B: 1, NumReaders: 1, RoundTimeout: roundTO, OpTimeout: expOpTimeout}
+	tp := twophase.Config{T: 2, B: 1, Fr: 1, NumReaders: 1, RoundTimeout: roundTO, OpTimeout: expOpTimeout}
+	ab := abd.Config{T: 2, NumReaders: 1, OpTimeout: expOpTimeout}
+	// Each protocol's deployment, its driver and its Close.
+	protocols := []struct {
 		name                   string
 		s                      int
-		wRounds, rRounds       int
 		wantWRounds, wantRRnds int
-		wMean, rMean           time.Duration
-	}
-	var rows []row
-
-	// ---- Lucky (core), fw=1: both ops 1 round.
-	{
-		cfg := core.Config{T: 2, B: 1, Fw: 1, NumReaders: 1, RoundTimeout: roundTO, OpTimeout: expOpTimeout}
-		ids := append(types.ServerIDs(cfg.S()), types.WriterID(), types.ReaderID(0))
-		sim, err := simnet.New(ids, simnet.WithDefaultDelay(linkDelay))
-		if err != nil {
-			return nil, err
-		}
-		c, err := core.NewCluster(cfg, core.WithNetwork(sim))
-		if err != nil {
-			return nil, err
-		}
-		wMean, rMean, wR, rR, err := e11Drive(nOps,
-			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() error { _, err := c.Reader(0).Read(); return err },
-			func() int { return c.Writer().LastMeta().Rounds }, func() int { return c.Reader(0).LastMeta().Rounds() })
-		c.Close()
-		if err != nil {
-			return nil, fmt.Errorf("lucky: %w", err)
-		}
-		rows = append(rows, row{"lucky (fw=1)", cfg.S(), wR, rR, 1, 1, wMean, rMean})
-	}
-
-	// ---- Regular variant: both 1 round at maximal thresholds.
-	{
-		cfg := regular.Config{T: 2, B: 1, NumReaders: 1, RoundTimeout: roundTO, OpTimeout: expOpTimeout}
-		c, err := regular.NewCluster(cfg, simnet.WithDefaultDelay(linkDelay))
-		if err != nil {
-			return nil, err
-		}
-		wMean, rMean, wR, rR, err := e11Drive(nOps,
-			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() error { _, err := c.Reader(0).Read(); return err },
-			func() int { return c.Writer().LastMeta().Rounds }, func() int { return c.Reader(0).LastMeta().Rounds() })
-		c.Close()
-		if err != nil {
-			return nil, fmt.Errorf("regular: %w", err)
-		}
-		rows = append(rows, row{"regular (App. D)", cfg.S(), wR, rR, 1, 1, wMean, rMean})
+		open                   func() (workload.Driver, func(), error)
+	}{
+		// Lucky (core), fw=1: both ops 1 round.
+		{"lucky (fw=1)", lucky.S(), 1, 1, func() (workload.Driver, func(), error) {
+			sim, err := simnet.New(append(types.ServerIDs(lucky.S()), types.WriterID(), types.ReaderID(0)), delay)
+			if err != nil {
+				return nil, nil, err
+			}
+			c, err := core.NewCluster(lucky, core.WithNetwork(sim))
+			if err != nil {
+				return nil, nil, err
+			}
+			return workload.Register(c.Deployment), c.Close, nil
+		}},
+		// Regular variant: both 1 round at maximal thresholds.
+		{"regular (App. D)", reg.S(), 1, 1, func() (workload.Driver, func(), error) {
+			c, err := regular.NewCluster(reg, delay)
+			if err != nil {
+				return nil, nil, err
+			}
+			return workload.Register(c.Deployment), c.Close, nil
+		}},
+		// Two-phase variant: writes always 2 rounds, reads 1.
+		{"two-phase (App. C)", tp.S(), 2, 1, func() (workload.Driver, func(), error) {
+			c, err := twophase.NewCluster(tp, delay)
+			if err != nil {
+				return nil, nil, err
+			}
+			return workload.Register(c.Deployment), c.Close, nil
+		}},
+		// ABD baseline: writes 1 round, reads always 2.
+		{"ABD (crash-only, b=0)", ab.S(), 1, 2, func() (workload.Driver, func(), error) {
+			c, err := abd.NewCluster(ab, delay)
+			if err != nil {
+				return nil, nil, err
+			}
+			return workload.Register(c.Deployment), c.Close, nil
+		}},
 	}
 
-	// ---- Two-phase variant: writes always 2 rounds, reads 1.
-	{
-		cfg := twophase.Config{T: 2, B: 1, Fr: 1, NumReaders: 1, RoundTimeout: roundTO, OpTimeout: expOpTimeout}
-		c, err := twophase.NewCluster(cfg, simnet.WithDefaultDelay(linkDelay))
-		if err != nil {
-			return nil, err
-		}
-		wMean, rMean, wR, rR, err := e11Drive(nOps,
-			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() error { _, err := c.Reader(0).Read(); return err },
-			func() int { return 2 }, func() int { return c.Reader(0).LastMeta().Rounds() })
-		c.Close()
-		if err != nil {
-			return nil, fmt.Errorf("twophase: %w", err)
-		}
-		rows = append(rows, row{"two-phase (App. C)", cfg.S(), wR, rR, 2, 1, wMean, rMean})
+	type measured struct {
+		wMean, rMean     time.Duration
+		wRounds, rRounds int
 	}
-
-	// ---- ABD baseline: writes 1 round, reads always 2.
-	{
-		cfg := abd.Config{T: 2, NumReaders: 1, OpTimeout: expOpTimeout}
-		c, err := abd.NewCluster(cfg, simnet.WithDefaultDelay(linkDelay))
+	rows := make([]measured, len(protocols))
+	for i, p := range protocols {
+		d, closeFn, err := p.open()
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
-		wMean, rMean, wR, rR, err := e11Drive(nOps,
-			func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() error { _, err := c.Reader(0).Read(); return err },
-			func() int { return 1 }, func() int { return 2 })
-		c.Close()
+		m := &rows[i]
+		m.wMean, m.rMean, m.wRounds, m.rRounds, err = e11Drive(nOps, d)
+		closeFn()
 		if err != nil {
-			return nil, fmt.Errorf("abd: %w", err)
+			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
-		rows = append(rows, row{"ABD (crash-only, b=0)", cfg.S(), wR, rR, 1, 2, wMean, rMean})
 	}
 
 	luckyRead := rows[0].rMean
-	for _, r := range rows {
+	for i, p := range protocols {
+		r := rows[i]
 		ratio := float64(r.rMean) / float64(luckyRead)
-		ok := r.wRounds == r.wantWRounds && r.rRounds == r.wantRRnds
-		// The two-round ABD read must cost measurably more wall-clock
-		// than the one-round lucky read. The theoretical gap is one full
+		ok := r.wRounds == p.wantWRounds && r.rRounds == p.wantRRnds
+		// A two-round read must cost measurably more wall-clock than
+		// the one-round lucky read. The theoretical gap is one full
 		// round-trip (2 × linkDelay); requiring half of it keeps the
 		// check robust to scheduler noise when the suite runs in
 		// parallel.
-		if r.name == "ABD (crash-only, b=0)" {
+		if p.wantRRnds == 2 {
 			ok = ok && r.rMean >= luckyRead+linkDelay
 		}
 		if !ok {
 			pass = false
 		}
-		table.AddRow(r.name, Itoa(r.s), Itoa(r.wRounds), Itoa(r.rRounds),
+		table.AddRow(p.name, Itoa(p.s), Itoa(r.wRounds), Itoa(r.rRounds),
 			r.wMean.Round(10*time.Microsecond).String(), r.rMean.Round(10*time.Microsecond).String(),
 			fmt.Sprintf("%.2f", ratio), Bool(ok))
 	}
@@ -148,25 +132,25 @@ func E11Baselines() (*Result, error) {
 	}, nil
 }
 
-// e11Drive alternates writes and reads, returning mean latencies and
-// the (stable) round counts observed.
-func e11Drive(n int, write func(i int) error, read func() error,
-	writeRounds, readRounds func() int) (wMean, rMean time.Duration, wR, rR int, err error) {
-
+// e11Drive alternates writes and reads through d, returning mean
+// latencies and the round counts the clients reported for the last
+// pair (stable across the run).
+func e11Drive(n int, d workload.Driver) (wMean, rMean time.Duration, wR, rR int, err error) {
 	for i := 1; i <= n; i++ {
 		start := time.Now()
-		if err := write(i); err != nil {
+		_, w, err := d.Write(0, "", workload.Value(i, 0))
+		if err != nil {
 			return 0, 0, 0, 0, err
 		}
 		wMean += time.Since(start)
-		wR = writeRounds()
 
 		start = time.Now()
-		if err := read(); err != nil {
+		_, r, err := d.Read(0, "")
+		if err != nil {
 			return 0, 0, 0, 0, err
 		}
 		rMean += time.Since(start)
-		rR = readRounds()
+		wR, rR = w.Rounds, r.Rounds
 	}
 	return wMean / time.Duration(n), rMean / time.Duration(n), wR, rR, nil
 }

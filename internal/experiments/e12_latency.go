@@ -39,8 +39,7 @@ func E12Latency() (*Result, error) {
 		}
 
 		before := sim.StatsSnapshot()
-		wMean, rMean, _, _, err := e11Drive(nOps, func(i int) error { return c.Writer().Write(workload.Value(i, 0)) },
-			func() error { _, err := c.Reader(0).Read(); return err }, func() int { return 0 }, func() int { return 0 })
+		wMean, rMean, _, _, err := e11Drive(nOps, workload.Register(c.Deployment))
 		after := sim.StatsSnapshot()
 		c.Close()
 		if err != nil {

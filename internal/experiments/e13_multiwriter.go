@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"luckystore/internal/core"
-	"luckystore/internal/simnet"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 	"luckystore/internal/workload"
@@ -31,16 +30,11 @@ func E13MultiWriter() (*Result, error) {
 		// the adaptive speculative path against this baseline.
 		cfg := core.Config{T: 2, B: 1, Fw: 1, NumReaders: 1, Writers: writers, NoSpec: true,
 			RoundTimeout: expRoundTimeout, OpTimeout: expOpTimeout}
-		ids := append(types.ServerIDs(cfg.S()), types.WriterIDs(cfg.WritersN())...)
-		ids = append(ids, types.ReaderID(0))
-		sim, err := simnet.New(ids)
+		c, err := core.NewCluster(cfg)
 		if err != nil {
 			return nil, err
 		}
-		c, err := core.NewCluster(cfg, core.WithNetwork(sim))
-		if err != nil {
-			return nil, err
-		}
+		sim := c.Sim()
 
 		wantRounds := 1
 		if writers > 1 {

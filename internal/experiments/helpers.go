@@ -21,31 +21,17 @@ const expRoundTimeout = 15 * time.Millisecond
 // deliberately block rely on it.
 const expOpTimeout = 5 * time.Second
 
-// manualCluster assembles servers over a simnet without the config
-// validation of core.NewCluster — the escape hatch the upper-bound
-// experiments use to build deliberately misconfigured or undersized
-// deployments.
-type manualCluster struct {
-	*core.Servers
-	sim *simnet.Network
-}
+// rawCluster is a deployment whose clients are raw endpoints: the
+// upper-bound experiments script their clients by hand over
+// deliberately misconfigured or undersized server sets.
+type rawCluster = core.Deployment[transport.Endpoint, transport.Endpoint]
 
-// newManualCluster starts the given automata as servers s0..s(n-1) and
-// registers one writer and nReaders reader endpoints.
-func newManualCluster(automata []node.Automaton, nReaders int) (*manualCluster, error) {
-	ids := append(types.ServerIDs(len(automata)), types.WriterID())
-	ids = append(ids, types.ReaderIDs(nReaders)...)
-	sim, err := simnet.New(ids)
-	if err != nil {
-		return nil, err
-	}
-	srvs, err := core.NewServers(sim, len(automata), func(i int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
-		return automata[i], nil, nil
-	}, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return &manualCluster{srvs, sim}, nil
+// newRawCluster starts the given automata as servers s0..s(n-1), with
+// one writer and nReaders reader endpoints.
+func newRawCluster(automata []node.Automaton, nReaders int) (*rawCluster, error) {
+	endpoint := func(_ types.ProcID, ep transport.Endpoint) transport.Endpoint { return ep }
+	return core.Deploy(nil, nil, len(automata), func(i int) node.Automaton { return automata[i] }, nil,
+		1, endpoint, nReaders, endpoint)
 }
 
 // coreServers returns n fresh core.Server automata.

@@ -285,7 +285,7 @@ func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, e
 
 // Cluster wires a regular-variant deployment over a simulated network.
 type Cluster struct {
-	*core.VariantCluster[*Writer, *Reader]
+	*core.Deployment[*Writer, *Reader]
 	cfg Config
 }
 
@@ -303,9 +303,9 @@ func NewDurableCluster(cfg Config, p storage.Provider, simOpts ...simnet.Option)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := core.NewVariantCluster(cfg.S(), cfg.NumReaders, func() node.Automaton { return core.NewRegularServer() }, p, simOpts,
-		func(ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
-		func(i int, ep transport.Endpoint) *Reader { return NewReader(cfg, types.ReaderID(i), ep) })
+	c, err := core.Deploy(nil, simOpts, cfg.S(), func(int) node.Automaton { return core.NewRegularServer() }, p,
+		1, func(_ types.ProcID, ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
+		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *Reader { return NewReader(cfg, id, ep) })
 	if err != nil {
 		return nil, fmt.Errorf("regular: %w", err)
 	}

@@ -212,13 +212,14 @@ func update(local *types.Tagged, c types.Tagged) {
 // the PW round, replies go in by Deliver until a quorum has answered,
 // and Advance emits the W round, then completes.
 type Writer struct {
-	cfg   Config
-	ep    transport.Endpoint
-	drv   drive.Private
-	rnd   drive.Round
-	ts    types.TS
-	pw, w types.Tagged
-	fz    drive.Freezer
+	cfg      Config
+	ep       transport.Endpoint
+	drv      drive.Private
+	rnd      drive.Round
+	ts       types.TS
+	pw, w    types.Tagged
+	fz       drive.Freezer
+	lastMeta core.WriteMeta
 
 	// the WRITE in flight
 	inW  bool         // the W round is, not the PW round
@@ -234,9 +235,12 @@ func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
 	}
 }
 
-// Rounds reports the (constant) round-trip complexity of a WRITE in
-// this variant.
-func (w *Writer) Rounds() int { return 2 }
+// LastMeta returns metadata about the most recent completed WRITE: the
+// stamp it bound and the rounds it ran. It is never fast.
+func (w *Writer) LastMeta() core.WriteMeta { return w.lastMeta }
+
+// Rounds reports the round-trips the most recent completed WRITE ran.
+func (w *Writer) Rounds() int { return w.lastMeta.Rounds }
 
 // Write stores v in exactly two communication round-trips.
 func (w *Writer) Write(v types.Value) error {
@@ -293,6 +297,7 @@ func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, e
 	case w.rnd.Err() != nil:
 		return false, w.rnd.Err()
 	case w.inW:
+		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: w.rnd.Rounds()}
 		return true, nil
 	}
 	frozen := w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
@@ -439,7 +444,7 @@ func (r *Reader) complete(wroteBack bool) (bool, error) {
 
 // Cluster wires a two-phase deployment over a simulated network.
 type Cluster struct {
-	*core.VariantCluster[*Writer, *Reader]
+	*core.Deployment[*Writer, *Reader]
 	cfg Config
 }
 
@@ -448,9 +453,9 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c, err := core.NewVariantCluster(cfg.S(), cfg.NumReaders, func() node.Automaton { return NewServer() }, nil, simOpts,
-		func(ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
-		func(i int, ep transport.Endpoint) *Reader { return NewReader(cfg, types.ReaderID(i), ep) })
+	c, err := core.Deploy(nil, simOpts, cfg.S(), func(int) node.Automaton { return NewServer() }, nil,
+		1, func(_ types.ProcID, ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
+		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *Reader { return NewReader(cfg, id, ep) })
 	if err != nil {
 		return nil, err
 	}

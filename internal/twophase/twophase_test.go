@@ -1,14 +1,13 @@
 package twophase
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"time"
 
 	"luckystore/internal/checker"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
+	"luckystore/internal/workload"
 )
 
 func testConfig() Config {
@@ -170,48 +169,15 @@ func TestAtomicityUnderConcurrency(t *testing.T) {
 	cfg := testConfig()
 	cfg.RoundTimeout = 5 * time.Millisecond
 	c := newTestCluster(t, cfg)
-	rec := checker.NewRecorder()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 1; i <= 40; i++ {
-			v := types.Value(fmt.Sprintf("v%d", i))
-			inv := time.Now()
-			if err := c.Writer().Write(v); err != nil {
-				t.Errorf("write: %v", err)
-				return
-			}
-			rec.Add(checker.Op{
-				Client: types.WriterID(), Kind: checker.KindWrite,
-				Value:  types.Tagged{TS: types.TS(i), Val: v},
-				Invoke: inv, Return: time.Now(), Rounds: 2,
-			})
-		}
-	}()
-	for r := 0; r < cfg.NumReaders; r++ {
-		r := r
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 25; i++ {
-				inv := time.Now()
-				got, err := c.Reader(r).Read()
-				if err != nil {
-					t.Errorf("read: %v", err)
-					return
-				}
-				m := c.Reader(r).LastMeta()
-				rec.Add(checker.Op{
-					Client: types.ReaderID(r), Kind: checker.KindRead,
-					Value: got, Invoke: inv, Return: time.Now(), Rounds: m.Rounds(),
-				})
-			}
-		}()
+	rec, err := workload.Mixed{Writes: 40, ReadsPerReader: 25}.RunDriver(workload.Register(c.Deployment))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
 	for _, v := range checker.CheckAtomicity(rec.Ops()) {
 		t.Errorf("atomicity violation: %v", v)
+	}
+	if writes, _ := workload.RoundStats(rec.Ops()); writes[2] != 40 {
+		t.Errorf("counted write rounds %v, want 40 two-round writes", writes)
 	}
 }
 

@@ -25,10 +25,9 @@ type Continuous struct {
 	// driver) collapses to the one unnamed register.
 	Keys []string
 	// Writers is how many writer identities contend on every key. Zero
-	// or one keeps the classic SWMR shape. Higher values require a
-	// driver implementing MultiWriter and are capped at its
-	// NumWriters(); a driver with a single identity fails the run
-	// with ErrMWUnsupported before any operation starts.
+	// or one keeps the classic SWMR shape. Higher values are capped at
+	// the driver's NumWriters(); a driver with a single identity fails
+	// the run with ErrMWUnsupported before any operation starts.
 	Writers int
 	// ValueSize pads written values (0 keeps the short form).
 	ValueSize int

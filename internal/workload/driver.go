@@ -2,27 +2,27 @@ package workload
 
 // The Driver interface decouples workload generation from the
 // deployment it runs against: the same operation mix (and the same
-// chaos schedule) drives the core simnet cluster, the sharded KV
-// engine, the loopback-TCP KV deployment, and the protocol variants.
+// chaos schedule) drives a single-register deployment — the core
+// cluster or a protocol variant, through Register — the sharded KV
+// engine, the loopback-TCP KV deployment and a routed fleet.
 //
-// The contract mirrors the model: one writer (per key — SWMR), a fixed
-// set of reader clients, and per-operation metadata for round-trip
-// accounting. A Driver's Write for one key must not be called
-// concurrently with itself, and Read must not be called concurrently
-// for the same reader index; the workloads in this package respect
-// both by construction (one goroutine per writer key, one per reader).
-//
-// Deployments configured with multiple writer identities additionally
-// implement MultiWriter: WriteAs(w, …) routes a write through writer w,
-// and distinct w values MAY be called concurrently — even on the same
-// key. Contending writes bind totally ordered ⟨seq, writer⟩ stamps.
+// The contract mirrors the model: NumWriters writer identities, a
+// fixed set of reader clients, and per-operation metadata for
+// round-trip accounting. Write(w, …) must not be called concurrently
+// for the same writer and key, and Read must not be called
+// concurrently for the same reader index; the workloads in this
+// package respect both by construction (one goroutine per writer and
+// key, one per reader). Distinct writers MAY write concurrently, even
+// on the same key: contending writes bind totally ordered ⟨seq,
+// writer⟩ stamps. A client index outside the deployment's range is an
+// error naming it, never a panic.
 
 import (
+	"fmt"
+
 	"luckystore/internal/core"
 	"luckystore/internal/kv"
-	"luckystore/internal/regular"
 	"luckystore/internal/router"
-	"luckystore/internal/twophase"
 	"luckystore/internal/types"
 )
 
@@ -50,71 +50,97 @@ type OpMeta struct {
 type Driver interface {
 	// NumReaders reports how many reader clients the deployment has.
 	NumReaders() int
+	// NumWriters reports how many writer identities the deployment has.
+	NumWriters() int
 	// MultiKey reports whether the deployment exposes independent
 	// registers by key. Single-register drivers ignore the key
 	// arguments, and workloads collapse the key set to {""} for them.
 	MultiKey() bool
-	// Write stores v under key through the deployment's writer and
-	// returns the 〈stamp, value〉 pair the write bound. On error the
-	// pair is unspecified and recorded with a zero stamp.
-	Write(key string, v types.Value) (types.Tagged, OpMeta, error)
+	// Write stores v under key through writer w and returns the
+	// 〈stamp, value〉 pair the write bound. On error the pair is
+	// unspecified and recorded with a zero stamp.
+	Write(w int, key string, v types.Value) (types.Tagged, OpMeta, error)
 	// Read reads key through reader client r.
 	Read(r int, key string) (types.Tagged, OpMeta, error)
 }
 
-// MultiWriter is the optional capability of deployments that expose
-// more than one writer identity. WriteAs(0, …) is the deployment's
-// primary writer (identical to Write); WriteAs(w, …) for w ≥ 1 routes
-// through the w-th contending writer. Calls with distinct w values may
-// run concurrently, including on the same key — that is the point.
-type MultiWriter interface {
-	// NumWriters reports how many writer identities the deployment has.
-	NumWriters() int
-	// WriteAs stores v under key through writer w.
-	WriteAs(w int, key string, v types.Value) (types.Tagged, OpMeta, error)
+// registerWriter is what Register needs of a writer client: every
+// one reports the stamp it bound and the rounds it ran.
+type registerWriter interface {
+	Write(v types.Value) error
+	LastMeta() core.WriteMeta
 }
 
-// ClusterDriver drives a core single-register cluster.
-type ClusterDriver struct{ C *core.Cluster }
-
-// NumReaders implements Driver.
-func (d ClusterDriver) NumReaders() int { return d.C.Config().NumReaders }
-
-// MultiKey implements Driver.
-func (d ClusterDriver) MultiKey() bool { return false }
-
-// Write implements Driver.
-func (d ClusterDriver) Write(key string, v types.Value) (types.Tagged, OpMeta, error) {
-	return d.WriteAs(0, key, v)
+// readMeta is a reader client's report of its last READ.
+type readMeta interface {
+	Rounds() int
+	Fast() bool
 }
 
-// NumWriters implements MultiWriter.
-func (d ClusterDriver) NumWriters() int { return d.C.NumWriters() }
+// registerReader is what Register needs of a reader client.
+type registerReader[M readMeta] interface {
+	Read() (types.Tagged, error)
+	LastMeta() M
+}
 
-// WriteAs implements MultiWriter.
-func (d ClusterDriver) WriteAs(w int, _ string, v types.Value) (types.Tagged, OpMeta, error) {
-	wr := d.C.WriterN(w)
+// Register returns the driver of a single-register deployment: the
+// core cluster's (c.Deployment), with its Config.Writers writer
+// identities, or a protocol variant's.
+func Register[W registerWriter, R registerReader[M], M readMeta](d *core.Deployment[W, R]) Driver {
+	return register[W, R, M]{d}
+}
+
+// register is Register's driver.
+type register[W registerWriter, R registerReader[M], M readMeta] struct {
+	dep *core.Deployment[W, R]
+}
+
+func (d register[W, R, M]) NumReaders() int { return d.dep.NumReaders() }
+func (d register[W, R, M]) NumWriters() int { return d.dep.NumWriters() }
+func (d register[W, R, M]) MultiKey() bool  { return false }
+
+func (d register[W, R, M]) Write(w int, _ string, v types.Value) (types.Tagged, OpMeta, error) {
+	if err := inRange("writer", w, d.dep.NumWriters()); err != nil {
+		return types.Tagged{}, OpMeta{}, err
+	}
+	wr := d.dep.WriterN(w)
 	if err := wr.Write(v); err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
-	m := wr.LastMeta()
-	return m.Value(v), OpMeta{Rounds: m.Rounds, Fast: m.Fast, Spec: m.Spec, Ghost: m.Ghost}, nil
+	return written(wr.LastMeta(), v)
 }
 
-// Read implements Driver.
-func (d ClusterDriver) Read(r int, _ string) (types.Tagged, OpMeta, error) {
-	got, err := d.C.Reader(r).Read()
+func (d register[W, R, M]) Read(r int, _ string) (types.Tagged, OpMeta, error) {
+	if err := inRange("reader", r, d.dep.NumReaders()); err != nil {
+		return types.Tagged{}, OpMeta{}, err
+	}
+	rd := d.dep.Reader(r)
+	got, err := rd.Read()
 	if err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
-	m := d.C.Reader(r).LastMeta()
+	m := rd.LastMeta()
 	return got, OpMeta{Rounds: m.Rounds(), Fast: m.Fast()}, nil
+}
+
+// written is a completed write's result: the pair m bound for v, and
+// its round accounting.
+func written(m core.WriteMeta, v types.Value) (types.Tagged, OpMeta, error) {
+	return m.Value(v), OpMeta{Rounds: m.Rounds, Fast: m.Fast, Spec: m.Spec, Ghost: m.Ghost}, nil
+}
+
+// inRange checks client index i of a kind against its count n.
+func inRange(kind string, i, n int) error {
+	if i < 0 || i >= n {
+		return fmt.Errorf("workload: %s index %d out of range [0,%d)", kind, i, n)
+	}
+	return nil
 }
 
 // KVDriver drives a multi-register kv.Store — both the in-memory
 // sharded engine (kv.Open) and a TCP deployment's client store
 // (kv.Connect / luckystore.OpenKVTCP). Its writer identities are the
-// store's: WriteAs(w) writes through the store's writer w (PutAs), of
+// store's: Write(w, …) writes through the store's writer w (PutAs), of
 // the cfg.Writers the store was opened with.
 type KVDriver struct{ S *kv.Store }
 
@@ -124,16 +150,11 @@ func (d KVDriver) NumReaders() int { return d.S.Config().NumReaders }
 // MultiKey implements Driver.
 func (d KVDriver) MultiKey() bool { return true }
 
-// Write implements Driver.
-func (d KVDriver) Write(key string, v types.Value) (types.Tagged, OpMeta, error) {
-	return d.WriteAs(0, key, v)
-}
-
-// NumWriters implements MultiWriter.
+// NumWriters implements Driver.
 func (d KVDriver) NumWriters() int { return d.S.NumWriters() }
 
-// WriteAs implements MultiWriter.
-func (d KVDriver) WriteAs(w int, key string, v types.Value) (types.Tagged, OpMeta, error) {
+// Write implements Driver.
+func (d KVDriver) Write(w int, key string, v types.Value) (types.Tagged, OpMeta, error) {
 	if err := d.S.PutAs(w, key, v); err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
@@ -141,7 +162,7 @@ func (d KVDriver) WriteAs(w int, key string, v types.Value) (types.Tagged, OpMet
 	if err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
-	return m.Value(v), OpMeta{Rounds: m.Rounds, Fast: m.Fast, Spec: m.Spec, Ghost: m.Ghost}, nil
+	return written(m, v)
 }
 
 // Read implements Driver.
@@ -169,26 +190,17 @@ func (d RouterDriver) NumReaders() int { return d.R.NumReaders() }
 // MultiKey implements Driver.
 func (d RouterDriver) MultiKey() bool { return true }
 
-// Write implements Driver.
-func (d RouterDriver) Write(key string, v types.Value) (types.Tagged, OpMeta, error) {
-	m, err := d.R.Put(key, v)
-	if err != nil {
-		return types.Tagged{}, OpMeta{}, err
-	}
-	return m.Value(v), OpMeta{Rounds: m.Rounds, Fast: m.Fast, Spec: m.Spec, Ghost: m.Ghost}, nil
-}
-
-// NumWriters implements MultiWriter: the fleet-wide usable identity
-// count (minimum over clusters).
+// NumWriters implements Driver: the fleet-wide usable identity count
+// (minimum over clusters).
 func (d RouterDriver) NumWriters() int { return d.R.NumWriters() }
 
-// WriteAs implements MultiWriter via the router's writer-identity map.
-func (d RouterDriver) WriteAs(w int, key string, v types.Value) (types.Tagged, OpMeta, error) {
+// Write implements Driver via the router's writer-identity map.
+func (d RouterDriver) Write(w int, key string, v types.Value) (types.Tagged, OpMeta, error) {
 	m, err := d.R.PutAs(w, key, v)
 	if err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
-	return m.Value(v), OpMeta{Rounds: m.Rounds, Fast: m.Fast, Spec: m.Spec, Ghost: m.Ghost}, nil
+	return written(m, v)
 }
 
 // Read implements Driver.
@@ -197,71 +209,5 @@ func (d RouterDriver) Read(r int, key string) (types.Tagged, OpMeta, error) {
 	if err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
-	return got, OpMeta{Rounds: m.Rounds(), Fast: m.Fast()}, nil
-}
-
-// RegularDriver drives an Appendix D regular-variant cluster. Its
-// histories satisfy regularity, not atomicity — check them with
-// checker.CheckRegularity.
-type RegularDriver struct{ C *regular.Cluster }
-
-// NumReaders implements Driver.
-func (d RegularDriver) NumReaders() int { return d.C.Config().NumReaders }
-
-// MultiKey implements Driver.
-func (d RegularDriver) MultiKey() bool { return false }
-
-// Write implements Driver.
-func (d RegularDriver) Write(_ string, v types.Value) (types.Tagged, OpMeta, error) {
-	if err := d.C.Writer().Write(v); err != nil {
-		return types.Tagged{}, OpMeta{}, err
-	}
-	m := d.C.Writer().LastMeta()
-	return m.Value(v), OpMeta{Rounds: m.Rounds, Fast: m.Fast}, nil
-}
-
-// Read implements Driver.
-func (d RegularDriver) Read(r int, _ string) (types.Tagged, OpMeta, error) {
-	got, err := d.C.Reader(r).Read()
-	if err != nil {
-		return types.Tagged{}, OpMeta{}, err
-	}
-	m := d.C.Reader(r).LastMeta()
-	return got, OpMeta{Rounds: m.Rounds(), Fast: m.Fast()}, nil
-}
-
-// TwoPhaseDriver drives an Appendix C two-phase cluster. The variant's
-// writer does not expose per-operation metadata, but it assigns
-// timestamps 1, 2, 3, … in invocation order and every WRITE takes
-// exactly two round-trips, so the driver tracks both itself.
-type TwoPhaseDriver struct {
-	C *twophase.Cluster
-	// ts mirrors the writer's internal timestamp; the driver must own
-	// all writes for the count to stay in sync (SWMR guarantees it).
-	ts types.TS
-}
-
-// NumReaders implements Driver.
-func (d *TwoPhaseDriver) NumReaders() int { return d.C.Config().NumReaders }
-
-// MultiKey implements Driver.
-func (d *TwoPhaseDriver) MultiKey() bool { return false }
-
-// Write implements Driver.
-func (d *TwoPhaseDriver) Write(_ string, v types.Value) (types.Tagged, OpMeta, error) {
-	d.ts++ // the writer advances its timestamp on every attempt
-	if err := d.C.Writer().Write(v); err != nil {
-		return types.Tagged{}, OpMeta{}, err
-	}
-	return types.Tagged{TS: d.ts, Val: v}, OpMeta{Rounds: d.C.Writer().Rounds(), Fast: false}, nil
-}
-
-// Read implements Driver.
-func (d *TwoPhaseDriver) Read(r int, _ string) (types.Tagged, OpMeta, error) {
-	got, err := d.C.Reader(r).Read()
-	if err != nil {
-		return types.Tagged{}, OpMeta{}, err
-	}
-	m := d.C.Reader(r).LastMeta()
 	return got, OpMeta{Rounds: m.Rounds(), Fast: m.Fast()}, nil
 }

@@ -2,100 +2,125 @@ package workload
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"luckystore/internal/abd"
 	"luckystore/internal/checker"
 	"luckystore/internal/core"
 	"luckystore/internal/kv"
 	"luckystore/internal/regular"
+	"luckystore/internal/ring"
+	"luckystore/internal/router"
 	"luckystore/internal/twophase"
+	"luckystore/internal/types"
 )
+
+// drivers opens one deployment of each kind the Driver interface
+// covers, with two readers and one writer; check is its consistency
+// contract.
+var drivers = []struct {
+	name  string
+	open  func(t *testing.T) Driver
+	check func([]checker.Op) []checker.Violation
+}{
+	{"core", func(t *testing.T) Driver {
+		c, err := core.NewCluster(core.Config{T: 1, NumReaders: 2, RoundTimeout: testRound, OpTimeout: testOp})
+		return Register(opened(t, c, err).Deployment)
+	}, checker.CheckAtomicity},
+	{"kv", func(t *testing.T) Driver {
+		st, err := kv.Open(core.Config{T: 1, NumReaders: 2, RoundTimeout: testRound, OpTimeout: testOp})
+		return KVDriver{S: opened(t, st, err)}
+	}, checker.CheckAtomicityPerKey},
+	{"router", func(t *testing.T) Driver {
+		st, err := kv.Open(core.Config{T: 1, NumReaders: 2, RoundTimeout: testRound, OpTimeout: testOp})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := router.New(router.Options{Seed: 1, Readers: 2}, map[ring.ClusterID]router.Backend{ring.ID(0): st})
+		if err != nil {
+			st.Close()
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = r.Close() })
+		return RouterDriver{R: r}
+	}, checker.CheckAtomicityPerKey},
+	{"regular", func(t *testing.T) Driver {
+		c, err := regular.NewCluster(regular.Config{T: 1, NumReaders: 2, RoundTimeout: testRound, OpTimeout: testOp})
+		return Register(opened(t, c, err).Deployment)
+	}, checker.CheckRegularity},
+	{"twophase", func(t *testing.T) Driver {
+		c, err := twophase.NewCluster(twophase.Config{T: 1, NumReaders: 2, RoundTimeout: testRound, OpTimeout: testOp})
+		return Register(opened(t, c, err).Deployment)
+	}, checker.CheckAtomicity},
+	{"abd", func(t *testing.T) Driver {
+		c, err := abd.NewCluster(abd.Config{T: 1, NumReaders: 2, OpTimeout: testOp})
+		return Register(opened(t, c, err).Deployment)
+	}, checker.CheckAtomicity},
+}
+
+const testRound, testOp = 10 * time.Millisecond, 5 * time.Second
+
+// opened fails t on err, else closes c when t ends.
+func opened[C interface{ Close() }](t *testing.T, c C, err error) C {
+	t.Helper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
+}
 
 // Mixed through the Driver interface must behave identically across
 // deployments: every history checker-clean under the deployment's
-// contract.
+// contract, and the writes carrying the stamps 1..N the writer itself
+// reports binding.
 func TestMixedRunDriverAcrossDeployments(t *testing.T) {
 	mix := Mixed{Writes: 15, ReadsPerReader: 10}
-
-	t.Run("core", func(t *testing.T) {
-		c, err := core.NewCluster(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 2,
-			RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		rec, err := mix.RunDriver(ClusterDriver{C: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range checker.CheckAtomicity(rec.Ops()) {
-			t.Error(v)
-		}
-	})
-
-	t.Run("kv", func(t *testing.T) {
-		st, err := kv.Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 2,
-			RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer st.Close()
-		rec, err := mix.RunDriver(KVDriver{S: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range checker.CheckAtomicityPerKey(rec.Ops()) {
-			t.Error(v)
-		}
-	})
-
-	t.Run("regular", func(t *testing.T) {
-		c, err := regular.NewCluster(regular.Config{T: 1, B: 0, NumReaders: 2,
-			RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		rec, err := mix.RunDriver(RegularDriver{C: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range checker.CheckRegularity(rec.Ops()) {
-			t.Error(v)
-		}
-	})
-
-	t.Run("twophase", func(t *testing.T) {
-		c, err := twophase.NewCluster(twophase.Config{T: 1, B: 0, Fr: 0, NumReaders: 2,
-			RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		rec, err := mix.RunDriver(&TwoPhaseDriver{C: c})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ops := rec.Ops()
-		for _, v := range checker.CheckAtomicity(ops) {
-			t.Error(v)
-		}
-		// The driver's timestamp mirror must agree with the values the
-		// checker correlates — any drift would have shown up as
-		// no-creation violations above; assert writes carry 1..N.
-		seen := map[int64]bool{}
-		for _, op := range ops {
-			if op.Kind == checker.KindWrite {
-				seen[int64(op.Value.TS)] = true
+	for _, dep := range drivers {
+		t.Run(dep.name, func(t *testing.T) {
+			rec, err := mix.RunDriver(dep.open(t))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i := int64(1); i <= int64(mix.Writes); i++ {
-			if !seen[i] {
-				t.Errorf("write ts %d missing from history", i)
+			ops := rec.Ops()
+			for _, v := range dep.check(ops) {
+				t.Error(v)
 			}
-		}
-	})
+			seen := map[types.TS]bool{}
+			for _, op := range ops {
+				if op.Kind == checker.KindWrite {
+					seen[op.Value.TS] = true
+				}
+			}
+			for i := types.TS(1); i <= types.TS(mix.Writes); i++ {
+				if !seen[i] {
+					t.Errorf("write ts %d missing from history", i)
+				}
+			}
+		})
+	}
+}
+
+// A client index outside a deployment's range is an error naming the
+// index on every driver, never a panic.
+func TestDriverRejectsOutOfRangeClient(t *testing.T) {
+	for _, dep := range drivers {
+		t.Run(dep.name, func(t *testing.T) {
+			d := dep.open(t)
+			for _, w := range []int{-1, d.NumWriters()} {
+				if _, _, err := d.Write(w, DefaultKey, "v"); err == nil || !strings.Contains(err.Error(), fmt.Sprint(w)) {
+					t.Errorf("Write(w=%d) error = %v, want one naming the index", w, err)
+				}
+			}
+			r := d.NumReaders()
+			if _, _, err := d.Read(r, DefaultKey); err == nil || !strings.Contains(err.Error(), fmt.Sprint(r)) {
+				t.Errorf("Read(r=%d) error = %v, want one naming the index", r, err)
+			}
+		})
+	}
 }
 
 // Continuous drives multi-key traffic until cancelled, records per-key
@@ -142,7 +167,7 @@ func TestContinuousCollapsesKeysForSingleRegister(t *testing.T) {
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
-	rec, err := Continuous{Keys: []string{"a", "b"}, Seed: 1}.Run(ctx, ClusterDriver{C: c})
+	rec, err := Continuous{Keys: []string{"a", "b"}, Seed: 1}.Run(ctx, Register(c.Deployment))
 	if err != nil {
 		t.Fatal(err)
 	}

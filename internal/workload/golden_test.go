@@ -26,6 +26,7 @@ type keyLog struct {
 }
 
 func (d *keyLog) NumReaders() int { return d.readers }
+func (d *keyLog) NumWriters() int { return 1 }
 func (d *keyLog) MultiKey() bool  { return true }
 
 func (d *keyLog) count() {
@@ -35,7 +36,7 @@ func (d *keyLog) count() {
 	}
 }
 
-func (d *keyLog) Write(_ string, v types.Value) (types.Tagged, OpMeta, error) {
+func (d *keyLog) Write(_ int, _ string, v types.Value) (types.Tagged, OpMeta, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.count()

@@ -27,7 +27,7 @@ func TestContinuousContendingWritersCore(t *testing.T) {
 	defer cancel()
 	rec, err := Continuous{Writers: 2, Seed: 3,
 		WritePace: time.Millisecond, ReadPace: 500 * time.Microsecond,
-	}.Run(ctx, ClusterDriver{C: c})
+	}.Run(ctx, Register(c.Deployment))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,8 +89,8 @@ func TestContinuousContendingWritersKV(t *testing.T) {
 	}
 }
 
-// Drivers without the MultiWriter capability (or with Writers left at
-// the default) degrade to the classic single-writer shape.
+// A driver with a single writer identity (Writers left at the default)
+// refuses contending-writer traffic.
 func TestContinuousWritersUnsupportedIsExplicit(t *testing.T) {
 	st, err := kv.Open(core.Config{T: 1, B: 0, Fw: 0, NumReaders: 1,
 		RoundTimeout: 10 * time.Millisecond, OpTimeout: 5 * time.Second})

@@ -30,7 +30,6 @@ const settle = 200 * time.Millisecond
 // failure and then fails, so the write error is always the run's first.
 type scripted struct {
 	Driver
-	mw MultiWriter
 
 	mu          sync.Mutex
 	writes      map[string]int // per "w/key": writes issued
@@ -42,18 +41,11 @@ type scripted struct {
 }
 
 func newScripted(d Driver) *scripted {
-	mw, _ := d.(MultiWriter)
-	return &scripted{Driver: d, mw: mw, writes: map[string]int{}, reads: map[int]int{},
+	return &scripted{Driver: d, writes: map[string]int{}, reads: map[int]int{},
 		writeFailed: make(chan struct{})}
 }
 
-func (s *scripted) NumWriters() int { return s.mw.NumWriters() }
-
-func (s *scripted) Write(key string, v types.Value) (types.Tagged, OpMeta, error) {
-	return s.WriteAs(0, key, v)
-}
-
-func (s *scripted) WriteAs(w int, key string, v types.Value) (types.Tagged, OpMeta, error) {
+func (s *scripted) Write(w int, key string, v types.Value) (types.Tagged, OpMeta, error) {
 	s.mu.Lock()
 	k := fmt.Sprint(w, "/", key)
 	s.writes[k]++
@@ -67,7 +59,7 @@ func (s *scripted) WriteAs(w int, key string, v types.Value) (types.Tagged, OpMe
 		return types.Tagged{}, OpMeta{}, errScriptWrite
 	}
 	s.mu.Unlock()
-	got, meta, err := s.mw.WriteAs(w, key, v)
+	got, meta, err := s.Driver.Write(w, key, v)
 	if err == nil && n == 2 {
 		meta.Ghost = types.Stamp{Seq: types.TS(1000 + w), Writer: types.WID(w)}
 		s.mu.Lock()
@@ -89,7 +81,7 @@ func (s *scripted) Read(r int, key string) (types.Tagged, OpMeta, error) {
 	case <-s.writeFailed:
 	case <-time.After(5 * time.Second):
 	}
-	// WriteAs signals the write failure before it returns the error;
+	// Write signals the write failure before it returns the error;
 	// the engine collects that error on the writer's goroutine after.
 	// Hold the read failure back past that moment so the write's error
 	// is the run's first however the two goroutines are scheduled.
@@ -116,7 +108,7 @@ func TestRecordRule(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(c.Close)
-			return ClusterDriver{C: c}
+			return Register(c.Deployment)
 		},
 		"kv": func(t *testing.T) Driver {
 			st, err := kv.Open(cfg)

@@ -243,9 +243,10 @@ type slowDriver struct {
 }
 
 func (d *slowDriver) NumReaders() int { return d.readers }
+func (d *slowDriver) NumWriters() int { return 1 }
 func (d *slowDriver) MultiKey() bool  { return true }
 
-func (d *slowDriver) Write(_ string, v types.Value) (types.Tagged, OpMeta, error) {
+func (d *slowDriver) Write(_ int, _ string, v types.Value) (types.Tagged, OpMeta, error) {
 	time.Sleep(d.delay)
 	return types.Tagged{TS: types.TS(d.seq.Add(1)), Val: v}, OpMeta{Rounds: 1, Fast: true}, nil
 }

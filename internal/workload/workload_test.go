@@ -34,7 +34,7 @@ func TestValueUniqueAndPadded(t *testing.T) {
 
 func TestMixedWorkloadAtomic(t *testing.T) {
 	c := testCluster(t)
-	rec, err := Mixed{Writes: 25, ReadsPerReader: 15}.RunDriver(ClusterDriver{C: c})
+	rec, err := Mixed{Writes: 25, ReadsPerReader: 15}.RunDriver(Register(c.Deployment))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestMixedWorkloadReportsClientErrors(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cShort.CrashServer(i)
 	}
-	if _, err := (Mixed{Writes: 1, ReadsPerReader: 1}).RunDriver(ClusterDriver{C: cShort}); err == nil {
+	if _, err := (Mixed{Writes: 1, ReadsPerReader: 1}).RunDriver(Register(cShort.Deployment)); err == nil {
 		t.Error("RunDriver swallowed client errors")
 	}
 }

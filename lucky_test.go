@@ -74,6 +74,29 @@ func TestFacadeByzantineOptions(t *testing.T) {
 	}
 }
 
+// A server option naming a server outside [0, S) is refused: dropping
+// it would run an all-honest cluster under a test that believes one
+// server is Byzantine or crashed.
+func TestFacadeRejectsOutOfRangeServerOptions(t *testing.T) {
+	cfg := luckystore.Config{T: 1, B: 1, NumReaders: 1} // S = 4
+	for name, opt := range map[string]luckystore.Option{
+		"forging 7":  luckystore.WithForgingServer(7, 99, "forged"),
+		"mute 4":     luckystore.WithMuteServer(cfg.S()),
+		"crashed -1": luckystore.WithCrashedServer(-1),
+		"crashed 4":  luckystore.WithCrashedServer(cfg.S()),
+	} {
+		if c, err := luckystore.New(cfg, opt); err == nil {
+			c.Close()
+			t.Errorf("%s: New accepted a server outside [0,%d)", name, cfg.S())
+		}
+	}
+	c, err := luckystore.New(cfg, luckystore.WithForgingServer(cfg.S()-1, 99, "forged"), luckystore.WithCrashedServer(0))
+	if err != nil {
+		t.Fatalf("in-range options refused: %v", err)
+	}
+	c.Close()
+}
+
 func TestFacadeCrashedAndMute(t *testing.T) {
 	cluster, err := luckystore.New(quickCfg(),
 		luckystore.WithCrashedServer(3))
