@@ -155,20 +155,6 @@ func (w *Writer) Advance(time.Time, *[]transport.Outgoing) (done bool, err error
 	return true, nil
 }
 
-// ReadMeta describes a completed ABD READ.
-type ReadMeta struct {
-	// Opened counts the rounds the READ ran: the query and the
-	// write-back.
-	Opened   int
-	Returned types.Tagged
-}
-
-// Rounds returns the READ's round-trip count.
-func (m ReadMeta) Rounds() int { return m.Opened }
-
-// Fast reports a single round-trip READ, which ABD never has.
-func (m ReadMeta) Fast() bool { return m.Opened == 1 }
-
 // Reader is the ABD reader: query round + write-back round, as a
 // drive.Op (see Writer).
 type Reader struct {
@@ -178,7 +164,7 @@ type Reader struct {
 	seq      int64        // the round in flight's, which its acks carry
 	wb       bool         // the write-back round is in flight, not the query
 	best     types.Tagged // the highest pair the query found
-	lastMeta ReadMeta
+	lastMeta core.ReadMeta
 }
 
 // NewReader creates a reader client.
@@ -186,8 +172,10 @@ func NewReader(cfg Config, ep transport.Endpoint) *Reader {
 	return &Reader{ep: ep, rnd: drive.NewRound(cfg.shape("abd READ"))}
 }
 
-// LastMeta returns metadata about the most recent completed READ.
-func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
+// LastMeta returns metadata about the most recent completed READ: one
+// query round and the write-back's, counted as they were opened. It is
+// never fast.
+func (r *Reader) LastMeta() core.ReadMeta { return r.lastMeta }
 
 // Read returns the register value after the classic two phases.
 func (r *Reader) Read() (types.Tagged, error) {
@@ -241,7 +229,7 @@ func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, e
 		return false, err
 	}
 	if r.wb {
-		r.lastMeta = ReadMeta{Opened: r.rnd.Rounds(), Returned: r.best}
+		r.lastMeta = core.ReadMeta{QueryRounds: 1, WroteBack: true, Opened: r.rnd.Rounds(), Returned: r.best}
 		return true, nil
 	}
 	r.wb = true

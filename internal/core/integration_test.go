@@ -232,7 +232,7 @@ func TestReadUnderContentionWritesBack(t *testing.T) {
 		t.Errorf("read meta = %+v, want write-back (value not fast-confirmed)", m)
 	}
 	if m.Rounds() != m.QueryRounds+3 {
-		t.Errorf("Rounds() = %d, want query+3", m.Rounds())
+		t.Errorf("counted Rounds() = %d with %d query rounds, want query+3", m.Rounds(), m.QueryRounds)
 	}
 
 	// Unblock and finish the write.

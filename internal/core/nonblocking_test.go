@@ -263,8 +263,8 @@ func TestNonBlockingReadRoundOneVerdictAndWriteBack(t *testing.T) {
 		}
 	}
 	advanced(t, "write-back 3", r, ep, true)
-	if m := r.LastMeta(); m.Returned != c || !m.WroteBack || m.Rounds() != 4 {
-		t.Errorf("meta %+v; want %v returned after one query round and a write-back", m, c)
+	if m := r.LastMeta(); m.Returned != c || !m.WroteBack || m.QueryRounds != 1 || m.Rounds() != m.QueryRounds+3 {
+		t.Errorf("meta %+v; want %v returned after one query round and a three-round write-back", m, c)
 	}
 }
 

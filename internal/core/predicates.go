@@ -19,6 +19,9 @@ type Thresholds struct {
 	FastPW    int // 2b + t + 1: fast_pw witness count
 	FastVW    int // b + 1: fast_vw witness count
 	InvalidPW int // S − b − t: invalid_pw witness count
+	// FastW is the w-field witness count of Appendix C's fast predicate,
+	// S − t − fr (Fig. 7 line 5); zero leaves it unused.
+	FastW int
 }
 
 // Thresholds returns the paper's thresholds for this configuration.
@@ -175,20 +178,24 @@ func (v *View) FastVW(c types.Tagged) bool {
 	return n >= v.th.FastVW
 }
 
-// Fast reports fast(c) = fast_pw(c) ∨ fast_vw(c) (Fig. 2 line 7).
-func (v *View) Fast(c types.Tagged) bool { return v.FastPW(c) || v.FastVW(c) }
+// Fast reports fast(c) = fast_pw(c) ∨ fast_vw(c) (Fig. 2 line 7), or
+// Appendix C's fast(c) ::= |{i : w_i = c}| ≥ S − t − fr (Fig. 7 line 5)
+// when Thresholds.FastW is set.
+func (v *View) Fast(c types.Tagged) bool { return v.FastPW(c) || v.FastVW(c) || v.fastW(c) }
 
-// CountW returns the number of responding servers whose freshest w
-// field equals c. The Appendix C two-phase variant defines its fast
-// predicate as CountW(c) ≥ S − t − fr (Fig. 7 line 5).
-func (v *View) CountW(c types.Tagged) int {
+// fastW reports Appendix C's fast(c): at least FastW servers report
+// w_i = c. An unset FastW never fires.
+func (v *View) fastW(c types.Tagged) bool {
+	if v.th.FastW == 0 {
+		return false
+	}
 	n := 0
 	for i := range v.srv {
 		if v.srv[i].round != 0 && v.srv[i].w == c {
 			n++
 		}
 	}
-	return n
+	return n >= v.th.FastW
 }
 
 // InvalidW reports invalid_w(c): at least S−t servers responded with

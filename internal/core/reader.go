@@ -9,39 +9,44 @@ import (
 	"luckystore/internal/wire"
 )
 
-// ReadMeta describes the last completed READ: query rounds, whether a
-// write-back was necessary, and the selected pair.
+// ReadMeta describes the last completed READ: the rounds it ran, the
+// query rounds among them, whether a write-back was necessary, and the
+// selected pair.
 type ReadMeta struct {
 	TSR         types.ReaderTS
 	QueryRounds int  // READ rounds until a candidate was selected
-	WroteBack   bool // whether the 3-round write-back ran
+	WroteBack   bool // whether the write-back ran
+	Opened      int  // every round the READ opened, counted as each was
 	Returned    types.Tagged
 }
 
-// Rounds returns the total communication round-trips of the READ: the
-// query rounds plus three write-back rounds when a write-back ran. A
-// fast READ has Rounds() == 1.
-func (m ReadMeta) Rounds() int {
-	if m.WroteBack {
-		return m.QueryRounds + 3
-	}
-	return m.QueryRounds
-}
+// Rounds returns the communication round-trips the READ ran, counted
+// where each round was opened (drive.Round.Rounds). A fast READ has
+// Rounds() == 1.
+func (m ReadMeta) Rounds() int { return m.Opened }
 
 // Fast reports whether the READ completed in a single round-trip.
 func (m ReadMeta) Fast() bool { return m.Rounds() == 1 }
 
-// Reader implements the READ protocol of Figure 2. A Reader is not
-// safe for concurrent use: each reader process invokes one operation at
-// a time (wait-freedom is across clients, not within one) — which is
-// what makes its round state poolable. The view and the round live on
-// the Reader and are reset per READ instead of reallocated, so a
-// steady-state fast READ allocates nothing beyond the messages
-// themselves (DESIGN.md §5).
+// Reader implements the READ protocol of Figure 2, and with it the
+// READ of every protocol of its family: they run the same query loop
+// and differ only in their round shape, their thresholds (Appendix C's
+// fast predicate is Thresholds.FastW) and the length of the write-back
+// that follows it — three rounds in Fig. 2, two in Appendix C's
+// two-phase READ, none in Appendix D's regular one (NewReaderOf).
+//
+// A Reader is not safe for concurrent use: each reader process invokes
+// one operation at a time (wait-freedom is across clients, not within
+// one) — which is what makes its round state poolable. The view and the
+// round live on the Reader and are reset per READ instead of
+// reallocated, so a steady-state fast READ allocates nothing beyond the
+// messages themselves (DESIGN.md §5).
 type Reader struct {
-	cfg Config
-	ep  transport.Endpoint
-	id  types.ProcID
+	th        Thresholds
+	writeBack int // write-back rounds after the query loop: 3, 2 or 0
+	metrics   *Metrics
+	ep        transport.Endpoint
+	id        types.ProcID
 
 	tsr types.ReaderTS
 
@@ -57,7 +62,16 @@ type Reader struct {
 
 // NewReader creates reader client id on the given endpoint.
 func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(cfg.shape("READ"))}
+	r := NewReaderOf(cfg.shape("READ"), cfg.Thresholds(), 3, id, ep)
+	r.metrics = cfg.Metrics
+	return r
+}
+
+// NewReaderOf creates reader client id of a protocol of the Fig. 2
+// family: rounds of shape sh, selection and fast predicates over th,
+// and a write-back of writeBack rounds after the query loop.
+func NewReaderOf(sh drive.Shape, th Thresholds, writeBack int, id types.ProcID, ep transport.Endpoint) *Reader {
+	return &Reader{th: th, writeBack: writeBack, ep: ep, id: id, rnd: drive.NewRound(sh)}
 }
 
 // ID returns the reader's process id.
@@ -69,7 +83,7 @@ func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
 // resetView prepares the reusable view for a READ with the current tsr.
 func (r *Reader) resetView() {
 	if r.view == nil {
-		r.view = NewView(r.cfg, r.tsr)
+		r.view = NewViewWithThresholds(r.th, r.tsr)
 	} else {
 		r.view.Reset(r.tsr)
 	}
@@ -81,7 +95,7 @@ func (r *Reader) resetView() {
 // Reader's pooled state.
 type readOp struct {
 	rnd int          // READ round in flight (0: no READ is); the query-round count once a candidate is selected
-	wb  int          // write-back round in flight (1–3), 0 while querying
+	wb  int          // write-back round in flight (from 1), 0 while querying
 	sel types.Tagged // the selected candidate, being written back
 	t0  time.Time    // invocation time when Config.Metrics observes the op
 }
@@ -103,7 +117,7 @@ func (r *Reader) Read() (types.Tagged, error) {
 func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
 	r.rnd.Begin(now)
 	r.op = readOp{}
-	if r.cfg.Metrics != nil {
+	if r.metrics != nil {
 		r.op.t0 = now
 	}
 	r.tsr++
@@ -155,10 +169,10 @@ func (r *Reader) advance(now time.Time, out *[]transport.Outgoing) (bool, error)
 		return false, err
 	}
 	if o.wb > 0 {
-		if o.wb < 3 {
+		if o.wb < r.writeBack {
 			return r.emitWriteBack(now, o.wb+1, out)
 		}
-		return r.complete(now, true)
+		return r.complete(now)
 	}
 	// Fig. 2 lines 18–20: stop querying as soon as a candidate exists.
 	c, ok := r.view.Select()
@@ -166,21 +180,21 @@ func (r *Reader) advance(now time.Time, out *[]transport.Outgoing) (bool, error)
 		return r.emitQuery(now, out)
 	}
 	// Fig. 2 line 21: write back unless the READ is provably complete
-	// after a fast first round.
+	// after a fast first round — or the protocol never writes back.
 	o.sel = c
-	if !r.view.Fast(c) || o.rnd > 1 {
+	if r.writeBack > 0 && (!r.view.Fast(c) || o.rnd > 1) {
 		return r.emitWriteBack(now, 1, out)
 	}
-	return r.complete(now, false)
+	return r.complete(now)
 }
 
 // complete publishes the finished READ's meta at now.
-func (r *Reader) complete(now time.Time, wroteBack bool) (bool, error) {
+func (r *Reader) complete(now time.Time) (bool, error) {
 	o := &r.op
-	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: o.rnd, WroteBack: wroteBack, Returned: o.sel}
+	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: o.rnd, WroteBack: o.wb > 0, Opened: r.rnd.Rounds(), Returned: o.sel}
 	r.stats.record(r.lastMeta.Rounds(), r.lastMeta.Fast())
 	if !o.t0.IsZero() {
-		r.cfg.Metrics.observeRead(r.lastMeta, now.Sub(o.t0))
+		r.metrics.observeRead(r.lastMeta, now.Sub(o.t0))
 	}
 	return true, nil
 }
@@ -193,9 +207,9 @@ func (r *Reader) emitQuery(now time.Time, out *[]transport.Outgoing) (bool, erro
 	return false, nil
 }
 
-// emitWriteBack emits one round of the three-round write-back of Fig. 2
-// lines 26–28, following the W-phase communication pattern with the
-// reader's timestamp as the tag.
+// emitWriteBack emits one round of the write-back of Fig. 2 lines 26–28
+// (Fig. 7 lines 24–26 in two rounds), following the W-phase
+// communication pattern with the reader's timestamp as the tag.
 func (r *Reader) emitWriteBack(now time.Time, round int, out *[]transport.Outgoing) (bool, error) {
 	r.op.wb = round
 	r.rnd.Open(now, "write-back round", false, nil, wire.W{Round: round, Tag: int64(r.tsr), C: r.op.sel}, out)

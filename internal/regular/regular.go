@@ -10,8 +10,9 @@
 //     failures.
 //
 // Differences from the core algorithm: the W phase of a slow WRITE is a
-// single round, readers never write back, and servers drop reader W
-// messages (core.NewRegularServer).
+// single round, readers never write back — the READ is core's
+// (core.Reader) built without the write-back — and servers drop reader
+// W messages (core.NewRegularServer).
 package regular
 
 import (
@@ -173,13 +174,13 @@ func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, e
 	case w.rnd.Err() != nil:
 		return false, w.rnd.Err()
 	case w.inW:
-		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 2, Fast: false, PWAcks: w.pwAcks}
+		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: w.rnd.Rounds(), PWAcks: w.pwAcks}
 		return true, nil
 	}
 	w.w = w.pw
 	w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
 	if w.pwAcks = w.rnd.Acks(); w.pwAcks >= w.cfg.FastWriteAcks() {
-		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: 1, Fast: true, PWAcks: w.pwAcks}
+		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: w.rnd.Rounds(), Fast: true, PWAcks: w.pwAcks}
 		return true, nil
 	}
 	w.inW = true
@@ -187,105 +188,15 @@ func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, e
 	return false, nil
 }
 
-// ReadMeta describes a completed regular READ (no write-back exists in
-// this variant, so Rounds == QueryRounds).
-type ReadMeta struct {
-	TSR         types.ReaderTS
-	QueryRounds int
-	Returned    types.Tagged
-}
-
-// Rounds returns the READ's round-trip count.
-func (m ReadMeta) Rounds() int { return m.QueryRounds }
-
-// Fast reports a single round-trip READ.
-func (m ReadMeta) Fast() bool { return m.Rounds() == 1 }
-
-// Reader implements the Appendix D READ: the core READ loop without
-// the write-back, as a drive.Op (see Writer).
-type Reader struct {
-	cfg      Config
-	ep       transport.Endpoint
-	drv      drive.Private
-	rnd      drive.Round
-	id       types.ProcID
-	tsr      types.ReaderTS
-	lastMeta ReadMeta
-
-	// the READ in flight
-	view *core.View
-	n    int // query round
-}
-
-// NewReader creates reader client id.
-func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(cfg.shape("regular READ"))}
-}
-
-// LastMeta returns metadata about the most recent READ.
-func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
-
-// Read returns the register value with regular semantics.
-func (r *Reader) Read() (types.Tagged, error) {
-	if err := r.drv.Wait(r.ep, r, r.Start); err != nil {
-		return types.Tagged{}, err
-	}
-	return r.lastMeta.Returned, nil
-}
-
-// Start begins a READ at now: a fresh view and round 1, whose decision
-// waits for the timer.
-func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
-	r.rnd.Begin(now)
-	r.tsr++
-	r.view = core.NewViewWithThresholds(r.cfg.coreConfig().Thresholds(), r.tsr)
-	r.n = 0
-	return r.query(now, out)
-}
-
-// query emits the next READ round.
-func (r *Reader) query(now time.Time, out *[]transport.Outgoing) (bool, error) {
-	r.n++
-	r.rnd.Open(now, "query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n}, out)
-	return false, nil
-}
-
-// Deliver folds one READ_ACK into the view.
-func (r *Reader) Deliver(env wire.Envelope) {
-	a, ok := env.Msg.(wire.ReadAck)
-	if !ok || a.TSR != r.tsr || wire.Validate(env.Msg) != nil || a.Round > r.n {
-		return
-	}
-	if a.Round == r.n {
-		r.rnd.Ack(env.From)
-	}
-	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
-}
-
-// Decided reports whether the round may end (see drive.Round.Decided).
-func (r *Reader) Decided() bool { return r.rnd.Decided() }
-
-// Deadline returns when Expire next has something to judge.
-func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
-
-// Expire fires the round's timer at now (see drive.Round.Expire).
-func (r *Reader) Expire(now time.Time, out *[]transport.Outgoing) { r.rnd.Expire(now, out) }
-
-// Advance returns the selected candidate, or emits the next round.
-func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
-	if err := r.rnd.Err(); err != nil {
-		return false, err
-	}
-	if c, ok := r.view.Select(); ok {
-		r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.n, Returned: c}
-		return true, nil
-	}
-	return r.query(now, out)
+// NewReader creates reader client id: core's READ without the
+// write-back (Appendix D).
+func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *core.Reader {
+	return core.NewReaderOf(cfg.shape("regular READ"), cfg.coreConfig().Thresholds(), 0, id, ep)
 }
 
 // Cluster wires a regular-variant deployment over a simulated network.
 type Cluster struct {
-	*core.Deployment[*Writer, *Reader]
+	*core.Deployment[*Writer, *core.Reader]
 	cfg Config
 }
 
@@ -305,7 +216,7 @@ func NewDurableCluster(cfg Config, p storage.Provider, simOpts ...simnet.Option)
 	}
 	c, err := core.Deploy(nil, simOpts, cfg.S(), func(int) node.Automaton { return core.NewRegularServer() }, p,
 		1, func(_ types.ProcID, ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
-		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *Reader { return NewReader(cfg, id, ep) })
+		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *core.Reader { return NewReader(cfg, id, ep) })
 	if err != nil {
 		return nil, fmt.Errorf("regular: %w", err)
 	}

@@ -15,6 +15,8 @@
 //     writer;
 //   - the read fast predicate is fast(c) ::= |{i : w_i = c}| ≥ S−t−fr;
 //   - the reader's write-back takes two rounds.
+//
+// The READ itself is core's (core.Reader), built with the last two.
 package twophase
 
 import (
@@ -63,8 +65,8 @@ func (c Config) SafeThreshold() int { return c.B + 1 }
 func (c Config) FastW() int { return c.S() - c.T - c.Fr }
 
 // Thresholds adapts the configuration for the shared predicate
-// machinery (core.View). FastPW and FastVW are set above S: the
-// two-phase variant never uses them.
+// machinery (core.View): the fast predicate is FastW alone, and FastPW
+// and FastVW are set above S, where they never fire.
 func (c Config) Thresholds() core.Thresholds {
 	return core.Thresholds{
 		S:         c.S(),
@@ -73,6 +75,7 @@ func (c Config) Thresholds() core.Thresholds {
 		FastPW:    c.S() + 1,
 		FastVW:    c.S() + 1,
 		InvalidPW: c.S() - c.B - c.T,
+		FastW:     c.FastW(),
 	}
 }
 
@@ -307,144 +310,16 @@ func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, e
 	return false, nil
 }
 
-// ReadMeta describes a completed two-phase READ.
-type ReadMeta struct {
-	TSR         types.ReaderTS
-	QueryRounds int
-	WroteBack   bool
-	Returned    types.Tagged
-}
-
-// Rounds returns total round-trips (write-back adds two in this
-// variant).
-func (m ReadMeta) Rounds() int {
-	if m.WroteBack {
-		return m.QueryRounds + 2
-	}
-	return m.QueryRounds
-}
-
-// Fast reports a single round-trip READ.
-func (m ReadMeta) Fast() bool { return m.Rounds() == 1 }
-
-// Reader implements the READ of Figure 7, as a drive.Op (see Writer).
-type Reader struct {
-	cfg      Config
-	ep       transport.Endpoint
-	drv      drive.Private
-	rnd      drive.Round
-	id       types.ProcID
-	tsr      types.ReaderTS
-	lastMeta ReadMeta
-
-	// the READ in flight
-	view *core.View
-	n    int          // query round; the query-round count once one selected
-	wb   int          // write-back round in flight (1–2), 0 while querying
-	sel  types.Tagged // the selected candidate
-}
-
-// NewReader creates reader client id.
-func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *Reader {
-	return &Reader{cfg: cfg, ep: ep, id: id, rnd: drive.NewRound(cfg.shape("twophase READ"))}
-}
-
-// LastMeta returns metadata about the most recent READ.
-func (r *Reader) LastMeta() ReadMeta { return r.lastMeta }
-
-// Read returns the register value.
-func (r *Reader) Read() (types.Tagged, error) {
-	if err := r.drv.Wait(r.ep, r, r.Start); err != nil {
-		return types.Tagged{}, err
-	}
-	return r.lastMeta.Returned, nil
-}
-
-// Start begins a READ at now: a fresh view and round 1, whose decision
-// waits for the timer.
-func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
-	r.rnd.Begin(now)
-	r.tsr++
-	r.view = core.NewViewWithThresholds(r.cfg.Thresholds(), r.tsr)
-	r.n, r.wb = 0, 0
-	return r.query(now, out)
-}
-
-// query emits the next READ round.
-func (r *Reader) query(now time.Time, out *[]transport.Outgoing) (bool, error) {
-	r.n++
-	r.rnd.Open(now, "query round", r.n == 1, nil, wire.Read{TSR: r.tsr, Round: r.n}, out)
-	return false, nil
-}
-
-// writeBack emits write-back round wb (Fig. 7 lines 24–26).
-func (r *Reader) writeBack(now time.Time, wb int, out *[]transport.Outgoing) (bool, error) {
-	r.wb = wb
-	r.rnd.Open(now, "write-back round", false, nil, wire.W{Round: wb, Tag: int64(r.tsr), C: r.sel}, out)
-	return false, nil
-}
-
-// Deliver folds one READ_ACK into the view, or counts one WRITE_ACK of
-// a write-back round.
-func (r *Reader) Deliver(env wire.Envelope) {
-	if r.wb > 0 {
-		a, ok := env.Msg.(wire.WAck)
-		if ok && a.Round == r.wb && a.Tag == int64(r.tsr) {
-			r.rnd.Ack(env.From)
-		}
-		return
-	}
-	a, ok := env.Msg.(wire.ReadAck)
-	if !ok || a.TSR != r.tsr || wire.Validate(env.Msg) != nil || a.Round > r.n {
-		return
-	}
-	if a.Round == r.n {
-		r.rnd.Ack(env.From)
-	}
-	r.view.Update(env.From, a.Round, a.PW, a.W, a.VW, a.Frozen)
-}
-
-// Decided reports whether the round may end (see drive.Round.Decided).
-func (r *Reader) Decided() bool { return r.rnd.Decided() }
-
-// Deadline returns when Expire next has something to judge.
-func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }
-
-// Expire fires the round's timer at now (see drive.Round.Expire).
-func (r *Reader) Expire(now time.Time, out *[]transport.Outgoing) { r.rnd.Expire(now, out) }
-
-// Advance emits the next query round until a candidate is selected,
-// then writes it back in two rounds unless it is fast (Fig. 7 line 19:
-// fast(c) ::= |{i : w_i = c}| ≥ S−t−fr) after a first round, then
-// returns it.
-func (r *Reader) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
-	switch {
-	case r.rnd.Err() != nil:
-		return false, r.rnd.Err()
-	case r.wb == 1:
-		return r.writeBack(now, 2, out)
-	case r.wb == 2:
-		return r.complete(true)
-	}
-	c, ok := r.view.Select()
-	if !ok {
-		return r.query(now, out)
-	}
-	r.sel = c
-	if r.view.CountW(c) < r.cfg.FastW() || r.n > 1 {
-		return r.writeBack(now, 1, out)
-	}
-	return r.complete(false)
-}
-
-func (r *Reader) complete(wroteBack bool) (bool, error) {
-	r.lastMeta = ReadMeta{TSR: r.tsr, QueryRounds: r.n, WroteBack: wroteBack, Returned: r.sel}
-	return true, nil
+// NewReader creates reader client id: core's READ with the Fig. 7 fast
+// predicate (Thresholds) and a two-round write-back (Fig. 7 lines
+// 24–26).
+func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *core.Reader {
+	return core.NewReaderOf(cfg.shape("twophase READ"), cfg.Thresholds(), 2, id, ep)
 }
 
 // Cluster wires a two-phase deployment over a simulated network.
 type Cluster struct {
-	*core.Deployment[*Writer, *Reader]
+	*core.Deployment[*Writer, *core.Reader]
 	cfg Config
 }
 
@@ -455,7 +330,7 @@ func NewCluster(cfg Config, simOpts ...simnet.Option) (*Cluster, error) {
 	}
 	c, err := core.Deploy(nil, simOpts, cfg.S(), func(int) node.Automaton { return NewServer() }, nil,
 		1, func(_ types.ProcID, ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
-		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *Reader { return NewReader(cfg, id, ep) })
+		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *core.Reader { return NewReader(cfg, id, ep) })
 	if err != nil {
 		return nil, err
 	}

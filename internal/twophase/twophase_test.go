@@ -137,19 +137,47 @@ func TestReadBeyondFrMayBeSlowButCorrect(t *testing.T) {
 	}
 }
 
+// A READ that selects a pair no fast predicate confirms writes it back
+// in two rounds (Fig. 7 lines 24–26), counted as they were opened. Its
+// pair is a WRITE's pre-write that reached b+1 servers only: safe, the
+// highest, and held in no server's w. (Crashing fr+1 servers does not
+// make a READ slow: after a completed WRITE the S−t live servers all
+// hold w, at least S−t−fr of them.)
 func TestWriteBackTakesTwoRounds(t *testing.T) {
 	cfg := testConfig()
 	c := newTestCluster(t, cfg)
-	if err := c.Writer().Write("v"); err != nil {
+	if err := c.Writer().Write("v1"); err != nil {
 		t.Fatal(err)
 	}
-	c.CrashServer(0)
-	c.CrashServer(1)
-	if _, err := c.Reader(0).Read(); err != nil {
+	sim := c.Sim()
+	for i := cfg.SafeThreshold(); i < cfg.S(); i++ {
+		sim.Hold(types.WriterID(), types.ServerID(i))
+	}
+	writeDone := make(chan error, 1)
+	go func() { writeDone <- c.Writer().Write("v2") }()
+	t.Cleanup(func() {
+		sim.ReleaseAll()
+		if err := <-writeDone; err != nil {
+			t.Error(err)
+		}
+	})
+	// The pre-write is sent to s0 first and to the last server last:
+	// once that one holds it, the READ's queries queue behind it at the
+	// b+1 servers it reached.
+	for deadline := time.Now().Add(time.Second); sim.HeldCount(types.WriterID(), types.ServerID(cfg.S()-1)) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the pre-write of v2 was never sent")
+		}
+	}
+	got, err := c.Reader(0).Read()
+	if err != nil {
 		t.Fatal(err)
 	}
 	m := c.Reader(0).LastMeta()
-	if m.WroteBack && m.Rounds() != m.QueryRounds+2 {
+	if got.Val != "v2" || !m.WroteBack {
+		t.Fatalf("Read() = %v, meta %+v; want the pre-written v2, written back", got, m)
+	}
+	if m.Rounds() != m.QueryRounds+2 {
 		t.Errorf("Rounds() = %d with %d query rounds; write-back must add exactly 2", m.Rounds(), m.QueryRounds)
 	}
 }

@@ -71,35 +71,30 @@ type registerWriter interface {
 	LastMeta() core.WriteMeta
 }
 
-// readMeta is a reader client's report of its last READ.
-type readMeta interface {
-	Rounds() int
-	Fast() bool
-}
-
-// registerReader is what Register needs of a reader client.
-type registerReader[M readMeta] interface {
+// registerReader is what Register needs of a reader client: every one
+// reports its READs through core's meta.
+type registerReader interface {
 	Read() (types.Tagged, error)
-	LastMeta() M
+	LastMeta() core.ReadMeta
 }
 
 // Register returns the driver of a single-register deployment: the
 // core cluster's (c.Deployment), with its Config.Writers writer
 // identities, or a protocol variant's.
-func Register[W registerWriter, R registerReader[M], M readMeta](d *core.Deployment[W, R]) Driver {
-	return register[W, R, M]{d}
+func Register[W registerWriter, R registerReader](d *core.Deployment[W, R]) Driver {
+	return register[W, R]{d}
 }
 
 // register is Register's driver.
-type register[W registerWriter, R registerReader[M], M readMeta] struct {
+type register[W registerWriter, R registerReader] struct {
 	dep *core.Deployment[W, R]
 }
 
-func (d register[W, R, M]) NumReaders() int { return d.dep.NumReaders() }
-func (d register[W, R, M]) NumWriters() int { return d.dep.NumWriters() }
-func (d register[W, R, M]) MultiKey() bool  { return false }
+func (d register[W, R]) NumReaders() int { return d.dep.NumReaders() }
+func (d register[W, R]) NumWriters() int { return d.dep.NumWriters() }
+func (d register[W, R]) MultiKey() bool  { return false }
 
-func (d register[W, R, M]) Write(w int, _ string, v types.Value) (types.Tagged, OpMeta, error) {
+func (d register[W, R]) Write(w int, _ string, v types.Value) (types.Tagged, OpMeta, error) {
 	if err := inRange("writer", w, d.dep.NumWriters()); err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}
@@ -110,7 +105,7 @@ func (d register[W, R, M]) Write(w int, _ string, v types.Value) (types.Tagged, 
 	return written(wr.LastMeta(), v)
 }
 
-func (d register[W, R, M]) Read(r int, _ string) (types.Tagged, OpMeta, error) {
+func (d register[W, R]) Read(r int, _ string) (types.Tagged, OpMeta, error) {
 	if err := inRange("reader", r, d.dep.NumReaders()); err != nil {
 		return types.Tagged{}, OpMeta{}, err
 	}

@@ -1,6 +1,7 @@
 package luckystore
 
 import (
+	"luckystore/internal/core"
 	"luckystore/internal/regular"
 	"luckystore/internal/twophase"
 )
@@ -18,8 +19,9 @@ type (
 	RegularCluster = regular.Cluster
 	// RegularWriter is the regular-variant writer client.
 	RegularWriter = regular.Writer
-	// RegularReader is a regular-variant reader client.
-	RegularReader = regular.Reader
+	// RegularReader is a regular-variant reader client: the core Reader
+	// without the write-back, built by the cluster (regular.NewReader).
+	RegularReader = core.Reader
 )
 
 // NewRegular builds and starts an Appendix D regular-variant cluster on
@@ -41,8 +43,10 @@ type (
 	TwoPhaseCluster = twophase.Cluster
 	// TwoPhaseWriter is the two-phase writer client.
 	TwoPhaseWriter = twophase.Writer
-	// TwoPhaseReader is a two-phase reader client.
-	TwoPhaseReader = twophase.Reader
+	// TwoPhaseReader is a two-phase reader client: the core Reader with
+	// the Fig. 7 fast predicate and a two-round write-back, built by the
+	// cluster (twophase.NewReader).
+	TwoPhaseReader = core.Reader
 )
 
 // NewTwoPhase builds and starts an Appendix C two-phase cluster on an
