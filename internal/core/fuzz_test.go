@@ -113,7 +113,9 @@ func encodeFuzzSteps(steps []fuzzStep) []byte {
 }
 
 // FuzzServerStep steps Validate-passing message sequences into both
-// server variants through StepAppend, with one reused buffer, and
+// server variants through StepAppend, with one reused buffer — the
+// two-phase deployment's server is the first, fed a writer's W that
+// carries a frozen set — and
 // asserts: no panic; pw, w and vw stamps never decrease; the per-reader
 // slots never outnumber the readers named so far — nothing is stored
 // per writer (the space-bounds property, DESIGN.md §10); and the
@@ -138,6 +140,12 @@ func FuzzServerStep(f *testing.F) {
 		{{w, wire.PW{TS: 1, PW: tv(1, "a"), W: types.Bottom()}}, {r0, wire.Read{TSR: 1, Round: 1}}, {w, wire.W{Round: 2, Tag: 1, C: tv(1, "a")}}},
 		{{types.WriterIDN(1), wire.PW{TS: 2, PW: types.Tagged{TS: 2, W: 1, Val: "b"}, W: tv(1, "a"), Spec: true}}, {w, wire.PW{TS: 2, PW: tv(2, "a"), W: tv(1, "a"), Spec: true}}},
 		{{w, wire.PW{TS: 1, PW: types.Bottom(), W: tv(1, "a")}}},
+		// The two-phase deployment's freeze rides the writer's W round
+		// (Fig. 8 lines 10–15); a reader's W carrying one is ignored.
+		{{r0, wire.Read{TSR: 3, Round: 2}}, {w, wire.PW{TS: 1, PW: tv(1, "a"), W: types.Bottom()}},
+			{w, wire.W{Round: 2, Tag: 1, C: tv(1, "a"), Frozen: []types.FrozenEntry{{Reader: r0, PW: tv(1, "a"), TSR: 3}}}}, {r0, wire.Read{TSR: 3, Round: 3}}},
+		{{r1, wire.Read{TSR: 2, Round: 2}}, {r1, wire.W{Round: 2, Tag: 2, C: tv(1, "a"), Frozen: []types.FrozenEntry{{Reader: r1, PW: tv(1, "a"), TSR: 2}}}},
+			{w, wire.W{Round: 2, Tag: 1, C: tv(2, "b"), Frozen: []types.FrozenEntry{{Reader: r1, PW: tv(2, "b"), TSR: 1}, {Reader: r2, PW: tv(2, "b"), TSR: 4}}}}},
 	} {
 		f.Add(encodeFuzzSteps(seed))
 	}

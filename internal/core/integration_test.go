@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"luckystore/internal/drive"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -462,7 +461,6 @@ func TestConcurrentWritesAndReadsStress(t *testing.T) {
 // feedPWAcks opens a pre-write round on w and delivers a PW_ACK set to
 // it, the way a live pre-write phase does.
 func feedPWAcks(w *Writer, acks map[types.ProcID]wire.PWAck) {
-	w.rnd = drive.NewRound(w.cfg.shape("WRITE"))
 	w.opTS = w.ts
 	w.emit(time.Now(), phasePW, nil, wire.PW{TS: w.ts}, new([]transport.Outgoing))
 	for id, a := range acks {
@@ -471,7 +469,7 @@ func feedPWAcks(w *Writer, acks map[types.ProcID]wire.PWAck) {
 }
 
 // freeze runs w's freezevalues() over the PW_ACKs fed to it.
-func freeze(w *Writer) { w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, w.frozen) }
+func freeze(w *Writer) { w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.b, w.pw, w.frozen) }
 
 // The writer's freezevalues picks the (b+1)-st highest reported
 // timestamp and freezes at most one value per reader per write.

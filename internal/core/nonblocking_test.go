@@ -201,9 +201,11 @@ func TestNonBlockingStarvedSpecFallsBackToTheQuery(t *testing.T) {
 	advanced(t, "starved spec", w, ep, false)
 	query(2)
 	acked(3)
+	// Three rounds opened: the starved speculative pre-write, the query
+	// and the pre-write.
 	m := w.LastMeta()
-	if m.TS != 3 || !m.Queried || m.Spec || m.Ghost != ghost.Stamp() || m.Rounds != 2 {
-		t.Errorf("meta %+v; want ts 3 bound by a query round, the spec stamp %v as its ghost", m, ghost.Stamp())
+	if m.TS != 3 || !m.Queried || m.Spec || m.Ghost != ghost.Stamp() || m.Rounds != 3 {
+		t.Errorf("meta %+v; want ts 3 bound by a query round in 3 rounds, the spec stamp %v as its ghost", m, ghost.Stamp())
 	}
 }
 

@@ -15,10 +15,12 @@ import (
 	"luckystore/internal/wire"
 )
 
-// roundTap is a reader's endpoint as the wire sees it: it records the
-// distinct (message kind, round) pairs the reader sent, so the rounds a
-// READ opened can be counted without asking the reader. A resend of a
-// starved round repeats a pair and counts once.
+// roundTap is a client's endpoint as the wire sees it: it records the
+// distinct rounds the client sent — by message kind and round, and a
+// pre-write by its TS too, so a WRITE whose speculative pre-write was
+// abandoned counts both — so the rounds an operation opened can be
+// counted without asking the client. A resend of a starved round
+// repeats a key and counts once.
 type roundTap struct {
 	transport.Endpoint
 	mu     sync.Mutex
@@ -29,6 +31,7 @@ type roundTap struct {
 type tapRound struct {
 	kind  wire.Kind
 	round int
+	ts    types.TS
 }
 
 func (t *roundTap) Send(to types.ProcID, m wire.Message) error {
@@ -38,6 +41,8 @@ func (t *roundTap) Send(to types.ProcID, m wire.Message) error {
 		r.round = v.Round
 	case wire.W:
 		r.round = v.Round
+	case wire.PW:
+		r.ts = v.TS
 	}
 	t.mu.Lock()
 	t.sent[r] = true
@@ -68,7 +73,10 @@ type tapProtocol struct {
 	reader    func(types.ProcID, transport.Endpoint) *core.Reader
 }
 
-type tapWriter interface{ Write(types.Value) error }
+type tapWriter interface {
+	Write(types.Value) error
+	LastMeta() core.WriteMeta
+}
 
 func tapProtocols() map[string]tapProtocol {
 	const rt = 15 * time.Millisecond
@@ -81,7 +89,7 @@ func tapProtocols() map[string]tapProtocol {
 			writer: func(id types.ProcID, ep transport.Endpoint) tapWriter { return core.NewWriter(cc, id, ep) },
 			reader: func(id types.ProcID, ep transport.Endpoint) *core.Reader { return core.NewReader(cc, id, ep) }},
 		"twophase": {s: tc.S(), t: tc.T, b: tc.B, writeBack: 2,
-			server: func() node.Automaton { return twophase.NewServer() },
+			server: func() node.Automaton { return core.NewServer() },
 			writer: func(_ types.ProcID, ep transport.Endpoint) tapWriter { return twophase.NewWriter(tc, ep) },
 			reader: func(id types.ProcID, ep transport.Endpoint) *core.Reader { return twophase.NewReader(tc, id, ep) }},
 		"regular": {s: rc.S(), t: rc.T, b: rc.B, writeBack: 0,
@@ -210,5 +218,123 @@ func TestReadRoundsMatchTheWire(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWriteRoundsMatchTheWire checks every WRITE's counted rounds
+// against the rounds its writer put on the wire, for the core,
+// two-phase and regular WRITEs: fast, slow, after a resend of a starved
+// pre-write, and — for core's multi-writer stamp binding — queried and
+// flipped from a NACKed speculative pre-write to the query path.
+func TestWriteRoundsMatchTheWire(t *testing.T) {
+	type run struct {
+		dep *core.Deployment[tapWriter, *core.Reader]
+		tap *roundTap
+		s   int // the servers
+	}
+	// crash crashes servers 0 … n−1: the pre-write reaches a quorum
+	// but fewer PW_ACKs than a fast WRITE needs (fw = t − b = 1 here).
+	crash := func(n int) func(*testing.T, run) {
+		return func(_ *testing.T, r run) {
+			for i := range n {
+				r.dep.CrashServer(i)
+			}
+		}
+	}
+	cases := []struct {
+		name, protocol string
+		writers        int // above one, core's multi-writer stamp binding
+		// setup, if set, runs before the measured WRITE
+		setup func(*testing.T, run)
+		want  int
+	}{
+		{name: "core/fast", protocol: "core", want: 1},
+		{name: "core/slow", protocol: "core", setup: crash(2), want: 3},
+		{name: "core/multi-writer queried", protocol: "core", writers: 2, want: 2},
+		{
+			// E16's flip: a cold query, a speculative WRITE, then every
+			// server holds a stamp above the cache, so the next
+			// speculative pre-write is NACKed and the WRITE queries and
+			// pre-writes again at a higher TS.
+			name: "core/nack-flipped", protocol: "core", writers: 2,
+			setup: func(t *testing.T, r run) {
+				for _, v := range []types.Value{"a", "b"} {
+					if err := r.dep.Writer().Write(v); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if m := r.dep.Writer().LastMeta(); !m.Spec {
+					t.Fatalf("second WRITE %+v did not speculate", m)
+				}
+				raced := types.Tagged{TS: 50, W: 5, Val: "raced"}
+				for i := range r.s {
+					r.dep.ServerAutomaton(i).(*core.Server).InjectState(raced, raced, raced)
+				}
+			},
+			want: 3,
+		},
+		{name: "regular/fast", protocol: "regular", want: 1},
+		{name: "regular/slow", protocol: "regular", setup: crash(2), want: 2},
+		{name: "twophase", protocol: "twophase", want: 2},
+		{
+			// The pre-write reaches S−t−1 servers until its resend
+			// leaves: it is one round, however often it is sent.
+			name: "twophase/resent pre-write", protocol: "twophase",
+			setup: func(t *testing.T, r run) {
+				sim := r.dep.Sim()
+				for i := range 3 { // t + 1 of the S = 7
+					sim.Hold(types.WriterID(), types.ServerID(i))
+				}
+				sent := 0
+				r.tap.mu.Lock()
+				r.tap.onSend = func(m wire.Message) {
+					if _, ok := m.(wire.PW); ok {
+						if sent++; sent == r.s+1 {
+							sim.ReleaseAll()
+						}
+					}
+				}
+				r.tap.mu.Unlock()
+			},
+			want: 2,
+		},
+	}
+	mw := core.Config{T: 2, B: 1, Fw: 1, NumReaders: 1, Writers: 2, RoundTimeout: 15 * time.Millisecond}
+	protocols := tapProtocols()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := protocols[tc.protocol]
+			newWriter := p.writer
+			if tc.writers > 1 {
+				newWriter = func(id types.ProcID, ep transport.Endpoint) tapWriter { return core.NewWriter(mw, id, ep) }
+			}
+			tap := &roundTap{sent: make(map[tapRound]bool)}
+			dep, err := core.Deploy(nil, nil, p.s, func(int) node.Automaton { return p.server() }, nil,
+				max(tc.writers, 1), func(id types.ProcID, ep transport.Endpoint) tapWriter {
+					if id == types.WriterID() {
+						tap.Endpoint, ep = ep, tap
+					}
+					return newWriter(id, ep)
+				}, 1, p.reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(dep.Close)
+			if tc.setup != nil {
+				tc.setup(t, run{dep, tap, p.s})
+			}
+			tap.rounds()
+			w := dep.Writer()
+			if err := w.Write("v"); err != nil {
+				t.Fatal(err)
+			}
+			m, sent := w.LastMeta(), tap.rounds()
+			if m.Rounds != sent {
+				t.Errorf("meta counts %d rounds, the wire saw %d (%+v)", m.Rounds, sent, m)
+			}
+			if sent != tc.want {
+				t.Errorf("the wire saw %d rounds, want %d (%+v)", sent, tc.want, m)
+			}
+		})
 	}
 }

@@ -15,6 +15,12 @@ import (
 // reader's last announced READ timestamp tsr_j and the frozen slot
 // frozen_rj used by the freezing mechanism.
 //
+// It is the server of the whole Fig. 1–3 family. Appendix C's server
+// (Fig. 8) is this one as its clients use it: no two-phase client sends
+// a W round 3, so vw stays ⊥, and its writer's freeze arrives in a W
+// message, which onW applies as onPW does. Appendix D's is
+// NewRegularServer.
+//
 // The automaton is pure and single-threaded: StepAppend consumes one
 // message and appends the replies to send. It never initiates
 // communication (servers reply only to clients, per the paper's
@@ -198,17 +204,7 @@ func (s *Server) onPW(from types.ProcID, m wire.PW, out []transport.Outgoing) []
 	s.sm.pw(m.Spec)
 	s.update(&s.pw, m.PW)
 	s.update(&s.w, m.W)
-	// Apply the frozen set even when pw'/w' are older than the local
-	// copies (Fig. 3 lines 5–6): the freeze for a reader takes effect
-	// when its read timestamp is at least the one the server stored.
-	for _, f := range m.Frozen {
-		if f.TSR >= s.readerTS[f.Reader] {
-			if s.frozen == nil {
-				s.frozen = make(map[types.ProcID]types.FrozenPair)
-			}
-			s.frozen[f.Reader] = types.FrozenPair{PW: f.PW, TSR: f.TSR}
-		}
-	}
+	s.freeze(m.Frozen)
 	// newread: every reader whose announced READ timestamp the writer
 	// has not yet frozen a value for (Fig. 3 line 7). Built in the
 	// reusable scratch, then cloned: the ack is retained by the client
@@ -259,6 +255,9 @@ func (s *Server) onRead(from types.ProcID, m wire.Read, out []transport.Outgoing
 
 // onW handles a write-phase or write-back message (Fig. 3 lines 12–16):
 // round 1 updates pw, round 2 additionally w, round 3 additionally vw.
+// A frozen set applies when the writer sends it (Fig. 8 lines 10–15:
+// Appendix C's writer ships its freeze in its one W round); a reader's
+// is ignored.
 func (s *Server) onW(from types.ProcID, m wire.W, out []transport.Outgoing) []transport.Outgoing {
 	s.sm.w()
 	s.update(&s.pw, m.C)
@@ -268,7 +267,25 @@ func (s *Server) onW(from types.ProcID, m wire.W, out []transport.Outgoing) []tr
 	if m.Round > 2 {
 		s.update(&s.vw, m.C)
 	}
+	if from.IsWriter() {
+		s.freeze(m.Frozen)
+	}
 	return append(out, transport.Outgoing{To: from, Msg: wire.WAck{Round: m.Round, Tag: m.Tag}})
+}
+
+// freeze applies a writer's frozen set even when the pairs its message
+// carries are older than the local copies (Fig. 3 lines 5–6): the
+// freeze for a reader takes effect when its read timestamp is at least
+// the one the server stored.
+func (s *Server) freeze(frozen []types.FrozenEntry) {
+	for _, f := range frozen {
+		if f.TSR >= s.readerTS[f.Reader] {
+			if s.frozen == nil {
+				s.frozen = make(map[types.ProcID]types.FrozenPair)
+			}
+			s.frozen[f.Reader] = types.FrozenPair{PW: f.PW, TSR: f.TSR}
+		}
+	}
 }
 
 // update replaces *local with c only if c is strictly newer in the

@@ -21,6 +21,8 @@ var ErrBottomValue = errors.New("cannot write the initial value ⊥ (empty value
 type WriteMeta struct {
 	TS     types.TS
 	Writer types.WID
+	// Rounds is every round the WRITE opened, counted as each was
+	// (drive.Round.Rounds): a fast WRITE has Rounds == 1.
 	Rounds int
 	Fast   bool
 	PWAcks int // valid PW_ACKs held when the fast-path check ran
@@ -71,17 +73,23 @@ type WriteFault struct {
 	CrashAfterW map[int]bool
 }
 
-// Writer implements the WRITE protocol of Figure 1, generalized to
-// multiple writers: each Writer has an explicit identity (part of the
-// automaton contract, not a process-wide singleton), binds composite
-// 〈seq, writer〉 stamps, and in multi-writer configurations runs a stamp
-// query round before the pre-write so concurrent writers totally order
-// their stamps. A Writer is not safe for concurrent use: each writer
-// process invokes one operation at a time — which is also what makes
-// its round state poolable. All per-operation machinery (the round, the
-// PW_ACK slots, the freeze scratch) lives on the Writer and is reset per
-// WRITE instead of reallocated, so a steady-state fast WRITE allocates
-// nothing beyond the messages themselves (DESIGN.md §5).
+// Writer implements the WRITE protocol of Figure 1, and with it the
+// WRITE of every protocol of its family: Appendix C's two-phase WRITE
+// and Appendix D's regular one run the same pre-write and differ only
+// in their round shape, their fast threshold and the length of the
+// write phase that follows it (NewWriterOf).
+//
+// It is generalized to multiple writers: each Writer has an explicit
+// identity (part of the automaton contract, not a process-wide
+// singleton), binds composite 〈seq, writer〉 stamps, and in multi-writer
+// configurations runs a stamp query round before the pre-write so
+// concurrent writers totally order their stamps. A Writer is not safe
+// for concurrent use: each writer process invokes one operation at a
+// time — which is also what makes its round state poolable. All
+// per-operation machinery (the round, the PW_ACK slots, the freeze
+// scratch) lives on the Writer and is reset per WRITE instead of
+// reallocated, so a steady-state fast WRITE allocates nothing beyond
+// the messages themselves (DESIGN.md §5).
 //
 // MWMR soundness hinges on one rule: a WRITE binds exactly one stamp,
 // chosen before PW is sent and never revised. A writer that discovers
@@ -92,10 +100,19 @@ type WriteFault struct {
 // invocation order (a new-old-new inversion no stamp-based checker can
 // see). See DESIGN.md §10.
 type Writer struct {
-	cfg Config
 	ep  transport.Endpoint
 	id  types.ProcID
 	wid types.WID
+
+	// The protocol's shape (NewWriterOf): the S servers, b of the
+	// freeze's b+1 witnesses, the PW_ACKs of a fast WRITE (above S:
+	// never fast), the W rounds of a slow one, and whether its frozen
+	// set rides them instead of the next WRITE's pre-write. mw and spec
+	// are core's multi-writer stamp binding (Config.Writers,
+	// Config.NoSpec).
+	s, b, fastAcks, wRounds int
+	freezeInW, mw, spec     bool
+	metrics                 *Metrics
 
 	ts      types.TS    // sequence floor: seq of the last bound stamp
 	last    types.Stamp // stamp of the last completed/installed write
@@ -137,18 +154,35 @@ type Writer struct {
 // given endpoint. The id must be a writer ProcID (types.WriterIDN); its
 // index becomes the writer component of every stamp this client binds.
 func NewWriter(cfg Config, id types.ProcID, ep transport.Endpoint) *Writer {
+	w := NewWriterOf(cfg.shape("WRITE"), cfg.B, cfg.FastWriteAcks(), 2, false, id, ep)
+	w.mw, w.spec, w.metrics = cfg.MW(), !cfg.NoSpec, cfg.Metrics
+	return w
+}
+
+// NewWriterOf creates writer client id of a protocol of the Fig. 1
+// family: rounds of shape sh, the freeze of Fig. 1 lines 13–15 at b+1
+// witnesses, a fast WRITE at fastAcks PW_ACKs (above sh.S: never fast),
+// and a slow one that runs wRounds W rounds — two in Fig. 1, one in
+// Appendices C and D — with the frozen set riding them when freezeInW
+// (Fig. 6) and the next WRITE's pre-write otherwise. The pre-write
+// waits for the timer only when a fast outcome is possible.
+func NewWriterOf(sh drive.Shape, b, fastAcks, wRounds int, freezeInW bool, id types.ProcID, ep transport.Endpoint) *Writer {
 	wi := id.WriterIndex()
 	if wi < 0 {
 		panic(fmt.Sprintf("core.NewWriter: %q is not a writer id", id))
 	}
 	return &Writer{
-		cfg: cfg,
-		ep:  ep,
-		id:  id,
-		wid: types.WID(wi),
-		pw:  types.Bottom(),
-		w:   types.Bottom(),
-		rnd: drive.NewRound(cfg.shape("WRITE")),
+		ep:        ep,
+		id:        id,
+		wid:       types.WID(wi),
+		s:         sh.S,
+		b:         b,
+		fastAcks:  fastAcks,
+		wRounds:   wRounds,
+		freezeInW: freezeInW,
+		pw:        types.Bottom(),
+		w:         types.Bottom(),
+		rnd:       drive.NewRound(sh),
 	}
 }
 
@@ -163,7 +197,7 @@ const (
 	phaseQuery                   // MWMR stamp query (a round-1 READ)
 	phaseSpec                    // speculative pre-write (DESIGN.md §12)
 	phasePW                      // pre-write at the bound stamp (Fig. 1 lines 3–5)
-	phaseW                       // W round 2 or 3 (Fig. 1 lines 9–11)
+	phaseW                       // a W round, from round 2 (Fig. 1 lines 9–11)
 )
 
 func (p writePhase) String() string {
@@ -180,16 +214,17 @@ func (p writePhase) String() string {
 // — is the Writer's pooled drive.Round.
 type writeOp struct {
 	phase   writePhase
-	round   int // W round in flight (2 or 3)
+	round   int // W round in flight, from 2
 	val     types.Value
 	c       types.Tagged // pair in flight: the speculative attempt's, then the bound one
 	fault   *WriteFault
 	seq     types.TS    // floor the bound stamp's sequence must exceed
 	qmax    types.Stamp // fold of the stamp query's acks
 	queried bool
-	ghost   types.Stamp // aborted speculative stamp (WriteMeta.Ghost)
-	meta    WriteMeta   // assembled when the pre-write commits, published on completion
-	starved bool        // a speculative pre-write's grace ran out below a quorum
+	ghost   types.Stamp         // aborted speculative stamp (WriteMeta.Ghost)
+	meta    WriteMeta           // assembled when the pre-write commits, published on completion
+	starved bool                // a speculative pre-write's grace ran out below a quorum
+	frozen  []types.FrozenEntry // the freeze the W rounds carry (freezeInW)
 
 	t0 time.Time // invocation time when Config.Metrics observes the op
 }
@@ -214,7 +249,7 @@ func (w *Writer) Write(v types.Value) error {
 // meanwhile.
 func (w *Writer) Start(now time.Time, v types.Value, out *[]transport.Outgoing) (done bool, err error) {
 	var t0 time.Time
-	if w.cfg.Metrics != nil {
+	if w.metrics != nil {
 		t0 = now
 	}
 	return w.settle(w.start(now, v, nil, t0, out))
@@ -285,6 +320,9 @@ func (w *Writer) WriteWithFault(v types.Value, f *WriteFault) error {
 // LastMeta returns metadata about the most recent completed WRITE.
 func (w *Writer) LastMeta() WriteMeta { return w.lastMeta }
 
+// Rounds returns the round-trips the most recent completed WRITE ran.
+func (w *Writer) Rounds() int { return w.lastMeta.Rounds }
+
 // WriteAt runs a WRITE that binds exactly the pair c — stamp included,
 // writer component and all — instead of advancing this writer's own
 // stamp. It is the handoff primitive for scale-out rebalancing
@@ -354,9 +392,9 @@ func (w *Writer) start(now time.Time, v types.Value, f *WriteFault, t0 time.Time
 	}
 	w.begin(now, writeOp{val: v, fault: f, seq: w.ts, t0: t0})
 	switch {
-	case !w.cfg.MW():
+	case !w.mw:
 		return w.emitPW(now, types.Tagged{TS: w.ts + 1, W: w.wid, Val: v}, out)
-	case f == nil && !w.cfg.NoSpec && w.cacheOK && w.calm:
+	case f == nil && w.spec && w.cacheOK && w.calm:
 		// Speculative fast path (DESIGN.md §12): bind one above the
 		// cached maximum and let the servers arbitrate. A NACK or a
 		// starved quorum aborts the attempt with no writer state
@@ -416,7 +454,7 @@ func (w *Writer) advance(now time.Time, out *[]transport.Outgoing) (bool, error)
 	case phasePW:
 		return w.commitPW(now, false, out)
 	default: // phaseW
-		if o.round < 3 {
+		if o.round <= w.wRounds {
 			return w.emitW(now, o.round+1, out)
 		}
 		return w.complete(now)
@@ -425,11 +463,12 @@ func (w *Writer) advance(now time.Time, out *[]transport.Outgoing) (bool, error)
 
 // emit opens a round at now: fresh ack and NACK state, and its messages
 // appended to out. Only a pre-write's decision waits for the timer
-// (Fig. 1 line 5).
+// (Fig. 1 line 5), and only when a fast WRITE is possible.
 func (w *Writer) emit(now time.Time, phase writePhase, targets []types.ProcID, m wire.Message, out *[]transport.Outgoing) {
 	w.op.phase = phase
 	w.nackSeen, w.nackMax = false, types.Stamp0
-	w.rnd.Open(now, phase.String(), phase == phaseSpec || phase == phasePW, targets, m, out)
+	timed := (phase == phaseSpec || phase == phasePW) && w.fastAcks <= w.s
+	w.rnd.Open(now, phase.String(), timed, targets, m, out)
 }
 
 // emitQuery emits the MWMR stamp-discovery round: a round-1 READ
@@ -470,12 +509,12 @@ func (w *Writer) emitPW(now time.Time, c types.Tagged, out *[]transport.Outgoing
 	return false, nil
 }
 
-// emitW emits W round 2 or 3 of the write phase (Fig. 1 lines 9–11) at
-// the already pre-written pair.
+// emitW emits a W round of the write phase (Fig. 1 lines 9–11) at the
+// already pre-written pair.
 func (w *Writer) emitW(now time.Time, round int, out *[]transport.Outgoing) (bool, error) {
 	w.op.round = round
 	f := w.op.fault
-	w.emit(now, phaseW, f.wTo(round), wire.W{Round: round, Tag: int64(w.op.c.TS), C: w.pw}, out)
+	w.emit(now, phaseW, f.wTo(round), wire.W{Round: round, Tag: int64(w.op.c.TS), C: w.pw, Frozen: w.op.frozen}, out)
 	if f != nil && f.CrashAfterW[round] {
 		w.crashed = true
 		return false, ErrCrashed
@@ -489,34 +528,37 @@ func (w *Writer) emitW(now time.Time, round int, out *[]transport.Outgoing) (boo
 func (w *Writer) commitPW(now time.Time, spec bool, out *[]transport.Outgoing) (bool, error) {
 	o := &w.op
 	w.w = w.pw
-	w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
-
-	o.meta = WriteMeta{TS: o.c.TS, Writer: o.c.W, Rounds: 1, PWAcks: w.rnd.Acks(),
-		Queried: o.queried, Contended: w.sawContention(o.c), Spec: spec, Ghost: o.ghost}
-	if o.queried {
-		o.meta.Rounds = 2 // the stamp query is a round-trip too
+	if frozen := w.fz.Freeze(&w.rnd, w.acks, w.b, w.pw, nil); w.freezeInW {
+		o.frozen = frozen
+	} else {
+		w.frozen = frozen
 	}
+
+	o.meta = WriteMeta{TS: o.c.TS, Writer: o.c.W, PWAcks: w.rnd.Acks(),
+		Queried: o.queried, Contended: w.sawContention(o.c), Spec: spec, Ghost: o.ghost}
 	// A NACKed speculative attempt earlier in this operation counts as
 	// contention evidence even when the retry's own acks are clean: one
 	// full query-path operation must complete uncontended before the
 	// writer speculates again.
 	w.noteCompletion(o.c, o.meta.Contended || !o.ghost.IsZero())
 
-	if w.rnd.Acks() >= w.cfg.FastWriteAcks() {
+	if w.rnd.Acks() >= w.fastAcks {
 		o.meta.Fast = true
 		return w.complete(now)
 	}
-	o.meta.Rounds += 2
 	return w.emitW(now, 2, out)
 }
 
-// complete publishes the finished WRITE's meta at now.
+// complete publishes the finished WRITE's meta at now, with every round
+// it opened counted (drive.Round.Rounds): an abandoned speculative
+// pre-write and the stamp query included.
 func (w *Writer) complete(now time.Time) (bool, error) {
 	o := &w.op
+	o.meta.Rounds = w.rnd.Rounds()
 	w.lastMeta = o.meta
 	w.stats.record(o.meta.Rounds, o.meta.Fast)
 	if !o.t0.IsZero() {
-		w.cfg.Metrics.observeWrite(o.meta, now.Sub(o.t0))
+		w.metrics.observeWrite(o.meta, now.Sub(o.t0))
 	}
 	return true, nil
 }
@@ -574,7 +616,7 @@ func (w *Writer) acceptPWAck(env wire.Envelope) {
 		}
 		if i, first := w.rnd.Ack(env.From); first {
 			if w.acks == nil {
-				w.acks = make([]wire.PWAck, w.cfg.S())
+				w.acks = make([]wire.PWAck, w.s)
 			}
 			w.acks[i] = a
 		}

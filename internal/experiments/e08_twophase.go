@@ -75,7 +75,7 @@ func E8TwoPhase() (*Result, error) {
 	runFig5 := func(weak bool) (weakReadMeta, error) {
 		automata := make([]node.Automaton, undersized)
 		for i := range automata {
-			automata[i] = twophase.NewServer()
+			automata[i] = core.NewServer()
 		}
 		automata[5] = node.Automaton(fault.ForgeHighTS(forged.TS, forged.Val)) // FB forges σ1
 		mc, err := newRawCluster(automata, 1)

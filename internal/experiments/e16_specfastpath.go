@@ -166,8 +166,10 @@ func E16SpecFastPath() (*Result, error) {
 		for i := 0; i < cfg.S(); i++ {
 			c.ServerAutomaton(i).(*core.Server).InjectState(installed, installed, installed)
 		}
+		// Three rounds: the NACKed speculative pre-write, the query and
+		// the pre-write at the bound stamp.
 		if err := step("nack-flips", "c", func(m core.WriteMeta) bool {
-			return !m.Spec && m.Queried && !m.Ghost.IsZero() &&
+			return !m.Spec && m.Queried && !m.Ghost.IsZero() && m.Rounds == 3 &&
 				m.Stamp() == (types.Stamp{Seq: 51, Writer: 0})
 		}); err != nil {
 			return nil, err

@@ -10,7 +10,6 @@ import (
 	"luckystore/internal/node"
 	"luckystore/internal/storage"
 	"luckystore/internal/transport"
-	"luckystore/internal/twophase"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 )
@@ -44,7 +43,7 @@ func TestStepSinkContract(t *testing.T) {
 		{"keyed server", keyed.NewShardedServer(4, newCore), w, key(pw), 1, key(bad)},
 		{"durable", storage.NewDurable(core.NewServer(), storage.NewMemory(nil), types.ServerID(0)), w, pw, 1, bad},
 		{"abd", abd.NewServer(), w, wire.ABDWrite{Seq: 1, C: one}, 1, bad},
-		{"twophase", twophase.NewServer(), w, pw, 1, bad},
+		{"twophase", core.NewServer(), w, wire.W{Round: 2, Tag: 1, C: one, Frozen: []types.FrozenEntry{{Reader: r0, PW: one, TSR: 1}}}, 1, bad},
 		{"mute", fault.Mute(), r0, read, 0, nil},
 		{"forge", fault.ForgeHighTS(9, "x"), r0, read, 1, nil},
 		{"stale", fault.StaleBottom(), r0, read, 1, nil},

@@ -10,9 +10,10 @@
 //     failures.
 //
 // Differences from the core algorithm: the W phase of a slow WRITE is a
-// single round, readers never write back — the READ is core's
-// (core.Reader) built without the write-back — and servers drop reader
-// W messages (core.NewRegularServer).
+// single round, readers never write back, and servers drop reader W
+// messages. The WRITE is core's (core.Writer) built with one W round,
+// the READ core's (core.Reader) built without the write-back, and the
+// server core.NewRegularServer.
 package regular
 
 import (
@@ -26,7 +27,6 @@ import (
 	"luckystore/internal/storage"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
-	"luckystore/internal/wire"
 )
 
 // ErrOpTimeout is returned when an operation exceeds its bound: core's
@@ -84,108 +84,11 @@ func (c Config) shape(name string) drive.Shape {
 	return drive.Shape{Name: name, S: c.S(), Need: c.Quorum(), RoundTimeout: c.RoundTimeout, OpTimeout: c.OpTimeout}
 }
 
-// Writer implements the Appendix D WRITE: PW round with the fast check
-// at S − (t−b) acks, then a single W round when slow. Its non-blocking
-// half is a drive.Op, as core's is: Start emits the PW round, replies go
-// in by Deliver and the timer's verdicts by Expire until the round is
-// Decided, and Advance completes the WRITE or emits the W round.
-type Writer struct {
-	cfg      Config
-	ep       transport.Endpoint
-	drv      drive.Private
-	rnd      drive.Round
-	ts       types.TS
-	pw, w    types.Tagged
-	fz       drive.Freezer
-	frozen   []types.FrozenEntry
-	lastMeta core.WriteMeta
-
-	// the WRITE in flight
-	inW    bool         // the W round is, not the PW round
-	acks   []wire.PWAck // the PW round's, slot per server
-	pwAcks int          // ... how many counted
-}
-
-// NewWriter creates the writer client.
-func NewWriter(cfg Config, ep transport.Endpoint) *Writer {
-	return &Writer{
-		cfg: cfg, ep: ep, rnd: drive.NewRound(cfg.shape("regular WRITE")),
-		pw: types.Bottom(), w: types.Bottom(),
-		acks: make([]wire.PWAck, cfg.S()),
-	}
-}
-
-// LastMeta returns metadata about the most recent WRITE.
-func (w *Writer) LastMeta() core.WriteMeta { return w.lastMeta }
-
-// Write stores v: one round-trip when lucky and at most t−b failures,
-// otherwise two.
-func (w *Writer) Write(v types.Value) error {
-	return w.drv.Wait(w.ep, w, func(now time.Time, out *[]transport.Outgoing) (bool, error) {
-		return w.Start(now, v, out)
-	})
-}
-
-// Start begins WRITE(v) at now: it emits the PW round, whose decision
-// waits for the timer.
-func (w *Writer) Start(now time.Time, v types.Value, out *[]transport.Outgoing) (done bool, err error) {
-	if v == "" {
-		return false, core.ErrBottomValue
-	}
-	w.rnd.Begin(now)
-	w.inW = false
-	w.ts++
-	w.pw = types.Tagged{TS: w.ts, Val: v}
-	w.rnd.Open(now, "PW round", true, nil, wire.PW{TS: w.ts, PW: w.pw, W: w.w, Frozen: w.frozen}, out)
-	return false, nil
-}
-
-// Deliver counts one ack of the round in flight.
-func (w *Writer) Deliver(env wire.Envelope) {
-	switch a := env.Msg.(type) {
-	case wire.PWAck:
-		if w.inW || a.TS != w.ts || wire.Validate(env.Msg) != nil {
-			return
-		}
-		if i, first := w.rnd.Ack(env.From); first {
-			w.acks[i] = a
-		}
-	case wire.WAck:
-		if w.inW && a.Round == 2 && a.Tag == int64(w.ts) {
-			w.rnd.Ack(env.From)
-		}
-	}
-}
-
-// Decided reports whether the round in flight may end (see
-// drive.Round.Decided).
-func (w *Writer) Decided() bool { return w.rnd.Decided() }
-
-// Deadline returns when Expire next has something to judge.
-func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
-
-// Expire fires the round's timer at now (see drive.Round.Expire).
-func (w *Writer) Expire(now time.Time, out *[]transport.Outgoing) { w.rnd.Expire(now, out) }
-
-// Advance completes the WRITE — fast on S − fw PW_ACKs — or emits its
-// single W round (Appendix D removes the third).
-func (w *Writer) Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error) {
-	switch {
-	case w.rnd.Err() != nil:
-		return false, w.rnd.Err()
-	case w.inW:
-		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: w.rnd.Rounds(), PWAcks: w.pwAcks}
-		return true, nil
-	}
-	w.w = w.pw
-	w.frozen = w.fz.Freeze(&w.rnd, w.acks, w.cfg.B, w.pw, nil)
-	if w.pwAcks = w.rnd.Acks(); w.pwAcks >= w.cfg.FastWriteAcks() {
-		w.lastMeta = core.WriteMeta{TS: w.ts, Rounds: w.rnd.Rounds(), Fast: true, PWAcks: w.pwAcks}
-		return true, nil
-	}
-	w.inW = true
-	w.rnd.Open(now, "W round", false, nil, wire.W{Round: 2, Tag: int64(w.ts), C: w.pw}, out)
-	return false, nil
+// NewWriter creates the writer client: core's WRITE with the fast
+// check at S − (t−b) PW_ACKs and, when slow, a single W round (Appendix
+// D removes the third).
+func NewWriter(cfg Config, ep transport.Endpoint) *core.Writer {
+	return core.NewWriterOf(cfg.shape("regular WRITE"), cfg.B, cfg.FastWriteAcks(), 1, false, types.WriterID(), ep)
 }
 
 // NewReader creates reader client id: core's READ without the
@@ -196,7 +99,7 @@ func NewReader(cfg Config, id types.ProcID, ep transport.Endpoint) *core.Reader 
 
 // Cluster wires a regular-variant deployment over a simulated network.
 type Cluster struct {
-	*core.Deployment[*Writer, *core.Reader]
+	*core.Deployment[*core.Writer, *core.Reader]
 	cfg Config
 }
 
@@ -215,7 +118,7 @@ func NewDurableCluster(cfg Config, p storage.Provider, simOpts ...simnet.Option)
 		return nil, err
 	}
 	c, err := core.Deploy(nil, simOpts, cfg.S(), func(int) node.Automaton { return core.NewRegularServer() }, p,
-		1, func(_ types.ProcID, ep transport.Endpoint) *Writer { return NewWriter(cfg, ep) },
+		1, func(_ types.ProcID, ep transport.Endpoint) *core.Writer { return NewWriter(cfg, ep) },
 		cfg.NumReaders, func(id types.ProcID, ep transport.Endpoint) *core.Reader { return NewReader(cfg, id, ep) })
 	if err != nil {
 		return nil, fmt.Errorf("regular: %w", err)

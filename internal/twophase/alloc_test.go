@@ -33,3 +33,28 @@ func TestFastReadSteadyStateAllocs(t *testing.T) {
 		t.Fatal("reads were not fast; the measurement did not hit the steady-state path")
 	}
 }
+
+// TestWriteSteadyStateAllocs holds the two-phase WRITE — core's writer
+// with one W round — to what its two rounds box: each round's request
+// once plus one ack per server, 2 × (1 + S) = 8 at t = 1, b = fr = 0.
+// Excluded under -race, whose instrumentation inflates counts.
+func TestWriteSteadyStateAllocs(t *testing.T) {
+	c := newTestCluster(t, Config{T: 1, NumReaders: 1})
+	w := c.Writer()
+	for i := 0; i < 64; i++ {
+		if err := w.Write("v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(300, func() {
+		if err := w.Write("v"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8.5 {
+		t.Errorf("steady-state WRITE: %.1f allocs/op, budget 8", allocs)
+	}
+	if w.Rounds() != 2 {
+		t.Fatalf("WRITE ran %d rounds, want 2", w.Rounds())
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"luckystore/internal/checker"
+	"luckystore/internal/core"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
 	"luckystore/internal/workload"
@@ -53,8 +54,11 @@ func TestConfigFormulaAndValidation(t *testing.T) {
 	}
 }
 
+// TestServerHasNoVWAndFrozenViaW holds core's server, which this
+// variant deploys, to Fig. 8: a writer's W carries the freeze, a
+// reader's does not, and no two-phase round sets vw.
 func TestServerHasNoVWAndFrozenViaW(t *testing.T) {
-	s := NewServer()
+	s := core.NewServer()
 	// PW carries no frozen processing in this variant.
 	out := s.StepAppend(types.WriterID(), wire.PW{TS: 1, PW: types.Tagged{TS: 1, Val: "a"}, W: types.Bottom()}, nil)
 	if _, ok := out[0].Msg.(wire.PWAck); !ok {
@@ -73,7 +77,7 @@ func TestServerHasNoVWAndFrozenViaW(t *testing.T) {
 		t.Errorf("two-phase server reported a vw value: %v", ack.VW)
 	}
 	// Frozen inside a reader's W message must be ignored.
-	s2 := NewServer()
+	s2 := core.NewServer()
 	s2.StepAppend(rj, wire.Read{TSR: 3, Round: 2}, nil)
 	s2.StepAppend(rj, wire.W{Round: 2, Tag: 3, C: types.Tagged{TS: 1, Val: "a"}, Frozen: fz}, nil)
 	ack2 := s2.StepAppend(rj, wire.Read{TSR: 3, Round: 3}, nil)[0].Msg.(wire.ReadAck)

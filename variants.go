@@ -17,8 +17,10 @@ type (
 	RegularConfig = regular.Config
 	// RegularCluster is a running regular-variant deployment.
 	RegularCluster = regular.Cluster
-	// RegularWriter is the regular-variant writer client.
-	RegularWriter = regular.Writer
+	// RegularWriter is the regular-variant writer client: the core
+	// Writer with one W round and the fast check at S − (t − b)
+	// PW_ACKs, built by the cluster (regular.NewWriter).
+	RegularWriter = core.Writer
 	// RegularReader is a regular-variant reader client: the core Reader
 	// without the write-back, built by the cluster (regular.NewReader).
 	RegularReader = core.Reader
@@ -41,8 +43,10 @@ type (
 	TwoPhaseConfig = twophase.Config
 	// TwoPhaseCluster is a running two-phase deployment.
 	TwoPhaseCluster = twophase.Cluster
-	// TwoPhaseWriter is the two-phase writer client.
-	TwoPhaseWriter = twophase.Writer
+	// TwoPhaseWriter is the two-phase writer client: the core Writer
+	// with no fast path and one W round carrying the frozen set, built
+	// by the cluster (twophase.NewWriter).
+	TwoPhaseWriter = core.Writer
 	// TwoPhaseReader is a two-phase reader client: the core Reader with
 	// the Fig. 7 fast predicate and a two-round write-back, built by the
 	// cluster (twophase.NewReader).
