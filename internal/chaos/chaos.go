@@ -5,7 +5,9 @@
 // schedules, drives them against a running deployment while
 // internal/workload generates traffic, and verifies the recorded
 // history with internal/checker — per key, against the deployment's
-// consistency contract.
+// consistency contract. Every deployment's servers are a core.Servers
+// fleet, on simnet or on loopback TCP, so a crash, a restart or a swap
+// means the same thing on each.
 //
 // Determinism contract: a scenario's schedule is a pure function of
 // (seed, deployment shape, duration) — same seed, same deployment kind

@@ -11,6 +11,7 @@ import (
 	"luckystore/internal/node"
 	"luckystore/internal/simnet"
 	"luckystore/internal/types"
+	"luckystore/internal/wire"
 	"luckystore/internal/workload"
 )
 
@@ -106,7 +107,7 @@ func b2(f func() []AppliedEvent) []AppliedEvent { return f() }
 // whatever the seed, applied crashes/swaps stay within t and b.
 func TestGuardEnforcesBudget(t *testing.T) {
 	g := newGuard(2, 1)
-	d := fakeDep()
+	d := fakeDep(t)
 	evAt := func(k ActionKind, srv int) Event {
 		return Event{Action: Action{Kind: k, Server: srv, Behavior: "stale"}}
 	}
@@ -137,7 +138,7 @@ func TestGuardEnforcesBudget(t *testing.T) {
 // freeing a down slot: it must respect the t budget too.
 func TestGuardFreshRestartOfRunningServerRespectsT(t *testing.T) {
 	g := newGuard(2, 1)
-	d := fakeDep()
+	d := fakeDep(t)
 	apply(d, Event{Action: Action{Kind: ActCrash, Server: 0}}, g)
 	apply(d, Event{Action: Action{Kind: ActCrash, Server: 1}}, g)
 	// down={0,1} = t: an amnesiac restart of running s2 would make the
@@ -151,7 +152,7 @@ func TestGuardFreshRestartOfRunningServerRespectsT(t *testing.T) {
 // An amnesiac (fresh) restart counts against b, even of a down server.
 func TestGuardBudgetsColdRestartsAgainstB(t *testing.T) {
 	g := newGuard(2, 1)
-	d := fakeDep()
+	d := fakeDep(t)
 	apply(d, Event{Action: Action{Kind: ActCrash, Server: 0}}, g)
 	if out := apply(d, Event{Action: Action{Kind: ActRestart, Server: 0, Fresh: true}}, g); !out.Applied {
 		t.Fatalf("first cold restart skipped: %+v", out)
@@ -320,22 +321,24 @@ func TestContendingWritersFleetEngagesBothIdentities(t *testing.T) {
 	}
 }
 
-// fakeDep is a deployment of one cluster whose fault hooks always
-// succeed, for guard unit tests.
-func fakeDep() *deployment {
+// fakeDep is a deployment of one cluster of S = 6 idle core servers,
+// no clients: its fault hooks succeed, for guard unit tests.
+func fakeDep(t *testing.T) *deployment {
+	sim, err := simnet.New(types.ServerIDs(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srvs, err := core.NewServers(core.Endpoints(sim), 6, func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		return core.NewServer(), nil, nil
+	}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srvs.Close)
 	return &deployment{
 		cfg:    core.Config{T: 2, B: 1},
 		Driver: workload.KVDriver{},
 		check:  checker.CheckAtomicityPerKey,
-		active: []member{{c: nopCluster{}}},
+		active: []cluster{{srvs: srvs, close: srvs.Close}},
 	}
 }
-
-type nopCluster struct{}
-
-func (nopCluster) crash(int) error                { return nil }
-func (nopCluster) restart(int, bool) error        { return nil }
-func (nopCluster) swap(int, node.Automaton) error { return nil }
-func (nopCluster) diskFault(int, string) error    { return nil }
-func (nopCluster) sim() *simnet.Network           { return nil }
-func (nopCluster) close()                         {}

@@ -1,17 +1,16 @@
 package chaos
 
 // Deployments: one fault surface over every way this repo can run the
-// protocol. A deployment is one or more clusters of one of two kinds —
-// a simnet cluster (core, kv or regular servers) or S sharded KV
-// servers on loopback TCP with file WALs — with a router in front when
+// protocol. A deployment is one or more clusters — each a core.Servers
+// fleet, on simnet (core, kv or regular servers) or on loopback TCP (S
+// sharded KV servers with file WALs) — with a router in front when
 // there is more than one. Its workload driver generates identical
 // traffic everywhere; server-indexed faults hit server i of every
-// active cluster.
+// active cluster through the fleet's hooks.
 
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strings"
 	"time"
@@ -29,6 +28,7 @@ import (
 	"luckystore/internal/tcpnet"
 	"luckystore/internal/transport"
 	"luckystore/internal/types"
+	"luckystore/internal/wire"
 	"luckystore/internal/workload"
 )
 
@@ -130,20 +130,14 @@ type deployment struct {
 	cfg    core.Config
 	net    *simnet.Network // the lone simnet cluster's network, else nil
 	check  func([]checker.Op) []checker.Violation
-	active []member // the fault targets
+	active []cluster // the fault targets
 
 	// Fleets only: the router in front, the opener of joining clusters,
 	// and the clusters retired from the ring, whose servers stay up for
 	// lazy handoffs until Close.
 	r       *router.Router
 	open    opener
-	retired []member
-}
-
-// member is one cluster of a deployment under its ring id.
-type member struct {
-	id ring.ClusterID
-	c  cluster
+	retired []cluster
 }
 
 // routerSeed fixes the ring seed for chaos fleets: placement must be a
@@ -159,14 +153,15 @@ func (d *deployment) start(open opener, n int) error {
 		if err != nil {
 			return err
 		}
-		d.active = append(d.active, member{ring.ID(i), c})
+		c.id = ring.ID(i)
+		d.active = append(d.active, c)
 		d.Driver = drv
 		if kd, ok := drv.(workload.KVDriver); ok {
 			backends[ring.ID(i)] = kd.S
 		}
 	}
 	if n == 1 {
-		d.net = d.active[0].c.sim()
+		d.net = d.active[0].net
 		return nil
 	}
 	r, err := router.New(router.Options{Seed: routerSeed, Readers: d.cfg.NumReaders}, backends)
@@ -184,11 +179,16 @@ func (d *deployment) Net() *simnet.Network                       { return d.net 
 func (d *deployment) Check(ops []checker.Op) []checker.Violation { return d.check(ops) }
 
 func (d *deployment) Crash(i int) error {
-	return d.each(i, func(c cluster) error { return c.crash(i) })
+	return d.each(i, func(c cluster) error { return c.srvs.CrashServer(i) })
 }
 
 func (d *deployment) Restart(i int, fresh bool) error {
-	return d.each(i, func(c cluster) error { return c.restart(i, fresh) })
+	return d.each(i, func(c cluster) error {
+		if fresh {
+			return c.srvs.RestartServerFresh(i)
+		}
+		return c.srvs.RestartServer(i)
+	})
 }
 
 func (d *deployment) Swap(i int, behavior string, seed int64) error {
@@ -198,7 +198,7 @@ func (d *deployment) Swap(i int, behavior string, seed int64) error {
 		if err != nil {
 			return err
 		}
-		return c.swap(i, a)
+		return c.srvs.SwapServerAutomaton(i, a)
 	})
 }
 
@@ -210,9 +210,9 @@ func (d *deployment) each(i int, f func(c cluster) error) error {
 	if i < 0 || i >= d.cfg.S() {
 		return fmt.Errorf("chaos: server %d out of range [0,%d)", i, d.cfg.S())
 	}
-	for _, m := range d.active {
-		if err := f(m.c); err != nil {
-			return fmt.Errorf("cluster %s: %w", m.id, err)
+	for _, c := range d.active {
+		if err := f(c); err != nil {
+			return fmt.Errorf("cluster %s: %w", c.id, err)
 		}
 	}
 	return nil
@@ -259,7 +259,14 @@ func (d *deployment) do(a Action, seed int64) error {
 	case ActSwap:
 		return d.Swap(a.Server, a.Behavior, seed)
 	case ActDiskFault:
-		return d.each(a.Server, func(c cluster) error { return c.diskFault(a.Server, a.Disk) })
+		return d.each(a.Server, func(c cluster) error {
+			// A crashed or swapped server has no open disk: its restart
+			// reopens a healthy one, dropping a fault armed here anyway.
+			if f, ok := c.srvs.ServerBackend(a.Server).(*storage.Fault); ok {
+				return f.Arm(a.Disk)
+			}
+			return nil
+		})
 	case ActJoinCluster:
 		return d.join()
 	case ActRemoveCluster:
@@ -274,12 +281,12 @@ func (d *deployment) join() error {
 	if err != nil {
 		return err
 	}
-	id := ring.ID(len(d.active) + len(d.retired))
-	if err := d.r.AddCluster(id, drv.(workload.KVDriver).S); err != nil {
+	c.id = ring.ID(len(d.active) + len(d.retired))
+	if err := d.r.AddCluster(c.id, drv.(workload.KVDriver).S); err != nil {
 		c.close()
 		return err
 	}
-	d.active = append(d.active, member{id, c})
+	d.active = append(d.active, c)
 	return nil
 }
 
@@ -293,7 +300,7 @@ func (d *deployment) remove(i int) error {
 	if err := d.r.RemoveCluster(id); err != nil {
 		return err
 	}
-	j := slices.IndexFunc(d.active, func(m member) bool { return m.id == id })
+	j := slices.IndexFunc(d.active, func(c cluster) bool { return c.id == id })
 	d.retired = append(d.retired, d.active[j])
 	d.active = slices.Delete(d.active, j, j+1)
 	return nil
@@ -303,44 +310,27 @@ func (d *deployment) Close() {
 	if d.r != nil {
 		_ = d.r.Close() // closes every client store, active and retired
 	}
-	for _, m := range slices.Concat(d.active, d.retired) {
-		m.c.close()
+	for _, c := range slices.Concat(d.active, d.retired) {
+		c.close()
 	}
 }
 
-// cluster is one quorum group of S servers a deployment can hurt.
-type cluster interface {
-	crash(i int) error
-	// restart brings server i back from its storage, wiped first when
-	// fresh.
-	restart(i int, fresh bool) error
-	swap(i int, a node.Automaton) error
-	// diskFault arms a storage fault kind (storage.FaultTornWrite,
-	// storage.FaultFsyncError) on server i's backend. It fires on the
-	// server's next mutating operation, muting it; restart recovers.
-	diskFault(i int, kind string) error
-	// sim is the cluster's simulated network, nil over TCP.
-	sim() *simnet.Network
-	close()
+// cluster is one quorum group of S servers a deployment can hurt, under
+// its ring id: its fleet, its simulated network (nil over TCP) and its
+// close. The fleet's hooks carry crashes, restarts, swaps and disk
+// faults: every backend is opened through a storage.FaultProvider, so
+// ServerBackend is a *storage.Fault to arm.
+type cluster struct {
+	id    ring.ClusterID
+	srvs  *core.Servers
+	net   *simnet.Network
+	close func()
 }
 
 // opener starts one cluster under cfg and returns it with the driver
 // of its client side — a workload.KVDriver for the clusters a router
 // can front.
 type opener func(cfg core.Config) (cluster, workload.Driver, error)
-
-// serverName is the per-server backend name used with storage
-// providers ("s0", "s1", …).
-func serverName(i int) string { return string(types.ServerID(i)) }
-
-// armDisk arms kind on server i's fault wrapper.
-func armDisk(fp *storage.FaultProvider, i int, kind string) error {
-	f := fp.Fault(serverName(i))
-	if f == nil {
-		return fmt.Errorf("chaos: server %d has no storage backend", i)
-	}
-	return f.Arm(kind)
-}
 
 // behaviorFor builds a named Byzantine behavior. keyed lifts it to the
 // multi-register wire protocol.
@@ -369,214 +359,75 @@ func behaviorFor(name string, seed int64, keyed bool) (node.Automaton, error) {
 	return b, nil
 }
 
-// ---- simnet clusters ----
-
-// simCluster is a simnet cluster — its server fleet, network and
-// close — whose servers write through in-memory backends behind fault
-// wrappers: the "disk" survives in-process restarts, so a warm restart
-// is a genuine WAL replay, and schedules can arm disk faults on it.
-type simCluster struct {
-	srvs *core.Servers
-	net  *simnet.Network
-	fp   *storage.FaultProvider
-	shut func()
-}
-
-func (c simCluster) crash(i int) error                  { c.srvs.CrashServer(i); return nil }
-func (c simCluster) swap(i int, a node.Automaton) error { return c.srvs.SwapServerAutomaton(i, a) }
-func (c simCluster) diskFault(i int, kind string) error { return armDisk(c.fp, i, kind) }
-func (c simCluster) sim() *simnet.Network               { return c.net }
-func (c simCluster) close()                             { c.shut() }
-
-// restart heals server i's disk first: the restarted process got a
-// working disk back; what survives on it is recovery's problem.
-func (c simCluster) restart(i int, fresh bool) error {
-	if f := c.fp.Fault(serverName(i)); f != nil {
-		f.Heal()
-	}
-	if fresh {
-		return c.srvs.RestartServerFresh(i)
-	}
-	return c.srvs.RestartServer(i)
-}
-
 // memFaults builds a simnet cluster's storage: fault-injectable memory
-// backends.
+// backends. The "disk" survives in-process restarts, so a warm restart
+// is a genuine WAL replay.
 func memFaults(factory func() storage.Automaton) *storage.FaultProvider {
 	return storage.NewFaultProvider(storage.NewMemProvider(factory))
 }
 
 func openCore(cfg core.Config) (cluster, workload.Driver, error) {
-	fp := memFaults(func() storage.Automaton { return core.NewServer() })
-	c, err := core.NewCluster(cfg, core.WithStorage(fp))
+	c, err := core.NewCluster(cfg, core.WithStorage(memFaults(func() storage.Automaton { return core.NewServer() })))
 	if err != nil {
-		return nil, nil, err
+		return cluster{}, nil, err
 	}
-	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.Register(c.Deployment), nil
+	return cluster{srvs: c.Servers, net: c.Sim(), close: c.Close}, workload.Register(c.Deployment), nil
 }
 
 // openRegular opens the Appendix D regular variant, single-writer by
 // construction.
 func openRegular(cfg core.Config) (cluster, workload.Driver, error) {
-	fp := memFaults(func() storage.Automaton { return core.NewRegularServer() })
 	c, err := regular.NewDurableCluster(regular.Config{
 		T: cfg.T, B: cfg.B, NumReaders: cfg.NumReaders,
 		RoundTimeout: cfg.RoundTimeout, OpTimeout: cfg.OpTimeout,
-	}, fp)
+	}, memFaults(func() storage.Automaton { return core.NewRegularServer() }))
 	if err != nil {
-		return nil, nil, err
+		return cluster{}, nil, err
 	}
-	return simCluster{c.Servers, c.Sim(), fp, c.Close}, workload.Register(c.Deployment), nil
+	return cluster{srvs: c.Servers, net: c.Sim(), close: c.Close}, workload.Register(c.Deployment), nil
 }
 
 // openKV opens a sharded KV store on its own simnet with cfg.Writers
 // writer identities, each binding stamps under its own ⟨seq, writer⟩
 // component.
 func openKV(cfg core.Config) (cluster, workload.Driver, error) {
-	fp := memFaults(kv.NewStorageAutomaton)
-	st, err := kv.Open(cfg, kv.WithStorage(fp))
+	st, err := kv.Open(cfg, kv.WithStorage(memFaults(kv.NewStorageAutomaton)))
 	if err != nil {
-		return nil, nil, err
+		return cluster{}, nil, err
 	}
-	return simCluster{st.Servers, st.Sim(), fp, st.Close}, workload.KVDriver{S: st}, nil
+	return cluster{srvs: st.Servers, net: st.Sim(), close: st.Close}, workload.KVDriver{S: st}, nil
 }
 
-// ---- loopback-TCP clusters ----
-
-// tcpCluster is S sharded KV servers on loopback TCP and the client
-// store dialed to them — the real-deployment shape, where a crash is a
-// listener teardown and a restart a rebind. Every server writes a file
-// WAL under the cluster's temp directory, so a restart reopens it
-// (running the genuine fsck/torn-tail path) and recovers the pre-crash
-// state.
-type tcpCluster struct {
-	dir   string
-	prov  *storage.FaultProvider
-	srvs  []*tcpnet.Server
-	backs []storage.Backend
-	addrs []string
-	st    *kv.Store
-}
-
-// openTCP starts a TCP cluster and dials its store, which speaks as
-// cfg.Writers writer identities over one set of readers.
+// openTCP starts S sharded KV servers on loopback TCP, each writing a
+// file WAL under the cluster's temp directory, and dials a store to
+// them that speaks as cfg.Writers writer identities over one set of
+// readers: the real-deployment shape, where a restart re-binds the
+// server's address and reopening its directory runs the genuine
+// fsck/torn-tail path.
 func openTCP(cfg core.Config) (cluster, workload.Driver, error) {
 	dir, err := os.MkdirTemp("", "luckychaos-tcp-")
 	if err != nil {
-		return nil, nil, fmt.Errorf("chaos tcp: data dir: %w", err)
+		return cluster{}, nil, fmt.Errorf("chaos tcp: data dir: %w", err)
 	}
-	c := &tcpCluster{dir: dir,
-		prov:  storage.NewFaultProvider(storage.NewDirProvider(dir, kv.NewStorageAutomaton)),
-		srvs:  make([]*tcpnet.Server, cfg.S()),
-		backs: make([]storage.Backend, cfg.S()),
-		addrs: make([]string, cfg.S()),
+	addrs := tcpnet.Loopback{} // every server's address once the fleet is up
+	srvs, err := core.NewServers(addrs, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+		srv := kv.NewShardedServerAutomatonInstrumented(0, nil)
+		return srv, srv.Shards(), srv.Route()
+	}, storage.NewFaultProvider(storage.NewDirProvider(dir, kv.NewStorageAutomaton)), nil)
+	shut := func() {
+		srvs.Close()
+		_ = os.RemoveAll(dir)
 	}
-	addrMap := make(map[types.ProcID]string, cfg.S())
-	for i := range c.srvs {
-		if c.srvs[i], err = c.listen(i, "127.0.0.1:0"); err != nil {
-			c.close()
-			return nil, nil, err
-		}
-		c.addrs[i] = c.srvs[i].Addr()
-		addrMap[types.ServerID(i)] = c.addrs[i]
+	if err != nil {
+		shut()
+		return cluster{}, nil, err
 	}
-	c.st, err = kv.Connect(cfg, func(id types.ProcID) (transport.Endpoint, error) {
-		return tcpnet.Dial(id, addrMap)
+	st, err := kv.Connect(cfg, func(id types.ProcID) (transport.Endpoint, error) {
+		return tcpnet.Dial(id, addrs)
 	})
 	if err != nil {
-		c.close()
-		return nil, nil, err
+		shut()
+		return cluster{}, nil, err
 	}
-	return c, workload.KVDriver{S: c.st}, nil
-}
-
-// listen starts server i on addr over a backend opened from the
-// cluster's storage: recovery replays whatever the backend holds, then
-// every shard shares the backend's group commit.
-func (c *tcpCluster) listen(i int, addr string) (*tcpnet.Server, error) {
-	back, err := c.prov.Open(serverName(i))
-	if err != nil {
-		return nil, err
-	}
-	srv := kv.NewShardedServerAutomatonInstrumented(0, nil)
-	sh, err := storage.RecoverShards(back, srv, srv.Shards(), types.ServerID(i), nil)
-	var s *tcpnet.Server
-	if err == nil {
-		s, err = tcpnet.ListenSharded(types.ServerID(i), addr, sh, srv.Route())
-	}
-	if err != nil {
-		_ = back.Close()
-		return nil, err
-	}
-	c.backs[i] = back
-	return s, nil
-}
-
-// rebind re-listens server i, crashed first, on its old address,
-// retrying briefly while the kernel releases the port.
-func (c *tcpCluster) rebind(i int, listen func(addr string) (*tcpnet.Server, error)) error {
-	var err error
-	for attempt := 0; attempt < 100; attempt++ {
-		var srv *tcpnet.Server
-		if srv, err = listen(c.addrs[i]); err == nil {
-			c.srvs[i] = srv
-			return nil
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	return fmt.Errorf("chaos: rebind %s: %w", c.addrs[i], err)
-}
-
-// closeBack releases server i's backend handle, ignoring errors — a
-// faulted disk fails its final flush by design, and the reopen path
-// recovers whatever made it to the medium.
-func (c *tcpCluster) closeBack(i int) {
-	if c.backs[i] != nil {
-		_ = c.backs[i].Close()
-		c.backs[i] = nil
-	}
-}
-
-func (c *tcpCluster) crash(i int) error {
-	err := c.srvs[i].Close()
-	c.closeBack(i) // the process died; its file handles went with it
-	return err
-}
-
-// restart crashes server i — the old process may not step while the
-// new one recovers — and reopens its data directory: fsck truncates
-// any torn tail a disk fault left, then the WAL replays into a fresh
-// server.
-func (c *tcpCluster) restart(i int, fresh bool) error {
-	_ = c.crash(i)
-	if fresh {
-		// Amnesiac restart: the disk burned down with the process.
-		if err := os.RemoveAll(filepath.Join(c.dir, serverName(i))); err != nil {
-			return err
-		}
-	}
-	return c.rebind(i, func(addr string) (*tcpnet.Server, error) { return c.listen(i, addr) })
-}
-
-func (c *tcpCluster) swap(i int, a node.Automaton) error {
-	_ = c.crash(i) // the Byzantine automaton runs without storage
-	return c.rebind(i, func(addr string) (*tcpnet.Server, error) {
-		return tcpnet.Listen(types.ServerID(i), addr, a)
-	})
-}
-
-func (c *tcpCluster) diskFault(i int, kind string) error { return armDisk(c.prov, i, kind) }
-func (c *tcpCluster) sim() *simnet.Network               { return nil }
-
-func (c *tcpCluster) close() {
-	if c.st != nil {
-		c.st.Close()
-	}
-	for i, s := range c.srvs {
-		if s != nil {
-			_ = s.Close()
-		}
-		c.closeBack(i)
-	}
-	_ = os.RemoveAll(c.dir)
+	return cluster{srvs: srvs, close: func() { st.Close(); shut() }}, workload.KVDriver{S: st}, nil
 }

@@ -45,7 +45,7 @@ func Deploy[W, R any](net transport.Network, simOpts []simnet.Option, s int, ser
 	d := &Deployment[W, R]{}
 	d.sim, _ = net.(*simnet.Network)
 	var err error
-	if d.Servers, err = NewServers(net, s, func(i int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+	if d.Servers, err = NewServers(Endpoints(net), s, func(i int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
 		return server(i), nil, nil
 	}, store, nil); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -20,6 +21,8 @@ import (
 	"luckystore/internal/regular"
 	"luckystore/internal/simnet"
 	"luckystore/internal/storage"
+	"luckystore/internal/tcpnet"
+	"luckystore/internal/transport"
 	"luckystore/internal/twophase"
 	"luckystore/internal/types"
 	"luckystore/internal/wire"
@@ -36,30 +39,20 @@ func regularCfg() regular.Config {
 		RoundTimeout: c.RoundTimeout, OpTimeout: c.OpTimeout}
 }
 
-// holdingBackend is a memory backend whose Replay, once armed, holds
-// after the inner replay returns until proceed closes: the window in
-// which a restart has read the WAL but not yet started its runner.
-type holdingBackend struct {
-	storage.Backend
+// holdingProvider opens memory backends whose Replay, once the
+// provider is armed, holds after the inner replay returns until
+// proceed closes: the window in which a restart has read the WAL but
+// not yet started serving. A restart reopens its backend, so the hold
+// is armed on the provider, not on a backend.
+type holdingProvider struct {
+	mem      *storage.MemProvider
 	armed    atomic.Bool
 	replayed chan struct{}
 	proceed  chan struct{}
 }
 
-func (b *holdingBackend) Replay(fn func(payload []byte) error) error {
-	err := b.Backend.Replay(fn)
-	if b.armed.CompareAndSwap(true, false) {
-		close(b.replayed)
-		<-b.proceed
-	}
-	return err
-}
-
-// holdingProvider opens holding backends over memory ones. The fleet
-// opens them while it is built, on the test's goroutine.
-type holdingProvider struct {
-	mem   *storage.MemProvider
-	backs map[string]*holdingBackend
+func newHoldingProvider() *holdingProvider {
+	return &holdingProvider{mem: storage.NewMemProvider(nil), replayed: make(chan struct{}), proceed: make(chan struct{})}
 }
 
 func (p *holdingProvider) Open(name string) (storage.Backend, error) {
@@ -67,9 +60,21 @@ func (p *holdingProvider) Open(name string) (storage.Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	hb := &holdingBackend{Backend: b, replayed: make(chan struct{}), proceed: make(chan struct{})}
-	p.backs[name] = hb
-	return hb, nil
+	return holdingBackend{b, p}, nil
+}
+
+type holdingBackend struct {
+	storage.Backend
+	p *holdingProvider
+}
+
+func (b holdingBackend) Replay(fn func(payload []byte) error) error {
+	err := b.Backend.Replay(fn)
+	if b.p.armed.CompareAndSwap(true, false) {
+		close(b.p.replayed)
+		<-b.p.proceed
+	}
+	return err
 }
 
 // durableFleet is one simnet cluster kind with storage, reduced to what
@@ -126,7 +131,7 @@ func snapshot(t *testing.T, a node.Automaton) []wire.Envelope {
 func TestRestartCrashesBeforeRecovering(t *testing.T) {
 	for _, f := range durableFleets {
 		t.Run(f.name, func(t *testing.T) {
-			p := &holdingProvider{mem: storage.NewMemProvider(nil), backs: map[string]*holdingBackend{}}
+			p := newHoldingProvider()
 			srvs, write, closeFn, err := f.open(p)
 			if err != nil {
 				t.Fatal(err)
@@ -136,12 +141,11 @@ func TestRestartCrashesBeforeRecovering(t *testing.T) {
 				t.Fatal(err)
 			}
 			srvs.CrashServer(1) // quorum is now {s0, s2}
-			hb := p.backs[string(types.ServerID(0))]
-			hb.armed.Store(true)
+			p.armed.Store(true)
 			restarted := make(chan error, 1)
 			go func() { restarted <- srvs.RestartServer(0) }()
 			select {
-			case <-hb.replayed:
+			case <-p.replayed:
 			case <-time.After(5 * time.Second):
 				t.Fatal("restart never replayed the WAL")
 			}
@@ -152,7 +156,7 @@ func TestRestartCrashesBeforeRecovering(t *testing.T) {
 				wrote <- err
 			case <-time.After(200 * time.Millisecond):
 			}
-			close(hb.proceed)
+			close(p.proceed)
 			if err := <-restarted; err != nil {
 				t.Fatal(err)
 			}
@@ -163,7 +167,11 @@ func TestRestartCrashesBeforeRecovering(t *testing.T) {
 
 			got := snapshot(t, srvs.ServerAutomaton(0))
 			want := f.fresh()
-			if _, err := storage.Recover(srvs.ServerBackend(0), want); err != nil {
+			back, err := p.Open(string(types.ServerID(0))) // as a restarted process would
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := storage.Recover(back, want); err != nil {
 				t.Fatal(err)
 			}
 			if w := snapshot(t, want); !reflect.DeepEqual(got, w) {
@@ -242,6 +250,21 @@ func TestOpenCloseLeavesNoGoroutines(t *testing.T) {
 			}
 			return func(v types.Value) error { return st.Put("k", v) }, st.Close, nil
 		}},
+		{"tcp", func() (func(types.Value) error, func(), error) {
+			addrs := tcpnet.Loopback{}
+			srvs, err := core.NewServers(addrs, cfg.S(), kvServer, mem(kv.NewStorageAutomaton), nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			st, err := kv.Connect(cfg, func(id types.ProcID) (transport.Endpoint, error) { return tcpnet.Dial(id, addrs) })
+			if err != nil {
+				srvs.Close()
+				return nil, nil, err
+			}
+			return func(v types.Value) error { // a restart re-binds a listener
+				return errors.Join(st.Put("k", v), srvs.RestartServer(0), st.Put("k", v))
+			}, func() { st.Close(); srvs.Close() }, nil
+		}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -264,7 +287,148 @@ func TestOpenCloseLeavesNoGoroutines(t *testing.T) {
 		})
 	}
 
-	// A store over external endpoints has no fleet: its hooks refuse.
+}
+
+// fleetTransports are the two ways a fleet serves its servers, each
+// over a storage provider and with a kv store dialed to the fleet.
+var fleetTransports = []struct {
+	name string
+	open func(t *testing.T) (*core.Servers, *kv.Store)
+}{
+	{"simnet", func(t *testing.T) (*core.Servers, *kv.Store) {
+		cfg := fleetCfg()
+		sim, err := simnet.New(slices.Concat(types.ServerIDs(cfg.S()), types.WriterIDs(1), types.ReaderIDs(cfg.NumReaders)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return openFleet(t, core.Endpoints(sim), storage.NewMemProvider(kv.NewStorageAutomaton), sim.Endpoint)
+	}},
+	{"tcp", func(t *testing.T) (*core.Servers, *kv.Store) {
+		addrs := tcpnet.Loopback{} // filled as the fleet starts, before the store dials
+		return openFleet(t, addrs, storage.NewDirProvider(t.TempDir(), kv.NewStorageAutomaton), func(id types.ProcID) (transport.Endpoint, error) {
+			return tcpnet.Dial(id, addrs)
+		})
+	}},
+}
+
+// openFleet starts fleetCfg's sharded kv servers on tr over p, then a
+// store over the endpoints dial returns.
+func openFleet(t *testing.T, tr core.Transport, p storage.Provider, dial func(types.ProcID) (transport.Endpoint, error)) (*core.Servers, *kv.Store) {
+	t.Helper()
+	cfg := fleetCfg()
+	srvs, err := core.NewServers(tr, cfg.S(), kvServer, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srvs.Close)
+	st, err := kv.Connect(cfg, dial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return srvs, st
+}
+
+// kvServer builds a sharded kv server of two shards.
+func kvServer(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+	srv := kv.NewShardedServerAutomatonInstrumented(2, nil)
+	return srv, srv.Shards(), srv.Route()
+}
+
+// TestFleetContract runs one table on both transports: a crash, a
+// restart and a swap mean the same thing on each.
+func TestFleetContract(t *testing.T) {
+	must := func(t *testing.T, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(t *testing.T, st *kv.Store) types.Tagged {
+		t.Helper()
+		v, err := st.Get(0, "k")
+		must(t, err)
+		return v
+	}
+	cases := []struct {
+		name string
+		run  func(t *testing.T, srvs *core.Servers, st *kv.Store)
+	}{
+		{"warm restart serves the acknowledged stamp", func(t *testing.T, srvs *core.Servers, st *kv.Store) {
+			must(t, st.Put("k", "v1"))
+			acked := get(t, st)
+			for i := range fleetCfg().S() { // no server keeps anything in memory
+				must(t, srvs.CrashServer(i))
+			}
+			for i := range fleetCfg().S() {
+				must(t, srvs.RestartServer(i))
+			}
+			if got := get(t, st); got != acked {
+				t.Errorf("reborn fleet serves %+v, acknowledged %+v", got, acked)
+			}
+			must(t, st.Put("k", "v2"))
+		}},
+		{"fresh restart is empty", func(t *testing.T, srvs *core.Servers, st *kv.Store) {
+			must(t, st.Put("k", "v1"))
+			must(t, srvs.RestartServerFresh(2))
+			if n := srvs.ServerBackend(2).Stats().Records; n != 0 {
+				t.Errorf("fresh restart left %d records in the backend", n)
+			}
+			if recs := snapshot(t, srvs.ServerAutomaton(2)); len(recs) != 0 {
+				t.Errorf("fresh-restarted automaton holds %v, want ⊥", recs)
+			}
+			if got := get(t, st); got.Val != "v1" {
+				t.Errorf("read %q after a fresh restart, want v1", got.Val)
+			}
+		}},
+		{"swap then restart recovers the last correct state", func(t *testing.T, srvs *core.Servers, st *kv.Store) {
+			must(t, st.Put("k", "v1"))
+			correct := snapshot(t, srvs.ServerAutomaton(1))
+			must(t, srvs.SwapServerAutomaton(1, fault.Keyed(fault.Mute())))
+			must(t, st.Put("k", "v2")) // s1 is mute: it misses v2
+			must(t, srvs.RestartServer(1))
+			if got := snapshot(t, srvs.ServerAutomaton(1)); !reflect.DeepEqual(got, correct) {
+				t.Errorf("s1 recovered %v, its last correct state was %v", got, correct)
+			}
+			if got := get(t, st); got.Val != "v2" {
+				t.Errorf("read %q after the swap, want v2", got.Val)
+			}
+		}},
+		{"a crash is idempotent", func(t *testing.T, srvs *core.Servers, st *kv.Store) {
+			must(t, st.Put("k", "v1"))
+			must(t, srvs.CrashServer(0))
+			must(t, srvs.CrashServer(0))
+			if b := srvs.ServerBackend(0); b != nil {
+				t.Errorf("crashed s0 keeps backend %v open", b)
+			}
+			must(t, st.Put("k", "v2"))
+			must(t, srvs.RestartServer(0))
+			if got := get(t, st); got.Val != "v2" {
+				t.Errorf("read %q, want v2", got.Val)
+			}
+		}},
+	}
+	for _, tr := range fleetTransports {
+		t.Run(tr.name, func(t *testing.T) {
+			for _, c := range cases {
+				t.Run(c.name, func(t *testing.T) {
+					srvs, st := tr.open(t)
+					c.run(t, srvs, st)
+				})
+			}
+		})
+	}
+}
+
+// Every hook checks its index, and a nil fleet — a store over servers
+// it does not own — refuses every hook.
+func TestFleetHooksCheckTheirIndex(t *testing.T) {
+	cfg := fleetCfg()
+	c, err := core.NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	sim, err := simnet.New(append(types.WriterIDs(1), types.ReaderIDs(cfg.NumReaders)...))
 	if err != nil {
 		t.Fatal(err)
@@ -275,13 +439,35 @@ func TestOpenCloseLeavesNoGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	for name, hook := range map[string]func() error{
-		"RestartServer":       func() error { return st.RestartServer(0) },
-		"RestartServerFresh":  func() error { return st.RestartServerFresh(0) },
-		"SwapServerAutomaton": func() error { return st.SwapServerAutomaton(0, fault.Mute()) },
-	} {
-		if err := hook(); err == nil || !strings.Contains(err.Error(), "does not own its servers") {
-			t.Errorf("external store %s = %v, want a does-not-own-its-servers error", name, err)
+	S := cfg.S()
+	for _, at := range []struct {
+		name string
+		srvs *core.Servers
+		i    int
+	}{{"-1", c.Servers, -1}, {"S", c.Servers, S}, {"nil fleet", st.Servers, 0}} {
+		for name, hook := range map[string]func() error{
+			"CrashServer":           func() error { return at.srvs.CrashServer(at.i) },
+			"CrashServerAfterSteps": func() error { return at.srvs.CrashServerAfterSteps(at.i, 1) },
+			"RestartServer":         func() error { return at.srvs.RestartServer(at.i) },
+			"RestartServerFresh":    func() error { return at.srvs.RestartServerFresh(at.i) },
+			"SwapServerAutomaton":   func() error { return at.srvs.SwapServerAutomaton(at.i, fault.Mute()) },
+		} {
+			err := hook()
+			switch {
+			case err == nil:
+				t.Errorf("%s(%s) succeeded, want an error", name, at.name)
+			case at.srvs == nil && !strings.Contains(err.Error(), "does not own its servers"):
+				t.Errorf("%s(%s) = %v, want a does-not-own-its-servers error", name, at.name, err)
+			}
 		}
+		if at.srvs.ServerBackend(at.i) != nil || at.srvs.ServerAutomaton(at.i) != nil || at.srvs.QueueLen(at.i) != 0 {
+			t.Errorf("accessors at %s return non-zero values", at.name)
+		}
+	}
+	// tcpnet counts no steps, so a loopback fleet refuses a scheduled
+	// crash rather than never crashing.
+	srvs, _ := fleetTransports[1].open(t)
+	if err := srvs.CrashServerAfterSteps(0, 1); err == nil {
+		t.Error("CrashServerAfterSteps on loopback TCP succeeded, want an error")
 	}
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"luckystore/internal/abd"
@@ -31,7 +32,7 @@ func E11Baselines() (*Result, error) {
 	)
 	table := NewTable(
 		"Best-case comparison (t=2; 1 ms links; means over 12 ops)",
-		"protocol", "S", "write-rounds", "read-rounds", "write-mean", "read-mean", "read-ratio-vs-lucky", "ok")
+		"protocol", "S", "write-rounds", "read-rounds", "write-mean", "read-mean", "read-ratio-vs-lucky", "off-rounds", "ok")
 	pass := true
 
 	delay := simnet.WithDefaultDelay(linkDelay)
@@ -85,8 +86,8 @@ func E11Baselines() (*Result, error) {
 	}
 
 	type measured struct {
-		wMean, rMean     time.Duration
-		wRounds, rRounds int
+		wMean, rMean time.Duration
+		ops          []e11Op
 	}
 	rows := make([]measured, len(protocols))
 	for i, p := range protocols {
@@ -95,18 +96,36 @@ func E11Baselines() (*Result, error) {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
 		m := &rows[i]
-		m.wMean, m.rMean, m.wRounds, m.rRounds, err = e11Drive(nOps, d)
+		m.wMean, m.rMean, m.ops, err = e11Drive(nOps, d)
 		closeFn()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", p.name, err)
 		}
 	}
 
+	var notes []string
 	luckyRead := rows[0].rMean
 	for i, p := range protocols {
 		r := rows[i]
 		ratio := float64(r.rMean) / float64(luckyRead)
-		ok := r.wRounds == p.wantWRounds && r.rRounds == p.wantRRnds
+		// Name every op that ran off its protocol's rounds, so a flake
+		// says which op lost the timer race; the verdict reads the last
+		// pair alone.
+		var off []string
+		for _, op := range r.ops {
+			want := p.wantWRounds
+			if op.kind == "read" {
+				want = p.wantRRnds
+			}
+			if op.rounds != want {
+				off = append(off, fmt.Sprintf("%s %d: %d rounds in %v", op.kind, op.i, op.rounds, op.latency.Round(10*time.Microsecond)))
+			}
+		}
+		if len(off) > 0 {
+			notes = append(notes, p.name+" ran off its rounds: "+strings.Join(off, "; "))
+		}
+		wRounds, rRounds := r.ops[len(r.ops)-2].rounds, r.ops[len(r.ops)-1].rounds
+		ok := wRounds == p.wantWRounds && rRounds == p.wantRRnds
 		// A two-round read must cost measurably more wall-clock than
 		// the one-round lucky read. The theoretical gap is one full
 		// round-trip (2 × linkDelay); requiring half of it keeps the
@@ -118,9 +137,9 @@ func E11Baselines() (*Result, error) {
 		if !ok {
 			pass = false
 		}
-		table.AddRow(p.name, Itoa(p.s), Itoa(r.wRounds), Itoa(r.rRounds),
+		table.AddRow(p.name, Itoa(p.s), Itoa(wRounds), Itoa(rRounds),
 			r.wMean.Round(10*time.Microsecond).String(), r.rMean.Round(10*time.Microsecond).String(),
-			fmt.Sprintf("%.2f", ratio), Bool(ok))
+			fmt.Sprintf("%.2f", ratio), fmt.Sprintf("%d/%d", len(off), len(r.ops)), Bool(ok))
 	}
 
 	return &Result{
@@ -129,28 +148,38 @@ func E11Baselines() (*Result, error) {
 		Claim:  "Lucky reads and writes take one round-trip where ABD reads take two; the two-phase variant pays two rounds per write; latency scales with round-trips.",
 		Tables: []*Table{table},
 		Pass:   pass,
+		Notes:  notes,
 	}, nil
 }
 
+// e11Op is one timed operation of e11Drive: pair i's write or read,
+// the rounds its client reported, and its latency.
+type e11Op struct {
+	kind    string // "write" or "read"
+	i       int
+	rounds  int
+	latency time.Duration
+}
+
 // e11Drive alternates writes and reads through d, returning mean
-// latencies and the round counts the clients reported for the last
-// pair (stable across the run).
-func e11Drive(n int, d workload.Driver) (wMean, rMean time.Duration, wR, rR int, err error) {
+// latencies and every op in order.
+func e11Drive(n int, d workload.Driver) (wMean, rMean time.Duration, ops []e11Op, err error) {
 	for i := 1; i <= n; i++ {
 		start := time.Now()
 		_, w, err := d.Write(0, "", workload.Value(i, 0))
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, nil, err
 		}
-		wMean += time.Since(start)
+		ops = append(ops, e11Op{"write", i, w.Rounds, time.Since(start)})
+		wMean += ops[len(ops)-1].latency
 
 		start = time.Now()
 		_, r, err := d.Read(0, "")
 		if err != nil {
-			return 0, 0, 0, 0, err
+			return 0, 0, nil, err
 		}
-		rMean += time.Since(start)
-		wR, rR = w.Rounds, r.Rounds
+		ops = append(ops, e11Op{"read", i, r.Rounds, time.Since(start)})
+		rMean += ops[len(ops)-1].latency
 	}
-	return wMean / time.Duration(n), rMean / time.Duration(n), wR, rR, nil
+	return wMean / time.Duration(n), rMean / time.Duration(n), ops, nil
 }

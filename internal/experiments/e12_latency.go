@@ -39,7 +39,7 @@ func E12Latency() (*Result, error) {
 		}
 
 		before := sim.StatsSnapshot()
-		wMean, rMean, _, _, err := e11Drive(nOps, workload.Register(c.Deployment))
+		wMean, rMean, _, err := e11Drive(nOps, workload.Register(c.Deployment))
 		after := sim.StatsSnapshot()
 		c.Close()
 		if err != nil {

@@ -295,7 +295,7 @@ func TestEndToEndTwoRegisters(t *testing.T) {
 	}
 	defer func() {
 		for _, r := range runners {
-			r.Stop()
+			r.Close()
 		}
 	}()
 

@@ -152,7 +152,7 @@ func TestShardedConcurrentMultiKeyTraffic(t *testing.T) {
 	}
 	defer func() {
 		for _, r := range runners {
-			r.Stop()
+			r.Close()
 		}
 	}()
 
@@ -234,7 +234,7 @@ func TestEndToEndSharded(t *testing.T) {
 	}
 	defer func() {
 		for _, r := range runners {
-			r.Stop()
+			r.Close()
 		}
 	}()
 

@@ -128,7 +128,8 @@ func WithMetrics(reg *metrics.Registry) Option {
 // RestartServer, RestartServerFresh, SwapServerAutomaton, …): a server
 // crashes as a whole — every register and shard on it at once. A store
 // over servers managed elsewhere (Connect, OpenWithEndpoints) has no
-// fleet, and its restart and swap hooks return an error.
+// fleet: its hooks, the crash hooks included, return an error and its
+// accessors zero values.
 type Store struct {
 	*core.Servers // nil when the servers are managed externally
 
@@ -184,7 +185,7 @@ func Open(cfg core.Config, opts ...Option) (*Store, error) {
 			prov = meteredProvider{prov, o.metrics}
 		}
 	}
-	st.Servers, err = core.NewServers(st.sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+	st.Servers, err = core.NewServers(core.Endpoints(st.sim), cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
 		srv := NewShardedServerAutomatonInstrumented(st.shards, sm)
 		return srv, srv.Shards(), srv.Route()
 	}, prov, dm)

@@ -155,7 +155,7 @@ func recordedFleet(t *testing.T, cfg core.Config, delay time.Duration) (st *Stor
 		srv := keyed.NewShardedServer(2, func() node.Automaton { return core.NewServer() })
 		r := node.NewShardedRunner(ep, srv.Shards(), srv.Route())
 		r.Start()
-		t.Cleanup(r.Stop)
+		t.Cleanup(func() { _ = r.Close() })
 		runners = append(runners, r)
 	}
 	wep, err := sim.Endpoint(types.WriterID())

@@ -57,7 +57,7 @@ func TestClientMemoryPerOpenKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sim.Close()
-	srvs, err := core.NewServers(sim, cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
+	srvs, err := core.NewServers(core.Endpoints(sim), cfg.S(), func(int) (node.Automaton, []node.Automaton, func(wire.Message) int) {
 		return cannedServer{}, nil, nil
 	}, nil, nil)
 	if err != nil {

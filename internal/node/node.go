@@ -182,9 +182,9 @@ func (r *Runner) QueueLen() int {
 	return n
 }
 
-// Stop is an alias of Crash: in this model a graceful shutdown and a
-// crash are indistinguishable to the rest of the system.
-func (r *Runner) Stop() { r.Crash() }
+// Close is Crash as an io.Closer: in this model a graceful shutdown
+// and a crash are indistinguishable to the rest of the system.
+func (r *Runner) Close() error { r.Crash(); return nil }
 
 func (r *Runner) run(p *StepPool) {
 	defer close(r.done)

@@ -68,7 +68,7 @@ func TestRunnerEchoes(t *testing.T) {
 	_, cli, r := setup(t)
 	r.Start()
 	r.Start() // idempotent
-	defer r.Stop()
+	defer r.Close()
 	if err := cli.Send(types.ServerID(0), wire.ABDRead{Seq: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCrashStopsProcessing(t *testing.T) {
 func TestCrashAfterSteps(t *testing.T) {
 	_, cli, r := setup(t)
 	r.Start()
-	defer r.Stop()
+	defer r.Close()
 	r.CrashAfterSteps(2)
 	for i := 0; i < 5; i++ {
 		if err := cli.Send(types.ServerID(0), wire.ABDRead{Seq: int64(i)}); err != nil {
@@ -151,7 +151,7 @@ func TestCrashBeforeStart(t *testing.T) {
 		t.Fatalf("crashed-before-start server replied: %+v", env)
 	case <-time.After(100 * time.Millisecond):
 	}
-	r.Stop() // still idempotent
+	r.Close() // still idempotent
 }
 
 func TestRunnerExitsWhenEndpointCloses(t *testing.T) {
@@ -160,7 +160,7 @@ func TestRunnerExitsWhenEndpointCloses(t *testing.T) {
 	n.Close()
 	done := make(chan struct{})
 	go func() {
-		r.Stop() // must return promptly: pump saw the closed channel
+		r.Close() // must return promptly: pump saw the closed channel
 		close(done)
 	}()
 	select {
@@ -229,7 +229,7 @@ func TestShardedRunnerRoutesToOwningShard(t *testing.T) {
 	_, cli, r, autos := setupSharded(t, 4)
 	r.Start()
 	r.Start() // idempotent
-	defer r.Stop()
+	defer r.Close()
 
 	const msgs = 40
 	for i := 0; i < msgs; i++ {
@@ -251,7 +251,7 @@ func TestShardedRunnerRoutesToOwningShard(t *testing.T) {
 			t.Errorf("shard %d handled %d messages, want %d", s, perShard[s], msgs/4)
 		}
 	}
-	r.Stop() // quiesce before reading automaton state
+	r.Close() // quiesce before reading automaton state
 	total := 0
 	for _, a := range autos {
 		total += a.steps
@@ -291,7 +291,7 @@ func TestShardedRunnerCrashStopsAllShards(t *testing.T) {
 func TestShardedRunnerCrashAfterStepsExact(t *testing.T) {
 	_, cli, r, _ := setupSharded(t, 8)
 	r.Start()
-	defer r.Stop()
+	defer r.Close()
 	const budget = 25
 	r.CrashAfterSteps(budget)
 
@@ -351,7 +351,7 @@ func TestShardedRunnerCrashBeforeStart(t *testing.T) {
 		t.Fatalf("crashed-before-start server replied: %+v", env)
 	case <-time.After(100 * time.Millisecond):
 	}
-	r.Stop() // still idempotent
+	r.Close() // still idempotent
 }
 
 // idleEndpoint is an endpoint nothing ever arrives on, for runners that
@@ -393,7 +393,7 @@ func TestShardedRunnerExitsWhenEndpointCloses(t *testing.T) {
 	n.Close()
 	done := make(chan struct{})
 	go func() {
-		r.Stop() // must return promptly: the pump saw the closed channel
+		r.Close() // must return promptly: the pump saw the closed channel
 		close(done)
 	}()
 	select {
@@ -414,7 +414,7 @@ func TestShardedRunnerOutOfRangeRouteClamps(t *testing.T) {
 	a := &shardEcho{shard: 7}
 	r := NewShardedRunner(srv, []Automaton{a}, func(wire.Message) int { return 99 })
 	r.Start()
-	defer r.Stop()
+	defer r.Close()
 	if err := cli.Send(types.ServerID(0), wire.ABDRead{Seq: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -496,7 +496,7 @@ func TestRunnerKeepsFIFOAcrossInlineAndPooled(t *testing.T) {
 		return int(m.(wire.Keyed).Key[0]) % 2
 	})
 	r.Start()
-	defer r.Stop()
+	defer r.Close()
 
 	holdDone := make(chan struct{})
 	var holder sync.WaitGroup
@@ -545,7 +545,7 @@ func TestRunnerKeepsFIFOAcrossInlineAndPooled(t *testing.T) {
 	wg.Wait()
 	close(holdDone)
 	holder.Wait()
-	r.Stop() // quiesce before reading shard state
+	r.Close() // quiesce before reading shard state
 	for i, s := range shards {
 		if len(s.reordered) > 0 {
 			t.Errorf("shard %d stepped out of order: %v", i, s.reordered)

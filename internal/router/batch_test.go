@@ -59,7 +59,7 @@ func TestRouterBatchIsOneFramePerServerPerRound(t *testing.T) {
 		srv := keyed.NewShardedServer(2, func() node.Automaton { return core.NewServer() })
 		r := node.NewShardedRunner(ep, srv.Shards(), srv.Route())
 		r.Start()
-		t.Cleanup(r.Stop)
+		t.Cleanup(func() { _ = r.Close() })
 	}
 	wep, err := sim.Endpoint(types.WriterID())
 	if err != nil {

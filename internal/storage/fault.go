@@ -24,12 +24,12 @@ const (
 )
 
 // Fault wraps a Backend with schedule-driven fault injection. Chaos
-// deployments arm faults by name at seeded times; unit tests arm them
-// directly. After a write-path fault fires the wrapper is dead —
-// every operation fails, muting the Durable stepper above it — until
-// Heal (the in-process stand-in for replacing the disk and
-// restarting; file-backed deployments instead reopen the directory,
-// which exercises the real fsck path).
+// deployments arm faults on a running server's backend at seeded
+// times; unit tests arm them directly. After a write-path fault fires the wrapper is dead — every
+// operation fails, muting the Durable stepper above it — for good: a
+// restarted server reopens its storage through the provider, which
+// wraps what the medium kept anew (a file backend's reopen runs the
+// real fsck path).
 type Fault struct {
 	mu         sync.Mutex
 	inner      Backend
@@ -48,9 +48,6 @@ type tearAppender interface{ TearNextAppend() }
 // NewFault wraps a backend; no faults are armed initially.
 func NewFault(inner Backend) *Fault { return &Fault{inner: inner} }
 
-// Inner returns the wrapped backend.
-func (f *Fault) Inner() Backend { return f.inner }
-
 // Arm schedules a one-shot fault. Write-path kinds replace any
 // previously armed kind; short-read arms stack.
 func (f *Fault) Arm(kind string) error {
@@ -65,16 +62,6 @@ func (f *Fault) Arm(kind string) error {
 		return fmt.Errorf("storage: unknown fault kind %q", kind)
 	}
 	return nil
-}
-
-// Heal clears dead state and any armed fault: the operator replaced
-// the disk. The inner backend's contents are untouched.
-func (f *Fault) Heal() {
-	f.mu.Lock()
-	f.dead = false
-	f.armed = ""
-	f.shortReads = 0
-	f.mu.Unlock()
 }
 
 // Dead reports whether a write-path fault has fired.

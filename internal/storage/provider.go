@@ -6,9 +6,9 @@ import (
 )
 
 // MemProvider hands out in-memory backends keyed by name. The same
-// name always returns the same backend, so an in-process "restart"
-// that reopens its storage finds its records — memory standing in for
-// a disk that survived the crash.
+// name always returns the same backend, reopened if it was closed, so
+// an in-process "restart" that reopens its storage finds its records —
+// memory standing in for a disk that survived the crash.
 type MemProvider struct {
 	mu       sync.Mutex
 	factory  func() Automaton
@@ -26,6 +26,9 @@ func (p *MemProvider) Open(name string) (Backend, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if b, ok := p.backends[name]; ok {
+		b.mu.Lock()
+		b.closed = false // Close left the records where they were
+		b.mu.Unlock()
 		return b, nil
 	}
 	b := NewMemory(p.factory)
@@ -53,19 +56,14 @@ func (p *DirProvider) Open(name string) (Backend, error) {
 	return NewFile(filepath.Join(p.root, name), p.factory, p.opts...)
 }
 
-// FaultProvider wraps another provider so every opened backend is
-// fault-injectable, retaining the wrappers by name for the chaos
-// engine to arm on schedule.
-type FaultProvider struct {
-	mu     sync.Mutex
-	inner  Provider
-	faults map[string]*Fault
-}
+// FaultProvider wraps another provider so every backend it opens is a
+// *Fault: chaos schedules arm disk faults on a running server's
+// backend, and a restart that reopens its storage gets a healthy
+// wrapper over what the medium kept.
+type FaultProvider struct{ inner Provider }
 
 // NewFaultProvider wraps a provider with fault injection.
-func NewFaultProvider(inner Provider) *FaultProvider {
-	return &FaultProvider{inner: inner, faults: make(map[string]*Fault)}
-}
+func NewFaultProvider(inner Provider) *FaultProvider { return &FaultProvider{inner} }
 
 // Open implements Provider.
 func (p *FaultProvider) Open(name string) (Backend, error) {
@@ -73,16 +71,5 @@ func (p *FaultProvider) Open(name string) (Backend, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	f := NewFault(b)
-	p.faults[name] = f
-	return f, nil
-}
-
-// Fault returns the fault wrapper last opened under name, or nil.
-func (p *FaultProvider) Fault(name string) *Fault {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.faults[name]
+	return NewFault(b), nil
 }

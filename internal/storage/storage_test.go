@@ -370,10 +370,17 @@ func TestTornWriteFaultThenReopenRecovers(t *testing.T) {
 }
 
 func TestFsyncErrorFaultMutesServer(t *testing.T) {
-	for name, back := range backends(t) {
+	for name, prov := range map[string]storage.Provider{
+		"memory": storage.NewMemProvider(coreFactory),
+		"file":   storage.NewDirProvider(t.TempDir(), coreFactory),
+	} {
 		t.Run(name, func(t *testing.T) {
-			fb := storage.NewFault(back)
-			defer fb.Close()
+			fp := storage.NewFaultProvider(prov)
+			back, err := fp.Open("s0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb := back.(*storage.Fault)
 			committed := core.NewServer()
 			d := storage.NewDurable(committed, fb, types.ServerID(0))
 			driveServer(t, func(from types.ProcID, m wire.Message) { d.StepAppend(from, m, nil) })
@@ -384,13 +391,19 @@ func TestFsyncErrorFaultMutesServer(t *testing.T) {
 			if !fb.Dead() {
 				t.Fatalf("backend alive after fsync error")
 			}
-			// Heal (disk replaced) and recover: everything acknowledged
-			// must be there; the unacked record may or may not be — both
-			// are legal, so only assert no regression below committed.
-			fb.Heal()
+			// The server dies; its restart reopens the storage and
+			// recovers: everything acknowledged must be there; the unacked
+			// record may or may not be — both are legal, so only assert no
+			// regression below committed.
+			fb.Close()
+			reopened, err := fp.Open("s0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer reopened.Close()
 			recovered := core.NewServer()
-			if _, err := storage.Recover(fb, recovered); err != nil {
-				t.Fatalf("Recover after heal: %v", err)
+			if _, err := storage.Recover(reopened, recovered); err != nil {
+				t.Fatalf("Recover after reopen: %v", err)
 			}
 			cpw, _, _ := committed.State()
 			rpw, _, _ := recovered.State()
@@ -566,6 +579,23 @@ func TestProvidersReopenSemantics(t *testing.T) {
 		b2, _ := p.Open("s0")
 		if b2.Stats().Records != 1 {
 			t.Fatalf("reopened memory backend lost records")
+		}
+	})
+	t.Run("memory-reopen-after-close", func(t *testing.T) {
+		p := storage.NewMemProvider(coreFactory)
+		b1, _ := p.Open("s0")
+		d := storage.NewDurable(core.NewServer(), b1, types.ServerID(0))
+		d.StepAppend(types.WriterID(), wMsg(2, 1, "x"), nil)
+		if err := b1.Close(); err != nil { // the process crashed
+			t.Fatal(err)
+		}
+		b2, _ := p.Open("s0") // and restarted
+		n := 0
+		if err := b2.Replay(func([]byte) error { n++; return nil }); err != nil || n != 1 {
+			t.Fatalf("replay after reopen = %d records, %v; want 1, nil", n, err)
+		}
+		if err := b2.Append(nil); err != nil {
+			t.Fatalf("append after reopen: %v", err)
 		}
 	})
 	t.Run("dir-reopen-runs-fsck", func(t *testing.T) {
