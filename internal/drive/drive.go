@@ -28,6 +28,7 @@
 package drive
 
 import (
+	"sync"
 	"time"
 
 	"luckystore/internal/transport"
@@ -89,19 +90,15 @@ type Corker interface {
 	Uncork()
 }
 
-// inboxBuffer is an Inbox's capacity: one round of a 32-key batch over
-// S = 3 is 96 replies, and the sender waits on a full inbox.
-const inboxBuffer = 128
-
 // Inbox is the reply queue of a driver that runs operations on many keys:
 // each key's Source is routed to one slot of it while the driver holds an
-// operation on the key. Put waits on a full inbox rather than queue
-// without bound, so a driver keeps receiving while any of its routes is
-// set, and an idle inbox holds at most the one delivery a sender had in
-// hand when the last route was cleared.
-type Inbox struct {
-	c chan Delivery
-}
+// operation on the key. An entry is a run of Replies, a frame's replies
+// for this inbox. Put never waits, so a router — a connection's read loop,
+// which every other key on the connection waits behind — never waits on
+// a driver. The routes bound it instead: only a routed key's replies are
+// put, so the backlog is at most one reply per server for each message
+// the driver's keys sent and have not seen answered (DESIGN.md §2).
+type Inbox = transport.Mailbox[*Replies]
 
 // Delivery is one reply routed into an Inbox: the slot and the Source it
 // was routed for, and the reply itself. A driver that reuses an inbox
@@ -113,15 +110,23 @@ type Delivery struct {
 	Env  wire.Envelope
 }
 
-// NewInbox makes an empty inbox.
-func NewInbox() *Inbox { return &Inbox{c: make(chan Delivery, inboxBuffer)} }
+// Replies is one entry of an Inbox: deliveries in the order their frame
+// carried them. Runs are pooled: a router takes one from NewReplies and
+// puts it in an inbox; the driver delivers it whole and recycles it.
+type Replies struct {
+	dls []Delivery
+}
 
-// Put queues dl, waiting while the inbox is full.
-func (in *Inbox) Put(dl Delivery) { in.c <- dl }
+var repliesPool = sync.Pool{New: func() any { return new(Replies) }}
 
-// Close wakes a driver waiting on the inbox with transport.ErrClosed.
-// Nothing may Put afterwards.
-func (in *Inbox) Close() { close(in.c) }
+// NewReplies returns an empty run.
+func NewReplies() *Replies { return repliesPool.Get().(*Replies) }
+
+// Add appends dl to the run.
+func (r *Replies) Add(dl Delivery) { r.dls = append(r.dls, dl) }
+
+// NewInbox makes an empty inbox. It starts no goroutine.
+func NewInbox() *Inbox { return transport.NewMailbox[*Replies]() }
 
 // Driver runs operations to completion: the Tasks of a Run, or the one
 // Op of a Private's Wait. It starts them, reads its clock for every call
@@ -130,7 +135,7 @@ func (in *Inbox) Close() { close(in.c) }
 // next.
 type Driver struct {
 	in    *Inbox               // a Run's replies ...
-	dls   <-chan Delivery      // ... as its channel
+	dls   <-chan *Replies      // ... as its channel
 	cork  Corker               // ... and its sends' cork
 	recv  <-chan wire.Envelope // a Wait's replies, all for slot 0
 	clock Clock
@@ -158,7 +163,7 @@ func New(in *Inbox, c Corker, clock Clock) *Driver {
 	if clock == nil {
 		clock = new(wallClock)
 	}
-	return &Driver{in: in, dls: in.c, cork: c, clock: clock}
+	return &Driver{in: in, dls: in.Out(), cork: c, clock: clock}
 }
 
 // Add queues t, whose messages src sends and whose replies it routes,
@@ -345,29 +350,27 @@ func (d *Driver) drain() error {
 	}
 }
 
-// receive is the one place a client waits for its replies. It delivers one
-// reply; with wait it blocks for one or for the timer, and reports
-// whether the timer fired, and without it reports whether there was one
-// to deliver.
+// receive is the one place a client waits for its replies. It delivers
+// one entry: a Run's run of replies, in order, or a Wait's reply. With
+// wait it blocks for one or for the timer, and reports whether the timer
+// fired, and without it reports whether there was one to deliver.
 func (d *Driver) receive(wait bool) (bool, error) {
 	var (
-		dl  Delivery
+		r   *Replies
 		env wire.Envelope
 		ok  bool
 	)
 	if wait {
 		select {
-		case dl, ok = <-d.dls:
+		case r, ok = <-d.dls:
 		case env, ok = <-d.recv:
-			dl = Delivery{Env: env}
 		case <-d.fire:
 			return true, nil
 		}
 	} else {
 		select {
-		case dl, ok = <-d.dls:
+		case r, ok = <-d.dls:
 		case env, ok = <-d.recv:
-			dl = Delivery{Env: env}
 		default:
 			return false, nil
 		}
@@ -375,7 +378,16 @@ func (d *Driver) receive(wait bool) (bool, error) {
 	if !ok {
 		return false, transport.ErrClosed
 	}
-	d.deliver(dl)
+	if r == nil {
+		d.deliver(Delivery{Env: env})
+		return !wait, nil
+	}
+	for _, dl := range r.dls {
+		d.deliver(dl)
+	}
+	clear(r.dls)
+	r.dls = r.dls[:0]
+	repliesPool.Put(r)
 	return !wait, nil
 }
 

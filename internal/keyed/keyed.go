@@ -27,28 +27,37 @@ import (
 // routed to — the inbox of the driver running an operation on the key —
 // and are dropped while it is routed nowhere.
 //
-// Subscriptions live in a sync.Map so the routing pump does a lock-free
-// read per envelope, and so does a caller finding a key's handle; the
-// mutex guards only the cold Subscribe/Close paths, keeping reply
-// routing off every other key's critical path under concurrent multi-key
-// traffic.
+// Replies are routed a frame at a time, on the goroutine that read the
+// frame when the endpoint is a transport.FrameRouter, and otherwise by a
+// pump goroutine reading Recv, a message at a time.
+//
+// Subscriptions live in a sync.Map so routing does a lock-free read per
+// reply, and so does a caller finding a key's handle; the mutex guards
+// only the cold Subscribe/Close paths, keeping reply routing off every
+// other key's critical path under concurrent multi-key traffic.
 type Demux struct {
 	inner transport.Endpoint
 
 	subs sync.Map // key string → *Sub
 
-	mu      sync.Mutex // guards closed, inboxes and the subs/Close race; never taken by pump
+	mu      sync.Mutex // guards closed, inboxes and the subs/Close race; never taken by routing
 	closed  bool
 	inboxes []*drive.Inbox // every inbox NewInbox made; Close closes them
-	done    chan struct{}
+	done    chan struct{}  // closed when no pump runs
 }
 
-// NewDemux wraps an endpoint and starts the routing pump. The demux
-// takes ownership: closing the demux closes the endpoint.
+// NewDemux wraps an endpoint and routes its replies: by the endpoint's
+// own read loops when it is a transport.FrameRouter that accepts the
+// routing, by a pump goroutine reading Recv otherwise. The demux takes
+// ownership: closing the demux closes the endpoint.
 func NewDemux(ep transport.Endpoint) *Demux {
 	d := &Demux{
 		inner: ep,
 		done:  make(chan struct{}),
+	}
+	if r, ok := ep.(transport.FrameRouter); ok && r.RouteFrames(d.route) == nil {
+		close(d.done)
+		return d
 	}
 	go d.pump()
 	return d
@@ -133,9 +142,9 @@ func (d *Demux) Uncork() {
 	}
 }
 
-// Close stops the pump, closes every registered inbox and the underlying
-// endpoint, and waits for the pump goroutine to exit. A driver waiting
-// on an inbox wakes to its closed channel.
+// Close closes the underlying endpoint, which stops the routing, waits
+// for the pump if there is one, and closes every registered inbox. A
+// driver waiting on an inbox wakes to its closed channel.
 func (d *Demux) Close() error {
 	d.mu.Lock()
 	if d.closed {
@@ -146,23 +155,40 @@ func (d *Demux) Close() error {
 	d.closed = true
 	d.mu.Unlock()
 
-	err := d.inner.Close() // unblocks the pump
+	err := d.inner.Close() // joins the endpoint's read loops, unblocks the pump
 	<-d.done
 	// No NewInbox can race here: closed is set, so the inbox set is
-	// frozen, and with the pump gone nothing sends to an inbox any more.
+	// frozen, and with the routing stopped nothing puts to an inbox.
 	for _, in := range d.inboxes {
 		in.Close()
 	}
 	return err
 }
 
+// pump routes an endpoint's Recv, one message at a time.
 func (d *Demux) pump() {
 	defer close(d.done)
 	for env := range d.inner.Recv() {
-		k, ok := env.Msg.(wire.Keyed)
-		// Validate env.Msg, not the unboxed k: re-boxing would allocate
-		// on every routed reply.
-		if !ok || wire.Validate(env.Msg) != nil {
+		d.route(env.From, env.Msg)
+	}
+}
+
+// route delivers one frame from server from: each keyed reply goes to
+// the inbox slot its key is routed to, and a frame's consecutive replies
+// for one inbox go in as one run.
+func (d *Demux) route(from types.ProcID, frame wire.Message) {
+	msgs := []wire.Message{frame}
+	if b, ok := frame.(wire.Batch); ok {
+		msgs = b.Msgs
+	}
+	self := d.inner.ID()
+	var in *drive.Inbox // the inbox run is for
+	var run *drive.Replies
+	for _, m := range msgs {
+		k, ok := m.(wire.Keyed)
+		// Validate m, not the unboxed k: re-boxing would allocate on
+		// every routed reply.
+		if !ok || wire.Validate(m) != nil {
 			continue // unkeyed or malformed traffic is dropped
 		}
 		v, ok := d.subs.Load(k.Key) // lock-free: no cross-key contention
@@ -170,11 +196,21 @@ func (d *Demux) pump() {
 			continue // reply for a key this client never subscribed
 		}
 		s := v.(*Sub)
-		if in := s.route.Load(); in != nil {
-			in.Put(drive.Delivery{Slot: int(s.slot.Load()), Src: s,
-				Env: wire.Envelope{From: env.From, To: env.To, Msg: k.Inner}})
+		dst := s.route.Load()
+		if dst == nil {
+			continue // no operation on the key is in flight; the reply is stale
 		}
-		// else: no operation on the key is in flight; the reply is stale
+		if dst != in {
+			if run != nil {
+				_ = in.Put(run) // fails only once the inbox is closed
+			}
+			in, run = dst, drive.NewReplies()
+		}
+		run.Add(drive.Delivery{Slot: int(s.slot.Load()), Src: s,
+			Env: wire.Envelope{From: from, To: self, Msg: k.Inner}})
+	}
+	if run != nil {
+		_ = in.Put(run)
 	}
 }
 
@@ -194,7 +230,7 @@ var (
 )
 
 // Route sends the key's replies to slot i of in from now on; a nil in
-// drops them. The slot is stored first, so a pump that sees the new
+// drops them. The slot is stored first, so a router that sees the new
 // inbox sees the new slot: it can tag a reply with a stale slot only
 // once the route has moved on, when the reply is stale anyway.
 func (s *Sub) Route(in *drive.Inbox, i int) {

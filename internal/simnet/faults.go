@@ -47,15 +47,6 @@ func WithFaultSeed(seed int64) Option {
 	return func(n *Network) { n.rng = rand.New(rand.NewSource(seed)) }
 }
 
-// SeedFaults re-seeds the fault RNG mid-run (the chaos engine does this
-// when a new scenario phase begins, so each phase's fault pattern is a
-// function of the scenario seed alone).
-func (n *Network) SeedFaults(seed int64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.rng = rand.New(rand.NewSource(seed))
-}
-
 // SetLinkFaults installs probabilistic faults on the directed link
 // from→to, replacing any previous spec for that link. A zero spec
 // clears the link.

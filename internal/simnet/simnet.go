@@ -86,7 +86,7 @@ func New(ids []types.ProcID, opts ...Option) (*Network, error) {
 		if _, dup := n.endpoints[id]; dup {
 			return nil, fmt.Errorf("simnet: duplicate process id %q", id)
 		}
-		n.endpoints[id] = &endpoint{id: id, net: n, mbox: transport.NewMailbox()}
+		n.endpoints[id] = &endpoint{id: id, net: n, mbox: transport.NewMailbox[wire.Envelope]()}
 	}
 	return n, nil
 }
@@ -229,7 +229,7 @@ func (n *Network) Release(from, to types.ProcID) {
 // as one frame, but the receiving process only ever sees the inner
 // messages, in their batch order. The common non-batch case stays
 // allocation-free.
-func deliver(mbox *transport.Mailbox, env wire.Envelope) {
+func deliver(mbox *transport.Mailbox[wire.Envelope], env wire.Envelope) {
 	if _, ok := env.Msg.(wire.Batch); !ok {
 		_ = mbox.Put(env)
 		return
@@ -404,7 +404,7 @@ func (n *Network) scheduleLocked(l link, target *endpoint, env wire.Envelope, de
 type endpoint struct {
 	id   types.ProcID
 	net  *Network
-	mbox *transport.Mailbox
+	mbox *transport.Mailbox[wire.Envelope]
 
 	mu     sync.Mutex
 	closed bool

@@ -171,11 +171,12 @@ func writeReplies(w io.Writer, from, to types.ProcID, replies []wire.Message) er
 }
 
 // Client is a transport.Endpoint over TCP: it dials every configured
-// server lazily and merges all inbound frames into one mailbox.
+// server lazily and merges all inbound frames into one mailbox, or hands
+// each to the routing function RouteFrames set.
 type Client struct {
 	id    types.ProcID
 	addrs map[types.ProcID]string
-	mbox  *transport.Mailbox
+	mbox  *transport.Mailbox[wire.Envelope]
 	dial  func(addr string) (net.Conn, error) // swappable in tests
 	met   *ClientMetrics                      // nil when uninstrumented
 
@@ -186,7 +187,8 @@ type Client struct {
 	conns atomic.Pointer[map[types.ProcID]*clientConn]
 
 	mu     sync.Mutex
-	dials  map[types.ProcID]*dialCall // dials in flight or failed and held down, one per destination
+	dials  map[types.ProcID]*dialCall       // dials in flight or failed and held down, one per destination
+	route  func(types.ProcID, wire.Message) // RouteFrames's, nil for the mailbox; set before the first dial
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -253,6 +255,7 @@ const dialHoldDown = 50 * time.Millisecond
 var (
 	_ transport.Endpoint    = (*Client)(nil)
 	_ transport.BatchSender = (*Client)(nil)
+	_ transport.FrameRouter = (*Client)(nil)
 )
 
 // Dial creates a client endpoint for the process id, configured with
@@ -272,7 +275,7 @@ func Dial(id types.ProcID, servers map[types.ProcID]string, opts ...ClientOption
 	c := &Client{
 		id:    id,
 		addrs: addrs,
-		mbox:  transport.NewMailbox(),
+		mbox:  transport.NewMailbox[wire.Envelope](),
 		dial:  func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
 		dials: make(map[types.ProcID]*dialCall),
 	}
@@ -287,6 +290,22 @@ func (c *Client) ID() types.ProcID { return c.id }
 
 // Recv implements transport.Endpoint.
 func (c *Client) Recv() <-chan wire.Envelope { return c.mbox.Out() }
+
+// RouteFrames implements transport.FrameRouter: each connection's read
+// loop hands route the frames it decodes, from the server it dialed. A
+// client that has dialed refuses it: its read loops feed the mailbox.
+func (c *Client) RouteFrames(route func(from types.ProcID, frame wire.Message)) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return transport.ErrClosed
+	}
+	if c.conns.Load() != nil || len(c.dials) > 0 {
+		return errors.New("tcpnet: RouteFrames after the first dial")
+	}
+	c.route = route
+	return nil
+}
 
 // established returns the current connection table (nil when empty).
 // The map is immutable: setConn replaces it.
@@ -489,8 +508,9 @@ func (c *Client) dialConn(to types.ProcID, addr string, call *dialCall) (*client
 	cc := &clientConn{conn: conn}
 	c.setConn(to, cc)
 	c.wg.Add(1) // under c.mu and before closed: never races Close's Wait
+	route := c.route
 	c.mu.Unlock()
-	go c.readLoop(to, cc)
+	go c.readLoop(to, cc, route)
 	return cc, nil
 }
 
@@ -503,7 +523,7 @@ func (c *Client) dropConn(id types.ProcID, cc *clientConn) {
 	c.mu.Unlock()
 }
 
-func (c *Client) readLoop(from types.ProcID, cc *clientConn) {
+func (c *Client) readLoop(from types.ProcID, cc *clientConn, route func(types.ProcID, wire.Message)) {
 	defer c.wg.Done()
 	br := bufio.NewReaderSize(cc.conn, connBufSize)
 	for {
@@ -523,6 +543,10 @@ func (c *Client) readLoop(from types.ProcID, cc *clientConn) {
 			return
 		}
 		c.met.frameIn()
+		if route != nil {
+			route(from, env.Msg) // the server this connection was dialed to
+			continue
+		}
 		// Stamp the authenticated origin — the server this connection
 		// was dialed to — and unwrap batch frames at the endpoint
 		// boundary, one mailbox entry per inner message.

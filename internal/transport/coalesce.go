@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -106,8 +107,9 @@ type destQueue struct {
 }
 
 var (
-	_ Endpoint = (*Coalescer)(nil)
-	_ Flusher  = (*Coalescer)(nil)
+	_ Endpoint    = (*Coalescer)(nil)
+	_ Flusher     = (*Coalescer)(nil)
+	_ FrameRouter = (*Coalescer)(nil)
 )
 
 // NewCoalescer wraps ep. The coalescer takes ownership: closing it
@@ -128,6 +130,15 @@ func (c *Coalescer) ID() types.ProcID { return c.inner.ID() }
 // Recv implements Endpoint. Inbound traffic is not touched: transports
 // already unwrap batches at the receiving endpoint boundary.
 func (c *Coalescer) Recv() <-chan wire.Envelope { return c.inner.Recv() }
+
+// RouteFrames implements FrameRouter by forwarding to the inner
+// endpoint, which may lack the capability: errors.ErrUnsupported then.
+func (c *Coalescer) RouteFrames(route func(from types.ProcID, frame wire.Message)) error {
+	if r, ok := c.inner.(FrameRouter); ok {
+		return r.RouteFrames(route)
+	}
+	return errors.ErrUnsupported
+}
 
 // Send implements Endpoint: it enqueues the message for its destination
 // and, unless a flush is already in progress or a cork is held, flushes

@@ -19,14 +19,14 @@ type gateEndpoint struct {
 	sent    []wire.Envelope // owned by the flusher goroutine while gated
 	gate    chan struct{}
 	entered chan struct{}
-	mbox    *Mailbox
+	mbox    *Mailbox[wire.Envelope]
 }
 
 func newGateEndpoint() *gateEndpoint {
 	return &gateEndpoint{
 		gate:    make(chan struct{}),
 		entered: make(chan struct{}, 64),
-		mbox:    NewMailbox(),
+		mbox:    NewMailbox[wire.Envelope](),
 	}
 }
 
@@ -203,7 +203,7 @@ func TestCoalescerPreservesPerDestinationOrder(t *testing.T) {
 // whose writes fail promptly. Close must still complete: send errors
 // are dropped (a dead server is a crashed server), not retried.
 type failingEndpoint struct {
-	mbox *Mailbox
+	mbox *Mailbox[wire.Envelope]
 	once sync.Once
 }
 
@@ -219,7 +219,7 @@ func (w *failingEndpoint) Close() error {
 }
 
 func TestCoalescerCloseCompletesOnDeadPeer(t *testing.T) {
-	inner := &failingEndpoint{mbox: NewMailbox()}
+	inner := &failingEndpoint{mbox: NewMailbox[wire.Envelope]()}
 	c := NewCoalescer(inner)
 	for i := 0; i < 8; i++ {
 		if err := c.Send(types.ServerID(0), keyedMsg("k", types.ReaderTS(i+1))); err != nil {
@@ -476,7 +476,7 @@ func TestCoalescerCombinesBehindInProgressFlush(t *testing.T) {
 // transport before it returns, on the caller's goroutine — the hop the
 // flusher goroutine used to cost.
 func TestCoalescerLoneSendWritesThrough(t *testing.T) {
-	inner := &callerEndpoint{mbox: NewMailbox()}
+	inner := &callerEndpoint{mbox: NewMailbox[wire.Envelope]()}
 	c := NewCoalescer(inner)
 	defer c.Close()
 	warm(t, c, types.ServerID(0), types.ServerID(1), types.ServerID(2))
@@ -501,7 +501,7 @@ func TestCoalescerLoneSendWritesThrough(t *testing.T) {
 // a flusher goroutine.
 type callerEndpoint struct {
 	sent int
-	mbox *Mailbox
+	mbox *Mailbox[wire.Envelope]
 }
 
 func (e *callerEndpoint) ID() types.ProcID                      { return types.WriterID() }
@@ -518,7 +518,7 @@ type dialEndpoint struct {
 	result  chan error
 	mu      sync.Mutex
 	sent    []types.ProcID
-	mbox    *Mailbox
+	mbox    *Mailbox[wire.Envelope]
 }
 
 func (e *dialEndpoint) ID() types.ProcID           { return types.WriterID() }
@@ -555,7 +555,7 @@ func (e *dialEndpoint) sentTo(to types.ProcID) int {
 // writes through on the caller.
 func TestCoalescerDownDestinationNeverBlocksSender(t *testing.T) {
 	down, live := types.ServerID(2), types.ServerID(0)
-	inner := &dialEndpoint{slow: down, entered: make(chan struct{}), result: make(chan error), mbox: NewMailbox()}
+	inner := &dialEndpoint{slow: down, entered: make(chan struct{}), result: make(chan error), mbox: NewMailbox[wire.Envelope]()}
 	c := NewCoalescer(inner)
 	defer c.Close()
 	warm(t, c, live)

@@ -48,6 +48,16 @@ type BatchSender interface {
 	SendBatched(to types.ProcID, msgs []wire.Message) error
 }
 
+// FrameRouter is the receive-side twin of BatchSender: once RouteFrames
+// succeeds, the endpoint hands route each inbound frame's message (a
+// wire.Batch whole) and its sender on the goroutine that read the frame,
+// never after its Close returns, and Recv carries nothing. route must
+// not block. An endpoint that cannot route returns an error and keeps
+// delivering on Recv (keyed.Demux then reads it).
+type FrameRouter interface {
+	RouteFrames(route func(from types.ProcID, frame wire.Message)) error
+}
+
 // Flusher is an optional Endpoint capability: Flush blocks until every
 // message accepted by Send before the call has been handed to the
 // underlying transport. Layers that buffer sends (the Coalescer, and
@@ -97,12 +107,12 @@ func SendAll(ep Endpoint, out []Outgoing) error {
 	return nil
 }
 
-// Mailbox is an unbounded FIFO queue of envelopes bridging a
-// never-blocking Put to a channel-based consumer. It models a reliable
-// asynchronous channel: Put always succeeds until Close, and every
-// envelope put before Close is eventually emitted on Out (unless the
-// consumer abandons the mailbox, in which case Close discards the
-// backlog).
+// Mailbox is an unbounded FIFO queue bridging a never-blocking Put to a
+// channel-based consumer. It models a reliable asynchronous channel: Put
+// always succeeds until Close, and every element put before Close is
+// eventually emitted on Out (unless the consumer abandons the mailbox,
+// in which case Close discards the backlog). Endpoints queue envelopes
+// in it, and drive.Inbox runs of replies.
 //
 // Put delivers straight into the buffered Out channel — one hand-off,
 // producer to consumer, and no goroutine of the mailbox's own. Only
@@ -110,7 +120,7 @@ func SendAll(ep Endpoint, out []Outgoing) error {
 // an overflow queue, and only then does a drainer goroutine exist: it
 // is started by the Put that overflows, moves the queue into Out in
 // order, and exits once the queue is empty. While the queue is
-// non-empty (or the drainer holds an envelope) every Put appends behind
+// non-empty (or the drainer holds an element) every Put appends behind
 // it, so FIFO order holds across the direct/overflow boundary. An idle
 // or keeping-up mailbox therefore parks no goroutine, and Close joins
 // the drainer if one is running — no goroutine outlives the mailbox.
@@ -118,14 +128,15 @@ func SendAll(ep Endpoint, out []Outgoing) error {
 // The overflow queue is a slice with a head index, compacted in place
 // when it fills, so the backing array is reused across overflow
 // episodes instead of sliding forward and reallocating.
-type Mailbox struct {
+type Mailbox[T any] struct {
 	mu       sync.Mutex
-	queue    []wire.Envelope // overflow, in arrival order
-	head     int             // index of the next overflow envelope to deliver
-	draining bool            // a drainer goroutine is running
+	queue    []T  // overflow, in arrival order
+	head     int  // index of the next overflow element to deliver
+	draining bool // a drainer goroutine is running
+	inHand   bool // ... and holds an element it took off the queue
 	closed   bool
 
-	out  chan wire.Envelope
+	out  chan T
 	stop chan struct{} // closed by Close: aborts a drainer blocked on the consumer
 	idle sync.Cond     // signalled when the drainer exits; waits on mu
 }
@@ -135,33 +146,34 @@ type Mailbox struct {
 // message of a batch frame: a round of a 32-key batch over S = 3 is 96
 // replies in three 32-entry frames, which 128 holds without the
 // overflow path; server inboxes under pipelined load overflow and are
-// drained, which is the old behaviour.
+// drained, which is the old behaviour. A driver's inbox takes one entry
+// per reply frame, so a round of any batch over S = 3 is three entries.
 const mailboxBuffer = 128
 
 // NewMailbox creates a mailbox. It starts no goroutine.
-func NewMailbox() *Mailbox {
-	m := &Mailbox{
-		out:  make(chan wire.Envelope, mailboxBuffer),
+func NewMailbox[T any]() *Mailbox[T] {
+	m := &Mailbox[T]{
+		out:  make(chan T, mailboxBuffer),
 		stop: make(chan struct{}),
 	}
 	m.idle.L = &m.mu
 	return m
 }
 
-// Put enqueues an envelope. It returns ErrClosed after Close and never
-// blocks on the consumer.
-func (m *Mailbox) Put(env wire.Envelope) error {
+// Put enqueues v. It returns ErrClosed after Close and never blocks on
+// the consumer.
+func (m *Mailbox[T]) Put(v T) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return ErrClosed
 	}
 	if !m.draining {
-		// Nothing is queued ahead of env, so it may go straight to the
+		// Nothing is queued ahead of v, so it may go straight to the
 		// consumer. The send cannot block (default case) and cannot hit a
 		// closed channel (Close closes out under mu).
 		select {
-		case m.out <- env:
+		case m.out <- v:
 			return nil
 		default:
 		}
@@ -174,7 +186,7 @@ func (m *Mailbox) Put(env wire.Envelope) error {
 		m.queue = m.queue[:n]
 		m.head = 0
 	}
-	m.queue = append(m.queue, env)
+	m.queue = append(m.queue, v)
 	if !m.draining {
 		m.draining = true
 		go m.drain()
@@ -182,14 +194,14 @@ func (m *Mailbox) Put(env wire.Envelope) error {
 	return nil
 }
 
-// Out returns the delivery channel. It is closed by Close; envelopes
+// Out returns the delivery channel. It is closed by Close; elements
 // still in the overflow queue at that point are discarded (the consumer
 // is gone — this models a crashed process).
-func (m *Mailbox) Out() <-chan wire.Envelope { return m.out }
+func (m *Mailbox[T]) Out() <-chan T { return m.out }
 
 // Close stops the mailbox, waits for the drainer goroutine (if one is
 // running) to exit, and closes Out. It is idempotent.
-func (m *Mailbox) Close() {
+func (m *Mailbox[T]) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	first := !m.closed
@@ -206,30 +218,39 @@ func (m *Mailbox) Close() {
 	}
 }
 
-// Len reports the number of queued, not-yet-delivered envelopes.
-func (m *Mailbox) Len() int {
+// Len reports the number of queued, not-yet-delivered elements, the
+// one a drainer holds included. For the instant between a drainer's
+// hand-over and its next look at the queue, that one counts twice.
+func (m *Mailbox[T]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.out) + len(m.queue) - m.head
+	n := len(m.out) + len(m.queue) - m.head
+	if m.inHand {
+		n++
+	}
+	return n
 }
 
 // drain moves the overflow queue into out, in order, and exits when it
 // is empty (or on Close). It runs only while there is a backlog.
-func (m *Mailbox) drain() {
+func (m *Mailbox[T]) drain() {
+	var zero T
 	m.mu.Lock()
 	for !m.closed && m.head < len(m.queue) {
-		env := m.queue[m.head]
-		m.queue[m.head] = wire.Envelope{} // let the GC have it once delivered
+		v := m.queue[m.head]
+		m.queue[m.head] = zero // let the GC have it once delivered
 		m.head++
+		m.inHand = true
 		m.mu.Unlock()
 		// Block on the consumer, but abort if Close happens while the
 		// consumer is gone so shutdown never deadlocks. draining stays
-		// set, so no Put can overtake the envelope in hand.
+		// set, so no Put can overtake the element in hand.
 		select {
-		case m.out <- env:
+		case m.out <- v:
 		case <-m.stop:
 		}
 		m.mu.Lock()
+		m.inHand = false
 	}
 	if !m.closed {
 		m.queue, m.head = m.queue[:0], 0 // empty: rewind to reuse the array

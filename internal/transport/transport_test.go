@@ -20,7 +20,7 @@ func env(i int) wire.Envelope {
 }
 
 func TestMailboxFIFO(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	defer m.Close()
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -38,7 +38,7 @@ func TestMailboxFIFO(t *testing.T) {
 }
 
 func TestMailboxPutNeverBlocks(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	defer m.Close()
 	done := make(chan struct{})
 	go func() {
@@ -78,7 +78,7 @@ func TestMailboxPutNeverBlocks(t *testing.T) {
 
 // overflowing reports whether the mailbox is off its direct path: a
 // drainer is running (which implies queued or in-hand envelopes).
-func (m *Mailbox) overflowing() bool {
+func (m *Mailbox[T]) overflowing() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.draining
@@ -86,7 +86,7 @@ func (m *Mailbox) overflowing() bool {
 
 // waitDrainerGone waits for the overflow drainer to notice its queue is
 // empty and exit (it does so right after its last delivery).
-func waitDrainerGone(t *testing.T, m *Mailbox) {
+func waitDrainerGone(t *testing.T, m *Mailbox[wire.Envelope]) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); m.overflowing(); {
 		if time.Now().After(deadline) {
@@ -97,7 +97,7 @@ func waitDrainerGone(t *testing.T, m *Mailbox) {
 }
 
 func TestMailboxCloseIdempotentAndPutAfterClose(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	m.Close()
 	m.Close() // must not panic or deadlock
 	if err := m.Put(env(0)); !errors.Is(err, ErrClosed) {
@@ -109,7 +109,7 @@ func TestMailboxCloseIdempotentAndPutAfterClose(t *testing.T) {
 }
 
 func TestMailboxCloseWithBacklog(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	for i := 0; i < 50; i++ {
 		if err := m.Put(env(i)); err != nil {
 			t.Fatal(err)
@@ -143,7 +143,7 @@ func TestMailboxCloseWithBacklog(t *testing.T) {
 }
 
 func TestMailboxConcurrentProducers(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	defer m.Close()
 	const producers, each = 8, 200
 	var wg sync.WaitGroup
@@ -181,7 +181,7 @@ func TestMailboxConcurrentProducers(t *testing.T) {
 // FIFO must hold even when the consumer lags behind producers so the
 // drainer goes through its requeue path.
 func TestMailboxFIFOUnderSlowConsumer(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	defer m.Close()
 	const n = 500
 	go func() {
@@ -209,7 +209,7 @@ func TestMailboxFIFOUnderSlowConsumer(t *testing.T) {
 // and over, and a burst that starts while the drainer of the previous
 // one is still finishing must queue behind it.
 func TestMailboxFIFOAcrossOverflowBoundary(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	defer m.Close()
 	next, want := 0, 0
 	consume := func(n int) {
@@ -250,7 +250,7 @@ func TestMailboxFIFOAcrossOverflowBoundary(t *testing.T) {
 // turns lagging, so the mailbox crosses between direct delivery and the
 // overflow queue many times while order is checked on every envelope.
 func TestMailboxFIFOProducerConsumerLagAlternates(t *testing.T) {
-	m := NewMailbox()
+	m := NewMailbox[wire.Envelope]()
 	defer m.Close()
 	const n = 20000
 	go func() {
@@ -277,9 +277,9 @@ func TestMailboxFIFOProducerConsumerLagAlternates(t *testing.T) {
 // using a thousand of them leaves the goroutine count where it was.
 func TestMailboxHasNoResidentGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	boxes := make([]*Mailbox, 1000)
+	boxes := make([]*Mailbox[wire.Envelope], 1000)
 	for i := range boxes {
-		boxes[i] = NewMailbox()
+		boxes[i] = NewMailbox[wire.Envelope]()
 		if err := boxes[i].Put(env(i)); err != nil {
 			t.Fatal(err)
 		}
