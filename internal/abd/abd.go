@@ -139,6 +139,9 @@ func (w *Writer) Deliver(env wire.Envelope) {
 // Decided reports a majority of the round's acks, or a failure.
 func (w *Writer) Decided() bool { return w.rnd.Decided() }
 
+// Short is the round's (drive.Round.Short).
+func (w *Writer) Short() int { return w.rnd.Short() }
+
 // Deadline returns when Expire next has something to judge.
 func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }
 
@@ -215,6 +218,9 @@ func (r *Reader) Deliver(env wire.Envelope) {
 
 // Decided reports a majority of the round's acks, or a failure.
 func (r *Reader) Decided() bool { return r.rnd.Decided() }
+
+// Short is the round's (drive.Round.Short).
+func (r *Reader) Short() int { return r.rnd.Short() }
 
 // Deadline returns when Expire next has something to judge.
 func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }

@@ -130,6 +130,9 @@ func (r *Reader) Start(now time.Time, out *[]transport.Outgoing) (done bool, err
 // (or all S); a quorum in a write-back round — or has failed.
 func (r *Reader) Decided() bool { return r.rnd.Decided() }
 
+// Short is the round's (drive.Round.Short).
+func (r *Reader) Short() int { return r.rnd.Short() }
+
 // Deadline returns when Expire next has something to judge (see
 // drive.Round.Deadline).
 func (r *Reader) Deadline() time.Time { return r.rnd.Deadline() }

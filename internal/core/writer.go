@@ -277,6 +277,18 @@ func (w *Writer) Decided() bool {
 	return w.op.starved || (w.op.phase == phaseSpec && w.nackSeen) || w.rnd.Decided()
 }
 
+// Short is the round's (drive.Round.Short), but 1 in a speculative
+// pre-write, which one PW_NACK decides.
+func (w *Writer) Short() int {
+	switch {
+	case w.Decided():
+		return 0
+	case w.op.phase == phaseSpec:
+		return 1
+	}
+	return w.rnd.Short()
+}
+
 // Deadline returns when Expire next has something to judge (see
 // drive.Round.Deadline).
 func (w *Writer) Deadline() time.Time { return w.rnd.Deadline() }

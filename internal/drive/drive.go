@@ -35,10 +35,13 @@ import (
 	"luckystore/internal/wire"
 )
 
-// Op is the non-blocking half of a client operation in flight.
+// Op is the non-blocking half of a client operation in flight. Short is
+// the fewest further replies after which Decided could turn true without
+// the timer; it is 0 once the round is decided.
 type Op interface {
 	Deliver(env wire.Envelope)
 	Decided() bool
+	Short() int
 	Deadline() time.Time
 	Expire(now time.Time, out *[]transport.Outgoing)
 	Advance(now time.Time, out *[]transport.Outgoing) (done bool, err error)
@@ -98,6 +101,7 @@ type Corker interface {
 // a driver. The routes bound it instead: only a routed key's replies are
 // put, so the backlog is at most one reply per server for each message
 // the driver's keys sent and have not seen answered (DESIGN.md §2).
+// A run weighs its replies at the inbox's gate (Driver.gate).
 type Inbox = transport.Mailbox[*Replies]
 
 // Delivery is one reply routed into an Inbox: the slot and the Source it
@@ -126,7 +130,9 @@ func NewReplies() *Replies { return repliesPool.Get().(*Replies) }
 func (r *Replies) Add(dl Delivery) { r.dls = append(r.dls, dl) }
 
 // NewInbox makes an empty inbox. It starts no goroutine.
-func NewInbox() *Inbox { return transport.NewMailbox[*Replies]() }
+func NewInbox() *Inbox {
+	return transport.NewGatedMailbox(func(r *Replies) int { return len(r.dls) })
+}
 
 // Driver runs operations to completion: the Tasks of a Run, or the one
 // Op of a Private's Wait. It starts them, reads its clock for every call
@@ -189,10 +195,11 @@ func (d *Driver) Add(t Task, src Source) {
 func (d *Driver) Run() {
 	d.live, d.undecided = len(d.slots), 0
 	d.corkRound()
+	now := d.clock.Now()
 	for i := range d.slots {
 		s := &d.slots[i]
 		s.src.Route(d.in, i)
-		done, err := s.task.Start(d.clock.Now(), &d.out)
+		done, err := s.task.Start(now, &d.out)
 		d.settle(s, done, d.send(s, err, false))
 	}
 	d.loop()
@@ -240,9 +247,10 @@ func (d *Driver) loop() {
 			break
 		}
 		d.corkRound()
+		now := d.clock.Now()
 		for i := range d.slots {
 			if s := &d.slots[i]; !s.over {
-				done, err := s.op.Advance(d.clock.Now(), &d.out)
+				done, err := s.op.Advance(now, &d.out)
 				d.settle(s, done, d.send(s, err, false))
 			}
 		}
@@ -314,6 +322,7 @@ func (d *Driver) await() error {
 		d.arm()
 		fired := false
 		for !fired && d.undecided > 0 {
+			d.gate()
 			var err error
 			if fired, err = d.receive(true); err != nil {
 				return err
@@ -341,8 +350,27 @@ func (d *Driver) await() error {
 	return d.drain()
 }
 
-// drain delivers the replies already queued.
+// gate tells a Run's inbox the fewest replies after which every round
+// could be decided, so it wakes the driver once per decidable round, not
+// per reply frame. Every drain — the timer's first — releases the rest.
+func (d *Driver) gate() {
+	if d.in == nil {
+		return
+	}
+	n := 0
+	for i := range d.slots {
+		if s := &d.slots[i]; !s.over && !s.decided {
+			n += s.op.Short()
+		}
+	}
+	d.in.Gate(n)
+}
+
+// drain delivers the replies already queued, withheld ones included.
 func (d *Driver) drain() error {
+	if d.in != nil {
+		d.in.Gate(0)
+	}
 	for {
 		if more, err := d.receive(false); !more || err != nil {
 			return err

@@ -280,6 +280,7 @@ func (k *timerTask) Start(now time.Time, _ *[]transport.Outgoing) (bool, error) 
 }
 func (k *timerTask) Deliver(wire.Envelope) {}
 func (k *timerTask) Decided() bool         { return len(k.expired) > 0 }
+func (k *timerTask) Short() int            { return 1 }
 func (k *timerTask) Deadline() time.Time   { return k.dl }
 func (k *timerTask) Expire(now time.Time, _ *[]transport.Outgoing) {
 	k.expired = append(k.expired, now)
@@ -307,15 +308,17 @@ func TestDriverExpiresAtTheEarliestDeadline(t *testing.T) {
 	}
 }
 
-// roundTask is a Task of one untimed round, which its acks decide.
+// roundTask is a Task of one round, which its acks decide — and, when it
+// is timed, the timer's verdict.
 type roundTask struct {
 	drive.Round
-	err error
+	timed bool
+	err   error
 }
 
 func (k *roundTask) Start(now time.Time, out *[]transport.Outgoing) (bool, error) {
 	k.Begin(now)
-	k.Open(now, "PW round", false, nil, wire.Read{TSR: 1, Round: 1}, out)
+	k.Open(now, "PW round", k.timed, nil, wire.Read{TSR: 1, Round: 1}, out)
 	return false, nil
 }
 func (k *roundTask) Deliver(env wire.Envelope) { k.Ack(env.From) }

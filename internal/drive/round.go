@@ -174,6 +174,19 @@ func (r *Round) Decided() bool {
 	return r.err != nil || r.acks >= r.sh.S || (r.acks >= r.sh.Need && (r.expired || !r.timed))
 }
 
+// Short returns the fewest further acks after which the round could be
+// decided without the timer: all S in a timed round still waiting for
+// its verdict, a quorum otherwise, and 0 once it is decided.
+func (r *Round) Short() int {
+	switch {
+	case r.Decided():
+		return 0
+	case r.timed && !r.expired:
+		return r.sh.S - r.acks
+	}
+	return r.sh.Need - r.acks
+}
+
 // Deadline returns when Lapse next has something to judge: the end of
 // the round's timer or grace cycle, or the operation's deadline.
 func (r *Round) Deadline() time.Time {

@@ -31,16 +31,16 @@ import (
 // frame when the endpoint is a transport.FrameRouter, and otherwise by a
 // pump goroutine reading Recv, a message at a time.
 //
-// Subscriptions live in a sync.Map so routing does a lock-free read per
-// reply, and so does a caller finding a key's handle; the mutex guards
-// only the cold Subscribe/Close paths, keeping reply routing off every
-// other key's critical path under concurrent multi-key traffic.
+// Subscriptions live in a plain map under a read-write lock: routing
+// takes the read lock once per frame, and a caller finding a key's
+// handle once per call, so readers never wait on each other; only the
+// cold Subscribe and Sub.Close paths write. The only other lock routing
+// takes under it is an inbox's, in Put, which never blocks.
 type Demux struct {
 	inner transport.Endpoint
 
-	subs sync.Map // key string → *Sub
-
-	mu      sync.Mutex // guards closed, inboxes and the subs/Close race; never taken by routing
+	mu      sync.RWMutex // guards subs, closed and inboxes
+	subs    map[string]*Sub
 	closed  bool
 	inboxes []*drive.Inbox // every inbox NewInbox made; Close closes them
 	done    chan struct{}  // closed when no pump runs
@@ -53,6 +53,7 @@ type Demux struct {
 func NewDemux(ep transport.Endpoint) *Demux {
 	d := &Demux{
 		inner: ep,
+		subs:  make(map[string]*Sub),
 		done:  make(chan struct{}),
 	}
 	if r, ok := ep.(transport.FrameRouter); ok && r.RouteFrames(d.route) == nil {
@@ -83,18 +84,20 @@ func (d *Demux) Subscribe(key string, mk func(*Sub) any) (*Sub, error) {
 	if d.closed {
 		return nil, transport.ErrClosed
 	}
-	if v, ok := d.subs.Load(key); ok {
-		return v.(*Sub), nil
+	if old, ok := d.subs[key]; ok {
+		return old, nil
 	}
-	d.subs.Store(key, s)
+	d.subs[key] = s
 	return s, nil
 }
 
-// Handle returns the handle of key's subscription by one lock-free load,
-// nil when the key has none.
+// Handle returns the handle of key's subscription, nil when the key has
+// none.
 func (d *Demux) Handle(key string) any {
-	if v, ok := d.subs.Load(key); ok {
-		return v.(*Sub).handle
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	if s, ok := d.subs[key]; ok {
+		return s.handle
 	}
 	return nil
 }
@@ -184,6 +187,8 @@ func (d *Demux) route(from types.ProcID, frame wire.Message) {
 	self := d.inner.ID()
 	var in *drive.Inbox // the inbox run is for
 	var run *drive.Replies
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	for _, m := range msgs {
 		k, ok := m.(wire.Keyed)
 		// Validate m, not the unboxed k: re-boxing would allocate on
@@ -191,11 +196,10 @@ func (d *Demux) route(from types.ProcID, frame wire.Message) {
 		if !ok || wire.Validate(m) != nil {
 			continue // unkeyed or malformed traffic is dropped
 		}
-		v, ok := d.subs.Load(k.Key) // lock-free: no cross-key contention
+		s, ok := d.subs[k.Key]
 		if !ok {
 			continue // reply for a key this client never subscribed
 		}
-		s := v.(*Sub)
 		dst := s.route.Load()
 		if dst == nil {
 			continue // no operation on the key is in flight; the reply is stale
@@ -257,8 +261,8 @@ func (s *Sub) Flush() error { return s.demux.Flush() }
 // Close detaches the key from the demux.
 func (s *Sub) Close() error {
 	s.demux.mu.Lock()
-	if v, ok := s.demux.subs.Load(s.key); ok && v.(*Sub) == s {
-		s.demux.subs.Delete(s.key)
+	if s.demux.subs[s.key] == s {
+		delete(s.demux.subs, s.key)
 	}
 	s.demux.mu.Unlock()
 	return nil

@@ -109,6 +109,7 @@ func (p *probe) Start(time.Time, *[]transport.Outgoing) (bool, error) {
 }
 func (p *probe) Deliver(env wire.Envelope)                              { p.got = append(p.got, env) }
 func (p *probe) Decided() bool                                          { return len(p.got) > 0 || p.expired }
+func (p *probe) Short() int                                             { return 1 }
 func (p *probe) Deadline() time.Time                                    { return p.until }
 func (p *probe) Expire(time.Time, *[]transport.Outgoing)                { p.expired = true }
 func (p *probe) Advance(time.Time, *[]transport.Outgoing) (bool, error) { return true, nil }

@@ -71,6 +71,7 @@ func (k *logTask) Deliver(env wire.Envelope) {
 	*k.log = append(*k.log, fmt.Sprintf("%s/%d", k.key, env.Msg.(wire.ABDReadAck).Seq))
 }
 func (k *logTask) Decided() bool                                          { return k.got > 0 }
+func (k *logTask) Short() int                                             { return 1 }
 func (k *logTask) Deadline() time.Time                                    { return time.Now().Add(time.Hour) }
 func (k *logTask) Expire(time.Time, *[]transport.Outgoing)                {}
 func (k *logTask) Advance(time.Time, *[]transport.Outgoing) (bool, error) { return true, nil }

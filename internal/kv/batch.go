@@ -1,10 +1,10 @@
 package kv
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"time"
 
@@ -61,8 +61,9 @@ func (o *op) End(err error) {
 // inbox and one timer for all of them. Batches are pooled per role, so
 // the driver and the op slice are reused call after call.
 type batch struct {
-	dr  *drive.Driver
-	ops []op
+	dr    *drive.Driver
+	ops   []op
+	order []*op // ops in handle order, a handle's duplicates folded: what run ran
 }
 
 // role is one client identity of a store: its coalesced endpoint's
@@ -94,6 +95,8 @@ func (p *role) get() (*batch, error) {
 func (p *role) put(b *batch) {
 	clear(b.ops)
 	b.ops = b.ops[:0]
+	clear(b.order)
+	b.order = b.order[:0]
 	p.mu.Lock()
 	p.free = append(p.free, b)
 	p.mu.Unlock()
@@ -113,21 +116,25 @@ func (p *role) one(o op) (op, error) {
 	return o, o.err
 }
 
-// run drives every op to completion in lock-step (drive.Driver.Run).
-// Handles are taken in key order with duplicates folded, so concurrent
-// batches over overlapping key sets (and lone operations, which hold one
-// handle) cannot deadlock; each is released the moment its operation is
-// over, its outcome on the op.
+// run drives every op to completion in lock-step (drive.Driver.Run), in
+// b.order. Handles are taken in the order of their seq, duplicates — ops
+// on one handle, a key named twice — folded, so concurrent batches over
+// overlapping key sets (and lone operations, which hold one handle)
+// cannot deadlock; each is released the moment its operation is over,
+// its outcome on the op.
 func (b *batch) run() {
-	if len(b.ops) > 1 {
-		slices.SortFunc(b.ops, func(x, y op) int { return strings.Compare(x.key, y.key) })
-		b.ops = slices.CompactFunc(b.ops, func(x, y op) bool { return x.key == y.key })
-	}
 	for i := range b.ops {
-		b.ops[i].mu.Lock()
+		b.order = append(b.order, &b.ops[i])
 	}
-	for i := range b.ops {
-		b.dr.Add(&b.ops[i], b.ops[i].sub)
+	if len(b.order) > 1 {
+		slices.SortFunc(b.order, func(x, y *op) int { return cmp.Compare(x.seq, y.seq) })
+		b.order = slices.CompactFunc(b.order, func(x, y *op) bool { return x.handle == y.handle })
+	}
+	for _, o := range b.order {
+		o.mu.Lock()
+	}
+	for _, o := range b.order {
+		b.dr.Add(o, o.sub)
 	}
 	b.dr.Run()
 }
@@ -162,8 +169,7 @@ func (s *Store) putBatch(puts map[string]types.Value, observe func(key string, m
 		b.ops = append(b.ops, op{handle: h, key: key, val: v})
 	}
 	b.run()
-	for i := range b.ops {
-		o := &b.ops[i]
+	for _, o := range b.order {
 		if o.err != nil {
 			errs = append(errs, fmt.Errorf("put %q: %w", o.key, o.err))
 			continue
@@ -203,8 +209,7 @@ func (s *Store) GetBatch(idx int, keys []string) (map[string]types.Tagged, error
 		b.ops = append(b.ops, op{handle: h, key: key})
 	}
 	b.run()
-	for i := range b.ops {
-		o := &b.ops[i]
+	for _, o := range b.order {
 		if o.err != nil {
 			errs = append(errs, fmt.Errorf("get %q: %w", o.key, o.err))
 			continue

@@ -115,9 +115,10 @@ func WithMetrics(reg *metrics.Registry) Option {
 // and PutAsync write through writer 0; PutAs and PutMetaAs name the
 // writer.
 //
-// Handle lookup is lock-free on the hot path: a role's per-key handles
-// ride on the role's demux subscriptions, found by one sync.Map load, so
-// concurrent Put/Get on existing keys never contend on a store-wide lock.
+// Handle lookup takes no store-wide lock on the hot path: a role's
+// per-key handles ride on the role's demux subscriptions, found by one
+// map lookup under the demux's read lock, so concurrent Put/Get on
+// existing keys never wait on each other.
 // openMu serializes only the cold path — subscribing a key with a
 // demux on a role's first operation on it — for every role alike, and
 // closed is an atomic flag checked there; operations racing Close are
@@ -142,8 +143,9 @@ type Store struct {
 	writers []*role // writers[w] speaks as types.WriterIDN(w)
 	readers []*role // readers[i] speaks as types.ReaderID(i)
 
-	openMu sync.Mutex // cold path: first-use handle creation
-	closed atomic.Bool
+	openMu  sync.Mutex // cold path: first-use handle creation
+	handles uint64     // handles made, for the next one's seq; under openMu
+	closed  atomic.Bool
 
 	closeOnce sync.Once
 }
@@ -158,6 +160,7 @@ type handle struct {
 	drive.Op
 	mu  sync.Mutex
 	sub *keyed.Sub
+	seq uint64 // the handle's place in the order batches lock handles in
 }
 
 // Open builds and starts a store for cfg on an in-memory network: its
@@ -594,8 +597,8 @@ func roleAt(roles []*role, kind string, i int) (*role, error) {
 }
 
 // writerFor returns writer w's role and its handle for key. The hot path
-// is one lock-free load; only the role's first Put of key takes the cold
-// path (handleFor).
+// is one read-locked lookup (keyed.Demux.Handle); only the role's first
+// Put of key takes the cold path (handleFor).
 func (s *Store) writerFor(w int, key string) (*role, *handle, error) {
 	r, err := roleAt(s.writers, "writer", w)
 	if err != nil {
@@ -613,8 +616,8 @@ func (s *Store) writerFor(w int, key string) (*role, *handle, error) {
 	return r, h, nil
 }
 
-// readerFor returns reader idx's role and its handle for key, lock-free
-// once the handle exists (see writerFor).
+// readerFor returns reader idx's role and its handle for key, by one
+// read-locked lookup once the handle exists (see writerFor).
 func (s *Store) readerFor(idx int, key string) (*role, *handle, error) {
 	r, err := roleAt(s.readers, "reader", idx)
 	if err != nil {
@@ -642,7 +645,8 @@ func (s *Store) handleFor(d *keyed.Demux, key string, client func(*keyed.Sub) dr
 		return nil, ErrClosed
 	}
 	sub, err := d.Subscribe(key, func(sub *keyed.Sub) any {
-		return &handle{Op: client(sub), sub: sub}
+		s.handles++
+		return &handle{Op: client(sub), sub: sub, seq: s.handles}
 	})
 	if err != nil {
 		return nil, err

@@ -36,7 +36,7 @@ func tcpAllocCluster(t *testing.T, cfg core.Config, id types.ProcID) *Client {
 	t.Helper()
 	servers := make(map[types.ProcID]string, cfg.S())
 	for i := 0; i < cfg.S(); i++ {
-		srv, err := Listen(types.ServerID(i), "127.0.0.1:0", core.NewServer())
+		srv, err := listenOne(types.ServerID(i), "127.0.0.1:0", core.NewServer())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -18,7 +18,7 @@ import (
 // send stuck dialing a blackholed server must not stall sends to live
 // servers.
 func TestDialToUnreachableServerDoesNotBlockOtherSends(t *testing.T) {
-	live, err := Listen(types.ServerID(1), "127.0.0.1:0", core.NewServer())
+	live, err := listenOne(types.ServerID(1), "127.0.0.1:0", core.NewServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDialToUnreachableServerDoesNotBlockOtherSends(t *testing.T) {
 // TestDialSingleFlight checks concurrent senders to one destination
 // share a single dial instead of racing several connections.
 func TestDialSingleFlight(t *testing.T) {
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", core.NewServer())
+	srv, err := listenOne(types.ServerID(0), "127.0.0.1:0", core.NewServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestDialSingleFlight(t *testing.T) {
 // a connection that completes dialing after Close must be closed, not
 // leaked, and the sender gets ErrClosed.
 func TestCloseDuringDialClosesNewConn(t *testing.T) {
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", core.NewServer())
+	srv, err := listenOne(types.ServerID(0), "127.0.0.1:0", core.NewServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFailedDialIsHeldDown(t *testing.T) {
 
 	// The server comes up: unreachable for at most the rest of the
 	// hold-down, then the next send dials and delivers.
-	srv, err := Listen(types.ServerID(0), addr, core.NewServer())
+	srv, err := listenOne(types.ServerID(0), addr, core.NewServer())
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)
 	}

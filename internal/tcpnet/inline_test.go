@@ -412,7 +412,7 @@ func (r forwardRecorder) StepNeverBlocks() bool {
 // register answers NonBlocking true, so one shard costs no hand-off.
 func TestListenSingleRegisterStepsInline(t *testing.T) {
 	rec := &pathRecorder{inner: core.NewServer()}
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", forwardRecorder{rec})
+	srv, err := listenOne(types.ServerID(0), "127.0.0.1:0", forwardRecorder{rec})
 	if err != nil {
 		t.Fatal(err)
 	}

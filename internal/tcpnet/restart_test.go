@@ -31,7 +31,7 @@ func restartServer(t *testing.T, srv *Server, auto node.Automaton) *Server {
 		err  error
 	)
 	for i := 0; i < 50; i++ {
-		next, err = Listen(id, addr, auto)
+		next, err = listenOne(id, addr, auto)
 		if err == nil {
 			return next
 		}
@@ -42,7 +42,7 @@ func restartServer(t *testing.T, srv *Server, auto node.Automaton) *Server {
 }
 
 func TestSendRedialsAfterServerRestart(t *testing.T) {
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", core.NewServer())
+	srv, err := listenOne(types.ServerID(0), "127.0.0.1:0", core.NewServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSendRedialsAfterServerRestart(t *testing.T) {
 // A restart mid-workload: concurrent senders keep going, none of them
 // observes an error, and the server answers again after the restart.
 func TestConcurrentSendsSurviveRestart(t *testing.T) {
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", core.NewServer())
+	srv, err := listenOne(types.ServerID(0), "127.0.0.1:0", core.NewServer())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,21 +68,12 @@ type Server struct {
 	closed    chan struct{}
 }
 
-// ServerOption configures Listen and ListenSharded.
+// ServerOption configures ListenSharded.
 type ServerOption func(*Server)
 
 // WithServerMetrics attaches live instrumentation to the server.
 func WithServerMetrics(m *ServerMetrics) ServerOption {
 	return func(s *Server) { s.met = m }
-}
-
-// Listen starts a server for one automaton on addr (e.g.
-// "127.0.0.1:0"); the chosen address is available via Addr. It is
-// ListenSharded with a single shard: steps are serialized by the shard,
-// and a lone request frame to an automaton that answers
-// node.NonBlocking true steps on the connection's read goroutine.
-func Listen(id types.ProcID, addr string, auto node.Automaton, opts ...ServerOption) (*Server, error) {
-	return ListenSharded(id, addr, []node.Automaton{auto}, func(wire.Message) int { return 0 }, opts...)
 }
 
 // Addr returns the listening address.

@@ -6,8 +6,16 @@ import (
 	"time"
 
 	"luckystore/internal/core"
+	"luckystore/internal/node"
 	"luckystore/internal/types"
+	"luckystore/internal/wire"
 )
+
+// listenOne starts a server for one automaton on addr: ListenSharded
+// with a single shard, which serializes its steps.
+func listenOne(id types.ProcID, addr string, auto node.Automaton) (*Server, error) {
+	return ListenSharded(id, addr, []node.Automaton{auto}, func(wire.Message) int { return 0 })
+}
 
 // startCluster brings up S core servers on loopback TCP and returns
 // their address map.
@@ -15,7 +23,7 @@ func startCluster(t *testing.T, s int) map[types.ProcID]string {
 	t.Helper()
 	addrs := make(map[types.ProcID]string, s)
 	for i := 0; i < s; i++ {
-		srv, err := Listen(types.ServerID(i), "127.0.0.1:0", core.NewServer())
+		srv, err := listenOne(types.ServerID(i), "127.0.0.1:0", core.NewServer())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,8 +39,8 @@ func testCfg() core.Config {
 }
 
 func TestListenRejectsNonServerID(t *testing.T) {
-	if _, err := Listen(types.WriterID(), "127.0.0.1:0", core.NewServer()); err == nil {
-		t.Error("Listen accepted a writer id")
+	if _, err := listenOne(types.WriterID(), "127.0.0.1:0", core.NewServer()); err == nil {
+		t.Error("ListenSharded accepted a writer id")
 	}
 }
 
@@ -123,7 +131,7 @@ func TestCrashToleranceOverTCP(t *testing.T) {
 }
 
 func TestServerRejectsServerImpersonation(t *testing.T) {
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", core.NewServer())
+	srv, err := listenOne(types.ServerID(0), "127.0.0.1:0", core.NewServer())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +154,7 @@ func TestServerRejectsServerImpersonation(t *testing.T) {
 }
 
 func TestServerSurvivesGarbageConnection(t *testing.T) {
-	srv, err := Listen(types.ServerID(0), "127.0.0.1:0", core.NewServer())
+	srv, err := listenOne(types.ServerID(0), "127.0.0.1:0", core.NewServer())
 	if err != nil {
 		t.Fatal(err)
 	}

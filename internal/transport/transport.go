@@ -127,14 +127,19 @@ func SendAll(ep Endpoint, out []Outgoing) error {
 //
 // The overflow queue is a slice with a head index, compacted in place
 // when it fills, so the backing array is reused across overflow
-// episodes instead of sliding forward and reallocating.
+// episodes instead of sliding forward and reallocating. A gated mailbox
+// also queues what its consumer asked it to withhold (Gate).
 type Mailbox[T any] struct {
 	mu       sync.Mutex
-	queue    []T  // overflow, in arrival order
-	head     int  // index of the next overflow element to deliver
+	queue    []T  // overflow or withheld elements, in arrival order
+	head     int  // index of the next queued element to deliver
 	draining bool // a drainer goroutine is running
 	inHand   bool // ... and holds an element it took off the queue
 	closed   bool
+
+	weight func(T) int // an element's weight at the gate; nil: no gate
+	gate   int         // withhold Puts until held reaches it; 0: open
+	held   int         // weight of the withheld elements
 
 	out  chan T
 	stop chan struct{} // closed by Close: aborts a drainer blocked on the consumer
@@ -160,6 +165,13 @@ func NewMailbox[T any]() *Mailbox[T] {
 	return m
 }
 
+// NewGatedMailbox creates a mailbox whose Gate weighs elements by weight.
+func NewGatedMailbox[T any](weight func(T) int) *Mailbox[T] {
+	m := NewMailbox[T]()
+	m.weight = weight
+	return m
+}
+
 // Put enqueues v. It returns ErrClosed after Close and never blocks on
 // the consumer.
 func (m *Mailbox[T]) Put(v T) error {
@@ -168,7 +180,8 @@ func (m *Mailbox[T]) Put(v T) error {
 	if m.closed {
 		return ErrClosed
 	}
-	if !m.draining {
+	withhold := m.gate > 0 && !m.draining
+	if !m.draining && !withhold {
 		// Nothing is queued ahead of v, so it may go straight to the
 		// consumer. The send cannot block (default case) and cannot hit a
 		// closed channel (Close closes out under mu).
@@ -187,16 +200,54 @@ func (m *Mailbox[T]) Put(v T) error {
 		m.head = 0
 	}
 	m.queue = append(m.queue, v)
-	if !m.draining {
+	if withhold {
+		if m.held += m.weight(v); m.held >= m.gate {
+			m.release()
+		}
+	} else if !m.draining {
 		m.draining = true
 		go m.drain()
 	}
 	return nil
 }
 
+// Gate makes a gated mailbox withhold what is put until it weighs n, and
+// then hand it all over; n ≤ 0 hands over what is withheld now. What Out
+// holds, or a drainer moves, is not withheld; Close drops what is.
+func (m *Mailbox[T]) Gate(n int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.weight != nil {
+		if m.gate = n; m.held >= n {
+			m.release()
+		}
+	}
+}
+
+// release opens the gate: the withheld elements go to Out, by a drainer
+// for those it has no room for. It holds mu.
+func (m *Mailbox[T]) release() {
+	m.gate, m.held = 0, 0
+	if m.draining {
+		return // nothing is withheld behind a backlog
+	}
+	var zero T
+	for ; m.head < len(m.queue); m.head++ {
+		select {
+		case m.out <- m.queue[m.head]:
+			m.queue[m.head] = zero
+		default:
+			m.draining = true
+			go m.drain()
+			return
+		}
+	}
+	m.queue, m.head = m.queue[:0], 0
+}
+
 // Out returns the delivery channel. It is closed by Close; elements
-// still in the overflow queue at that point are discarded (the consumer
-// is gone — this models a crashed process).
+// still queued at that point, withheld or overflowing, are discarded
+// (the consumer is gone — this models a crashed process).
 func (m *Mailbox[T]) Out() <-chan T { return m.out }
 
 // Close stops the mailbox, waits for the drainer goroutine (if one is
@@ -213,14 +264,15 @@ func (m *Mailbox[T]) Close() {
 		m.idle.Wait()
 	}
 	if first {
-		m.queue, m.head = nil, 0
+		m.queue, m.head, m.held = nil, 0, 0
 		close(m.out)
 	}
 }
 
 // Len reports the number of queued, not-yet-delivered elements, the
-// one a drainer holds included. For the instant between a drainer's
-// hand-over and its next look at the queue, that one counts twice.
+// withheld ones and the one a drainer holds included. For the instant
+// between a drainer's hand-over and its next look at the queue, that
+// one counts twice.
 func (m *Mailbox[T]) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -86,7 +86,7 @@ func (m *Mailbox[T]) overflowing() bool {
 
 // waitDrainerGone waits for the overflow drainer to notice its queue is
 // empty and exit (it does so right after its last delivery).
-func waitDrainerGone(t *testing.T, m *Mailbox[wire.Envelope]) {
+func waitDrainerGone[T any](t *testing.T, m *Mailbox[T]) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); m.overflowing(); {
 		if time.Now().After(deadline) {
@@ -290,6 +290,81 @@ func TestMailboxHasNoResidentGoroutine(t *testing.T) {
 	}
 	for _, m := range boxes {
 		m.Close()
+	}
+}
+
+// A gated mailbox withholds what is put until it weighs what the gate
+// asks for, then hands it all over in order; what is withheld counts in
+// Len. An ungated mailbox ignores the gate.
+func TestMailboxGateWithholdsUntilItsWeight(t *testing.T) {
+	m := NewGatedMailbox(func(v int) int { return v })
+	defer m.Close()
+	m.Gate(5)
+	for _, v := range []int{2, 2} {
+		if err := m.Put(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(m.Out()) != 0 || m.Len() != 2 {
+		t.Fatalf("%d handed over, %d queued, want both withheld", len(m.Out()), m.Len())
+	}
+	if err := m.Put(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []int{2, 2, 1} {
+		select {
+		case v := <-m.Out():
+			if v != want {
+				t.Fatalf("got %d, want %d", v, want)
+			}
+		default:
+			t.Fatal("the gate held on at its weight")
+		}
+	}
+	if err := m.Put(7); err != nil || len(m.Out()) != 1 {
+		t.Fatalf("after the gate opened Put = %v with %d handed over, want it direct", err, len(m.Out()))
+	}
+
+	u := NewMailbox[int]()
+	defer u.Close()
+	u.Gate(5)
+	if err := u.Put(1); err != nil || len(u.Out()) != 1 {
+		t.Fatalf("an ungated mailbox's Put = %v with %d handed over, want it direct", err, len(u.Out()))
+	}
+}
+
+// Gate(0) hands over what the gate withholds, in order behind what Out
+// already holds, and past Out's buffer by the drainer; Close drops what
+// is withheld and closes Out.
+func TestMailboxReleaseAndClose(t *testing.T) {
+	m := NewGatedMailbox(func(int) int { return 1 })
+	const n = 3 * mailboxBuffer
+	if err := m.Put(0); err != nil {
+		t.Fatal(err)
+	}
+	m.Gate(n + 1)
+	for i := 1; i < n; i++ {
+		if err := m.Put(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Gate(0)
+	for i := 0; i < n; i++ {
+		if v := <-m.Out(); v != i {
+			t.Fatalf("released out of order at %d: got %d", i, v)
+		}
+	}
+	waitDrainerGone(t, m)
+	m.Gate(2)
+	if err := m.Put(1); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	if v, ok := <-m.Out(); ok {
+		t.Fatalf("Close handed over %d, want the withheld element dropped", v)
+	}
+	if err := m.Put(1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Put after Close = %v, want ErrClosed", err)
 	}
 }
 
